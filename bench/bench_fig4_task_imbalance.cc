@@ -30,15 +30,10 @@ main(int argc, char** argv)
     const unsigned measure_threads =
         options.threads ? options.threads : 4;
     ThreadPool pool(measure_threads);
-    // Default kDynamic keeps the paper's schedule(dynamic) semantics
-    // (and the committed baseline rows); --schedule=steal shows how
-    // the work-stealing policy absorbs the same imbalance.
-    pool.setSchedule(options.schedule);
 
     Table table("Per-task data-parallel work");
     table.setHeader({"kernel", "work unit", "tasks", "mean", "p99",
-                     "max", "max/mean", "meas busy max/mean",
-                     "steals"});
+                     "max", "max/mean", "meas busy max/mean"});
     for (const auto& name : options.kernelList()) {
         auto kernel = createKernel(name);
         const auto& info = kernel->info();
@@ -59,10 +54,8 @@ main(int argc, char** argv)
         pool.resetTelemetry();
         kernel->run(pool);
         RunningStats busy;
-        u64 steals = 0;
         for (const auto& rank : pool.telemetry()) {
             busy.add(rank.busy_seconds);
-            steals += rank.steals;
         }
 
         table.newRow()
@@ -74,8 +67,7 @@ main(int argc, char** argv)
                 static_cast<u64>(percentile(samples, 99.0))))
             .cell(formatCount(static_cast<u64>(stats.max())))
             .cellF(stats.imbalance(), 1)
-            .cellF(busy.imbalance(), 2)
-            .cell(steals);
+            .cellF(busy.imbalance(), 2);
     }
     bench::report(table);
     std::cout << "\nShape check: every irregular kernel shows "
@@ -83,10 +75,7 @@ main(int argc, char** argv)
                  "(paper: up to ~1000x on whole-chromosome input). "
                  "The measured busy-time column (ran with "
               << measure_threads
-              << " ranks, schedule "
-              << schedulePolicyName(options.schedule)
-              << ") stays near 1: the scheduler absorbs the task-work "
-                 "imbalance. 'steals' counts steal-half operations "
-                 "(always 0 under dynamic).\n";
+              << " ranks) stays near 1: the scheduler absorbs the "
+                 "task-work imbalance.\n";
     return 0;
 }

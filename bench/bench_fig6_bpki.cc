@@ -75,7 +75,6 @@ main(int argc, char** argv)
         // counter group on every rank summed into whole-run totals
         // (PooledCounters), so --threads>1 no longer under-reports.
         ThreadPool pool(options.threads);
-        pool.setSchedule(options.schedule);
         kernel->setEngine(options.engine);
         const auto sample =
             bench::timeRunSampledPooled(*kernel, pool);

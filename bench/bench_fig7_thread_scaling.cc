@@ -82,19 +82,16 @@ main(int argc, char** argv)
 
     Table table("Speedup over 1 thread");
     table.setHeader({"kernel", "t=1 (s)", "x2", "x4", "x8",
-                     "sim x8 dyn", "sim x8 static", "meas bal x8",
-                     "steals x8"});
+                     "sim x8 dyn", "sim x8 static", "meas bal x8"});
     for (const auto& name : options.kernelList()) {
         auto kernel = createKernel(name);
         kernel->prepare(options.size);
 
         double base = 0.0;
         double measured_balance = 0.0;
-        u64 steals = 0;
         table.newRow().cell(name);
         for (unsigned threads : {1u, 2u, 4u, 8u}) {
             ThreadPool pool(threads);
-            pool.setSchedule(options.schedule);
             // Warm-up run amortizes first-touch effects at t=1.
             if (threads == 1) bench::timeRun(*kernel, pool);
             pool.resetTelemetry();
@@ -115,7 +112,6 @@ main(int argc, char** argv)
                 for (const auto& rank : pool.telemetry()) {
                     busy_sum += rank.busy_seconds;
                     busy_max = std::max(busy_max, rank.busy_seconds);
-                    steals += rank.steals;
                 }
                 measured_balance =
                     busy_max > 0.0 ? busy_sum / busy_max : 0.0;
@@ -128,7 +124,6 @@ main(int argc, char** argv)
         table.cellF(scheduledSpeedup(work, 8, true), 2);
         table.cellF(scheduledSpeedup(work, 8, false), 2);
         table.cellF(measured_balance, 2);
-        table.cell(steals);
     }
     bench::report(table);
     std::cout
@@ -140,8 +135,6 @@ main(int argc, char** argv)
            "long-tailed ones (phmm, dbg) — exactly why the paper uses "
            "OpenMP dynamic. 'meas bal x8' is the measured analogue of "
            "'sim x8 dyn': effective parallelism sum(busy)/max(busy) "
-           "from the t=8 scheduler telemetry. 'steals x8' counts "
-           "steal-half operations at t=8 (0 under the default "
-           "dynamic policy; see docs/threading.md).\n";
+           "from the t=8 scheduler telemetry.\n";
     return 0;
 }

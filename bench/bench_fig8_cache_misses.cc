@@ -52,7 +52,6 @@ main(int argc, char** argv)
         // groups are summed (PooledCounters) so the meas columns are
         // whole-run totals, not rank 0's share.
         ThreadPool pool(options.threads);
-        pool.setSchedule(options.schedule);
         kernel->setEngine(options.engine);
         const auto sample =
             bench::timeRunSampledPooled(*kernel, pool);

@@ -12,9 +12,7 @@
  *
  *   bench_kernels --engine=simd --benchmark_filter=bsw
  *
- * `--size=tiny|small|large` selects the dataset preset (default tiny),
- * `--schedule=dynamic|steal` the ThreadPool policy (non-default policy
- * becomes a /schedule: suffix in the entry names; docs/threading.md),
+ * `--size=tiny|small|large` selects the dataset preset (default tiny)
  * and `--json=FILE` mirrors every timed entry into a gb-metrics-v1
  * JSON file (docs/metrics.md); all other flags go to google-benchmark.
  */
@@ -35,7 +33,6 @@ namespace {
 using namespace gb;
 
 DatasetSize g_size = DatasetSize::kTiny;
-SchedulePolicy g_schedule = SchedulePolicy::kDynamic;
 
 metrics::MetricsSink&
 sink()
@@ -82,7 +79,6 @@ runKernel(benchmark::State& state, const std::string& name,
         simd::setSimdLevel(simd::SimdLevel::kScalar);
     }
     ThreadPool pool(threads);
-    pool.setSchedule(g_schedule);
     u64 tasks = 0;
     for (auto _ : state) {
         tasks = kernel->run(pool);
@@ -112,12 +108,6 @@ registerOne(const std::string& name, unsigned threads, Engine engine,
     if (suffix_engine) {
         label += std::string("/engine:") + engineName(engine);
     }
-    // Non-default policy is part of the row identity so steal runs
-    // never collide with the committed dynamic baseline rows.
-    if (g_schedule != SchedulePolicy::kDynamic) {
-        label += std::string("/schedule:") +
-                 schedulePolicyName(g_schedule);
-    }
     benchmark::RegisterBenchmark(
         label.c_str(),
         [name, threads, engine](benchmark::State& state) {
@@ -133,7 +123,7 @@ int
 main(int argc, char** argv)
 {
     using namespace gb;
-    // Pre-parse and strip --engine/--size/--schedule/--json; everything
+    // Pre-parse and strip --engine/--size/--json; everything
     // else goes to google-benchmark (--benchmark_filter etc.).
     bool want_scalar = true;
     bool want_simd = true;
@@ -155,13 +145,6 @@ main(int argc, char** argv)
             } else {
                 std::cerr << "error: unknown --size value: " << v
                           << " (expected tiny, small or large)\n";
-                return 2;
-            }
-        } else if (std::strncmp(argv[i], "--schedule=", 11) == 0) {
-            try {
-                g_schedule = parseSchedulePolicy(argv[i] + 11);
-            } catch (const InputError& e) {
-                std::cerr << "error: " << e.what() << "\n";
                 return 2;
             }
         } else if (std::strncmp(argv[i], "--json=", 7) == 0) {

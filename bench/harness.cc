@@ -1,14 +1,15 @@
 #include "harness.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cstring>
 #include <iostream>
 #include <sstream>
+#include <string_view>
 
 #include "metrics/pooled_counters.h"
 #include "simd/simd.h"
 #include "store/cache.h"
+#include "util/parse.h"
 
 namespace gb::bench {
 
@@ -17,7 +18,7 @@ namespace {
 /** Flags every bench binary understands (name only, sans value). */
 const std::vector<std::string> kKnownFlags = {
     "--size", "--threads", "--kernels", "--cache-dir",
-    "--engine", "--schedule", "--json", "--help"};
+    "--engine", "--json", "--help"};
 
 constexpr const char* kUsage =
     "usage: bench_* [options]\n"
@@ -25,8 +26,6 @@ constexpr const char* kUsage =
     "  --threads=N              worker threads for timed runs\n"
     "  --kernels=a,b,c          restrict to a kernel subset\n"
     "  --engine=scalar|simd     timed-run execution engine\n"
-    "  --schedule=dynamic|steal ThreadPool policy for timed runs "
-    "(docs/threading.md)\n"
     "  --cache-dir=DIR          gb::store artifact cache\n"
     "  --json=FILE              write gb-metrics-v1 JSON "
     "(docs/metrics.md)\n"
@@ -71,18 +70,6 @@ unknownOption(const std::string& arg)
     return message;
 }
 
-unsigned
-parseUnsigned(std::string_view flag, std::string_view text)
-{
-    unsigned value = 0;
-    const auto [ptr, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), value);
-    requireInput(ec == std::errc() && ptr == text.data() + text.size(),
-                 std::string(flag) + " expects a non-negative number, "
-                     "got '" + std::string(text) + "'");
-    return value;
-}
-
 } // namespace
 
 const std::vector<std::string>&
@@ -121,8 +108,8 @@ Options::parseStrict(int argc, char** argv, DatasetSize default_size)
                     " (expected tiny, small or large)");
             }
         } else if (arg.rfind("--threads=", 0) == 0) {
-            opt.threads =
-                parseUnsigned("--threads", value("--threads="));
+            opt.threads = parseUnsigned(
+                "--threads", value("--threads="), 0, kMaxThreads);
         } else if (arg.rfind("--kernels=", 0) == 0) {
             std::istringstream list(value("--kernels="));
             std::string name;
@@ -135,8 +122,6 @@ Options::parseStrict(int argc, char** argv, DatasetSize default_size)
                          "--cache-dir expects a directory path");
         } else if (arg.rfind("--engine=", 0) == 0) {
             opt.engine = parseEngine(value("--engine="));
-        } else if (arg.rfind("--schedule=", 0) == 0) {
-            opt.schedule = parseSchedulePolicy(value("--schedule="));
         } else if (arg.rfind("--json=", 0) == 0) {
             opt.json_path = value("--json=");
             requireInput(!opt.json_path.empty(),
@@ -247,8 +232,7 @@ printHeader(const std::string& experiment, const std::string& paper_ref,
               << ", threads: "
               << (options.threads ? std::to_string(options.threads)
                                   : std::string("auto"))
-              << ", engine: " << engineName(options.engine)
-              << ", schedule: " << schedulePolicyName(options.schedule);
+              << ", engine: " << engineName(options.engine);
     if (!options.cache_dir.empty()) {
         std::cout << ", artifact cache: " << options.cache_dir;
     }

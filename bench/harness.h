@@ -9,11 +9,6 @@
  *   --engine=scalar|simd      execution engine for timed runs (simd
  *                             applies to kernels with a real SIMD
  *                             engine: bsw, phmm; see docs/simd.md)
- *   --schedule=dynamic|steal  ThreadPool scheduling policy for timed
- *                             runs (see docs/threading.md); figure
- *                             benches that model OpenMP
- *                             schedule(dynamic) keep their measured
- *                             semantics under the default dynamic
  *   --cache-dir=DIR           build-or-load prepared artifacts from a
  *                             gb::store cache (see docs/store-format.md)
  *   --json=FILE               mirror every table row into a
@@ -48,8 +43,6 @@ struct Options
     std::vector<std::string> kernels; ///< empty = all
     std::string cache_dir; ///< empty = artifact caching disabled
     Engine engine = Engine::kScalar; ///< timed-run execution engine
-    /** ThreadPool policy for timed runs (docs/threading.md). */
-    SchedulePolicy schedule = SchedulePolicy::kDynamic;
     std::string json_path; ///< empty = JSON emission disabled
     bool help = false; ///< --help/-h was seen (parseStrict only)
 

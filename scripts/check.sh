@@ -1,24 +1,25 @@
 #!/usr/bin/env bash
 # Full pre-merge check: tier-1 build + tests, the SIMD, batched-MLP,
 # chain and poa equivalence suites at every dispatch level
-# (GB_SIMD_LEVEL=scalar|sse4|avx2), the gb::store, gb::simd, gb::mlp,
-# gb::chain and gb::poa test suites under ASan/UBSan, the thread-pool and metrics suites
-# under TSan, a metrics smoke test (--json emission validated by
+# (GB_SIMD_LEVEL=scalar|sse4|avx2), the whole ctest suite under
+# ASan/UBSan (plus the dispatch-level suites at every level), the
+# thread-pool, metrics, serve, net and trace suites under TSan, a
+# metrics smoke test (--json emission validated by
 # scripts/bench_compare.py), the mlp ablation benches (self-verifying),
 # a benchmark-baseline comparison against
 # baselines/gb-metrics-v1.tiny.json (tolerance via GB_BENCH_TOLERANCE,
 # percent), an end-to-end artifact-cache smoke test (store build ->
 # store verify -> warm bench run + corruption and bad-flag rejection
-# checks), a schedule-policy equivalence smoke (`run --schedule=steal`
-# task counters must match the dynamic run — docs/threading.md), a
-# gb::serve smoke test (8-job list through the scheduler, JSON
+# checks), a gb::serve smoke test (8-job list through the scheduler, JSON
 # validated, single-flight prepare asserted), a gb::net loopback
 # smoke (`serve --listen` driven by the `client` subcommand over
 # 127.0.0.1, priority dispatch order asserted from the JSON), and a
 # gb::trace smoke riding on the net run: --trace must produce valid
 # Perfetto JSON covering every instrumented layer with zero dropped
 # events, submit->done coverage for all 8 jobs, and non-zero latency
-# percentile columns on the serve_summary row (docs/tracing.md).
+# percentile columns on the serve_summary row (docs/tracing.md), and
+# CLI error-handling checks (unknown bench flags, malformed numeric
+# flags).
 #
 # Usage: scripts/check.sh [--skip-sanitizers]
 set -euo pipefail
@@ -55,14 +56,13 @@ done
 
 # ------------------------------------------------------- sanitizer build
 if [[ $SKIP_SAN -eq 0 ]]; then
-    step "ASan/UBSan: build + run store + simd + mlp + chain + poa tests"
+    step "ASan/UBSan: build + run the whole ctest suite"
     cmake -B build-asan -S . \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
         >/dev/null
-    cmake --build build-asan -j"$JOBS" --target test_store test_simd \
-        test_mlp test_chain test_poa
-    ./build-asan/tests/test_store
+    cmake --build build-asan -j"$JOBS"
+    (cd build-asan && ctest --output-on-failure -j"$JOBS")
     for level in scalar sse4 avx2; do
         GB_SIMD_LEVEL=$level ./build-asan/tests/test_simd \
             --gtest_brief=1
@@ -77,12 +77,11 @@ fi
 
 # ------------------------------------------------------- TSan build
 # The scheduler telemetry writes per-rank slots from worker threads,
-# the kSteal policy CASes packed range words across ranks, the
-# gb::serve scheduler runs jobs on detached runner threads over a
+# the gb::serve scheduler runs jobs on detached runner threads over a
 # shared worker budget, the gb::net server multiplexes session
 # threads, an accept loop and wake pipes over one scheduler, and
 # gb::trace records into per-thread rings from all of the above; TSan
-# proves the thread-pool accounting, the steal protocol, the metrics
+# proves the thread-pool accounting, the metrics
 # plumbing, the serving layer, the network layer and the trace
 # recorder are race-free.
 if [[ $SKIP_SAN -eq 0 ]]; then
@@ -93,10 +92,10 @@ if [[ $SKIP_SAN -eq 0 ]]; then
         >/dev/null
     cmake --build build-tsan -j"$JOBS" --target test_util test_metrics \
         test_serve test_net test_trace
-    # The randomized scheduler stress first (both policies, skewed and
-    # throwing bodies — docs/threading.md), then the full suites.
+    # The randomized scheduler stress first (skewed and throwing
+    # bodies — docs/threading.md), then the full suites.
     ./build-tsan/tests/test_util \
-        --gtest_filter='ThreadPool.SchedulerStress*:ThreadPool.Steal*'
+        --gtest_filter='ThreadPool.SchedulerStress*'
     ./build-tsan/tests/test_util --gtest_brief=1
     ./build-tsan/tests/test_metrics --gtest_brief=1
     ./build-tsan/tests/test_serve --gtest_brief=1
@@ -165,30 +164,6 @@ grep -q "1 hit" /tmp/gb_warm.txt || {
     echo "FAIL: warm run did not hit the artifact cache" >&2
     exit 1
 }
-
-# Schedule-policy equivalence: the same kernel under --schedule=steal
-# must report exactly the task counters of the --schedule=dynamic run
-# (the policies move indices between ranks, never change the work —
-# docs/threading.md).
-step "schedule: run --schedule=steal counters match dynamic"
-"$GB" run fmi --size=tiny --cache-dir="$CACHE" --repeat=2 \
-    --json=/tmp/gb_sched_dyn.json >/dev/null
-"$GB" run fmi --size=tiny --cache-dir="$CACHE" --repeat=2 \
-    --schedule=steal --json=/tmp/gb_sched_steal.json >/dev/null
-python3 - /tmp/gb_sched_dyn.json /tmp/gb_sched_steal.json <<'EOF'
-import json, sys
-def load(path, want_schedule):
-    doc = json.load(open(path))
-    runs = [r for r in doc["rows"] if r["table"] == "run"]
-    assert runs, f"{path}: no run rows"
-    for r in runs:
-        assert r["schedule"] == want_schedule, r
-    return sorted(r["tasks"] for r in runs)
-dyn = load(sys.argv[1], "dynamic")
-steal = load(sys.argv[2], "steal")
-assert dyn == steal, f"task counters diverge: {dyn} vs {steal}"
-print(f"schedule smoke ok: tasks {dyn} identical under both policies")
-EOF
 
 # Engine equivalence: chain and spoa under --engine=simd must report
 # exactly the task counters of the --engine=scalar runs (the SIMD
@@ -380,5 +355,23 @@ if [[ $status -ne 2 ]] || ! grep -q "did you mean --threads" /tmp/gb_flag.txt; t
     exit 1
 fi
 echo "bad flag rejected with: $(cat /tmp/gb_flag.txt | head -1)"
+
+# Numeric flags parse whole strings within range: a zero repeat count,
+# a negative or over-cap thread count and trailing garbage all exit
+# non-zero with a message instead of wrapping or truncating.
+step "genomicsbench CLI: malformed numeric flags rejected"
+for flag in "--repeat=0" "--threads=-1" "--threads=2x" \
+            "--threads=100000"; do
+    set +e
+    "$GB" run pileup --size=tiny "$flag" >/dev/null 2>/tmp/gb_flag.txt
+    status=$?
+    set -e
+    if [[ $status -eq 0 ]] || ! grep -q "error:" /tmp/gb_flag.txt; then
+        echo "FAIL: run pileup $flag was not rejected" >&2
+        cat /tmp/gb_flag.txt >&2
+        exit 1
+    fi
+    echo "$flag -> $(head -1 /tmp/gb_flag.txt)"
+done
 
 step "all checks passed"

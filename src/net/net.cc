@@ -1,5 +1,6 @@
 #include "net/net.h"
 
+#include <algorithm>
 #include <arpa/inet.h>
 #include <cerrno>
 #include <chrono>
@@ -193,6 +194,9 @@ Connection::readLine(std::string* line, int wake_fd)
 {
     for (;;) {
         const size_t nl = buffer_.find('\n');
+        if (std::min(nl, buffer_.size()) > kMaxLineBytes) {
+            throw LineTooLongError();
+        }
         if (nl != std::string::npos) {
             *line = buffer_.substr(0, nl);
             buffer_.erase(0, nl + 1);

@@ -35,6 +35,16 @@ class NetError : public std::runtime_error
         : std::runtime_error(what) {}
 };
 
+/** Longest line readLine() accepts, terminator excluded. */
+inline constexpr size_t kMaxLineBytes = 64 * 1024;
+
+/** Thrown by readLine() when a line exceeds kMaxLineBytes. */
+class LineTooLongError : public NetError
+{
+  public:
+    LineTooLongError() : NetError("line too long") {}
+};
+
 /** Split "HOST:PORT"; throws InputError on a malformed spec. */
 struct HostPort
 {
@@ -73,7 +83,9 @@ class Connection
      * Read one line. Returns false on orderly EOF, on read timeout,
      * or when `wake_fd` (if >= 0) becomes readable — the caller
      * treats all three as "this session is over". Throws NetError on
-     * a socket error.
+     * a socket error, and LineTooLongError once more than
+     * kMaxLineBytes arrive without a terminator, so a peer that never
+     * sends '\n' cannot grow the buffer without bound.
      */
     bool readLine(std::string* line, int wake_fd = -1);
 

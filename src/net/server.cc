@@ -78,6 +78,14 @@ Server::session(Connection conn)
                conn.readLine(&line, session_wake_[0])) {
             conn.writeLine(handleLine(line));
         }
+    } catch (const LineTooLongError& e) {
+        // The oversized line is not parsed; say why, then end the
+        // session (the rest of the stream cannot be re-framed).
+        try {
+            conn.writeLine(errReply(e.what()));
+        } catch (const NetError&) {
+            // Peer already gone.
+        }
     } catch (const NetError&) {
         // Peer reset mid-request/reply; the session just ends.
     }
@@ -164,7 +172,6 @@ Server::handleSubmit(const std::string& job_line)
     // Parse and registry-validation failures propagate to
     // handleLine's catch and come back as ERR replies.
     serve::JobSpec spec = serve::parseJobLine(job_line);
-    if (config_.spec_defaults) config_.spec_defaults(spec);
     serve::JobHandle handle = scheduler_->submit(std::move(spec));
     if (handle.status() == serve::JobStatus::kRejected) {
         // Admission control: "ERR queue full (depth N)" / "ERR queue

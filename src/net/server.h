@@ -26,7 +26,6 @@
 #define GB_NET_SERVER_H
 
 #include <condition_variable>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
@@ -47,12 +46,6 @@ struct ServerConfig
     unsigned max_sessions = 32;
     /** Per-connection idle read timeout; <= 0 disables. */
     double read_timeout_seconds = 300.0;
-    /**
-     * Applied to every parsed SUBMIT spec before submission — the
-     * hook for CLI-level defaults (e.g. --schedule filling job lines
-     * without their own schedule= key).
-     */
-    std::function<void(serve::JobSpec&)> spec_defaults;
 };
 
 class Server

@@ -4,6 +4,9 @@
 #include <fstream>
 #include <sstream>
 
+#include "util/parse.h"
+#include "util/thread_pool.h"
+
 namespace gb::serve {
 
 Priority
@@ -33,7 +36,6 @@ JobSpec::describe() const
     std::ostringstream out;
     out << kernel << " size=" << datasetSizeName(size)
         << " engine=" << engineName(engine)
-        << " schedule=" << schedulePolicyName(schedule)
         << " priority=" << priorityName(priority)
         << " t=" << threads << " x" << repeats;
     return out.str();
@@ -52,25 +54,6 @@ validateSpec(const JobSpec& spec,
     requireInput(spec.repeats > 0,
                  "job: repeats must be >= 1 (" + spec.kernel + ")");
 }
-
-namespace {
-
-unsigned
-parseCount(const std::string& key, const std::string& value)
-{
-    try {
-        const unsigned long parsed = std::stoul(value);
-        requireInput(parsed > 0 && parsed <= 1'000'000,
-                     "job: " + key + " out of range: " + value);
-        return static_cast<unsigned>(parsed);
-    } catch (const InputError&) {
-        throw;
-    } catch (const std::exception&) {
-        throw InputError("job: bad " + key + " value: " + value);
-    }
-}
-
-} // namespace
 
 JobSpec
 parseJobLine(const std::string& line)
@@ -106,17 +89,14 @@ parseJobLine(const std::string& line)
             have_engine = true;
         } else if (key == "threads") {
             requireInput(!have_threads, "job: duplicate key: threads");
-            spec.threads = parseCount(key, value);
+            spec.threads =
+                parseUnsigned("job: threads", value, 1, kMaxThreads);
             have_threads = true;
         } else if (key == "repeats") {
             requireInput(!have_repeats, "job: duplicate key: repeats");
-            spec.repeats = parseCount(key, value);
+            spec.repeats =
+                parseUnsigned("job: repeats", value, 1, 1'000'000);
             have_repeats = true;
-        } else if (key == "schedule") {
-            requireInput(!spec.schedule_set,
-                         "job: duplicate key: schedule");
-            spec.schedule = parseSchedulePolicy(value);
-            spec.schedule_set = true;
         } else if (key == "priority") {
             requireInput(!have_priority,
                          "job: duplicate key: priority");
@@ -125,8 +105,8 @@ parseJobLine(const std::string& line)
         } else {
             throw InputError(
                 "job: unknown key: " + key +
-                " (expected size, engine, threads, repeats, "
-                "schedule or priority)");
+                " (expected size, engine, threads, repeats "
+                "or priority)");
         }
     }
     requireInput(have_kernel, "job: missing kernel name");

@@ -10,7 +10,7 @@
  *
  *   # comment / blank lines are skipped
  *   fmi size=tiny threads=2 repeats=3 priority=high
- *   bsw size=small engine=simd schedule=steal
+ *   bsw size=small engine=simd
  *   kmer-cnt                       # defaults: tiny, scalar, 1, 1
  *
  * Validation is strict and up-front: unknown kernels, keys, sizes or
@@ -25,7 +25,6 @@
 
 #include "core/benchmark.h"
 #include "util/common.h"
-#include "util/thread_pool.h"
 
 namespace gb::serve {
 
@@ -61,17 +60,12 @@ struct JobSpec
     Engine engine = Engine::kScalar;
     unsigned threads = 1; ///< worker threads requested for this job
     unsigned repeats = 1; ///< timed run() repeats
-    /** ThreadPool policy for the job's pool (docs/threading.md). */
-    SchedulePolicy schedule = SchedulePolicy::kDynamic;
-    /** True when the job line carried its own schedule= key, so a
-     *  CLI-level --schedule default must not override it. */
-    bool schedule_set = false;
     /** Dispatch class (`priority=` job-file key; default normal). */
     Priority priority = Priority::kNormal;
 
     /**
      * One-line display form ("fmi size=tiny engine=scalar
-     * schedule=dynamic priority=normal t=2 x3").
+     * priority=normal t=2 x3").
      */
     std::string describe() const;
 };
@@ -86,10 +80,8 @@ void validateSpec(const JobSpec& spec,
 
 /**
  * Parse one job line: `<kernel> [size=S] [engine=E] [threads=N]
- * [repeats=R] [schedule=dynamic|steal]
- * [priority=high|normal|batch]`, whitespace-separated, keys in
- * any order. Throws
- * InputError on malformed input (unknown key, duplicate key, bad
+ * [repeats=R] [priority=high|normal|batch]`, whitespace-separated,
+ * keys in any order. Throws InputError on malformed input (unknown key, duplicate key, bad
  * value, missing kernel). Registry validation is separate
  * (validateSpec) so the parser stays usable with test registries.
  */

@@ -373,7 +373,6 @@ Scheduler::runJob(std::shared_ptr<JobState> job, unsigned granted,
         // This job's slice of the worker budget: the runner thread is
         // rank 0, the pool spawns granted-1 more.
         ThreadPool pool(granted);
-        pool.setSchedule(job->spec.schedule);
         const u32 repeat_name =
             trace::enabled()
                 ? trace::internName("repeat:" + job->spec.kernel)

@@ -19,25 +19,6 @@ secondsSince(Clock::time_point start)
 
 } // namespace
 
-SchedulePolicy
-parseSchedulePolicy(const std::string& name)
-{
-    if (name == "dynamic") return SchedulePolicy::kDynamic;
-    if (name == "steal") return SchedulePolicy::kSteal;
-    throw InputError("unknown schedule policy: " + name +
-                     " (expected dynamic or steal)");
-}
-
-const char*
-schedulePolicyName(SchedulePolicy policy)
-{
-    switch (policy) {
-      case SchedulePolicy::kDynamic: return "dynamic";
-      case SchedulePolicy::kSteal: return "steal";
-    }
-    return "?";
-}
-
 ThreadPool::ThreadPool(unsigned num_threads)
 {
     if (num_threads == 0) {
@@ -45,7 +26,6 @@ ThreadPool::ThreadPool(unsigned num_threads)
     }
     num_threads_ = num_threads;
     slots_.resize(num_threads_);
-    ranges_.resize(num_threads_);
     // Rank 0 is the calling thread; spawn the rest.
     for (unsigned rank = 1; rank < num_threads_; ++rank) {
         workers_.emplace_back([this, rank] { workerLoop(rank); });
@@ -84,7 +64,6 @@ ThreadPool::workerLoop(unsigned rank)
     u64 seen_generation = 0;
     for (;;) {
         Job* job = nullptr;
-        unsigned slot = 0;
         {
             std::unique_lock<std::mutex> lock(mutex_);
             start_cv_.wait(lock, [&] {
@@ -99,20 +78,23 @@ ThreadPool::workerLoop(unsigned rank)
             // the caller waits only for registered participants.
             if (job) {
                 if (job->arrived < job->participants) {
-                    slot = job->arrived++;
+                    ++job->arrived;
                 } else {
                     job = nullptr;
                 }
             }
         }
-        if (job) runJob(*job, rank, slot);
+        if (job) runJob(*job, rank);
     }
 }
 
 void
-ThreadPool::runDynamic(Job& job, unsigned rank, double& busy,
-                       u64& chunks, u64& indices)
+ThreadPool::runJob(Job& job, unsigned rank)
 {
+    const auto entered = Clock::now();
+    double busy = 0.0;
+    u64 chunks = 0;
+    u64 indices = 0;
     const u64 grain = std::max<u64>(1, job.grain);
     for (;;) {
         const u64 begin = job.cursor.fetch_add(grain,
@@ -132,115 +114,6 @@ ThreadPool::runDynamic(Job& job, unsigned rank, double& busy,
         ++chunks;
         indices += end - begin;
     }
-}
-
-void
-ThreadPool::runSteal(Job& job, unsigned rank, unsigned slot,
-                     double& busy, u64& chunks, u64& indices,
-                     u64& steals)
-{
-    const u64 grain = std::max<u64>(1, job.grain);
-
-    auto execute = [&](u64 begin, u64 end) {
-        const auto chunk_start = Clock::now();
-        try {
-            for (u64 i = begin; i < end; ++i) (*job.body)(i, rank);
-        } catch (...) {
-            {
-                std::lock_guard<std::mutex> lock(job.error_mutex);
-                if (!job.error) job.error = std::current_exception();
-            }
-            // Drain every range so all participants finish promptly.
-            // A steal transfer racing with this store stays safe: the
-            // indices move atomically, so they run at most once.
-            for (unsigned s = 0; s < job.participants; ++s) {
-                ranges_[s].range.store(0, std::memory_order_release);
-            }
-        }
-        busy += secondsSince(chunk_start);
-        ++chunks;
-        indices += end - begin;
-    };
-
-    RangeSlot& mine = ranges_[slot];
-    for (;;) {
-        // Drain the own range with guided-style claims from the
-        // front: half the remainder per claim, never below grain, so
-        // the back half stays visible to thieves and the tail
-        // degrades to grain-sized chunks.
-        u64 packed = mine.range.load(std::memory_order_acquire);
-        for (;;) {
-            const u64 begin = rangeBegin(packed);
-            const u64 end = rangeEnd(packed);
-            if (begin >= end) break;
-            const u64 rem = end - begin;
-            const u64 take = std::min(rem, std::max(grain, rem / 2));
-            if (mine.range.compare_exchange_weak(
-                    packed, packRange(begin + take, end),
-                    std::memory_order_acq_rel,
-                    std::memory_order_acquire)) {
-                execute(begin, begin + take);
-                packed = mine.range.load(std::memory_order_acquire);
-            }
-        }
-        // Own range dry: steal half the remainder of the most-loaded
-        // victim (all of it when splitting would go below grain). The
-        // stolen back half lands in the own slot, so it is
-        // re-stealable and the next round drains it locally.
-        unsigned victim = job.participants;
-        u64 victim_packed = 0;
-        u64 best_rem = 0;
-        for (unsigned s = 0; s < job.participants; ++s) {
-            if (s == slot) continue;
-            const u64 p =
-                ranges_[s].range.load(std::memory_order_acquire);
-            const u64 rem = rangeEnd(p) - rangeBegin(p);
-            if (rem > best_rem) {
-                best_rem = rem;
-                victim = s;
-                victim_packed = p;
-            }
-        }
-        if (victim == job.participants) {
-            // Every range is dry; whatever work remains is in flight
-            // on other participants, who will finish it.
-            break;
-        }
-        const u64 vb = rangeBegin(victim_packed);
-        const u64 ve = rangeEnd(victim_packed);
-        const u64 rem = ve - vb;
-        const u64 mid = rem <= 2 * grain ? vb : vb + rem / 2;
-        if (ranges_[victim].range.compare_exchange_strong(
-                victim_packed, packRange(vb, mid),
-                std::memory_order_acq_rel,
-                std::memory_order_relaxed)) {
-            mine.range.store(packRange(mid, ve),
-                             std::memory_order_release);
-            ++steals;
-            if (trace::enabled()) {
-                trace::recordInstantEx(GB_TRACE_NAME_ID("pool:steal"),
-                                       trace::Category::kPool,
-                                       job.trace_job_id, victim,
-                                       static_cast<u16>(rank));
-            }
-        }
-        // On CAS failure the victim moved on; rescan from scratch.
-    }
-}
-
-void
-ThreadPool::runJob(Job& job, unsigned rank, unsigned slot)
-{
-    const auto entered = Clock::now();
-    double busy = 0.0;
-    u64 chunks = 0;
-    u64 indices = 0;
-    u64 steals = 0;
-    if (job.policy == SchedulePolicy::kSteal) {
-        runSteal(job, rank, slot, busy, chunks, indices, steals);
-    } else {
-        runDynamic(job, rank, busy, chunks, indices);
-    }
     if (trace::enabled()) {
         // indices as the arg: how much of the loop this rank ran.
         trace::recordSpanEx(GB_TRACE_NAME_ID("pool:participate"),
@@ -253,22 +126,23 @@ ThreadPool::runJob(Job& job, unsigned rank, unsigned slot)
     t.wait_seconds += std::max(0.0, secondsSince(entered) - busy);
     t.chunks += chunks;
     t.indices += indices;
-    t.steals += steals;
     ++t.jobs;
     // Completion: one atomic increment per participant; only the last
     // one takes the pool lock (empty critical section orders against
     // the caller's predicate check) and wakes the sole waiter.
+    // participants is read first: once a non-last increment lands, the
+    // caller may return and retire the stack-allocated Job.
+    const unsigned participants = job.participants;
     if (job.done_workers.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-        job.participants) {
+        participants) {
         { std::lock_guard<std::mutex> lock(mutex_); }
         done_cv_.notify_one();
     }
 }
 
 void
-ThreadPool::parallelForPolicy(
-    u64 n, const std::function<void(u64, unsigned)>& body, u64 grain,
-    SchedulePolicy policy)
+ThreadPool::parallelForRanked(
+    u64 n, const std::function<void(u64, unsigned)>& body, u64 grain)
 {
     if (n == 0) return;
     if (num_threads_ == 1 || n == 1) {
@@ -292,31 +166,14 @@ ThreadPool::parallelForPolicy(
         return;
     }
     const u64 g = std::max<u64>(1, grain);
-    // kSteal packs [begin, end) into one 64-bit word; loops beyond
-    // 2^32 indices fall back to the shared cursor (no suite loop is
-    // within orders of magnitude of that).
-    if (policy == SchedulePolicy::kSteal && n > 0xffffffffull) {
-        policy = SchedulePolicy::kDynamic;
-    }
 
     Job job;
-    job.policy = policy;
     job.n = n;
     job.grain = grain;
     job.body = &body;
     job.trace_job_id = trace::currentJobId();
     job.participants = static_cast<unsigned>(
         std::min<u64>(num_threads_, ceilDiv(n, g)));
-    if (policy == SchedulePolicy::kSteal) {
-        // Static split into one contiguous range per participant
-        // slot; the mutex release below publishes the stores.
-        const u64 p = job.participants;
-        for (u64 s = 0; s < p; ++s) {
-            ranges_[s].range.store(
-                packRange(n * s / p, n * (s + 1) / p),
-                std::memory_order_relaxed);
-        }
-    }
     {
         std::lock_guard<std::mutex> lock(mutex_);
         current_job_ = &job;
@@ -331,7 +188,7 @@ ThreadPool::parallelForPolicy(
             start_cv_.notify_one();
         }
     }
-    runJob(job, 0, 0);
+    runJob(job, 0);
     {
         std::unique_lock<std::mutex> lock(mutex_);
         done_cv_.wait(lock, [&] {
@@ -341,13 +198,6 @@ ThreadPool::parallelForPolicy(
         current_job_ = nullptr;
     }
     if (job.error) std::rethrow_exception(job.error);
-}
-
-void
-ThreadPool::parallelForRanked(
-    u64 n, const std::function<void(u64, unsigned)>& body, u64 grain)
-{
-    parallelForPolicy(n, body, grain, schedule_);
 }
 
 void
@@ -361,14 +211,12 @@ ThreadPool::forEachThread(const std::function<void(unsigned)>& fn)
     // thread claims exactly one index (it blocks before it could claim
     // a second), so every rank runs fn exactly once. fn exceptions are
     // deferred past the barrier — a throwing rank must still arrive or
-    // the others would wait forever. Forced kDynamic: under kSteal a
-    // fast rank could steal and run a second index before the barrier
-    // gates it, running fn twice for one rank and never for another.
+    // the others would wait forever.
     std::mutex m;
     std::condition_variable cv;
     unsigned arrived = 0;
     std::exception_ptr first_error;
-    parallelForPolicy(
+    parallelForRanked(
         num_threads_,
         [&](u64, unsigned rank) {
             try {
@@ -387,7 +235,7 @@ ThreadPool::forEachThread(const std::function<void(unsigned)>& fn)
                         [&] { return arrived == num_threads_; });
             }
         },
-        1, SchedulePolicy::kDynamic);
+        1);
     if (first_error) std::rethrow_exception(first_error);
 }
 
@@ -395,8 +243,7 @@ void
 ThreadPool::parallelFor(u64 n, const std::function<void(u64)>& body,
                         u64 grain)
 {
-    parallelForPolicy(n, [&](u64 i, unsigned) { body(i); }, grain,
-                      schedule_);
+    parallelForRanked(n, [&](u64 i, unsigned) { body(i); }, grain);
 }
 
 void

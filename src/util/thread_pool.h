@@ -1,22 +1,13 @@
 /**
  * @file
- * Thread pool with two parallel-for scheduling policies.
+ * Thread pool with a shared-cursor parallel-for scheduler.
  *
  * The paper parallelizes every kernel with OpenMP `schedule(dynamic)` so
  * that irregular per-task work is load-balanced across threads. This
- * pool reproduces that execution model as SchedulePolicy::kDynamic:
- * parallelFor() hands out small index chunks from a shared atomic
- * cursor, so threads that draw cheap tasks simply come back for more.
- *
- * SchedulePolicy::kSteal trades the cursor's one-fetch_add-per-chunk
- * for per-rank index ranges in cache-line-padded slots: each rank
- * drains its own range with plain local arithmetic (guided-style
- * claims — half the remaining range, never below `grain`) and, when it
- * runs dry, steals half the remaining range of the most-loaded victim.
- * Results are index-for-index identical to kDynamic (every index runs
- * exactly once); only the index->thread assignment differs. See
- * docs/threading.md for the protocol and when each policy is the right
- * one.
+ * pool reproduces that execution model: parallelFor() hands out small
+ * index chunks from a shared atomic cursor, so threads that draw cheap
+ * tasks simply come back for more. See docs/threading.md for the
+ * protocol.
  *
  * Job start/finish is gated, not broadcast: a parallelFor wakes at most
  * min(numThreads()-1, ceilDiv(n, grain)-1) workers, late wakers that
@@ -30,7 +21,6 @@
 #include <condition_variable>
 #include <functional>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -39,35 +29,18 @@
 namespace gb {
 
 /**
- * How parallelFor distributes indices across ranks.
- *
- * kDynamic is the paper-faithful OpenMP schedule(dynamic) model (one
- * shared cursor, chunk per claim); kSteal is the fast path for
- * fine-grained loops (per-rank ranges + steal-half). Both execute
- * every index exactly once, so kernel results are bit-identical.
+ * Largest thread count a user may request (--threads, --workers,
+ * job-file threads=); 0 still means hardware concurrency.
  */
-enum class SchedulePolicy : u8
-{
-    kDynamic, ///< shared-cursor chunks (OpenMP schedule(dynamic))
-    kSteal,   ///< per-rank ranges + work stealing (guided-style)
-};
-
-/** Parse "dynamic"/"steal"; throws InputError otherwise. */
-SchedulePolicy parseSchedulePolicy(const std::string& name);
-
-/** Display name of a schedule policy. */
-const char* schedulePolicyName(SchedulePolicy policy);
+inline constexpr unsigned kMaxThreads = 1024;
 
 /**
  * Per-rank scheduler telemetry, accumulated across parallelFor calls
  * (paper Fig. 4/7: measured load balance instead of the modeled one).
  * busy is time spent inside body chunks; wait is the remainder of the
  * rank's in-job window (claim overhead + idling while other ranks
- * drain the cursor). Time parked between jobs is not counted. Under
- * kDynamic, sum(chunks) == ceilDiv(n, grain) per job and steals is 0;
- * under kSteal, chunks counts range claims (a handful per rank) and
- * steals counts successful steal-half operations. sum(indices) == n
- * under either policy.
+ * drain the cursor). Time parked between jobs is not counted. Per
+ * job, sum(chunks) == ceilDiv(n, grain) and sum(indices) == n.
  */
 struct RankTelemetry
 {
@@ -76,7 +49,6 @@ struct RankTelemetry
     u64 chunks = 0;            ///< claims that yielded work
     u64 indices = 0;           ///< loop indices executed
     u64 jobs = 0;              ///< parallelFor calls this rank joined
-    u64 steals = 0;            ///< steal-half operations (kSteal only)
 };
 
 /**
@@ -105,27 +77,16 @@ class ThreadPool
     unsigned numThreads() const { return num_threads_; }
 
     /**
-     * Select the scheduling policy for subsequent parallelFor calls.
-     * Must not race with a parallelFor in flight. Default kDynamic
-     * (the paper-faithful model the figure benches measure).
-     */
-    void setSchedule(SchedulePolicy policy) { schedule_ = policy; }
-
-    /** Policy used by parallelFor()/parallelForRanked(). */
-    SchedulePolicy schedule() const { return schedule_; }
-
-    /**
-     * Run `body(i)` for every i in [0, n), scheduled per schedule().
+     * Run `body(i)` for every i in [0, n), in grain-sized chunks
+     * claimed from a shared cursor.
      *
      * The calling thread participates. Exceptions thrown by the body
      * are captured and rethrown (first one wins) on the caller.
      *
      * @param n     Iteration count.
      * @param body  Callable invoked as body(u64 index).
-     * @param grain Minimum indices claimed per scheduling event
-     *              (default 1, matching OpenMP schedule(dynamic) in
-     *              the paper). Under kDynamic it is the exact chunk
-     *              size; under kSteal the minimum indivisible chunk.
+     * @param grain Indices claimed per scheduling event (default 1,
+     *              matching OpenMP schedule(dynamic) in the paper).
      */
     void parallelFor(u64 n, const std::function<void(u64)>& body,
                      u64 grain = 1);
@@ -147,9 +108,6 @@ class ThreadPool
      * rethrown on the caller after all threads have finished, so a
      * throwing rank cannot deadlock the internal barrier. Counts as
      * one job in the telemetry (the barrier wait is busy time).
-     * Always runs under kDynamic — with ranges a fast rank could
-     * execute two indices (two fn calls for one rank) before the
-     * barrier gates it.
      */
     void forEachThread(const std::function<void(unsigned)>& fn);
 
@@ -165,7 +123,6 @@ class ThreadPool
   private:
     struct Job
     {
-        SchedulePolicy policy = SchedulePolicy::kDynamic;
         u64 n = 0;
         u64 grain = 1;
         const std::function<void(u64, unsigned)>* body = nullptr;
@@ -178,21 +135,14 @@ class ThreadPool
          *  worker-rank events attribute to the serve job they run
          *  for (0 when tracing is off or no job scope is active). */
         u64 trace_job_id = 0;
-        std::atomic<u64> cursor{0}; ///< kDynamic shared claim cursor
+        std::atomic<u64> cursor{0}; ///< shared claim cursor
         std::atomic<unsigned> done_workers{0};
         std::exception_ptr error;
         std::mutex error_mutex;
     };
 
     void workerLoop(unsigned rank);
-    void runJob(Job& job, unsigned rank, unsigned slot);
-    void runDynamic(Job& job, unsigned rank, double& busy, u64& chunks,
-                    u64& indices);
-    void runSteal(Job& job, unsigned rank, unsigned slot, double& busy,
-                  u64& chunks, u64& indices, u64& steals);
-    void parallelForPolicy(
-        u64 n, const std::function<void(u64, unsigned)>& body,
-        u64 grain, SchedulePolicy policy);
+    void runJob(Job& job, unsigned rank);
 
     /** Cache-line-padded so ranks never share a telemetry line. */
     struct alignas(64) RankSlot
@@ -200,36 +150,9 @@ class ThreadPool
         RankTelemetry t;
     };
 
-    /**
-     * One rank's remaining index range under kSteal, packed as
-     * (begin << 32) | end so owner claims (begin forward) and steals
-     * (end backward) serialize through one CAS word. Padded so the
-     * owner's claim loop never false-shares with other ranks.
-     */
-    struct alignas(64) RangeSlot
-    {
-        std::atomic<u64> range{0};
-
-        RangeSlot() = default;
-        /** vector growth only (construction time); slots start empty. */
-        RangeSlot(const RangeSlot&) noexcept {}
-    };
-
-    static constexpr u64 packRange(u64 begin, u64 end)
-    {
-        return (begin << 32) | end;
-    }
-    static constexpr u64 rangeBegin(u64 packed) { return packed >> 32; }
-    static constexpr u64 rangeEnd(u64 packed)
-    {
-        return packed & 0xffffffffull;
-    }
-
     unsigned num_threads_;
     std::vector<std::thread> workers_;
     std::vector<RankSlot> slots_;
-    std::vector<RangeSlot> ranges_;
-    SchedulePolicy schedule_ = SchedulePolicy::kDynamic;
 
     std::mutex mutex_;
     std::condition_variable start_cv_;

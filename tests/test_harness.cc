@@ -37,7 +37,6 @@ TEST(ParseStrict, DefaultsApplied)
     EXPECT_TRUE(opt.kernels.empty());
     EXPECT_TRUE(opt.cache_dir.empty());
     EXPECT_EQ(opt.engine, Engine::kScalar);
-    EXPECT_EQ(opt.schedule, SchedulePolicy::kDynamic);
     EXPECT_TRUE(opt.json_path.empty());
     EXPECT_FALSE(opt.help);
 }
@@ -48,7 +47,6 @@ TEST(ParseStrict, ParsesEveryFlag)
                                    "--kernels=bsw,phmm",
                                    "--cache-dir=/tmp/cache",
                                    "--engine=simd",
-                                   "--schedule=steal",
                                    "--json=/tmp/out.json"});
     EXPECT_EQ(opt.size, DatasetSize::kLarge);
     EXPECT_EQ(opt.threads, 8u);
@@ -56,7 +54,6 @@ TEST(ParseStrict, ParsesEveryFlag)
               (std::vector<std::string>{"bsw", "phmm"}));
     EXPECT_EQ(opt.cache_dir, "/tmp/cache");
     EXPECT_EQ(opt.engine, Engine::kSimd);
-    EXPECT_EQ(opt.schedule, SchedulePolicy::kSteal);
     EXPECT_EQ(opt.json_path, "/tmp/out.json");
     EXPECT_FALSE(opt.help);
 }
@@ -106,7 +103,8 @@ TEST(ParseStrict, RejectsBadValues)
     EXPECT_THROW(parseArgs({"--size=huge"}), InputError);
     EXPECT_THROW(parseArgs({"--threads=-1"}), InputError);
     EXPECT_THROW(parseArgs({"--threads=abc"}), InputError);
-    EXPECT_THROW(parseArgs({"--schedule=guided"}), InputError);
+    EXPECT_THROW(parseArgs({"--threads=2x"}), InputError);
+    EXPECT_THROW(parseArgs({"--threads=99999"}), InputError);
     EXPECT_THROW(parseArgs({"--json="}), InputError);
     EXPECT_THROW(parseArgs({"--cache-dir="}), InputError);
 }
@@ -125,7 +123,6 @@ TEST(KnownFlags, MatchesParserAndUsage)
         {"--kernels", "--kernels=bsw"},
         {"--cache-dir", "--cache-dir=/tmp/c"},
         {"--engine", "--engine=scalar"},
-        {"--schedule", "--schedule=steal"},
         {"--json", "--json=/tmp/j.json"},
         {"--help", "--help"},
     };
@@ -153,7 +150,6 @@ TEST(KnownFlags, ListsNothingTheParserRejects)
             flag == "--help"        ? flag
             : flag == "--size"      ? flag + "=tiny"
             : flag == "--engine"    ? flag + "=scalar"
-            : flag == "--schedule"  ? flag + "=dynamic"
             : flag == "--threads"   ? flag + "=1"
                                     : flag + "=x";
         EXPECT_NO_THROW(parseArgs({arg.c_str()})) << arg;

@@ -13,6 +13,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
@@ -545,6 +549,67 @@ TEST(NetServer, SessionLimitShedsConnections)
     // The shed connection is closed; the first still works.
     EXPECT_FALSE(second.readLine(&reply));
     EXPECT_EQ(roundTrip(first, "SUBMIT a").rfind("OK 1 ", 0), 0u);
+}
+
+TEST(NetServer, OverlongLineGetsErrAndClosesSession)
+{
+    TestServer ts({"a"}, 1, 4);
+    // A raw socket, so the flood carries no '\n' at all.
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    Connection flooder(fd);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(ts.server.port());
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof(addr)),
+              0);
+    // The sender stops at the first error: the server closes the
+    // session once the limit is crossed, so the rest of the flood may
+    // be refused (and a send blocked on full buffers fails then).
+    std::thread sender([fd] {
+        const std::string chunk(4096, 'x');
+        for (size_t sent = 0; sent < 4 * net::kMaxLineBytes;
+             sent += chunk.size()) {
+            if (::send(fd, chunk.data(), chunk.size(), MSG_NOSIGNAL) <
+                0) {
+                break;
+            }
+        }
+    });
+    sender.join();
+    std::string reply;
+    ASSERT_TRUE(flooder.readLine(&reply));
+    EXPECT_EQ(reply, "ERR line too long");
+    bool more = true;
+    try {
+        more = flooder.readLine(&reply);
+    } catch (const net::NetError&) {
+        more = false; // reset instead of FIN: unread flood bytes
+    }
+    EXPECT_FALSE(more) << "session stayed open after ERR: " << reply;
+    // The server itself is unharmed: a fresh session is served.
+    Connection second = ts.connect();
+    EXPECT_EQ(roundTrip(second, "SUBMIT a").rfind("OK 1 ", 0), 0u);
+}
+
+TEST(NetConnection, ReadLineRejectsOverlongLine)
+{
+    Listener listener("127.0.0.1", 0);
+    std::thread writer([&] {
+        auto conn = listener.accept();
+        ASSERT_TRUE(conn.has_value());
+        conn->writeLine(std::string(net::kMaxLineBytes, 'a'));
+        conn->writeLine(std::string(net::kMaxLineBytes + 1, 'b'));
+    });
+    Connection client =
+        Connection::connectTo("127.0.0.1", listener.port(), 1.0);
+    std::string line;
+    ASSERT_TRUE(client.readLine(&line)); // exactly at the limit
+    EXPECT_EQ(line.size(), net::kMaxLineBytes);
+    EXPECT_THROW(client.readLine(&line), net::LineTooLongError);
+    writer.join();
 }
 
 TEST(NetServer, StopUnblocksIdleSessions)

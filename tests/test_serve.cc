@@ -61,26 +61,6 @@ TEST(ServeJob, ParseLineDefaults)
     EXPECT_EQ(spec.engine, Engine::kScalar);
     EXPECT_EQ(spec.threads, 1u);
     EXPECT_EQ(spec.repeats, 1u);
-    EXPECT_EQ(spec.schedule, SchedulePolicy::kDynamic);
-    // schedule_set distinguishes "line said dynamic" from "defaulted",
-    // so a serve-level --schedule=steal can fill in the latter only.
-    EXPECT_FALSE(spec.schedule_set);
-}
-
-TEST(ServeJob, ParseLineSchedule)
-{
-    const JobSpec steal =
-        serve::parseJobLine("bsw schedule=steal threads=2");
-    EXPECT_EQ(steal.schedule, SchedulePolicy::kSteal);
-    EXPECT_TRUE(steal.schedule_set);
-    const JobSpec dynamic = serve::parseJobLine("bsw schedule=dynamic");
-    EXPECT_EQ(dynamic.schedule, SchedulePolicy::kDynamic);
-    EXPECT_TRUE(dynamic.schedule_set);
-    EXPECT_THROW(serve::parseJobLine("bsw schedule=guided"),
-                 InputError);
-    EXPECT_THROW(
-        serve::parseJobLine("bsw schedule=steal schedule=steal"),
-        InputError);
 }
 
 TEST(ServeJob, DescribeIncludesSchedule)
@@ -88,13 +68,10 @@ TEST(ServeJob, DescribeIncludesSchedule)
     JobSpec spec = serve::parseJobLine(
         "fmi size=tiny threads=2 repeats=3");
     EXPECT_EQ(spec.describe(),
-              "fmi size=tiny engine=scalar schedule=dynamic "
-              "priority=normal t=2 x3");
-    spec.schedule = SchedulePolicy::kSteal;
+              "fmi size=tiny engine=scalar priority=normal t=2 x3");
     spec.priority = serve::Priority::kBatch;
     EXPECT_EQ(spec.describe(),
-              "fmi size=tiny engine=scalar schedule=steal "
-              "priority=batch t=2 x3");
+              "fmi size=tiny engine=scalar priority=batch t=2 x3");
 }
 
 TEST(ServeJob, ParseLinePriority)
@@ -135,6 +112,11 @@ TEST(ServeJob, ParseLineErrors)
     EXPECT_THROW(serve::parseJobLine("fmi threads=zero"), InputError);
     EXPECT_THROW(serve::parseJobLine("fmi threads=0"), InputError);
     EXPECT_THROW(serve::parseJobLine("fmi threads="), InputError);
+    EXPECT_THROW(serve::parseJobLine("fmi threads=4x"), InputError);
+    EXPECT_THROW(serve::parseJobLine("fmi threads=-1"), InputError);
+    EXPECT_THROW(serve::parseJobLine("fmi threads=99999"), InputError);
+    EXPECT_THROW(serve::parseJobLine("fmi repeats=4294967296"),
+                 InputError);
     EXPECT_THROW(serve::parseJobLine("fmi size=medium"), InputError);
 }
 

@@ -20,9 +20,13 @@
 
 // ---------------------------------------------------------------------
 // Global allocation counter. Every `new` in this binary (gtest
-// included) funnels through the replaceable global operator, so a test
+// included) funnels through the replaceable global operators, so a test
 // can pin a code region as allocation-free by diffing the counter
-// around it.
+// around it. The nothrow forms are replaced too (std::stable_sort's
+// temporary buffer uses them and frees through plain delete): every
+// allocation this file hands out and every one it frees must come from
+// the same malloc/free pair, or a sanitizer build reports an
+// alloc-dealloc mismatch.
 
 namespace {
 std::atomic<unsigned long long> g_allocations{0};
@@ -34,6 +38,13 @@ operator new(std::size_t size)
     g_allocations.fetch_add(1, std::memory_order_relaxed);
     if (void* p = std::malloc(size ? size : 1)) return p;
     throw std::bad_alloc();
+}
+
+void*
+operator new(std::size_t size, const std::nothrow_t&) noexcept
+{
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(size ? size : 1);
 }
 
 // GCC pairs the inlined free() below with its built-in notion of the
@@ -52,6 +63,12 @@ operator delete(void* p) noexcept
 
 void
 operator delete(void* p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void* p, const std::nothrow_t&) noexcept
 {
     std::free(p);
 }

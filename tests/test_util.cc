@@ -10,6 +10,7 @@
 #include <set>
 #include <vector>
 
+#include "util/parse.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -460,104 +461,54 @@ TEST(ThreadPool, GrainLargerThanN)
     EXPECT_EQ(n.load(), 5u);
 }
 
-TEST(ThreadPool, StealPolicyRunsAllIndices)
-{
-    ThreadPool pool(4);
-    pool.setSchedule(SchedulePolicy::kSteal);
-    std::vector<std::atomic<int>> hits(10000);
-    pool.parallelFor(10000, [&](u64 i) { hits[i].fetch_add(1); });
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, StealPolicyPropagatesException)
-{
-    ThreadPool pool(4);
-    pool.setSchedule(SchedulePolicy::kSteal);
-    for (int round = 0; round < 10; ++round) {
-        EXPECT_THROW(
-            pool.parallelFor(5000,
-                             [&](u64 i) {
-                                 if (i % 1000 == 500) {
-                                     throw std::runtime_error("boom");
-                                 }
-                             }),
-            std::runtime_error);
-        std::atomic<u64> sum{0};
-        pool.parallelFor(100, [&](u64 i) { sum.fetch_add(i); });
-        EXPECT_EQ(sum.load(), 4950u) << "round " << round;
-    }
-}
-
 TEST(ThreadPool, SchedulerStressBothPolicies)
 {
-    // Randomized cross-policy stress (docs/threading.md): every
-    // (policy, threads, n, grain) combination must execute each index
-    // exactly once — including skewed bodies that force the steal path
-    // to rebalance — and satisfy the per-policy telemetry invariants:
-    // indices sums to n under both, steals stays 0 under kDynamic, and
-    // the dynamic scheduled path claims exactly ceilDiv(n, grain)
-    // chunks.
+    // Randomized scheduler stress (docs/threading.md): every
+    // (threads, n, grain) combination must execute each index exactly
+    // once — including skewed bodies whose heavy indices make ranks
+    // finish at different times — and satisfy the telemetry
+    // invariants: indices sums to n and the scheduled path claims
+    // exactly ceilDiv(n, grain) chunks.
     Rng rng(20260808);
-    const SchedulePolicy policies[] = {SchedulePolicy::kDynamic,
-                                       SchedulePolicy::kSteal};
     for (unsigned threads : {2u, 4u, 8u}) {
         ThreadPool pool(threads);
-        for (const SchedulePolicy policy : policies) {
-            pool.setSchedule(policy);
-            const u64 sizes[] = {0, 1, threads - 1, 10000};
-            for (const u64 n : sizes) {
-                for (const u64 grain : {u64{1}, u64{8}, u64{64}}) {
-                    // Skewed work: a random ~1% of indices spin ~300x
-                    // longer, so static range splits are unbalanced
-                    // and the steal path has to move work.
-                    const u64 heavy_stride =
-                        n ? 1 + rng.below(99) : 1;
-                    std::vector<std::atomic<int>> hits(n);
-                    pool.resetTelemetry();
-                    pool.parallelFor(
-                        n,
-                        [&](u64 i) {
-                            hits[i].fetch_add(1);
-                            volatile u64 h = i;
-                            const u64 spins =
-                                i % 100 == heavy_stride ? 300 : 1;
-                            for (u64 s = 0; s < spins; ++s) {
-                                h = h * 0x9e3779b97f4a7c15ULL + s;
-                            }
-                        },
-                        grain);
-                    const std::string ctx =
-                        std::string("policy=") +
-                        schedulePolicyName(policy) +
-                        " threads=" + std::to_string(threads) +
-                        " n=" + std::to_string(n) +
-                        " grain=" + std::to_string(grain);
-                    for (u64 i = 0; i < n; ++i) {
-                        ASSERT_EQ(hits[i].load(), 1)
-                            << ctx << " index " << i;
-                    }
-                    u64 indices = 0;
-                    u64 chunks = 0;
-                    u64 steals = 0;
-                    for (const auto& t : pool.telemetry()) {
-                        indices += t.indices;
-                        chunks += t.chunks;
-                        steals += t.steals;
-                    }
-                    EXPECT_EQ(indices, n) << ctx;
-                    if (policy == SchedulePolicy::kDynamic) {
-                        EXPECT_EQ(steals, 0u) << ctx;
-                        if (n > 0) {
-                            EXPECT_EQ(chunks, ceilDiv(n, grain))
-                                << ctx;
+        const u64 sizes[] = {0, 1, threads - 1, 10000};
+        for (const u64 n : sizes) {
+            for (const u64 grain : {u64{1}, u64{8}, u64{64}}) {
+                // Skewed work: a random ~1% of indices spin ~300x
+                // longer.
+                const u64 heavy_stride = n ? 1 + rng.below(99) : 1;
+                std::vector<std::atomic<int>> hits(n);
+                pool.resetTelemetry();
+                pool.parallelFor(
+                    n,
+                    [&](u64 i) {
+                        hits[i].fetch_add(1);
+                        volatile u64 h = i;
+                        const u64 spins =
+                            i % 100 == heavy_stride ? 300 : 1;
+                        for (u64 s = 0; s < spins; ++s) {
+                            h = h * 0x9e3779b97f4a7c15ULL + s;
                         }
-                    } else if (n > 0) {
-                        // Range claims, not grain chunks: at least one
-                        // claim happened, never more than the dynamic
-                        // schedule would make.
-                        EXPECT_GE(chunks, 1u) << ctx;
-                        EXPECT_LE(chunks, ceilDiv(n, grain)) << ctx;
-                    }
+                    },
+                    grain);
+                const std::string ctx =
+                    "threads=" + std::to_string(threads) +
+                    " n=" + std::to_string(n) +
+                    " grain=" + std::to_string(grain);
+                for (u64 i = 0; i < n; ++i) {
+                    ASSERT_EQ(hits[i].load(), 1)
+                        << ctx << " index " << i;
+                }
+                u64 indices = 0;
+                u64 chunks = 0;
+                for (const auto& t : pool.telemetry()) {
+                    indices += t.indices;
+                    chunks += t.chunks;
+                }
+                EXPECT_EQ(indices, n) << ctx;
+                if (n > 0) {
+                    EXPECT_EQ(chunks, ceilDiv(n, grain)) << ctx;
                 }
             }
         }
@@ -566,67 +517,81 @@ TEST(ThreadPool, SchedulerStressBothPolicies)
 
 TEST(ThreadPool, SchedulerStressThrowingBodies)
 {
-    // First-exception-wins, no deadlock, immediate reuse — both
-    // policies, random throwing index each round.
+    // First-exception-wins, no deadlock, immediate reuse — random
+    // throwing index and grain each round.
     Rng rng(977);
-    for (const SchedulePolicy policy :
-         {SchedulePolicy::kDynamic, SchedulePolicy::kSteal}) {
-        ThreadPool pool(4);
-        pool.setSchedule(policy);
-        for (int round = 0; round < 15; ++round) {
-            const u64 n = 2000;
-            const u64 bad = rng.below(n);
-            try {
-                pool.parallelFor(
-                    n,
-                    [&](u64 i) {
-                        if (i == bad) {
-                            throw std::runtime_error(
-                                "boom@" + std::to_string(i));
-                        }
-                    },
-                    1 + rng.below(16));
-                FAIL() << "exception did not propagate";
-            } catch (const std::runtime_error& e) {
-                // First exception wins; with one throwing index the
-                // winner is deterministic.
-                EXPECT_EQ(std::string(e.what()),
-                          "boom@" + std::to_string(bad));
-            }
-            // Pool must be immediately reusable after the drain.
-            std::atomic<u64> count{0};
-            pool.parallelFor(64, [&](u64) { count.fetch_add(1); });
-            EXPECT_EQ(count.load(), 64u);
+    ThreadPool pool(4);
+    for (int round = 0; round < 30; ++round) {
+        const u64 n = 2000;
+        const u64 bad = rng.below(n);
+        try {
+            pool.parallelFor(
+                n,
+                [&](u64 i) {
+                    if (i == bad) {
+                        throw std::runtime_error(
+                            "boom@" + std::to_string(i));
+                    }
+                },
+                1 + rng.below(16));
+            FAIL() << "exception did not propagate";
+        } catch (const std::runtime_error& e) {
+            // First exception wins; with one throwing index the
+            // winner is deterministic.
+            EXPECT_EQ(std::string(e.what()),
+                      "boom@" + std::to_string(bad));
         }
+        // Pool must be immediately reusable after the drain.
+        std::atomic<u64> count{0};
+        pool.parallelFor(64, [&](u64) { count.fetch_add(1); });
+        EXPECT_EQ(count.load(), 64u);
     }
 }
 
-TEST(ThreadPool, StealTelemetryCountsSteals)
+TEST(ParseUnsigned, AcceptsWholeDecimalStrings)
 {
-    // A skewed loop on >1 threads should eventually record at least
-    // one steal under kSteal; under kDynamic the counter must stay 0
-    // no matter what. (Steals are timing-dependent, so loop until one
-    // is seen rather than asserting a single run.)
-    ThreadPool pool(4);
-    pool.setSchedule(SchedulePolicy::kSteal);
-    pool.resetTelemetry();
-    u64 steals = 0;
-    for (int attempt = 0; attempt < 50 && steals == 0; ++attempt) {
-        pool.parallelFor(
-            4096,
-            [](u64 i) {
-                // Front-loaded skew: rank 0's static share is heavy.
-                volatile u64 h = i;
-                const u64 spins = i < 512 ? 400 : 1;
-                for (u64 s = 0; s < spins; ++s) {
-                    h = h * 0x9e3779b97f4a7c15ULL + s;
-                }
-            },
-            1);
-        steals = 0;
-        for (const auto& t : pool.telemetry()) steals += t.steals;
+    EXPECT_EQ(parseUnsigned("--threads", "0"), 0u);
+    EXPECT_EQ(parseUnsigned("--threads", "8"), 8u);
+    EXPECT_EQ(parseUnsigned("--threads", "4294967295"), 4294967295u);
+    EXPECT_EQ(parseUnsigned("--threads", "1024", 0, kMaxThreads), 1024u);
+}
+
+TEST(ParseUnsigned, RejectsSignsAndGarbage)
+{
+    for (const char* text : {"-1", "+1", "", " 1", "1 ", "2x", "4x",
+                             "x2", "1.5", "0x10"}) {
+        EXPECT_THROW(parseUnsigned("--threads", text), InputError)
+            << "'" << text << "'";
     }
-    EXPECT_GT(steals, 0u);
+    try {
+        parseUnsigned("--threads", "2x");
+        FAIL() << "2x accepted";
+    } catch (const InputError& e) {
+        EXPECT_NE(std::string(e.what()).find("--threads"),
+                  std::string::npos)
+            << e.what();
+        EXPECT_NE(std::string(e.what()).find("'2x'"), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(ParseUnsigned, RejectsOverflowAndOutOfRange)
+{
+    EXPECT_THROW(parseUnsigned("--repeat", "4294967296"), InputError);
+    EXPECT_THROW(parseUnsigned("--repeat", "99999999999999999999"),
+                 InputError);
+    EXPECT_THROW(parseUnsigned("--repeat", "0", 1), InputError);
+    EXPECT_EQ(parseUnsigned("--repeat", "1", 1), 1u);
+    EXPECT_THROW(parseUnsigned("--threads", "1025", 0, kMaxThreads),
+                 InputError);
+    try {
+        parseUnsigned("--threads", "5000", 0, kMaxThreads);
+        FAIL() << "5000 accepted";
+    } catch (const InputError& e) {
+        EXPECT_NE(std::string(e.what()).find("out of range"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(Table, RendersAlignedColumns)

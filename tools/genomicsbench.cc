@@ -5,7 +5,7 @@
  *   genomicsbench list
  *   genomicsbench info <kernel>
  *   genomicsbench run <kernel> [--size=S] [--threads=N] [--repeat=R]
- *                    [--schedule=dynamic|steal] [--cache-dir=DIR]
+ *                    [--cache-dir=DIR]
  *   genomicsbench characterize <kernel> [--size=S] [--cache-dir=DIR]
  *   genomicsbench store build [--cache-dir=DIR] [--size=S]
  *                    [--kernels=a,b,c]
@@ -13,7 +13,6 @@
  *   genomicsbench store verify <file.gbs>... | --cache-dir=DIR
  *   genomicsbench serve --jobs=FILE | --listen=HOST:PORT
  *                    [--workers=N] [--queue-depth=K]
- *                    [--schedule=dynamic|steal]
  *                    [--cache-dir=DIR] [--json=FILE]
  *   genomicsbench client --connect=HOST:PORT --jobs=FILE
  *                    [--wait-timeout=S] [--drain]
@@ -55,6 +54,7 @@
 #include "store/cache.h"
 #include "store/container.h"
 #include "trace/trace.h"
+#include "util/parse.h"
 #include "util/table.h"
 #include "util/timer.h"
 
@@ -109,8 +109,7 @@ usage()
            "  genomicsbench info <kernel>\n"
            "  genomicsbench run <kernel> [--size=tiny|small|large]"
            " [--threads=N] [--repeat=R] [--engine=scalar|simd]"
-           " [--schedule=dynamic|steal] [--cache-dir=DIR]"
-           " [--json=FILE]\n"
+           " [--cache-dir=DIR] [--json=FILE]\n"
            "  genomicsbench characterize <kernel>"
            " [--size=tiny|small|large] [--cache-dir=DIR]"
            " [--json=FILE]\n"
@@ -121,7 +120,6 @@ usage()
            " --cache-dir=DIR\n"
            "  genomicsbench serve --jobs=FILE | --listen=HOST:PORT"
            " [--workers=N] [--queue-depth=K]"
-           " [--schedule=dynamic|steal]"
            " [--cache-dir=DIR] [--json=FILE] [--trace=FILE]\n"
            "  genomicsbench client --connect=HOST:PORT --jobs=FILE"
            " [--wait-timeout=S] [--drain]\n"
@@ -176,7 +174,7 @@ cmdInfo(const std::string& name)
 
 int
 cmdRun(const std::string& name, DatasetSize size, unsigned threads,
-       unsigned repeat, Engine engine, SchedulePolicy schedule)
+       unsigned repeat, Engine engine)
 {
     auto kernel = createKernel(name);
     kernel->setEngine(engine);
@@ -200,7 +198,6 @@ cmdRun(const std::string& name, DatasetSize size, unsigned threads,
     std::cout << '\n';
 
     ThreadPool pool(threads);
-    pool.setSchedule(schedule);
     // One counter group per pool thread, summed per repeat, so the
     // reported counters cover the whole run at any thread count.
     metrics::PooledCounters counters(pool);
@@ -227,7 +224,6 @@ cmdRun(const std::string& name, DatasetSize size, unsigned threads,
                   << " tasks/s)\n";
         g_sink.newRow("run")
             .str("kernel", name)
-            .str("schedule", schedulePolicyName(schedule))
             .count("repeat", r + 1)
             .num("seconds", seconds)
             .count("tasks", tasks)
@@ -257,7 +253,6 @@ cmdRun(const std::string& name, DatasetSize size, unsigned threads,
     }
     g_sink.newRow("run_best")
         .str("kernel", name)
-        .str("schedule", schedulePolicyName(schedule))
         .num("seconds", best)
         .count("threads", pool.numThreads())
         .flag("counters_available", best_sample.available)
@@ -479,7 +474,6 @@ reportServeJobs(
             .str("kernel", spec.kernel)
             .str("size", datasetSizeName(spec.size))
             .str("engine", engineName(spec.engine))
-            .str("schedule", schedulePolicyName(spec.schedule))
             .str("priority", serve::priorityName(spec.priority))
             .count("threads", m.pool_threads ? m.pool_threads
                                              : spec.threads)
@@ -560,14 +554,9 @@ reportServeJobs(
  */
 int
 cmdServe(const std::string& jobs_path, unsigned workers,
-         size_t queue_depth, SchedulePolicy schedule)
+         size_t queue_depth)
 {
-    auto specs = serve::parseJobFile(jobs_path);
-    // --schedule is the default policy for jobs whose line has no
-    // schedule= key of its own.
-    for (auto& spec : specs) {
-        if (!spec.schedule_set) spec.schedule = schedule;
-    }
+    const auto specs = serve::parseJobFile(jobs_path);
 
     const auto base = CacheBaseline::snapshot();
     serve::Scheduler::Config config;
@@ -604,7 +593,7 @@ onShutdownSignal(int)
  */
 int
 cmdServeListen(const std::string& listen_spec, unsigned workers,
-               size_t queue_depth, SchedulePolicy schedule)
+               size_t queue_depth)
 {
     const net::HostPort hostport = net::parseHostPort(listen_spec);
 
@@ -617,9 +606,6 @@ cmdServeListen(const std::string& listen_spec, unsigned workers,
     net::ServerConfig server_config;
     server_config.host = hostport.host;
     server_config.port = hostport.port;
-    server_config.spec_defaults = [schedule](serve::JobSpec& spec) {
-        if (!spec.schedule_set) spec.schedule = schedule;
-    };
     net::Server server(&scheduler, server_config);
     // check.sh (and humans) scrape this line for the resolved port —
     // --listen=HOST:0 binds an ephemeral one.
@@ -749,7 +735,6 @@ main(int argc, char** argv)
         unsigned threads = 0;
         unsigned repeat = 3;
         Engine engine = Engine::kScalar;
-        SchedulePolicy schedule = SchedulePolicy::kDynamic;
         std::string json_path;
         std::string trace_path;
         unsigned top_n = 10;
@@ -767,15 +752,12 @@ main(int argc, char** argv)
             if (arg.rfind("--size=", 0) == 0) {
                 size = parseSize(arg.substr(7));
             } else if (arg.rfind("--threads=", 0) == 0) {
-                threads = static_cast<unsigned>(
-                    std::stoul(arg.substr(10)));
+                threads = parseUnsigned("--threads", arg.substr(10), 0,
+                                        kMaxThreads);
             } else if (arg.rfind("--repeat=", 0) == 0) {
-                repeat = static_cast<unsigned>(
-                    std::stoul(arg.substr(9)));
+                repeat = parseUnsigned("--repeat", arg.substr(9), 1);
             } else if (arg.rfind("--engine=", 0) == 0) {
                 engine = parseEngine(arg.substr(9));
-            } else if (arg.rfind("--schedule=", 0) == 0) {
-                schedule = parseSchedulePolicy(arg.substr(11));
             } else if (arg.rfind("--cache-dir=", 0) == 0) {
                 store::setCacheDir(arg.substr(12));
             } else if (arg.rfind("--json=", 0) == 0) {
@@ -785,8 +767,7 @@ main(int argc, char** argv)
                 requireInput(!trace_path.empty(),
                              "--trace needs a file path");
             } else if (arg.rfind("--top=", 0) == 0) {
-                top_n = static_cast<unsigned>(
-                    std::stoul(arg.substr(6)));
+                top_n = parseUnsigned("--top", arg.substr(6));
             } else if (arg.rfind("--jobs=", 0) == 0) {
                 jobs_path = arg.substr(7);
             } else if (arg.rfind("--listen=", 0) == 0) {
@@ -798,10 +779,11 @@ main(int argc, char** argv)
             } else if (arg.rfind("--wait-timeout=", 0) == 0) {
                 wait_timeout = std::stod(arg.substr(15));
             } else if (arg.rfind("--workers=", 0) == 0) {
-                workers = static_cast<unsigned>(
-                    std::stoul(arg.substr(10)));
+                workers = parseUnsigned("--workers", arg.substr(10), 0,
+                                        kMaxThreads);
             } else if (arg.rfind("--queue-depth=", 0) == 0) {
-                queue_depth = std::stoul(arg.substr(14));
+                queue_depth =
+                    parseUnsigned("--queue-depth", arg.substr(14));
             } else if (arg.rfind("--kernels=", 0) == 0) {
                 std::istringstream list(arg.substr(10));
                 std::string name;
@@ -866,7 +848,7 @@ main(int argc, char** argv)
             if (!listen_spec.empty()) {
                 return runTraced(trace_path, [&] {
                     return cmdServeListen(listen_spec, workers,
-                                          queue_depth, schedule);
+                                          queue_depth);
                 });
             }
             if (jobs_path.empty()) {
@@ -875,8 +857,7 @@ main(int argc, char** argv)
                 return 2;
             }
             return runTraced(trace_path, [&] {
-                return cmdServe(jobs_path, workers, queue_depth,
-                                schedule);
+                return cmdServe(jobs_path, workers, queue_depth);
             });
         }
 
@@ -891,8 +872,7 @@ main(int argc, char** argv)
         if (command == "info") return cmdInfo(kernel);
         if (command == "run") {
             return runTraced(trace_path, [&] {
-                return cmdRun(kernel, size, threads, repeat, engine,
-                              schedule);
+                return cmdRun(kernel, size, threads, repeat, engine);
             });
         }
         if (command == "characterize") {
