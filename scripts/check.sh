@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Full pre-merge check: tier-1 build + tests, the SIMD, batched-MLP,
-# chain and poa equivalence suites at every dispatch level
+# Full pre-merge check: tier-1 build + tests, the SIMD, banded-SW row
+# engine, batched-MLP, chain and poa equivalence suites at every
+# dispatch level
 # (GB_SIMD_LEVEL=scalar|sse4|avx2), the whole ctest suite under
 # ASan/UBSan (plus the dispatch-level suites at every level), the
 # thread-pool, metrics, serve, net and trace suites under TSan, a
@@ -19,7 +20,7 @@
 # events, submit->done coverage for all 8 jobs, and non-zero latency
 # percentile columns on the serve_summary row (docs/tracing.md), and
 # CLI error-handling checks (unknown bench flags, malformed numeric
-# flags).
+# and duration flags).
 #
 # Usage: scripts/check.sh [--skip-sanitizers]
 set -euo pipefail
@@ -45,10 +46,11 @@ step "tier-1: ctest"
 # host with AVX2 still exercises the SSE4 and scalar dispatch paths
 # (the env override clamps to what the CPU supports, so this is safe
 # on any machine).
-step "gb::simd + gb::mlp + chain/poa: equivalence at every dispatch level"
+step "gb::simd + bsw row engine + gb::mlp + chain/poa: equivalence at every dispatch level"
 for level in scalar sse4 avx2; do
     echo "-- GB_SIMD_LEVEL=$level"
     GB_SIMD_LEVEL=$level ./build/tests/test_simd
+    GB_SIMD_LEVEL=$level ./build/tests/test_align --gtest_brief=1
     GB_SIMD_LEVEL=$level ./build/tests/test_mlp --gtest_brief=1
     GB_SIMD_LEVEL=$level ./build/tests/test_chain --gtest_brief=1
     GB_SIMD_LEVEL=$level ./build/tests/test_poa --gtest_brief=1
@@ -65,6 +67,8 @@ if [[ $SKIP_SAN -eq 0 ]]; then
     (cd build-asan && ctest --output-on-failure -j"$JOBS")
     for level in scalar sse4 avx2; do
         GB_SIMD_LEVEL=$level ./build-asan/tests/test_simd \
+            --gtest_brief=1
+        GB_SIMD_LEVEL=$level ./build-asan/tests/test_align \
             --gtest_brief=1
         GB_SIMD_LEVEL=$level ./build-asan/tests/test_mlp \
             --gtest_brief=1
@@ -368,6 +372,23 @@ for flag in "--repeat=0" "--threads=-1" "--threads=2x" \
     set -e
     if [[ $status -eq 0 ]] || ! grep -q "error:" /tmp/gb_flag.txt; then
         echo "FAIL: run pileup $flag was not rejected" >&2
+        cat /tmp/gb_flag.txt >&2
+        exit 1
+    fi
+    echo "$flag -> $(head -1 /tmp/gb_flag.txt)"
+done
+
+# Durations parse the whole string too: trailing garbage, nan/inf and
+# negative values are rejected before any connection is attempted.
+for flag in "--wait-timeout=5x" "--wait-timeout=nan" \
+            "--wait-timeout=-1"; do
+    set +e
+    "$GB" client --connect=127.0.0.1:1 --jobs=/dev/null "$flag" \
+        >/dev/null 2>/tmp/gb_flag.txt
+    status=$?
+    set -e
+    if [[ $status -eq 0 ]] || ! grep -q "error:" /tmp/gb_flag.txt; then
+        echo "FAIL: client $flag was not rejected" >&2
         cat /tmp/gb_flag.txt >&2
         exit 1
     fi

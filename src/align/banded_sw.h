@@ -6,15 +6,22 @@
  * BWA-MEM/BWA-MEM2 (paper §III, Eq. 1): affine gap penalties, a band of
  * diagonals around the corridor connecting (0,0) to (m,n), and early
  * termination (z-drop) when the alignment score falls too far below the
- * best seen. Two execution schemes are provided:
+ * best seen. Entry points:
  *
- *  - bandedSwScalar(): one pair at a time, aborting as soon as z-drop
- *    fires (the "scalar" baseline in the paper's Fig. 3 discussion);
- *  - BatchSwAligner: 16 pairs per batch processed in lockstep, the
- *    inter-sequence vectorization scheme of BWA-MEM2. Lanes that finish
- *    early (shorter sequences or z-drop) idle until the whole batch
- *    completes, which is exactly why the paper measures 2.2x more cell
- *    updates for the vectorized kernel.
+ *  - bandedSw(): one pair through the runtime-dispatched intra-pair
+ *    SIMD row engine (AVX2 / SSE4.2 / scalar, defined in gb::simd,
+ *    src/simd/bsw_engine.cc). The production path for single pairs,
+ *    e.g. seed extension inside a pipeline;
+ *  - bandedSwScalar(): the same recurrence one cell at a time, aborting
+ *    as soon as z-drop fires. It is the test oracle every engine is
+ *    bit-identical to, the instrumented characterize() path and the
+ *    "scalar" baseline of the paper's Fig. 3 discussion;
+ *  - BatchSwAligner: 16 pairs per batch processed in lockstep, a model
+ *    of BWA-MEM2's inter-sequence vectorization (the executing engine
+ *    is simd::bswAlign). Lanes that finish early (shorter sequences or
+ *    z-drop) idle until the whole batch completes, which is exactly why
+ *    the paper measures 2.2x more cell updates for the vectorized
+ *    kernel.
  */
 #ifndef GB_ALIGN_BANDED_SW_H
 #define GB_ALIGN_BANDED_SW_H
@@ -164,7 +171,12 @@ bandedSwScalar(std::span<const u8> query, std::span<const u8> target,
     return result;
 }
 
-/** Uninstrumented convenience wrapper around bandedSwScalar(). */
+/**
+ * Align one pair with the dispatched intra-pair row engine; score, end
+ * cell, abort flag and cell_updates are bit-identical to
+ * bandedSwScalar() at every GB_SIMD_LEVEL, in local and global mode.
+ * Defined in gb::simd, so callers link gb::simd (or gb::all).
+ */
 SwResult bandedSw(std::span<const u8> query, std::span<const u8> target,
                   const SwParams& params = {});
 

@@ -1,10 +1,15 @@
 /**
  * @file
- * Dispatch layer for the SIMD banded-SW engine: picks the widest
- * kernel the CPU (and GB_SIMD_LEVEL) allows, batches pairs lane-wide,
- * and routes anything the 16-bit lanes cannot represent exactly
- * (overlong sequences, global mode) to the scalar kernel so results
- * are always bit-identical to bandedSwScalar().
+ * Dispatch layer for the SIMD banded-SW engines, both picking the
+ * widest kernel the CPU (and GB_SIMD_LEVEL) allows:
+ *
+ *  - bswAlign(), the inter-sequence engine: batches pairs lane-wide and
+ *    routes anything the 16-bit lanes cannot represent exactly
+ *    (overlong sequences, global mode) to the scalar kernel;
+ *  - gb::bandedSw(), the intra-pair row engine for one pair (i32 lanes,
+ *    local and global mode, any length).
+ *
+ * Results are always bit-identical to bandedSwScalar().
  */
 #include "simd/bsw_engine.h"
 
@@ -66,6 +71,40 @@ simdRepresentable(const SwPair& pair)
            pair.target.size() <= static_cast<size_t>(kBswMaxSimdLen);
 }
 
+using RowFn = SwResult (*)(std::span<const u8>, std::span<const u8>,
+                           const SwParams&, detail::BswRowScratch&);
+
+RowFn
+rowEngineFor(SimdLevel level)
+{
+    switch (level) {
+#if GB_SIMD_HAVE_X86
+      case SimdLevel::kAvx2: return detail::bswRowAvx2;
+      case SimdLevel::kSse4: return detail::bswRowSse4;
+#else
+      case SimdLevel::kAvx2:
+      case SimdLevel::kSse4:
+#endif
+      case SimdLevel::kScalar: break;
+    }
+    return nullptr;
+}
+
+/**
+ * Parameters the row engine evaluates exactly like the scalar kernel:
+ * its F-term scan needs gap_open >= 0 (so F never feeds itself through
+ * H), and penalties up to 2^16 keep the in-chunk ramp far from i32
+ * overflow. Anything else takes the scalar kernel.
+ */
+bool
+rowEngineExact(const SwParams& p)
+{
+    constexpr i32 kMax = 1 << 16;
+    const auto small = [](i32 v) { return v >= -kMax && v <= kMax; };
+    return p.band_width >= 0 && p.gap_open >= 0 && small(p.gap_open) &&
+           small(p.gap_extend) && small(p.match) && small(p.mismatch);
+}
+
 } // namespace
 
 u32
@@ -99,3 +138,21 @@ bswAlign(std::span<const SwPair> pairs, const SwParams& params,
 }
 
 } // namespace gb::simd
+
+namespace gb {
+
+SwResult
+bandedSw(std::span<const u8> query, std::span<const u8> target,
+         const SwParams& params)
+{
+    const simd::RowFn row = simd::rowEngineFor(simd::activeSimdLevel());
+    if (row == nullptr || query.empty() || target.empty() ||
+        !simd::rowEngineExact(params)) {
+        NullProbe probe;
+        return bandedSwScalar(query, target, params, probe);
+    }
+    thread_local simd::detail::BswRowScratch scratch;
+    return row(query, target, params, scratch);
+}
+
+} // namespace gb

@@ -8,12 +8,36 @@
 #ifndef GB_SIMD_ENGINES_INTERNAL_H
 #define GB_SIMD_ENGINES_INTERNAL_H
 
+#include <span>
+#include <vector>
+
 #include "align/banded_sw.h"
 #include "chain/chain.h"
 #include "simd/poa_engine.h"
 #include "util/common.h"
 
 namespace gb::simd::detail {
+
+/** DP rows and padded target codes reused across row-engine calls. */
+struct BswRowScratch
+{
+    std::vector<i32> h_prev;
+    std::vector<i32> h_curr;
+    std::vector<i32> e_col;
+    std::vector<u8> target;
+};
+
+/**
+ * One pair through the intra-pair row engine (i32 lanes, one band row
+ * per pass). Preconditions (checked by the dispatcher): non-empty
+ * sequences and parameters the engine evaluates exactly (see
+ * bandedSw() in bsw_engine.cc). Bit-identical to bandedSwScalar(),
+ * cell_updates included.
+ */
+SwResult bswRowSse4(std::span<const u8> query, std::span<const u8> target,
+                    const SwParams& params, BswRowScratch& scratch);
+SwResult bswRowAvx2(std::span<const u8> query, std::span<const u8> target,
+                    const SwParams& params, BswRowScratch& scratch);
 
 /**
  * One lockstep batch of at most kI16Lanes pairs. Preconditions

@@ -88,33 +88,6 @@ poaRowPassVec(const PoaRowPassArgs& a)
     }
 }
 
-/**
- * Shift lanes up by kS positions (lane l takes lane l - kS), filling
- * vacated low lanes from `fill`. The max-scan building block.
- */
-template <int kS>
-inline VecI32
-vShiftLanesUp(VecI32 v, VecI32 fill)
-{
-#if defined(GB_SIMD_TARGET_AVX2)
-    static_assert(kS == 1 || kS == 2 || kS == 4);
-    const __m256i idx =
-        kS == 1 ? _mm256_setr_epi32(0, 0, 1, 2, 3, 4, 5, 6)
-        : kS == 2 ? _mm256_setr_epi32(0, 0, 0, 1, 2, 3, 4, 5)
-                  : _mm256_setr_epi32(0, 0, 0, 0, 0, 1, 2, 3);
-    const __m256i low =
-        kS == 1 ? _mm256_setr_epi32(-1, 0, 0, 0, 0, 0, 0, 0)
-        : kS == 2 ? _mm256_setr_epi32(-1, -1, 0, 0, 0, 0, 0, 0)
-                  : _mm256_setr_epi32(-1, -1, -1, -1, 0, 0, 0, 0);
-    return _mm256_blendv_epi8(_mm256_permutevar8x32_epi32(v, idx),
-                              fill, low);
-#else
-    static_assert(kS == 1 || kS == 2);
-    // (v : fill) >> (16 - 4 kS) bytes keeps fill's top lanes low.
-    return _mm_alignr_epi8(v, fill, 16 - 4 * kS);
-#endif
-}
-
 inline void
 poaInsScanVec(const PoaInsScanArgs& a)
 {

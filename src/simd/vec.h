@@ -128,6 +128,14 @@ inline i32 vHMaxI32(VecI32 v)
         _mm_max_epi32(quad, _mm_shuffle_epi32(quad, 0xb1));
     return _mm_cvtsi128_si32(pair);
 }
+/** Highest 32-bit lane. */
+inline i32 vLastI32(VecI32 v) { return _mm256_extract_epi32(v, 7); }
+/** One mask bit per 32-bit lane, lane 0 in bit 0. */
+inline u32 vMaskBitsI32(VecI32 mask)
+{
+    return static_cast<u32>(
+        _mm256_movemask_ps(_mm256_castsi256_ps(mask)));
+}
 
 // ---- 16-bit integer lanes -------------------------------------------
 inline VecI16 vSet1I16(i16 x) { return _mm256_set1_epi16(x); }
@@ -282,6 +290,11 @@ inline i32 vHMaxI32(VecI32 v)
         _mm_max_epi32(quad, _mm_shuffle_epi32(quad, 0xb1));
     return _mm_cvtsi128_si32(pair);
 }
+inline i32 vLastI32(VecI32 v) { return _mm_extract_epi32(v, 3); }
+inline u32 vMaskBitsI32(VecI32 mask)
+{
+    return static_cast<u32>(_mm_movemask_ps(_mm_castsi128_ps(mask)));
+}
 
 // ---- 16-bit integer lanes -------------------------------------------
 inline VecI16 vSet1I16(i16 x) { return _mm_set1_epi16(x); }
@@ -357,5 +370,29 @@ inline VecF32 vByteMatchMaskF32(const u8* a, const u8* b)
 }
 
 #endif
+
+/**
+ * Shift lanes up by kS positions (lane l takes lane l - kS), filling
+ * vacated low lanes from `fill`. The building block of the in-register
+ * max-plus prefix scans (POA insertion fixup, banded-SW F term).
+ */
+template <int kS>
+inline VecI32
+vShiftLanesUp(VecI32 v, VecI32 fill)
+{
+#if defined(GB_SIMD_TARGET_AVX2)
+    static_assert(kS == 1 || kS == 2 || kS == 4);
+    const __m256i idx =
+        kS == 1 ? _mm256_setr_epi32(0, 0, 1, 2, 3, 4, 5, 6)
+        : kS == 2 ? _mm256_setr_epi32(0, 0, 0, 1, 2, 3, 4, 5)
+                  : _mm256_setr_epi32(0, 0, 0, 0, 0, 1, 2, 3);
+    return _mm256_blend_epi32(_mm256_permutevar8x32_epi32(v, idx), fill,
+                              (1 << kS) - 1);
+#else
+    static_assert(kS == 1 || kS == 2);
+    // (v : fill) >> (16 - 4 kS) bytes keeps fill's top lanes low.
+    return _mm_alignr_epi8(v, fill, 16 - 4 * kS);
+#endif
+}
 
 } // namespace gb::simd

@@ -6,6 +6,7 @@
 #define GB_UTIL_PARSE_H
 
 #include <charconv>
+#include <cmath>
 #include <limits>
 #include <string>
 #include <string_view>
@@ -35,6 +36,27 @@ parseUnsigned(std::string_view what, std::string_view text,
                      std::string(text) + " (expected " +
                      std::to_string(min) + ".." + std::to_string(max) +
                      ")");
+    return value;
+}
+
+/**
+ * Parse all of `text` as a decimal number of seconds in [0, max].
+ * A sign, leading or trailing garbage, nan/inf and out-of-range values
+ * throw InputError naming `what` (e.g. "--wait-timeout").
+ */
+inline double
+parseSeconds(std::string_view what, std::string_view text, unsigned max)
+{
+    double value = 0;
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    requireInput(ec == std::errc() && ptr == end && text.front() != '-' &&
+                     std::isfinite(value),
+                 std::string(what) + " expects a non-negative number "
+                     "of seconds, got '" + std::string(text) + "'");
+    requireInput(value <= max, std::string(what) + " out of range: " +
+                                   std::string(text) + " (expected 0.." +
+                                   std::to_string(max) + ")");
     return value;
 }
 

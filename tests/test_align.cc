@@ -1,8 +1,10 @@
 /**
  * @file
  * Tests for banded Smith-Waterman: golden DP values, an unbanded
- * full-matrix oracle, batch-vs-scalar equivalence, z-drop behaviour and
- * the Fig. 3 overwork accounting.
+ * full-matrix oracle, batch-vs-scalar equivalence, z-drop behaviour,
+ * the Fig. 3 overwork accounting, and the intra-pair row engine behind
+ * bandedSw() against the bandedSwScalar() oracle at every dispatch
+ * level.
  */
 #include <gtest/gtest.h>
 
@@ -12,6 +14,7 @@
 
 #include "align/banded_sw.h"
 #include "io/dna.h"
+#include "simd/simd.h"
 #include "util/rng.h"
 
 namespace gb {
@@ -47,6 +50,15 @@ fullLocalSw(const std::vector<u8>& q, const std::vector<u8>& t,
         }
     }
     return best;
+}
+
+/** The per-pair scalar kernel: the oracle every engine must match. */
+SwResult
+scalarSw(const std::vector<u8>& q, const std::vector<u8>& t,
+         const SwParams& p)
+{
+    NullProbe probe;
+    return bandedSwScalar<NullProbe>(q, t, p, probe);
 }
 
 std::vector<u8>
@@ -219,8 +231,7 @@ TEST(BatchSw, MatchesScalarScores)
 
     ASSERT_EQ(batch.size(), pairs.size());
     for (size_t i = 0; i < pairs.size(); ++i) {
-        const auto scalar =
-            bandedSw(pairs[i].query, pairs[i].target, p);
+        const auto scalar = scalarSw(qs[i], ts[i], p);
         EXPECT_EQ(batch[i].score, scalar.score) << "pair " << i;
         EXPECT_EQ(batch[i].query_end, scalar.query_end) << "pair " << i;
         EXPECT_EQ(batch[i].aborted, scalar.aborted) << "pair " << i;
@@ -228,8 +239,7 @@ TEST(BatchSw, MatchesScalarScores)
     // Lockstep execution does at least as much work as scalar.
     u64 scalar_cells = 0;
     for (size_t i = 0; i < pairs.size(); ++i) {
-        scalar_cells += bandedSw(pairs[i].query, pairs[i].target, p)
-                            .cell_updates;
+        scalar_cells += scalarSw(qs[i], ts[i], p).cell_updates;
     }
     EXPECT_EQ(stats.useful_cells, scalar_cells);
     EXPECT_GE(stats.totalCellUpdates(), scalar_cells);
@@ -279,6 +289,251 @@ TEST(BatchSw, MixedLengthsInflateCellUpdates)
     BatchSwStats stats;
     aligner.align(pairs, probe, &stats);
     EXPECT_GT(stats.overworkRatio(), 1.5);
+}
+
+// ---- intra-pair row engine vs the scalar oracle ----------------------
+
+/** Restores the process-global dispatch level on scope exit. */
+struct LevelGuard
+{
+    ~LevelGuard() { simd::resetSimdLevel(); }
+};
+
+/** Levels this host can actually execute (always includes scalar). */
+std::vector<simd::SimdLevel>
+testableLevels()
+{
+    std::vector<simd::SimdLevel> levels;
+    for (const simd::SimdLevel level :
+         {simd::SimdLevel::kScalar, simd::SimdLevel::kSse4,
+          simd::SimdLevel::kAvx2}) {
+        if (level <= simd::detectSimdLevel()) levels.push_back(level);
+    }
+    return levels;
+}
+
+bool
+operator==(const SwResult& a, const SwResult& b)
+{
+    return a.score == b.score && a.query_end == b.query_end &&
+           a.target_end == b.target_end && a.aborted == b.aborted &&
+           a.cell_updates == b.cell_updates;
+}
+
+std::string
+describe(const SwResult& r)
+{
+    return "{score " + std::to_string(r.score) + ", end (" +
+           std::to_string(r.query_end) + ", " +
+           std::to_string(r.target_end) + "), aborted " +
+           std::to_string(r.aborted) + ", cells " +
+           std::to_string(r.cell_updates) + "}";
+}
+
+/**
+ * One pair in local and global mode at every testable level, compared
+ * field for field with the scalar oracle. Returns false on a mismatch.
+ */
+bool
+expectRowEngineMatches(const std::vector<u8>& q, const std::vector<u8>& t,
+                       SwParams p, const std::string& ctx)
+{
+    bool ok = true;
+    for (const bool local : {true, false}) {
+        p.local = local;
+        const SwResult want = scalarSw(q, t, p);
+        for (const simd::SimdLevel level : testableLevels()) {
+            LevelGuard guard;
+            simd::setSimdLevel(level);
+            const SwResult got = bandedSw(q, t, p);
+            if (got == want) continue;
+            ok = false;
+            ADD_FAILURE() << ctx << (local ? " local " : " global ")
+                          << simd::simdLevelName(level) << ": got "
+                          << describe(got) << ", scalar " << describe(want);
+        }
+    }
+    return ok;
+}
+
+std::vector<u8>
+randomCodes(Rng& rng, u64 len)
+{
+    std::vector<u8> s(len);
+    for (auto& c : s) c = static_cast<u8>(rng.below(4));
+    return s;
+}
+
+/** Seeded pair of one of four regimes; lengths 1..64 (ragged). */
+void
+randomPair(Rng& rng, std::vector<u8>& q, std::vector<u8>& t)
+{
+    q = randomCodes(rng, 1 + rng.below(64));
+    switch (rng.below(4)) {
+      case 0: // mutated copy with indels: high scores, varied ends
+        t.clear();
+        for (const u8 c : q) {
+            if (rng.chance(0.03)) continue;
+            if (rng.chance(0.03)) t.push_back(static_cast<u8>(rng.below(4)));
+            t.push_back(rng.chance(0.06) ? static_cast<u8>(rng.below(4))
+                                         : c);
+        }
+        if (t.empty()) t.push_back(0);
+        break;
+      case 1: // unrelated: low scores, early z-drops
+        t = randomCodes(rng, 1 + rng.below(64));
+        break;
+      case 2: // good prefix, then divergence: z-drop mid-pair
+        t = q;
+        for (size_t j = t.size() / 2; j < t.size(); ++j) {
+            t[j] = static_cast<u8>(rng.below(4));
+        }
+        break;
+      default: // N codes in both sequences
+        t = q;
+        for (auto& c : t) {
+            if (rng.chance(0.05)) c = 4;
+        }
+        for (auto& c : q) {
+            if (rng.chance(0.02)) c = 4;
+        }
+        break;
+    }
+}
+
+TEST(BandedSwRowEngine, MatchesScalarOnRandomPairsAndParams)
+{
+    // 100k seeded pairs, each in local and global mode at every level,
+    // under randomized scoring, band and z-drop parameters (gap_open 0
+    // is the boundary of the F-scan rewrite).
+    Rng rng(1301);
+    std::vector<u8> q;
+    std::vector<u8> t;
+    u64 failures = 0;
+    for (int pair = 0; pair < 100'000 && failures < 5; ++pair) {
+        randomPair(rng, q, t);
+        SwParams p;
+        p.band_width = static_cast<i32>(rng.below(17));
+        p.match = static_cast<i32>(1 + rng.below(3));
+        p.mismatch = -static_cast<i32>(1 + rng.below(6));
+        p.gap_open = static_cast<i32>(rng.below(9));
+        p.gap_extend = static_cast<i32>(rng.below(4));
+        const i32 zdrops[] = {5, 20, 100, 1 << 28};
+        p.zdrop = zdrops[rng.below(4)];
+        failures += !expectRowEngineMatches(q, t, p,
+                                            "pair " + std::to_string(pair));
+    }
+}
+
+TEST(BandedSwRowEngine, MatchesScalarOnEdgeShapes)
+{
+    Rng rng(1302);
+    SwParams no_drop;
+    no_drop.zdrop = 1 << 30;
+
+    // m >> n: rows past the band are empty; with default z-drop the
+    // scalar kernel aborts on row_best = kNegInf, without it it runs on.
+    {
+        const auto q = randomCodes(rng, 300);
+        const auto t = randomCodes(rng, 10);
+        expectRowEngineMatches(q, t, SwParams{}, "m>>n");
+        expectRowEngineMatches(q, t, no_drop, "m>>n no-drop");
+        auto similar = q;
+        similar.resize(10);
+        expectRowEngineMatches(q, similar, no_drop, "m>>n prefix");
+    }
+    // n >> m: a band far wider than the query.
+    {
+        const auto q = randomCodes(rng, 12);
+        auto t = randomCodes(rng, 700);
+        std::copy(q.begin(), q.end(), t.begin() + 400);
+        expectRowEngineMatches(q, t, SwParams{}, "n>>m");
+        expectRowEngineMatches(q, t, no_drop, "n>>m no-drop");
+    }
+    // Band widths 0 and 1 on similar and unrelated pairs.
+    for (const i32 band : {0, 1}) {
+        SwParams p;
+        p.band_width = band;
+        for (int trial = 0; trial < 20; ++trial) {
+            std::vector<u8> q;
+            std::vector<u8> t;
+            randomPair(rng, q, t);
+            expectRowEngineMatches(q, t, p,
+                                   "band " + std::to_string(band));
+        }
+    }
+    // Z-drop firing mid-pair: similar prefix, then disjoint alphabets.
+    {
+        std::vector<u8> q = randomCodes(rng, 120);
+        std::vector<u8> t = q;
+        for (int i = 0; i < 300; ++i) {
+            q.push_back(static_cast<u8>(rng.below(2)));
+            t.push_back(static_cast<u8>(2 + rng.below(2)));
+        }
+        SwParams p;
+        p.zdrop = 40;
+        p.band_width = 60;
+        ASSERT_TRUE(scalarSw(q, t, p).aborted);
+        expectRowEngineMatches(q, t, p, "zdrop mid-pair");
+    }
+    // N codes: all-N, N-only query, N runs inside a match.
+    {
+        const std::vector<u8> all_n(37, 4);
+        auto q = randomCodes(rng, 90);
+        auto t = q;
+        std::fill(t.begin() + 30, t.begin() + 45, u8{4});
+        expectRowEngineMatches(all_n, all_n, SwParams{}, "all N");
+        expectRowEngineMatches(all_n, q, SwParams{}, "N query");
+        expectRowEngineMatches(q, t, SwParams{}, "N run");
+    }
+    // Every length pair 1..19: none, some and all multiples of the
+    // 4- and 8-lane widths.
+    for (u64 m = 1; m <= 19; ++m) {
+        for (u64 n = 1; n <= 19; ++n) {
+            SwParams p;
+            p.band_width = static_cast<i32>((m * 7 + n) % 6);
+            const auto q = randomCodes(rng, m);
+            auto t = randomCodes(rng, n);
+            std::copy_n(q.begin(), std::min(m, n) / 2, t.begin());
+            expectRowEngineMatches(q, t, p,
+                                   "m=" + std::to_string(m) +
+                                       " n=" + std::to_string(n));
+        }
+    }
+}
+
+TEST(BandedSwRowEngine, HandlesPairsBeyondTheI16Cap)
+{
+    // Longer than the inter-sequence engine's kBswMaxSimdLen (16000):
+    // the i32 row engine takes it without a length gate.
+    Rng rng(1303);
+    const auto q = randomCodes(rng, 16'500);
+    auto t = q;
+    for (auto& c : t) {
+        if (rng.chance(0.02)) c = static_cast<u8>(rng.below(4));
+    }
+    t.insert(t.begin() + 8'000, 3, u8{1});
+    SwParams p;
+    p.zdrop = 1 << 28;
+    expectRowEngineMatches(q, t, p, "16.5 kbp");
+    EXPECT_GT(scalarSw(q, t, p).score, 16'000);
+}
+
+TEST(BandedSwRowEngine, OutOfRangeParamsStillMatchScalar)
+{
+    // A negative gap open breaks the F-scan rewrite and huge penalties
+    // the ramp headroom; both take the scalar kernel.
+    Rng rng(1304);
+    for (int trial = 0; trial < 50; ++trial) {
+        std::vector<u8> q;
+        std::vector<u8> t;
+        randomPair(rng, q, t);
+        SwParams p;
+        p.band_width = 10;
+        p.gap_open = trial % 2 ? -2 : 1 << 20;
+        p.zdrop = 1 << 28;
+        expectRowEngineMatches(q, t, p, "trial " + std::to_string(trial));
+    }
 }
 
 } // namespace

@@ -173,8 +173,9 @@ expectEnginesAgree(const PairStorage& set, const SwParams& params)
 {
     std::vector<SwResult> scalar(set.pairs.size());
     for (size_t i = 0; i < set.pairs.size(); ++i) {
-        scalar[i] =
-            bandedSw(set.pairs[i].query, set.pairs[i].target, params);
+        NullProbe probe;
+        scalar[i] = bandedSwScalar(set.pairs[i].query,
+                                   set.pairs[i].target, params, probe);
     }
     for (const simd::SimdLevel level : testableLevels()) {
         LevelGuard guard;
@@ -252,8 +253,9 @@ TEST(SimdBsw, StatsCountUsefulCellsExactly)
     const SwParams p;
     u64 scalar_cells = 0;
     for (const auto& pair : set.pairs) {
-        scalar_cells +=
-            bandedSw(pair.query, pair.target, p).cell_updates;
+        NullProbe probe;
+        scalar_cells += bandedSwScalar(pair.query, pair.target, p, probe)
+                            .cell_updates;
     }
     for (const simd::SimdLevel level : testableLevels()) {
         LevelGuard guard;

@@ -594,6 +594,48 @@ TEST(ParseUnsigned, RejectsOverflowAndOutOfRange)
     }
 }
 
+TEST(ParseSeconds, AcceptsFiniteNonNegativeDecimals)
+{
+    EXPECT_EQ(parseSeconds("--wait-timeout", "0", 60), 0.0);
+    EXPECT_EQ(parseSeconds("--wait-timeout", "5", 60), 5.0);
+    EXPECT_EQ(parseSeconds("--wait-timeout", "2.5", 60), 2.5);
+    EXPECT_EQ(parseSeconds("--wait-timeout", "1e1", 60), 10.0);
+    EXPECT_EQ(parseSeconds("--wait-timeout", "60", 60), 60.0);
+}
+
+TEST(ParseSeconds, RejectsSignsGarbageAndNonFinite)
+{
+    for (const char* text : {"5x", "x5", "", " 5", "5 ", "-1", "-0", "+5",
+                             "nan", "NaN", "inf", "-inf", "infinity",
+                             "1e999", "0x10"}) {
+        EXPECT_THROW(parseSeconds("--wait-timeout", text, 60), InputError)
+            << "'" << text << "'";
+    }
+    try {
+        parseSeconds("--wait-timeout", "5x", 60);
+        FAIL() << "5x accepted";
+    } catch (const InputError& e) {
+        EXPECT_NE(std::string(e.what()).find("--wait-timeout"),
+                  std::string::npos)
+            << e.what();
+        EXPECT_NE(std::string(e.what()).find("'5x'"), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(ParseSeconds, RejectsOutOfRange)
+{
+    EXPECT_THROW(parseSeconds("--wait-timeout", "60.5", 60), InputError);
+    try {
+        parseSeconds("--wait-timeout", "1e9", 86400);
+        FAIL() << "1e9 accepted";
+    } catch (const InputError& e) {
+        EXPECT_NE(std::string(e.what()).find("out of range"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(Table, RendersAlignedColumns)
 {
     Table t("demo");

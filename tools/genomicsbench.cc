@@ -777,7 +777,9 @@ main(int argc, char** argv)
             } else if (arg == "--drain") {
                 drain = true;
             } else if (arg.rfind("--wait-timeout=", 0) == 0) {
-                wait_timeout = std::stod(arg.substr(15));
+                // A day at most; omit the flag to wait with no deadline.
+                wait_timeout =
+                    parseSeconds("--wait-timeout", arg.substr(15), 86400);
             } else if (arg.rfind("--workers=", 0) == 0) {
                 workers = parseUnsigned("--workers", arg.substr(10), 0,
                                         kMaxThreads);
