@@ -18,7 +18,8 @@
 # gb::trace smoke riding on the net run: --trace must produce valid
 # Perfetto JSON covering every instrumented layer with zero dropped
 # events, submit->done coverage for all 8 jobs, and non-zero latency
-# percentile columns on the serve_summary row (docs/tracing.md), and
+# percentile columns on the serve_summary row (docs/tracing.md), a
+# scripts/trace_inspect.py fixture and bad-file check, and
 # CLI error-handling checks (unknown bench flags, malformed numeric
 # and duration flags).
 #
@@ -311,7 +312,7 @@ rm -rf "$NET_CACHE" "$NET_JOBS" "$NET_LOG"
 # flight prepare (cache), TCP sessions (net), worker participation
 # (pool) and kernel phases (kernel). Validate the Perfetto JSON
 # end-to-end and assert the serve_summary latency percentiles are
-# populated; `trace inspect` must digest the same file.
+# populated; scripts/trace_inspect.py must digest the same file.
 step "trace: Perfetto JSON covers all layers, latency columns non-zero"
 python3 - /tmp/gb_trace.json /tmp/gb_net_serve.json <<'EOF'
 import json, sys
@@ -344,8 +345,46 @@ for key in ("queue_wait_p50_ms", "queue_wait_p95_ms",
 print(f"trace smoke ok: {len(spans)} spans + {len(instants)} instants, "
       "0 dropped, all 5 layers covered, latency columns non-zero")
 EOF
-"$GB" trace inspect /tmp/gb_trace.json --top=5
+python3 scripts/trace_inspect.py /tmp/gb_trace.json --top 5
 rm -f /tmp/gb_trace.json
+
+# The summary's arithmetic on a hand-built four-event trace (two `a`
+# kernel spans, one `b` serve span, one instant), and a truncated file
+# rejected with an error instead of a traceback.
+step "trace: trace_inspect.py aggregates a fixture, rejects bad JSON"
+python3 - <<'EOF'
+import json, subprocess, sys, tempfile
+def span(name, cat, ts, dur):
+    return {"name": name, "cat": cat, "ph": "X", "ts": ts, "dur": dur,
+            "pid": 1, "tid": 0, "args": {"job": 0, "arg": 0, "rank": 0}}
+doc = {"traceEvents": [span("a", "kernel", 0, 10),
+                       span("a", "kernel", 50, 20),
+                       span("b", "serve", 5, 5),
+                       {"name": "tick", "cat": "net", "ph": "i", "ts": 1,
+                        "s": "t", "pid": 1, "tid": 0}],
+       "otherData": {"rings": 2, "recorded_events": 4,
+                     "dropped_events": 0}}
+def inspect(text, *flags):
+    with tempfile.NamedTemporaryFile("w", suffix=".json") as f:
+        f.write(text)
+        f.flush()
+        return subprocess.run([sys.executable, "scripts/trace_inspect.py",
+                               f.name, *flags], capture_output=True,
+                              text=True)
+run = inspect(json.dumps(doc), "--top", "2")
+assert run.returncode == 0, run.stderr
+out = run.stdout
+assert "3 spans, 1 instants" in out, out
+assert "extent:   0.070 ms" in out, out
+names = out.split("== Per-name span totals ==")[1].splitlines()
+first = [c.strip() for c in names[4].split("|")]
+assert first[0] == "a" and first[2] == "2" and first[3] == "0.030", first
+longest = out.split("== Top 2 longest spans ==")[1].splitlines()[4:-1]
+assert len(longest) == 2, longest
+bad = inspect(json.dumps(doc)[:40])
+assert bad.returncode != 0 and bad.stderr.startswith("error:"), bad
+print("trace_inspect ok: fixture totals match, truncated file rejected")
+EOF
 
 # ------------------------------------------------- CLI error handling
 step "bench CLI: unknown flags are rejected"

@@ -1,5 +1,6 @@
 #include "io/vcf.h"
 
+#include <charconv>
 #include <iomanip>
 #include <istream>
 #include <ostream>
@@ -57,7 +58,19 @@ readVcf(std::istream& in)
         rec.heterozygous = sample == "0/1";
         const auto af = info.find("AF=");
         if (af != std::string::npos) {
-            rec.allele_fraction = std::stod(info.substr(af + 3));
+            // The whole value up to the next ';' must be a fraction;
+            // NaN fails the range test.
+            const size_t begin = af + 3;
+            const std::string text =
+                info.substr(begin, info.find(';', begin) - begin);
+            const char* end = text.data() + text.size();
+            const auto [ptr, ec] =
+                std::from_chars(text.data(), end, rec.allele_fraction);
+            requireInput(ec == std::errc() && ptr == end &&
+                             rec.allele_fraction >= 0.0 &&
+                             rec.allele_fraction <= 1.0,
+                         "VCF: bad AF value '" + text + "' at line " +
+                             std::to_string(line_no));
         }
         out.push_back(rec);
     }

@@ -9,6 +9,8 @@
 #include <thread>
 #include <utility>
 
+#include "util/json.h"
+
 namespace gb::metrics {
 
 namespace {
@@ -51,31 +53,6 @@ buildGitSha()
 #else
     return "unknown";
 #endif
-}
-
-std::string
-jsonEscape(std::string_view text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c; // UTF-8 passes through untouched
-            }
-        }
-    }
-    return out;
 }
 
 std::string

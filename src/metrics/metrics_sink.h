@@ -48,9 +48,6 @@ struct RunMeta
 /** Git short sha captured at configure time ("unknown" outside git). */
 std::string buildGitSha();
 
-/** Escape `text` for embedding in a JSON string literal (no quotes). */
-std::string jsonEscape(std::string_view text);
-
 /**
  * Shortest round-trip decimal for a double; NaN/Inf become "null"
  * (JSON has no representation for them).

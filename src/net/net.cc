@@ -12,6 +12,8 @@
 #include <thread>
 #include <unistd.h>
 
+#include "util/parse.h"
+
 namespace gb::net {
 
 namespace {
@@ -99,17 +101,8 @@ parseHostPort(const std::string& spec)
                  "expected HOST:PORT, got '" + spec + "'");
     HostPort out;
     out.host = spec.substr(0, colon);
-    const std::string port_str = spec.substr(colon + 1);
-    try {
-        const unsigned long port = std::stoul(port_str);
-        requireInput(port <= 65535,
-                     "port out of range: " + port_str);
-        out.port = static_cast<u16>(port);
-    } catch (const InputError&) {
-        throw;
-    } catch (const std::exception&) {
-        throw InputError("bad port: '" + port_str + "'");
-    }
+    out.port = static_cast<u16>(
+        parseUnsigned("port", spec.substr(colon + 1), 0, 65535));
     return out;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "util/parse.h"
 #include "util/table.h"
 
 namespace gb::net {
@@ -75,11 +76,8 @@ parseRequest(const std::string& line)
                      verb + " needs a job id");
         request.id = parseId(token);
         if (request.verb == Verb::kWait && tokens >> token) {
-            try {
-                request.timeout = std::stod(token);
-            } catch (const std::exception&) {
-                throw InputError("bad WAIT timeout: '" + token + "'");
-            }
+            request.timeout =
+                parseSeconds("WAIT timeout", token, kMaxWaitSeconds);
         }
     } else if (verb == "STATS") {
         request.verb = Verb::kStats;

@@ -6,7 +6,8 @@
  * Requests:
  *   SUBMIT <job-line>     job-line as in a job file (serve/job.h)
  *   STATUS <id>
- *   WAIT <id> [timeout]   timeout in seconds; absent = block
+ *   WAIT <id> [timeout]   timeout in seconds (0..kMaxWaitSeconds);
+ *                         absent = block
  *   CANCEL <id>
  *   STATS
  *   DRAIN
@@ -40,6 +41,12 @@ enum class Verb : u8
     kStats,
     kDrain,
 };
+
+/**
+ * Longest WAIT deadline a request or `client --wait-timeout` may ask
+ * for (one day); omit the timeout to wait with no deadline.
+ */
+inline constexpr unsigned kMaxWaitSeconds = 86400;
 
 /** Wire name of a verb ("SUBMIT", "STATUS", ...). */
 const char* verbName(Verb verb);

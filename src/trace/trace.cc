@@ -1,16 +1,14 @@
 #include "trace/trace.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <ostream>
-#include <sstream>
 #include <unordered_map>
+
+#include "util/json.h"
 
 namespace gb::trace {
 
@@ -116,32 +114,6 @@ record(u32 name_id, Category category, bool instant, u64 begin_ns,
     ev.instant = instant ? 1 : 0;
     ev.thread_rank = rank;
     push(myBuffer(), ev);
-}
-
-/** JSON-escape `s` (quotes, backslashes, control chars). */
-std::string
-jsonEscape(std::string_view s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char hex[8];
-                std::snprintf(hex, sizeof hex, "\\u%04x", c);
-                out += hex;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
 }
 
 /** Format trace ns as microseconds with ns precision ("12.345"). */
@@ -410,382 +382,6 @@ writeChromeTraceFile(const std::string& path)
     out.flush();
     requireInput(out.good(), "failed writing trace file: " + path);
     return stats;
-}
-
-// ---------------------------------------------------------------------
-// Parsing (mini JSON reader, no external deps)
-
-namespace {
-
-/** A parsed JSON value (enough for trace documents). */
-struct JsonValue
-{
-    enum class Type
-    {
-        kNull,
-        kBool,
-        kNumber,
-        kString,
-        kArray,
-        kObject
-    };
-    Type type = Type::kNull;
-    bool boolean = false;
-    double number = 0.0;
-    std::string str;
-    std::vector<JsonValue> array;
-    std::vector<std::pair<std::string, JsonValue>> object;
-
-    const JsonValue* find(const std::string& key) const
-    {
-        for (const auto& [k, v] : object) {
-            if (k == key) return &v;
-        }
-        return nullptr;
-    }
-};
-
-/** Recursive-descent JSON parser with strict syntax checking. */
-class JsonParser
-{
-  public:
-    explicit JsonParser(std::string_view text) : text_(text) {}
-
-    JsonValue parseDocument()
-    {
-        JsonValue v = parseValue();
-        skipWs();
-        if (pos_ != text_.size()) fail("trailing content");
-        return v;
-    }
-
-  private:
-    [[noreturn]] void fail(const std::string& what)
-    {
-        throw InputError("trace JSON parse error at byte " +
-                         std::to_string(pos_) + ": " + what);
-    }
-
-    void skipWs()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-            ++pos_;
-        }
-    }
-
-    char peek()
-    {
-        if (pos_ >= text_.size()) fail("unexpected end of input");
-        return text_[pos_];
-    }
-
-    void expect(char c)
-    {
-        if (peek() != c) {
-            fail(std::string("expected '") + c + "'");
-        }
-        ++pos_;
-    }
-
-    bool consume(char c)
-    {
-        if (pos_ < text_.size() && text_[pos_] == c) {
-            ++pos_;
-            return true;
-        }
-        return false;
-    }
-
-    JsonValue parseValue()
-    {
-        skipWs();
-        const char c = peek();
-        if (c == '{') return parseObject();
-        if (c == '[') return parseArray();
-        if (c == '"') {
-            JsonValue v;
-            v.type = JsonValue::Type::kString;
-            v.str = parseString();
-            return v;
-        }
-        if (c == 't' || c == 'f') return parseKeyword(c == 't');
-        if (c == 'n') return parseNull();
-        return parseNumber();
-    }
-
-    JsonValue parseObject()
-    {
-        JsonValue v;
-        v.type = JsonValue::Type::kObject;
-        expect('{');
-        skipWs();
-        if (consume('}')) return v;
-        while (true) {
-            skipWs();
-            std::string key = parseString();
-            skipWs();
-            expect(':');
-            v.object.emplace_back(std::move(key), parseValue());
-            skipWs();
-            if (consume('}')) return v;
-            expect(',');
-        }
-    }
-
-    JsonValue parseArray()
-    {
-        JsonValue v;
-        v.type = JsonValue::Type::kArray;
-        expect('[');
-        skipWs();
-        if (consume(']')) return v;
-        while (true) {
-            v.array.push_back(parseValue());
-            skipWs();
-            if (consume(']')) return v;
-            expect(',');
-        }
-    }
-
-    std::string parseString()
-    {
-        expect('"');
-        std::string out;
-        while (true) {
-            if (pos_ >= text_.size()) fail("unterminated string");
-            char c = text_[pos_++];
-            if (c == '"') return out;
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
-            if (pos_ >= text_.size()) fail("unterminated escape");
-            const char esc = text_[pos_++];
-            switch (esc) {
-            case '"': out += '"'; break;
-            case '\\': out += '\\'; break;
-            case '/': out += '/'; break;
-            case 'b': out += '\b'; break;
-            case 'f': out += '\f'; break;
-            case 'n': out += '\n'; break;
-            case 'r': out += '\r'; break;
-            case 't': out += '\t'; break;
-            case 'u': {
-                if (pos_ + 4 > text_.size()) fail("bad \\u escape");
-                unsigned code = 0;
-                for (int i = 0; i < 4; ++i) {
-                    const char h = text_[pos_++];
-                    code <<= 4;
-                    if (h >= '0' && h <= '9') code |= h - '0';
-                    else if (h >= 'a' && h <= 'f') code |= h - 'a' + 10;
-                    else if (h >= 'A' && h <= 'F') code |= h - 'A' + 10;
-                    else fail("bad \\u escape digit");
-                }
-                // Trace names are ASCII; encode BMP points as UTF-8.
-                if (code < 0x80) {
-                    out += static_cast<char>(code);
-                } else if (code < 0x800) {
-                    out += static_cast<char>(0xC0 | (code >> 6));
-                    out += static_cast<char>(0x80 | (code & 0x3F));
-                } else {
-                    out += static_cast<char>(0xE0 | (code >> 12));
-                    out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-                    out += static_cast<char>(0x80 | (code & 0x3F));
-                }
-                break;
-            }
-            default: fail("unknown escape");
-            }
-        }
-    }
-
-    JsonValue parseKeyword(bool truthy)
-    {
-        const std::string_view word = truthy ? "true" : "false";
-        if (text_.substr(pos_, word.size()) != word) fail("bad keyword");
-        pos_ += word.size();
-        JsonValue v;
-        v.type = JsonValue::Type::kBool;
-        v.boolean = truthy;
-        return v;
-    }
-
-    JsonValue parseNull()
-    {
-        if (text_.substr(pos_, 4) != "null") fail("bad keyword");
-        pos_ += 4;
-        return JsonValue{};
-    }
-
-    JsonValue parseNumber()
-    {
-        const size_t begin = pos_;
-        if (consume('-')) {}
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E' || text_[pos_] == '+' ||
-                text_[pos_] == '-')) {
-            ++pos_;
-        }
-        if (pos_ == begin) fail("expected a value");
-        const std::string token(text_.substr(begin, pos_ - begin));
-        char* end = nullptr;
-        const double num = std::strtod(token.c_str(), &end);
-        if (end == nullptr || *end != '\0') fail("bad number");
-        JsonValue v;
-        v.type = JsonValue::Type::kNumber;
-        v.number = num;
-        return v;
-    }
-
-    std::string_view text_;
-    size_t pos_ = 0;
-};
-
-double
-numberField(const JsonValue& obj, const std::string& key, double fallback)
-{
-    const JsonValue* v = obj.find(key);
-    if (v == nullptr || v->type != JsonValue::Type::kNumber) {
-        return fallback;
-    }
-    return v->number;
-}
-
-std::string
-stringField(const JsonValue& obj, const std::string& key)
-{
-    const JsonValue* v = obj.find(key);
-    if (v == nullptr || v->type != JsonValue::Type::kString) return "";
-    return v->str;
-}
-
-} // namespace
-
-ParsedTrace
-parseChromeTrace(std::istream& in)
-{
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string text = buf.str();
-    JsonParser parser(text);
-    const JsonValue doc = parser.parseDocument();
-    requireInput(doc.type == JsonValue::Type::kObject,
-                 "trace document is not a JSON object");
-    const JsonValue* events = doc.find("traceEvents");
-    requireInput(events != nullptr &&
-                     events->type == JsonValue::Type::kArray,
-                 "trace document has no traceEvents array");
-
-    ParsedTrace trace;
-    for (const JsonValue& ev : events->array) {
-        requireInput(ev.type == JsonValue::Type::kObject,
-                     "traceEvents entry is not an object");
-        ParsedEvent pe;
-        pe.name = stringField(ev, "name");
-        pe.category = stringField(ev, "cat");
-        pe.phase = stringField(ev, "ph");
-        pe.tid = static_cast<u64>(numberField(ev, "tid", 0));
-        pe.ts_us = numberField(ev, "ts", 0);
-        pe.dur_us = numberField(ev, "dur", 0);
-        if (const JsonValue* args = ev.find("args");
-            args != nullptr && args->type == JsonValue::Type::kObject) {
-            pe.job_id = static_cast<u64>(numberField(*args, "job", 0));
-            pe.arg = static_cast<u64>(numberField(*args, "arg", 0));
-            pe.rank = static_cast<u64>(numberField(*args, "rank", 0));
-        }
-        requireInput(!pe.phase.empty(),
-                     "trace event missing ph field");
-        if (pe.phase == "M") {
-            trace.metadata.push_back(std::move(pe));
-        } else {
-            trace.events.push_back(std::move(pe));
-        }
-    }
-    if (const JsonValue* other = doc.find("otherData");
-        other != nullptr && other->type == JsonValue::Type::kObject) {
-        trace.recorded_events = static_cast<u64>(
-            numberField(*other, "recorded_events", 0));
-        trace.dropped_events = static_cast<u64>(
-            numberField(*other, "dropped_events", 0));
-        trace.rings = static_cast<u64>(numberField(*other, "rings", 0));
-    }
-    return trace;
-}
-
-ParsedTrace
-parseChromeTraceFile(const std::string& path)
-{
-    std::ifstream in(path);
-    requireInput(in.good(), "cannot open trace file: " + path);
-    return parseChromeTrace(in);
-}
-
-InspectSummary
-summarize(const ParsedTrace& trace, size_t top_n)
-{
-    InspectSummary s;
-    s.dropped_events = trace.dropped_events;
-    s.rings = trace.rings;
-
-    std::map<std::string, SpanAggregate> by_cat;
-    std::map<std::string, SpanAggregate> by_name;
-    double min_ts = 0.0, max_end = 0.0;
-    bool any = false;
-    std::vector<const ParsedEvent*> spans;
-
-    for (const ParsedEvent& ev : trace.events) {
-        if (ev.phase == "i") {
-            ++s.instants;
-            continue;
-        }
-        if (ev.phase != "X") continue;
-        ++s.spans;
-        spans.push_back(&ev);
-        if (!any || ev.ts_us < min_ts) min_ts = ev.ts_us;
-        if (!any || ev.ts_us + ev.dur_us > max_end) {
-            max_end = ev.ts_us + ev.dur_us;
-        }
-        any = true;
-
-        SpanAggregate& cat = by_cat[ev.category];
-        cat.name = ev.category;
-        cat.category = ev.category;
-        ++cat.count;
-        cat.total_us += ev.dur_us;
-        if (ev.dur_us > cat.max_us) cat.max_us = ev.dur_us;
-
-        SpanAggregate& nm = by_name[ev.name];
-        nm.name = ev.name;
-        nm.category = ev.category;
-        ++nm.count;
-        nm.total_us += ev.dur_us;
-        if (ev.dur_us > nm.max_us) nm.max_us = ev.dur_us;
-    }
-    if (any) s.extent_us = max_end - min_ts;
-
-    for (auto& [key, agg] : by_cat) {
-        (void)key;
-        s.by_category.push_back(agg);
-    }
-    for (auto& [key, agg] : by_name) {
-        (void)key;
-        s.by_name.push_back(agg);
-    }
-    std::stable_sort(s.by_name.begin(), s.by_name.end(),
-                     [](const SpanAggregate& a, const SpanAggregate& b) {
-                         return a.total_us > b.total_us;
-                     });
-
-    std::stable_sort(spans.begin(), spans.end(),
-                     [](const ParsedEvent* a, const ParsedEvent* b) {
-                         return a->dur_us > b->dur_us;
-                     });
-    if (spans.size() > top_n) spans.resize(top_n);
-    for (const ParsedEvent* ev : spans) s.longest.push_back(*ev);
-    return s;
 }
 
 } // namespace gb::trace

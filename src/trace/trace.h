@@ -28,9 +28,7 @@
  *
  *  - Chrome trace-event JSON export (`ph:"X"` complete events,
  *    `ph:"i"` instants, process/thread metadata, per-run dropped-event
- *    counts), loadable in Perfetto / chrome://tracing, plus a parser
- *    for the emitted format backing `genomicsbench trace inspect` and
- *    the exporter tests.
+ *    counts), loadable in Perfetto / chrome://tracing.
  *
  * Threading contract: record*() and the macros are safe from any
  * thread at any time. start()/stop() flip collection on/off;
@@ -58,7 +56,7 @@ enum class Category : u8
     kServe,  ///< scheduler job lifecycle (submit/dispatch/done)
     kCache,  ///< ArtifactCache build vs single-flight wait
     kNet,    ///< gb::net sessions and request handling
-    kPool,   ///< ThreadPool per-job participation + steal instants
+    kPool,   ///< ThreadPool per-rank parallelFor participation
     kKernel, ///< registry kernel prepare/run phases
     kOther,  ///< uncategorized instrumentation
 };
@@ -251,73 +249,6 @@ ExportStats writeChromeTrace(std::ostream& out);
 
 /** writeChromeTrace() to `path`; throws InputError on I/O failure. */
 ExportStats writeChromeTraceFile(const std::string& path);
-
-// ---------------------------------------------------------------------
-// Reading traces back (CLI `trace inspect`, exporter tests)
-
-/** One event parsed back from an exported trace. */
-struct ParsedEvent
-{
-    std::string name;
-    std::string category; ///< "cat" field, empty for metadata
-    std::string phase;    ///< "X", "i", "M"
-    u64 tid = 0;
-    double ts_us = 0.0;
-    double dur_us = 0.0; ///< 0 for instants/metadata
-    u64 job_id = 0;
-    u64 arg = 0;
-    u64 rank = 0;
-};
-
-/** A parsed trace document. */
-struct ParsedTrace
-{
-    std::vector<ParsedEvent> events; ///< X and i events, file order
-    std::vector<ParsedEvent> metadata; ///< ph:"M" events
-    u64 recorded_events = 0;
-    u64 dropped_events = 0;
-    u64 rings = 0;
-};
-
-/**
- * Parse a Chrome trace-event JSON document as written by
- * writeChromeTrace(). Full JSON syntax validation; throws InputError
- * on malformed input or a document missing the expected structure.
- */
-ParsedTrace parseChromeTrace(std::istream& in);
-
-/** parseChromeTrace() from a file; throws InputError if unreadable. */
-ParsedTrace parseChromeTraceFile(const std::string& path);
-
-/** Per-name aggregate for InspectSummary. */
-struct SpanAggregate
-{
-    std::string name;
-    std::string category;
-    u64 count = 0;
-    double total_us = 0.0;
-    double max_us = 0.0;
-};
-
-/** Summary of a parsed trace (`genomicsbench trace inspect`). */
-struct InspectSummary
-{
-    u64 spans = 0;
-    u64 instants = 0;
-    u64 dropped_events = 0;
-    u64 rings = 0;
-    /** Wall extent of the trace (first begin to last end), us. */
-    double extent_us = 0.0;
-    /** Per-category span totals, categoryName() order + "other". */
-    std::vector<SpanAggregate> by_category;
-    /** Per-name aggregates, by total duration descending. */
-    std::vector<SpanAggregate> by_name;
-    /** The top-N longest individual spans. */
-    std::vector<ParsedEvent> longest;
-};
-
-/** Summarize `trace`, keeping the `top_n` longest spans. */
-InspectSummary summarize(const ParsedTrace& trace, size_t top_n = 10);
 
 // ---------------------------------------------------------------------
 // Macros

@@ -249,6 +249,15 @@ TEST(Vcf, RejectsMalformed)
     std::istringstream zero_pos(
         "chr1\t0\t.\tA\tC\t50\tPASS\tAF=0.5\tGT\t0/1\n");
     EXPECT_THROW(readVcf(zero_pos), InputError);
+    // AF must be a whole, finite number in [0, 1].
+    for (const char* af : {"abc", "0.5x", "nan", "7", "-0.5", ""}) {
+        std::istringstream bad_af("chr1\t100\t.\tA\tC\t50\tPASS\tAF=" +
+                                  std::string(af) + "\tGT\t0/1\n");
+        EXPECT_THROW(readVcf(bad_af), InputError) << "AF=" << af;
+    }
+    std::istringstream multi_info(
+        "chr1\t100\t.\tA\tC\t50\tPASS\tAF=0.25;DP=30\tGT\t0/1\n");
+    EXPECT_DOUBLE_EQ(readVcf(multi_info).at(0).allele_fraction, 0.25);
 }
 
 TEST(Alignment, EndPos)

@@ -16,6 +16,7 @@
 
 #include "metrics/metrics_sink.h"
 #include "metrics/perf_counters.h"
+#include "util/json.h"
 #include "util/table.h"
 
 namespace gb::metrics {

@@ -70,6 +70,9 @@ TEST(NetHostPort, RejectsMalformedSpecs)
     EXPECT_THROW(net::parseHostPort("127.0.0.1:"), InputError);
     EXPECT_THROW(net::parseHostPort("127.0.0.1:http"), InputError);
     EXPECT_THROW(net::parseHostPort("127.0.0.1:70000"), InputError);
+    EXPECT_THROW(net::parseHostPort("127.0.0.1:80x"), InputError);
+    EXPECT_THROW(net::parseHostPort("127.0.0.1:+80"), InputError);
+    EXPECT_THROW(net::parseHostPort("127.0.0.1: 80"), InputError);
 }
 
 // ---------------------------------------------------------------------
@@ -110,6 +113,11 @@ TEST(NetProtocol, RejectsMalformedRequests)
     EXPECT_THROW(net::parseRequest("STATUS -3"), InputError);
     EXPECT_THROW(net::parseRequest("STATUS 1 2"), InputError);
     EXPECT_THROW(net::parseRequest("WAIT 1 soon"), InputError);
+    EXPECT_THROW(net::parseRequest("WAIT 1 5x"), InputError);
+    EXPECT_THROW(net::parseRequest("WAIT 1 -3"), InputError);
+    EXPECT_THROW(net::parseRequest("WAIT 1 nan"), InputError);
+    EXPECT_THROW(net::parseRequest("WAIT 1 inf"), InputError);
+    EXPECT_THROW(net::parseRequest("WAIT 1 86401"), InputError);
     EXPECT_THROW(net::parseRequest("STATS now"), InputError);
     EXPECT_THROW(net::parseRequest("DRAIN 1"), InputError);
 }

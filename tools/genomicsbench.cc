@@ -16,7 +16,6 @@
  *                    [--cache-dir=DIR] [--json=FILE]
  *   genomicsbench client --connect=HOST:PORT --jobs=FILE
  *                    [--wait-timeout=S] [--drain]
- *   genomicsbench trace inspect <trace.json> [--top=N]
  *
  * `run` times the kernel (wall clock, tasks/s); `characterize` prints
  * the operation mix, cache behaviour and top-down attribution for one
@@ -27,8 +26,8 @@
  * batch mode (--jobs) drains a file, network mode (--listen) accepts
  * jobs over TCP until DRAIN or SIGTERM. `client` drives a job file
  * against a network server. `run` and `serve` accept --trace=FILE to
- * record a gb::trace timeline (Perfetto-loadable Chrome trace JSON);
- * `trace inspect` summarizes such a file (docs/tracing.md).
+ * record a gb::trace timeline (Perfetto-loadable Chrome trace JSON;
+ * scripts/trace_inspect.py summarizes one, see docs/tracing.md).
  */
 #include <algorithm>
 #include <csignal>
@@ -47,6 +46,7 @@
 #include "metrics/pooled_counters.h"
 #include "net/client.h"
 #include "net/net.h"
+#include "net/protocol.h"
 #include "net/server.h"
 #include "serve/job.h"
 #include "serve/scheduler.h"
@@ -123,7 +123,6 @@ usage()
            " [--cache-dir=DIR] [--json=FILE] [--trace=FILE]\n"
            "  genomicsbench client --connect=HOST:PORT --jobs=FILE"
            " [--wait-timeout=S] [--drain]\n"
-           "  genomicsbench trace inspect <trace.json> [--top=N]\n"
            "(run also accepts --trace=FILE; see docs/tracing.md)\n";
     return 2;
 }
@@ -635,66 +634,6 @@ cmdServeListen(const std::string& listen_spec, unsigned workers,
 }
 
 /**
- * `trace inspect`: summarize an exported trace file — span counts,
- * per-category totals, per-name aggregates and the top-N longest
- * individual spans.
- */
-int
-cmdTraceInspect(const std::string& path, size_t top_n)
-{
-    const auto parsed = trace::parseChromeTraceFile(path);
-    const auto s = trace::summarize(parsed, top_n);
-    std::cout << "file:     " << path << '\n'
-              << "events:   " << s.spans << " spans, " << s.instants
-              << " instants (" << s.dropped_events
-              << " dropped at capture, " << s.rings << " threads)\n"
-              << "extent:   " << formatF(s.extent_us / 1000.0, 3)
-              << " ms\n\n";
-
-    Table categories("Per-category span totals");
-    categories.setHeader({"category", "spans", "total ms", "max ms"});
-    for (const auto& agg : s.by_category) {
-        categories.newRow()
-            .cell(agg.category)
-            .cell(std::to_string(agg.count))
-            .cellF(agg.total_us / 1000.0, 3)
-            .cellF(agg.max_us / 1000.0, 3);
-    }
-    report(categories);
-
-    Table names("Per-name span totals");
-    names.setHeader({"name", "category", "count", "total ms",
-                     "max ms"});
-    size_t shown = 0;
-    for (const auto& agg : s.by_name) {
-        if (shown++ >= top_n) break;
-        names.newRow()
-            .cell(agg.name)
-            .cell(agg.category)
-            .cell(std::to_string(agg.count))
-            .cellF(agg.total_us / 1000.0, 3)
-            .cellF(agg.max_us / 1000.0, 3);
-    }
-    report(names);
-
-    Table longest("Top " + std::to_string(s.longest.size()) +
-                  " longest spans");
-    longest.setHeader({"name", "category", "job", "thread", "start ms",
-                       "dur ms"});
-    for (const auto& ev : s.longest) {
-        longest.newRow()
-            .cell(ev.name)
-            .cell(ev.category)
-            .cell(std::to_string(ev.job_id))
-            .cell(std::to_string(ev.tid))
-            .cellF(ev.ts_us / 1000.0, 3)
-            .cellF(ev.dur_us / 1000.0, 3);
-    }
-    report(longest);
-    return 0;
-}
-
-/**
  * `client`: drive a job file against a live `serve --listen` server.
  * Exit 0 only when every submitted job completed.
  */
@@ -737,7 +676,6 @@ main(int argc, char** argv)
         Engine engine = Engine::kScalar;
         std::string json_path;
         std::string trace_path;
-        unsigned top_n = 10;
         std::string jobs_path;
         std::string listen_spec;
         std::string connect_spec;
@@ -766,8 +704,6 @@ main(int argc, char** argv)
                 trace_path = arg.substr(8);
                 requireInput(!trace_path.empty(),
                              "--trace needs a file path");
-            } else if (arg.rfind("--top=", 0) == 0) {
-                top_n = parseUnsigned("--top", arg.substr(6));
             } else if (arg.rfind("--jobs=", 0) == 0) {
                 jobs_path = arg.substr(7);
             } else if (arg.rfind("--listen=", 0) == 0) {
@@ -777,9 +713,8 @@ main(int argc, char** argv)
             } else if (arg == "--drain") {
                 drain = true;
             } else if (arg.rfind("--wait-timeout=", 0) == 0) {
-                // A day at most; omit the flag to wait with no deadline.
-                wait_timeout =
-                    parseSeconds("--wait-timeout", arg.substr(15), 86400);
+                wait_timeout = parseSeconds(
+                    "--wait-timeout", arg.substr(15), net::kMaxWaitSeconds);
             } else if (arg.rfind("--workers=", 0) == 0) {
                 workers = parseUnsigned("--workers", arg.substr(10), 0,
                                         kMaxThreads);
@@ -830,14 +765,6 @@ main(int argc, char** argv)
                 return cmdStoreVerify(std::move(positional));
             }
             return usage();
-        }
-
-        if (command == "trace") {
-            if (positional.size() != 2 ||
-                positional.front() != "inspect") {
-                return usage();
-            }
-            return cmdTraceInspect(positional.back(), top_n);
         }
 
         if (command == "serve") {
