@@ -16,6 +16,7 @@
 #include <iostream>
 
 #include "arch/cache_sim.h"
+#include "core/measure.h"
 #include "harness.h"
 
 namespace {
@@ -76,10 +77,12 @@ main(int argc, char** argv)
         // (PooledCounters), so --threads>1 no longer under-reports.
         ThreadPool pool(options.threads);
         kernel->setEngine(options.engine);
-        const auto sample =
-            bench::timeRunSampledPooled(*kernel, pool);
-        const double meas_bpki = sample.perf.perKiloInstructions(
-            sample.perf.llc_misses * kLineBytes);
+        metrics::PooledCounters counters(pool);
+        Measurement measured;
+        measureRepeats(*kernel, pool, 1, measured, &counters);
+        const auto& perf = measured.best_sample;
+        const double meas_bpki =
+            perf.perKiloInstructions(perf.llc_misses * kLineBytes);
 
         table.newRow()
             .cell(name)

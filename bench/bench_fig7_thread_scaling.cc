@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/measure.h"
 #include "harness.h"
 
 namespace {
@@ -92,10 +93,12 @@ main(int argc, char** argv)
         table.newRow().cell(name);
         for (unsigned threads : {1u, 2u, 4u, 8u}) {
             ThreadPool pool(threads);
-            // Warm-up run amortizes first-touch effects at t=1.
-            if (threads == 1) bench::timeRun(*kernel, pool);
+            // Untimed warm-up run amortizes first-touch effects at t=1.
+            if (threads == 1) kernel->run(pool);
             pool.resetTelemetry();
-            const double seconds = bench::timeRun(*kernel, pool);
+            Measurement measured;
+            measureRepeats(*kernel, pool, 1, measured);
+            const double seconds = measured.bestSeconds();
             if (threads == 1) {
                 base = seconds;
                 table.cellF(seconds, 3);

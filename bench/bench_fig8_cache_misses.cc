@@ -17,6 +17,7 @@
 
 #include "arch/cache_sim.h"
 #include "arch/topdown.h"
+#include "core/measure.h"
 #include "harness.h"
 
 int
@@ -53,8 +54,10 @@ main(int argc, char** argv)
         // whole-run totals, not rank 0's share.
         ThreadPool pool(options.threads);
         kernel->setEngine(options.engine);
-        const auto sample =
-            bench::timeRunSampledPooled(*kernel, pool);
+        metrics::PooledCounters counters(pool);
+        Measurement measured;
+        measureRepeats(*kernel, pool, 1, measured, &counters);
+        const auto& perf = measured.best_sample;
 
         table.newRow()
             .cell(name)
@@ -62,13 +65,11 @@ main(int argc, char** argv)
             .cellF(cache.l2Stats().missRate() * 100.0, 2)
             .cellF(cache.llcStats().missRate() * 100.0, 2)
             .cellF(result.stall_cycle_fraction * 100.0, 1)
-            .cell(bench::orNA(sample.perf.ipc(), 2))
-            .cell(bench::orNA(sample.perf.perKiloInstructions(
-                                  sample.perf.llc_misses),
-                              2))
-            .cell(bench::orNA(sample.perf.perKiloInstructions(
-                                  sample.perf.branch_misses),
-                              2));
+            .cell(bench::orNA(perf.ipc(), 2))
+            .cell(bench::orNA(
+                perf.perKiloInstructions(perf.llc_misses), 2))
+            .cell(bench::orNA(
+                perf.perKiloInstructions(perf.branch_misses), 2));
     }
     bench::report(table);
     std::cout << "\nShape check: fmi and kmer-cnt are the two "

@@ -129,29 +129,25 @@ main(int argc, char** argv)
     bool want_simd = true;
     std::string json_path;
     int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--engine=", 9) == 0) {
-            const Engine engine = parseEngine(argv[i] + 9);
-            want_scalar = engine == Engine::kScalar;
-            want_simd = engine == Engine::kSimd;
-        } else if (std::strncmp(argv[i], "--size=", 7) == 0) {
-            const std::string v = argv[i] + 7;
-            if (v == "tiny") {
-                g_size = DatasetSize::kTiny;
-            } else if (v == "small") {
-                g_size = DatasetSize::kSmall;
-            } else if (v == "large") {
-                g_size = DatasetSize::kLarge;
+    try {
+        for (int i = 1; i < argc; ++i) {
+            if (std::strncmp(argv[i], "--engine=", 9) == 0) {
+                const Engine engine = parseEngine(argv[i] + 9);
+                want_scalar = engine == Engine::kScalar;
+                want_simd = engine == Engine::kSimd;
+            } else if (std::strncmp(argv[i], "--size=", 7) == 0) {
+                g_size = parseDatasetSize(argv[i] + 7);
+            } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
+                json_path = argv[i] + 7;
+                requireInput(!json_path.empty(),
+                             "--json expects a file path");
             } else {
-                std::cerr << "error: unknown --size value: " << v
-                          << " (expected tiny, small or large)\n";
-                return 2;
+                argv[out++] = argv[i];
             }
-        } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-            json_path = argv[i] + 7;
-        } else {
-            argv[out++] = argv[i];
         }
+    } catch (const std::exception& e) {
+        std::cerr << "error: " << e.what() << '\n';
+        return 2;
     }
     argc = out;
 
@@ -159,9 +155,7 @@ main(int argc, char** argv)
         metrics::RunMeta meta;
         meta.experiment = "bench_kernels";
         meta.paper_ref = "per-kernel wall-clock microbenchmarks";
-        meta.size = g_size == DatasetSize::kTiny    ? "tiny"
-                    : g_size == DatasetSize::kSmall ? "small"
-                                                    : "large";
+        meta.size = datasetSizeName(g_size);
         meta.threads = 0; // per-entry; encoded in each row's name
         meta.engine = want_scalar == want_simd ? "both"
                       : want_scalar            ? "scalar"

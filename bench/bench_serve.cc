@@ -26,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/measure.h"
 #include "harness.h"
 #include "serve/scheduler.h"
 #include "store/cache.h"
@@ -104,9 +105,10 @@ main(int argc, char** argv)
                 for (unsigned i = 0; i < kJobs; ++i) {
                     auto kernel = createKernel(name);
                     kernel->setEngine(options.engine);
-                    kernel->prepare(options.size);
+                    Measurement measured;
+                    measurePrepare(*kernel, options.size, measured);
                     ThreadPool pool(1);
-                    kernel->run(pool);
+                    measureRepeats(*kernel, pool, 1, measured);
                 }
             });
         const double serial_seconds = serial_timer.seconds();

@@ -6,7 +6,6 @@
 #include <sstream>
 #include <string_view>
 
-#include "metrics/pooled_counters.h"
 #include "simd/simd.h"
 #include "store/cache.h"
 #include "util/parse.h"
@@ -95,18 +94,7 @@ Options::parseStrict(int argc, char** argv, DatasetSize default_size)
             return arg.substr(std::strlen(prefix));
         };
         if (arg.rfind("--size=", 0) == 0) {
-            const std::string v = value("--size=");
-            if (v == "tiny") {
-                opt.size = DatasetSize::kTiny;
-            } else if (v == "small") {
-                opt.size = DatasetSize::kSmall;
-            } else if (v == "large") {
-                opt.size = DatasetSize::kLarge;
-            } else {
-                throw InputError(
-                    "unknown --size value: " + v +
-                    " (expected tiny, small or large)");
-            }
+            opt.size = parseDatasetSize(value("--size="));
         } else if (arg.rfind("--threads=", 0) == 0) {
             opt.threads = parseUnsigned(
                 "--threads", value("--threads="), 0, kMaxThreads);
@@ -165,54 +153,11 @@ Options::kernelList() const
     return kernels;
 }
 
-const char*
-sizeName(DatasetSize size)
-{
-    switch (size) {
-      case DatasetSize::kTiny: return "tiny";
-      case DatasetSize::kSmall: return "small";
-      case DatasetSize::kLarge: return "large";
-    }
-    return "?";
-}
-
 metrics::MetricsSink&
 metricsSink()
 {
     static metrics::MetricsSink sink;
     return sink;
-}
-
-RunSample
-timeRunSampled(Benchmark& kernel, ThreadPool& pool)
-{
-    RunSample sample;
-    metrics::PerfCounters counters;
-    WallTimer timer;
-    counters.start();
-    kernel.run(pool);
-    sample.perf = counters.stop();
-    sample.seconds = timer.seconds();
-    return sample;
-}
-
-RunSample
-timeRunSampledPooled(Benchmark& kernel, ThreadPool& pool)
-{
-    RunSample sample;
-    metrics::PooledCounters counters(pool);
-    WallTimer timer;
-    counters.start();
-    kernel.run(pool);
-    sample.perf = counters.stopAggregate();
-    sample.seconds = timer.seconds();
-    return sample;
-}
-
-double
-timeRun(Benchmark& kernel, ThreadPool& pool)
-{
-    return timeRunSampled(kernel, pool).seconds;
 }
 
 std::string
@@ -228,7 +173,7 @@ printHeader(const std::string& experiment, const std::string& paper_ref,
 {
     std::cout << "### GenomicsBench reproduction: " << experiment
               << "\n### paper reference: " << paper_ref
-              << "\n### dataset: " << sizeName(options.size)
+              << "\n### dataset: " << datasetSizeName(options.size)
               << ", threads: "
               << (options.threads ? std::to_string(options.threads)
                                   : std::string("auto"))
@@ -242,7 +187,7 @@ printHeader(const std::string& experiment, const std::string& paper_ref,
             metrics::RunMeta meta;
             meta.experiment = experiment;
             meta.paper_ref = paper_ref;
-            meta.size = sizeName(options.size);
+            meta.size = datasetSizeName(options.size);
             meta.threads = options.threads;
             meta.engine = engineName(options.engine);
             meta.simd_level =

@@ -27,10 +27,8 @@
 
 #include "core/benchmark.h"
 #include "metrics/metrics_sink.h"
-#include "metrics/perf_counters.h"
 #include "util/common.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace gb::bench {
@@ -81,41 +79,12 @@ const std::vector<std::string>& knownFlags();
 /** The --help text; lists every flag in knownFlags(). */
 const char* usageText();
 
-/** Human-readable dataset-size name. */
-const char* sizeName(DatasetSize size);
-
 /**
  * Process-global metrics sink. Disabled (rows are dropped) until a
  * binary runs printHeader() with a parsed --json=FILE; the JSON file
  * is written when the process exits normally.
  */
 metrics::MetricsSink& metricsSink();
-
-/** One timed kernel run plus hardware counters for it. */
-struct RunSample
-{
-    double seconds = 0.0;
-    /**
-     * Counters for the calling thread: the whole run when `pool` has
-     * one thread, rank 0's share otherwise. available=false (with a
-     * reason) when perf_event_open is denied — callers print "n/a".
-     */
-    metrics::PerfSample perf;
-};
-
-/** Time one full run() of a prepared kernel, sampling perf counters. */
-RunSample timeRunSampled(Benchmark& kernel, ThreadPool& pool);
-
-/**
- * Like timeRunSampled(), but samples a counter group on every pool
- * thread (metrics::PooledCounters) and returns the summed reading, so
- * the counters describe the whole run at any thread count instead of
- * rank 0's share.
- */
-RunSample timeRunSampledPooled(Benchmark& kernel, ThreadPool& pool);
-
-/** Time one full run() of a prepared kernel. */
-double timeRun(Benchmark& kernel, ThreadPool& pool);
 
 /** Format a counter-derived value, "n/a" when negative (unavailable). */
 std::string orNA(double value, int precision = 2);

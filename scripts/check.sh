@@ -20,8 +20,9 @@
 # events, submit->done coverage for all 8 jobs, and non-zero latency
 # percentile columns on the serve_summary row (docs/tracing.md), a
 # scripts/trace_inspect.py fixture and bad-file check, and
-# CLI error-handling checks (unknown bench flags, malformed numeric
-# and duration flags).
+# a `run` rows check (3 repeats -> 3 `run` rows, `run_best` = their
+# minimum), and CLI error-handling checks (unknown bench flags,
+# malformed numeric, duration and empty path flags).
 #
 # Usage: scripts/check.sh [--skip-sanitizers]
 set -euo pipefail
@@ -386,6 +387,25 @@ assert bad.returncode != 0 and bad.stderr.startswith("error:"), bad
 print("trace_inspect ok: fixture totals match, truncated file rejected")
 EOF
 
+# ------------------------------------------------------ run rows smoke
+# `run` reports what core/measure recorded: one `run` row per repeat
+# and one `run_best` row whose seconds is the minimum of those rows.
+step "genomicsbench run: 3 repeats -> 3 run rows + run_best = min"
+"$GB" run pileup --size=tiny --repeat=3 --json=/tmp/gb_run.json >/dev/null
+python3 - /tmp/gb_run.json <<'EOF'
+import json, sys
+rows = json.load(open(sys.argv[1]))["rows"]
+runs = [r for r in rows if r["table"] == "run"]
+best = [r for r in rows if r["table"] == "run_best"]
+assert len(runs) == 3, f"expected 3 run rows, got {len(runs)}"
+assert len(best) == 1, f"expected 1 run_best row, got {len(best)}"
+fastest = min(r["seconds"] for r in runs)
+assert best[0]["seconds"] == fastest, \
+    f"run_best {best[0]['seconds']} != min of run rows {fastest}"
+print(f"run rows ok: 3 repeats, best {fastest} s")
+EOF
+rm -f /tmp/gb_run.json
+
 # ------------------------------------------------- CLI error handling
 step "bench CLI: unknown flags are rejected"
 set +e
@@ -401,10 +421,12 @@ echo "bad flag rejected with: $(cat /tmp/gb_flag.txt | head -1)"
 
 # Numeric flags parse whole strings within range: a zero repeat count,
 # a negative or over-cap thread count and trailing garbage all exit
-# non-zero with a message instead of wrapping or truncating.
-step "genomicsbench CLI: malformed numeric flags rejected"
+# non-zero with a message instead of wrapping or truncating. Path flags
+# with an empty value are rejected instead of silently dropping the
+# JSON or running uncached.
+step "genomicsbench CLI: malformed numeric and empty path flags rejected"
 for flag in "--repeat=0" "--threads=-1" "--threads=2x" \
-            "--threads=100000"; do
+            "--threads=100000" "--json=" "--cache-dir="; do
     set +e
     "$GB" run pileup --size=tiny "$flag" >/dev/null 2>/tmp/gb_flag.txt
     status=$?

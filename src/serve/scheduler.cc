@@ -5,9 +5,9 @@
 #include <condition_variable>
 #include <mutex>
 
+#include "core/measure.h"
 #include "trace/trace.h"
 #include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace gb::serve {
 
@@ -349,43 +349,15 @@ Scheduler::runJob(std::shared_ptr<JobState> job, unsigned granted,
 
     JobStatus final_status = JobStatus::kDone;
     std::string error;
-    double prepare_seconds = 0.0;
-    double run_seconds = 0.0;
-    double best = 1e300;
-    unsigned repeats_completed = 0;
-    u64 tasks = 0;
+    Measurement measured;
     try {
         auto kernel = config_.kernel_factory(job->spec.kernel);
         kernel->setEngine(job->spec.engine);
-        WallTimer prep_timer;
-        {
-            // Dynamic name ("prepare:fmi"): interned per call, which
-            // the registry dedups; only paid while tracing is on.
-            trace::Span span(
-                trace::enabled()
-                    ? trace::internName("prepare:" + job->spec.kernel)
-                    : 0u,
-                trace::Category::kKernel, granted);
-            kernel->prepare(job->spec.size);
-        }
-        prepare_seconds = prep_timer.seconds();
-
+        measurePrepare(*kernel, job->spec.size, measured);
         // This job's slice of the worker budget: the runner thread is
         // rank 0, the pool spawns granted-1 more.
         ThreadPool pool(granted);
-        const u32 repeat_name =
-            trace::enabled()
-                ? trace::internName("repeat:" + job->spec.kernel)
-                : 0u;
-        for (unsigned r = 0; r < job->spec.repeats; ++r) {
-            trace::Span span(repeat_name, trace::Category::kKernel, r);
-            WallTimer timer;
-            tasks = kernel->run(pool);
-            const double seconds = timer.seconds();
-            run_seconds += seconds;
-            best = std::min(best, seconds);
-            ++repeats_completed;
-        }
+        measureRepeats(*kernel, pool, job->spec.repeats, measured);
     } catch (const std::exception& e) {
         // Error isolation: the kernel failed, the server did not.
         final_status = JobStatus::kFailed;
@@ -397,7 +369,7 @@ Scheduler::runJob(std::shared_ptr<JobState> job, unsigned granted,
 
     if (final_status == JobStatus::kDone) {
         GB_TRACE_INSTANT(trace::Category::kServe, "job:done",
-                         repeats_completed);
+                         measured.repeat_seconds.size());
     } else {
         GB_TRACE_INSTANT(trace::Category::kServe, "job:failed");
     }
@@ -408,12 +380,12 @@ Scheduler::runJob(std::shared_ptr<JobState> job, unsigned granted,
         // consistent: run_seconds / best_run_seconds / tasks all
         // describe the repeats_completed repeats that finished.
         std::lock_guard<std::mutex> lock(job->m);
-        job->metrics.prepare_seconds = prepare_seconds;
-        job->metrics.run_seconds = run_seconds;
-        job->metrics.best_run_seconds =
-            repeats_completed > 0 ? best : 0.0;
-        job->metrics.repeats_completed = repeats_completed;
-        job->metrics.tasks = tasks;
+        job->metrics.prepare_seconds = measured.prepare_seconds;
+        job->metrics.run_seconds = measured.totalSeconds();
+        job->metrics.best_run_seconds = measured.bestSeconds();
+        job->metrics.repeats_completed =
+            static_cast<unsigned>(measured.repeat_seconds.size());
+        job->metrics.tasks = measured.tasks;
         job->status = final_status;
         job->error = std::move(error);
         job->cv.notify_all();
@@ -435,8 +407,8 @@ Scheduler::runJob(std::shared_ptr<JobState> job, unsigned granted,
         // a stats() snapshot's quantiles always describe exactly its
         // completed + failed jobs. Nanosecond samples (see header).
         queue_wait_ns_.add(queue_seconds * 1e9);
-        prepare_ns_.add(prepare_seconds * 1e9);
-        run_ns_.add(run_seconds * 1e9);
+        prepare_ns_.add(measured.prepare_seconds * 1e9);
+        run_ns_.add(measured.totalSeconds() * 1e9);
         e2e_ns_.add(e2e_seconds * 1e9);
         --running_;
         idle_cv_.notify_all();

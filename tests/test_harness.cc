@@ -156,13 +156,6 @@ TEST(KnownFlags, ListsNothingTheParserRejects)
     }
 }
 
-TEST(Harness, SizeNameRoundTrip)
-{
-    EXPECT_STREQ(sizeName(DatasetSize::kTiny), "tiny");
-    EXPECT_STREQ(sizeName(DatasetSize::kSmall), "small");
-    EXPECT_STREQ(sizeName(DatasetSize::kLarge), "large");
-}
-
 TEST(Harness, OrNAFormatsCounters)
 {
     EXPECT_EQ(orNA(-1.0), "n/a");

@@ -41,8 +41,8 @@
 #include "arch/cache_sim.h"
 #include "arch/topdown.h"
 #include "core/benchmark.h"
+#include "core/measure.h"
 #include "metrics/metrics_sink.h"
-#include "metrics/perf_counters.h"
 #include "metrics/pooled_counters.h"
 #include "net/client.h"
 #include "net/net.h"
@@ -127,15 +127,6 @@ usage()
     return 2;
 }
 
-DatasetSize
-parseSize(const std::string& value)
-{
-    if (value == "tiny") return DatasetSize::kTiny;
-    if (value == "small") return DatasetSize::kSmall;
-    if (value == "large") return DatasetSize::kLarge;
-    throw InputError("unknown size: " + value);
-}
-
 int
 cmdList()
 {
@@ -177,16 +168,9 @@ cmdRun(const std::string& name, DatasetSize size, unsigned threads,
 {
     auto kernel = createKernel(name);
     kernel->setEngine(engine);
-    WallTimer prep_timer;
-    {
-        trace::Span span(trace::enabled()
-                             ? trace::internName("prepare:" + name)
-                             : 0u,
-                         trace::Category::kKernel);
-        kernel->prepare(size);
-    }
-    std::cout << "prepared in " << formatF(prep_timer.seconds(), 2)
-              << " s";
+    Measurement m;
+    measurePrepare(*kernel, size, m);
+    std::cout << "prepared in " << formatF(m.prepare_seconds, 2) << " s";
     const auto& cache = store::globalCache();
     if (cache.enabled()) {
         std::cout << " (artifact cache: " << cache.hits() << " hit"
@@ -200,36 +184,22 @@ cmdRun(const std::string& name, DatasetSize size, unsigned threads,
     // One counter group per pool thread, summed per repeat, so the
     // reported counters cover the whole run at any thread count.
     metrics::PooledCounters counters(pool);
-    double best = 1e300;
-    u64 tasks = 0;
-    metrics::PerfSample best_sample;
-    const u32 repeat_name =
-        trace::enabled() ? trace::internName("repeat:" + name) : 0u;
-    for (unsigned r = 0; r < repeat; ++r) {
-        trace::Span span(repeat_name, trace::Category::kKernel, r);
-        WallTimer timer;
-        counters.start();
-        tasks = kernel->run(pool);
-        const auto sample = counters.stopAggregate();
-        const double seconds = timer.seconds();
-        if (seconds < best) {
-            best = seconds;
-            best_sample = sample;
-        }
-        std::cout << "run " << r + 1 << ": "
-                  << formatF(seconds, 3) << " s, " << tasks
-                  << " tasks ("
-                  << formatF(static_cast<double>(tasks) / seconds, 1)
-                  << " tasks/s)\n";
+    measureRepeats(*kernel, pool, repeat, m, &counters);
+    for (size_t r = 0; r < m.repeat_seconds.size(); ++r) {
+        const double seconds = m.repeat_seconds[r];
+        const double rate = static_cast<double>(m.tasks) / seconds;
+        std::cout << "run " << r + 1 << ": " << formatF(seconds, 3)
+                  << " s, " << m.tasks << " tasks ("
+                  << formatF(rate, 1) << " tasks/s)\n";
         g_sink.newRow("run")
             .str("kernel", name)
             .count("repeat", r + 1)
             .num("seconds", seconds)
-            .count("tasks", tasks)
-            .num("tasks_per_sec",
-                 static_cast<double>(tasks) / seconds);
+            .count("tasks", m.tasks)
+            .num("tasks_per_sec", rate);
     }
-    std::cout << "best: " << formatF(best, 3) << " s with "
+    const auto& best_sample = m.best_sample;
+    std::cout << "best: " << formatF(m.bestSeconds(), 3) << " s with "
               << pool.numThreads() << " threads\n";
     // Measured counters for the best repeat, aggregated across every
     // pool rank (one perf group per thread).
@@ -252,7 +222,7 @@ cmdRun(const std::string& name, DatasetSize size, unsigned threads,
     }
     g_sink.newRow("run_best")
         .str("kernel", name)
-        .num("seconds", best)
+        .num("seconds", m.bestSeconds())
         .count("threads", pool.numThreads())
         .flag("counters_available", best_sample.available)
         .num("ipc", best_sample.ipc())
@@ -688,7 +658,7 @@ main(int argc, char** argv)
         for (int i = 2; i < argc; ++i) {
             const std::string arg = argv[i];
             if (arg.rfind("--size=", 0) == 0) {
-                size = parseSize(arg.substr(7));
+                size = parseDatasetSize(arg.substr(7));
             } else if (arg.rfind("--threads=", 0) == 0) {
                 threads = parseUnsigned("--threads", arg.substr(10), 0,
                                         kMaxThreads);
@@ -697,9 +667,14 @@ main(int argc, char** argv)
             } else if (arg.rfind("--engine=", 0) == 0) {
                 engine = parseEngine(arg.substr(9));
             } else if (arg.rfind("--cache-dir=", 0) == 0) {
-                store::setCacheDir(arg.substr(12));
+                const std::string dir = arg.substr(12);
+                requireInput(!dir.empty(),
+                             "--cache-dir expects a directory path");
+                store::setCacheDir(dir);
             } else if (arg.rfind("--json=", 0) == 0) {
                 json_path = arg.substr(7);
+                requireInput(!json_path.empty(),
+                             "--json expects a file path");
             } else if (arg.rfind("--trace=", 0) == 0) {
                 trace_path = arg.substr(8);
                 requireInput(!trace_path.empty(),
@@ -742,9 +717,7 @@ main(int argc, char** argv)
                                    ? std::string()
                                    : ":" + positional.front());
             meta.paper_ref = "genomicsbench CLI";
-            meta.size = size == DatasetSize::kTiny    ? "tiny"
-                        : size == DatasetSize::kSmall ? "small"
-                                                      : "large";
+            meta.size = datasetSizeName(size);
             meta.threads = threads;
             meta.engine = engineName(engine);
             meta.simd_level =
