@@ -1,10 +1,8 @@
 #include "harness.h"
 
-#include <algorithm>
 #include <cstring>
 #include <iostream>
 #include <sstream>
-#include <string_view>
 
 #include "simd/simd.h"
 #include "store/cache.h"
@@ -29,45 +27,6 @@ constexpr const char* kUsage =
     "  --json=FILE              write gb-metrics-v1 JSON "
     "(docs/metrics.md)\n"
     "  --help, -h               this text\n";
-
-/** Levenshtein distance, small-string use only. */
-u64
-editDistance(std::string_view a, std::string_view b)
-{
-    std::vector<u64> prev(b.size() + 1);
-    std::vector<u64> curr(b.size() + 1);
-    for (size_t j = 0; j <= b.size(); ++j) prev[j] = j;
-    for (size_t i = 1; i <= a.size(); ++i) {
-        curr[0] = i;
-        for (size_t j = 1; j <= b.size(); ++j) {
-            const u64 sub = prev[j - 1] + (a[i - 1] != b[j - 1]);
-            curr[j] = std::min({prev[j] + 1, curr[j - 1] + 1, sub});
-        }
-        std::swap(prev, curr);
-    }
-    return prev[b.size()];
-}
-
-/** "unknown option: --thread=8 (did you mean --threads?)" */
-std::string
-unknownOption(const std::string& arg)
-{
-    const std::string name = arg.substr(0, arg.find('='));
-    std::string best;
-    u64 best_dist = 3; // suggest only near misses
-    for (const std::string& flag : kKnownFlags) {
-        const u64 dist = editDistance(name, flag);
-        if (dist < best_dist) {
-            best_dist = dist;
-            best = flag;
-        }
-    }
-    std::string message = "unknown option: " + arg;
-    if (!best.empty()) {
-        message += " (did you mean " + best + "?)";
-    }
-    return message;
-}
 
 } // namespace
 
@@ -120,7 +79,7 @@ Options::parseStrict(int argc, char** argv, DatasetSize default_size)
             opt.help = true;
             return opt;
         } else {
-            throw InputError(unknownOption(arg));
+            throw InputError(unknownOption(arg, kKnownFlags));
         }
     }
     return opt;

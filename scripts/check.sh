@@ -6,13 +6,14 @@
 # ASan/UBSan (plus the dispatch-level suites at every level), the
 # thread-pool, metrics, serve, net and trace suites under TSan, a
 # metrics smoke test (--json emission validated by
-# scripts/bench_compare.py), the mlp ablation benches (self-verifying),
-# a benchmark-baseline comparison against
-# baselines/gb-metrics-v1.tiny.json (tolerance via GB_BENCH_TOLERANCE,
-# percent), an end-to-end artifact-cache smoke test (store build ->
-# store verify -> warm bench run + corruption and bad-flag rejection
-# checks), a gb::serve smoke test (8-job list through the scheduler, JSON
-# validated, single-flight prepare asserted), a gb::net loopback
+# scripts/validate_metrics.py, which must also reject malformed
+# documents), the mlp ablation benches (self-verifying), an end-to-end
+# artifact-cache smoke test (store build -> store verify -> warm run +
+# corruption check), an engine-equivalence smoke (the six engine
+# kernels report the same task counts under --engine=scalar and
+# --engine=simd at 1 and 4 threads), a gb::serve smoke test (8-job
+# list through the scheduler, JSON validated, single-flight prepare
+# asserted), a gb::net loopback
 # smoke (`serve --listen` driven by the `client` subcommand over
 # 127.0.0.1, priority dispatch order asserted from the JSON), and a
 # gb::trace smoke riding on the net run: --trace must produce valid
@@ -21,8 +22,11 @@
 # percentile columns on the serve_summary row (docs/tracing.md), a
 # scripts/trace_inspect.py fixture and bad-file check, and
 # a `run` rows check (3 repeats -> 3 `run` rows, `run_best` = their
-# minimum), and CLI error-handling checks (unknown bench flags,
-# malformed numeric, duration and empty path flags).
+# minimum), and CLI error-handling checks (unknown flags with a
+# did-you-mean, malformed numeric, duration and empty path flags).
+#
+# Timing is not gated here: `perfbench/run.py compare BENCH_16 NEW`
+# does that against the committed trajectory (BENCH_16/README.md).
 #
 # Usage: scripts/check.sh [--skip-sanitizers]
 set -euo pipefail
@@ -110,19 +114,43 @@ if [[ $SKIP_SAN -eq 0 ]]; then
 fi
 
 # ------------------------------------------------------- metrics smoke
-# Every bench binary emits gb-metrics-v1 JSON via --json=FILE;
-# bench_compare.py is the consumer (docs/metrics.md). Emit from a
-# google-benchmark binary and a table binary, validate both, and prove
-# the self-comparison gate passes on identical runs.
-step "metrics: JSON emission -> bench_compare.py"
+# Every bench binary and `genomicsbench run` emit gb-metrics-v1 JSON
+# via --json=FILE (docs/metrics.md). Emit from a table binary and from
+# the CLI and validate both.
+step "metrics: JSON emission -> validate_metrics.py"
 MDIR=$(mktemp -d)
-./build/bench/bench_kernels --size=tiny --json="$MDIR/kernels.json" \
-    --benchmark_filter='bsw' >/dev/null
-python3 scripts/bench_compare.py --self-check "$MDIR/kernels.json"
 ./build/bench/bench_fig4_task_imbalance --size=tiny --kernels=bsw \
     --json="$MDIR/fig4.json" >/dev/null
-python3 scripts/bench_compare.py --self-check "$MDIR/fig4.json"
-python3 scripts/bench_compare.py "$MDIR/fig4.json" "$MDIR/fig4.json"
+python3 scripts/validate_metrics.py "$MDIR/fig4.json"
+./build/tools/genomicsbench run bsw --size=tiny --repeat=1 \
+    --json="$MDIR/run.json" >/dev/null
+python3 scripts/validate_metrics.py "$MDIR/run.json"
+
+# The validator must fail on a broken document and name the field: one
+# without meta.engine, one whose row holds an object and an array.
+step "metrics: validate_metrics.py rejects malformed documents"
+python3 - "$MDIR/run.json" "$MDIR" <<'EOF'
+import json, subprocess, sys
+good = json.load(open(sys.argv[1]))
+no_engine = json.loads(json.dumps(good))
+del no_engine["meta"]["engine"]
+nested = json.loads(json.dumps(good))
+nested["rows"][0]["seconds"] = {"value": 1}
+nested["rows"][0]["tasks"] = [1, 2]
+cases = [(no_engine, ["meta.engine is missing"]),
+         (nested, ["rows[0].seconds has non-scalar value dict",
+                   "rows[0].tasks has non-scalar value list"])]
+for i, (doc, expected) in enumerate(cases):
+    path = f"{sys.argv[2]}/bad{i}.json"
+    json.dump(doc, open(path, "w"))
+    run = subprocess.run([sys.executable, "scripts/validate_metrics.py",
+                          path], capture_output=True, text=True)
+    assert run.returncode == 2, (path, run.returncode, run.stderr)
+    for message in expected:
+        assert message in run.stderr, (message, run.stderr)
+    print(f"rejected as expected: {run.stderr.strip()}")
+EOF
+rm -rf "$MDIR"
 
 # --------------------------------------------------- mlp ablation smoke
 # Both ablation benches verify their engine outputs against the scalar
@@ -140,21 +168,6 @@ step "mlp ablations: occ-spacing + kmer-prefetch smoke (tiny)"
 step "chain ablation: anchor density x engine smoke (tiny)"
 ./build/bench/bench_ablation_chain_simd --size=tiny
 
-# --------------------------------------------------- benchmark baseline
-# Compare a fresh tiny run of the four SIMD-enabled kernels against the
-# committed baseline. The structural assertion is the strong one: every
-# baseline row (engine:scalar AND engine:simd, threads 1 and 4) must
-# exist in the fresh run or bench_compare.py fails. The timing gate is
-# deliberately loose by default because tiny runs are ms-scale and this
-# check must pass on shared/noisy hosts; tighten with GB_BENCH_TOLERANCE
-# (percent) on a quiet machine.
-step "baseline: bench_kernels tiny vs baselines/gb-metrics-v1.tiny.json"
-./build/bench/bench_kernels --size=tiny --json="$MDIR/kernels_tiny.json" \
-    --benchmark_filter='(bsw|phmm|fmi|kmer-cnt|chain|spoa)/' >/dev/null
-python3 scripts/bench_compare.py baselines/gb-metrics-v1.tiny.json \
-    "$MDIR/kernels_tiny.json" --tolerance "${GB_BENCH_TOLERANCE:-400}"
-rm -rf "$MDIR"
-
 # ------------------------------------------------------ cache smoke test
 step "artifact cache: build -> verify -> warm run"
 GB=./build/tools/genomicsbench
@@ -171,29 +184,41 @@ grep -q "1 hit" /tmp/gb_warm.txt || {
     exit 1
 }
 
-# Engine equivalence: chain and spoa under --engine=simd must report
-# exactly the task counters of the --engine=scalar runs (the SIMD
-# kernels are bit-identical to the scalar DP, so the work decomposition
-# cannot change — docs/simd.md).
-step "engine: run chain/spoa --engine=simd counters match scalar"
-for kernel in chain spoa; do
-    "$GB" run "$kernel" --size=tiny --repeat=2 \
-        --json=/tmp/gb_eng_scalar.json >/dev/null
-    "$GB" run "$kernel" --size=tiny --repeat=2 --engine=simd \
-        --json=/tmp/gb_eng_simd.json >/dev/null
-    python3 - "$kernel" /tmp/gb_eng_scalar.json /tmp/gb_eng_simd.json <<'EOF'
+# Engine equivalence: every kernel with a SIMD engine must, at 1 and
+# 4 threads, emit `run` rows under both engines, and --engine=simd
+# must report exactly the task counters of --engine=scalar (the engines
+# compute the same results, so the work decomposition cannot change —
+# docs/simd.md).
+step "engine: bsw/phmm/fmi/kmer-cnt/chain/spoa x 1,4 threads, simd counters match scalar"
+for kernel in bsw phmm fmi kmer-cnt chain spoa; do
+    for threads in 1 4; do
+        for engine in scalar simd; do
+            "$GB" run "$kernel" --size=tiny --repeat=2 \
+                --threads="$threads" --engine="$engine" \
+                --json=/tmp/gb_eng_"$engine".json >/dev/null
+        done
+        python3 - "$kernel" "$threads" /tmp/gb_eng_scalar.json \
+            /tmp/gb_eng_simd.json <<'EOF'
 import json, sys
-def tasks(path):
+kernel, threads = sys.argv[1], int(sys.argv[2])
+def tasks(path, engine):
     doc = json.load(open(path))
-    rows = [r for r in doc["rows"] if r["table"] == "run"]
-    assert rows, f"{path}: no run rows"
+    meta = doc["meta"]
+    assert (meta["engine"], meta["threads"]) == (engine, threads), meta
+    rows = [r for r in doc["rows"]
+            if r["table"] == "run" and r["kernel"] == kernel]
+    assert rows, f"{path}: no {kernel} run rows"
     return sorted(r["tasks"] for r in rows)
-scalar, simd = tasks(sys.argv[2]), tasks(sys.argv[3])
+scalar = tasks(sys.argv[3], "scalar")
+simd = tasks(sys.argv[4], "simd")
 assert scalar == simd, \
-    f"{sys.argv[1]}: task counters diverge: {scalar} vs {simd}"
-print(f"engine smoke ok: {sys.argv[1]} tasks {scalar} under both engines")
+    f"{kernel} threads={threads}: task counters diverge: {scalar} vs {simd}"
+print(f"engine smoke ok: {kernel} threads={threads} tasks {scalar} "
+      "under both engines")
 EOF
+    done
 done
+rm -f /tmp/gb_eng_scalar.json /tmp/gb_eng_simd.json
 
 # A flipped byte must be caught by store verify (exit 1).
 victim=$(ls "$CACHE"/fmi-*.gbs | head -1)
@@ -225,7 +250,7 @@ for _ in 1 2 3 4 5 6 7 8; do
 done
 "$GB" serve --jobs="$SERVE_JOBS" --workers=4 \
     --cache-dir="$SERVE_CACHE" --json=/tmp/gb_serve.json
-python3 scripts/bench_compare.py --self-check /tmp/gb_serve.json
+python3 scripts/validate_metrics.py /tmp/gb_serve.json
 python3 - /tmp/gb_serve.json <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
@@ -284,7 +309,7 @@ if [[ -z "$NET_PORT" ]]; then
 fi
 "$GB" client --connect=127.0.0.1:"$NET_PORT" --jobs="$NET_JOBS" --drain
 wait "$NET_PID"
-python3 scripts/bench_compare.py --self-check /tmp/gb_net_serve.json
+python3 scripts/validate_metrics.py /tmp/gb_net_serve.json
 python3 - /tmp/gb_net_serve.json <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
@@ -407,17 +432,23 @@ EOF
 rm -f /tmp/gb_run.json
 
 # ------------------------------------------------- CLI error handling
-step "bench CLI: unknown flags are rejected"
-set +e
-./build/bench/bench_table2_overview --thread=8 >/dev/null 2>/tmp/gb_flag.txt
-status=$?
-set -e
-if [[ $status -ne 2 ]] || ! grep -q "did you mean --threads" /tmp/gb_flag.txt; then
-    echo "FAIL: --thread=8 was not rejected with a suggestion" >&2
-    cat /tmp/gb_flag.txt >&2
-    exit 1
-fi
-echo "bad flag rejected with: $(cat /tmp/gb_flag.txt | head -1)"
+# A near-miss flag exits 2 and names the flag it was probably meant
+# to be, in the bench harness and in the genomicsbench CLI alike.
+step "bench + genomicsbench CLI: unknown flags are rejected"
+for cmd in "./build/bench/bench_table2_overview --thread=8" \
+           "$GB run pileup --size=tiny --thread=2"; do
+    set +e
+    $cmd >/dev/null 2>/tmp/gb_flag.txt
+    status=$?
+    set -e
+    if [[ $status -ne 2 ]] || \
+       ! grep -q "did you mean --threads" /tmp/gb_flag.txt; then
+        echo "FAIL: $cmd was not rejected with a suggestion" >&2
+        cat /tmp/gb_flag.txt >&2
+        exit 1
+    fi
+    echo "bad flag rejected with: $(head -1 /tmp/gb_flag.txt)"
+done
 
 # Numeric flags parse whole strings within range: a zero repeat count,
 # a negative or over-cap thread count and trailing garbage all exit

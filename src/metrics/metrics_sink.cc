@@ -194,7 +194,7 @@ emitTable(MetricsSink& sink, const Table& table)
         const size_t n = std::min(header.size(), cells.size());
         for (size_t i = 0; i < n; ++i) {
             // Numeric-looking cells (thousands separators stripped)
-            // become JSON numbers so bench_compare.py can diff them.
+            // become JSON numbers so consumers can do arithmetic on them.
             std::string text = cells[i];
             text.erase(std::remove(text.begin(), text.end(), ','),
                        text.end());

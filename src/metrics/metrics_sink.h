@@ -13,10 +13,8 @@
  *     "rows":   [ { "table": "...", "<column>": <value>, ... }, ... ]
  *   }
  *
- * Runs become diffable artifacts: scripts/bench_compare.py validates
- * the schema (--self-check) and gates numeric regressions against a
- * committed baseline. See docs/metrics.md for the full schema and
- * stability rules.
+ * scripts/validate_metrics.py checks a document against this schema.
+ * See docs/metrics.md for the full schema and stability rules.
  */
 #ifndef GB_METRICS_METRICS_SINK_H
 #define GB_METRICS_METRICS_SINK_H
@@ -36,7 +34,7 @@ inline constexpr const char* kSchemaName = "gb-metrics-v1";
 /** Run-level metadata embedded once per JSON document. */
 struct RunMeta
 {
-    std::string experiment; ///< e.g. "Fig. 6" or "bench_kernels"
+    std::string experiment; ///< e.g. "Fig. 6" or "run:fmi"
     std::string paper_ref;  ///< one-line description of the experiment
     std::string git_sha;    ///< empty = use buildGitSha()
     std::string size;       ///< dataset preset name

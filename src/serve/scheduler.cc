@@ -376,10 +376,16 @@ Scheduler::runJob(std::shared_ptr<JobState> job, unsigned granted,
 
     const double e2e_seconds = secondsSince(job->submitted_at);
     {
+        // Publish the outcome, retire the job from the counters, return
+        // its budget slice and wake the dispatcher as one step, so a
+        // caller woken by wait() already sees the job counted in
+        // stats(). Lock order is mutex_ -> job->m -> queue lock. This
+        // block is the last touch of scheduler state: shutdown cannot
+        // finish before it runs.
+        std::scoped_lock lock(mutex_, job->m);
         // On a mid-repeat failure the metrics stay mutually
         // consistent: run_seconds / best_run_seconds / tasks all
         // describe the repeats_completed repeats that finished.
-        std::lock_guard<std::mutex> lock(job->m);
         job->metrics.prepare_seconds = measured.prepare_seconds;
         job->metrics.run_seconds = measured.totalSeconds();
         job->metrics.best_run_seconds = measured.bestSeconds();
@@ -388,16 +394,6 @@ Scheduler::runJob(std::shared_ptr<JobState> job, unsigned granted,
         job->metrics.tasks = measured.tasks;
         job->status = final_status;
         job->error = std::move(error);
-        job->cv.notify_all();
-    }
-
-    // Return the budget slice, wake the dispatcher to re-evaluate the
-    // policy, then retire. The final block is the last touch of
-    // scheduler state: shutdown cannot finish before it runs.
-    free_workers_.fetch_add(granted, std::memory_order_acq_rel);
-    queue_.notify();
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
         if (final_status == JobStatus::kDone) {
             ++completed_;
         } else {
@@ -411,6 +407,9 @@ Scheduler::runJob(std::shared_ptr<JobState> job, unsigned granted,
         run_ns_.add(measured.totalSeconds() * 1e9);
         e2e_ns_.add(e2e_seconds * 1e9);
         --running_;
+        free_workers_.fetch_add(granted, std::memory_order_acq_rel);
+        queue_.notify();
+        job->cv.notify_all();
         idle_cv_.notify_all();
     }
 }

@@ -1,15 +1,18 @@
 /**
  * @file
- * Strict numeric parsing for command-line flags and job-file values.
+ * Strict numeric parsing for command-line flags and job-file values,
+ * and the unknown-flag message the command-line parsers share.
  */
 #ifndef GB_UTIL_PARSE_H
 #define GB_UTIL_PARSE_H
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <limits>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "util/common.h"
 
@@ -58,6 +61,44 @@ parseSeconds(std::string_view what, std::string_view text, unsigned max)
                                    std::string(text) + " (expected 0.." +
                                    std::to_string(max) + ")");
     return value;
+}
+
+/**
+ * "unknown option: --thread=8 (did you mean --threads?)": the error
+ * message for `arg`, suggesting the flag in `known` (names without
+ * "=value") nearest to `arg`'s name when at most 2 edits away.
+ */
+inline std::string
+unknownOption(std::string_view arg, const std::vector<std::string>& known)
+{
+    const std::string_view name = arg.substr(0, arg.find('='));
+    std::string_view best;
+    size_t best_dist = 3; // suggest only near misses
+    std::vector<size_t> prev, curr;
+    for (const std::string& flag : known) {
+        // Levenshtein distance between name and flag, row by row.
+        prev.resize(flag.size() + 1);
+        curr.resize(flag.size() + 1);
+        for (size_t j = 0; j <= flag.size(); ++j) prev[j] = j;
+        for (size_t i = 1; i <= name.size(); ++i) {
+            curr[0] = i;
+            for (size_t j = 1; j <= flag.size(); ++j) {
+                curr[j] = std::min({prev[j] + 1, curr[j - 1] + 1,
+                                    prev[j - 1] + (name[i - 1] !=
+                                                   flag[j - 1])});
+            }
+            std::swap(prev, curr);
+        }
+        if (prev[flag.size()] < best_dist) {
+            best_dist = prev[flag.size()];
+            best = flag;
+        }
+    }
+    std::string message = "unknown option: " + std::string(arg);
+    if (!best.empty()) {
+        message += " (did you mean " + std::string(best) + "?)";
+    }
+    return message;
 }
 
 } // namespace gb

@@ -333,6 +333,22 @@ TEST(ServeScheduler, RunsJobsAndReportsMetrics)
     EXPECT_EQ(stats.failed, 0u);
 }
 
+TEST(ServeScheduler, WaitedJobIsAlreadyCountedInStats)
+{
+    // Once wait() returns, stats() counts the job as finished: a client
+    // that WAITs and then asks for STATS never sees it still running.
+    FakeControl control;
+    Scheduler scheduler(fakeConfig(&control, {"a", "boom"}, 1, 8));
+    for (u64 i = 1; i <= 2000; ++i) {
+        scheduler.submit(job(i % 10 == 0 ? "boom" : "a")).wait();
+        const auto stats = scheduler.stats();
+        ASSERT_EQ(stats.completed + stats.failed, i);
+        ASSERT_EQ(stats.running, 0u);
+        ASSERT_EQ(stats.latency.jobs, i);
+    }
+    scheduler.drain();
+}
+
 TEST(ServeScheduler, SubmitValidatesSpec)
 {
     FakeControl control;

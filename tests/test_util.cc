@@ -636,6 +636,25 @@ TEST(ParseSeconds, RejectsOutOfRange)
     }
 }
 
+TEST(UnknownOption, SuggestsANearMiss)
+{
+    const std::vector<std::string> known = {"--size", "--threads",
+                                            "--repeat"};
+    EXPECT_EQ(unknownOption("--thread=2", known),
+              "unknown option: --thread=2 (did you mean --threads?)");
+    EXPECT_EQ(unknownOption("--szie", known),
+              "unknown option: --szie (did you mean --size?)");
+}
+
+TEST(UnknownOption, StaysSilentOnAFarMiss)
+{
+    const std::vector<std::string> known = {"--size", "--threads",
+                                            "--repeat"};
+    EXPECT_EQ(unknownOption("--verbose=1", known),
+              "unknown option: --verbose=1");
+    EXPECT_EQ(unknownOption("--x", {}), "unknown option: --x");
+}
+
 TEST(Table, RendersAlignedColumns)
 {
     Table t("demo");

@@ -627,6 +627,12 @@ cmdClient(const std::string& connect_spec,
     return net::runClient(options, std::cout);
 }
 
+/** Flags the parser in main() accepts (name only, sans value). */
+const std::vector<std::string> kFlags = {
+    "--size", "--threads", "--repeat", "--engine", "--cache-dir",
+    "--json", "--trace", "--jobs", "--listen", "--connect", "--drain",
+    "--wait-timeout", "--workers", "--queue-depth", "--kernels"};
+
 } // namespace
 
 int
@@ -703,7 +709,8 @@ main(int argc, char** argv)
                     if (!name.empty()) kernels.push_back(name);
                 }
             } else if (arg.rfind("--", 0) == 0) {
-                std::cerr << "error: unknown option: " << arg << '\n';
+                std::cerr << "error: " << unknownOption(arg, kFlags)
+                          << '\n';
                 return usage();
             } else {
                 positional.push_back(arg);
