@@ -7,8 +7,9 @@
  *   --threads=N               worker threads for timed runs
  *   --kernels=a,b,c           restrict to a kernel subset
  *   --engine=scalar|simd      execution engine for timed runs (simd
- *                             applies to kernels with a real SIMD
- *                             engine: bsw, phmm; see docs/simd.md)
+ *                             selects the second engine of bsw, phmm,
+ *                             kmer-cnt, chain and spoa; see
+ *                             docs/simd.md)
  *   --cache-dir=DIR           build-or-load prepared artifacts from a
  *                             gb::store cache (see docs/store-format.md)
  *   --json=FILE               mirror every table row into a

@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # Full pre-merge check: tier-1 build + tests, the SIMD, banded-SW row
-# engine, batched-MLP, chain and poa equivalence suites at every
+# engine, FM-index/SMEM, chain and poa equivalence suites at every
 # dispatch level
 # (GB_SIMD_LEVEL=scalar|sse4|avx2), the whole ctest suite under
 # ASan/UBSan (plus the dispatch-level suites at every level), the
 # thread-pool, metrics, serve, net and trace suites under TSan, a
 # metrics smoke test (--json emission validated by
 # scripts/validate_metrics.py, which must also reject malformed
-# documents), the mlp ablation benches (self-verifying), an end-to-end
+# documents), the fmi-occ and kmer-prefetch ablation benches
+# (self-verifying), an end-to-end
 # artifact-cache smoke test (store build -> store verify -> warm run +
 # corruption check), an engine-equivalence smoke (the six engine
 # kernels report the same task counts under --engine=scalar and
@@ -23,7 +24,8 @@
 # scripts/trace_inspect.py fixture and bad-file check, and
 # a `run` rows check (3 repeats -> 3 `run` rows, `run_best` = their
 # minimum), and CLI error-handling checks (unknown flags with a
-# did-you-mean, malformed numeric, duration and empty path flags).
+# did-you-mean, flags a subcommand does not take, malformed numeric,
+# duration and empty path flags).
 #
 # Timing is not gated here: `perfbench/run.py compare BENCH_16 NEW`
 # does that against the committed trajectory (BENCH_16/README.md).
@@ -52,12 +54,12 @@ step "tier-1: ctest"
 # host with AVX2 still exercises the SSE4 and scalar dispatch paths
 # (the env override clamps to what the CPU supports, so this is safe
 # on any machine).
-step "gb::simd + bsw row engine + gb::mlp + chain/poa: equivalence at every dispatch level"
+step "gb::simd + bsw row engine + FM-index SMEMs + chain/poa: equivalence at every dispatch level"
 for level in scalar sse4 avx2; do
     echo "-- GB_SIMD_LEVEL=$level"
     GB_SIMD_LEVEL=$level ./build/tests/test_simd
     GB_SIMD_LEVEL=$level ./build/tests/test_align --gtest_brief=1
-    GB_SIMD_LEVEL=$level ./build/tests/test_mlp --gtest_brief=1
+    GB_SIMD_LEVEL=$level ./build/tests/test_index --gtest_brief=1
     GB_SIMD_LEVEL=$level ./build/tests/test_chain --gtest_brief=1
     GB_SIMD_LEVEL=$level ./build/tests/test_poa --gtest_brief=1
 done
@@ -76,7 +78,7 @@ if [[ $SKIP_SAN -eq 0 ]]; then
             --gtest_brief=1
         GB_SIMD_LEVEL=$level ./build-asan/tests/test_align \
             --gtest_brief=1
-        GB_SIMD_LEVEL=$level ./build-asan/tests/test_mlp \
+        GB_SIMD_LEVEL=$level ./build-asan/tests/test_index \
             --gtest_brief=1
         GB_SIMD_LEVEL=$level ./build-asan/tests/test_chain \
             --gtest_brief=1
@@ -152,12 +154,13 @@ for i, (doc, expected) in enumerate(cases):
 EOF
 rm -rf "$MDIR"
 
-# --------------------------------------------------- mlp ablation smoke
-# Both ablation benches verify their engine outputs against the scalar
+# ------------------------------------------ memory-bound ablation smoke
+# Both ablation benches verify their outputs against the scalar
 # reference internally and exit non-zero on any mismatch, so a plain
-# tiny-size invocation doubles as a correctness gate for the batched
-# FM-index and prefetch-pipelined k-mer paths.
-step "mlp ablations: occ-spacing + kmer-prefetch smoke (tiny)"
+# tiny-size invocation doubles as a correctness gate for the SMEM
+# search at the active dispatch level and the prefetch-pipelined k-mer
+# path.
+step "ablations: occ-spacing + kmer-prefetch smoke (tiny)"
 ./build/bench/bench_ablation_fmi_occ --size=tiny
 ./build/bench/bench_ablation_kmer_prefetch --size=tiny
 
@@ -448,6 +451,24 @@ for cmd in "./build/bench/bench_table2_overview --thread=8" \
         exit 1
     fi
     echo "bad flag rejected with: $(head -1 /tmp/gb_flag.txt)"
+done
+
+# A known flag that the subcommand does not take exits 2 and names the
+# subcommand, instead of being silently ignored.
+for cmd in "characterize pileup --size=tiny --threads=4" \
+           "run pileup --size=tiny --workers=3"; do
+    set +e
+    $GB $cmd >/dev/null 2>/tmp/gb_flag.txt
+    status=$?
+    set -e
+    sub=${cmd%% *}
+    if [[ $status -ne 2 ]] || \
+       ! grep -q "error: $sub does not accept" /tmp/gb_flag.txt; then
+        echo "FAIL: $cmd was not rejected for its subcommand" >&2
+        cat /tmp/gb_flag.txt >&2
+        exit 1
+    fi
+    echo "flag rejected with: $(head -1 /tmp/gb_flag.txt)"
 done
 
 # Numeric flags parse whole strings within range: a zero repeat count,

@@ -31,9 +31,9 @@ enum class DatasetSize : u8
 /**
  * Execution engine for timed runs. kScalar is the portable
  * probe-compatible implementation every kernel has; kSimd swaps in a
- * real vectorized engine (gb::simd, runtime-dispatched) where one
- * exists — currently bsw and phmm. Kernels without a SIMD engine run
- * scalar under either setting.
+ * second engine where one exists: bsw, phmm, kmer-cnt, chain and
+ * spoa. The other kernels, fmi included, run one path under either
+ * setting.
  */
 enum class Engine : u8
 {

@@ -11,7 +11,6 @@
 
 #include "index/fm_index.h"
 #include "io/dna.h"
-#include "mlp/fmi_batch.h"
 #include "simdata/genome.h"
 #include "simdata/reads.h"
 #include "simdata/variants.h"
@@ -114,31 +113,6 @@ class FmiKernel final : public Benchmark
     run(ThreadPool& pool) override
     {
         std::vector<u64> found(reads_.size());
-        if (engine() == Engine::kSimd) {
-            // Batched engine: chunks of reads advance through the
-            // index in prefetch-pipelined lockstep (gb::mlp). Results
-            // are bit-identical to the scalar path.
-            const u64 chunks = ceilDiv<u64>(reads_.size(), kChunk);
-            pool.parallelFor(
-                chunks,
-                [&](u64 ci) {
-                    NullProbe probe;
-                    const size_t lo = ci * kChunk;
-                    const size_t n =
-                        std::min<size_t>(kChunk, reads_.size() - lo);
-                    std::vector<std::vector<Smem>> mems;
-                    mlp::smemsBatch(
-                        *fm_,
-                        std::span<const std::vector<u8>>(reads_)
-                            .subspan(lo, n),
-                        kMinSeedLen, mems, probe);
-                    for (size_t j = 0; j < n; ++j) {
-                        found[lo + j] = mems[j].size();
-                    }
-                },
-                1);
-            return reads_.size();
-        }
         pool.parallelFor(
             reads_.size(),
             [&](u64 i) {
@@ -181,9 +155,6 @@ class FmiKernel final : public Benchmark
 
   private:
     static constexpr i32 kMinSeedLen = 19;
-    /** Reads per parallel work item on the batched path (several
-     *  pipeline refills per chunk at mlp::kDefaultFmiWidth). */
-    static constexpr size_t kChunk = 64;
 
     std::unique_ptr<FmIndex> fm_;
     std::vector<std::vector<u8>> reads_;

@@ -118,7 +118,7 @@ class KmerCntKernel final : public Benchmark
                 capacity_log2_, HashScheme::kRobinHood));
         }
         // --engine=simd routes through the prefetch-pipelined
-        // addBatch path (gb::mlp); table contents are identical.
+        // KmerCounter::addBatch path; table contents are identical.
         const bool pipelined = engine() == Engine::kSimd;
         pool.parallelForRanked(
             batches_.size(),

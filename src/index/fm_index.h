@@ -187,33 +187,13 @@ class FmIndex
     }
 
     /**
-     * Hint the cache hierarchy to fetch the occ checkpoint block a
-     * future occAll(i) will touch (counts + both ends of the BWT
-     * slice). Used by the mlp batch engines to overlap the DRAM
-     * latency of the next pipeline round with current compute; a
-     * no-op for correctness and invisible to the Probe model.
-     */
-    void
-    prefetchOcc(u64 i) const
-    {
-#if defined(__GNUC__) || defined(__clang__)
-        const u64 block_idx = blockIndex(i);
-        __builtin_prefetch(&counts_[block_idx * kAlphabet], 0, 1);
-        const u8* base = &bwt_[block_idx * block_len_];
-        __builtin_prefetch(base, 0, 1);
-        __builtin_prefetch(base + block_len_ - 1, 0, 1);
-#else
-        (void)i;
-#endif
-    }
-
-    /**
      * occ counts at both ends of an interval (lo <= hi) with one call:
      * probe traffic is exactly occAll(lo) followed by occAll(hi), but
      * when both positions fall in the same checkpoint block — the
      * common case once an interval has narrowed — the shared prefix
      * [block start, lo) is scanned once and hi's counts continue
-     * incrementally from lo's. Used by the gb::mlp batch engines.
+     * incrementally from lo's. Used by the one-continuation
+     * extension steps below.
      */
     template <typename Probe>
     void
@@ -276,26 +256,10 @@ class FmIndex
     }
 
     /**
-     * extendBackward resolving both occ lookups through occAllPair:
-     * identical result and probe traffic, fewer scanned bytes when the
-     * interval sits inside one checkpoint block. The batch engines'
-     * flavor (see gb::mlp).
-     */
-    template <typename Probe>
-    void
-    extendBackwardFused(const BiInterval& ik,
-                        std::array<BiInterval, 4>& out,
-                        Probe& probe) const
-    {
-        std::array<u64, kAlphabet> occ_lo;
-        std::array<u64, kAlphabet> occ_hi;
-        occAllPair(ik.k, ik.k + ik.s, occ_lo, occ_hi, probe);
-        backwardFromOcc(ik, occ_lo, occ_hi, out, probe);
-    }
-
-    /**
      * Forward extension: pattern P -> Pc for every base c at once.
      * Implemented as backward extension of the reverse complement.
+     * smemsAt() takes the one-continuation step instead; the tests
+     * keep this as its oracle.
      */
     template <typename Probe>
     void
@@ -312,31 +276,14 @@ class FmIndex
         }
     }
 
-    /** extendForward on top of the fused occ pair (see gb::mlp). */
-    template <typename Probe>
-    void
-    extendForwardFused(const BiInterval& ik,
-                       std::array<BiInterval, 4>& out,
-                       Probe& probe) const
-    {
-        BiInterval swapped = ik;
-        std::swap(swapped.k, swapped.l);
-        std::array<BiInterval, 4> tmp;
-        extendBackwardFused(swapped, tmp, probe);
-        for (u32 c = 0; c < 4; ++c) {
-            out[c] = tmp[3 - c];
-            std::swap(out[c].k, out[c].l);
-        }
-    }
-
     /**
      * Fused backward extension of only the base-`c` continuation:
-     * the result equals extendBackward()'s out[c]. The gb::mlp
-     * engines consume exactly one continuation per step, so skipping
-     * the other three intervals is pure compute savings; the modeled
-     * probe traffic is unchanged (the occ lookups are identical and
-     * the extension arithmetic is charged at the scalar path's rate —
-     * all four continuation sizes must be resolved anyway for `l`).
+     * the result equals extendBackward()'s out[c]. smemsAt() consumes
+     * exactly one continuation per step, so skipping the other three
+     * intervals is pure compute savings; the modeled probe traffic is
+     * unchanged (the occ lookups are identical and the extension
+     * arithmetic is charged at the 4-way step's rate — all four
+     * continuation sizes must be resolved anyway for `l`).
      */
     template <typename Probe>
     BiInterval
@@ -400,7 +347,6 @@ class FmIndex
 
         std::vector<BiInterval> prev;
         std::vector<BiInterval> curr;
-        std::array<BiInterval, 4> ok;
 
         BiInterval ik = baseInterval(query[x]);
         ik.begin = x;
@@ -411,8 +357,8 @@ class FmIndex
         for (; i < len; ++i) {
             probe.branch(0, query[i] < 4);
             if (query[i] < 4) {
-                extendForward(ik, ok, probe);
-                const BiInterval& ext = ok[query[i]];
+                const BiInterval ext =
+                    extendForwardOneFused(ik, query[i], probe);
                 probe.branch(1, ext.s != ik.s);
                 if (ext.s != ik.s) {
                     curr.push_back(ik);
@@ -438,8 +384,12 @@ class FmIndex
                 i < 0 ? -1 : (query[i] < 4 ? query[i] : -1);
             curr.clear();
             for (const BiInterval& p : prev) {
-                if (c >= 0) extendBackward(p, ok, probe);
-                const bool fail = c < 0 || ok[c].s < min_intv;
+                BiInterval ext;
+                if (c >= 0) {
+                    ext = extendBackwardOneFused(p, static_cast<u8>(c),
+                                                 probe);
+                }
+                const bool fail = c < 0 || ext.s < min_intv;
                 probe.branch(2, fail);
                 if (fail) {
                     // p cannot be extended: it is an SMEM unless a
@@ -451,11 +401,8 @@ class FmIndex
                         m.begin = i + 1;
                         mems.push_back(m);
                     }
-                } else if (curr.empty() || ok[c].s != curr.back().s) {
-                    BiInterval ext = ok[c];
-                    ext.begin = p.begin; // updated on emission
-                    ext.end = p.end;
-                    curr.push_back(ext);
+                } else if (curr.empty() || ext.s != curr.back().s) {
+                    curr.push_back(ext); // begin updated on emission
                 }
             }
             if (curr.empty()) break;

@@ -10,6 +10,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "index/fm_index.h"
@@ -228,6 +229,61 @@ TEST(FmIndex, LocateFindsAllForwardSites)
         }
     }
     EXPECT_TRUE(found_origin);
+}
+
+TEST(FmIndex, OneContinuationMatchesFullExtension)
+{
+    // smemsAt takes the one-continuation steps; each must equal the
+    // matching slot of the 4-way step in result and probe traffic.
+    Rng rng(56);
+    const std::string ref = randomDna(rng, 3000);
+    const FmIndex fm = FmIndex::build(ref);
+    auto same = [](const BiInterval& a, const BiInterval& b) {
+        return std::tie(a.k, a.l, a.s, a.begin, a.end) ==
+               std::tie(b.k, b.l, b.s, b.begin, b.end);
+    };
+    auto sameTraffic = [](const CountingProbe& a, const CountingProbe& b) {
+        return a.counts().by_class == b.counts().by_class &&
+               a.loadBytes() == b.loadBytes();
+    };
+
+    u64 empty = 0;
+    for (int iter = 0; iter < 500; ++iter) {
+        // A random interval: a random base extended backward by up to
+        // 12 random bases (narrow, wide and empty intervals all occur).
+        NullProbe walk;
+        BiInterval ik = fm.baseInterval(static_cast<u8>(rng.below(4)));
+        ik.begin = static_cast<i32>(rng.below(50));
+        ik.end = ik.begin + 1 + static_cast<i32>(rng.below(50));
+        const u64 steps = rng.below(13);
+        for (u64 j = 0; j < steps && ik.s > 0; ++j) {
+            ik = fm.extendBackwardOneFused(
+                ik, static_cast<u8>(rng.below(4)), walk);
+        }
+        if (ik.s == 0) ++empty;
+
+        for (u8 c = 0; c < 4; ++c) {
+            std::array<BiInterval, 4> all;
+            CountingProbe full;
+            fm.extendBackward(ik, all, full);
+            CountingProbe one;
+            const BiInterval got = fm.extendBackwardOneFused(ik, c, one);
+            EXPECT_TRUE(same(got, all[c])) << "backward c=" << int(c);
+            EXPECT_TRUE(sameTraffic(one, full))
+                << "backward c=" << int(c);
+
+            CountingProbe full_fwd;
+            fm.extendForward(ik, all, full_fwd);
+            CountingProbe one_fwd;
+            const BiInterval got_fwd =
+                fm.extendForwardOneFused(ik, c, one_fwd);
+            EXPECT_TRUE(same(got_fwd, all[c])) << "forward c=" << int(c);
+            EXPECT_TRUE(sameTraffic(one_fwd, full_fwd))
+                << "forward c=" << int(c);
+        }
+    }
+    EXPECT_GT(empty, 0u);
+    EXPECT_LT(empty, 500u);
 }
 
 // Brute-force SMEM oracle: all maximal exact matches through x that are

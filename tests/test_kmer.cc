@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "arch/probe.h"
 #include "io/dna.h"
 #include "kmer/kmer_counter.h"
 #include "util/rng.h"
@@ -187,6 +188,102 @@ TEST(KmerCounter, HistogramAndSolid)
     EXPECT_EQ(hist[1], 1u);
     EXPECT_EQ(hist[2], 1u);
     EXPECT_EQ(hist[5], 1u);
+}
+
+// ------------------------------------------ prefetch-pipelined adds
+
+TEST(AddBatch, TableAndTrafficIdenticalToSequentialAdd)
+{
+    Rng rng(21);
+    std::vector<u64> kmers;
+    for (int i = 0; i < 5000; ++i) {
+        // Narrow key space so duplicates and collisions occur.
+        kmers.push_back(rng.below(700));
+    }
+
+    for (const HashScheme scheme :
+         {HashScheme::kLinear, HashScheme::kRobinHood}) {
+        KmerCounter want(11, scheme);
+        CountingProbe want_probe;
+        for (const u64 k : kmers) want.add(k, want_probe);
+
+        for (const u32 lookahead : {0u, 1u, 8u, 64u}) {
+            KmerCounter got(11, scheme);
+            CountingProbe got_probe;
+            got.addBatch(std::span<const u64>(kmers), got_probe,
+                         lookahead);
+            ASSERT_EQ(got.size(), want.size());
+            ASSERT_EQ(got.probeSteps(), want.probeSteps());
+            want.forEachEntry([&](u64 key, u16 cnt) {
+                ASSERT_EQ(got.count(key), cnt)
+                    << "lookahead=" << lookahead;
+            });
+            for (size_t c = 0; c < kNumOpClasses; ++c) {
+                EXPECT_EQ(got_probe.counts().by_class[c],
+                          want_probe.counts().by_class[c])
+                    << opClassName(static_cast<OpClass>(c));
+            }
+            EXPECT_EQ(got_probe.loadBytes(), want_probe.loadBytes());
+            EXPECT_EQ(got_probe.storeBytes(), want_probe.storeBytes());
+        }
+    }
+}
+
+TEST(AddBatch, SmallAndEmptyBatches)
+{
+    for (const size_t n : {size_t{0}, size_t{1}, size_t{17}}) {
+        KmerCounter counter(8, HashScheme::kRobinHood);
+        NullProbe probe;
+        std::vector<u64> kmers(n, 5);
+        counter.addBatch(std::span<const u64>(kmers), probe);
+        EXPECT_EQ(counter.size(), n ? 1u : 0u);
+        EXPECT_EQ(counter.count(5), n);
+    }
+}
+
+TEST(CountKmersPrefetch, SharedPathMatchesCountKmers)
+{
+    // Reads sampled from one reference (so k-mers repeat), with
+    // substitutions and Ns that break k-mer windows.
+    Rng rng(23);
+    std::string ref(5000, 'A');
+    for (auto& c : ref) c = "ACGT"[rng.below(4)];
+    std::vector<std::vector<u8>> reads;
+    for (int i = 0; i < 40; ++i) {
+        const u64 len = 60 + rng.below(341);
+        std::string s = ref.substr(rng.below(ref.size() - len), len);
+        const u64 edits = rng.below(4);
+        for (u64 e = 0; e < edits; ++e) {
+            s[rng.below(s.size())] = "ACGTN"[rng.below(5)];
+        }
+        if (rng.chance(0.25)) s[rng.below(s.size())] = 'N';
+        reads.push_back(encodeDna(s));
+    }
+    const u32 k = 17;
+
+    KmerCounter plain(14, HashScheme::kRobinHood);
+    CountingProbe plain_probe;
+    const auto s0 = countKmers(
+        std::span<const std::vector<u8>>(reads), k, plain,
+        plain_probe);
+
+    KmerCounter pre(14, HashScheme::kRobinHood);
+    CountingProbe pre_probe;
+    const auto s1 = countKmersPrefetch(
+        std::span<const std::vector<u8>>(reads), k, pre, pre_probe);
+
+    EXPECT_EQ(s1.total_kmers, s0.total_kmers);
+    EXPECT_EQ(s1.distinct_kmers, s0.distinct_kmers);
+    EXPECT_EQ(s1.probe_steps, s0.probe_steps);
+    plain.forEachEntry(
+        [&](u64 key, u16 cnt) { ASSERT_EQ(pre.count(key), cnt); });
+    for (size_t c = 0; c < kNumOpClasses; ++c) {
+        EXPECT_EQ(pre_probe.counts().by_class[c],
+                  plain_probe.counts().by_class[c])
+            << opClassName(static_cast<OpClass>(c));
+    }
+    EXPECT_EQ(pre_probe.loadBytes(), plain_probe.loadBytes());
+    EXPECT_EQ(pre_probe.storeBytes(), plain_probe.storeBytes());
 }
 
 } // namespace

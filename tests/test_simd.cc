@@ -1,21 +1,27 @@
 /**
  * @file
  * Tests for the gb::simd execution engine: dispatch-level plumbing,
- * scalar/SIMD equivalence for banded-SW (bit-identical scores, end
- * positions and abort flags at every dispatch level) and PairHMM
- * (within 1e-5 of the scalar float path, exact double fallback).
+ * the occ counter and the SMEM search built on it (identical results
+ * and probe traffic at every dispatch level), scalar/SIMD equivalence
+ * for banded-SW (bit-identical scores, end positions and abort flags
+ * at every dispatch level) and PairHMM (bit-identical to the scalar
+ * float path, exact double fallback).
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "align/banded_sw.h"
+#include "arch/probe.h"
+#include "index/fm_index.h"
 #include "io/dna.h"
 #include "phmm/pairhmm.h"
 #include "simd/bsw_engine.h"
 #include "simd/chain_engine.h"
+#include "simd/occ_engine.h"
 #include "simd/phmm_engine.h"
 #include "simd/poa_engine.h"
 #include "simd/simd.h"
@@ -94,6 +100,141 @@ TEST(SimdDispatch, LaneCountsMatchLevel)
         EXPECT_EQ(simd::phmmLanes(simd::SimdLevel::kAvx2), 8u);
         EXPECT_EQ(simd::chainLanes(simd::SimdLevel::kAvx2), 8u);
         EXPECT_EQ(simd::poaLanes(simd::SimdLevel::kAvx2), 8u);
+    }
+}
+
+TEST(OccEngine, MatchesScalarOnRandomBuffers)
+{
+    Rng rng(42);
+    for (const simd::SimdLevel level : testableLevels()) {
+        LevelGuard guard;
+        simd::setSimdLevel(level);
+        const auto fn = simd::occCountFor(simd::activeSimdLevel());
+        for (int iter = 0; iter < 400; ++iter) {
+            const u32 len = static_cast<u32>(rng.below(520));
+            std::vector<u8> bytes(len + 1); // +1: len==0 needs data()
+            for (u32 j = 0; j < len; ++j) {
+                bytes[j] = static_cast<u8>(rng.below(6));
+            }
+            u64 want[FmIndex::kAlphabet] = {7, 0, 3, 0, 0, 11};
+            u64 got[FmIndex::kAlphabet] = {7, 0, 3, 0, 0, 11};
+            simd::occCountScalar(bytes.data(), len, want);
+            fn(bytes.data(), len, got);
+            for (u32 c = 0; c < FmIndex::kAlphabet; ++c) {
+                ASSERT_EQ(got[c], want[c])
+                    << "level=" << simd::simdLevelName(level)
+                    << " len=" << len << " sym=" << c;
+            }
+        }
+    }
+}
+
+TEST(OccEngine, CountsAccumulateOnTopOfExistingValues)
+{
+    const u8 bytes[] = {0, 1, 2, 3, 4, 5, 2, 2};
+    for (const simd::SimdLevel level : testableLevels()) {
+        u64 counts[FmIndex::kAlphabet] = {100, 0, 50, 0, 0, 9};
+        simd::occCountFor(level)(bytes, 8, counts);
+        EXPECT_EQ(counts[0], 101u);
+        EXPECT_EQ(counts[1], 1u);
+        EXPECT_EQ(counts[2], 53u);
+        EXPECT_EQ(counts[3], 1u);
+        EXPECT_EQ(counts[4], 1u);
+        EXPECT_EQ(counts[5], 10u);
+    }
+}
+
+std::string
+randomDna(Rng& rng, u64 len)
+{
+    std::string s(len, 'A');
+    for (auto& c : s) c = "ACGT"[rng.below(4)];
+    return s;
+}
+
+/** Encoded read sampled from ref with mutations and occasional Ns. */
+std::vector<u8>
+sampleRead(Rng& rng, const std::string& ref, u64 min_len, u64 max_len)
+{
+    const u64 len = min_len + rng.below(max_len - min_len + 1);
+    const u64 start = rng.below(ref.size() - len);
+    std::string s = ref.substr(start, len);
+    const u64 edits = rng.below(4);
+    for (u64 e = 0; e < edits; ++e) {
+        s[rng.below(s.size())] = "ACGTN"[rng.below(5)];
+    }
+    if (rng.chance(0.25)) s[rng.below(s.size())] = 'N';
+    return encodeDna(s);
+}
+
+/** Every SMEM of every read, plus the probe traffic of the search. */
+struct SmemRun
+{
+    std::vector<std::vector<Smem>> mems;
+    CountingProbe probe;
+};
+
+SmemRun
+runSmems(const FmIndex& fm, const std::vector<std::vector<u8>>& reads)
+{
+    SmemRun run;
+    run.mems.resize(reads.size());
+    for (size_t q = 0; q < reads.size(); ++q) {
+        fm.smems(std::span<const u8>(reads[q]), 19, run.mems[q],
+                 run.probe);
+    }
+    return run;
+}
+
+TEST(OccEngine, SmemsIdenticalAtEveryLevel)
+{
+    // The occ lookups inside FmIndex::smems resolve partial blocks
+    // through the dispatched counter: the SMEMs and the modeled
+    // traffic must not depend on the level.
+    Rng rng(13);
+    const std::string ref = randomDna(rng, 2000);
+    const FmIndex fm = FmIndex::build(ref);
+    std::vector<std::vector<u8>> reads;
+    for (int i = 0; i < 200; ++i) {
+        reads.push_back(sampleRead(rng, ref, 30, 100));
+    }
+    reads.push_back({});                  // empty read
+    reads.push_back(encodeDna("NNNNNN")); // all-ambiguous read
+    reads.push_back(encodeDna("AC"));     // shorter than min_len
+
+    SmemRun want;
+    {
+        LevelGuard guard;
+        simd::setSimdLevel(simd::SimdLevel::kScalar);
+        want = runSmems(fm, reads);
+    }
+    u64 total = 0;
+    for (const auto& m : want.mems) total += m.size();
+    ASSERT_GT(total, reads.size()) << "read set finds too few SMEMs";
+
+    for (const simd::SimdLevel level : testableLevels()) {
+        LevelGuard guard;
+        simd::setSimdLevel(level);
+        const SmemRun got = runSmems(fm, reads);
+        for (size_t q = 0; q < reads.size(); ++q) {
+            ASSERT_EQ(got.mems[q].size(), want.mems[q].size())
+                << "level=" << simd::simdLevelName(level)
+                << " read=" << q;
+            for (size_t m = 0; m < want.mems[q].size(); ++m) {
+                const Smem& g = got.mems[q][m];
+                const Smem& w = want.mems[q][m];
+                EXPECT_EQ(std::tie(g.k, g.l, g.s, g.begin, g.end),
+                          std::tie(w.k, w.l, w.s, w.begin, w.end))
+                    << "level=" << simd::simdLevelName(level)
+                    << " read=" << q << " smem=" << m;
+            }
+        }
+        for (size_t c = 0; c < kNumOpClasses; ++c) {
+            EXPECT_EQ(got.probe.counts().by_class[c],
+                      want.probe.counts().by_class[c])
+                << opClassName(static_cast<OpClass>(c));
+        }
+        EXPECT_EQ(got.probe.loadBytes(), want.probe.loadBytes());
     }
 }
 
@@ -309,7 +450,7 @@ makePhmmCases(u64 count, u64 seed)
     return cases;
 }
 
-TEST(SimdPhmm, MatchesScalarWithin1e5AllLevels)
+TEST(SimdPhmm, MatchesScalarExactlyAllLevels)
 {
     const PhmmParams params;
     const auto cases = makePhmmCases(300, 601);
@@ -322,8 +463,7 @@ TEST(SimdPhmm, MatchesScalarWithin1e5AllLevels)
                 pairHmmLogLikelihood(c.read, c.quals, c.hap, params);
             const PhmmResult got =
                 simd::phmmLogLikelihood(c.read, c.quals, c.hap, params);
-            EXPECT_NEAR(got.log10_likelihood, scalar.log10_likelihood,
-                        1e-5)
+            EXPECT_EQ(got.log10_likelihood, scalar.log10_likelihood)
                 << "level " << simd::simdLevelName(level) << ", case "
                 << i;
             EXPECT_EQ(got.cell_updates, scalar.cell_updates)

@@ -5,8 +5,9 @@
  *   genomicsbench list
  *   genomicsbench info <kernel>
  *   genomicsbench run <kernel> [--size=S] [--threads=N] [--repeat=R]
- *                    [--cache-dir=DIR]
+ *                    [--engine=E] [--cache-dir=DIR] [--json=FILE]
  *   genomicsbench characterize <kernel> [--size=S] [--cache-dir=DIR]
+ *                    [--json=FILE]
  *   genomicsbench store build [--cache-dir=DIR] [--size=S]
  *                    [--kernels=a,b,c]
  *   genomicsbench store inspect <file.gbs>
@@ -16,6 +17,9 @@
  *                    [--cache-dir=DIR] [--json=FILE]
  *   genomicsbench client --connect=HOST:PORT --jobs=FILE
  *                    [--wait-timeout=S] [--drain]
+ *
+ * Each subcommand accepts only the flags listed on its line (plus
+ * --trace for run and serve); any other flag exits 2.
  *
  * `run` times the kernel (wall clock, tasks/s); `characterize` prints
  * the operation mix, cache behaviour and top-down attribution for one
@@ -34,6 +38,7 @@
 #include <cstring>
 #include <filesystem>
 #include <iostream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -633,6 +638,30 @@ const std::vector<std::string> kFlags = {
     "--json", "--trace", "--jobs", "--listen", "--connect", "--drain",
     "--wait-timeout", "--workers", "--queue-depth", "--kernels"};
 
+/**
+ * The flags each subcommand's usage line lists; any other flag is
+ * rejected rather than silently ignored. Null for an unknown command.
+ */
+const std::vector<std::string>*
+commandFlags(const std::string& command)
+{
+    static const std::map<std::string, std::vector<std::string>> kByCommand =
+        {{"info", {}},
+         {"run",
+          {"--size", "--threads", "--repeat", "--engine", "--cache-dir",
+           "--json", "--trace"}},
+         {"characterize", {"--size", "--cache-dir", "--json"}},
+         {"store build", {"--cache-dir", "--size", "--kernels"}},
+         {"store inspect", {}},
+         {"store verify", {"--cache-dir"}},
+         {"serve",
+          {"--jobs", "--listen", "--workers", "--queue-depth",
+           "--cache-dir", "--json", "--trace"}},
+         {"client", {"--connect", "--jobs", "--wait-timeout", "--drain"}}};
+    const auto it = kByCommand.find(command);
+    return it == kByCommand.end() ? nullptr : &it->second;
+}
+
 } // namespace
 
 int
@@ -661,8 +690,29 @@ main(int argc, char** argv)
         size_t queue_depth = 64;
         std::vector<std::string> kernels;
         std::vector<std::string> positional;
+        // `store` subcommands are named by their first positional.
+        std::string subcommand = command;
+        if (command == "store") {
+            for (int i = 2; i < argc; ++i) {
+                if (std::strncmp(argv[i], "--", 2) != 0) {
+                    subcommand += std::string(" ") + argv[i];
+                    break;
+                }
+            }
+        }
+        const auto* accepted = commandFlags(subcommand);
+        if (!accepted) return usage();
         for (int i = 2; i < argc; ++i) {
             const std::string arg = argv[i];
+            const std::string name = arg.substr(0, arg.find('='));
+            if (std::find(kFlags.begin(), kFlags.end(), name) !=
+                    kFlags.end() &&
+                std::find(accepted->begin(), accepted->end(), name) ==
+                    accepted->end()) {
+                std::cerr << "error: " << subcommand
+                          << " does not accept " << name << '\n';
+                return usage();
+            }
             if (arg.rfind("--size=", 0) == 0) {
                 size = parseDatasetSize(arg.substr(7));
             } else if (arg.rfind("--threads=", 0) == 0) {
