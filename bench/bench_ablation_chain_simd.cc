@@ -7,8 +7,9 @@
  * number of anchors each window actually examines. Sweeping the
  * minimizer window w changes the anchor density (smaller w samples
  * more minimizers per read, yielding denser anchor sets) and the sweep
- * times the scalar and gb::simd engines on identical inputs at every
- * density. Each engine row is verified cell for cell against the
+ * times the scalar template (chainAnchors with a NullProbe) and the
+ * dispatched chainAnchors on identical inputs at every density. Each
+ * engine row is verified cell for cell against the
  * scalar DP — scores, parents and extracted chains must be
  * bit-identical at the active dispatch level, and the binary exits
  * non-zero on any mismatch.
@@ -89,8 +90,9 @@ main(int argc, char** argv)
             WallTimer scalar_timer;
             std::vector<std::vector<Chain>> out;
             out.reserve(anchor_sets.size());
+            NullProbe probe;
             for (const auto& anchors : anchor_sets) {
-                out.push_back(chainAnchors(anchors, params));
+                out.push_back(chainAnchors(anchors, params, probe));
             }
             scalar_s = std::min(scalar_s, scalar_timer.seconds());
             scalar_chains = std::move(out);
@@ -103,7 +105,7 @@ main(int argc, char** argv)
             std::vector<std::vector<Chain>> out;
             out.reserve(anchor_sets.size());
             for (const auto& anchors : anchor_sets) {
-                out.push_back(simd::chainAnchorsSimd(anchors, params));
+                out.push_back(chainAnchors(anchors, params));
             }
             simd_s = std::min(simd_s, simd_timer.seconds());
             simd_chains = std::move(out);

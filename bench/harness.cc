@@ -22,7 +22,8 @@ constexpr const char* kUsage =
     "  --size=tiny|small|large  dataset preset\n"
     "  --threads=N              worker threads for timed runs\n"
     "  --kernels=a,b,c          restrict to a kernel subset\n"
-    "  --engine=scalar|simd     timed-run execution engine\n"
+    "  --engine=scalar|simd     kmer-cnt counting path (the scalar\n"
+    "                           baseline is GB_SIMD_LEVEL=scalar)\n"
     "  --cache-dir=DIR          gb::store artifact cache\n"
     "  --json=FILE              write gb-metrics-v1 JSON "
     "(docs/metrics.md)\n"
@@ -97,6 +98,7 @@ Options::parse(int argc, char** argv, DatasetSize default_size)
         if (!opt.cache_dir.empty()) {
             store::setCacheDir(opt.cache_dir);
         }
+        simd::activeSimdLevel(); // reject a mistyped GB_SIMD_LEVEL
         return opt;
     } catch (const std::exception& e) {
         std::cerr << "error: " << e.what()
@@ -136,7 +138,9 @@ printHeader(const std::string& experiment, const std::string& paper_ref,
               << ", threads: "
               << (options.threads ? std::to_string(options.threads)
                                   : std::string("auto"))
-              << ", engine: " << engineName(options.engine);
+              << ", engine: " << engineName(options.engine)
+              << ", simd: "
+              << simd::simdLevelName(simd::activeSimdLevel());
     if (!options.cache_dir.empty()) {
         std::cout << ", artifact cache: " << options.cache_dir;
     }

@@ -6,10 +6,11 @@
  *   --size=tiny|small|large   dataset preset (default per binary)
  *   --threads=N               worker threads for timed runs
  *   --kernels=a,b,c           restrict to a kernel subset
- *   --engine=scalar|simd      execution engine for timed runs (simd
- *                             selects the second engine of bsw, phmm,
- *                             kmer-cnt, chain and spoa; see
- *                             docs/simd.md)
+ *   --engine=scalar|simd      timed-run engine; only kmer-cnt reads
+ *                             it (simd = prefetch-pipelined counting).
+ *                             The scalar baseline of every other
+ *                             kernel is GB_SIMD_LEVEL=scalar alone
+ *                             (see docs/simd.md)
  *   --cache-dir=DIR           build-or-load prepared artifacts from a
  *                             gb::store cache (see docs/store-format.md)
  *   --json=FILE               mirror every table row into a
@@ -51,7 +52,7 @@ struct Options
      * status 2; on --help prints usage and exits 0. A --cache-dir
      * value is applied to the process-global store::ArtifactCache, so
      * every kernel prepare() after parse() transparently
-     * builds-or-loads.
+     * builds-or-loads. An unknown GB_SIMD_LEVEL also exits 2.
      */
     static Options parse(int argc, char** argv,
                          DatasetSize default_size = DatasetSize::kSmall);
@@ -90,7 +91,7 @@ metrics::MetricsSink& metricsSink();
 /** Format a counter-derived value, "n/a" when negative (unavailable). */
 std::string orNA(double value, int precision = 2);
 
-/** Print the standard bench header line. */
+/** Print the standard bench header (engine and SIMD level included). */
 void printHeader(const std::string& experiment,
                  const std::string& paper_ref, const Options& options);
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Full pre-merge check: tier-1 build + tests, the SIMD, banded-SW row
-# engine, FM-index/SMEM, chain and poa equivalence suites at every
+# engine, FM-index/SMEM, phmm, chain and poa equivalence suites at every
 # dispatch level
 # (GB_SIMD_LEVEL=scalar|sse4|avx2), the whole ctest suite under
 # ASan/UBSan (plus the dispatch-level suites at every level), the
@@ -10,9 +10,10 @@
 # documents), the fmi-occ and kmer-prefetch ablation benches
 # (self-verifying), an end-to-end
 # artifact-cache smoke test (store build -> store verify -> warm run +
-# corruption check), an engine-equivalence smoke (the six engine
-# kernels report the same task counts under --engine=scalar and
-# --engine=simd at 1 and 4 threads), a gb::serve smoke test (8-job
+# corruption check), a dispatch-level smoke (bsw, phmm, fmi, chain and
+# spoa report the same task counts under GB_SIMD_LEVEL=scalar and the
+# default level, kmer-cnt under --engine=scalar and --engine=simd, at 1
+# and 4 threads), a gb::serve smoke test (8-job
 # list through the scheduler, JSON validated, single-flight prepare
 # asserted), a gb::net loopback
 # smoke (`serve --listen` driven by the `client` subcommand over
@@ -24,8 +25,8 @@
 # scripts/trace_inspect.py fixture and bad-file check, and
 # a `run` rows check (3 repeats -> 3 `run` rows, `run_best` = their
 # minimum), and CLI error-handling checks (unknown flags with a
-# did-you-mean, flags a subcommand does not take, malformed numeric,
-# duration and empty path flags).
+# did-you-mean, flags a subcommand does not take, a mistyped
+# GB_SIMD_LEVEL, malformed numeric, duration and empty path flags).
 #
 # Timing is not gated here: `perfbench/run.py compare BENCH_16 NEW`
 # does that against the committed trajectory (BENCH_16/README.md).
@@ -54,12 +55,13 @@ step "tier-1: ctest"
 # host with AVX2 still exercises the SSE4 and scalar dispatch paths
 # (the env override clamps to what the CPU supports, so this is safe
 # on any machine).
-step "gb::simd + bsw row engine + FM-index SMEMs + chain/poa: equivalence at every dispatch level"
+step "gb::simd + bsw row engine + FM-index SMEMs + phmm/chain/poa: equivalence at every dispatch level"
 for level in scalar sse4 avx2; do
     echo "-- GB_SIMD_LEVEL=$level"
     GB_SIMD_LEVEL=$level ./build/tests/test_simd
     GB_SIMD_LEVEL=$level ./build/tests/test_align --gtest_brief=1
     GB_SIMD_LEVEL=$level ./build/tests/test_index --gtest_brief=1
+    GB_SIMD_LEVEL=$level ./build/tests/test_phmm --gtest_brief=1
     GB_SIMD_LEVEL=$level ./build/tests/test_chain --gtest_brief=1
     GB_SIMD_LEVEL=$level ./build/tests/test_poa --gtest_brief=1
 done
@@ -79,6 +81,8 @@ if [[ $SKIP_SAN -eq 0 ]]; then
         GB_SIMD_LEVEL=$level ./build-asan/tests/test_align \
             --gtest_brief=1
         GB_SIMD_LEVEL=$level ./build-asan/tests/test_index \
+            --gtest_brief=1
+        GB_SIMD_LEVEL=$level ./build-asan/tests/test_phmm \
             --gtest_brief=1
         GB_SIMD_LEVEL=$level ./build-asan/tests/test_chain \
             --gtest_brief=1
@@ -187,41 +191,72 @@ grep -q "1 hit" /tmp/gb_warm.txt || {
     exit 1
 }
 
-# Engine equivalence: every kernel with a SIMD engine must, at 1 and
-# 4 threads, emit `run` rows under both engines, and --engine=simd
-# must report exactly the task counters of --engine=scalar (the engines
-# compute the same results, so the work decomposition cannot change —
-# docs/simd.md).
-step "engine: bsw/phmm/fmi/kmer-cnt/chain/spoa x 1,4 threads, simd counters match scalar"
-for kernel in bsw phmm fmi kmer-cnt chain spoa; do
-    for threads in 1 4; do
-        for engine in scalar simd; do
-            "$GB" run "$kernel" --size=tiny --repeat=2 \
-                --threads="$threads" --engine="$engine" \
-                --json=/tmp/gb_eng_"$engine".json >/dev/null
-        done
-        python3 - "$kernel" "$threads" /tmp/gb_eng_scalar.json \
-            /tmp/gb_eng_simd.json <<'EOF'
+# Dispatch-level equivalence: GB_SIMD_LEVEL is the one scalar/SIMD
+# switch of bsw, phmm, fmi, chain and spoa, so each must, at 1 and 4
+# threads, emit `run` rows under GB_SIMD_LEVEL=scalar and under the
+# default (detected) level with exactly the same task counters, and
+# meta.simd_level must name the level that ran. kmer-cnt's prefetch
+# path is the one thing --engine still selects, so it keeps the
+# --engine=scalar/simd pair (docs/simd.md).
+step "simd level: bsw/phmm/fmi/chain/spoa x 1,4 threads, default-level counters match scalar; kmer-cnt engine pair"
+check_counters() { # kernel threads scalar.json other.json
+    python3 - "$@" <<'EOF'
 import json, sys
 kernel, threads = sys.argv[1], int(sys.argv[2])
-def tasks(path, engine):
+flags = []
+for line in open("/proc/cpuinfo"):
+    if line.startswith("flags"):
+        flags = line.split()
+        break
+detected = ("avx2" if "avx2" in flags else
+            "sse4" if "sse4_2" in flags else "scalar")
+def tasks(path):
     doc = json.load(open(path))
     meta = doc["meta"]
-    assert (meta["engine"], meta["threads"]) == (engine, threads), meta
+    assert meta["threads"] == threads, meta
     rows = [r for r in doc["rows"]
             if r["table"] == "run" and r["kernel"] == kernel]
     assert rows, f"{path}: no {kernel} run rows"
-    return sorted(r["tasks"] for r in rows)
-scalar = tasks(sys.argv[3], "scalar")
-simd = tasks(sys.argv[4], "simd")
-assert scalar == simd, \
-    f"{kernel} threads={threads}: task counters diverge: {scalar} vs {simd}"
-print(f"engine smoke ok: {kernel} threads={threads} tasks {scalar} "
-      "under both engines")
+    return meta, sorted(r["tasks"] for r in rows)
+base_meta, base = tasks(sys.argv[3])
+other_meta, other = tasks(sys.argv[4])
+if kernel == "kmer-cnt":
+    assert (base_meta["engine"], other_meta["engine"]) == \
+        ("scalar", "simd"), (base_meta, other_meta)
+    label = "under both engines"
+else:
+    assert (base_meta["simd_level"], other_meta["simd_level"]) == \
+        ("scalar", detected), (base_meta, other_meta, detected)
+    label = f"at levels scalar and {detected}"
+assert base == other, \
+    f"{kernel} threads={threads}: task counters diverge: {base} vs {other}"
+print(f"level smoke ok: {kernel} threads={threads} tasks {base} {label}")
 EOF
+}
+for kernel in bsw phmm fmi chain spoa kmer-cnt; do
+    for threads in 1 4; do
+        if [[ $kernel == kmer-cnt ]]; then
+            for engine in scalar simd; do
+                "$GB" run "$kernel" --size=tiny --repeat=2 \
+                    --threads="$threads" --engine="$engine" \
+                    --json=/tmp/gb_lvl_"$engine".json >/dev/null
+            done
+            check_counters "$kernel" "$threads" \
+                /tmp/gb_lvl_scalar.json /tmp/gb_lvl_simd.json
+        else
+            GB_SIMD_LEVEL=scalar "$GB" run "$kernel" --size=tiny \
+                --repeat=2 --threads="$threads" \
+                --json=/tmp/gb_lvl_scalar.json >/dev/null
+            env -u GB_SIMD_LEVEL "$GB" run "$kernel" --size=tiny \
+                --repeat=2 --threads="$threads" \
+                --json=/tmp/gb_lvl_default.json >/dev/null
+            check_counters "$kernel" "$threads" \
+                /tmp/gb_lvl_scalar.json /tmp/gb_lvl_default.json
+        fi
     done
 done
-rm -f /tmp/gb_eng_scalar.json /tmp/gb_eng_simd.json
+rm -f /tmp/gb_lvl_scalar.json /tmp/gb_lvl_simd.json \
+    /tmp/gb_lvl_default.json
 
 # A flipped byte must be caught by store verify (exit 1).
 victim=$(ls "$CACHE"/fmi-*.gbs | head -1)
@@ -470,6 +505,20 @@ for cmd in "characterize pileup --size=tiny --threads=4" \
     fi
     echo "flag rejected with: $(head -1 /tmp/gb_flag.txt)"
 done
+
+# GB_SIMD_LEVEL is the scalar/SIMD switch: a mistyped level exits 2
+# instead of silently running (and recording) the detected best level.
+set +e
+GB_SIMD_LEVEL=scaler "$GB" run pileup --size=tiny >/dev/null \
+    2>/tmp/gb_flag.txt
+status=$?
+set -e
+if [[ $status -ne 2 ]] || ! grep -q "scalar|sse4|avx2" /tmp/gb_flag.txt; then
+    echo "FAIL: GB_SIMD_LEVEL=scaler was not rejected with exit 2" >&2
+    cat /tmp/gb_flag.txt >&2
+    exit 1
+fi
+echo "bad level rejected with: $(head -1 /tmp/gb_flag.txt)"
 
 # Numeric flags parse whole strings within range: a zero repeat count,
 # a negative or over-cap thread count and trailing garbage all exit

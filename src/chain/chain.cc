@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "kmer/kmer_counter.h"
+#include "simd/chain_engine.h"
 
 namespace gb {
 
@@ -179,8 +180,12 @@ extractChains(std::span<const Anchor> anchors, const ChainParams& p,
 std::vector<Chain>
 chainAnchors(std::span<const Anchor> anchors, const ChainParams& params)
 {
-    NullProbe probe;
-    return chainAnchors(anchors, params, probe);
+    const u32 n = static_cast<u32>(anchors.size());
+    if (n == 0) return {};
+    std::vector<i32> f(n);
+    std::vector<i32> parent(n, -1);
+    simd::chainDpEngine(anchors, params, f, parent);
+    return extractChains(anchors, params, f, parent);
 }
 
 i32

@@ -162,7 +162,8 @@ std::vector<Chain> extractChains(std::span<const Anchor> anchors,
                                  std::span<const i32> parent);
 
 /**
- * The chaining DP over sorted anchors.
+ * The chaining DP over sorted anchors, one candidate at a time: the
+ * test oracle and instrumented characterize() path.
  *
  * @return Chains with score >= min_score and >= min_anchors anchors,
  *         best first; each anchor is used by at most one chain.
@@ -181,7 +182,12 @@ chainAnchors(std::span<const Anchor> anchors, const ChainParams& p,
     return extractChains(anchors, p, f, parent);
 }
 
-/** Uninstrumented convenience wrapper. */
+/**
+ * The same chains through the runtime-dispatched DP fill
+ * (simd::chainDpEngine: AVX2 / SSE4.2 / scalar chainDp), bit-identical
+ * to the template at every GB_SIMD_LEVEL. The production path for
+ * uninstrumented callers (the mapper, overlapScore).
+ */
 std::vector<Chain> chainAnchors(std::span<const Anchor> anchors,
                                 const ChainParams& params = {});
 

@@ -29,11 +29,11 @@ enum class DatasetSize : u8
 };
 
 /**
- * Execution engine for timed runs. kScalar is the portable
- * probe-compatible implementation every kernel has; kSimd swaps in a
- * second engine where one exists: bsw, phmm, kmer-cnt, chain and
- * spoa. The other kernels, fmi included, run one path under either
- * setting.
+ * Execution engine for timed runs. Only kmer-cnt reads it: kSimd
+ * selects its prefetch-pipelined counting path. Every other kernel
+ * runs one production path under either setting; the scalar/SIMD
+ * switch for bsw, phmm, fmi, chain and spoa is the dispatch level
+ * (GB_SIMD_LEVEL=scalar|sse4|avx2, simd/simd.h).
  */
 enum class Engine : u8
 {
@@ -82,7 +82,7 @@ class Benchmark
     /** Select the engine for subsequent run() calls. */
     void setEngine(Engine engine) { engine_ = engine; }
 
-    /** Engine used by run(); characterize() is always scalar. */
+    /** Engine used by run() (kmer-cnt only); characterize() ignores it. */
     Engine engine() const { return engine_; }
 
     /** Generate the dataset for `size` (deterministic). */

@@ -1,9 +1,9 @@
 /**
  * @file
  * The bsw kernel driver: banded Smith-Waterman seed extension over
- * batches of query/target pairs (BWA-MEM2's extension stage). The simd
- * engine runs the 16-lane inter-sequence scheme (simd::bswAlign); the
- * scalar engine runs the per-pair scalar kernel (bandedSwScalar) over
+ * batches of query/target pairs (BWA-MEM2's extension stage). run()
+ * takes the inter-sequence scheme (simd::bswAlign) under either
+ * --engine; GB_SIMD_LEVEL=scalar makes it per-pair bandedSwScalar over
  * the same batches. The lockstep BatchSwAligner model serves only
  * characterize() and the Fig. 3 work accounting.
  */
@@ -112,7 +112,6 @@ class BswKernel final : public Benchmark
     u64
     run(ThreadPool& pool) override
     {
-        const bool simd = engine() == Engine::kSimd;
         const u64 batches = ceilDiv<u64>(pairs_.size(),
                                          BatchSwAligner::kLanes);
         pool.parallelFor(batches, [&](u64 b) {
@@ -121,15 +120,7 @@ class BswKernel final : public Benchmark
                 BatchSwAligner::kLanes, pairs_.size() - begin);
             const auto batch =
                 std::span<const SwPair>(pairs_).subspan(begin, count);
-            if (simd) {
-                simd::bswAlign(batch, params_);
-            } else {
-                for (const SwPair& pair : batch) {
-                    NullProbe probe;
-                    bandedSwScalar(pair.query, pair.target, params_,
-                                   probe);
-                }
-            }
+            simd::bswAlign(batch, params_);
         });
         return pairs_.size();
     }

@@ -9,7 +9,6 @@
 #include "chain/chain.h"
 #include "io/dna.h"
 #include "poa/poa.h"
-#include "simd/chain_engine.h"
 #include "simdata/genome.h"
 #include "simdata/reads.h"
 #include "util/rng.h"
@@ -89,13 +88,8 @@ class ChainKernel final : public Benchmark
     u64
     run(ThreadPool& pool) override
     {
-        const bool simd = engine() == Engine::kSimd;
         pool.parallelFor(anchor_sets_.size(), [&](u64 i) {
-            if (simd) {
-                simd::chainAnchorsSimd(anchor_sets_[i], params_);
-            } else {
-                chainAnchors(anchor_sets_[i], params_);
-            }
+            chainAnchors(anchor_sets_[i], params_);
         });
         return anchor_sets_.size();
     }
@@ -179,13 +173,8 @@ class SpoaKernel final : public Benchmark
     u64
     run(ThreadPool& pool) override
     {
-        const bool simd = engine() == Engine::kSimd;
         pool.parallelFor(tasks_.size(), [&](u64 i) {
-            if (simd) {
-                poaConsensusSimd(tasks_[i], params_);
-            } else {
-                poaConsensus(tasks_[i], params_);
-            }
+            poaConsensus(tasks_[i], params_);
         });
         return tasks_.size();
     }

@@ -15,7 +15,6 @@
 #include "dbg/debruijn.h"
 #include "io/dna.h"
 #include "phmm/pairhmm.h"
-#include "simd/phmm_engine.h"
 #include "simdata/genome.h"
 #include "simdata/variants.h"
 #include "util/rng.h"
@@ -189,20 +188,9 @@ class PhmmKernel final : public Benchmark
     u64
     run(ThreadPool& pool) override
     {
-        const bool simd = engine() == Engine::kSimd;
         pool.parallelFor(tasks_.size(), [&](u64 i) {
-            if (simd) {
-                const PhmmTask& task = tasks_[i];
-                for (const auto& read : task.reads) {
-                    for (const auto& hap : task.haplotypes) {
-                        simd::phmmLogLikelihood(read.bases, read.quals,
-                                                hap, params_);
-                    }
-                }
-            } else {
-                NullProbe probe;
-                runPhmmTask(tasks_[i], params_, probe);
-            }
+            NullProbe probe;
+            runPhmmTask(tasks_[i], params_, probe);
         });
         return tasks_.size();
     }

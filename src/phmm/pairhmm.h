@@ -21,6 +21,7 @@
 #include <cmath>
 #include <span>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #if defined(__SSE2__)
@@ -185,7 +186,8 @@ inline constexpr double kMinAcceptedFloat = 1e-28;
 
 /**
  * Likelihood of `read` given `haplotype`: float first, double on
- * underflow (the GATK execution strategy).
+ * underflow (the GATK execution strategy). One cell at a time; the
+ * test oracle and instrumented characterize() path.
  */
 template <typename Probe>
 PhmmResult
@@ -230,7 +232,14 @@ pairHmmLogLikelihood(std::span<const u8> read, std::span<const u8> quals,
     return result;
 }
 
-/** Uninstrumented convenience wrapper. */
+/**
+ * The same likelihood through the runtime-dispatched anti-diagonal
+ * engine (AVX2 / SSE4.2 / scalar template, gb::simd::activeSimdLevel):
+ * log10_likelihood, used_double and cell_updates are bit-identical to
+ * the template above at every GB_SIMD_LEVEL. The production path for
+ * uninstrumented callers; defined in gb::simd
+ * (src/simd/phmm_engine.cc), so callers link gb::simd (or gb::all).
+ */
 PhmmResult pairHmmLogLikelihood(std::span<const u8> read,
                                 std::span<const u8> quals,
                                 std::span<const u8> haplotype,
@@ -250,10 +259,22 @@ struct PhmmTask
     std::vector<std::vector<u8>> haplotypes;
 
     /** Total DP cells this task requires (paper Fig. 4 metric). */
-    u64 cellUpdates() const;
+    u64
+    cellUpdates() const
+    {
+        u64 hap_bases = 0;
+        for (const auto& h : haplotypes) hap_bases += h.size();
+        u64 cells = 0;
+        for (const auto& r : reads) cells += r.bases.size() * hap_bases;
+        return cells;
+    }
 };
 
-/** Likelihood matrix for one task (reads x haplotypes, log10). */
+/**
+ * Likelihood matrix for one task (reads x haplotypes, log10). With a
+ * NullProbe every pair runs the dispatched engine; a recording probe
+ * runs the instrumented template (the characterize() path).
+ */
 template <typename Probe>
 std::vector<double>
 runPhmmTask(const PhmmTask& task, const PhmmParams& params, Probe& probe)
@@ -262,9 +283,17 @@ runPhmmTask(const PhmmTask& task, const PhmmParams& params, Probe& probe)
     out.reserve(task.reads.size() * task.haplotypes.size());
     for (const auto& read : task.reads) {
         for (const auto& hap : task.haplotypes) {
-            out.push_back(pairHmmLogLikelihood(read.bases, read.quals,
-                                               hap, params, probe)
-                              .log10_likelihood);
+            if constexpr (std::is_same_v<Probe, NullProbe>) {
+                out.push_back(pairHmmLogLikelihood(read.bases,
+                                                   read.quals, hap,
+                                                   params)
+                                  .log10_likelihood);
+            } else {
+                out.push_back(pairHmmLogLikelihood(read.bases,
+                                                   read.quals, hap,
+                                                   params, probe)
+                                  .log10_likelihood);
+            }
         }
     }
     return out;

@@ -135,12 +135,9 @@ PoaGraph::align(std::span<const u8> codes, Probe& probe) const
         return static_cast<size_t>(r) * cols + j;
     };
 
-    const bool use_simd = engine_ == PoaEngine::kSimd;
     const simd::SimdLevel level = simd::activeSimdLevel();
-    const simd::PoaRowPassFn row_pass =
-        use_simd ? simd::poaRowPassFor(level) : simd::poaRowPassScalar;
-    const simd::PoaInsScanFn ins_scan =
-        use_simd ? simd::poaInsScanFor(level) : simd::poaInsScanScalar;
+    const simd::PoaRowPassFn row_pass = simd::poaRowPassFor(level);
+    const simd::PoaInsScanFn ins_scan = simd::poaInsScanFor(level);
 
     // Row 0: leading insertions (global in the query).
     for (i32 j = 0; j <= n; ++j) {
@@ -421,20 +418,6 @@ poaConsensus(const PoaTask& task, const PoaParams& params)
 {
     NullProbe probe;
     return poaConsensus(task, params, probe, nullptr);
-}
-
-std::vector<u8>
-poaConsensusSimd(const PoaTask& task, const PoaParams& params,
-                 u64* cell_updates)
-{
-    PoaGraph graph(params);
-    graph.setEngine(PoaEngine::kSimd);
-    NullProbe probe;
-    for (const auto& read : task.reads) {
-        graph.addSequence(std::span<const u8>(read), probe);
-    }
-    if (cell_updates) *cell_updates = graph.cellUpdates();
-    return graph.consensus();
 }
 
 // Explicit instantiations for the supported probe types.

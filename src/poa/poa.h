@@ -12,7 +12,11 @@
  * Alignment of a sequence to the graph costs
  * O((2 n_p + 1) n |V|) cell updates, where n_p is the mean in-degree —
  * the irregular-DP structure the paper contrasts with plain
- * Smith-Waterman.
+ * Smith-Waterman. Each predecessor-row pass and insertion scan runs
+ * through gb::simd's runtime-dispatched row kernel (AVX2 / SSE4.2 /
+ * scalar, simd/poa_engine.h); alignments, the graph and the consensus
+ * are bit-identical at every GB_SIMD_LEVEL, and probes record the same
+ * stream at every level.
  */
 #ifndef GB_POA_POA_H
 #define GB_POA_POA_H
@@ -40,14 +44,6 @@ struct PoaAlignedPair
     i32 qpos;
 };
 
-/**
- * Alignment engine: kScalar runs the portable row pass, kSimd routes
- * each predecessor-row pass through gb::simd's runtime-dispatched
- * kernel (AVX2 / SSE4.2 / scalar fallback). Alignments, the graph and
- * the consensus are bit-identical either way.
- */
-enum class PoaEngine : u8 { kScalar, kSimd };
-
 /** Partial-order graph accumulating window reads. */
 class PoaGraph
 {
@@ -67,9 +63,6 @@ class PoaGraph
 
     /** Heaviest-bundle consensus of the current graph. */
     std::vector<u8> consensus() const;
-
-    void setEngine(PoaEngine engine) { engine_ = engine; }
-    PoaEngine engine() const { return engine_; }
 
     u64 numNodes() const { return nodes_.size(); }
     u64 numEdges() const;
@@ -105,7 +98,6 @@ class PoaGraph
     void recomputeTopoOrder();
 
     PoaParams params_;
-    PoaEngine engine_ = PoaEngine::kScalar;
     std::vector<Node> nodes_;
     std::vector<u32> topo_order_; ///< node ids in topological order
     mutable u64 cell_updates_ = 0; ///< updated by const align()
@@ -126,14 +118,6 @@ poaConsensus(const PoaTask& task, const PoaParams& params, Probe& probe,
 /** Uninstrumented convenience wrapper. */
 std::vector<u8> poaConsensus(const PoaTask& task,
                              const PoaParams& params = {});
-
-/**
- * poaConsensus() with the gb::simd row kernel (PoaEngine::kSimd):
- * bit-identical consensus at every dispatch level.
- */
-std::vector<u8> poaConsensusSimd(const PoaTask& task,
-                                 const PoaParams& params = {},
-                                 u64* cell_updates = nullptr);
 
 } // namespace gb
 

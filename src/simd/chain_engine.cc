@@ -3,12 +3,13 @@
  * Dispatch layer for the vectorized chaining DP: picks the widest
  * kernel the CPU (and GB_SIMD_LEVEL) allows, gates anchor sets whose
  * coordinates the 32-bit lanes cannot difference exactly to the scalar
- * chainDp(), and shares extractChains() with the scalar path so the
- * resulting chains are always bit-identical to chainAnchors().
+ * chainDp(). The resulting f/parent arrays are always bit-identical
+ * to the scalar fill.
  */
 #include "simd/chain_engine.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "simd/engines_internal.h"
 
@@ -87,18 +88,6 @@ chainDpEngine(std::span<const Anchor> anchors, const ChainParams& params,
     engine.fn(anchors.data(), tpos.data(), qpos.data(), n, params,
               f_pad.data(), parent.data());
     std::copy_n(f_pad.data(), n, f.data());
-}
-
-std::vector<Chain>
-chainAnchorsSimd(std::span<const Anchor> anchors,
-                 const ChainParams& params)
-{
-    const u32 n = static_cast<u32>(anchors.size());
-    if (n == 0) return {};
-    std::vector<i32> f(n);
-    std::vector<i32> parent(n, -1);
-    chainDpEngine(anchors, params, f, parent);
-    return extractChains(anchors, params, f, parent);
 }
 
 } // namespace gb::simd

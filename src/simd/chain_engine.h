@@ -17,13 +17,13 @@
  * gb::simd::activeSimdLevel(). Anchor sets with coordinates at or
  * above kChainMaxSimdCoord fall back to the scalar path per call so
  * the i32 lane differences can never overflow — results never depend
- * on the dispatch level.
+ * on the dispatch level. The uninstrumented gb::chainAnchors() runs
+ * this fill.
  */
 #ifndef GB_SIMD_CHAIN_ENGINE_H
 #define GB_SIMD_CHAIN_ENGINE_H
 
 #include <span>
-#include <vector>
 
 #include "chain/chain.h"
 #include "simd/simd.h"
@@ -48,14 +48,6 @@ u32 chainLanes(SimdLevel level);
 void chainDpEngine(std::span<const Anchor> anchors,
                    const ChainParams& params, std::span<i32> f,
                    std::span<i32> parent);
-
-/**
- * chainAnchors() with the active SIMD engine: engine DP fill plus the
- * shared extractChains() pass. Chains are bit-identical to the scalar
- * path at every dispatch level.
- */
-std::vector<Chain> chainAnchorsSimd(std::span<const Anchor> anchors,
-                                    const ChainParams& params = {});
 
 } // namespace gb::simd
 

@@ -1,6 +1,7 @@
 /**
  * @file
- * Dispatch layer for the SIMD PairHMM engine: prepares the
+ * Dispatch layer for the SIMD PairHMM engine and the definition of
+ * the uninstrumented gb::pairHmmLogLikelihood(): prepares the
  * diagonal-friendly input layout (reversed haplotype, per-row prior
  * tables), runs the widest float kernel the CPU allows under the
  * FTZ/DAZ guard, and preserves the scalar double-precision fallback
@@ -50,14 +51,21 @@ phmmLanes(SimdLevel level)
     return engineFor(level).lanes;
 }
 
+} // namespace gb::simd
+
+namespace gb {
+
 PhmmResult
-phmmLogLikelihood(std::span<const u8> read, std::span<const u8> quals,
-                  std::span<const u8> haplotype,
-                  const PhmmParams& params)
+pairHmmLogLikelihood(std::span<const u8> read, std::span<const u8> quals,
+                     std::span<const u8> haplotype,
+                     const PhmmParams& params)
 {
-    const Engine engine = engineFor(activeSimdLevel());
-    if (!engine.fn) return pairHmmLogLikelihood(read, quals,
-                                                haplotype, params);
+    const simd::Engine engine = simd::engineFor(simd::activeSimdLevel());
+    if (!engine.fn) {
+        NullProbe probe;
+        return pairHmmLogLikelihood(read, quals, haplotype, params,
+                                    probe);
+    }
 
     requireInput(read.size() == quals.size(),
                  "pairHMM: read/quality length mismatch");
@@ -89,7 +97,7 @@ phmmLogLikelihood(std::span<const u8> read, std::span<const u8> quals,
         prior_mismatch[i] = err / 3.0f;
     }
 
-    detail::PhmmF32Input in;
+    simd::detail::PhmmF32Input in;
     in.read = rbuf.data();
     in.hap_rev = hrev.data() + kPad;
     in.prior_match = prior_match.data();
@@ -107,7 +115,7 @@ phmmLogLikelihood(std::span<const u8> read, std::span<const u8> quals,
     PhmmResult result;
     float sum_f;
     {
-        gb::detail::FlushDenormalsScope ftz;
+        detail::FlushDenormalsScope ftz;
         sum_f = engine.fn(in);
     }
     result.cell_updates += static_cast<u64>(m) * n;
@@ -121,10 +129,10 @@ phmmLogLikelihood(std::span<const u8> read, std::span<const u8> quals,
     }
 
     // Rare path: redo in scalar double at a larger scale, exactly as
-    // the model kernel does.
+    // the template does.
     result.used_double = true;
     NullProbe probe;
-    const double sum_d = gb::detail::forwardScaled<double>(
+    const double sum_d = detail::forwardScaled<double>(
         read, quals, haplotype, params, kDoubleInitialScale,
         result.cell_updates, probe);
     result.log10_likelihood =
@@ -133,4 +141,4 @@ phmmLogLikelihood(std::span<const u8> read, std::span<const u8> quals,
     return result;
 }
 
-} // namespace gb::simd
+} // namespace gb

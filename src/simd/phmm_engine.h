@@ -9,17 +9,17 @@
  * loop-carried dependency, which is exactly why GKL vectorizes this
  * way. The FTZ/DAZ guard stays on around the float pass, and results
  * that underflow fall back to the scalar double-precision pass, so
- * the engine preserves pairHmmLogLikelihood()'s execution strategy
- * and matches its log10 likelihoods to within float accumulation
- * error (<= 1e-5 in the equivalence tests).
+ * the engine preserves the template's execution strategy and matches
+ * its log10 likelihoods bit for bit.
  *
- * Dispatch: AVX2 (8 float lanes) / SSE4.2 (4) / the existing scalar
- * kernel, chosen by gb::simd::activeSimdLevel().
+ * The engine is the definition of the uninstrumented
+ * gb::pairHmmLogLikelihood() and gb::runPhmmTask(..., NullProbe&)
+ * declared in phmm/pairhmm.h. Dispatch: AVX2 (8 float lanes) /
+ * SSE4.2 (4) / the scalar template, chosen by
+ * gb::simd::activeSimdLevel().
  */
 #ifndef GB_SIMD_PHMM_ENGINE_H
 #define GB_SIMD_PHMM_ENGINE_H
-
-#include <span>
 
 #include "phmm/pairhmm.h"
 #include "simd/simd.h"
@@ -28,15 +28,6 @@ namespace gb::simd {
 
 /** Float lanes at a dispatch level (8 / 4 / 1). */
 u32 phmmLanes(SimdLevel level);
-
-/**
- * Likelihood of `read` given `haplotype` via the active SIMD engine:
- * vectorized float first, scalar double on underflow.
- */
-PhmmResult phmmLogLikelihood(std::span<const u8> read,
-                             std::span<const u8> quals,
-                             std::span<const u8> haplotype,
-                             const PhmmParams& params);
 
 } // namespace gb::simd
 

@@ -14,16 +14,21 @@ clamp(SimdLevel request)
     return request <= best ? request : best;
 }
 
-/** Level requested via env at startup (evaluated once). */
+/**
+ * Level requested via env at startup (evaluated once). An unknown
+ * name throws: silently running the detected best level would record
+ * a mistyped scalar baseline as a SIMD run.
+ */
 SimdLevel
 envDefault()
 {
-    if (const char* env = std::getenv("GB_SIMD_LEVEL")) {
-        if (const auto parsed = parseSimdLevel(env)) {
-            return clamp(*parsed);
-        }
-    }
-    return detectSimdLevel();
+    const char* env = std::getenv("GB_SIMD_LEVEL");
+    if (!env || !*env) return detectSimdLevel();
+    const auto parsed = parseSimdLevel(env);
+    requireInput(parsed.has_value(),
+                 std::string("GB_SIMD_LEVEL: unknown level '") + env +
+                     "' (expected scalar|sse4|avx2)");
+    return clamp(*parsed);
 }
 
 std::atomic<SimdLevel>&

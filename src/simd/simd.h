@@ -15,8 +15,12 @@
  * can be forced down with the GB_SIMD_LEVEL environment variable
  * (scalar|sse4|avx2) or setSimdLevel() — requests above what the CPU
  * supports are clamped, so GB_SIMD_LEVEL=avx2 on an SSE-only host
- * degrades instead of crashing. Each engine dispatches through a
- * per-level function-pointer table resolved against activeSimdLevel().
+ * degrades instead of crashing, while an unknown name is an
+ * InputError. Each engine dispatches through a per-level
+ * function-pointer table resolved against activeSimdLevel().
+ *
+ * The level is the suite's one scalar/SIMD switch: GB_SIMD_LEVEL=scalar
+ * runs every engine's scalar path, which is the honest baseline.
  */
 #ifndef GB_SIMD_SIMD_H
 #define GB_SIMD_SIMD_H
@@ -48,14 +52,15 @@ SimdLevel detectSimdLevel();
 /**
  * Level the engines dispatch on: min(requested, detected), where the
  * request comes from setSimdLevel() or else GB_SIMD_LEVEL at first
- * call, and defaults to the detected best.
+ * call, and defaults to the detected best. Throws InputError while
+ * GB_SIMD_LEVEL holds an unknown name.
  */
 SimdLevel activeSimdLevel();
 
 /** Force a dispatch level (clamped to detectSimdLevel()); for tests. */
 void setSimdLevel(SimdLevel level);
 
-/** Drop back to the GB_SIMD_LEVEL / CPUID default. */
+/** Drop back to the GB_SIMD_LEVEL / CPUID default (throws likewise). */
 void resetSimdLevel();
 
 } // namespace gb::simd

@@ -580,14 +580,51 @@ TEST(ChainEngine, RandomizedMatchesScalarAtEveryLevel)
                 << "level=" << simd::simdLevelName(level)
                 << " rep=" << rep << " n=" << n;
 
-            const auto chains_ref = chainAnchors(anchors, p);
-            const auto chains_eng =
-                simd::chainAnchorsSimd(anchors, p);
+            const auto chains_ref = chainAnchors(anchors, p, probe);
+            const auto chains_eng = chainAnchors(anchors, p);
             ASSERT_EQ(chains_eng.size(), chains_ref.size());
             for (size_t c = 0; c < chains_ref.size(); ++c) {
                 EXPECT_EQ(chains_eng[c].score, chains_ref[c].score);
                 EXPECT_EQ(chains_eng[c].anchors,
                           chains_ref[c].anchors);
+            }
+        }
+    }
+}
+
+TEST(ChainEngine, UninstrumentedMatchesProbeTemplateAtEveryLevel)
+{
+    // chainAnchors(anchors) is the dispatched production path; with a
+    // recording probe the same call runs the instrumented template.
+    // Chains of overlapping reads (default parameters, as the mapper
+    // and overlapScore call it) must agree exactly.
+    LevelGuard guard;
+    Rng rng(76);
+    std::vector<std::vector<Anchor>> sets;
+    const MinimizerParams mp;
+    for (int i = 0; i < 8; ++i) {
+        const std::string a = randomDna(rng, 6000);
+        const std::string b = a.substr(2000) + randomDna(rng, 2000);
+        sets.push_back(matchAnchors(extractMinimizers(encodeDna(a), mp),
+                                    extractMinimizers(encodeDna(b), mp),
+                                    mp.k));
+        ASSERT_FALSE(sets.back().empty());
+    }
+    std::vector<std::vector<Chain>> oracle;
+    for (const auto& anchors : sets) {
+        CountingProbe probe;
+        oracle.push_back(chainAnchors(anchors, ChainParams{}, probe));
+    }
+    for (const simd::SimdLevel level : testableLevels()) {
+        simd::setSimdLevel(level);
+        for (size_t i = 0; i < sets.size(); ++i) {
+            const auto chains = chainAnchors(sets[i]);
+            ASSERT_EQ(chains.size(), oracle[i].size())
+                << "level=" << simd::simdLevelName(level)
+                << " set=" << i;
+            for (size_t c = 0; c < chains.size(); ++c) {
+                EXPECT_EQ(chains[c].score, oracle[i][c].score);
+                EXPECT_EQ(chains[c].anchors, oracle[i][c].anchors);
             }
         }
     }

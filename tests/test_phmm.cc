@@ -1,7 +1,9 @@
 /**
  * @file
  * Tests for the PairHMM kernel: unscaled long-double oracle, float vs
- * double consistency, likelihood monotonicity, underflow fallback.
+ * double consistency, likelihood monotonicity, underflow fallback, and
+ * the uninstrumented runPhmmTask (dispatched engine) against the
+ * instrumented template at every dispatch level.
  */
 #include <gtest/gtest.h>
 
@@ -9,8 +11,10 @@
 #include <string>
 #include <vector>
 
+#include "dbg/debruijn.h"
 #include "io/dna.h"
 #include "phmm/pairhmm.h"
+#include "simd/simd.h"
 #include "util/rng.h"
 
 namespace gb {
@@ -201,6 +205,58 @@ TEST(PhmmTask, CellUpdateAccounting)
     NullProbe probe;
     const auto matrix = runPhmmTask(task, PhmmParams{}, probe);
     EXPECT_EQ(matrix.size(), 4u);
+}
+
+TEST(PhmmTask, NullProbeRunMatchesProbeTemplateAtEveryLevel)
+{
+    // Pipeline-shaped task: a 400 bp window with two SNVs carried by
+    // half the reads, 16 reads of 151 bp at Q30 with ~1% sequencing
+    // errors, haplotypes re-assembled by the dbg kernel. A NullProbe
+    // run takes the dispatched engine; it must equal the instrumented
+    // template's matrix exactly, at every level the host can run.
+    Rng rng(191);
+    std::vector<u8> ref(400);
+    for (auto& b : ref) b = static_cast<u8>(rng.below(4));
+    std::vector<u8> alt = ref;
+    alt[150] = static_cast<u8>((alt[150] + 1) % 4);
+    alt[260] = static_cast<u8>((alt[260] + 2) % 4);
+    AssemblyRegion region;
+    region.reference = ref;
+    PhmmTask task;
+    for (int r = 0; r < 16; ++r) {
+        const std::vector<u8>& src = r % 2 ? alt : ref;
+        const u64 start = rng.below(400 - 151 + 1);
+        std::vector<u8> read(src.begin() + start,
+                             src.begin() + start + 151);
+        for (auto& b : read) {
+            if (rng.chance(0.01)) b = static_cast<u8>(rng.below(4));
+        }
+        region.reads.push_back(read);
+        task.reads.push_back({read, std::vector<u8>(read.size(), 30)});
+    }
+    DbgStats stats;
+    task.haplotypes = assembleRegion(region, DbgParams{}, stats);
+    ASSERT_GE(task.haplotypes.size(), 2u)
+        << "the SNVs no longer yield an alternate haplotype";
+
+    CountingProbe counting;
+    const auto oracle = runPhmmTask(task, PhmmParams{}, counting);
+    ASSERT_EQ(oracle.size(), task.reads.size() * task.haplotypes.size());
+    std::vector<simd::SimdLevel> levels{simd::SimdLevel::kScalar};
+    const simd::SimdLevel best = simd::detectSimdLevel();
+    if (best >= simd::SimdLevel::kSse4) {
+        levels.push_back(simd::SimdLevel::kSse4);
+    }
+    if (best >= simd::SimdLevel::kAvx2) {
+        levels.push_back(simd::SimdLevel::kAvx2);
+    }
+    for (const simd::SimdLevel level : levels) {
+        simd::setSimdLevel(level);
+        NullProbe probe;
+        EXPECT_EQ(runPhmmTask(task, PhmmParams{}, probe), oracle)
+            << simd::simdLevelName(level);
+    }
+    simd::resetSimdLevel();
 }
 
 } // namespace

@@ -243,7 +243,7 @@ TEST(Poa, MeanInDegreeIsEdgesOverNodes)
     }
 }
 
-// ---- poa engine: scalar/SIMD equivalence ----------------------------
+// ---- poa row kernel: every dispatch level vs the scalar level -------
 
 /** Restores the process-global dispatch level on scope exit. */
 struct LevelGuard
@@ -266,61 +266,67 @@ testableLevels()
     return levels;
 }
 
-TEST(PoaEngine, RandomizedGraphsMatchScalarAtEveryLevel)
+/** addSequence with the row kernel dispatched at `level`. */
+void
+addAtLevel(PoaGraph& graph, simd::SimdLevel level,
+           const std::vector<u8>& codes)
 {
-    // The simd engine must build bit-identical graphs: same node and
-    // edge counts after every addSequence, same consensus, same cell
-    // accounting. Reads span the interesting regimes (clean repeats,
-    // heavy noise, ambiguous bases, single-base reads).
+    simd::setSimdLevel(level);
+    NullProbe probe;
+    graph.addSequence(std::span<const u8>(codes), probe);
+}
+
+TEST(PoaDispatch, RandomizedGraphsMatchScalarAtEveryLevel)
+{
+    // Every level must build bit-identical graphs to the scalar
+    // level: same node and edge counts after every addSequence, same
+    // consensus, same cell accounting. Reads span the interesting
+    // regimes (clean repeats, heavy noise, ambiguous bases,
+    // single-base reads).
     LevelGuard guard;
     for (const simd::SimdLevel level : testableLevels()) {
-        simd::setSimdLevel(level);
         Rng rng(84); // same cases at every level
         for (int rep = 0; rep < 350; ++rep) {
             PoaParams params;
             if (rng.chance(0.2)) params.mismatch = -2;
             if (rng.chance(0.2)) params.gap = -8;
             PoaGraph scalar_graph(params);
-            PoaGraph simd_graph(params);
-            simd_graph.setEngine(PoaEngine::kSimd);
-            EXPECT_EQ(scalar_graph.engine(), PoaEngine::kScalar);
+            PoaGraph level_graph(params);
 
             const u64 truth_len = 1 + rng.below(60);
             std::string truth = randomDna(rng, truth_len);
             if (rng.chance(0.1)) truth[0] = 'N';
             const u64 depth = 2 + rng.below(4);
-            NullProbe probe;
             for (u64 d = 0; d < depth; ++d) {
                 std::string read =
                     corrupt(rng, truth, 0.08, 0.05, 0.05);
                 if (rng.chance(0.1)) read = "A";
                 const auto codes = encodeDna(read);
-                scalar_graph.addSequence(std::span<const u8>(codes),
-                                         probe);
-                simd_graph.addSequence(std::span<const u8>(codes),
-                                       probe);
-                ASSERT_EQ(simd_graph.numNodes(),
+                addAtLevel(scalar_graph, simd::SimdLevel::kScalar,
+                           codes);
+                addAtLevel(level_graph, level, codes);
+                ASSERT_EQ(level_graph.numNodes(),
                           scalar_graph.numNodes())
                     << "level=" << simd::simdLevelName(level)
                     << " rep=" << rep << " read=" << d;
-                ASSERT_EQ(simd_graph.numEdges(),
+                ASSERT_EQ(level_graph.numEdges(),
                           scalar_graph.numEdges())
                     << "level=" << simd::simdLevelName(level)
                     << " rep=" << rep << " read=" << d;
             }
-            EXPECT_EQ(simd_graph.consensus(),
+            EXPECT_EQ(level_graph.consensus(),
                       scalar_graph.consensus())
                 << "level=" << simd::simdLevelName(level)
                 << " rep=" << rep;
-            EXPECT_EQ(simd_graph.cellUpdates(),
+            EXPECT_EQ(level_graph.cellUpdates(),
                       scalar_graph.cellUpdates());
-            EXPECT_DOUBLE_EQ(simd_graph.meanInDegree(),
+            EXPECT_DOUBLE_EQ(level_graph.meanInDegree(),
                              scalar_graph.meanInDegree());
         }
     }
 }
 
-TEST(PoaEngine, ConsensusHelperMatchesScalarHelper)
+TEST(PoaDispatch, ConsensusMatchesScalarLevel)
 {
     LevelGuard guard;
     Rng rng(85);
@@ -330,21 +336,23 @@ TEST(PoaEngine, ConsensusHelperMatchesScalarHelper)
         task.reads.push_back(
             encodeDna(corrupt(rng, truth, 0.04, 0.03, 0.03)));
     }
+    simd::setSimdLevel(simd::SimdLevel::kScalar);
     u64 cells_scalar = 0;
     NullProbe probe;
     const auto scalar =
         poaConsensus(task, PoaParams{}, probe, &cells_scalar);
     for (const simd::SimdLevel level : testableLevels()) {
         simd::setSimdLevel(level);
-        u64 cells_simd = 0;
-        EXPECT_EQ(poaConsensusSimd(task, PoaParams{}, &cells_simd),
-                  scalar)
+        u64 cells = 0;
+        EXPECT_EQ(poaConsensus(task, PoaParams{}, probe, &cells), scalar)
             << "level=" << simd::simdLevelName(level);
-        EXPECT_EQ(cells_simd, cells_scalar);
+        EXPECT_EQ(cells, cells_scalar);
+        EXPECT_EQ(poaConsensus(task), scalar)
+            << "level=" << simd::simdLevelName(level);
     }
 }
 
-TEST(PoaEngine, WideInDegreeExercisesPackedOverflow)
+TEST(PoaDispatch, WideInDegreeExercisesPackedOverflow)
 {
     // Force a node with more than 63 predecessors so the packed
     // traceback's 6-bit field saturates and the candidate rescan has
@@ -352,8 +360,8 @@ TEST(PoaEngine, WideInDegreeExercisesPackedOverflow)
     // G, then add every truncated prefix + "G". Each truncation's G
     // aligns to the shared G sink across a tail of deletions, so the
     // sink gains one distinct predecessor (the truncation point) per
-    // read. Scalar and simd graphs must stay identical and the
-    // traceback must never lose a predecessor.
+    // read. Graphs built at every level must match the scalar level's
+    // and the traceback must never lose a predecessor.
     LevelGuard guard;
     Rng backbone_rng(86);
     std::string backbone;
@@ -361,31 +369,26 @@ TEST(PoaEngine, WideInDegreeExercisesPackedOverflow)
         backbone += "ACT"[backbone_rng.below(3)]; // no G: unique sink
     }
     for (const simd::SimdLevel level : testableLevels()) {
-        simd::setSimdLevel(level);
         PoaGraph scalar_graph;
-        PoaGraph simd_graph;
-        simd_graph.setEngine(PoaEngine::kSimd);
-        NullProbe probe;
+        PoaGraph level_graph;
         for (size_t len = backbone.size(); len >= 1; --len) {
             const auto codes =
                 encodeDna(backbone.substr(0, len) + "G");
-            scalar_graph.addSequence(std::span<const u8>(codes),
-                                     probe);
-            simd_graph.addSequence(std::span<const u8>(codes),
-                                   probe);
-            ASSERT_EQ(simd_graph.numNodes(),
+            addAtLevel(scalar_graph, simd::SimdLevel::kScalar, codes);
+            addAtLevel(level_graph, level, codes);
+            ASSERT_EQ(level_graph.numNodes(),
                       scalar_graph.numNodes())
                 << "level=" << simd::simdLevelName(level)
                 << " len=" << len;
-            ASSERT_EQ(simd_graph.numEdges(),
+            ASSERT_EQ(level_graph.numEdges(),
                       scalar_graph.numEdges());
         }
         // The 6-bit pred-index field saturates at 63; the test only
         // proves anything if some node is genuinely wider than that.
         EXPECT_GT(scalar_graph.maxInDegree(), 63u);
-        EXPECT_EQ(simd_graph.maxInDegree(),
+        EXPECT_EQ(level_graph.maxInDegree(),
                   scalar_graph.maxInDegree());
-        EXPECT_EQ(simd_graph.consensus(), scalar_graph.consensus());
+        EXPECT_EQ(level_graph.consensus(), scalar_graph.consensus());
     }
 }
 

@@ -4,12 +4,14 @@
  * the occ counter and the SMEM search built on it (identical results
  * and probe traffic at every dispatch level), scalar/SIMD equivalence
  * for banded-SW (bit-identical scores, end positions and abort flags
- * at every dispatch level) and PairHMM (bit-identical to the scalar
- * float path, exact double fallback).
+ * at every dispatch level) and PairHMM (the dispatched
+ * pairHmmLogLikelihood bit-identical to the scalar template, exact
+ * double fallback).
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -80,6 +82,33 @@ TEST(SimdDispatch, SetLevelClampsToDetected)
     EXPECT_LE(simd::activeSimdLevel(), best);
     simd::setSimdLevel(simd::SimdLevel::kScalar);
     EXPECT_EQ(simd::activeSimdLevel(), simd::SimdLevel::kScalar);
+}
+
+TEST(SimdDispatch, UnknownEnvLevelIsRejected)
+{
+    // GB_SIMD_LEVEL is the one scalar/SIMD switch, so a typo must not
+    // fall back to the detected best level.
+    const char* saved = std::getenv("GB_SIMD_LEVEL");
+    const std::string restore = saved ? saved : "";
+    ::setenv("GB_SIMD_LEVEL", "scaler", 1);
+    try {
+        simd::resetSimdLevel();
+        ADD_FAILURE() << "GB_SIMD_LEVEL=scaler was accepted";
+    } catch (const InputError& e) {
+        EXPECT_NE(std::string(e.what()).find("scalar|sse4|avx2"),
+                  std::string::npos)
+            << e.what();
+    }
+    ::setenv("GB_SIMD_LEVEL", "scalar", 1);
+    simd::resetSimdLevel();
+    EXPECT_EQ(simd::activeSimdLevel(), simd::SimdLevel::kScalar);
+
+    if (saved) {
+        ::setenv("GB_SIMD_LEVEL", restore.c_str(), 1);
+    } else {
+        ::unsetenv("GB_SIMD_LEVEL");
+    }
+    simd::resetSimdLevel();
 }
 
 TEST(SimdDispatch, LaneCountsMatchLevel)
@@ -459,10 +488,11 @@ TEST(SimdPhmm, MatchesScalarExactlyAllLevels)
         simd::setSimdLevel(level);
         for (size_t i = 0; i < cases.size(); ++i) {
             const auto& c = cases[i];
-            const PhmmResult scalar =
-                pairHmmLogLikelihood(c.read, c.quals, c.hap, params);
+            NullProbe probe;
+            const PhmmResult scalar = pairHmmLogLikelihood(
+                c.read, c.quals, c.hap, params, probe);
             const PhmmResult got =
-                simd::phmmLogLikelihood(c.read, c.quals, c.hap, params);
+                pairHmmLogLikelihood(c.read, c.quals, c.hap, params);
             EXPECT_EQ(got.log10_likelihood, scalar.log10_likelihood)
                 << "level " << simd::simdLevelName(level) << ", case "
                 << i;
@@ -477,7 +507,7 @@ TEST(SimdPhmm, UnderflowFallsBackToDoubleExactly)
 {
     // A long read against an unrelated haplotype at high base quality
     // drives the float forward pass below kMinAcceptedFloat, forcing
-    // the double re-run in both the scalar wrapper and the SIMD
+    // the double re-run in both the scalar template and the dispatched
     // engine; the fallback results must agree exactly.
     Rng rng(602);
     PhmmCase c;
@@ -488,15 +518,16 @@ TEST(SimdPhmm, UnderflowFallsBackToDoubleExactly)
     for (auto& b : c.hap) b = static_cast<u8>(rng.below(4));
 
     const PhmmParams params;
+    NullProbe probe;
     const PhmmResult scalar =
-        pairHmmLogLikelihood(c.read, c.quals, c.hap, params);
+        pairHmmLogLikelihood(c.read, c.quals, c.hap, params, probe);
     ASSERT_TRUE(scalar.used_double)
         << "test input no longer triggers the float underflow";
     for (const simd::SimdLevel level : testableLevels()) {
         LevelGuard guard;
         simd::setSimdLevel(level);
         const PhmmResult got =
-            simd::phmmLogLikelihood(c.read, c.quals, c.hap, params);
+            pairHmmLogLikelihood(c.read, c.quals, c.hap, params);
         EXPECT_TRUE(got.used_double)
             << simd::simdLevelName(level);
         EXPECT_DOUBLE_EQ(got.log10_likelihood, scalar.log10_likelihood)

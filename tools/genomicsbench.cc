@@ -21,7 +21,10 @@
  * Each subcommand accepts only the flags listed on its line (plus
  * --trace for run and serve); any other flag exits 2.
  *
- * `run` times the kernel (wall clock, tasks/s); `characterize` prints
+ * `run` times the kernel (wall clock, tasks/s) and prints the engine
+ * and SIMD dispatch level it ran at; --engine only changes kmer-cnt,
+ * and GB_SIMD_LEVEL=scalar alone gives every kernel's scalar baseline
+ * (an unknown GB_SIMD_LEVEL exits 2). `characterize` prints
  * the operation mix, cache behaviour and top-down attribution for one
  * kernel — the per-kernel view of what the bench_* binaries sweep.
  * The `store` subcommands manage the gb::store artifact cache that
@@ -128,7 +131,10 @@ usage()
            " [--cache-dir=DIR] [--json=FILE] [--trace=FILE]\n"
            "  genomicsbench client --connect=HOST:PORT --jobs=FILE"
            " [--wait-timeout=S] [--drain]\n"
-           "(run also accepts --trace=FILE; see docs/tracing.md)\n";
+           "(run also accepts --trace=FILE; see docs/tracing.md)\n"
+           "--engine=simd selects kmer-cnt's prefetch path; the"
+           " scalar/SIMD switch of every other kernel is"
+           " GB_SIMD_LEVEL=scalar|sse4|avx2\n";
     return 2;
 }
 
@@ -173,6 +179,9 @@ cmdRun(const std::string& name, DatasetSize size, unsigned threads,
 {
     auto kernel = createKernel(name);
     kernel->setEngine(engine);
+    std::cout << name << ": engine " << engineName(engine)
+              << ", simd level "
+              << simd::simdLevelName(simd::activeSimdLevel()) << '\n';
     Measurement m;
     measurePrepare(*kernel, size, m);
     std::cout << "prepared in " << formatF(m.prepare_seconds, 2) << " s";
@@ -669,6 +678,14 @@ main(int argc, char** argv)
 {
     if (argc < 2) return usage();
     const std::string command = argv[1];
+    try {
+        // A mistyped GB_SIMD_LEVEL is a usage error, caught before
+        // anything runs at the wrong level.
+        simd::activeSimdLevel();
+    } catch (const InputError& e) {
+        std::cerr << "error: " << e.what() << '\n';
+        return 2;
+    }
     try {
         if (command == "list") return cmdList();
         if (argc < 3) return usage();
