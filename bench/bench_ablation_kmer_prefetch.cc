@@ -7,9 +7,10 @@
  * inserted are known in advance, the kernel can prefetch the upcoming
  * hash slots and overlap DRAM latency with the current insert.
  *
- * The prefetch variant is KmerCounter::addBatch (via
- * countKmersPrefetch) — the same implementation the kmer-cnt kernel
- * runs under --engine=simd — so this sweep tunes the production
+ * Every row runs countKmers(), which inserts through
+ * KmerCounter::addBatch — the insert path the kmer-cnt kernel's
+ * partitioned pass also uses — at the row's lookahead; the baseline is
+ * lookahead 0 (no prefetch). The sweep therefore tunes the production
  * lookahead rather than a bench-local copy.
  */
 #include <iostream>
@@ -60,13 +61,8 @@ main(int argc, char** argv)
             NullProbe probe;
             WallTimer timer;
             const auto stats =
-                lookahead == 0
-                    ? countKmers(
-                          std::span<const std::vector<u8>>(reads),
-                          17, counter, probe)
-                    : countKmersPrefetch(
-                          std::span<const std::vector<u8>>(reads),
-                          17, counter, probe, lookahead);
+                countKmers(std::span<const std::vector<u8>>(reads), 17,
+                           counter, probe, lookahead);
             best = std::min(best, timer.seconds());
             distinct = stats.distinct_kmers;
             if (rep == 0 && lookahead == 0) {

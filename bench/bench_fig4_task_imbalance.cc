@@ -50,7 +50,6 @@ main(int argc, char** argv)
 
         // Measured: run the kernel under dynamic scheduling and
         // compare per-rank busy seconds.
-        kernel->setEngine(options.engine);
         pool.resetTelemetry();
         kernel->run(pool);
         RunningStats busy;

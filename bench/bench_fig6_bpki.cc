@@ -76,7 +76,6 @@ main(int argc, char** argv)
         // counter group on every rank summed into whole-run totals
         // (PooledCounters), so --threads>1 no longer under-reports.
         ThreadPool pool(options.threads);
-        kernel->setEngine(options.engine);
         metrics::PooledCounters counters(pool);
         Measurement measured;
         measureRepeats(*kernel, pool, 1, measured, &counters);

@@ -53,7 +53,6 @@ main(int argc, char** argv)
         // groups are summed (PooledCounters) so the meas columns are
         // whole-run totals, not rank 0's share.
         ThreadPool pool(options.threads);
-        kernel->setEngine(options.engine);
         metrics::PooledCounters counters(pool);
         Measurement measured;
         measureRepeats(*kernel, pool, 1, measured, &counters);

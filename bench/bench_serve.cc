@@ -104,7 +104,6 @@ main(int argc, char** argv)
             withColdCache(root + "/serial-" + name, [&] {
                 for (unsigned i = 0; i < kJobs; ++i) {
                     auto kernel = createKernel(name);
-                    kernel->setEngine(options.engine);
                     Measurement measured;
                     measurePrepare(*kernel, options.size, measured);
                     ThreadPool pool(1);
@@ -128,7 +127,6 @@ main(int argc, char** argv)
                     serve::JobSpec spec;
                     spec.kernel = name;
                     spec.size = options.size;
-                    spec.engine = options.engine;
                     spec.threads = 1;
                     // Mixed priority classes exercise the classed
                     // dispatch path; with identical jobs the

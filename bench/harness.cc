@@ -14,20 +14,20 @@ namespace {
 
 /** Flags every bench binary understands (name only, sans value). */
 const std::vector<std::string> kKnownFlags = {
-    "--size", "--threads", "--kernels", "--cache-dir",
-    "--engine", "--json", "--help"};
+    "--size", "--threads", "--kernels", "--cache-dir", "--json",
+    "--help"};
 
 constexpr const char* kUsage =
     "usage: bench_* [options]\n"
     "  --size=tiny|small|large  dataset preset\n"
     "  --threads=N              worker threads for timed runs\n"
     "  --kernels=a,b,c          restrict to a kernel subset\n"
-    "  --engine=scalar|simd     kmer-cnt counting path (the scalar\n"
-    "                           baseline is GB_SIMD_LEVEL=scalar)\n"
     "  --cache-dir=DIR          gb::store artifact cache\n"
     "  --json=FILE              write gb-metrics-v1 JSON "
     "(docs/metrics.md)\n"
-    "  --help, -h               this text\n";
+    "  --help, -h               this text\n"
+    "GB_SIMD_LEVEL=scalar|sse4|avx2 in the environment selects the\n"
+    "dispatch level (docs/simd.md)\n";
 
 } // namespace
 
@@ -68,8 +68,6 @@ Options::parseStrict(int argc, char** argv, DatasetSize default_size)
             opt.cache_dir = value("--cache-dir=");
             requireInput(!opt.cache_dir.empty(),
                          "--cache-dir expects a directory path");
-        } else if (arg.rfind("--engine=", 0) == 0) {
-            opt.engine = parseEngine(value("--engine="));
         } else if (arg.rfind("--json=", 0) == 0) {
             opt.json_path = value("--json=");
             requireInput(!opt.json_path.empty(),
@@ -138,7 +136,6 @@ printHeader(const std::string& experiment, const std::string& paper_ref,
               << ", threads: "
               << (options.threads ? std::to_string(options.threads)
                                   : std::string("auto"))
-              << ", engine: " << engineName(options.engine)
               << ", simd: "
               << simd::simdLevelName(simd::activeSimdLevel());
     if (!options.cache_dir.empty()) {
@@ -152,7 +149,6 @@ printHeader(const std::string& experiment, const std::string& paper_ref,
             meta.paper_ref = paper_ref;
             meta.size = datasetSizeName(options.size);
             meta.threads = options.threads;
-            meta.engine = engineName(options.engine);
             meta.simd_level =
                 simd::simdLevelName(simd::activeSimdLevel());
             metricsSink().open(options.json_path, std::move(meta));

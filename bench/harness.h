@@ -6,11 +6,6 @@
  *   --size=tiny|small|large   dataset preset (default per binary)
  *   --threads=N               worker threads for timed runs
  *   --kernels=a,b,c           restrict to a kernel subset
- *   --engine=scalar|simd      timed-run engine; only kmer-cnt reads
- *                             it (simd = prefetch-pipelined counting).
- *                             The scalar baseline of every other
- *                             kernel is GB_SIMD_LEVEL=scalar alone
- *                             (see docs/simd.md)
  *   --cache-dir=DIR           build-or-load prepared artifacts from a
  *                             gb::store cache (see docs/store-format.md)
  *   --json=FILE               mirror every table row into a
@@ -42,7 +37,6 @@ struct Options
     unsigned threads = 0; ///< 0 = hardware concurrency
     std::vector<std::string> kernels; ///< empty = all
     std::string cache_dir; ///< empty = artifact caching disabled
-    Engine engine = Engine::kScalar; ///< timed-run execution engine
     std::string json_path; ///< empty = JSON emission disabled
     bool help = false; ///< --help/-h was seen (parseStrict only)
 
@@ -91,7 +85,7 @@ metrics::MetricsSink& metricsSink();
 /** Format a counter-derived value, "n/a" when negative (unavailable). */
 std::string orNA(double value, int precision = 2);
 
-/** Print the standard bench header (engine and SIMD level included). */
+/** Print the standard bench header (SIMD level included). */
 void printHeader(const std::string& experiment,
                  const std::string& paper_ref, const Options& options);
 

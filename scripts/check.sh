@@ -4,7 +4,7 @@
 # dispatch level
 # (GB_SIMD_LEVEL=scalar|sse4|avx2), the whole ctest suite under
 # ASan/UBSan (plus the dispatch-level suites at every level), the
-# thread-pool, metrics, serve, net and trace suites under TSan, a
+# thread-pool, k-mer, metrics, serve, net and trace suites under TSan, a
 # metrics smoke test (--json emission validated by
 # scripts/validate_metrics.py, which must also reject malformed
 # documents), the fmi-occ and kmer-prefetch ablation benches
@@ -12,8 +12,8 @@
 # artifact-cache smoke test (store build -> store verify -> warm run +
 # corruption check), a dispatch-level smoke (bsw, phmm, fmi, chain and
 # spoa report the same task counts under GB_SIMD_LEVEL=scalar and the
-# default level, kmer-cnt under --engine=scalar and --engine=simd, at 1
-# and 4 threads), a gb::serve smoke test (8-job
+# default level, at 1 and 4 threads), a kmer-cnt thread smoke (the
+# same task counts at 1, 3 and 4 threads), a gb::serve smoke test (8-job
 # list through the scheduler, JSON validated, single-flight prepare
 # asserted), a gb::net loopback
 # smoke (`serve --listen` driven by the `client` subcommand over
@@ -25,7 +25,8 @@
 # scripts/trace_inspect.py fixture and bad-file check, and
 # a `run` rows check (3 repeats -> 3 `run` rows, `run_best` = their
 # minimum), and CLI error-handling checks (unknown flags with a
-# did-you-mean, flags a subcommand does not take, a mistyped
+# did-you-mean, the removed --engine, flags a subcommand does not take,
+# a mistyped
 # GB_SIMD_LEVEL, malformed numeric, duration and empty path flags).
 #
 # Timing is not gated here: `perfbench/run.py compare BENCH_16 NEW`
@@ -95,24 +96,26 @@ fi
 # The scheduler telemetry writes per-rank slots from worker threads,
 # the gb::serve scheduler runs jobs on detached runner threads over a
 # shared worker budget, the gb::net server multiplexes session
-# threads, an accept loop and wake pipes over one scheduler, and
-# gb::trace records into per-thread rings from all of the above; TSan
-# proves the thread-pool accounting, the metrics
-# plumbing, the serving layer, the network layer and the trace
-# recorder are race-free.
+# threads, an accept loop and wake pipes over one scheduler,
+# gb::trace records into per-thread rings from all of the above, and
+# kmer-cnt's partitioned pass fills one table per pool rank; TSan
+# proves the thread-pool accounting, the partition ownership, the
+# metrics plumbing, the serving layer, the network layer and the
+# trace recorder are race-free.
 if [[ $SKIP_SAN -eq 0 ]]; then
-    step "TSan: build + run thread-pool, metrics, serve, net and trace tests"
+    step "TSan: build + run thread-pool, k-mer, metrics, serve, net and trace tests"
     cmake -B build-tsan -S . \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
         >/dev/null
-    cmake --build build-tsan -j"$JOBS" --target test_util test_metrics \
-        test_serve test_net test_trace
+    cmake --build build-tsan -j"$JOBS" --target test_util test_kmer \
+        test_metrics test_serve test_net test_trace
     # The randomized scheduler stress first (skewed and throwing
     # bodies — docs/threading.md), then the full suites.
     ./build-tsan/tests/test_util \
         --gtest_filter='ThreadPool.SchedulerStress*'
     ./build-tsan/tests/test_util --gtest_brief=1
+    ./build-tsan/tests/test_kmer --gtest_brief=1
     ./build-tsan/tests/test_metrics --gtest_brief=1
     ./build-tsan/tests/test_serve --gtest_brief=1
     ./build-tsan/tests/test_net --gtest_brief=1
@@ -133,17 +136,17 @@ python3 scripts/validate_metrics.py "$MDIR/fig4.json"
 python3 scripts/validate_metrics.py "$MDIR/run.json"
 
 # The validator must fail on a broken document and name the field: one
-# without meta.engine, one whose row holds an object and an array.
+# without meta.simd_level, one whose row holds an object and an array.
 step "metrics: validate_metrics.py rejects malformed documents"
 python3 - "$MDIR/run.json" "$MDIR" <<'EOF'
 import json, subprocess, sys
 good = json.load(open(sys.argv[1]))
-no_engine = json.loads(json.dumps(good))
-del no_engine["meta"]["engine"]
+no_level = json.loads(json.dumps(good))
+del no_level["meta"]["simd_level"]
 nested = json.loads(json.dumps(good))
 nested["rows"][0]["seconds"] = {"value": 1}
 nested["rows"][0]["tasks"] = [1, 2]
-cases = [(no_engine, ["meta.engine is missing"]),
+cases = [(no_level, ["meta.simd_level is missing"]),
          (nested, ["rows[0].seconds has non-scalar value dict",
                    "rows[0].tasks has non-scalar value list"])]
 for i, (doc, expected) in enumerate(cases):
@@ -195,10 +198,8 @@ grep -q "1 hit" /tmp/gb_warm.txt || {
 # switch of bsw, phmm, fmi, chain and spoa, so each must, at 1 and 4
 # threads, emit `run` rows under GB_SIMD_LEVEL=scalar and under the
 # default (detected) level with exactly the same task counters, and
-# meta.simd_level must name the level that ran. kmer-cnt's prefetch
-# path is the one thing --engine still selects, so it keeps the
-# --engine=scalar/simd pair (docs/simd.md).
-step "simd level: bsw/phmm/fmi/chain/spoa x 1,4 threads, default-level counters match scalar; kmer-cnt engine pair"
+# meta.simd_level must name the level that ran.
+step "simd level: bsw/phmm/fmi/chain/spoa x 1,4 threads, default-level counters match scalar"
 check_counters() { # kernel threads scalar.json other.json
     python3 - "$@" <<'EOF'
 import json, sys
@@ -220,43 +221,54 @@ def tasks(path):
     return meta, sorted(r["tasks"] for r in rows)
 base_meta, base = tasks(sys.argv[3])
 other_meta, other = tasks(sys.argv[4])
-if kernel == "kmer-cnt":
-    assert (base_meta["engine"], other_meta["engine"]) == \
-        ("scalar", "simd"), (base_meta, other_meta)
-    label = "under both engines"
-else:
-    assert (base_meta["simd_level"], other_meta["simd_level"]) == \
-        ("scalar", detected), (base_meta, other_meta, detected)
-    label = f"at levels scalar and {detected}"
+assert (base_meta["simd_level"], other_meta["simd_level"]) == \
+    ("scalar", detected), (base_meta, other_meta, detected)
 assert base == other, \
     f"{kernel} threads={threads}: task counters diverge: {base} vs {other}"
-print(f"level smoke ok: {kernel} threads={threads} tasks {base} {label}")
+print(f"level smoke ok: {kernel} threads={threads} tasks {base} "
+      f"at levels scalar and {detected}")
 EOF
 }
-for kernel in bsw phmm fmi chain spoa kmer-cnt; do
+for kernel in bsw phmm fmi chain spoa; do
     for threads in 1 4; do
-        if [[ $kernel == kmer-cnt ]]; then
-            for engine in scalar simd; do
-                "$GB" run "$kernel" --size=tiny --repeat=2 \
-                    --threads="$threads" --engine="$engine" \
-                    --json=/tmp/gb_lvl_"$engine".json >/dev/null
-            done
-            check_counters "$kernel" "$threads" \
-                /tmp/gb_lvl_scalar.json /tmp/gb_lvl_simd.json
-        else
-            GB_SIMD_LEVEL=scalar "$GB" run "$kernel" --size=tiny \
-                --repeat=2 --threads="$threads" \
-                --json=/tmp/gb_lvl_scalar.json >/dev/null
-            env -u GB_SIMD_LEVEL "$GB" run "$kernel" --size=tiny \
-                --repeat=2 --threads="$threads" \
-                --json=/tmp/gb_lvl_default.json >/dev/null
-            check_counters "$kernel" "$threads" \
-                /tmp/gb_lvl_scalar.json /tmp/gb_lvl_default.json
-        fi
+        GB_SIMD_LEVEL=scalar "$GB" run "$kernel" --size=tiny \
+            --repeat=2 --threads="$threads" \
+            --json=/tmp/gb_lvl_scalar.json >/dev/null
+        env -u GB_SIMD_LEVEL "$GB" run "$kernel" --size=tiny \
+            --repeat=2 --threads="$threads" \
+            --json=/tmp/gb_lvl_default.json >/dev/null
+        check_counters "$kernel" "$threads" \
+            /tmp/gb_lvl_scalar.json /tmp/gb_lvl_default.json
     done
 done
-rm -f /tmp/gb_lvl_scalar.json /tmp/gb_lvl_simd.json \
-    /tmp/gb_lvl_default.json
+rm -f /tmp/gb_lvl_scalar.json /tmp/gb_lvl_default.json
+
+# kmer-cnt splits its table into one hash partition per pool thread,
+# so its thread count changes the table layout; the task counters must
+# not move. 3 threads covers a partition count that is not a power of
+# two.
+step "kmer-cnt: 1, 3 and 4 threads report identical task counters"
+for threads in 1 3 4; do
+    "$GB" run kmer-cnt --size=tiny --repeat=2 --threads="$threads" \
+        --json=/tmp/gb_kmer_t"$threads".json >/dev/null
+done
+python3 - /tmp/gb_kmer_t1.json /tmp/gb_kmer_t3.json \
+    /tmp/gb_kmer_t4.json <<'EOF'
+import json, sys
+counters = {}
+for path in sys.argv[1:]:
+    doc = json.load(open(path))
+    rows = [r for r in doc["rows"]
+            if r["table"] == "run" and r["kernel"] == "kmer-cnt"]
+    assert rows, f"{path}: no kmer-cnt run rows"
+    counters[doc["meta"]["threads"]] = sorted(r["tasks"] for r in rows)
+assert sorted(counters) == [1, 3, 4], counters
+assert len({tuple(c) for c in counters.values()}) == 1, \
+    f"kmer-cnt task counters diverge across thread counts: {counters}"
+print(f"kmer-cnt thread smoke ok: tasks {counters[1]} at 1, 3 and 4 "
+      "threads")
+EOF
+rm -f /tmp/gb_kmer_t1.json /tmp/gb_kmer_t3.json /tmp/gb_kmer_t4.json
 
 # A flipped byte must be caught by store verify (exit 1).
 victim=$(ls "$CACHE"/fmi-*.gbs | head -1)
@@ -486,6 +498,23 @@ for cmd in "./build/bench/bench_table2_overview --thread=8" \
         exit 1
     fi
     echo "bad flag rejected with: $(head -1 /tmp/gb_flag.txt)"
+done
+
+# --engine is not a flag (every kernel has one run path): it exits 2
+# as an unknown option in the bench harness and the CLI alike.
+for cmd in "./build/bench/bench_table2_overview --engine=simd" \
+           "$GB run kmer-cnt --size=tiny --engine=simd"; do
+    set +e
+    $cmd >/dev/null 2>/tmp/gb_flag.txt
+    status=$?
+    set -e
+    if [[ $status -ne 2 ]] || \
+       ! grep -q "unknown option: --engine=simd" /tmp/gb_flag.txt; then
+        echo "FAIL: $cmd was not rejected as an unknown option" >&2
+        cat /tmp/gb_flag.txt >&2
+        exit 1
+    fi
+    echo "unknown flag rejected with: $(head -1 /tmp/gb_flag.txt)"
 done
 
 # A known flag that the subcommand does not take exits 2 and names the

@@ -17,7 +17,7 @@ import sys
 SCHEMA = "gb-metrics-v1"
 META_KEYS = {
     "experiment", "paper_ref", "git_sha", "size", "threads",
-    "engine", "simd_level", "host_hw_threads",
+    "simd_level", "host_hw_threads",
 }
 
 
@@ -35,8 +35,7 @@ def validate(doc):
     else:
         for key in sorted(META_KEYS - meta.keys()):
             errors.append(f"meta.{key} is missing")
-        for key in ("experiment", "git_sha", "size", "engine",
-                    "simd_level"):
+        for key in ("experiment", "git_sha", "size", "simd_level"):
             if key in meta and not isinstance(meta[key], str):
                 errors.append(f"meta.{key} is not a string")
         for key in ("threads", "host_hw_threads"):

@@ -29,23 +29,16 @@ enum class DatasetSize : u8
 };
 
 /**
- * Execution engine for timed runs. Only kmer-cnt reads it: kSimd
- * selects its prefetch-pipelined counting path. Every other kernel
- * runs one production path under either setting; the scalar/SIMD
- * switch for bsw, phmm, fmi, chain and spoa is the dispatch level
- * (GB_SIMD_LEVEL=scalar|sse4|avx2, simd/simd.h).
+ * Former execution-engine selector. Nothing reads it: every kernel
+ * runs one production path, and the scalar/SIMD switch is the
+ * dispatch level (GB_SIMD_LEVEL=scalar|sse4|avx2, simd/simd.h). Kept
+ * only because perfbench/ still names it.
  */
 enum class Engine : u8
 {
     kScalar,
     kSimd,
 };
-
-/** Parse "scalar"/"simd"; throws InputError otherwise. */
-Engine parseEngine(const std::string& name);
-
-/** Display name of an engine. */
-const char* engineName(Engine engine);
 
 /** Parse "tiny"/"small"/"large"; throws InputError otherwise. */
 DatasetSize parseDatasetSize(const std::string& name);
@@ -79,11 +72,8 @@ class Benchmark
 
     virtual const Info& info() const = 0;
 
-    /** Select the engine for subsequent run() calls. */
-    void setEngine(Engine engine) { engine_ = engine; }
-
-    /** Engine used by run() (kmer-cnt only); characterize() ignores it. */
-    Engine engine() const { return engine_; }
+    /** Does nothing; kept only because perfbench/ still calls it. */
+    void setEngine(Engine) {}
 
     /** Generate the dataset for `size` (deterministic). */
     virtual void prepare(DatasetSize size) = 0;
@@ -107,9 +97,6 @@ class Benchmark
      * Table III). Tasks are the unit of dynamic scheduling.
      */
     virtual std::vector<u64> taskWork() = 0;
-
-  private:
-    Engine engine_ = Engine::kScalar;
 };
 
 /** Names of all 12 kernels, pipeline order. */

@@ -2,9 +2,9 @@
  * @file
  * The bsw kernel driver: banded Smith-Waterman seed extension over
  * batches of query/target pairs (BWA-MEM2's extension stage). run()
- * takes the inter-sequence scheme (simd::bswAlign) under either
- * --engine; GB_SIMD_LEVEL=scalar makes it per-pair bandedSwScalar over
- * the same batches. The lockstep BatchSwAligner model serves only
+ * takes the inter-sequence scheme (simd::bswAlign);
+ * GB_SIMD_LEVEL=scalar makes it per-pair bandedSwScalar over the same
+ * batches. The lockstep BatchSwAligner model serves only
  * characterize() and the Fig. 3 work accounting.
  */
 #include "core/kernels.h"

@@ -108,34 +108,12 @@ class KmerCntKernel final : public Benchmark
     u64
     run(ThreadPool& pool) override
     {
-        // Per-thread tables merged at the end (lock-free counting as
-        // in the real tools); the table working set per thread still
-        // exceeds the LLC.
-        const unsigned threads = pool.numThreads();
-        std::vector<std::unique_ptr<KmerCounter>> tables;
-        for (unsigned t = 0; t < threads; ++t) {
-            tables.push_back(std::make_unique<KmerCounter>(
-                capacity_log2_, HashScheme::kRobinHood));
-        }
-        // --engine=simd routes through the prefetch-pipelined
-        // KmerCounter::addBatch path; table contents are identical.
-        const bool pipelined = engine() == Engine::kSimd;
-        pool.parallelForRanked(
-            batches_.size(),
-            [&](u64 b, unsigned rank) {
-                NullProbe probe;
-                const auto [lo, hi] = batches_[b];
-                const auto span =
-                    std::span<const std::vector<u8>>(reads_)
-                        .subspan(lo, hi - lo);
-                if (pipelined) {
-                    countKmersPrefetch(span, kK, *tables[rank], probe);
-                } else {
-                    countKmers(span, kK, *tables[rank], probe);
-                }
-            },
-            1);
-        treeMergeKmerTables(tables, pool);
+        // One hash-partitioned table per pool thread, each with one
+        // owner: lock-free counting with nothing to merge. Together
+        // the tables hold at least one table's worth of slots, which
+        // still far exceeds the LLC.
+        countKmersPartitioned(std::span<const std::vector<u8>>(reads_),
+                              kK, capacity_log2_, pool);
         return batches_.size();
     }
 

@@ -33,21 +33,6 @@ registry()
 
 } // namespace
 
-Engine
-parseEngine(const std::string& name)
-{
-    if (name == "scalar") return Engine::kScalar;
-    if (name == "simd") return Engine::kSimd;
-    throw InputError("unknown engine: " + name +
-                     " (expected scalar or simd)");
-}
-
-const char*
-engineName(Engine engine)
-{
-    return engine == Engine::kSimd ? "simd" : "scalar";
-}
-
 DatasetSize
 parseDatasetSize(const std::string& name)
 {

@@ -1,6 +1,8 @@
 #include "kmer/kmer_counter.h"
 
 #include <algorithm>
+#include <bit>
+#include <optional>
 
 #include "util/thread_pool.h"
 
@@ -42,32 +44,6 @@ KmerCounter::KmerCounter(u32 capacity_log2, HashScheme scheme)
     counts_.assign(capacity, 0);
 }
 
-KmerCounter
-KmerCounter::fromParts(HashScheme scheme, std::vector<u64> keys,
-                       std::vector<u16> counts)
-{
-    const u64 capacity = keys.size();
-    requireInput(capacity >= 16 && (capacity & (capacity - 1)) == 0 &&
-                     counts.size() == capacity,
-                 "kmer counter fromParts: keys/counts must have equal "
-                 "power-of-two size");
-    KmerCounter table(4, scheme);
-    table.mask_ = capacity - 1;
-    table.keys_ = std::move(keys);
-    table.counts_ = std::move(counts);
-    table.occupied_ = 0;
-    for (u64 i = 0; i < capacity; ++i) {
-        if (table.keys_[i] != kEmpty) {
-            requireInput(table.counts_[i] > 0,
-                         "kmer counter fromParts: occupied slot with "
-                         "zero count");
-            ++table.occupied_;
-        }
-    }
-    table.checkLoad();
-    return table;
-}
-
 void
 KmerCounter::checkLoad()
 {
@@ -88,39 +64,64 @@ KmerCounter::count(u64 kmer) const
     }
 }
 
-void
-KmerCounter::merge(const KmerCounter& other)
+namespace {
+
+/**
+ * Partition of a canonical k-mer in [0, parts): the murmur3 64-bit
+ * finalizer, range-reduced by its high bits. slotOf() uses a different
+ * multiplier and the low bits, so a partition's keys still spread over
+ * all of its table's slots.
+ */
+unsigned
+partitionOf(u64 kmer, unsigned parts)
 {
-    NullProbe probe;
-    other.forEachEntry([&](u64 kmer, u16 count) {
-        // Insert once, then saturating-add the remaining count.
-        add(kmer, probe);
-        u64 slot = slotOf(kmer);
-        while (keys_[slot] != kmer) slot = (slot + 1) & mask_;
-        const u32 total = static_cast<u32>(counts_[slot]) + count - 1;
-        counts_[slot] =
-            static_cast<u16>(total > kMaxCount ? kMaxCount : total);
-    });
+    u64 h = kmer;
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdULL;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ULL;
+    h ^= h >> 33;
+    return static_cast<unsigned>(
+        (static_cast<unsigned __int128>(h) * parts) >> 64);
 }
 
-void
-treeMergeKmerTables(std::vector<std::unique_ptr<KmerCounter>>& tables,
-                    ThreadPool& pool)
+} // namespace
+
+std::vector<KmerCounter>
+countKmersPartitioned(std::span<const std::vector<u8>> reads, u32 k,
+                      u32 capacity_log2, ThreadPool& pool)
 {
-    const size_t n = tables.size();
-    for (size_t stride = 1; stride < n; stride *= 2) {
-        // Round r: merge (i, i+stride) for every i at 2*stride pitch.
-        // Destinations are disjoint, so the pairs merge concurrently.
-        std::vector<size_t> pairs;
-        for (size_t i = 0; i + stride < n; i += 2 * stride) {
-            pairs.push_back(i);
+    const unsigned parts = pool.numThreads();
+    const u32 floor_log2 = static_cast<u32>(std::bit_width(parts)) - 1;
+    const u32 part_log2 =
+        std::max(capacity_log2, floor_log2 + 4) - floor_log2;
+    // Each owner allocates (and so first-touches) its own table.
+    std::vector<std::optional<KmerCounter>> tables(parts);
+    pool.parallelFor(parts, [&](u64 p) {
+        KmerCounter& table =
+            tables[p].emplace(part_log2, HashScheme::kRobinHood);
+        NullProbe probe;
+        std::vector<u64> window;
+        window.reserve(4096);
+        for (const auto& read : reads) {
+            window.clear();
+            forEachKmer(std::span<const u8>(read), k,
+                        [&](u64 kmer, u64) {
+                            const u64 c = canonicalKmer(kmer, k);
+                            // One partition takes every k-mer; skipping
+                            // the hash saves ~10% of a 1-thread run.
+                            if (parts == 1 ||
+                                partitionOf(c, parts) == p) {
+                                window.push_back(c);
+                            }
+                        });
+            table.addBatch(window, probe);
         }
-        pool.parallelFor(pairs.size(), [&](u64 p) {
-            const size_t dst = pairs[p];
-            tables[dst]->merge(*tables[dst + stride]);
-            tables[dst + stride].reset();
-        });
-    }
+    });
+    std::vector<KmerCounter> out;
+    out.reserve(parts);
+    for (auto& table : tables) out.push_back(std::move(*table));
+    return out;
 }
 
 KmerCounter::DisplacementStats

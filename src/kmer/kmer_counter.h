@@ -17,7 +17,6 @@
 #ifndef GB_KMER_KMER_COUNTER_H
 #define GB_KMER_KMER_COUNTER_H
 
-#include <memory>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -84,20 +83,6 @@ class KmerCounter
     explicit KmerCounter(u32 capacity_log2,
                          HashScheme scheme = HashScheme::kRobinHood);
 
-    /**
-     * Reassemble a table from its flat arrays (as serialized by
-     * gb::store). keys/counts must have equal power-of-two size;
-     * occupancy is recomputed, probe statistics reset.
-     */
-    static KmerCounter fromParts(HashScheme scheme,
-                                 std::vector<u64> keys,
-                                 std::vector<u16> counts);
-
-    /** Flat-array accessors (for serialization). */
-    std::span<const u64> keys() const { return keys_; }
-    std::span<const u16> rawCounts() const { return counts_; }
-    HashScheme scheme() const { return scheme_; }
-
     /** Increment the count of `kmer` (saturating at 65535). */
     template <typename Probe>
     void
@@ -126,8 +111,8 @@ class KmerCounter
      *
      * Table contents and probe traffic are identical to calling add()
      * in a loop — prefetches are hints, invisible to the model. A
-     * lookahead of 0 disables prefetching. Shared by the kmer-cnt
-     * kernel's --engine=simd path and the kmer-prefetch ablation.
+     * lookahead of 0 disables prefetching (the kmer-prefetch
+     * ablation's baseline).
      */
     template <typename Probe>
     void
@@ -183,9 +168,6 @@ class KmerCounter
         }
     }
 
-    /** Merge another table into this one (saturating counts). */
-    void merge(const KmerCounter& other);
-
     /** Number of distinct k-mers with count >= threshold. */
     u64 solidKmers(u16 threshold) const;
 
@@ -223,19 +205,6 @@ class KmerCounter
     std::vector<u16> counts_;
 };
 
-/**
- * Merge tables[1..] into tables[0] with a parallel tree reduction over
- * the pool: round r merges pairs (i, i+2^r) concurrently, so the merge
- * chain costs O(log T) rounds instead of T-1 serial merges. Saturating
- * addition is associative and commutative, so the final (kmer, count)
- * entry set is identical to the serial left-fold (slot layout may
- * differ — compare via forEachEntry, not raw arrays). Merged-from
- * tables are released as soon as they are consumed.
- */
-void treeMergeKmerTables(
-    std::vector<std::unique_ptr<KmerCounter>>& tables,
-    ThreadPool& pool);
-
 /** Aggregate result of the counting kernel. */
 struct KmerCountStats
 {
@@ -245,45 +214,23 @@ struct KmerCountStats
 };
 
 /**
- * The kmer-cnt kernel: count canonical k-mers of all reads.
+ * Count the canonical k-mers of all reads into one table.
  *
- * @param reads   Encoded reads.
- * @param k       k-mer size (Flye uses 17 by default for counting).
- * @param counter Pre-sized table.
+ * Each read's canonical k-mers are staged into a window and inserted
+ * through KmerCounter::addBatch, so the counting loop overlaps the
+ * DRAM latency of one insert with the hashing of the next ones. Counts
+ * and modeled probe traffic do not depend on `lookahead`.
+ *
+ * @param reads     Encoded reads.
+ * @param k         k-mer size (Flye uses 17 by default for counting).
+ * @param counter   Pre-sized table.
+ * @param lookahead addBatch prefetch distance; 0 disables prefetching.
  */
 template <typename Probe>
 KmerCountStats
 countKmers(std::span<const std::vector<u8>> reads, u32 k,
-           KmerCounter& counter, Probe& probe)
-{
-    KmerCountStats stats;
-    for (const auto& read : reads) {
-        forEachKmer(std::span<const u8>(read), k,
-                    [&](u64 kmer, u64) {
-                        probe.op(OpClass::kIntAlu, 6); // roll + canon
-                        counter.add(canonicalKmer(kmer, k), probe);
-                        ++stats.total_kmers;
-                    });
-    }
-    stats.distinct_kmers = counter.size();
-    stats.probe_steps = counter.probeSteps();
-    return stats;
-}
-
-/**
- * Software-prefetching variant of the kmer-cnt kernel.
- *
- * Stages each read's canonical k-mers into a window and inserts them
- * through KmerCounter::addBatch — the shared prefetch-pipelined
- * implementation behind the kernel's --engine=simd path and the
- * kmer-prefetch ablation bench. Counts and modeled probe traffic are
- * identical to countKmers().
- */
-template <typename Probe>
-KmerCountStats
-countKmersPrefetch(std::span<const std::vector<u8>> reads, u32 k,
-                   KmerCounter& counter, Probe& probe,
-                   u32 lookahead = KmerCounter::kDefaultLookahead)
+           KmerCounter& counter, Probe& probe,
+           u32 lookahead = KmerCounter::kDefaultLookahead)
 {
     KmerCountStats stats;
     std::vector<u64> window;
@@ -302,6 +249,23 @@ countKmersPrefetch(std::span<const std::vector<u8>> reads, u32 k,
     stats.probe_steps = counter.probeSteps();
     return stats;
 }
+
+/**
+ * The kmer-cnt kernel's parallel pass: count the canonical k-mers of
+ * all reads into P = pool.numThreads() hash-partitioned robin-hood
+ * tables.
+ *
+ * A canonical k-mer's partition is a hash of it that shares no bits
+ * with the table's slot hash. Each partition has exactly one owner,
+ * which scans every read and inserts only its own k-mers, so no table
+ * is shared and nothing is merged: the union of the returned tables'
+ * (kmer, count) entries equals countKmers() into one table. Each table
+ * has 2^(capacity_log2 - floor(log2 P)) slots, so a partition's
+ * expected load is at most the single table's.
+ */
+std::vector<KmerCounter> countKmersPartitioned(
+    std::span<const std::vector<u8>> reads, u32 k, u32 capacity_log2,
+    ThreadPool& pool);
 
 // ---------------------------------------------------------------------
 // Template member definitions.

@@ -151,7 +151,6 @@ MetricsSink::json() const
                   {"git_sha", quoted(meta_.git_sha)},
                   {"size", quoted(meta_.size)},
                   {"threads", std::to_string(meta_.threads)},
-                  {"engine", quoted(meta_.engine)},
                   {"simd_level", quoted(meta_.simd_level)},
                   {"host_hw_threads",
                    std::to_string(std::thread::hardware_concurrency())}});

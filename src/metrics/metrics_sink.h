@@ -9,7 +9,7 @@
  *   {
  *     "schema": "gb-metrics-v1",
  *     "meta":   { experiment, paper_ref, git_sha, size, threads,
- *                 engine, simd_level, host_hw_threads },
+ *                 simd_level, host_hw_threads },
  *     "rows":   [ { "table": "...", "<column>": <value>, ... }, ... ]
  *   }
  *
@@ -38,7 +38,6 @@ struct RunMeta
     std::string paper_ref;  ///< one-line description of the experiment
     std::string git_sha;    ///< empty = use buildGitSha()
     std::string size;       ///< dataset preset name
-    std::string engine;     ///< timed-run engine name
     std::string simd_level; ///< active gb::simd dispatch level
     unsigned threads = 0;   ///< requested worker threads (0 = auto)
 };

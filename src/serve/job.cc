@@ -35,7 +35,6 @@ JobSpec::describe() const
 {
     std::ostringstream out;
     out << kernel << " size=" << datasetSizeName(size)
-        << " engine=" << engineName(engine)
         << " priority=" << priorityName(priority)
         << " t=" << threads << " x" << repeats;
     return out.str();
@@ -62,8 +61,8 @@ parseJobLine(const std::string& line)
     std::string token;
     JobSpec spec;
     bool have_kernel = false;
-    bool have_size = false, have_engine = false;
-    bool have_threads = false, have_repeats = false;
+    bool have_size = false, have_threads = false;
+    bool have_repeats = false;
     bool have_priority = false;
     while (tokens >> token) {
         const size_t eq = token.find('=');
@@ -83,10 +82,6 @@ parseJobLine(const std::string& line)
             requireInput(!have_size, "job: duplicate key: size");
             spec.size = parseDatasetSize(value);
             have_size = true;
-        } else if (key == "engine") {
-            requireInput(!have_engine, "job: duplicate key: engine");
-            spec.engine = parseEngine(value);
-            have_engine = true;
         } else if (key == "threads") {
             requireInput(!have_threads, "job: duplicate key: threads");
             spec.threads =
@@ -105,8 +100,7 @@ parseJobLine(const std::string& line)
         } else {
             throw InputError(
                 "job: unknown key: " + key +
-                " (expected size, engine, threads, repeats "
-                "or priority)");
+                " (expected size, threads, repeats or priority)");
         }
     }
     requireInput(have_kernel, "job: missing kernel name");

@@ -3,19 +3,19 @@
  * Job descriptions for the gb::serve scheduler.
  *
  * A JobSpec is one kernel-run request: which registry kernel, at what
- * dataset size, on which engine, with how many worker threads and how
- * many timed repeats. Specs arrive either programmatically
+ * dataset size, with how many worker threads and how many timed
+ * repeats. Specs arrive either programmatically
  * (Scheduler::submit) or from a job file (`genomicsbench serve
  * --jobs=FILE`), one job per line:
  *
  *   # comment / blank lines are skipped
  *   fmi size=tiny threads=2 repeats=3 priority=high
- *   bsw size=small engine=simd
- *   kmer-cnt                       # defaults: tiny, scalar, 1, 1
+ *   bsw size=small
+ *   kmer-cnt                       # defaults: tiny, 1, 1
  *
- * Validation is strict and up-front: unknown kernels, keys, sizes or
- * engines and zero thread/repeat counts are InputErrors at parse or
- * submit time, never half-way through a run.
+ * Validation is strict and up-front: unknown kernels, keys or sizes
+ * and zero thread/repeat counts are InputErrors at parse or submit
+ * time, never half-way through a run.
  */
 #ifndef GB_SERVE_JOB_H
 #define GB_SERVE_JOB_H
@@ -57,6 +57,7 @@ struct JobSpec
 {
     std::string kernel;  ///< registry kernel name (e.g. "fmi")
     DatasetSize size = DatasetSize::kTiny;
+    /** Nothing reads it; kept only for perfbench/, which sets it. */
     Engine engine = Engine::kScalar;
     unsigned threads = 1; ///< worker threads requested for this job
     unsigned repeats = 1; ///< timed run() repeats
@@ -64,8 +65,8 @@ struct JobSpec
     Priority priority = Priority::kNormal;
 
     /**
-     * One-line display form ("fmi size=tiny engine=scalar
-     * priority=normal t=2 x3").
+     * One-line display form ("fmi size=tiny priority=normal t=2
+     * x3").
      */
     std::string describe() const;
 };
@@ -79,10 +80,10 @@ void validateSpec(const JobSpec& spec,
                   const std::vector<std::string>& known_kernels);
 
 /**
- * Parse one job line: `<kernel> [size=S] [engine=E] [threads=N]
- * [repeats=R] [priority=high|normal|batch]`, whitespace-separated,
- * keys in any order. Throws InputError on malformed input (unknown key, duplicate key, bad
- * value, missing kernel). Registry validation is separate
+ * Parse one job line: `<kernel> [size=S] [threads=N] [repeats=R]
+ * [priority=high|normal|batch]`, whitespace-separated, keys in any
+ * order. Throws InputError on malformed input (unknown key, duplicate
+ * key, bad value, missing kernel). Registry validation is separate
  * (validateSpec) so the parser stays usable with test registries.
  */
 JobSpec parseJobLine(const std::string& line);

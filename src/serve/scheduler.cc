@@ -352,7 +352,6 @@ Scheduler::runJob(std::shared_ptr<JobState> job, unsigned granted,
     Measurement measured;
     try {
         auto kernel = config_.kernel_factory(job->spec.kernel);
-        kernel->setEngine(job->spec.engine);
         measurePrepare(*kernel, job->spec.size, measured);
         // This job's slice of the worker budget: the runner thread is
         // rank 0, the pool spawns granted-1 more.

@@ -23,14 +23,6 @@ struct FmMeta
 static_assert(sizeof(FmMeta) == 72 &&
               std::is_trivially_copyable_v<FmMeta>);
 
-/** Fixed-layout meta block for the k-mer table (8 bytes). */
-struct KmerMeta
-{
-    u32 scheme;
-    u32 reserved;
-};
-static_assert(sizeof(KmerMeta) == 8);
-
 /** Packed on-disk form of gb::Event (24 bytes, no padding — the
  *  in-memory struct has 4 tail-padding bytes that would make digests
  *  nondeterministic). */
@@ -162,43 +154,6 @@ viewFmIndex(std::shared_ptr<StoreReader> reader, std::string_view prefix,
     const FmSections s = fetchFmSections(*reader, prefix, verify);
     return FmIndex::fromViews(s.meta.ref_len, s.meta.block_len, s.c,
                               s.counts, s.bwt, s.sa, std::move(reader));
-}
-
-// ---------------------------------------------------------------------
-// k-mer count table
-
-void
-addKmerCounter(StoreWriter& writer, const KmerCounter& table,
-               std::string_view prefix)
-{
-    KmerMeta meta{};
-    meta.scheme = static_cast<u32>(table.scheme());
-    writer.addPod(sec(prefix, "meta"), meta);
-    writer.addVec(sec(prefix, "keys"), table.keys());
-    writer.addVec(sec(prefix, "counts"), table.rawCounts());
-}
-
-KmerCounter
-readKmerCounter(StoreReader& reader, std::string_view prefix,
-                Verify verify)
-{
-    maybeVerify(reader, verify,
-                {sec(prefix, "meta"), sec(prefix, "keys"),
-                 sec(prefix, "counts")});
-    const auto meta_bytes = reader.section(sec(prefix, "meta"));
-    requireInput(meta_bytes.size() == sizeof(KmerMeta),
-                 "store: " + sec(prefix, "meta") + " has wrong size");
-    KmerMeta meta;
-    std::memcpy(&meta, meta_bytes.data(), sizeof(KmerMeta));
-    requireInput(meta.scheme <=
-                     static_cast<u32>(HashScheme::kRobinHood),
-                 "store: " + sec(prefix, "meta") +
-                     " has unknown hash scheme");
-    const auto keys = reader.sectionAs<u64>(sec(prefix, "keys"));
-    const auto counts = reader.sectionAs<u16>(sec(prefix, "counts"));
-    return KmerCounter::fromParts(static_cast<HashScheme>(meta.scheme),
-                                  {keys.begin(), keys.end()},
-                                  {counts.begin(), counts.end()});
 }
 
 // ---------------------------------------------------------------------

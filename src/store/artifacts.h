@@ -2,12 +2,10 @@
  * @file
  * Serializers between suite artifacts and gb::store containers.
  *
- * Three artifact families (the expensive prepare()-phase products):
+ * Two artifact families (the expensive prepare()-phase products):
  *   - FM-index / BWT        (src/index) — sections "<p>.meta",
  *     "<p>.counts", "<p>.bwt", "<p>.sa"; loadable as an owning copy or
  *     as a zero-copy view over an mmap'd reader.
- *   - k-mer count tables    (src/kmer) — "<p>.meta", "<p>.keys",
- *     "<p>.counts".
  *   - synthesized datasets  (src/simdata) — ragged rows of encoded
  *     reads ("<p>.blob" + "<p>.offsets"), reference strings, and
  *     nanopore event streams.
@@ -26,7 +24,6 @@
 
 #include "abea/event_detect.h"
 #include "index/fm_index.h"
-#include "kmer/kmer_counter.h"
 #include "store/container.h"
 #include "util/common.h"
 
@@ -58,16 +55,6 @@ FmIndex readFmIndex(StoreReader& reader, std::string_view prefix = "fm",
 FmIndex viewFmIndex(std::shared_ptr<StoreReader> reader,
                     std::string_view prefix = "fm",
                     Verify verify = Verify::kDigest);
-
-// ---------------------------------------------------------------------
-// k-mer count table
-
-void addKmerCounter(StoreWriter& writer, const KmerCounter& table,
-                    std::string_view prefix = "kmer");
-
-KmerCounter readKmerCounter(StoreReader& reader,
-                            std::string_view prefix = "kmer",
-                            Verify verify = Verify::kDigest);
 
 // ---------------------------------------------------------------------
 // Synthesized datasets: ragged rows stored as blob + offsets

@@ -141,8 +141,9 @@ ThreadPool::runJob(Job& job, unsigned rank)
 }
 
 void
-ThreadPool::parallelForRanked(
-    u64 n, const std::function<void(u64, unsigned)>& body, u64 grain)
+ThreadPool::runRanked(u64 n,
+                      const std::function<void(u64, unsigned)>& body,
+                      u64 grain)
 {
     if (n == 0) return;
     if (num_threads_ == 1 || n == 1) {
@@ -216,7 +217,7 @@ ThreadPool::forEachThread(const std::function<void(unsigned)>& fn)
     std::condition_variable cv;
     unsigned arrived = 0;
     std::exception_ptr first_error;
-    parallelForRanked(
+    runRanked(
         num_threads_,
         [&](u64, unsigned rank) {
             try {
@@ -243,7 +244,7 @@ void
 ThreadPool::parallelFor(u64 n, const std::function<void(u64)>& body,
                         u64 grain)
 {
-    parallelForRanked(n, [&](u64 i, unsigned) { body(i); }, grain);
+    runRanked(n, [&](u64 i, unsigned) { body(i); }, grain);
 }
 
 void

@@ -92,14 +92,6 @@ class ThreadPool
                      u64 grain = 1);
 
     /**
-     * Variant that tells the body which worker executes it:
-     * body(index, thread_rank). Ranks are in [0, numThreads()).
-     */
-    void parallelForRanked(
-        u64 n, const std::function<void(u64, unsigned)>& body,
-        u64 grain = 1);
-
-    /**
      * Run `fn(rank)` exactly once on every pool thread (rank 0 is the
      * calling thread), then return. Used to set up or sample per-thread
      * state that must live on the worker itself — e.g. per-rank
@@ -141,6 +133,12 @@ class ThreadPool
         std::mutex error_mutex;
     };
 
+    /**
+     * The scheduler behind parallelFor and forEachThread: runs
+     * body(index, rank) with ranks in [0, numThreads()).
+     */
+    void runRanked(u64 n, const std::function<void(u64, unsigned)>& body,
+                   u64 grain);
     void workerLoop(unsigned rank);
     void runJob(Job& job, unsigned rank);
 

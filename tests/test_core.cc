@@ -16,9 +16,7 @@
 #include "arch/cache_sim.h"
 #include "core/benchmark.h"
 #include "core/measure.h"
-#include "kmer/kmer_counter.h"
 #include "trace/trace.h"
-#include "util/rng.h"
 #include "util/stats.h"
 
 namespace gb {
@@ -123,73 +121,6 @@ TEST_P(EveryKernel, RunIsDeterministicAcrossSchedules)
                 << "threads=" << threads << " rerun=" << rerun;
         }
     }
-}
-
-namespace {
-
-std::vector<std::pair<u64, u16>>
-sortedEntries(const KmerCounter& table)
-{
-    std::vector<std::pair<u64, u16>> entries;
-    table.forEachEntry([&](u64 kmer, u16 count) {
-        entries.emplace_back(kmer, count);
-    });
-    std::sort(entries.begin(), entries.end());
-    return entries;
-}
-
-} // namespace
-
-TEST(KmerMerge, TreeMergeMatchesSerialFold)
-{
-    // Same per-thread tables merged two ways must hold the same
-    // (kmer, count) entry set: the serial left-fold the kernel used to
-    // do, and the parallel tree reduction. A non-power-of-two table
-    // count exercises the odd-tail rounds; duplicate keys across
-    // tables exercise the saturating-add path.
-    constexpr unsigned kTables = 5;
-    Rng rng(77);
-    std::vector<std::unique_ptr<KmerCounter>> serial;
-    std::vector<std::unique_ptr<KmerCounter>> tree;
-    NullProbe probe;
-    for (unsigned t = 0; t < kTables; ++t) {
-        serial.push_back(std::make_unique<KmerCounter>(
-            12, HashScheme::kRobinHood));
-        tree.push_back(std::make_unique<KmerCounter>(
-            12, HashScheme::kRobinHood));
-        for (unsigned i = 0; i < 1500; ++i) {
-            // Small key space => heavy cross-table overlap.
-            const u64 kmer = rng.below(700);
-            serial[t]->add(kmer, probe);
-            tree[t]->add(kmer, probe);
-        }
-    }
-    for (unsigned t = 1; t < kTables; ++t) {
-        serial[0]->merge(*serial[t]);
-    }
-    ThreadPool pool(4);
-    treeMergeKmerTables(tree, pool);
-    EXPECT_EQ(sortedEntries(*serial[0]), sortedEntries(*tree[0]));
-    EXPECT_EQ(serial[0]->size(), tree[0]->size());
-    for (unsigned t = 1; t < kTables; ++t) {
-        EXPECT_EQ(tree[t], nullptr); // consumed tables are released
-    }
-}
-
-TEST(KmerMerge, TreeMergeSaturatesLikeSerial)
-{
-    std::vector<std::unique_ptr<KmerCounter>> tables;
-    NullProbe probe;
-    for (unsigned t = 0; t < 3; ++t) {
-        tables.push_back(std::make_unique<KmerCounter>(
-            8, HashScheme::kLinear));
-        for (unsigned i = 0; i < 40'000; ++i) {
-            tables[t]->add(7, probe); // one hot key, 3*40k > 65535
-        }
-    }
-    ThreadPool pool(2);
-    treeMergeKmerTables(tables, pool);
-    EXPECT_EQ(tables[0]->count(7), KmerCounter::kMaxCount);
 }
 
 TEST(Imbalance, IrregularKernelsShowTaskImbalance)

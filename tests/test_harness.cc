@@ -36,7 +36,6 @@ TEST(ParseStrict, DefaultsApplied)
     EXPECT_EQ(opt.threads, 0u);
     EXPECT_TRUE(opt.kernels.empty());
     EXPECT_TRUE(opt.cache_dir.empty());
-    EXPECT_EQ(opt.engine, Engine::kScalar);
     EXPECT_TRUE(opt.json_path.empty());
     EXPECT_FALSE(opt.help);
 }
@@ -46,14 +45,12 @@ TEST(ParseStrict, ParsesEveryFlag)
     const Options opt = parseArgs({"--size=large", "--threads=8",
                                    "--kernels=bsw,phmm",
                                    "--cache-dir=/tmp/cache",
-                                   "--engine=simd",
                                    "--json=/tmp/out.json"});
     EXPECT_EQ(opt.size, DatasetSize::kLarge);
     EXPECT_EQ(opt.threads, 8u);
     EXPECT_EQ(opt.kernels,
               (std::vector<std::string>{"bsw", "phmm"}));
     EXPECT_EQ(opt.cache_dir, "/tmp/cache");
-    EXPECT_EQ(opt.engine, Engine::kSimd);
     EXPECT_EQ(opt.json_path, "/tmp/out.json");
     EXPECT_FALSE(opt.help);
 }
@@ -84,6 +81,8 @@ TEST(ParseStrict, ThrowsOnUnknownFlag)
 {
     EXPECT_THROW(parseArgs({"--bogus"}), InputError);
     EXPECT_THROW(parseArgs({"positional"}), InputError);
+    // There is no engine flag: every kernel has one run path.
+    EXPECT_THROW(parseArgs({"--engine=simd"}), InputError);
 }
 
 TEST(ParseStrict, SuggestsNearMissFlag)
@@ -122,7 +121,6 @@ TEST(KnownFlags, MatchesParserAndUsage)
         {"--threads", "--threads=2"},
         {"--kernels", "--kernels=bsw"},
         {"--cache-dir", "--cache-dir=/tmp/c"},
-        {"--engine", "--engine=scalar"},
         {"--json", "--json=/tmp/j.json"},
         {"--help", "--help"},
     };
@@ -149,7 +147,6 @@ TEST(KnownFlags, ListsNothingTheParserRejects)
         const std::string arg =
             flag == "--help"        ? flag
             : flag == "--size"      ? flag + "=tiny"
-            : flag == "--engine"    ? flag + "=scalar"
             : flag == "--threads"   ? flag + "=1"
                                     : flag + "=x";
         EXPECT_NO_THROW(parseArgs({arg.c_str()})) << arg;

@@ -1,18 +1,23 @@
 /**
  * @file
  * Tests for k-mer extraction and the counting hash table, including a
- * std::map oracle and robin-hood vs linear equivalence.
+ * std::map oracle, robin-hood vs linear equivalence, and the
+ * partitioned pass against the one-table count.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arch/probe.h"
 #include "io/dna.h"
 #include "kmer/kmer_counter.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace gb {
 namespace {
@@ -241,15 +246,18 @@ TEST(AddBatch, SmallAndEmptyBatches)
     }
 }
 
-TEST(CountKmersPrefetch, SharedPathMatchesCountKmers)
+/**
+ * Reads sampled from one reference (so k-mers repeat), with
+ * substitutions and Ns that break k-mer windows.
+ */
+std::vector<std::vector<u8>>
+sampledReads(u64 seed, int count)
 {
-    // Reads sampled from one reference (so k-mers repeat), with
-    // substitutions and Ns that break k-mer windows.
-    Rng rng(23);
+    Rng rng(seed);
     std::string ref(5000, 'A');
     for (auto& c : ref) c = "ACGT"[rng.below(4)];
     std::vector<std::vector<u8>> reads;
-    for (int i = 0; i < 40; ++i) {
+    for (int i = 0; i < count; ++i) {
         const u64 len = 60 + rng.below(341);
         std::string s = ref.substr(rng.below(ref.size() - len), len);
         const u64 edits = rng.below(4);
@@ -259,17 +267,36 @@ TEST(CountKmersPrefetch, SharedPathMatchesCountKmers)
         if (rng.chance(0.25)) s[rng.below(s.size())] = 'N';
         reads.push_back(encodeDna(s));
     }
+    return reads;
+}
+
+std::vector<std::pair<u64, u16>>
+sortedEntries(const KmerCounter& table)
+{
+    std::vector<std::pair<u64, u16>> entries;
+    table.forEachEntry([&](u64 kmer, u16 count) {
+        entries.emplace_back(kmer, count);
+    });
+    std::sort(entries.begin(), entries.end());
+    return entries;
+}
+
+TEST(CountKmersPrefetch, SharedPathMatchesCountKmers)
+{
+    // Lookahead 0 (no prefetch) and the default lookahead must fill
+    // the same table with the same modeled traffic.
+    const auto reads = sampledReads(23, 40);
     const u32 k = 17;
 
     KmerCounter plain(14, HashScheme::kRobinHood);
     CountingProbe plain_probe;
     const auto s0 = countKmers(
         std::span<const std::vector<u8>>(reads), k, plain,
-        plain_probe);
+        plain_probe, 0);
 
     KmerCounter pre(14, HashScheme::kRobinHood);
     CountingProbe pre_probe;
-    const auto s1 = countKmersPrefetch(
+    const auto s1 = countKmers(
         std::span<const std::vector<u8>>(reads), k, pre, pre_probe);
 
     EXPECT_EQ(s1.total_kmers, s0.total_kmers);
@@ -284,6 +311,74 @@ TEST(CountKmersPrefetch, SharedPathMatchesCountKmers)
     }
     EXPECT_EQ(pre_probe.loadBytes(), plain_probe.loadBytes());
     EXPECT_EQ(pre_probe.storeBytes(), plain_probe.storeBytes());
+}
+
+/**
+ * Asserts that the union of countKmersPartitioned()'s tables equals
+ * countKmers() into one table for pools of 1..5 threads, and that each
+ * partition has 2^(capacity_log2 - floor(log2 P)) slots.
+ */
+void
+expectPartitionsMatchSerial(const std::vector<std::vector<u8>>& reads,
+                            u32 k, u32 capacity_log2,
+                            const KmerCounter& serial)
+{
+    const auto want = sortedEntries(serial);
+    for (const unsigned threads : {1u, 2u, 3u, 4u, 5u}) {
+        ThreadPool pool(threads);
+        const auto tables = countKmersPartitioned(
+            std::span<const std::vector<u8>>(reads), k, capacity_log2,
+            pool);
+        ASSERT_EQ(tables.size(), threads);
+        std::vector<std::pair<u64, u16>> got;
+        u64 distinct = 0;
+        for (const auto& table : tables) {
+            EXPECT_EQ(table.capacity() << (std::bit_width(threads) - 1),
+                      serial.capacity());
+            distinct += table.size();
+            const auto entries = sortedEntries(table);
+            got.insert(got.end(), entries.begin(), entries.end());
+        }
+        std::sort(got.begin(), got.end());
+        EXPECT_EQ(distinct, serial.size()) << "threads=" << threads;
+        EXPECT_EQ(got, want) << "threads=" << threads;
+    }
+}
+
+TEST(CountKmersPartitioned, UnionMatchesSerialCount)
+{
+    // The partitioned tables' (kmer, count) union must equal
+    // countKmers() into one table at every pool size.
+    const auto reads = sampledReads(29, 60);
+    const u32 k = 17;
+    const u32 capacity_log2 = 14;
+
+    KmerCounter serial(capacity_log2, HashScheme::kRobinHood);
+    NullProbe probe;
+    countKmers(std::span<const std::vector<u8>>(reads), k, serial,
+               probe);
+    expectPartitionsMatchSerial(reads, k, capacity_log2, serial);
+}
+
+TEST(CountKmersPartitioned, UnionSaturatesLikeSerial)
+{
+    // One hot k-mer (poly-A) occurs 3 * 30k > 65535 times across three
+    // reads: its owning partition must saturate at kMaxCount exactly
+    // as the single serial table does.
+    auto reads = sampledReads(31, 20);
+    for (int r = 0; r < 3; ++r) {
+        reads.push_back(std::vector<u8>(30'000 + 16, 0)); // "AAA...A"
+    }
+    const u32 k = 17;
+    const u32 capacity_log2 = 14;
+
+    KmerCounter serial(capacity_log2, HashScheme::kRobinHood);
+    NullProbe probe;
+    countKmers(std::span<const std::vector<u8>>(reads), k, serial,
+               probe);
+    const u64 hot = canonicalKmer(0, k);
+    ASSERT_EQ(serial.count(hot), KmerCounter::kMaxCount);
+    expectPartitionsMatchSerial(reads, k, capacity_log2, serial);
 }
 
 } // namespace

@@ -79,7 +79,6 @@ testMeta()
     meta.paper_ref = "unit test";
     meta.git_sha = "cafe123"; // pinned: schema test is byte-exact
     meta.size = "tiny";
-    meta.engine = "scalar";
     meta.simd_level = "avx2";
     meta.threads = 4;
     return meta;
@@ -109,7 +108,7 @@ TEST(MetricsSink, SchemaStableDocument)
         "  \"schema\": \"gb-metrics-v1\",\n"
         "  \"meta\": {\"experiment\":\"test-exp\","
         "\"paper_ref\":\"unit test\",\"git_sha\":\"cafe123\","
-        "\"size\":\"tiny\",\"threads\":4,\"engine\":\"scalar\","
+        "\"size\":\"tiny\",\"threads\":4,"
         "\"simd_level\":\"avx2\",\"host_hw_threads\":" +
         std::to_string(std::thread::hardware_concurrency()) +
         "},\n"

@@ -193,9 +193,9 @@ TEST(Integration, PrefetchCountingIsBitIdentical)
     KmerCounter pref(20);
     NullProbe probe;
     const auto a = countKmers(
-        std::span<const std::vector<u8>>(reads), 17, base, probe);
-    const auto b = countKmersPrefetch(
-        std::span<const std::vector<u8>>(reads), 17, pref, probe, 8);
+        std::span<const std::vector<u8>>(reads), 17, base, probe, 0);
+    const auto b = countKmers(
+        std::span<const std::vector<u8>>(reads), 17, pref, probe);
     EXPECT_EQ(a.total_kmers, b.total_kmers);
     EXPECT_EQ(a.distinct_kmers, b.distinct_kmers);
     base.forEachEntry([&](u64 kmer, u16 count) {

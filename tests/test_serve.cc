@@ -45,10 +45,9 @@ using serve::Scheduler;
 TEST(ServeJob, ParseLineFull)
 {
     const JobSpec spec = serve::parseJobLine(
-        "fmi size=large engine=simd threads=4 repeats=7");
+        "fmi size=large threads=4 repeats=7");
     EXPECT_EQ(spec.kernel, "fmi");
     EXPECT_EQ(spec.size, DatasetSize::kLarge);
-    EXPECT_EQ(spec.engine, Engine::kSimd);
     EXPECT_EQ(spec.threads, 4u);
     EXPECT_EQ(spec.repeats, 7u);
 }
@@ -58,7 +57,6 @@ TEST(ServeJob, ParseLineDefaults)
     const JobSpec spec = serve::parseJobLine("kmer-cnt");
     EXPECT_EQ(spec.kernel, "kmer-cnt");
     EXPECT_EQ(spec.size, DatasetSize::kTiny);
-    EXPECT_EQ(spec.engine, Engine::kScalar);
     EXPECT_EQ(spec.threads, 1u);
     EXPECT_EQ(spec.repeats, 1u);
 }
@@ -68,10 +66,10 @@ TEST(ServeJob, DescribeIncludesSchedule)
     JobSpec spec = serve::parseJobLine(
         "fmi size=tiny threads=2 repeats=3");
     EXPECT_EQ(spec.describe(),
-              "fmi size=tiny engine=scalar priority=normal t=2 x3");
+              "fmi size=tiny priority=normal t=2 x3");
     spec.priority = serve::Priority::kBatch;
     EXPECT_EQ(spec.describe(),
-              "fmi size=tiny engine=scalar priority=batch t=2 x3");
+              "fmi size=tiny priority=batch t=2 x3");
 }
 
 TEST(ServeJob, ParseLinePriority)
@@ -120,6 +118,24 @@ TEST(ServeJob, ParseLineErrors)
     EXPECT_THROW(serve::parseJobLine("fmi size=medium"), InputError);
 }
 
+TEST(ServeJob, EngineIsAnUnknownKey)
+{
+    // Every kernel has one run path, so a job line cannot pick an
+    // engine; the error names the keys a job line does accept.
+    try {
+        serve::parseJobLine("fmi engine=simd");
+        FAIL() << "expected InputError";
+    } catch (const InputError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("unknown key: engine"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("expected size, threads, repeats or "
+                            "priority"),
+                  std::string::npos)
+            << what;
+    }
+}
+
 TEST(ServeJob, ParseFile)
 {
     const auto path = std::filesystem::temp_directory_path() /
@@ -129,14 +145,14 @@ TEST(ServeJob, ParseFile)
         out << "# genomics job list\n"
                "\n"
                "fmi size=tiny threads=2   # trailing comment\n"
-               "bsw engine=simd\n";
+               "bsw size=small\n";
     }
     const auto specs = serve::parseJobFile(path.string());
     ASSERT_EQ(specs.size(), 2u);
     EXPECT_EQ(specs[0].kernel, "fmi");
     EXPECT_EQ(specs[0].threads, 2u);
     EXPECT_EQ(specs[1].kernel, "bsw");
-    EXPECT_EQ(specs[1].engine, Engine::kSimd);
+    EXPECT_EQ(specs[1].size, DatasetSize::kSmall);
     std::filesystem::remove(path);
 }
 

@@ -2,7 +2,7 @@
  * @file
  * Tests for the gb::store artifact store: container round trips in
  * both reader modes, corruption/truncation/version detection, the
- * FM-index / k-mer-table / dataset serializers, and the build-or-load
+ * FM-index / dataset serializers, and the build-or-load
  * cache (including warm-vs-cold kernel-input identity).
  */
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include "core/benchmark.h"
 #include "index/fm_index.h"
 #include "io/dna.h"
-#include "kmer/kmer_counter.h"
 #include "store/artifacts.h"
 #include "store/cache.h"
 #include "store/container.h"
@@ -349,35 +348,6 @@ TEST(StoreArtifacts, FmIndexLoadDetectsCorruption)
     EXPECT_THROW(store::viewFmIndex(reader), InputError);
     auto stream_reader = StoreReader::open(path, ReadMode::kStream);
     EXPECT_THROW(store::readFmIndex(stream_reader), InputError);
-}
-
-TEST(StoreArtifacts, KmerCounterRoundTrip)
-{
-    ScratchDir scratch;
-    KmerCounter table(10, HashScheme::kRobinHood);
-    Rng rng(55);
-    std::vector<u64> inserted;
-    NullProbe probe;
-    for (int i = 0; i < 600; ++i) {
-        const u64 kmer = rng.below(1u << 20);
-        table.add(kmer, probe);
-        inserted.push_back(kmer);
-    }
-
-    const std::string path = scratch.file("kmer.gbs");
-    {
-        StoreWriter writer(path);
-        store::addKmerCounter(writer, table);
-        writer.finish();
-    }
-    auto reader = StoreReader::open(path);
-    const KmerCounter loaded = store::readKmerCounter(reader);
-    EXPECT_EQ(loaded.capacity(), table.capacity());
-    EXPECT_EQ(loaded.size(), table.size());
-    EXPECT_EQ(loaded.scheme(), table.scheme());
-    for (u64 kmer : inserted) {
-        EXPECT_EQ(loaded.count(kmer), table.count(kmer)) << kmer;
-    }
 }
 
 TEST(StoreArtifacts, RaggedRowsRoundTrip)

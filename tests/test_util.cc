@@ -338,16 +338,6 @@ TEST(ThreadPool, SingleThreadFallback)
     EXPECT_EQ(sum, 4950u);
 }
 
-TEST(ThreadPool, RankedBodySeesValidRanks)
-{
-    ThreadPool pool(4);
-    std::atomic<int> bad{0};
-    pool.parallelForRanked(500, [&](u64, unsigned rank) {
-        if (rank >= 4) bad.fetch_add(1);
-    });
-    EXPECT_EQ(bad.load(), 0);
-}
-
 TEST(ThreadPool, PropagatesException)
 {
     ThreadPool pool(4);
@@ -391,7 +381,7 @@ TEST(ThreadPool, TelemetryConsistency)
     const u64 n = 1000;
     const u64 grain = 7;
     pool.resetTelemetry();
-    pool.parallelForRanked(n, [](u64, unsigned) {}, grain);
+    pool.parallelFor(n, [](u64) {}, grain);
     const auto ranks = pool.telemetry();
     ASSERT_EQ(ranks.size(), 4u);
     u64 chunks = 0;

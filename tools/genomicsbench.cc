@@ -5,7 +5,7 @@
  *   genomicsbench list
  *   genomicsbench info <kernel>
  *   genomicsbench run <kernel> [--size=S] [--threads=N] [--repeat=R]
- *                    [--engine=E] [--cache-dir=DIR] [--json=FILE]
+ *                    [--cache-dir=DIR] [--json=FILE]
  *   genomicsbench characterize <kernel> [--size=S] [--cache-dir=DIR]
  *                    [--json=FILE]
  *   genomicsbench store build [--cache-dir=DIR] [--size=S]
@@ -21,10 +21,10 @@
  * Each subcommand accepts only the flags listed on its line (plus
  * --trace for run and serve); any other flag exits 2.
  *
- * `run` times the kernel (wall clock, tasks/s) and prints the engine
- * and SIMD dispatch level it ran at; --engine only changes kmer-cnt,
- * and GB_SIMD_LEVEL=scalar alone gives every kernel's scalar baseline
- * (an unknown GB_SIMD_LEVEL exits 2). `characterize` prints
+ * `run` times the kernel (wall clock, tasks/s) and prints the SIMD
+ * dispatch level it ran at; every kernel has one run path, and
+ * GB_SIMD_LEVEL=scalar gives its scalar baseline (an unknown
+ * GB_SIMD_LEVEL exits 2). `characterize` prints
  * the operation mix, cache behaviour and top-down attribution for one
  * kernel — the per-kernel view of what the bench_* binaries sweep.
  * The `store` subcommands manage the gb::store artifact cache that
@@ -116,7 +116,7 @@ usage()
            "  genomicsbench list\n"
            "  genomicsbench info <kernel>\n"
            "  genomicsbench run <kernel> [--size=tiny|small|large]"
-           " [--threads=N] [--repeat=R] [--engine=scalar|simd]"
+           " [--threads=N] [--repeat=R]"
            " [--cache-dir=DIR] [--json=FILE]\n"
            "  genomicsbench characterize <kernel>"
            " [--size=tiny|small|large] [--cache-dir=DIR]"
@@ -132,8 +132,7 @@ usage()
            "  genomicsbench client --connect=HOST:PORT --jobs=FILE"
            " [--wait-timeout=S] [--drain]\n"
            "(run also accepts --trace=FILE; see docs/tracing.md)\n"
-           "--engine=simd selects kmer-cnt's prefetch path; the"
-           " scalar/SIMD switch of every other kernel is"
+           "the scalar/SIMD switch of every kernel is"
            " GB_SIMD_LEVEL=scalar|sse4|avx2\n";
     return 2;
 }
@@ -175,12 +174,10 @@ cmdInfo(const std::string& name)
 
 int
 cmdRun(const std::string& name, DatasetSize size, unsigned threads,
-       unsigned repeat, Engine engine)
+       unsigned repeat)
 {
     auto kernel = createKernel(name);
-    kernel->setEngine(engine);
-    std::cout << name << ": engine " << engineName(engine)
-              << ", simd level "
+    std::cout << name << ": simd level "
               << simd::simdLevelName(simd::activeSimdLevel()) << '\n';
     Measurement m;
     measurePrepare(*kernel, size, m);
@@ -427,9 +424,8 @@ reportServeJobs(
     Table table("Serve results (" + std::to_string(jobs.size()) +
                 " jobs, " + std::to_string(scheduler.workers()) +
                 " workers)");
-    table.setHeader({"job", "kernel", "size", "engine", "prio", "t",
-                     "status", "queue s", "prep s", "run s",
-                     "tasks/s"});
+    table.setHeader({"job", "kernel", "size", "prio", "t", "status",
+                     "queue s", "prep s", "run s", "tasks/s"});
     bool any_bad = false;
     for (const auto& [id, handle] : jobs) {
         const auto status = handle.status();
@@ -443,7 +439,6 @@ reportServeJobs(
             .cell(std::to_string(id))
             .cell(spec.kernel)
             .cell(datasetSizeName(spec.size))
-            .cell(engineName(spec.engine))
             .cell(serve::priorityName(spec.priority))
             .cell(std::to_string(m.pool_threads ? m.pool_threads
                                                 : spec.threads))
@@ -456,7 +451,6 @@ reportServeJobs(
             .count("job", id)
             .str("kernel", spec.kernel)
             .str("size", datasetSizeName(spec.size))
-            .str("engine", engineName(spec.engine))
             .str("priority", serve::priorityName(spec.priority))
             .count("threads", m.pool_threads ? m.pool_threads
                                              : spec.threads)
@@ -643,8 +637,8 @@ cmdClient(const std::string& connect_spec,
 
 /** Flags the parser in main() accepts (name only, sans value). */
 const std::vector<std::string> kFlags = {
-    "--size", "--threads", "--repeat", "--engine", "--cache-dir",
-    "--json", "--trace", "--jobs", "--listen", "--connect", "--drain",
+    "--size", "--threads", "--repeat", "--cache-dir", "--json",
+    "--trace", "--jobs", "--listen", "--connect", "--drain",
     "--wait-timeout", "--workers", "--queue-depth", "--kernels"};
 
 /**
@@ -657,8 +651,8 @@ commandFlags(const std::string& command)
     static const std::map<std::string, std::vector<std::string>> kByCommand =
         {{"info", {}},
          {"run",
-          {"--size", "--threads", "--repeat", "--engine", "--cache-dir",
-           "--json", "--trace"}},
+          {"--size", "--threads", "--repeat", "--cache-dir", "--json",
+           "--trace"}},
          {"characterize", {"--size", "--cache-dir", "--json"}},
          {"store build", {"--cache-dir", "--size", "--kernels"}},
          {"store inspect", {}},
@@ -695,7 +689,6 @@ main(int argc, char** argv)
         DatasetSize size = DatasetSize::kSmall;
         unsigned threads = 0;
         unsigned repeat = 3;
-        Engine engine = Engine::kScalar;
         std::string json_path;
         std::string trace_path;
         std::string jobs_path;
@@ -737,8 +730,6 @@ main(int argc, char** argv)
                                         kMaxThreads);
             } else if (arg.rfind("--repeat=", 0) == 0) {
                 repeat = parseUnsigned("--repeat", arg.substr(9), 1);
-            } else if (arg.rfind("--engine=", 0) == 0) {
-                engine = parseEngine(arg.substr(9));
             } else if (arg.rfind("--cache-dir=", 0) == 0) {
                 const std::string dir = arg.substr(12);
                 requireInput(!dir.empty(),
@@ -793,7 +784,6 @@ main(int argc, char** argv)
             meta.paper_ref = "genomicsbench CLI";
             meta.size = datasetSizeName(size);
             meta.threads = threads;
-            meta.engine = engineName(engine);
             meta.simd_level =
                 simd::simdLevelName(simd::activeSimdLevel());
             g_sink.open(json_path, std::move(meta));
@@ -848,7 +838,7 @@ main(int argc, char** argv)
         if (command == "info") return cmdInfo(kernel);
         if (command == "run") {
             return runTraced(trace_path, [&] {
-                return cmdRun(kernel, size, threads, repeat, engine);
+                return cmdRun(kernel, size, threads, repeat);
             });
         }
         if (command == "characterize") {
