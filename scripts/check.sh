@@ -187,6 +187,16 @@ trap 'rm -rf "$CACHE"' EXIT
 "$GB" store build --cache-dir="$CACHE" --size=tiny
 "$GB" store verify --cache-dir="$CACHE"
 
+# The tiny fmi artifact (FM-index + reads) is pinned byte for byte, so
+# a faster index build cannot silently change what the cache stores.
+# A deliberate format change updates this hash together with the
+# "fmi/v1" cache key in src/core/kernel_fmi.cc.
+FMI_TINY_SHA256=8fdb48c55214fecb9218ae92144a468ee45957e546e30b482bbe5e3d42e30798
+echo "$FMI_TINY_SHA256  $CACHE/fmi-cfec5fe2b2da7634.gbs" | sha256sum -c - || {
+    echo "FAIL: tiny fmi store artifact changed bytes" >&2
+    exit 1
+}
+
 # Warm run must hit the cache for every cached kernel.
 "$GB" run fmi --size=tiny --cache-dir="$CACHE" | tee /tmp/gb_warm.txt
 grep -q "1 hit" /tmp/gb_warm.txt || {

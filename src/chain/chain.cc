@@ -1,6 +1,8 @@
 #include "chain/chain.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 
 #include "kmer/kmer_counter.h"
 #include "simd/chain_engine.h"
@@ -31,76 +33,67 @@ extractMinimizers(std::span<const u8> codes, const MinimizerParams& p)
     requireInput(p.k >= 4 && p.k <= 28, "minimizer k must be in [4,28]");
     requireInput(p.w >= 1 && p.w <= 256, "minimizer w must be in [1,256]");
     std::vector<Minimizer> out;
-    if (codes.size() < p.k) return out;
+    if (codes.size() < p.k || codes.size() - p.k + 1 < p.w) return out;
 
     const u64 mask = (u64{1} << (2 * p.k)) - 1;
+    // Hashes fit in 2k <= 56 bits, so an all-ones hash marks a k-mer
+    // that cannot win (ambiguous base or strand-ambiguous).
+    constexpr u64 kNone = ~u64{0};
 
-    // Per-position hashed k-mers (strand-resolved), then window minima.
-    struct Cand
-    {
-        u64 hash = ~u64{0};
-        u32 pos = 0;
-        bool rev = false;
-        bool valid = false;
-    };
-    const u64 num_kmers = codes.size() - p.k + 1;
-    std::vector<Cand> cands(num_kmers);
+    // The last w k-mers (strand-resolved hashes) in a ring buffer, and
+    // the window minimum with its k-mer index. A new k-mer replaces the
+    // minimum only if strictly smaller, so among equal hashes the
+    // earliest wins; the window is rescanned, oldest first, only when
+    // the minimum leaves it.
+    std::array<Minimizer, 256> ring;
+    ring.fill({kNone, 0, false});
+    Minimizer best{kNone, 0, false};
+    u64 best_kmer = 0;
+    u32 slot = 0; // ring slot of the current k-mer
 
+    out.reserve(2 * codes.size() / (p.w + 1) + 16);
     u64 fwd = 0;
     u64 rev = 0;
     u32 filled = 0;
     for (u64 i = 0; i < codes.size(); ++i) {
         const u8 c = codes[i];
-        if (c >= 4) {
+        Minimizer cand{kNone, static_cast<u32>(i), false}; // last base
+        if (c < 4) {
+            fwd = ((fwd << 2) | c) & mask;
+            rev = (rev >> 2) |
+                  (static_cast<u64>(3 - c) << (2 * (p.k - 1)));
+            // Strand-ambiguous k-mers (fwd == rev) are skipped, as in
+            // minimap2.
+            if (++filled >= p.k && fwd != rev) {
+                cand.rev = rev < fwd;
+                cand.hash = hash64(cand.rev ? rev : fwd, mask);
+            }
+        } else {
             filled = 0;
             fwd = rev = 0;
-            continue;
         }
-        fwd = ((fwd << 2) | c) & mask;
-        rev = (rev >> 2) |
-              (static_cast<u64>(3 - c) << (2 * (p.k - 1)));
-        if (++filled < p.k) continue;
-        const u64 kpos = i + 1 - p.k;
-        if (fwd == rev) continue; // strand-ambiguous, skip (minimap2)
-        Cand& cand = cands[kpos];
-        cand.rev = rev < fwd;
-        cand.hash = hash64(cand.rev ? rev : fwd, mask);
-        cand.pos = static_cast<u32>(i); // last base of k-mer
-        cand.valid = true;
-    }
-
-    // Window minima over w consecutive k-mer starts, computed with a
-    // monotonic deque in O(n) instead of rescanning each window
-    // (O(n*w)). The deque holds candidate indices with increasing
-    // hash front-to-back; the front is the window minimum. Pops on
-    // push are strict (hash > new), so among equal hashes the
-    // earliest position stays in front — the same winner the rescan's
-    // first-strictly-smaller rule picks.
-    if (num_kmers < p.w) return out;
-    std::vector<u64> deque;
-    deque.reserve(p.w + 1);
-    size_t head = 0;
-    for (u64 j = 0; j < num_kmers; ++j) {
-        if (cands[j].valid) {
-            while (deque.size() > head &&
-                   cands[deque.back()].hash > cands[j].hash) {
-                deque.pop_back();
+        if (i + 1 < p.k) continue;
+        const u64 kmer = i + 1 - p.k;
+        ring[slot] = cand;
+        if (cand.hash < best.hash) {
+            best = cand;
+            best_kmer = kmer;
+        } else if (best.hash != kNone && best_kmer + p.w <= kmer) {
+            best.hash = kNone;
+            for (u32 d = 1; d <= p.w; ++d) {
+                const u32 at = slot + d < p.w ? slot + d : slot + d - p.w;
+                if (ring[at].hash < best.hash) {
+                    best = ring[at];
+                    best_kmer = kmer + d - p.w;
+                }
             }
-            if (head > 0 && deque.size() == head) {
-                // Deque drained: recycle the storage.
-                deque.clear();
-                head = 0;
-            }
-            deque.push_back(j);
         }
-        if (j + 1 < p.w) continue;
-        const u64 win = j + 1 - p.w; // window covers starts [win, j]
-        while (deque.size() > head && deque[head] < win) ++head;
-        if (deque.size() == head) continue;
-        const Cand& best = cands[deque[head]];
+        if (++slot == p.w) slot = 0;
+        // Window over k-mers [kmer - w + 1, kmer] is complete.
+        if (kmer + 1 < p.w || best.hash == kNone) continue;
         if (out.empty() || out.back().pos != best.pos ||
             out.back().hash != best.hash) {
-            out.push_back({best.hash, best.pos, best.rev});
+            out.push_back(best);
         }
     }
     return out;
@@ -110,36 +103,43 @@ std::vector<Anchor>
 matchAnchors(std::span<const Minimizer> target,
              std::span<const Minimizer> query, u32 span)
 {
-    // Sort-based hash join: one flat copy of the target minimizers
-    // sorted by hash, probed with binary-search ranges per query
-    // minimizer. Replaces the per-call unordered_multimap, which cost
-    // one node allocation per target minimizer and stored raw
-    // pointers into the caller's span; the anchors built here own all
-    // their data (plain coordinates), so they stay valid after the
-    // input minimizer vectors reallocate or die.
-    std::vector<Minimizer> sites(target.begin(), target.end());
-    std::sort(sites.begin(), sites.end(),
-              [](const Minimizer& a, const Minimizer& b) {
-                  return a.hash < b.hash;
-              });
+    requireInput(target.size() < (u64{1} << 31),
+                 "matchAnchors: too many target minimizers");
+    // Hash join: an open-addressing table (load <= 1/2, linear
+    // probing) of target indices, keyed by the low bits of the already
+    // mixed hash; equal hashes sit in one probe run. Each query
+    // minimizer walks its run. The anchors own plain coordinates, so
+    // they stay valid after the input minimizer vectors reallocate or
+    // die. Each match is packed as (tpos << 32 | qpos), so one integer
+    // sort + unique gives the (tpos, qpos) order the chaining DP
+    // requires.
+    const u64 slot_mask = (u64{2} << std::bit_width(target.size())) - 1;
+    std::vector<u32> table(slot_mask + 1, 0); // target index + 1; 0 = empty
+    for (u32 i = 0; i < target.size(); ++i) {
+        u64 slot = target[i].hash & slot_mask;
+        while (table[slot] != 0) slot = (slot + 1) & slot_mask;
+        table[slot] = i + 1;
+    }
 
-    std::vector<Anchor> anchors;
+    std::vector<u64> keys;
     for (const auto& q : query) {
-        auto lo = std::lower_bound(
-            sites.begin(), sites.end(), q.hash,
-            [](const Minimizer& m, u64 h) { return m.hash < h; });
-        for (; lo != sites.end() && lo->hash == q.hash; ++lo) {
-            if (lo->rev != q.rev) continue; // same relative strand
-            anchors.push_back({lo->pos, q.pos, span});
+        for (u64 slot = q.hash & slot_mask; table[slot] != 0;
+             slot = (slot + 1) & slot_mask) {
+            const Minimizer& t = target[table[slot] - 1];
+            // Same hash, same relative strand.
+            if (t.hash == q.hash && t.rev == q.rev) {
+                keys.push_back(u64{t.pos} << 32 | q.pos);
+            }
         }
     }
-    std::sort(anchors.begin(), anchors.end(),
-              [](const Anchor& a, const Anchor& b) {
-                  return a.tpos < b.tpos ||
-                         (a.tpos == b.tpos && a.qpos < b.qpos);
-              });
-    anchors.erase(std::unique(anchors.begin(), anchors.end()),
-                  anchors.end());
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+
+    std::vector<Anchor> anchors(keys.size());
+    for (size_t i = 0; i < keys.size(); ++i) {
+        anchors[i] = {static_cast<u32>(keys[i] >> 32),
+                      static_cast<u32>(keys[i]), span};
+    }
     return anchors;
 }
 

@@ -6,6 +6,9 @@
  */
 #include "core/kernels.h"
 
+#include <string_view>
+#include <vector>
+
 #include "chain/chain.h"
 #include "io/dna.h"
 #include "poa/poa.h"
@@ -67,18 +70,26 @@ class ChainKernel final : public Benchmark
                 rng.below(genome.seq.size() - 2 * len);
             const u64 b_pos = a_pos + (len - overlap);
 
+            // A noisy copy of genome[pos, pos + l), encoded directly:
+            // 4% deletions, 4% insertions, 3% substitutions.
             auto noisy = [&](u64 pos, u64 l) {
-                std::string s = genome.seq.substr(pos, l);
-                std::string out;
-                for (char c : s) {
+                const std::string_view src =
+                    std::string_view(genome.seq).substr(pos, l);
+                std::vector<u8> out;
+                out.reserve(l + l / 8);
+                for (char c : src) {
                     if (rng.chance(0.04)) continue;
-                    if (rng.chance(0.04)) out += "ACGT"[rng.below(4)];
-                    out += rng.chance(0.03) ? "ACGT"[rng.below(4)] : c;
+                    if (rng.chance(0.04)) {
+                        out.push_back(static_cast<u8>(rng.below(4)));
+                    }
+                    out.push_back(rng.chance(0.03)
+                                      ? static_cast<u8>(rng.below(4))
+                                      : baseCode(c));
                 }
                 return out;
             };
-            const auto a = encodeDna(noisy(a_pos, len));
-            const auto b = encodeDna(noisy(b_pos, len));
+            const auto a = noisy(a_pos, len);
+            const auto b = noisy(b_pos, len);
             const auto ma = extractMinimizers(a, mp);
             const auto mb = extractMinimizers(b, mp);
             anchor_sets_.push_back(matchAnchors(ma, mb, mp.k));

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <istream>
 #include <ostream>
+#include <utility>
 
 #include "io/dna.h"
 #include "index/suffix_array.h"
@@ -79,21 +80,22 @@ FmIndex::build(std::string_view reference, u32 block_len)
     text[fm.ref_len_] = kSeparator;
     text[fm.n_ - 1] = kSentinel;
 
-    const std::vector<u32> sa = buildSuffixArray(text, kAlphabet);
-    const std::vector<u8> bwt = bwtFromSuffixArray(text, sa);
+    std::vector<u32> sa = buildSuffixArray(text);
+    fm.bwt_own_ = bwtFromSuffixArray(text, sa);
+    text = {};
 
     // Cumulative counts.
     std::array<u64, kAlphabet> totals{};
-    for (u8 s : bwt) ++totals[s];
+    for (u8 s : fm.bwt_own_) ++totals[s];
     fm.c_[0] = 0;
     for (u32 c = 0; c < kAlphabet; ++c) {
         fm.c_[c + 1] = fm.c_[c] + totals[c];
     }
 
-    // Checkpoint counts every block_len symbols + the raw BWT.
+    // Checkpoint counts every block_len symbols + the raw BWT, padded
+    // with sentinels to whole blocks.
     const u64 num_blocks = ceilDiv<u64>(fm.n_, block_len) + 1;
     fm.counts_own_.assign(num_blocks * kAlphabet, 0);
-    fm.bwt_own_ = bwt;
     fm.bwt_own_.resize(num_blocks * block_len, kSentinel);
     std::array<u32, kAlphabet> running{};
     for (u64 b = 0; b < num_blocks; ++b) {
@@ -102,15 +104,16 @@ FmIndex::build(std::string_view reference, u32 block_len)
         }
         for (u32 j = 0; j < block_len; ++j) {
             const u64 pos = b * block_len + j;
-            if (pos < fm.n_) ++running[bwt[pos]];
+            if (pos < fm.n_) ++running[fm.bwt_own_[pos]];
         }
     }
 
-    // Position-sampled SA: pos_of_row_[row] = SA[row] when sampled.
-    fm.sa_own_.assign(fm.n_, kUnsampled);
-    for (u64 row = 0; row < fm.n_; ++row) {
-        if (sa[row] % kSaSampleRate == 0) fm.sa_own_[row] = sa[row];
+    // Position-sampled SA, in the SA's own storage: pos_of_row_[row]
+    // = SA[row] when sampled.
+    for (u32& pos : sa) {
+        if (pos % kSaSampleRate != 0) pos = kUnsampled;
     }
+    fm.sa_own_ = std::move(sa);
     fm.rebindOwned();
     return fm;
 }

@@ -12,6 +12,7 @@
 
 #include "chain/chain.h"
 #include "chain/mapper.h"
+#include "core/benchmark.h"
 #include "io/dna.h"
 #include "simd/chain_engine.h"
 #include "simd/simd.h"
@@ -304,8 +305,8 @@ oracleHash64(u64 key, u64 mask)
 }
 
 /**
- * Reference minimizer extraction with the pre-deque O(n*w) window
- * rescan: every window picks its first strictly-smallest hash.
+ * Reference minimizer extraction by a full O(n*w) rescan of every
+ * window: each window picks its first strictly-smallest hash.
  */
 std::vector<Minimizer>
 naiveMinimizers(std::span<const u8> codes, const MinimizerParams& p)
@@ -402,7 +403,35 @@ dnaWithAmbiguity(Rng& rng, u64 len)
     return s;
 }
 
-TEST(Minimizers, DequeMatchesNaiveRescanOracle)
+/** `unit` repeated to `len` bases, with a few point substitutions. */
+std::string
+tandemRepeat(Rng& rng, const std::string& unit, u64 len, u32 mutations)
+{
+    std::string s;
+    while (s.size() < len) s += unit;
+    s.resize(len);
+    for (u32 m = 0; m < mutations && len > 0; ++m) {
+        s[rng.below(len)] = "ACGT"[rng.below(4)];
+    }
+    return s;
+}
+
+void
+expectMatchesRescanOracle(std::span<const u8> codes,
+                          const MinimizerParams& p)
+{
+    const auto fast = extractMinimizers(codes, p);
+    const auto naive = naiveMinimizers(codes, p);
+    ASSERT_EQ(fast.size(), naive.size())
+        << "k=" << p.k << " w=" << p.w << " len=" << codes.size();
+    for (size_t i = 0; i < fast.size(); ++i) {
+        EXPECT_EQ(fast[i].hash, naive[i].hash);
+        EXPECT_EQ(fast[i].pos, naive[i].pos);
+        EXPECT_EQ(fast[i].rev, naive[i].rev);
+    }
+}
+
+TEST(Minimizers, RingBufferMatchesNaiveRescanOracle)
 {
     Rng rng(71);
     for (int rep = 0; rep < 60; ++rep) {
@@ -410,20 +439,46 @@ TEST(Minimizers, DequeMatchesNaiveRescanOracle)
         p.k = 4 + static_cast<u32>(rng.below(14));
         p.w = 1 + static_cast<u32>(rng.below(24));
         const u64 len = rng.below(3000);
-        const auto codes = encodeDna(dnaWithAmbiguity(rng, len));
-        const auto fast = extractMinimizers(codes, p);
-        const auto naive = naiveMinimizers(codes, p);
-        ASSERT_EQ(fast.size(), naive.size())
-            << "k=" << p.k << " w=" << p.w << " len=" << len;
-        for (size_t i = 0; i < fast.size(); ++i) {
-            EXPECT_EQ(fast[i].hash, naive[i].hash);
-            EXPECT_EQ(fast[i].pos, naive[i].pos);
-            EXPECT_EQ(fast[i].rev, naive[i].rev);
+        expectMatchesRescanOracle(
+            encodeDna(dnaWithAmbiguity(rng, len)), p);
+    }
+    // Windows up to the 256 limit, and their edges.
+    for (u32 w : {1u, 2u, 63u, 64u, 100u, 255u, 256u}) {
+        MinimizerParams p;
+        p.w = w;
+        p.k = 4 + static_cast<u32>(rng.below(25));
+        for (u64 len : {u64{p.k + w - 2}, u64{p.k + w - 1},
+                        u64{p.k + w}, 3000 + rng.below(3000)}) {
+            expectMatchesRescanOracle(
+                encodeDna(dnaWithAmbiguity(rng, len)), p);
+        }
+    }
+    // Homopolymers and tandem repeats tie hashes across whole windows
+    // (the earliest tied k-mer must win), and periodic k-mers can be
+    // their own reverse complement (skipped).
+    const std::vector<std::string> units{"A", "C", "AT", "CG", "ACG",
+                                         "ACGT", "AACCGGTT",
+                                         "TTAGGG", "GATTACA"};
+    for (const auto& unit : units) {
+        for (u32 w : {1u, 5u, 10u, 37u, 256u}) {
+            MinimizerParams p;
+            p.w = w;
+            p.k = 4 + static_cast<u32>(rng.below(25));
+            const u64 len = 500 + rng.below(2500);
+            expectMatchesRescanOracle(
+                encodeDna(tandemRepeat(rng, unit, len, 0)), p);
+            expectMatchesRescanOracle(
+                encodeDna(tandemRepeat(rng, unit, len, 6)), p);
+            // A repeat flanked by random sequence and an N run.
+            const std::string mixed = randomDna(rng, 300) +
+                                      tandemRepeat(rng, unit, len, 2) +
+                                      "NNNNN" + randomDna(rng, 300);
+            expectMatchesRescanOracle(encodeDna(mixed), p);
         }
     }
 }
 
-TEST(Anchors, SortJoinMatchesMultimapOracle)
+TEST(Anchors, HashJoinMatchesMultimapOracle)
 {
     Rng rng(72);
     for (int rep = 0; rep < 40; ++rep) {
@@ -439,6 +494,47 @@ TEST(Anchors, SortJoinMatchesMultimapOracle)
         EXPECT_EQ(matchAnchors(ma, mb, 15),
                   multimapAnchors(ma, mb, 15));
     }
+    // Repeat-rich reads: the same minimizer hash recurs many times on
+    // both sides, so the join is many-to-many.
+    for (int rep = 0; rep < 20; ++rep) {
+        const std::string unit = randomDna(rng, 20 + rng.below(60));
+        const std::string a = randomDna(rng, 200) +
+                              tandemRepeat(rng, unit, 2000, 8) +
+                              randomDna(rng, 200);
+        const std::string b = tandemRepeat(rng, unit, 1500, 8) +
+                              randomDna(rng, 100) +
+                              tandemRepeat(rng, unit, 800, 4);
+        MinimizerParams p;
+        p.k = 11 + static_cast<u32>(rng.below(8));
+        p.w = 1 + static_cast<u32>(rng.below(12));
+        const auto ma = extractMinimizers(encodeDna(a), p);
+        const auto mb = extractMinimizers(encodeDna(b), p);
+        const auto anchors = matchAnchors(ma, mb, p.k);
+        EXPECT_EQ(anchors, multimapAnchors(ma, mb, p.k));
+        EXPECT_GT(anchors.size(), ma.size()) << "not many-to-many";
+        // Against a's reverse complement each shared k-mer comes back
+        // on the opposite strand (these reads hold no inverted
+        // repeats), so the strand filter must drop every hash hit.
+        const auto mrc =
+            extractMinimizers(encodeDna(reverseComplement(a)), p);
+        EXPECT_EQ(matchAnchors(ma, mrc, p.k),
+                  multimapAnchors(ma, mrc, p.k));
+        EXPECT_TRUE(matchAnchors(ma, mrc, p.k).empty());
+    }
+    EXPECT_TRUE(matchAnchors({}, {}, 15).empty());
+}
+
+TEST(ChainKernel, TinyAnchorCountsArePinned)
+{
+    // prepare() synthesises noisy read pairs from one seeded RNG
+    // stream and joins their minimizers. Any change to the draw order,
+    // the sketch or the join moves these per-pair anchor counts.
+    auto kernel = createKernel("chain");
+    kernel->prepare(DatasetSize::kTiny);
+    const std::vector<u64> expected{34, 53, 61, 28, 43, 22, 24,
+                                    15, 59, 32, 44, 27, 26, 28,
+                                    45, 23, 96, 64, 40, 86};
+    EXPECT_EQ(kernel->taskWork(), expected);
 }
 
 TEST(Anchors, SurviveSourceMinimizerReallocationAndDeath)
