@@ -9,7 +9,8 @@
 # scripts/validate_metrics.py, which must also reject malformed
 # documents), the fmi-occ and kmer-prefetch ablation benches
 # (self-verifying), an end-to-end
-# artifact-cache smoke test (store build -> store verify -> warm run +
+# artifact-cache smoke test (store build -> store verify -> store
+# inspect of the fmi artifact and of an empty file -> warm run +
 # corruption check), a dispatch-level smoke (bsw, phmm, fmi, chain and
 # spoa report the same task counts under GB_SIMD_LEVEL=scalar and the
 # default level, at 1 and 4 threads), a kmer-cnt thread smoke (the
@@ -196,6 +197,27 @@ echo "$FMI_TINY_SHA256  $CACHE/fmi-cfec5fe2b2da7634.gbs" | sha256sum -c - || {
     echo "FAIL: tiny fmi store artifact changed bytes" >&2
     exit 1
 }
+
+# `store inspect` maps the container and lists its TOC: the fmi
+# artifact holds the index and the encoded reads. An empty file has no
+# header and must be reported as truncated with a non-zero exit.
+"$GB" store inspect "$CACHE/fmi-cfec5fe2b2da7634.gbs" >/tmp/gb_inspect.txt
+for section in fm.meta fm.counts fm.bwt fm.sa reads.blob reads.offsets; do
+    grep -qwF "$section" /tmp/gb_inspect.txt || {
+        echo "FAIL: store inspect does not list section $section" >&2
+        exit 1
+    }
+done
+: >"$CACHE/empty.gbs"
+if "$GB" store inspect "$CACHE/empty.gbs" >/tmp/gb_inspect.txt 2>&1; then
+    echo "FAIL: store inspect accepted an empty file" >&2
+    exit 1
+fi
+grep -q "truncated" /tmp/gb_inspect.txt || {
+    echo "FAIL: store inspect did not report the empty file as truncated" >&2
+    exit 1
+}
+rm -f "$CACHE/empty.gbs" /tmp/gb_inspect.txt
 
 # Warm run must hit the cache for every cached kernel.
 "$GB" run fmi --size=tiny --cache-dir="$CACHE" | tee /tmp/gb_warm.txt

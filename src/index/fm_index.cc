@@ -1,58 +1,12 @@
 #include "index/fm_index.h"
 
 #include <algorithm>
-#include <istream>
-#include <ostream>
 #include <utility>
 
 #include "io/dna.h"
 #include "index/suffix_array.h"
 
 namespace gb {
-
-namespace {
-
-constexpr u32 kFmMagic = 0x4742464du; // "GBFM"
-constexpr u32 kFmVersion = 1;
-
-template <typename T>
-void
-writePod(std::ostream& out, const T& value)
-{
-    out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-void
-readPod(std::istream& in, T& value)
-{
-    in.read(reinterpret_cast<char*>(&value), sizeof(T));
-    requireInput(static_cast<bool>(in), "FM-index load: truncated");
-}
-
-template <typename T>
-void
-writeVec(std::ostream& out, std::span<const T> vec)
-{
-    writePod(out, static_cast<u64>(vec.size()));
-    out.write(reinterpret_cast<const char*>(vec.data()),
-              static_cast<std::streamsize>(vec.size() * sizeof(T)));
-}
-
-template <typename T>
-void
-readVec(std::istream& in, std::vector<T>& vec, u64 max_elems)
-{
-    u64 n = 0;
-    readPod(in, n);
-    requireInput(n <= max_elems, "FM-index load: implausible size");
-    vec.resize(n);
-    in.read(reinterpret_cast<char*>(vec.data()),
-            static_cast<std::streamsize>(n * sizeof(T)));
-    requireInput(static_cast<bool>(in), "FM-index load: truncated");
-}
-
-} // namespace
 
 FmIndex
 FmIndex::build(std::string_view reference, u32 block_len)
@@ -114,45 +68,16 @@ FmIndex::build(std::string_view reference, u32 block_len)
         if (pos % kSaSampleRate != 0) pos = kUnsampled;
     }
     fm.sa_own_ = std::move(sa);
-    fm.rebindOwned();
+    fm.counts_ = fm.counts_own_;
+    fm.bwt_ = fm.bwt_own_;
+    fm.sa_samples_ = fm.sa_own_;
     return fm;
 }
 
-FmIndex&
-FmIndex::operator=(const FmIndex& other)
-{
-    if (this == &other) return *this;
-    ref_len_ = other.ref_len_;
-    n_ = other.n_;
-    block_len_ = other.block_len_;
-    c_ = other.c_;
-    counts_own_ = other.counts_own_;
-    bwt_own_ = other.bwt_own_;
-    sa_own_ = other.sa_own_;
-    backing_ = other.backing_;
-    if (backing_) {
-        // Views share the external backing; spans stay valid.
-        counts_ = other.counts_;
-        bwt_ = other.bwt_;
-        sa_samples_ = other.sa_samples_;
-    } else {
-        rebindOwned();
-    }
-    return *this;
-}
-
 void
-FmIndex::rebindOwned()
-{
-    counts_ = counts_own_;
-    bwt_ = bwt_own_;
-    sa_samples_ = sa_own_;
-    backing_.reset();
-}
-
-void
-FmIndex::checkParts(u64 ref_len, u64 n, u32 block_len, u64 counts_size,
-                    u64 bwt_size, u64 sa_size)
+FmIndex::checkParts(u64 ref_len, u64 n, u32 block_len,
+                    const std::array<u64, kAlphabet + 1>& c,
+                    u64 counts_size, u64 bwt_size, u64 sa_size)
 {
     requireInput(n == 2 * ref_len + 2 && block_len >= 8 &&
                      block_len <= 4096,
@@ -162,26 +87,11 @@ FmIndex::checkParts(u64 ref_len, u64 n, u32 block_len, u64 counts_size,
                      bwt_size == num_blocks * block_len &&
                      sa_size == n,
                  "FM-index: inconsistent payload");
-}
-
-FmIndex
-FmIndex::fromParts(u64 ref_len, u32 block_len,
-                   const std::array<u64, kAlphabet + 1>& c,
-                   std::vector<u32> counts, std::vector<u8> bwt,
-                   std::vector<u32> sa_samples)
-{
-    checkParts(ref_len, 2 * ref_len + 2, block_len, counts.size(),
-               bwt.size(), sa_samples.size());
-    FmIndex fm;
-    fm.ref_len_ = ref_len;
-    fm.n_ = 2 * ref_len + 2;
-    fm.block_len_ = block_len;
-    fm.c_ = c;
-    fm.counts_own_ = std::move(counts);
-    fm.bwt_own_ = std::move(bwt);
-    fm.sa_own_ = std::move(sa_samples);
-    fm.rebindOwned();
-    return fm;
+    // baseInterval() and the extension steps index by c[], so c must
+    // be a cumulative count over exactly the n BWT symbols.
+    requireInput(c[0] == 0 && std::is_sorted(c.begin(), c.end()) &&
+                     c[kAlphabet] == n,
+                 "FM-index: inconsistent cumulative counts");
 }
 
 FmIndex
@@ -191,7 +101,7 @@ FmIndex::fromViews(u64 ref_len, u32 block_len,
                    std::span<const u32> sa_samples,
                    std::shared_ptr<const void> backing)
 {
-    checkParts(ref_len, 2 * ref_len + 2, block_len, counts.size(),
+    checkParts(ref_len, 2 * ref_len + 2, block_len, c, counts.size(),
                bwt.size(), sa_samples.size());
     FmIndex fm;
     fm.ref_len_ = ref_len;
@@ -244,48 +154,6 @@ FmIndex::count(std::string_view pattern) const
         ik = ok[codes[i]];
     }
     return ik.s;
-}
-
-void
-FmIndex::save(std::ostream& out) const
-{
-    writePod(out, kFmMagic);
-    writePod(out, kFmVersion);
-    writePod(out, ref_len_);
-    writePod(out, n_);
-    writePod(out, block_len_);
-    for (u64 c : c_) writePod(out, c);
-    writeVec(out, counts_);
-    writeVec(out, bwt_);
-    writeVec(out, sa_samples_);
-}
-
-FmIndex
-FmIndex::load(std::istream& in)
-{
-    u32 magic = 0;
-    u32 version = 0;
-    readPod(in, magic);
-    readPod(in, version);
-    requireInput(magic == kFmMagic, "FM-index load: bad magic");
-    requireInput(version == kFmVersion,
-                 "FM-index load: unsupported version");
-    FmIndex fm;
-    readPod(in, fm.ref_len_);
-    readPod(in, fm.n_);
-    readPod(in, fm.block_len_);
-    requireInput(fm.n_ == 2 * fm.ref_len_ + 2 && fm.block_len_ >= 8,
-                 "FM-index load: inconsistent header");
-    for (u64& c : fm.c_) readPod(in, c);
-    const u64 cap = 64 * (fm.n_ + 4096);
-    readVec(in, fm.counts_own_, cap);
-    readVec(in, fm.bwt_own_, cap);
-    readVec(in, fm.sa_own_, cap);
-    requireInput(fm.sa_own_.size() == fm.n_ &&
-                     fm.bwt_own_.size() >= fm.n_,
-                 "FM-index load: inconsistent payload");
-    fm.rebindOwned();
-    return fm;
 }
 
 namespace {

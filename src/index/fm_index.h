@@ -17,6 +17,11 @@
  *
  * Hot-path methods are templated on a Probe policy (see arch/probe.h);
  * instantiate with NullProbe for production use.
+ *
+ * An index is built in memory by build() or mapped from disk by
+ * fromViews(). It persists only as a gb::store container
+ * (store/artifacts.h): addFmIndex() writes the flat arrays and
+ * viewFmIndex() maps them back without copying.
  */
 #ifndef GB_INDEX_FM_INDEX_H
 #define GB_INDEX_FM_INDEX_H
@@ -24,7 +29,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <iosfwd>
 #include <memory>
 #include <span>
 #include <string>
@@ -83,30 +87,21 @@ class FmIndex
                          u32 block_len = 64);
 
     FmIndex() = default;
-    // The occ/BWT/SA members are spans that normally point into the
-    // owned vectors (or into an mmap backing for zero-copy loads), so
-    // copies must re-point them and moves can rely on vector moves
-    // keeping heap buffers alive.
-    FmIndex(const FmIndex& other) { *this = other; }
-    FmIndex& operator=(const FmIndex& other);
+    // Move-only: the occ/BWT/SA spans point into the owned vectors or
+    // into an mmap backing, and a move keeps both valid (vector moves
+    // keep heap buffers alive).
+    FmIndex(const FmIndex&) = delete;
+    FmIndex& operator=(const FmIndex&) = delete;
     FmIndex(FmIndex&&) noexcept = default;
     FmIndex& operator=(FmIndex&&) noexcept = default;
 
     /**
-     * Assemble an index from its constituent arrays (owning copy);
-     * validates the same invariants as load(). Used by gb::store.
-     */
-    static FmIndex fromParts(u64 ref_len, u32 block_len,
-                             const std::array<u64, kAlphabet + 1>& c,
-                             std::vector<u32> counts,
-                             std::vector<u8> bwt,
-                             std::vector<u32> sa_samples);
-
-    /**
      * Assemble an index over externally-owned flat arrays without
-     * copying them (the mmap zero-copy load path). `backing` is held
+     * copying them (the gb::store mmap load path). `backing` is held
      * for the index's lifetime and must keep the spans valid — e.g.
-     * the store::StoreReader whose mapping they point into.
+     * the store::StoreReader whose mapping they point into. Throws
+     * InputError unless the header fields, the array sizes and the
+     * cumulative counts are consistent with each other.
      */
     static FmIndex fromViews(u64 ref_len, u32 block_len,
                              const std::array<u64, kAlphabet + 1>& c,
@@ -115,7 +110,7 @@ class FmIndex
                              std::span<const u32> sa_samples,
                              std::shared_ptr<const void> backing);
 
-    /** Constituent-array accessors (for serialization). */
+    /** Constituent-array accessors (for gb::store). */
     std::span<const u32> occCounts() const { return counts_; }
     std::span<const u8> bwtData() const { return bwt_; }
     std::span<const u32> saSamples() const { return sa_samples_; }
@@ -128,16 +123,6 @@ class FmIndex
 
     /** Occ checkpoint spacing this index was built with. */
     u32 blockLen() const { return block_len_; }
-
-    /**
-     * Serialize the index (binary, versioned). Real suites ship
-     * prebuilt indexes; this avoids re-running SA-IS per session.
-     */
-    void save(std::ostream& out) const;
-
-    /** Load an index written by save(); throws InputError on
-     *  corrupt/unknown data. */
-    static FmIndex load(std::istream& in);
 
     /** Length of the indexed reference (one strand). */
     u64 referenceLength() const { return ref_len_; }
@@ -540,11 +525,9 @@ class FmIndex
     /** occ for one symbol, no probe (used by locate's LF walk). */
     u64 occOne(u8 symbol, u64 i) const;
 
-    /** Point the spans at the owned vectors. */
-    void rebindOwned();
-
-    /** Validate header fields + array sizes (shared by the loaders). */
+    /** Validate header fields, array sizes and cumulative counts. */
     static void checkParts(u64 ref_len, u64 n, u32 block_len,
+                           const std::array<u64, kAlphabet + 1>& c,
                            u64 counts_size, u64 bwt_size, u64 sa_size);
 
     u64 ref_len_ = 0;

@@ -257,22 +257,6 @@ softmaxRows(Tensor2& t)
     }
 }
 
-void
-logSoftmaxRows(Tensor2& t)
-{
-    for (u32 r = 0; r < t.rows; ++r) {
-        float* row = t.row(r);
-        float best = row[0];
-        for (u32 c = 1; c < t.cols; ++c) best = std::max(best, row[c]);
-        float sum = 0.0f;
-        for (u32 c = 0; c < t.cols; ++c) {
-            sum += std::exp(row[c] - best);
-        }
-        const float log_sum = std::log(sum) + best;
-        for (u32 c = 0; c < t.cols; ++c) row[c] -= log_sum;
-    }
-}
-
 // Explicit instantiations.
 #define GB_NN_INSTANTIATE(P)                                            \
     template void applyActivation<P>(Tensor2&, Activation, P&);        \

@@ -122,9 +122,6 @@ class BiLstm
 /** Row-wise softmax in place. */
 void softmaxRows(Tensor2& t);
 
-/** Row-wise log-softmax in place. */
-void logSoftmaxRows(Tensor2& t);
-
 } // namespace gb
 
 #endif // GB_NN_LAYERS_H

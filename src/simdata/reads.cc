@@ -169,15 +169,6 @@ simulateLongReads(const std::string& genome, const LongReadParams& p)
     return reads;
 }
 
-std::vector<SeqRecord>
-toRecords(const std::vector<SimRead>& reads)
-{
-    std::vector<SeqRecord> out;
-    out.reserve(reads.size());
-    for (const auto& r : reads) out.push_back(r.record);
-    return out;
-}
-
 std::vector<AlnRecord>
 toAlignments(const std::vector<SimRead>& reads)
 {

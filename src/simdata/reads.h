@@ -63,9 +63,6 @@ std::vector<SimRead> simulateShortReads(const std::string& genome,
 std::vector<SimRead> simulateLongReads(const std::string& genome,
                                        const LongReadParams& params);
 
-/** Extract just the sequencer-visible records. */
-std::vector<SeqRecord> toRecords(const std::vector<SimRead>& reads);
-
 /** Extract the truth alignments, sorted by position. */
 std::vector<AlnRecord> toAlignments(const std::vector<SimRead>& reads);
 

@@ -1,5 +1,6 @@
 #include "store/artifacts.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace gb::store {
@@ -38,10 +39,9 @@ static_assert(sizeof(StoredEvent) == 24 &&
               std::is_trivially_copyable_v<StoredEvent>);
 
 void
-maybeVerify(StoreReader& reader, Verify verify,
-            std::initializer_list<std::string> names)
+verifySections(const StoreReader& reader,
+               std::initializer_list<std::string> names)
 {
-    if (verify != Verify::kDigest) return;
     for (const auto& name : names) reader.verifySection(name);
 }
 
@@ -98,62 +98,24 @@ addFmIndex(StoreWriter& writer, const FmIndex& fm,
     writer.addVec(sec(prefix, "sa"), fm.saSamples());
 }
 
-namespace {
-
-/** Shared section fetch for both FM-index load paths. */
-struct FmSections
-{
-    FmMeta meta;
-    std::array<u64, FmIndex::kAlphabet + 1> c;
-    std::span<const u32> counts;
-    std::span<const u8> bwt;
-    std::span<const u32> sa;
-};
-
-FmSections
-fetchFmSections(StoreReader& reader, std::string_view prefix,
-                Verify verify)
-{
-    maybeVerify(reader, verify,
-                {sec(prefix, "meta"), sec(prefix, "counts"),
-                 sec(prefix, "bwt"), sec(prefix, "sa")});
-    FmSections s;
-    const auto meta_bytes = reader.section(sec(prefix, "meta"));
-    requireInput(meta_bytes.size() == sizeof(FmMeta),
-                 "store: " + sec(prefix, "meta") + " has wrong size");
-    std::memcpy(&s.meta, meta_bytes.data(), sizeof(FmMeta));
-    for (size_t i = 0; i < s.c.size(); ++i) s.c[i] = s.meta.c[i];
-    s.counts = reader.sectionAs<u32>(sec(prefix, "counts"));
-    s.bwt = reader.sectionAs<u8>(sec(prefix, "bwt"));
-    s.sa = reader.sectionAs<u32>(sec(prefix, "sa"));
-    return s;
-}
-
-} // namespace
-
 FmIndex
-readFmIndex(StoreReader& reader, std::string_view prefix, Verify verify)
-{
-    const FmSections s = fetchFmSections(reader, prefix, verify);
-    return FmIndex::fromParts(
-        s.meta.ref_len, s.meta.block_len, s.c,
-        {s.counts.begin(), s.counts.end()},
-        {s.bwt.begin(), s.bwt.end()}, {s.sa.begin(), s.sa.end()});
-}
-
-FmIndex
-viewFmIndex(std::shared_ptr<StoreReader> reader, std::string_view prefix,
-            Verify verify)
+viewFmIndex(std::shared_ptr<StoreReader> reader, std::string_view prefix)
 {
     requireInput(reader != nullptr, "store: viewFmIndex(null reader)");
-    if (reader->mode() != ReadMode::kMmap) {
-        // Stream readers hand out cached buffers that die with the
-        // cache; an owning copy is the safe equivalent.
-        return readFmIndex(*reader, prefix, verify);
-    }
-    const FmSections s = fetchFmSections(*reader, prefix, verify);
-    return FmIndex::fromViews(s.meta.ref_len, s.meta.block_len, s.c,
-                              s.counts, s.bwt, s.sa, std::move(reader));
+    verifySections(*reader, {sec(prefix, "meta"), sec(prefix, "counts"),
+                             sec(prefix, "bwt"), sec(prefix, "sa")});
+    const auto meta_bytes = reader->section(sec(prefix, "meta"));
+    requireInput(meta_bytes.size() == sizeof(FmMeta),
+                 "store: " + sec(prefix, "meta") + " has wrong size");
+    FmMeta meta;
+    std::memcpy(&meta, meta_bytes.data(), sizeof(FmMeta));
+    std::array<u64, FmIndex::kAlphabet + 1> c;
+    std::copy(std::begin(meta.c), std::end(meta.c), c.begin());
+    const auto counts = reader->sectionAs<u32>(sec(prefix, "counts"));
+    const auto bwt = reader->sectionAs<u8>(sec(prefix, "bwt"));
+    const auto sa = reader->sectionAs<u32>(sec(prefix, "sa"));
+    return FmIndex::fromViews(meta.ref_len, meta.block_len, c, counts,
+                              bwt, sa, std::move(reader));
 }
 
 // ---------------------------------------------------------------------
@@ -176,10 +138,9 @@ addByteRows(StoreWriter& writer, std::string_view prefix,
 }
 
 std::vector<std::vector<u8>>
-readByteRows(StoreReader& reader, std::string_view prefix, Verify verify)
+readByteRows(StoreReader& reader, std::string_view prefix)
 {
-    maybeVerify(reader, verify,
-                {sec(prefix, "blob"), sec(prefix, "offsets")});
+    verifySections(reader, {sec(prefix, "blob"), sec(prefix, "offsets")});
     const auto blob = reader.sectionAs<u8>(sec(prefix, "blob"));
     const auto offsets =
         checkedOffsets(reader, prefix, blob.size(), 1);
@@ -207,11 +168,9 @@ addStringRows(StoreWriter& writer, std::string_view prefix,
 }
 
 std::vector<std::string>
-readStringRows(StoreReader& reader, std::string_view prefix,
-               Verify verify)
+readStringRows(StoreReader& reader, std::string_view prefix)
 {
-    maybeVerify(reader, verify,
-                {sec(prefix, "blob"), sec(prefix, "offsets")});
+    verifySections(reader, {sec(prefix, "blob"), sec(prefix, "offsets")});
     const auto blob = reader.sectionAs<u8>(sec(prefix, "blob"));
     const auto offsets =
         checkedOffsets(reader, prefix, blob.size(), 1);
@@ -250,11 +209,9 @@ addEventRows(StoreWriter& writer, std::string_view prefix,
 }
 
 std::vector<std::vector<Event>>
-readEventRows(StoreReader& reader, std::string_view prefix,
-              Verify verify)
+readEventRows(StoreReader& reader, std::string_view prefix)
 {
-    maybeVerify(reader, verify,
-                {sec(prefix, "blob"), sec(prefix, "offsets")});
+    verifySections(reader, {sec(prefix, "blob"), sec(prefix, "offsets")});
     const auto blob =
         reader.sectionAs<StoredEvent>(sec(prefix, "blob"));
     const auto offsets = checkedOffsets(reader, prefix,

@@ -4,15 +4,15 @@
  *
  * Two artifact families (the expensive prepare()-phase products):
  *   - FM-index / BWT        (src/index) — sections "<p>.meta",
- *     "<p>.counts", "<p>.bwt", "<p>.sa"; loadable as an owning copy or
- *     as a zero-copy view over an mmap'd reader.
+ *     "<p>.counts", "<p>.bwt", "<p>.sa"; loaded as a zero-copy view
+ *     over the reader's mapping. This is the index's only on-disk
+ *     form.
  *   - synthesized datasets  (src/simdata) — ragged rows of encoded
  *     reads ("<p>.blob" + "<p>.offsets"), reference strings, and
- *     nanopore event streams.
+ *     nanopore event streams, copied into owned rows.
  *
- * All loaders verify the section digests by default (Verify::kDigest);
- * pass Verify::kNone to trade corruption detection for a strictly
- * O(pages touched) load.
+ * Every loader verifies the digests of the sections it consumes
+ * before trusting their payloads.
  */
 #ifndef GB_STORE_ARTIFACTS_H
 #define GB_STORE_ARTIFACTS_H
@@ -29,32 +29,18 @@
 
 namespace gb::store {
 
-/** Whether a loader checks section digests before trusting payloads. */
-enum class Verify
-{
-    kDigest,
-    kNone,
-};
-
 // ---------------------------------------------------------------------
 // FM-index
 
 void addFmIndex(StoreWriter& writer, const FmIndex& fm,
                 std::string_view prefix = "fm");
 
-/** Owning load (works in both reader modes). */
-FmIndex readFmIndex(StoreReader& reader, std::string_view prefix = "fm",
-                    Verify verify = Verify::kDigest);
-
 /**
  * Zero-copy load: the index's flat arrays view the reader's mapping
- * and the reader is kept alive by the returned index. Requires a
- * reader opened in ReadMode::kMmap (falls back to an owning load for
- * stream readers).
+ * and the reader is kept alive by the returned index.
  */
 FmIndex viewFmIndex(std::shared_ptr<StoreReader> reader,
-                    std::string_view prefix = "fm",
-                    Verify verify = Verify::kDigest);
+                    std::string_view prefix = "fm");
 
 // ---------------------------------------------------------------------
 // Synthesized datasets: ragged rows stored as blob + offsets
@@ -63,22 +49,19 @@ FmIndex viewFmIndex(std::shared_ptr<StoreReader> reader,
 void addByteRows(StoreWriter& writer, std::string_view prefix,
                  std::span<const std::vector<u8>> rows);
 std::vector<std::vector<u8>> readByteRows(
-    StoreReader& reader, std::string_view prefix,
-    Verify verify = Verify::kDigest);
+    StoreReader& reader, std::string_view prefix);
 
 /** Reference segments / basecalled sequences. */
 void addStringRows(StoreWriter& writer, std::string_view prefix,
                    std::span<const std::string> rows);
 std::vector<std::string> readStringRows(
-    StoreReader& reader, std::string_view prefix,
-    Verify verify = Verify::kDigest);
+    StoreReader& reader, std::string_view prefix);
 
 /** Per-read nanopore event streams (abea inputs). */
 void addEventRows(StoreWriter& writer, std::string_view prefix,
                   std::span<const std::vector<Event>> rows);
 std::vector<std::vector<Event>> readEventRows(
-    StoreReader& reader, std::string_view prefix,
-    Verify verify = Verify::kDigest);
+    StoreReader& reader, std::string_view prefix);
 
 } // namespace gb::store
 

@@ -97,8 +97,7 @@ ArtifactCache::tryOpen(std::string_view family, u64 key)
         return nullptr;
     }
     try {
-        auto reader = std::make_shared<StoreReader>(
-            StoreReader::open(path, ReadMode::kMmap));
+        auto reader = std::make_shared<StoreReader>(StoreReader::open(path));
         hits_.fetch_add(1, std::memory_order_relaxed);
         return reader;
     } catch (const std::exception& e) {

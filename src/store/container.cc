@@ -5,13 +5,10 @@
 #include <cstdio>
 #include <cstring>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define GB_STORE_HAVE_MMAP 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
 
 #include "util/hash.h"
 
@@ -37,11 +34,7 @@ std::string
 uniqueTmpPath(const std::string& path)
 {
     static std::atomic<u64> seq{0};
-#if GB_STORE_HAVE_MMAP
     const long pid = static_cast<long>(::getpid());
-#else
-    const long pid = 0;
-#endif
     return path + ".tmp." + std::to_string(pid) + "." +
            std::to_string(seq.fetch_add(1, std::memory_order_relaxed));
 }
@@ -141,56 +134,34 @@ StoreWriter::finish()
 // StoreReader
 
 StoreReader
-StoreReader::open(const std::string& path, ReadMode mode)
+StoreReader::open(const std::string& path)
 {
     StoreReader reader;
     reader.path_ = path;
-    reader.mode_ = ReadMode::kStream;
 
-#if GB_STORE_HAVE_MMAP
-    if (mode == ReadMode::kMmap) {
-        const int fd = ::open(path.c_str(), O_RDONLY);
-        requireInput(fd >= 0, "store: cannot open " + quoted(path));
-        struct stat st;
-        if (::fstat(fd, &st) != 0 || st.st_size <= 0) {
-            ::close(fd);
-            throw InputError("store: cannot stat " + quoted(path));
-        }
-        void* base = ::mmap(nullptr, static_cast<size_t>(st.st_size),
-                            PROT_READ, MAP_PRIVATE, fd, 0);
+    const int fd = ::open(path.c_str(), O_RDONLY);
+    requireInput(fd >= 0, "store: cannot open " + quoted(path));
+    struct stat st;
+    if (::fstat(fd, &st) != 0) {
         ::close(fd);
-        requireInput(base != MAP_FAILED,
-                     "store: mmap failed for " + quoted(path));
-        reader.map_base_ = static_cast<const u8*>(base);
-        reader.map_bytes_ = static_cast<u64>(st.st_size);
-        reader.file_bytes_ = reader.map_bytes_;
-        reader.mode_ = ReadMode::kMmap;
+        throw InputError("store: cannot stat " + quoted(path));
     }
-#else
-    (void)mode;
-#endif
-
-    if (reader.mode_ == ReadMode::kStream) {
-        reader.in_.open(path, std::ios::binary);
-        requireInput(reader.in_.is_open(),
-                     "store: cannot open " + quoted(path));
-        reader.in_.seekg(0, std::ios::end);
-        reader.file_bytes_ = static_cast<u64>(reader.in_.tellg());
-        reader.in_.seekg(0);
+    if (static_cast<u64>(st.st_size) < sizeof(StoreHeader)) {
+        ::close(fd);
+        throw InputError("store: " + quoted(path) +
+                         " is truncated (no header)");
     }
+    void* base = ::mmap(nullptr, static_cast<size_t>(st.st_size),
+                        PROT_READ, MAP_PRIVATE, fd, 0);
+    ::close(fd);
+    requireInput(base != MAP_FAILED,
+                 "store: mmap failed for " + quoted(path));
+    reader.map_base_ = static_cast<const u8*>(base);
+    reader.map_bytes_ = static_cast<u64>(st.st_size);
 
     // Header.
-    requireInput(reader.file_bytes_ >= sizeof(StoreHeader),
-                 "store: " + quoted(path) + " is truncated (no header)");
     StoreHeader header;
-    if (reader.mode_ == ReadMode::kMmap) {
-        std::memcpy(&header, reader.map_base_, sizeof(header));
-    } else {
-        reader.in_.read(reinterpret_cast<char*>(&header),
-                        sizeof(header));
-        requireInput(static_cast<bool>(reader.in_),
-                     "store: " + quoted(path) + " is truncated");
-    }
+    std::memcpy(&header, reader.map_base_, sizeof(header));
     requireInput(header.magic == kMagic,
                  "store: " + quoted(path) +
                      " is not a gb::store container (bad magic)");
@@ -207,25 +178,17 @@ StoreReader::open(const std::string& path, ReadMode mode)
                  "store: " + quoted(path) + " has an inconsistent TOC");
     requireInput(header.toc_offset >= sizeof(StoreHeader) &&
                      header.toc_offset % kAlign == 0 &&
-                     header.toc_offset + header.toc_bytes <=
-                         reader.file_bytes_,
+                     header.toc_offset <= reader.map_bytes_ &&
+                     header.toc_bytes <=
+                         reader.map_bytes_ - header.toc_offset,
                  "store: " + quoted(path) +
                      " is truncated (TOC out of bounds)");
     reader.version_ = header.version;
 
     // TOC.
     reader.toc_.resize(header.section_count);
-    if (reader.mode_ == ReadMode::kMmap) {
-        std::memcpy(reader.toc_.data(),
-                    reader.map_base_ + header.toc_offset,
-                    header.toc_bytes);
-    } else {
-        reader.in_.seekg(static_cast<std::streamoff>(header.toc_offset));
-        reader.in_.read(reinterpret_cast<char*>(reader.toc_.data()),
-                        static_cast<std::streamsize>(header.toc_bytes));
-        requireInput(static_cast<bool>(reader.in_),
-                     "store: " + quoted(path) + " is truncated (TOC)");
-    }
+    std::memcpy(reader.toc_.data(), reader.map_base_ + header.toc_offset,
+                header.toc_bytes);
     requireInput(xxhash64(reader.toc_.data(), header.toc_bytes) ==
                      header.toc_digest,
                  "store: " + quoted(path) +
@@ -238,7 +201,8 @@ StoreReader::open(const std::string& path, ReadMode mode)
                          " has a malformed section name");
         requireInput(e.offset % kAlign == 0 &&
                          e.offset >= sizeof(StoreHeader) &&
-                         e.offset + e.size <= header.toc_offset,
+                         e.offset <= header.toc_offset &&
+                         e.size <= header.toc_offset - e.offset,
                      "store: " + quoted(path) + " section " +
                          quoted(e.name) + " out of bounds");
     }
@@ -247,11 +211,9 @@ StoreReader::open(const std::string& path, ReadMode mode)
 
 StoreReader::~StoreReader()
 {
-#if GB_STORE_HAVE_MMAP
     if (map_base_ != nullptr) {
         ::munmap(const_cast<u8*>(map_base_), map_bytes_);
     }
-#endif
 }
 
 StoreReader::StoreReader(StoreReader&& other) noexcept
@@ -263,20 +225,14 @@ StoreReader&
 StoreReader::operator=(StoreReader&& other) noexcept
 {
     if (this == &other) return *this;
-#if GB_STORE_HAVE_MMAP
     if (map_base_ != nullptr) {
         ::munmap(const_cast<u8*>(map_base_), map_bytes_);
     }
-#endif
     path_ = std::move(other.path_);
-    mode_ = other.mode_;
-    file_bytes_ = other.file_bytes_;
     version_ = other.version_;
     toc_ = std::move(other.toc_);
     map_base_ = other.map_base_;
     map_bytes_ = other.map_bytes_;
-    in_ = std::move(other.in_);
-    cache_ = std::move(other.cache_);
     other.map_base_ = nullptr;
     other.map_bytes_ = 0;
     return *this;
@@ -300,29 +256,14 @@ StoreReader::has(std::string_view name) const
 }
 
 std::span<const u8>
-StoreReader::section(std::string_view name)
+StoreReader::section(std::string_view name) const
 {
     const TocEntry& e = entry(name);
-    if (mode_ == ReadMode::kMmap) {
-        return {map_base_ + e.offset, e.size};
-    }
-    auto it = cache_.find(name);
-    if (it == cache_.end()) {
-        std::vector<u8> buf(e.size);
-        in_.clear();
-        in_.seekg(static_cast<std::streamoff>(e.offset));
-        in_.read(reinterpret_cast<char*>(buf.data()),
-                 static_cast<std::streamsize>(e.size));
-        requireInput(static_cast<bool>(in_),
-                     "store: " + quoted(path_) +
-                         " is truncated (section " + quoted(name) + ")");
-        it = cache_.emplace(std::string(name), std::move(buf)).first;
-    }
-    return {it->second.data(), it->second.size()};
+    return {map_base_ + e.offset, e.size};
 }
 
 void
-StoreReader::verifySection(std::string_view name)
+StoreReader::verifySection(std::string_view name) const
 {
     const TocEntry& e = entry(name);
     const auto bytes = section(name);
@@ -332,7 +273,7 @@ StoreReader::verifySection(std::string_view name)
 }
 
 void
-StoreReader::verifyAll()
+StoreReader::verifyAll() const
 {
     for (const TocEntry& e : toc_) verifySection(e.name);
 }

@@ -13,10 +13,11 @@
  *   [toc_offset, EOF)       TOC: section_count x 64-byte TocEntry
  *
  * Every section carries an xxhash64 digest in its TOC entry; the TOC
- * itself is digested into the header. Readers validate the header and
- * TOC on open (O(#sections)); section payloads are verified lazily via
- * verifySection()/verifyAll() so the mmap path can stay O(pages
- * touched) when the caller opts out of digest checks.
+ * itself is digested into the header. The reader maps the whole file
+ * and validates the header and TOC on open (O(#sections)); section
+ * payloads are verified on demand via verifySection()/verifyAll(), so
+ * a caller that reads only the TOC (`store inspect`) faults in the
+ * header and TOC pages, not the payload.
  *
  * Writing is atomic: payload goes to `<path>.tmp` and is renamed over
  * the final path in finish(), so a crashed build never leaves a
@@ -26,7 +27,6 @@
 #define GB_STORE_CONTAINER_H
 
 #include <fstream>
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -122,28 +122,20 @@ class StoreWriter
     bool finished_ = false;
 };
 
-/** How a StoreReader accesses section payloads. */
-enum class ReadMode
-{
-    kMmap,   ///< map the whole file; sections are zero-copy views
-    kStream, ///< read sections into owned buffers on demand
-};
-
 /**
- * Container reader. Header and TOC are validated on open; payload
- * digests are checked by verifySection()/verifyAll() or by the
- * artifact loaders in artifacts.h.
+ * Container reader over a read-only mapping of the whole file. Header
+ * and TOC are validated on open; payload digests are checked by
+ * verifySection()/verifyAll() or by the artifact loaders in
+ * artifacts.h.
  *
- * In kMmap mode section() returns views into the mapping, valid for
- * the reader's lifetime — artifact "views" therefore keep the reader
- * alive via shared_ptr. kMmap silently falls back to kStream on
- * platforms without mmap.
+ * section() returns views into the mapping, valid for the reader's
+ * lifetime — artifact "views" therefore keep the reader alive via
+ * shared_ptr.
  */
 class StoreReader
 {
   public:
-    static StoreReader open(const std::string& path,
-                            ReadMode mode = ReadMode::kMmap);
+    static StoreReader open(const std::string& path);
     ~StoreReader();
 
     StoreReader(StoreReader&& other) noexcept;
@@ -152,21 +144,19 @@ class StoreReader
     StoreReader& operator=(const StoreReader&) = delete;
 
     const std::string& path() const { return path_; }
-    /** Mode actually in effect (after any mmap fallback). */
-    ReadMode mode() const { return mode_; }
-    u64 fileBytes() const { return file_bytes_; }
+    u64 fileBytes() const { return map_bytes_; }
     u32 formatVersion() const { return version_; }
 
     const std::vector<TocEntry>& sections() const { return toc_; }
     bool has(std::string_view name) const;
 
     /** Payload bytes of a section; throws InputError if absent. */
-    std::span<const u8> section(std::string_view name);
+    std::span<const u8> section(std::string_view name) const;
 
     /** Payload reinterpreted as trivially-copyable elements. */
     template <typename T>
     std::span<const T>
-    sectionAs(std::string_view name)
+    sectionAs(std::string_view name) const
     {
         static_assert(std::is_trivially_copyable_v<T>);
         const auto bytes = section(name);
@@ -178,10 +168,10 @@ class StoreReader
     }
 
     /** Recompute and check one section digest; throws on mismatch. */
-    void verifySection(std::string_view name);
+    void verifySection(std::string_view name) const;
 
     /** Verify every section digest. */
-    void verifyAll();
+    void verifyAll() const;
 
   private:
     StoreReader() = default;
@@ -189,18 +179,10 @@ class StoreReader
     const TocEntry& entry(std::string_view name) const;
 
     std::string path_;
-    ReadMode mode_ = ReadMode::kStream;
-    u64 file_bytes_ = 0;
     u32 version_ = 0;
     std::vector<TocEntry> toc_;
-
-    // kMmap state.
     const u8* map_base_ = nullptr;
     u64 map_bytes_ = 0;
-
-    // kStream state: lazily-read, cached payloads.
-    std::ifstream in_;
-    std::map<std::string, std::vector<u8>, std::less<>> cache_;
 };
 
 } // namespace gb::store

@@ -12,12 +12,6 @@ Table::setHeader(std::vector<std::string> header)
     header_ = std::move(header);
 }
 
-void
-Table::addRow(std::vector<std::string> row)
-{
-    rows_.push_back(std::move(row));
-}
-
 Table&
 Table::newRow()
 {

@@ -26,9 +26,6 @@ class Table
     /** Set the header row. */
     void setHeader(std::vector<std::string> header);
 
-    /** Append a row of preformatted cells. */
-    void addRow(std::vector<std::string> row);
-
     /** Begin a new row built cell-by-cell with cell(). */
     Table& newRow();
 

@@ -247,10 +247,4 @@ ThreadPool::parallelFor(u64 n, const std::function<void(u64)>& body,
     runRanked(n, [&](u64 i, unsigned) { body(i); }, grain);
 }
 
-void
-serialFor(u64 n, const std::function<void(u64)>& body)
-{
-    for (u64 i = 0; i < n; ++i) body(i);
-}
-
 } // namespace gb

@@ -160,9 +160,6 @@ class ThreadPool
     bool shutdown_ = false;
 };
 
-/** Serial fallback used by tests: same contract as ThreadPool(1). */
-void serialFor(u64 n, const std::function<void(u64)>& body);
-
 } // namespace gb
 
 #endif // GB_UTIL_THREAD_POOL_H

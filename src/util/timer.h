@@ -25,9 +25,6 @@ class WallTimer
         return std::chrono::duration<double>(Clock::now() - start_).count();
     }
 
-    /** Milliseconds elapsed. */
-    double millis() const { return seconds() * 1e3; }
-
   private:
     using Clock = std::chrono::steady_clock;
     Clock::time_point start_;

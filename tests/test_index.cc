@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <map>
 #include <set>
-#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -585,58 +584,6 @@ TEST(FmIndex, InexactFindsMutatedSite)
     // A 20-mer with one mutation: absent exactly, present within 1.
     EXPECT_EQ(fm.count(pattern), 0u);
     EXPECT_GE(fm.countInexact(pattern, 1), 1u);
-}
-
-TEST(FmIndex, SaveLoadRoundTrip)
-{
-    Rng rng(70);
-    const std::string ref = randomDna(rng, 700);
-    const FmIndex original = FmIndex::build(ref, 128);
-
-    std::stringstream buffer;
-    original.save(buffer);
-    const FmIndex loaded = FmIndex::load(buffer);
-
-    EXPECT_EQ(loaded.referenceLength(), original.referenceLength());
-    EXPECT_EQ(loaded.blockLen(), 128u);
-    // Behavioural equality on queries.
-    for (int trial = 0; trial < 20; ++trial) {
-        const std::string pattern =
-            ref.substr(rng.below(ref.size() - 12), 10);
-        EXPECT_EQ(loaded.count(pattern), original.count(pattern));
-    }
-    const auto codes = encodeDna(ref.substr(50, 80));
-    NullProbe probe;
-    std::vector<Smem> a, b;
-    original.smems(std::span<const u8>(codes), 19, a, probe);
-    loaded.smems(std::span<const u8>(codes), 19, b, probe);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].k, b[i].k);
-        EXPECT_EQ(a[i].s, b[i].s);
-    }
-}
-
-TEST(FmIndex, LoadRejectsCorruptData)
-{
-    std::stringstream empty;
-    EXPECT_THROW(FmIndex::load(empty), InputError);
-
-    std::stringstream bad_magic;
-    const u32 junk = 0xdeadbeef;
-    bad_magic.write(reinterpret_cast<const char*>(&junk), 4);
-    bad_magic.write(reinterpret_cast<const char*>(&junk), 4);
-    EXPECT_THROW(FmIndex::load(bad_magic), InputError);
-
-    // Truncated valid stream.
-    Rng rng(71);
-    const FmIndex fm = FmIndex::build(randomDna(rng, 100));
-    std::stringstream full;
-    fm.save(full);
-    const std::string bytes = full.str();
-    std::stringstream truncated(
-        bytes.substr(0, bytes.size() / 2));
-    EXPECT_THROW(FmIndex::load(truncated), InputError);
 }
 
 TEST(FmIndex, OccBlocksAreCompact)

@@ -1,13 +1,14 @@
 /**
  * @file
- * Tests for the gb::store artifact store: container round trips in
- * both reader modes, corruption/truncation/version detection, the
+ * Tests for the gb::store artifact store: container round trips,
+ * corruption/truncation/version detection, the
  * FM-index / dataset serializers, and the build-or-load
  * cache (including warm-vs-cold kernel-input identity).
  */
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -26,7 +27,7 @@
 namespace gb {
 namespace {
 
-using store::ReadMode;
+using store::StoreHeader;
 using store::StoreReader;
 using store::StoreWriter;
 
@@ -91,47 +92,27 @@ TEST(StoreContainer, RoundTripBothModes)
     ScratchDir scratch;
     const std::string path = writeSample(scratch);
 
-    for (ReadMode mode : {ReadMode::kMmap, ReadMode::kStream}) {
-        auto reader = StoreReader::open(path, mode);
-        EXPECT_EQ(reader.sections().size(), 3u);
-        EXPECT_TRUE(reader.has("numbers"));
-        EXPECT_TRUE(reader.has("text"));
-        EXPECT_FALSE(reader.has("missing"));
+    auto reader = StoreReader::open(path);
+    EXPECT_EQ(reader.sections().size(), 3u);
+    EXPECT_TRUE(reader.has("numbers"));
+    EXPECT_TRUE(reader.has("text"));
+    EXPECT_FALSE(reader.has("missing"));
 
-        const auto numbers = reader.sectionAs<u32>("numbers");
-        ASSERT_EQ(numbers.size(), 1000u);
-        EXPECT_EQ(numbers[0], 1u);
-        EXPECT_EQ(numbers[999], 999u * 7 + 1);
+    const auto numbers = reader.sectionAs<u32>("numbers");
+    ASSERT_EQ(numbers.size(), 1000u);
+    EXPECT_EQ(numbers[0], 1u);
+    EXPECT_EQ(numbers[999], 999u * 7 + 1);
 
-        const auto text = reader.section("text");
-        EXPECT_EQ(std::string(text.begin(), text.end()),
-                  "the quick brown fox");
+    const auto text = reader.section("text");
+    EXPECT_EQ(std::string(text.begin(), text.end()),
+              "the quick brown fox");
 
-        const auto answer = reader.sectionAs<u64>("answer");
-        ASSERT_EQ(answer.size(), 1u);
-        EXPECT_EQ(answer[0], 42u);
+    const auto answer = reader.sectionAs<u64>("answer");
+    ASSERT_EQ(answer.size(), 1u);
+    EXPECT_EQ(answer[0], 42u);
 
-        EXPECT_NO_THROW(reader.verifyAll());
-        EXPECT_THROW(reader.section("missing"), InputError);
-    }
-}
-
-TEST(StoreContainer, MmapAndStreamAgreeByteForByte)
-{
-    ScratchDir scratch;
-    const std::string path = writeSample(scratch);
-    auto mmap_reader = StoreReader::open(path, ReadMode::kMmap);
-    auto stream_reader = StoreReader::open(path, ReadMode::kStream);
-    ASSERT_EQ(mmap_reader.sections().size(),
-              stream_reader.sections().size());
-    for (const auto& entry : mmap_reader.sections()) {
-        const auto a = mmap_reader.section(entry.name);
-        const auto b = stream_reader.section(entry.name);
-        ASSERT_EQ(a.size(), b.size()) << entry.name;
-        EXPECT_EQ(std::vector<u8>(a.begin(), a.end()),
-                  std::vector<u8>(b.begin(), b.end()))
-            << entry.name;
-    }
+    EXPECT_NO_THROW(reader.verifyAll());
+    EXPECT_THROW(reader.section("missing"), InputError);
 }
 
 TEST(StoreContainer, SectionsAreAligned)
@@ -170,6 +151,49 @@ TEST(StoreContainer, DetectsTocCorruption)
     const u64 size = std::filesystem::file_size(path);
     flipByte(path, size - 10); // inside the trailing TOC block
     EXPECT_THROW(StoreReader::open(path), InputError);
+
+    // Offsets whose sum with a size wraps past 2^64 must be rejected,
+    // not dereferenced: once in the header's toc_offset, and once in a
+    // TOC entry whose header digest is recomputed to match.
+    const u64 wrap = ~u64{0} - (store::kAlign - 1);
+    const std::string original = writeSample(scratch); // unflipped
+    StoreHeader header;
+    std::vector<store::TocEntry> toc;
+    {
+        std::ifstream in(original, std::ios::binary);
+        in.read(reinterpret_cast<char*>(&header), sizeof(header));
+        toc.resize(header.section_count);
+        in.seekg(static_cast<std::streamoff>(header.toc_offset));
+        in.read(reinterpret_cast<char*>(toc.data()),
+                static_cast<std::streamsize>(header.toc_bytes));
+        ASSERT_TRUE(in);
+    }
+    const auto patch = [&](const StoreHeader& h,
+                           const std::vector<store::TocEntry>& t) {
+        const std::string bad = scratch.file("wrap.gbs");
+        std::filesystem::copy_file(
+            original, bad,
+            std::filesystem::copy_options::overwrite_existing);
+        std::fstream f(bad,
+                       std::ios::binary | std::ios::in | std::ios::out);
+        f.write(reinterpret_cast<const char*>(&h), sizeof(h));
+        f.seekp(static_cast<std::streamoff>(header.toc_offset));
+        f.write(reinterpret_cast<const char*>(t.data()),
+                static_cast<std::streamsize>(header.toc_bytes));
+        return bad;
+    };
+    StoreHeader wrapped_header = header;
+    wrapped_header.toc_offset = wrap;
+    EXPECT_THROW(StoreReader::open(patch(wrapped_header, toc)),
+                 InputError);
+    std::vector<store::TocEntry> wrapped_toc = toc;
+    wrapped_toc[0].offset = wrap;
+    wrapped_toc[0].size = 2 * store::kAlign;
+    StoreHeader redigested = header;
+    redigested.toc_digest =
+        xxhash64(wrapped_toc.data(), header.toc_bytes);
+    EXPECT_THROW(StoreReader::open(patch(redigested, wrapped_toc)),
+                 InputError);
 }
 
 TEST(StoreContainer, DetectsTruncation)
@@ -181,6 +205,15 @@ TEST(StoreContainer, DetectsTruncation)
     EXPECT_THROW(StoreReader::open(path), InputError);
     std::filesystem::resize_file(path, 10); // shorter than the header
     EXPECT_THROW(StoreReader::open(path), InputError);
+    std::filesystem::resize_file(path, 0);
+    try {
+        StoreReader::open(path);
+        FAIL() << "expected truncation error";
+    } catch (const InputError& e) {
+        EXPECT_NE(std::string(e.what()).find("truncated (no header)"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(StoreContainer, RejectsBadMagicAndVersion)
@@ -279,48 +312,37 @@ TEST(StoreArtifacts, FmIndexRoundTripAndView)
         writer.finish();
     }
 
-    auto stream_reader = StoreReader::open(path, ReadMode::kStream);
-    const FmIndex copied = store::readFmIndex(stream_reader);
-    auto mmap_reader = std::make_shared<StoreReader>(
-        StoreReader::open(path, ReadMode::kMmap));
-    const FmIndex viewed = store::viewFmIndex(mmap_reader);
-    EXPECT_FALSE(copied.isView());
-    if (mmap_reader->mode() == ReadMode::kMmap) {
-        EXPECT_TRUE(viewed.isView());
+    const FmIndex viewed = store::viewFmIndex(
+        std::make_shared<StoreReader>(StoreReader::open(path)));
+    EXPECT_TRUE(viewed.isView());
+    EXPECT_EQ(viewed.referenceLength(), original.referenceLength());
+    EXPECT_EQ(viewed.blockLen(), original.blockLen());
+    EXPECT_EQ(viewed.bwtLength(), original.bwtLength());
+    EXPECT_EQ(viewed.cumulative(), original.cumulative());
+    for (const char* pattern : {"ACGT", "TTT", "GATTACA", "CCGG"}) {
+        EXPECT_EQ(viewed.count(pattern), original.count(pattern))
+            << pattern;
+    }
+    // SMEMs exercise occ tables, cumulative counts and the SA.
+    const auto codes = encodeDna(ref.substr(100, 80));
+    std::vector<Smem> expect_mems;
+    std::vector<Smem> got_mems;
+    NullProbe probe;
+    original.smems(std::span<const u8>(codes), 19, expect_mems, probe);
+    viewed.smems(std::span<const u8>(codes), 19, got_mems, probe);
+    ASSERT_EQ(got_mems.size(), expect_mems.size());
+    for (size_t i = 0; i < got_mems.size(); ++i) {
+        EXPECT_EQ(got_mems[i].k, expect_mems[i].k);
+        EXPECT_EQ(got_mems[i].s, expect_mems[i].s);
     }
 
-    for (const FmIndex* loaded : {&copied, &viewed}) {
-        EXPECT_EQ(loaded->referenceLength(),
-                  original.referenceLength());
-        EXPECT_EQ(loaded->blockLen(), original.blockLen());
-        EXPECT_EQ(loaded->bwtLength(), original.bwtLength());
-        for (const char* pattern :
-             {"ACGT", "TTT", "GATTACA", "CCGG"}) {
-            EXPECT_EQ(loaded->count(pattern), original.count(pattern))
-                << pattern;
-        }
-        // SMEMs exercise occ tables, cumulative counts and the SA.
-        const auto codes = encodeDna(ref.substr(100, 80));
-        std::vector<Smem> expect_mems;
-        std::vector<Smem> got_mems;
-        NullProbe probe;
-        original.smems(std::span<const u8>(codes), 19, expect_mems,
-                       probe);
-        loaded->smems(std::span<const u8>(codes), 19, got_mems, probe);
-        ASSERT_EQ(got_mems.size(), expect_mems.size());
-        for (size_t i = 0; i < got_mems.size(); ++i) {
-            EXPECT_EQ(got_mems[i].k, expect_mems[i].k);
-            EXPECT_EQ(got_mems[i].s, expect_mems[i].s);
-        }
-    }
-
-    // The copying loader must be bitwise-identical to the original.
+    // The mapped arrays must be bitwise-identical to the original.
     const auto same = [](auto a, auto b) {
         return std::equal(a.begin(), a.end(), b.begin(), b.end());
     };
-    EXPECT_TRUE(same(copied.occCounts(), original.occCounts()));
-    EXPECT_TRUE(same(copied.bwtData(), original.bwtData()));
-    EXPECT_TRUE(same(copied.saSamples(), original.saSamples()));
+    EXPECT_TRUE(same(viewed.occCounts(), original.occCounts()));
+    EXPECT_TRUE(same(viewed.bwtData(), original.bwtData()));
+    EXPECT_TRUE(same(viewed.saSamples(), original.saSamples()));
 }
 
 TEST(StoreArtifacts, FmIndexLoadDetectsCorruption)
@@ -333,21 +355,50 @@ TEST(StoreArtifacts, FmIndexLoadDetectsCorruption)
         store::addFmIndex(writer, fm);
         writer.finish();
     }
-    // Flip a byte inside the BWT payload.
+    // A byte inside the BWT payload, flipped last.
     u64 bwt_offset = 0;
-    const auto probe_reader = StoreReader::open(path);
+    auto probe_reader = StoreReader::open(path);
     for (const auto& entry : probe_reader.sections()) {
         if (std::string(entry.name) == "fm.bwt") {
             bwt_offset = entry.offset + entry.size / 3;
         }
     }
     ASSERT_NE(bwt_offset, 0u);
-    flipByte(path, bwt_offset);
 
+    // Containers with valid digests whose fm.meta cumulative counts
+    // c[0..6] are inconsistent: baseInterval() would index past the
+    // BWT, so the loader must reject them. c[i] sits after ref_len.
+    const u64 n = fm.bwtLength();
+    const std::vector<std::pair<u32, u64>> bad_counts{
+        {6, n + 1000}, // c[6] != n
+        {3, fm.cumulative()[4] + 1}, // c decreasing
+        {0, 1}, // c[0] != 0
+    };
+    for (const auto& [index, value] : bad_counts) {
+        const std::string bad = scratch.file("bad_c.gbs");
+        {
+            StoreWriter writer(bad);
+            for (const auto& entry : probe_reader.sections()) {
+                const auto bytes = probe_reader.section(entry.name);
+                std::vector<u8> payload(bytes.begin(), bytes.end());
+                if (std::string(entry.name) == "fm.meta") {
+                    std::memcpy(payload.data() + 8 + 8 * index, &value,
+                                sizeof(value));
+                }
+                writer.add(entry.name, payload.data(), payload.size());
+            }
+            writer.finish();
+        }
+        auto bad_reader =
+            std::make_shared<StoreReader>(StoreReader::open(bad));
+        EXPECT_NO_THROW(bad_reader->verifyAll());
+        EXPECT_THROW(store::viewFmIndex(bad_reader), InputError)
+            << "c[" << index << "] = " << value;
+    }
+
+    flipByte(path, bwt_offset);
     auto reader = std::make_shared<StoreReader>(StoreReader::open(path));
     EXPECT_THROW(store::viewFmIndex(reader), InputError);
-    auto stream_reader = StoreReader::open(path, ReadMode::kStream);
-    EXPECT_THROW(store::readFmIndex(stream_reader), InputError);
 }
 
 TEST(StoreArtifacts, RaggedRowsRoundTrip)
@@ -375,22 +426,18 @@ TEST(StoreArtifacts, RaggedRowsRoundTrip)
         writer.finish();
     }
 
-    for (ReadMode mode : {ReadMode::kMmap, ReadMode::kStream}) {
-        auto reader = StoreReader::open(path, mode);
-        EXPECT_EQ(store::readByteRows(reader, "bytes"), byte_rows);
-        EXPECT_EQ(store::readStringRows(reader, "strings"),
-                  string_rows);
-        const auto events = store::readEventRows(reader, "events");
-        ASSERT_EQ(events.size(), event_rows.size());
-        for (size_t i = 0; i < events.size(); ++i) {
-            ASSERT_EQ(events[i].size(), event_rows[i].size()) << i;
-            for (size_t j = 0; j < events[i].size(); ++j) {
-                EXPECT_EQ(events[i][j].start, event_rows[i][j].start);
-                EXPECT_EQ(events[i][j].length,
-                          event_rows[i][j].length);
-                EXPECT_EQ(events[i][j].mean, event_rows[i][j].mean);
-                EXPECT_EQ(events[i][j].stdv, event_rows[i][j].stdv);
-            }
+    auto reader = StoreReader::open(path);
+    EXPECT_EQ(store::readByteRows(reader, "bytes"), byte_rows);
+    EXPECT_EQ(store::readStringRows(reader, "strings"), string_rows);
+    const auto events = store::readEventRows(reader, "events");
+    ASSERT_EQ(events.size(), event_rows.size());
+    for (size_t i = 0; i < events.size(); ++i) {
+        ASSERT_EQ(events[i].size(), event_rows[i].size()) << i;
+        for (size_t j = 0; j < events[i].size(); ++j) {
+            EXPECT_EQ(events[i][j].start, event_rows[i][j].start);
+            EXPECT_EQ(events[i][j].length, event_rows[i][j].length);
+            EXPECT_EQ(events[i][j].mean, event_rows[i][j].mean);
+            EXPECT_EQ(events[i][j].stdv, event_rows[i][j].stdv);
         }
     }
 }

@@ -296,14 +296,6 @@ TEST(LogHistogram, MergeRejectsBaseMismatch)
     EXPECT_THROW(a.merge(b), InputError);
 }
 
-TEST(SerialFor, VisitsAllInOrder)
-{
-    std::vector<u64> seen;
-    serialFor(5, [&](u64 i) { seen.push_back(i); });
-    const std::vector<u64> expected{0, 1, 2, 3, 4};
-    EXPECT_EQ(seen, expected);
-}
-
 TEST(Format, FixedPrecision)
 {
     EXPECT_EQ(formatF(1.23456, 2), "1.23");

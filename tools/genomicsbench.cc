@@ -334,7 +334,7 @@ cmdStoreBuild(const std::vector<std::string>& kernels, DatasetSize size)
 int
 cmdStoreInspect(const std::string& path)
 {
-    auto reader = store::StoreReader::open(path, store::ReadMode::kStream);
+    auto reader = store::StoreReader::open(path);
     std::cout << "file:           " << path << '\n'
               << "format version: " << reader.formatVersion() << '\n'
               << "file bytes:     " << reader.fileBytes() << '\n'
@@ -379,9 +379,7 @@ cmdStoreVerify(std::vector<std::string> paths)
     int failures = 0;
     for (const auto& path : paths) {
         try {
-            auto reader =
-                store::StoreReader::open(path,
-                                         store::ReadMode::kStream);
+            auto reader = store::StoreReader::open(path);
             reader.verifyAll();
             std::cout << path << ": OK ("
                       << reader.sections().size() << " sections, "
