@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full pre-merge check: tier-1 build + tests, the SIMD, banded-SW row
-# engine, FM-index/SMEM, phmm, chain and poa equivalence suites at every
-# dispatch level
+# engine, FM-index/SMEM, phmm, chain, poa, nn and grm equivalence suites
+# at every dispatch level
 # (GB_SIMD_LEVEL=scalar|sse4|avx2), the whole ctest suite under
 # ASan/UBSan (plus the dispatch-level suites at every level), the
 # thread-pool, k-mer, metrics, serve, net and trace suites under TSan, a
@@ -11,9 +11,9 @@
 # (self-verifying), an end-to-end
 # artifact-cache smoke test (store build -> store verify -> store
 # inspect of the fmi artifact and of an empty file -> warm run +
-# corruption check), a dispatch-level smoke (bsw, phmm, fmi, chain and
-# spoa report the same task counts under GB_SIMD_LEVEL=scalar and the
-# default level, at 1 and 4 threads), a kmer-cnt thread smoke (the
+# corruption check), a dispatch-level smoke (bsw, phmm, fmi, chain,
+# spoa, nn-base, nn-variant and grm report the same task counts under
+# GB_SIMD_LEVEL=scalar and the default level, at 1 and 4 threads), a kmer-cnt thread smoke (the
 # same task counts at 1, 3 and 4 threads), a gb::serve smoke test (8-job
 # list through the scheduler, JSON validated, single-flight prepare
 # asserted), a gb::net loopback
@@ -57,7 +57,7 @@ step "tier-1: ctest"
 # host with AVX2 still exercises the SSE4 and scalar dispatch paths
 # (the env override clamps to what the CPU supports, so this is safe
 # on any machine).
-step "gb::simd + bsw row engine + FM-index SMEMs + phmm/chain/poa: equivalence at every dispatch level"
+step "gb::simd + bsw row engine + FM-index SMEMs + phmm/chain/poa/nn/grm: equivalence at every dispatch level"
 for level in scalar sse4 avx2; do
     echo "-- GB_SIMD_LEVEL=$level"
     GB_SIMD_LEVEL=$level ./build/tests/test_simd
@@ -66,6 +66,8 @@ for level in scalar sse4 avx2; do
     GB_SIMD_LEVEL=$level ./build/tests/test_phmm --gtest_brief=1
     GB_SIMD_LEVEL=$level ./build/tests/test_chain --gtest_brief=1
     GB_SIMD_LEVEL=$level ./build/tests/test_poa --gtest_brief=1
+    GB_SIMD_LEVEL=$level ./build/tests/test_nn --gtest_brief=1
+    GB_SIMD_LEVEL=$level ./build/tests/test_grm --gtest_brief=1
 done
 
 # ------------------------------------------------------- sanitizer build
@@ -89,6 +91,10 @@ if [[ $SKIP_SAN -eq 0 ]]; then
         GB_SIMD_LEVEL=$level ./build-asan/tests/test_chain \
             --gtest_brief=1
         GB_SIMD_LEVEL=$level ./build-asan/tests/test_poa \
+            --gtest_brief=1
+        GB_SIMD_LEVEL=$level ./build-asan/tests/test_nn \
+            --gtest_brief=1
+        GB_SIMD_LEVEL=$level ./build-asan/tests/test_grm \
             --gtest_brief=1
     done
 fi
@@ -227,11 +233,11 @@ grep -q "1 hit" /tmp/gb_warm.txt || {
 }
 
 # Dispatch-level equivalence: GB_SIMD_LEVEL is the one scalar/SIMD
-# switch of bsw, phmm, fmi, chain and spoa, so each must, at 1 and 4
-# threads, emit `run` rows under GB_SIMD_LEVEL=scalar and under the
+# switch of bsw, phmm, fmi, chain, spoa, nn-base, nn-variant and grm, so
+# each must, at 1 and 4 threads, emit `run` rows under GB_SIMD_LEVEL=scalar and under the
 # default (detected) level with exactly the same task counters, and
 # meta.simd_level must name the level that ran.
-step "simd level: bsw/phmm/fmi/chain/spoa x 1,4 threads, default-level counters match scalar"
+step "simd level: bsw/phmm/fmi/chain/spoa/nn-base/nn-variant/grm x 1,4 threads, default-level counters match scalar"
 check_counters() { # kernel threads scalar.json other.json
     python3 - "$@" <<'EOF'
 import json, sys
@@ -261,7 +267,7 @@ print(f"level smoke ok: {kernel} threads={threads} tasks {base} "
       f"at levels scalar and {detected}")
 EOF
 }
-for kernel in bsw phmm fmi chain spoa; do
+for kernel in bsw phmm fmi chain spoa nn-base nn-variant grm; do
     for threads in 1 4; do
         GB_SIMD_LEVEL=scalar "$GB" run "$kernel" --size=tiny \
             --repeat=2 --threads="$threads" \

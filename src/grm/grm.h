@@ -12,12 +12,22 @@
  *
  * The multiply is blocked (64x64 tiles) and parallelized over output
  * tiles, computing only the upper triangle and mirroring.
+ *
+ * A NullProbe call runs each tile's site block through the gb::simd
+ * f32 micro-GEMM (simd/f32_engine.h): lanes across 16 individuals j,
+ * read from k-major panels of Z packed per site block in parallel,
+ * and registers over 4 individuals i, read from Z's rows. A recording
+ * probe runs the per-pair dot products (the test oracle and the
+ * characterize() path). Each entry is summed in the same order either
+ * way, so the result is bit-identical at every dispatch level.
  */
 #ifndef GB_GRM_GRM_H
 #define GB_GRM_GRM_H
 
 #include <algorithm>
 #include <array>
+#include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -41,8 +51,52 @@ struct GrmResult
     }
 };
 
-/** Standardized genotype matrix Z (N x S, row-major float). */
-std::vector<float> standardizeGenotypes(const GenotypeMatrix& m);
+/**
+ * Standardized genotype matrix Z (N x S, row-major float), built in
+ * parallel over site chunks.
+ */
+std::vector<float> standardizeGenotypes(const GenotypeMatrix& m,
+                                        ThreadPool& pool);
+
+/** Output tile edge and site-block length of the blocked multiply. */
+inline constexpr u32 kGrmTile = 64;
+inline constexpr u32 kGrmSiteBlock = 2048;
+
+namespace detail {
+
+/**
+ * The uninstrumented path's operands: per site block, Z's rows and
+ * k-major panels of 16 individuals, standardized straight from the
+ * genotypes (the full N x S Z is never materialized).
+ */
+class GrmEngine
+{
+  public:
+    /** Per-site scaling of every site (parallel over site chunks). */
+    GrmEngine(const GenotypeMatrix& m, ThreadPool& pool);
+
+    /** Standardize sites [sb, sb + block) (parallel over panels). */
+    void loadBlock(u32 sb, u32 block, ThreadPool& pool);
+
+    /**
+     * acc[i - i_begin][j - j_begin] += the loaded block's sum of
+     * z_i z_j, for the tile's entries with j >= i.
+     */
+    void addTile(u32 i_begin, u32 i_end, u32 j_begin, u32 j_end,
+                 float* acc) const;
+
+  private:
+    static constexpr u32 kPanel = 16; ///< the engine's lane block
+
+    const GenotypeMatrix& m_;
+    std::vector<float> mean_;
+    std::vector<float> scale_;
+    u32 block_ = 0;
+    std::vector<float> rows_;   ///< [n][kGrmSiteBlock]
+    std::vector<float> panels_; ///< [n / 16][kGrmSiteBlock][16]
+};
+
+} // namespace detail
 
 /**
  * Compute the GRM.
@@ -64,10 +118,19 @@ template <typename Probe>
 GrmResult
 computeGrm(const GenotypeMatrix& m, ThreadPool& pool, Probe& probe)
 {
-    constexpr u32 kTile = 64;
+    constexpr u32 kTile = kGrmTile;
+    constexpr bool kEngine = std::is_same_v<Probe, NullProbe>;
     const u32 n = m.num_individuals;
     const u32 s = m.num_sites;
-    const std::vector<float> z = standardizeGenotypes(m);
+    // The per-pair loop reads the whole Z; the engine standardizes one
+    // site block at a time into its own operands.
+    std::vector<float> z;
+    std::optional<detail::GrmEngine> engine;
+    if constexpr (kEngine) {
+        engine.emplace(m, pool);
+    } else {
+        z = standardizeGenotypes(m, pool);
+    }
 
     GrmResult result;
     result.n = n;
@@ -87,10 +150,11 @@ computeGrm(const GenotypeMatrix& m, ThreadPool& pool, Probe& probe)
     // the N x kSiteBlock slice of Z stays LLC-resident while every
     // tile pair consumes it; per-pair 64x64 accumulators persist
     // across blocks.
-    constexpr u32 kSiteBlock = 2048;
+    constexpr u32 kSiteBlock = kGrmSiteBlock;
     std::vector<float> accs(tile_pairs.size() * kTile * kTile, 0.0f);
     for (u32 sb = 0; sb < s; sb += kSiteBlock) {
         const u32 block = std::min(kSiteBlock, s - sb);
+        if constexpr (kEngine) engine->loadBlock(sb, block, pool);
         pool.parallelFor(tile_pairs.size(), [&](u64 t) {
             const auto [ti, tj] = tile_pairs[t];
             const u32 i_begin = ti * kTile;
@@ -98,6 +162,10 @@ computeGrm(const GenotypeMatrix& m, ThreadPool& pool, Probe& probe)
             const u32 i_end = std::min(n, (ti + 1) * kTile);
             const u32 j_end = std::min(n, (tj + 1) * kTile);
             float* acc = &accs[t * kTile * kTile];
+            if constexpr (kEngine) {
+                engine->addTile(i_begin, i_end, j_begin0, j_end, acc);
+                return;
+            }
 
             for (u32 i = i_begin; i < i_end; ++i) {
                 const float* zi =

@@ -77,13 +77,14 @@ FmIndex::build(std::string_view reference, u32 block_len)
 void
 FmIndex::checkParts(u64 ref_len, u64 n, u32 block_len,
                     const std::array<u64, kAlphabet + 1>& c,
-                    u64 counts_size, u64 bwt_size, u64 sa_size)
+                    std::span<const u32> counts, u64 bwt_size,
+                    u64 sa_size)
 {
     requireInput(n == 2 * ref_len + 2 && block_len >= 8 &&
                      block_len <= 4096,
                  "FM-index: inconsistent header");
     const u64 num_blocks = ceilDiv<u64>(n, block_len) + 1;
-    requireInput(counts_size == num_blocks * kAlphabet &&
+    requireInput(counts.size() == num_blocks * kAlphabet &&
                      bwt_size == num_blocks * block_len &&
                      sa_size == n,
                  "FM-index: inconsistent payload");
@@ -92,6 +93,20 @@ FmIndex::checkParts(u64 ref_len, u64 n, u32 block_len,
     requireInput(c[0] == 0 && std::is_sorted(c.begin(), c.end()) &&
                      c[kAlphabet] == n,
                  "FM-index: inconsistent cumulative counts");
+    // occ() adds a partial-block scan to a checkpoint and the result
+    // indexes c[]-based intervals, so every checkpoint must be a
+    // reachable prefix count.
+    for (u32 sym = 0; sym < kAlphabet; ++sym) {
+        const u64 total = c[sym + 1] - c[sym];
+        u64 prev = 0;
+        for (u64 b = 0; b < num_blocks; ++b) {
+            const u64 cp = counts[b * kAlphabet + sym];
+            requireInput(cp >= prev && cp - prev <= block_len &&
+                             cp <= total && (b > 0 || cp == 0),
+                         "FM-index: inconsistent occ checkpoints");
+            prev = cp;
+        }
+    }
 }
 
 FmIndex
@@ -101,7 +116,7 @@ FmIndex::fromViews(u64 ref_len, u32 block_len,
                    std::span<const u32> sa_samples,
                    std::shared_ptr<const void> backing)
 {
-    checkParts(ref_len, 2 * ref_len + 2, block_len, c, counts.size(),
+    checkParts(ref_len, 2 * ref_len + 2, block_len, c, counts,
                bwt.size(), sa_samples.size());
     FmIndex fm;
     fm.ref_len_ = ref_len;

@@ -10,6 +10,13 @@
  * templated on the Probe policy; one op(kVecAlu) is reported per
  * 8-wide FMA bundle, matching how the real kernels map onto SIMD/tensor
  * units.
+ *
+ * A NullProbe forward runs the gb::simd f32 micro-GEMM
+ * (simd/f32_engine.h) over k-major weight copies packed once at
+ * construction; a recording probe runs the plain per-output loops on
+ * the original weights (the test oracle and the characterize() path).
+ * Both sum every output in the same order, so their results are
+ * bit-identical at every dispatch level.
  */
 #ifndef GB_NN_LAYERS_H
 #define GB_NN_LAYERS_H
@@ -55,6 +62,13 @@ class Conv1d
     u32 stride() const { return stride_; }
 
   private:
+    /** Pre-activation output through the f32 engine. */
+    Tensor2 forwardEngine(const Tensor2& input) const;
+
+    /** Taps [k0, k1) of frames [f0, f1), all inside the input. */
+    void addTaps(const Tensor2& input, Tensor2& out, u32 f0, u32 f1,
+                 u32 k0, u32 k1) const;
+
     u32 in_channels_;
     u32 out_channels_;
     u32 kernel_;
@@ -63,6 +77,8 @@ class Conv1d
     Activation act_;
     // weights_[oc][ic_per_group * kernel], row-major per out channel.
     Tensor2 weights_;
+    // taps_[(k * ic_per_group + ic) * out_channels + oc], k-major.
+    std::vector<float> taps_;
     std::vector<float> bias_;
 };
 
@@ -83,6 +99,7 @@ class Dense
     u32 out_features_;
     Activation act_;
     Tensor2 weights_; ///< [out][in]
+    std::vector<float> weights_t_; ///< [in][out]
     std::vector<float> bias_;
 };
 
@@ -105,6 +122,7 @@ class BiLstm
     struct Direction
     {
         Tensor2 w;               ///< [4*hidden][in+hidden]
+        std::vector<float> w_t;  ///< [in+hidden][4*hidden]
         std::vector<float> bias; ///< [4*hidden]
     };
 

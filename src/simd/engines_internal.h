@@ -13,6 +13,7 @@
 
 #include "align/banded_sw.h"
 #include "chain/chain.h"
+#include "simd/f32_engine.h"
 #include "simd/poa_engine.h"
 #include "util/common.h"
 
@@ -120,6 +121,16 @@ void poaRowPassAvx2(const PoaRowPassArgs& args);
  */
 void poaInsScanSse4(const PoaInsScanArgs& args);
 void poaInsScanAvx2(const PoaInsScanArgs& args);
+
+/**
+ * The scalar loop over rows [r0, r1) and columns [c0, cols): the whole
+ * scalar level, and the vector levels' sub-vector column tail.
+ */
+void f32GemmScalarBlock(const F32Gemm& g, u32 r0, u32 r1, u32 c0);
+
+/** Output-parallel micro-GEMM; bit-identical to f32GemmScalar(). */
+void f32GemmSse4(const F32Gemm& g);
+void f32GemmAvx2(const F32Gemm& g);
 
 } // namespace gb::simd::detail
 

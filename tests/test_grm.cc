@@ -1,14 +1,18 @@
 /**
  * @file
  * Tests for genotype synthesis and the GRM kernel: naive-oracle
- * equality, symmetry, population structure, missing-data handling.
+ * equality, symmetry, population structure, missing-data handling,
+ * and the f32 engine's bit-identity with the per-pair loop at every
+ * dispatch level.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "grm/grm.h"
+#include "simd/simd.h"
 #include "simdata/genotypes.h"
 #include "util/thread_pool.h"
 
@@ -208,6 +212,69 @@ TEST(Grm, SingleThreadAndMultiThreadAgree)
     const auto a = computeGrm(m, pool1);
     const auto b = computeGrm(m, pool4);
     EXPECT_EQ(a.g, b.g);
+}
+
+/** Levels this host can actually execute (always includes scalar). */
+std::vector<simd::SimdLevel>
+testableLevels()
+{
+    std::vector<simd::SimdLevel> levels{simd::SimdLevel::kScalar};
+    const simd::SimdLevel best = simd::detectSimdLevel();
+    if (best >= simd::SimdLevel::kSse4) {
+        levels.push_back(simd::SimdLevel::kSse4);
+    }
+    if (best >= simd::SimdLevel::kAvx2) {
+        levels.push_back(simd::SimdLevel::kAvx2);
+    }
+    return levels;
+}
+
+/** The first n individuals of m (n = 1 is below the generator's floor). */
+GenotypeMatrix
+firstIndividuals(const GenotypeMatrix& m, u32 n)
+{
+    GenotypeMatrix out;
+    out.num_individuals = n;
+    out.num_sites = m.num_sites;
+    out.genotypes.assign(m.genotypes.begin(),
+                         m.genotypes.begin() +
+                             static_cast<std::ptrdiff_t>(n) * m.num_sites);
+    out.allele_freq = m.allele_freq;
+    return out;
+}
+
+TEST(Grm, EngineBitIdenticalToPairLoopAtEveryLevel)
+{
+    // 2500 sites: one full 2048-site block plus a partial one. n
+    // covers a single individual, tiles that are not a multiple of
+    // the 16-wide lane block and a third, partial tile row.
+    GenotypeParams gp;
+    gp.num_individuals = 130;
+    gp.num_sites = 2500;
+    gp.missing_rate = 0.05;
+    const auto full = generateGenotypes(gp);
+    ThreadPool pool1(1);
+    ThreadPool pool4(4);
+    for (const u32 n : {1u, 63u, 65u, 130u}) {
+        const GenotypeMatrix m = firstIndividuals(full, n);
+        CountingProbe counting;
+        const GrmResult oracle = computeGrm(m, pool1, counting);
+        ASSERT_EQ(oracle.g.size(), static_cast<size_t>(n) * n);
+        for (const simd::SimdLevel level : testableLevels()) {
+            simd::setSimdLevel(level);
+            for (ThreadPool* pool : {&pool1, &pool4}) {
+                const GrmResult got = computeGrm(m, *pool);
+                ASSERT_EQ(got.g.size(), oracle.g.size());
+                EXPECT_EQ(std::memcmp(got.g.data(), oracle.g.data(),
+                                      oracle.g.size() * sizeof(float)),
+                          0)
+                    << "n=" << n << " level="
+                    << simd::simdLevelName(level)
+                    << " threads=" << pool->numThreads();
+            }
+        }
+        simd::resetSimdLevel();
+    }
 }
 
 } // namespace

@@ -1,11 +1,13 @@
 /**
  * @file
- * Tests for the NN inference engine: layers, CTC decoders, and the
- * Bonito/Clair model assemblies.
+ * Tests for the NN inference engine: layers, CTC decoders, the
+ * Bonito/Clair model assemblies, and the f32 engine's bit-identity
+ * with the per-output loops at every dispatch level.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "nn/ctc.h"
 #include "nn/layers.h"
 #include "pileup/pileup.h"
+#include "simd/simd.h"
 #include "util/rng.h"
 
 namespace gb {
@@ -347,6 +350,156 @@ TEST(Clair, OutputDependsOnInput)
                           ob.alt_base[static_cast<size_t>(i)]);
     }
     EXPECT_GT(delta, 1e-4f);
+}
+
+/** Levels this host can actually execute (always includes scalar). */
+std::vector<simd::SimdLevel>
+testableLevels()
+{
+    std::vector<simd::SimdLevel> levels{simd::SimdLevel::kScalar};
+    const simd::SimdLevel best = simd::detectSimdLevel();
+    if (best >= simd::SimdLevel::kSse4) {
+        levels.push_back(simd::SimdLevel::kSse4);
+    }
+    if (best >= simd::SimdLevel::kAvx2) {
+        levels.push_back(simd::SimdLevel::kAvx2);
+    }
+    return levels;
+}
+
+/** Same shape and the same float bit patterns. */
+::testing::AssertionResult
+sameBits(const Tensor2& got, const Tensor2& want)
+{
+    if (got.rows != want.rows || got.cols != want.cols) {
+        return ::testing::AssertionFailure()
+               << "shape " << got.rows << "x" << got.cols << " vs "
+               << want.rows << "x" << want.cols;
+    }
+    if (std::memcmp(got.data.data(), want.data.data(),
+                    want.data.size() * sizeof(float)) != 0) {
+        return ::testing::AssertionFailure() << "float bits differ";
+    }
+    return ::testing::AssertionSuccess();
+}
+
+Tensor2
+randomTensor(u32 rows, u32 cols, u64 seed)
+{
+    Tensor2 t(rows, cols);
+    Rng rng(seed);
+    for (auto& v : t.data) v = static_cast<float>(rng.normal());
+    return t;
+}
+
+/**
+ * A NullProbe forward runs the f32 engine; it must reproduce the
+ * recording-probe loop's bits at every level.
+ */
+template <typename Layer>
+void
+expectEngineMatchesLoop(const Layer& layer, const Tensor2& input,
+                        const std::string& what)
+{
+    CountingProbe counting;
+    const Tensor2 oracle = layer.forward(input, counting);
+    for (const simd::SimdLevel level : testableLevels()) {
+        simd::setSimdLevel(level);
+        NullProbe probe;
+        EXPECT_TRUE(sameBits(layer.forward(input, probe), oracle))
+            << what << " level=" << simd::simdLevelName(level);
+    }
+    simd::resetSimdLevel();
+}
+
+TEST(Layers, ConvEngineBitIdenticalAtEveryLevel)
+{
+    struct Shape
+    {
+        u32 in;
+        u32 out;
+        u32 groups;
+    };
+    // Dense, depthwise and 2-group convolutions; output widths that
+    // are not a multiple of 8 leave a sub-vector column tail.
+    const Shape shapes[] = {{1, 13, 1}, {16, 37, 1}, {11, 11, 11},
+                            {4, 6, 2}};
+    u64 seed = 100;
+    for (const Shape& sh : shapes) {
+        for (const u32 kernel : {1u, 4u, 5u, 9u}) {
+            for (const u32 stride : {1u, 3u}) {
+                // T < kernel leaves no interior frame at all.
+                for (const u32 t : {1u, 3u, 8u, 40u, 101u}) {
+                    const Conv1d conv(sh.in, sh.out, kernel, stride,
+                                      sh.groups, Activation::kSwish,
+                                      seed++);
+                    expectEngineMatchesLoop(
+                        conv, randomTensor(t, sh.in, seed++),
+                        "conv in=" + std::to_string(sh.in) +
+                            " out=" + std::to_string(sh.out) +
+                            " groups=" + std::to_string(sh.groups) +
+                            " k=" + std::to_string(kernel) +
+                            " s=" + std::to_string(stride) +
+                            " T=" + std::to_string(t));
+                }
+            }
+        }
+    }
+}
+
+TEST(Layers, DenseEngineBitIdenticalAtEveryLevel)
+{
+    u64 seed = 200;
+    for (const u32 out : {2u, 4u, 6u, 96u}) {
+        for (const u32 rows : {1u, 5u}) {
+            const Dense dense(96, out, Activation::kNone, seed++);
+            expectEngineMatchesLoop(dense, randomTensor(rows, 96, seed++),
+                                    "dense out=" + std::to_string(out) +
+                                        " rows=" + std::to_string(rows));
+        }
+    }
+}
+
+TEST(Layers, BiLstmEngineBitIdenticalAtEveryLevel)
+{
+    // Clair's two layers, and a hidden size below every vector width.
+    expectEngineMatchesLoop(BiLstm(32, 48, 301), randomTensor(33, 32, 302),
+                            "bilstm 32->48");
+    expectEngineMatchesLoop(BiLstm(96, 48, 303), randomTensor(33, 96, 304),
+                            "bilstm 96->48");
+    expectEngineMatchesLoop(BiLstm(7, 5, 305), randomTensor(9, 7, 306),
+                            "bilstm 7->5");
+}
+
+TEST(Bonito, ForwardEngineBitIdenticalAtEveryLevel)
+{
+    const BonitoModel model;
+    expectEngineMatchesLoop(model, randomTensor(1000, 1, 401),
+                            "bonito T=1000");
+}
+
+TEST(Clair, PredictEngineBitIdenticalAtEveryLevel)
+{
+    const ClairModel model;
+    std::vector<float> features(kClairFeatureSize);
+    Rng rng(402);
+    for (auto& v : features) v = static_cast<float>(rng.uniform());
+    CountingProbe counting;
+    const ClairOutput oracle = model.predict(features, counting);
+    auto same = [](const auto& a, const auto& b) {
+        return std::memcmp(a.data(), b.data(), sizeof(a)) == 0;
+    };
+    for (const simd::SimdLevel level : testableLevels()) {
+        simd::setSimdLevel(level);
+        NullProbe probe;
+        const ClairOutput got = model.predict(features, probe);
+        EXPECT_TRUE(same(got.alt_base, oracle.alt_base) &&
+                    same(got.zygosity, oracle.zygosity) &&
+                    same(got.var_type, oracle.var_type) &&
+                    same(got.indel_len, oracle.indel_len))
+            << simd::simdLevelName(level);
+    }
+    simd::resetSimdLevel();
 }
 
 } // namespace

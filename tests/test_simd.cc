@@ -4,14 +4,16 @@
  * the occ counter and the SMEM search built on it (identical results
  * and probe traffic at every dispatch level), scalar/SIMD equivalence
  * for banded-SW (bit-identical scores, end positions and abort flags
- * at every dispatch level) and PairHMM (the dispatched
+ * at every dispatch level), PairHMM (the dispatched
  * pairHmmLogLikelihood bit-identical to the scalar template, exact
- * double fallback).
+ * double fallback) and the f32 micro-GEMM (bit-identical to its
+ * scalar triple loop for every operand layout).
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -23,6 +25,7 @@
 #include "phmm/pairhmm.h"
 #include "simd/bsw_engine.h"
 #include "simd/chain_engine.h"
+#include "simd/f32_engine.h"
 #include "simd/occ_engine.h"
 #include "simd/phmm_engine.h"
 #include "simd/poa_engine.h"
@@ -129,6 +132,100 @@ TEST(SimdDispatch, LaneCountsMatchLevel)
         EXPECT_EQ(simd::phmmLanes(simd::SimdLevel::kAvx2), 8u);
         EXPECT_EQ(simd::chainLanes(simd::SimdLevel::kAvx2), 8u);
         EXPECT_EQ(simd::poaLanes(simd::SimdLevel::kAvx2), 8u);
+    }
+}
+
+TEST(F32Engine, MatchesScalarLoopForEveryOperandLayout)
+{
+    // Shapes straddle the 4-row and 1/2/4/8-vector tile edges; padded
+    // leading dimensions, a broadcast init row (ldi = 0), a zero start
+    // (init = null) and an in-place update (init = out) all appear.
+    Rng rng(77);
+    auto fill = [&](std::vector<float>& v, size_t n) {
+        v.resize(n + 1);
+        for (auto& x : v) x = static_cast<float>(rng.normal());
+    };
+    for (const simd::SimdLevel level : testableLevels()) {
+        const simd::F32GemmFn fn = simd::f32GemmFor(level);
+        for (int iter = 0; iter < 600; ++iter) {
+            const u32 rows = static_cast<u32>(rng.below(11));
+            const u32 cols = static_cast<u32>(rng.below(80));
+            const u32 depth = static_cast<u32>(rng.below(40));
+            const size_t a_row = depth + rng.below(4);
+            const size_t ldb = cols + rng.below(5);
+            const size_t ldo = cols + rng.below(5);
+            const int init_mode = static_cast<int>(rng.below(4));
+            std::vector<float> a;
+            std::vector<float> b;
+            std::vector<float> init;
+            fill(a, rows * a_row);
+            fill(b, depth * ldb);
+            fill(init, rows * ldo);
+            std::vector<float> want(rows * ldo + 1, -7.0f);
+            if (init_mode == 3) want = init;
+            std::vector<float> got = want;
+
+            simd::F32Gemm g;
+            g.rows = rows;
+            g.cols = cols;
+            g.depth = depth;
+            g.a = a.data();
+            g.a_row = a_row;
+            g.b = b.data();
+            g.ldb = ldb;
+            g.ldo = ldo;
+            if (init_mode == 1) g.init = init.data(); // broadcast row
+            if (init_mode == 2) {
+                g.init = init.data();
+                g.ldi = ldo;
+            }
+            simd::F32Gemm want_g = g;
+            want_g.out = want.data();
+            if (init_mode == 3) {
+                want_g.init = want.data();
+                want_g.ldi = ldo;
+            }
+            simd::f32GemmScalar(want_g);
+            g.out = got.data();
+            if (init_mode == 3) {
+                g.init = got.data();
+                g.ldi = ldo;
+            }
+            fn(g);
+            ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                  want.size() * sizeof(float)),
+                      0)
+                << "level=" << simd::simdLevelName(level)
+                << " rows=" << rows << " cols=" << cols
+                << " depth=" << depth << " init_mode=" << init_mode;
+        }
+    }
+}
+
+TEST(F32Engine, ScalarLoopIsTheDefinition)
+{
+    // out = init + a[r][0] * b[0][c] + a[r][1] * b[1][c], in order.
+    const float a[] = {1.5f, -2.0f, 0.25f, 4.0f};
+    const float b[] = {3.0f, 1.0f, 0.5f, -1.0f};
+    const float init[] = {10.0f, 20.0f};
+    float out[4] = {};
+    simd::F32Gemm g;
+    g.rows = 2;
+    g.cols = 2;
+    g.depth = 2;
+    g.a = a;
+    g.a_row = 2;
+    g.b = b;
+    g.ldb = 2;
+    g.init = init;
+    g.out = out;
+    g.ldo = 2;
+    for (const simd::SimdLevel level : testableLevels()) {
+        simd::f32GemmFor(level)(g);
+        EXPECT_EQ(out[0], 10.0f + 1.5f * 3.0f + -2.0f * 0.5f);
+        EXPECT_EQ(out[1], 20.0f + 1.5f * 1.0f + -2.0f * -1.0f);
+        EXPECT_EQ(out[2], 10.0f + 0.25f * 3.0f + 4.0f * 0.5f);
+        EXPECT_EQ(out[3], 20.0f + 0.25f * 1.0f + 4.0f * -1.0f);
     }
 }
 

@@ -396,6 +396,42 @@ TEST(StoreArtifacts, FmIndexLoadDetectsCorruption)
             << "c[" << index << "] = " << value;
     }
 
+    // The same for fm.counts: an occ checkpoint past its symbol's
+    // total would send the next count() outside the BWT, one that
+    // drops or jumps by more than a block cannot be a prefix count,
+    // and the first block's checkpoints must be 0. Entry b * 6 + s is
+    // symbol s's checkpoint at block b.
+    const u64 blocks = fm.occCounts().size() / FmIndex::kAlphabet;
+    ASSERT_GE(blocks, 4u);
+    const u64 mid = blocks / 2 * FmIndex::kAlphabet + 2;
+    const std::vector<std::pair<u64, u32>> bad_checkpoints{
+        {mid, 0x7fffffffu},                            // past the total
+        {mid, fm.occCounts()[mid] + fm.blockLen() + 1}, // jumps > block
+        {mid, fm.occCounts()[mid - FmIndex::kAlphabet] - 1}, // drops
+        {2, 1},                                        // block 0 != 0
+    };
+    for (const auto& [index, value] : bad_checkpoints) {
+        const std::string bad = scratch.file("bad_occ.gbs");
+        {
+            StoreWriter writer(bad);
+            for (const auto& entry : probe_reader.sections()) {
+                const auto bytes = probe_reader.section(entry.name);
+                std::vector<u8> payload(bytes.begin(), bytes.end());
+                if (std::string(entry.name) == "fm.counts") {
+                    std::memcpy(payload.data() + 4 * index, &value,
+                                sizeof(value));
+                }
+                writer.add(entry.name, payload.data(), payload.size());
+            }
+            writer.finish();
+        }
+        auto bad_reader =
+            std::make_shared<StoreReader>(StoreReader::open(bad));
+        EXPECT_NO_THROW(bad_reader->verifyAll());
+        EXPECT_THROW(store::viewFmIndex(bad_reader), InputError)
+            << "counts[" << index << "] = " << value;
+    }
+
     flipByte(path, bwt_offset);
     auto reader = std::make_shared<StoreReader>(StoreReader::open(path));
     EXPECT_THROW(store::viewFmIndex(reader), InputError);
