@@ -21,7 +21,8 @@
 # 127.0.0.1, priority dispatch order asserted from the JSON), and a
 # gb::trace smoke riding on the net run: --trace must produce valid
 # Perfetto JSON covering every instrumented layer with zero dropped
-# events, submit->done coverage for all 8 jobs, and non-zero latency
+# events and fewer rings than jobs, submit->done coverage for all 8
+# jobs, and non-zero latency
 # percentile columns on the serve_summary row (docs/tracing.md), a
 # scripts/trace_inspect.py fixture and bad-file check, and
 # a `run` rows check (3 repeats -> 3 `run` rows, `run_best` = their
@@ -101,10 +102,12 @@ fi
 
 # ------------------------------------------------------- TSan build
 # The scheduler telemetry writes per-rank slots from worker threads,
-# the gb::serve scheduler runs jobs on detached runner threads over a
-# shared worker budget, the gb::net server multiplexes session
+# the gb::serve scheduler admits and dispatches under one lock from
+# submitters and finishing detached runner threads over a shared
+# worker budget, the gb::net server multiplexes session
 # threads, an accept loop and wake pipes over one scheduler,
-# gb::trace records into per-thread rings from all of the above, and
+# gb::trace records into per-thread rings (reused across exiting
+# threads) from all of the above, and
 # kmer-cnt's partitioned pass fills one table per pool rank; TSan
 # proves the thread-pool accounting, the partition ownership, the
 # metrics plumbing, the serving layer, the network layer and the
@@ -434,6 +437,9 @@ doc = json.load(open(sys.argv[1]))
 events = doc["traceEvents"]
 other = doc["otherData"]
 assert other["dropped_events"] == 0, f"dropped events: {other}"
+# Exiting threads hand their rings on, so the 8 jobs' runner threads
+# (one worker: at most two alive at once) cannot leave a ring each.
+assert other["rings"] < 8, f"a ring per job thread: {other}"
 spans = [e for e in events if e.get("ph") == "X"]
 instants = [e for e in events if e.get("ph") == "i"]
 assert spans and instants, f"empty trace: {other}"

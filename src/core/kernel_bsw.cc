@@ -5,7 +5,8 @@
  * takes the inter-sequence scheme (simd::bswAlign);
  * GB_SIMD_LEVEL=scalar makes it per-pair bandedSwScalar over the same
  * batches. The lockstep BatchSwAligner model serves only
- * characterize() and the Fig. 3 work accounting.
+ * characterize(); the Fig. 3 bench builds its own aligner for the
+ * work accounting.
  */
 #include "core/kernels.h"
 
@@ -144,17 +145,6 @@ class BswKernel final : public Benchmark
                     .cell_updates);
         }
         return work;
-    }
-
-    /** Lockstep work accounting for the Fig. 3 bench. */
-    BatchSwStats
-    batchStats() const
-    {
-        const BatchSwAligner aligner{params_};
-        NullProbe probe;
-        BatchSwStats stats;
-        aligner.align(std::span<const SwPair>(pairs_), probe, &stats);
-        return stats;
     }
 
   private:

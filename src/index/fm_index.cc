@@ -77,7 +77,7 @@ FmIndex::build(std::string_view reference, u32 block_len)
 void
 FmIndex::checkParts(u64 ref_len, u64 n, u32 block_len,
                     const std::array<u64, kAlphabet + 1>& c,
-                    std::span<const u32> counts, u64 bwt_size,
+                    std::span<const u32> counts, std::span<const u8> bwt,
                     u64 sa_size)
 {
     requireInput(n == 2 * ref_len + 2 && block_len >= 8 &&
@@ -85,7 +85,7 @@ FmIndex::checkParts(u64 ref_len, u64 n, u32 block_len,
                  "FM-index: inconsistent header");
     const u64 num_blocks = ceilDiv<u64>(n, block_len) + 1;
     requireInput(counts.size() == num_blocks * kAlphabet &&
-                     bwt_size == num_blocks * block_len &&
+                     bwt.size() == num_blocks * block_len &&
                      sa_size == n,
                  "FM-index: inconsistent payload");
     // baseInterval() and the extension steps index by c[], so c must
@@ -94,18 +94,35 @@ FmIndex::checkParts(u64 ref_len, u64 n, u32 block_len,
                      c[kAlphabet] == n,
                  "FM-index: inconsistent cumulative counts");
     // occ() adds a partial-block scan to a checkpoint and the result
-    // indexes c[]-based intervals, so every checkpoint must be a
-    // reachable prefix count.
+    // indexes c[]-based intervals, so every checkpoint must be the
+    // prefix count at its block start: 0 at the first block, each
+    // symbol's total at the block past the end ...
+    const u64 last = (num_blocks - 1) * kAlphabet;
     for (u32 sym = 0; sym < kAlphabet; ++sym) {
-        const u64 total = c[sym + 1] - c[sym];
-        u64 prev = 0;
-        for (u64 b = 0; b < num_blocks; ++b) {
-            const u64 cp = counts[b * kAlphabet + sym];
-            requireInput(cp >= prev && cp - prev <= block_len &&
-                             cp <= total && (b > 0 || cp == 0),
-                         "FM-index: inconsistent occ checkpoints");
-            prev = cp;
+        requireInput(counts[sym] == 0 &&
+                         counts[last + sym] == c[sym + 1] - c[sym],
+                     "FM-index: inconsistent occ checkpoints");
+    }
+    // ... and, in one O(n) pass, each block's symbols add up to the
+    // step to the next checkpoint. The scan indexes a kAlphabet-entry
+    // counter by BWT byte, so every byte in [0, n) must be a symbol.
+    for (u64 b = 0; b + 1 < num_blocks; ++b) {
+        std::array<u32, kAlphabet> in_block{};
+        const u64 end = std::min<u64>((b + 1) * block_len, n);
+        for (u64 pos = b * block_len; pos < end; ++pos) {
+            const u8 sym = bwt[pos];
+            if (sym >= kAlphabet) {
+                throw InputError("FM-index: inconsistent BWT");
+            }
+            ++in_block[sym];
         }
+        bool steps = true;
+        for (u32 sym = 0; sym < kAlphabet; ++sym) {
+            steps &= counts[(b + 1) * kAlphabet + sym] -
+                         counts[b * kAlphabet + sym] ==
+                     in_block[sym];
+        }
+        requireInput(steps, "FM-index: inconsistent BWT");
     }
 }
 
@@ -116,8 +133,8 @@ FmIndex::fromViews(u64 ref_len, u32 block_len,
                    std::span<const u32> sa_samples,
                    std::shared_ptr<const void> backing)
 {
-    checkParts(ref_len, 2 * ref_len + 2, block_len, c, counts,
-               bwt.size(), sa_samples.size());
+    checkParts(ref_len, 2 * ref_len + 2, block_len, c, counts, bwt,
+               sa_samples.size());
     FmIndex fm;
     fm.ref_len_ = ref_len;
     fm.n_ = 2 * ref_len + 2;

@@ -526,15 +526,16 @@ class FmIndex
     u64 occOne(u8 symbol, u64 i) const;
 
     /**
-     * Validate header fields, array sizes, cumulative counts and the
-     * occ checkpoints (each symbol's run starts at 0, never decreases,
-     * grows by at most block_len per block and stays within the
-     * symbol's total), so no rank query can leave the BWT.
+     * Validate header fields, array sizes, cumulative counts, the occ
+     * checkpoints (each symbol's run starts at 0 and ends at its
+     * total) and the BWT against them (every byte in [0, n) is a
+     * symbol, and each block's symbol counts are the step between its
+     * two checkpoints), so no rank query can leave the BWT.
      */
     static void checkParts(u64 ref_len, u64 n, u32 block_len,
                            const std::array<u64, kAlphabet + 1>& c,
-                           std::span<const u32> counts, u64 bwt_size,
-                           u64 sa_size);
+                           std::span<const u32> counts,
+                           std::span<const u8> bwt, u64 sa_size);
 
     u64 ref_len_ = 0;
     u64 n_ = 0;                   ///< BWT length

@@ -34,7 +34,7 @@ namespace gb::serve {
  * kBatch job; within one class jobs go FIFO + big-job aging
  * (scheduler.h). Starvation of the lower classes is bounded by the
  * promote-after-N-bypasses rule: a job that higher-class jobs jumped
- * `promote_limit` times moves up one class.
+ * `Scheduler::kPromoteLimit` times moves up one class.
  */
 enum class Priority : u8
 {

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
-#include <mutex>
+#include <thread>
 
 #include "core/measure.h"
 #include "trace/trace.h"
@@ -46,11 +45,10 @@ jobStatusTerminal(JobStatus status)
 }
 
 /**
- * Shared job record. The handle and (while queued) the submission
- * queue co-own it. `bypass_count`, `class_bypasses` and
- * `effective_priority` belong to the dispatcher and are only touched
- * under the queue lock (selectIndex); everything below `m` is guarded
- * by it.
+ * Shared job record. The handle and (while pending) the scheduler
+ * co-own it. `bypass_count`, `class_bypasses` and `effective_priority`
+ * belong to the policy and are only touched under Scheduler::mutex_
+ * (selectIndex); everything below `m` is guarded by it.
  */
 struct JobState
 {
@@ -143,17 +141,16 @@ Scheduler::Scheduler(Config config)
       workers_(config_.workers
                    ? config_.workers
                    : std::max(1u,
-                              std::thread::hardware_concurrency())),
-      queue_(std::max<size_t>(1, config_.queue_depth))
+                              std::thread::hardware_concurrency()))
 {
+    config_.queue_depth = std::max<size_t>(1, config_.queue_depth);
     if (!config_.kernel_factory) {
         config_.kernel_factory = [](const std::string& name) {
             return createKernel(name);
         };
     }
     if (config_.kernels.empty()) config_.kernels = kernelNames();
-    free_workers_.store(workers_, std::memory_order_relaxed);
-    dispatcher_ = std::thread([this] { dispatchLoop(); });
+    free_workers_ = workers_;
 }
 
 Scheduler::~Scheduler()
@@ -177,63 +174,60 @@ Scheduler::submit(JobSpec spec)
     job->submitted_at = Clock::now();
     job->effective_priority = job->spec.priority;
 
-    // The push and its counter update commit under mutex_ as one
-    // step, so a stats() snapshot never sees a job that is in the
-    // queue but not yet counted (or vice versa). Lock order is
-    // mutex_ -> queue lock; no path acquires them in reverse.
     std::string reason;
-    bool admitted;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        admitted = queue_.tryPush(job, &reason);
-        if (admitted) {
+        if (closed_) {
+            reason = "queue closed (draining)";
+        } else if (pending_.size() >= config_.queue_depth) {
+            reason = "queue full (depth " +
+                     std::to_string(config_.queue_depth) + ")";
+        }
+        if (reason.empty()) {
             ++submitted_;
-            ++queued_;
             job->id = ++next_job_id_;
-        } else {
-            ++rejected_;
+            if (trace::enabled()) {
+                trace::recordInstantEx(
+                    GB_TRACE_NAME_ID("job:submit"),
+                    trace::Category::kServe, job->id,
+                    static_cast<u64>(job->spec.priority),
+                    trace::threadRank());
+            }
+            pending_.push_back(job);
+            dispatchLocked();
+            return JobHandle(std::move(job));
         }
+        ++rejected_;
     }
-    if (admitted) {
-        if (trace::enabled()) {
-            trace::recordInstantEx(
-                GB_TRACE_NAME_ID("job:submit"),
-                trace::Category::kServe, job->id,
-                static_cast<u64>(job->spec.priority),
-                trace::threadRank());
-        }
-    } else {
-        GB_TRACE_INSTANT(trace::Category::kServe, "job:reject");
-        std::lock_guard<std::mutex> lock(job->m);
-        job->status = JobStatus::kRejected;
-        job->error = reason;
-    }
+    GB_TRACE_INSTANT(trace::Category::kServe, "job:reject");
+    std::lock_guard<std::mutex> lock(job->m);
+    job->status = JobStatus::kRejected;
+    job->error = std::move(reason);
     return JobHandle(std::move(job));
 }
 
 size_t
-Scheduler::selectIndex(
-    const std::deque<std::shared_ptr<JobState>>& pending)
+Scheduler::selectIndex()
 {
-    using Queue = BoundedQueue<std::shared_ptr<JobState>>;
-    if (pending.empty()) return Queue::kNone;
-    const unsigned free = free_workers_.load(std::memory_order_acquire);
+    const auto& pending = pending_;
+    if (pending.empty()) return kNone;
+    const unsigned free = free_workers_;
 
     // Strict class order: walk high, then normal, then batch; within
     // a class the deque order is FIFO. Track each class's head
     // (oldest member) for the aging bookkeeping below.
     size_t class_head[kPriorityClasses];
-    std::fill(class_head, class_head + kPriorityClasses, Queue::kNone);
-    size_t chosen = Queue::kNone;
+    std::fill(class_head, class_head + kPriorityClasses, kNone);
+    size_t chosen = kNone;
     int chosen_class = kPriorityClasses;
-    for (int cls = 0; cls < kPriorityClasses && chosen == Queue::kNone;
+    for (int cls = 0; cls < kPriorityClasses && chosen == kNone;
          ++cls) {
         for (size_t i = 0; i < pending.size(); ++i) {
             JobState& job = *pending[i];
             if (static_cast<int>(job.effective_priority) != cls) {
                 continue;
             }
-            const bool is_head = class_head[cls] == Queue::kNone;
+            const bool is_head = class_head[cls] == kNone;
             if (is_head) class_head[cls] = i;
             if (clampThreads(job.spec.threads) <= free) {
                 chosen = i;
@@ -245,13 +239,12 @@ Scheduler::selectIndex(
             // freed workers accumulate for the wide job. Higher
             // classes were already scanned (and had nothing
             // dispatchable).
-            if (is_head &&
-                job.bypass_count >= config_.aging_limit) {
-                return Queue::kNone;
+            if (is_head && job.bypass_count >= kAgingLimit) {
+                return kNone;
             }
         }
     }
-    if (chosen == Queue::kNone) return Queue::kNone;
+    if (chosen == kNone) return kNone;
 
     // Aging: every class head that did not fit and is now being
     // jumped — the chosen job's own class head (classic small-over-
@@ -259,14 +252,14 @@ Scheduler::selectIndex(
     // closer to reserving the budget.
     for (int cls = 0; cls <= chosen_class; ++cls) {
         const size_t head = class_head[cls];
-        if (head != Queue::kNone && head != chosen) {
+        if (head != kNone && head != chosen) {
             ++pending[head]->bypass_count;
         }
     }
 
     // Promotion: every pending job in a class below the dispatched
     // one was just bypassed by higher-priority work; after
-    // promote_limit such bypasses it moves up one class so batch
+    // kPromoteLimit such bypasses it moves up one class so batch
     // jobs cannot starve behind a steady interactive stream.
     for (size_t i = 0; i < pending.size(); ++i) {
         if (i == chosen) continue;
@@ -274,7 +267,7 @@ Scheduler::selectIndex(
         if (static_cast<int>(job.effective_priority) <= chosen_class) {
             continue;
         }
-        if (++job.class_bypasses >= config_.promote_limit) {
+        if (++job.class_bypasses >= kPromoteLimit) {
             job.class_bypasses = 0;
             job.effective_priority = static_cast<Priority>(
                 static_cast<int>(job.effective_priority) - 1);
@@ -284,47 +277,39 @@ Scheduler::selectIndex(
 }
 
 void
-Scheduler::dispatchLoop()
+Scheduler::dispatchLocked() noexcept
 {
-    for (;;) {
-        auto item = queue_.popSelect(
-            [this](const std::deque<std::shared_ptr<JobState>>& q) {
-                return selectIndex(q);
-            });
-        if (!item) break; // closed and empty: drain complete
-        std::shared_ptr<JobState> job = std::move(*item);
+    for (size_t index = selectIndex(); index != kNone;
+         index = selectIndex()) {
+        std::shared_ptr<JobState> job = std::move(pending_[index]);
+        pending_.erase(pending_.begin() +
+                       static_cast<ptrdiff_t>(index));
         const unsigned granted = clampThreads(job->spec.threads);
+        free_workers_ -= granted;
+        ++running_;
+        peak_busy_ = std::max(peak_busy_, workers_ - free_workers_);
         if (trace::enabled()) {
             trace::recordInstantEx(GB_TRACE_NAME_ID("job:dispatch"),
                                    trace::Category::kServe, job->id,
                                    granted, trace::threadRank());
         }
-        free_workers_.fetch_sub(granted, std::memory_order_acq_rel);
-        u64 seq = 0;
         {
-            std::lock_guard<std::mutex> lock(mutex_);
-            --queued_; // it left the queue in popSelect above
-            ++running_;
-            seq = ++dispatch_seq_;
-            const unsigned busy =
-                workers_ -
-                free_workers_.load(std::memory_order_relaxed);
-            peak_busy_ = std::max(peak_busy_, busy);
+            std::lock_guard<std::mutex> lock(job->m);
+            job->status = JobStatus::kRunning;
+            job->metrics.pool_threads = granted;
+            job->metrics.dispatch_seq = ++dispatch_seq_;
         }
         // Detached runner: completion is tracked via running_, which
         // shutdown waits on; the thread touches no scheduler state
-        // after its final decrement.
-        std::thread(
-            [this, job = std::move(job), granted, seq]() mutable {
-                runJob(std::move(job), granted, seq);
-            })
-            .detach();
+        // after its final critical section.
+        std::thread([this, job = std::move(job), granted]() mutable {
+            runJob(std::move(job), granted);
+        }).detach();
     }
 }
 
 void
-Scheduler::runJob(std::shared_ptr<JobState> job, unsigned granted,
-                  u64 dispatch_seq)
+Scheduler::runJob(std::shared_ptr<JobState> job, unsigned granted)
 {
     // Attribute this thread's events — and, via ThreadPool's
     // trace_job_id propagation, the per-rank pool events — to the job.
@@ -339,13 +324,6 @@ Scheduler::runJob(std::shared_ptr<JobState> job, unsigned granted,
                           static_cast<u64>(job->spec.priority));
     }
     const double queue_seconds = secondsSince(job->submitted_at);
-    {
-        std::lock_guard<std::mutex> lock(job->m);
-        job->status = JobStatus::kRunning;
-        job->metrics.queue_seconds = queue_seconds;
-        job->metrics.pool_threads = granted;
-        job->metrics.dispatch_seq = dispatch_seq;
-    }
 
     JobStatus final_status = JobStatus::kDone;
     std::string error;
@@ -374,17 +352,30 @@ Scheduler::runJob(std::shared_ptr<JobState> job, unsigned granted,
     }
 
     const double e2e_seconds = secondsSince(job->submitted_at);
+    // Retire the job from the counters, publish its outcome, return
+    // its budget slice and dispatch what now fits as one step, so a
+    // caller woken by wait() already sees the job counted in stats().
+    // This block is the last touch of scheduler state: shutdown cannot
+    // finish before it runs.
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (final_status == JobStatus::kDone) {
+        ++completed_;
+    } else {
+        ++failed_;
+    }
+    // Latency decomposition in the counters' critical section, so a
+    // stats() snapshot's quantiles always describe exactly its
+    // completed + failed jobs. Nanosecond samples (see header).
+    queue_wait_ns_.add(queue_seconds * 1e9);
+    prepare_ns_.add(measured.prepare_seconds * 1e9);
+    run_ns_.add(measured.totalSeconds() * 1e9);
+    e2e_ns_.add(e2e_seconds * 1e9);
     {
-        // Publish the outcome, retire the job from the counters, return
-        // its budget slice and wake the dispatcher as one step, so a
-        // caller woken by wait() already sees the job counted in
-        // stats(). Lock order is mutex_ -> job->m -> queue lock. This
-        // block is the last touch of scheduler state: shutdown cannot
-        // finish before it runs.
-        std::scoped_lock lock(mutex_, job->m);
+        std::lock_guard<std::mutex> job_lock(job->m);
         // On a mid-repeat failure the metrics stay mutually
         // consistent: run_seconds / best_run_seconds / tasks all
         // describe the repeats_completed repeats that finished.
+        job->metrics.queue_seconds = queue_seconds;
         job->metrics.prepare_seconds = measured.prepare_seconds;
         job->metrics.run_seconds = measured.totalSeconds();
         job->metrics.best_run_seconds = measured.bestSeconds();
@@ -393,103 +384,76 @@ Scheduler::runJob(std::shared_ptr<JobState> job, unsigned granted,
         job->metrics.tasks = measured.tasks;
         job->status = final_status;
         job->error = std::move(error);
-        if (final_status == JobStatus::kDone) {
-            ++completed_;
-        } else {
-            ++failed_;
-        }
-        // Latency decomposition in the counters' critical section, so
-        // a stats() snapshot's quantiles always describe exactly its
-        // completed + failed jobs. Nanosecond samples (see header).
-        queue_wait_ns_.add(queue_seconds * 1e9);
-        prepare_ns_.add(measured.prepare_seconds * 1e9);
-        run_ns_.add(measured.totalSeconds() * 1e9);
-        e2e_ns_.add(e2e_seconds * 1e9);
-        --running_;
-        free_workers_.fetch_add(granted, std::memory_order_acq_rel);
-        queue_.notify();
         job->cv.notify_all();
-        idle_cv_.notify_all();
     }
+    --running_;
+    free_workers_ += granted;
+    dispatchLocked();
+    idle_cv_.notify_all();
 }
 
 bool
 Scheduler::cancelJob(const std::shared_ptr<JobState>& job,
                      const std::string& reason)
 {
-    auto removed = queue_.eraseIf(
-        [&](const std::shared_ptr<JobState>& pending) {
-            return pending.get() == job.get();
-        });
-    if (!removed) return false; // dispatched, terminal, or rejected
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = std::find(pending_.begin(), pending_.end(), job);
+    if (it == pending_.end()) return false; // dispatched or terminal
+    pending_.erase(it);
+    ++cancelled_;
     if (trace::enabled()) {
         trace::recordInstantEx(GB_TRACE_NAME_ID("job:cancelled"),
                                trace::Category::kServe, job->id, 0,
                                trace::threadRank());
     }
     {
-        std::lock_guard<std::mutex> lock(job->m);
+        std::lock_guard<std::mutex> job_lock(job->m);
         job->status = JobStatus::kCancelled;
         job->error = reason;
         job->cv.notify_all();
     }
-    std::lock_guard<std::mutex> lock(mutex_);
-    --queued_;
-    ++cancelled_;
+    // The cancelled job may have been an aged head reserving the
+    // budget for itself.
+    dispatchLocked();
     return true;
-}
-
-void
-Scheduler::joinDispatcher()
-{
-    // drain()/shutdownNow() may race (e.g. a network DRAIN verb vs a
-    // SIGTERM handler); join() from two threads is UB, so serialize.
-    std::lock_guard<std::mutex> lock(join_mutex_);
-    if (dispatcher_.joinable()) dispatcher_.join();
 }
 
 void
 Scheduler::drain()
 {
-    queue_.close();
-    joinDispatcher();
     std::unique_lock<std::mutex> lock(mutex_);
-    idle_cv_.wait(lock, [&] { return running_ == 0; });
+    closed_ = true;
+    idle_cv_.wait(lock,
+                  [&] { return pending_.empty() && running_ == 0; });
 }
 
 void
 Scheduler::shutdownNow()
 {
-    queue_.close();
-    for (auto& job : queue_.drainAll()) {
-        {
-            std::lock_guard<std::mutex> lock(job->m);
-            job->status = JobStatus::kCancelled;
-            job->error = "scheduler shutdown";
-            job->cv.notify_all();
-        }
-        std::lock_guard<std::mutex> lock(mutex_);
-        --queued_;
-        ++cancelled_;
-    }
-    joinDispatcher();
     std::unique_lock<std::mutex> lock(mutex_);
+    closed_ = true;
+    for (const auto& job : pending_) {
+        std::lock_guard<std::mutex> job_lock(job->m);
+        job->status = JobStatus::kCancelled;
+        job->error = "scheduler shutdown";
+        job->cv.notify_all();
+    }
+    cancelled_ += pending_.size();
+    pending_.clear();
     idle_cv_.wait(lock, [&] { return running_ == 0; });
 }
 
 Scheduler::Stats
 Scheduler::stats() const
 {
-    // One consistent snapshot: every counter (including the queued
-    // count, which is mirrored under mutex_ rather than read from
-    // the queue's own lock) comes from a single critical section, so
-    // submitted == queued + running + completed + failed + cancelled
-    // holds for every caller.
+    // One consistent snapshot: every counter comes from a single
+    // critical section, so submitted == queued + running + completed +
+    // failed + cancelled holds for every caller.
     Stats stats;
     stats.workers = workers_;
-    stats.queue_depth = queue_.capacity();
+    stats.queue_depth = config_.queue_depth;
     std::lock_guard<std::mutex> lock(mutex_);
-    stats.queued = queued_;
+    stats.queued = pending_.size();
     stats.submitted = submitted_;
     stats.rejected = rejected_;
     stats.completed = completed_;

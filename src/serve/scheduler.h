@@ -6,9 +6,14 @@
  * system (ROADMAP north-star): many concurrent kernel-run requests
  * execute over one fixed worker budget. Core mechanics:
  *
- *  - Admission control: submissions land in a bounded MPMC queue
- *    (bounded_queue.h); when it is full the job is rejected with a
- *    reason instead of blocking the submitter (backpressure).
+ *  - One lock: the pending jobs, the free worker budget and every
+ *    counter live under one mutex. submit() admits a job and, in the
+ *    same critical section, dispatches whatever now fits; a finishing
+ *    job returns its budget and dispatches again.
+ *
+ *  - Admission control: at most `queue_depth` jobs wait; past that a
+ *    submission is rejected with a reason instead of blocking the
+ *    submitter (backpressure).
  *
  *  - Pool-of-pools: the budget of `workers` threads is carved into
  *    per-job ThreadPools sized by each job's request (clamped to the
@@ -24,14 +29,14 @@
  *    oldest-first; a job whose thread request does not fit the
  *    currently free budget can be bypassed by later, smaller jobs
  *    (small jobs never starve behind a wide one) — but only
- *    `aging_limit` times, after which the head reserves the budget:
+ *    `kAgingLimit` times, after which the head reserves the budget:
  *    nothing in its own or a lower class dispatches until it fits
  *    (wide jobs never starve either). Bypasses by higher-class jobs
  *    count against the same limit.
  *
  *  - Promote-after-N-bypasses: each time a higher-class job
  *    dispatches past a pending lower-class job, that job's
- *    class-bypass count grows; at `promote_limit` it moves up one
+ *    class-bypass count grows; at `kPromoteLimit` it moves up one
  *    class (batch -> normal -> high), so batch jobs cannot starve
  *    behind a steady stream of interactive work.
  *
@@ -50,14 +55,15 @@
 #ifndef GB_SERVE_SCHEDULER_H
 #define GB_SERVE_SCHEDULER_H
 
+#include <condition_variable>
+#include <deque>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/benchmark.h"
-#include "serve/bounded_queue.h"
 #include "serve/job.h"
 #include "util/common.h"
 #include "util/stats.h"
@@ -163,13 +169,7 @@ class Scheduler
     struct Config
     {
         unsigned workers = 0;   ///< total budget; 0 = hardware threads
-        size_t queue_depth = 64;
-        /** Bypasses a class head tolerates before it reserves the
-         *  budget (see file comment). */
-        unsigned aging_limit = 4;
-        /** Higher-class dispatches past a pending job before it is
-         *  promoted one priority class (see file comment). */
-        unsigned promote_limit = 16;
+        size_t queue_depth = 64; ///< pending jobs admitted; 0 acts as 1
         /** Kernel instantiation; default createKernel(). */
         KernelFactory kernel_factory;
         /** Valid kernel names for submit(); default kernelNames(). */
@@ -218,6 +218,13 @@ class Scheduler
         LatencySnapshot latency;
     };
 
+    /** Bypasses a class head tolerates before it reserves the budget
+     *  (see file comment). */
+    static constexpr unsigned kAgingLimit = 4;
+    /** Higher-class dispatches past a pending job before it is
+     *  promoted one priority class (see file comment). */
+    static constexpr unsigned kPromoteLimit = 16;
+
     explicit Scheduler(Config config);
 
     /** shutdownNow(). */
@@ -227,8 +234,10 @@ class Scheduler
     Scheduler& operator=(const Scheduler&) = delete;
 
     /**
-     * Validate and admit one job. Throws InputError on an invalid
-     * spec (unknown kernel, zero threads/repeats). A structurally
+     * Validate and admit one job. A job the policy picks and the free
+     * budget fits is already kRunning when submit() returns. Throws
+     * InputError on an invalid spec (unknown kernel, zero
+     * threads/repeats). A structurally
      * valid job the server cannot absorb right now comes back as a
      * handle already in kRejected with the reason in error() — load
      * shedding is a normal outcome, not an exception.
@@ -257,33 +266,38 @@ class Scheduler
     Stats stats() const;
 
   private:
-    void dispatchLoop();
-    void runJob(std::shared_ptr<JobState> job, unsigned granted,
-                u64 dispatch_seq);
-    size_t selectIndex(
-        const std::deque<std::shared_ptr<JobState>>& pending);
+    /** Start every pending job the policy picks and the free budget
+     *  fits, each on a detached runner thread. Caller holds mutex_. A
+     *  runner that cannot be started terminates the process rather
+     *  than leave a job counted as running forever. */
+    void dispatchLocked() noexcept;
+    /** The policy: index into pending_ of the job to start next, or
+     *  kNone. Caller holds mutex_. */
+    size_t selectIndex();
+    void runJob(std::shared_ptr<JobState> job, unsigned granted);
     unsigned clampThreads(unsigned requested) const;
     bool cancelJob(const std::shared_ptr<JobState>& job,
                    const std::string& reason);
-    void joinDispatcher();
 
     friend class JobHandle;
 
+    static constexpr size_t kNone = static_cast<size_t>(-1);
+
     Config config_;
     unsigned workers_ = 0;
-    BoundedQueue<std::shared_ptr<JobState>> queue_;
-    std::atomic<unsigned> free_workers_{0};
 
     /**
-     * Guards every counter below. Queue membership changes and their
-     * counter updates commit under this one mutex (tryPush happens
-     * inside it), so stats() snapshots are never torn: submitted ==
-     * queued + running + completed + failed + cancelled holds for
-     * every observer.
+     * Guards everything below. Admission, dispatch, completion and
+     * cancellation each commit in one critical section, so stats()
+     * snapshots are never torn: submitted == queued + running +
+     * completed + failed + cancelled holds for every observer. Lock
+     * order is mutex_ -> job->m.
      */
     mutable std::mutex mutex_;
-    std::condition_variable idle_cv_;
-    size_t queued_ = 0; ///< admitted, not yet dispatched or cancelled
+    std::condition_variable idle_cv_; ///< nothing pending or running
+    std::deque<std::shared_ptr<JobState>> pending_; ///< oldest first
+    bool closed_ = false; ///< drain()/shutdownNow() stopped admissions
+    unsigned free_workers_ = 0;
     unsigned running_ = 0;
     unsigned peak_busy_ = 0;
     u64 submitted_ = 0;
@@ -305,9 +319,6 @@ class Scheduler
     LogHistogram prepare_ns_{kLatencyBase};
     LogHistogram run_ns_{kLatencyBase};
     LogHistogram e2e_ns_{kLatencyBase};
-
-    std::mutex join_mutex_; ///< serializes dispatcher_.join()
-    std::thread dispatcher_;
 };
 
 } // namespace gb::serve

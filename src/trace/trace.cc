@@ -37,7 +37,10 @@ struct Event
  * `written` counter is atomic so concurrent counts() stay clean under
  * TSan. The buffer itself is never deallocated while the process
  * lives — threads cache a raw pointer to it — only reset/resized by
- * start() under the registry lock.
+ * start() under the registry lock. When its thread exits the ring
+ * goes on the free list, and the next new recording thread appends
+ * to it: the ring count follows the peak number of live recording
+ * threads, not the number of threads ever started.
  */
 struct ThreadBuffer
 {
@@ -50,6 +53,7 @@ struct Registry
 {
     std::mutex mutex;
     std::vector<std::unique_ptr<ThreadBuffer>> buffers;
+    std::vector<ThreadBuffer*> free; ///< rings of exited threads
     size_t ring_capacity = kDefaultRingCapacity;
 
     std::mutex names_mutex;
@@ -76,17 +80,39 @@ epoch()
     return e;
 }
 
+/** Hands the thread's ring back to the free list at thread exit. */
+struct RingRelease
+{
+    ~RingRelease()
+    {
+        Registry& r = registry();
+        std::lock_guard<std::mutex> lock(r.mutex);
+        r.free.push_back(t_buffer);
+        t_buffer = nullptr;
+    }
+};
+
 ThreadBuffer*
 myBuffer()
 {
     if (t_buffer == nullptr) {
         Registry& r = registry();
-        std::lock_guard<std::mutex> lock(r.mutex);
-        auto buf = std::make_unique<ThreadBuffer>();
-        buf->id = static_cast<u32>(r.buffers.size());
-        buf->ring.resize(r.ring_capacity);
-        t_buffer = buf.get();
-        r.buffers.push_back(std::move(buf));
+        {
+            std::lock_guard<std::mutex> lock(r.mutex);
+            if (!r.free.empty()) {
+                t_buffer = r.free.back();
+                r.free.pop_back();
+            } else {
+                auto buf = std::make_unique<ThreadBuffer>();
+                buf->id = static_cast<u32>(r.buffers.size());
+                buf->ring.resize(r.ring_capacity);
+                t_buffer = buf.get();
+                r.buffers.push_back(std::move(buf));
+            }
+        }
+        // Constructed once per thread, on its first event; the fast
+        // path above reads only the trivial t_buffer.
+        thread_local RingRelease release;
     }
     return t_buffer;
 }

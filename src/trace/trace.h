@@ -14,7 +14,11 @@
  *    first event; recording is lock-free (one writer per ring, plain
  *    array stores + one atomic counter). When a ring wraps, the oldest
  *    events are overwritten and counted as dropped — tracing never
- *    blocks or allocates on the hot path.
+ *    blocks or allocates on the hot path. An exiting thread hands its
+ *    ring to the next new recording thread, which appends to it, so
+ *    short-lived threads (serve runners, per-job pools) do not grow
+ *    the collector: the ring count follows the peak number of live
+ *    recording threads.
  *
  *  - String interning: event names are u32 ids into a process-global
  *    registry. The GB_TRACE_* macros cache the id in a function-local
@@ -205,7 +209,7 @@ struct Counts
 {
     u64 recorded = 0; ///< events ever written since start()
     u64 dropped = 0;  ///< overwritten by ring wraps (recorded - kept)
-    u64 rings = 0;    ///< registered per-thread rings
+    u64 rings = 0;    ///< rings allocated (reused across threads)
 };
 
 Counts counts();

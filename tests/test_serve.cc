@@ -25,7 +25,6 @@
 #include <thread>
 #include <vector>
 
-#include "serve/bounded_queue.h"
 #include "serve/job.h"
 #include "serve/scheduler.h"
 #include "store/cache.h"
@@ -293,14 +292,11 @@ class FakeKernel : public Benchmark
  *  starting with "late-boom" complete one repeat, then throw. */
 Scheduler::Config
 fakeConfig(FakeControl* control, std::vector<std::string> names,
-           unsigned workers, size_t queue_depth,
-           unsigned aging_limit = 4, unsigned promote_limit = 16)
+           unsigned workers, size_t queue_depth)
 {
     Scheduler::Config config;
     config.workers = workers;
     config.queue_depth = queue_depth;
-    config.aging_limit = aging_limit;
-    config.promote_limit = promote_limit;
     config.kernels = names;
     config.kernel_factory = [control](const std::string& name) {
         unsigned throw_on_run = 0;
@@ -365,6 +361,25 @@ TEST(ServeScheduler, WaitedJobIsAlreadyCountedInStats)
     scheduler.drain();
 }
 
+TEST(ServeScheduler, SubmitDispatchesWhenBudgetIsFree)
+{
+    // Admission and dispatch are one critical section: a job that fits
+    // the free budget is already running when submit() returns.
+    FakeControl control;
+    control.gated.insert("gate");
+    Scheduler scheduler(fakeConfig(&control, {"gate"}, 1, 4));
+    auto handle = scheduler.submit(job("gate"));
+    EXPECT_EQ(handle.status(), JobStatus::kRunning);
+    EXPECT_EQ(handle.metrics().dispatch_seq, 1u);
+    EXPECT_EQ(handle.metrics().pool_threads, 1u);
+    const auto stats = scheduler.stats();
+    EXPECT_EQ(stats.running, 1u);
+    EXPECT_EQ(stats.queued, 0u);
+    control.release("gate");
+    scheduler.drain();
+    EXPECT_EQ(handle.status(), JobStatus::kDone);
+}
+
 TEST(ServeScheduler, SubmitValidatesSpec)
 {
     FakeControl control;
@@ -414,26 +429,28 @@ TEST(ServeScheduler, SmallJobsBypassWideHeadUntilAged)
 {
     FakeControl control;
     control.gated.insert("R");
-    // 2 workers, aging_limit=2: R holds one worker, the wide job L
-    // (threads=2) cannot fit and is bypassed by S1 and S2; its third
-    // bypass is forbidden, so S3 must wait behind it even though a
-    // worker is free.
-    Scheduler scheduler(fakeConfig(&control,
-                                   {"R", "L", "S1", "S2", "S3"}, 2, 8,
-                                   /*aging_limit=*/2));
+    // 2 workers: R holds one worker, the wide job L (threads=2)
+    // cannot fit and is bypassed by S1..S4 (kAgingLimit = 4 times);
+    // its fifth bypass is forbidden, so S5 must wait behind it even
+    // though a worker is free.
+    static_assert(Scheduler::kAgingLimit == 4);
+    Scheduler scheduler(fakeConfig(
+        &control, {"R", "L", "S1", "S2", "S3", "S4", "S5"}, 2, 8));
     auto r = scheduler.submit(job("R"));
     control.awaitStart("R");
     auto l = scheduler.submit(job("L", 2));
-    auto s1 = scheduler.submit(job("S1"));
-    auto s2 = scheduler.submit(job("S2"));
-    auto s3 = scheduler.submit(job("S3"));
-    s2.wait(); // both bypasses happened
+    std::vector<JobHandle> small;
+    for (const auto* name : {"S1", "S2", "S3", "S4", "S5"}) {
+        small.push_back(scheduler.submit(job(name)));
+    }
+    small[3].wait(); // all four bypasses happened
     EXPECT_EQ(l.status(), JobStatus::kQueued);
-    EXPECT_EQ(s3.status(), JobStatus::kQueued); // reserved for L
+    EXPECT_EQ(small[4].status(), JobStatus::kQueued); // reserved for L
     control.release("R");
     scheduler.drain();
     EXPECT_EQ(control.startOrder(),
-              (std::vector<std::string>{"R", "S1", "S2", "L", "S3"}));
+              (std::vector<std::string>{"R", "S1", "S2", "S3", "S4", "L",
+                                        "S5"}));
 }
 
 TEST(ServeScheduler, CancelQueuedNotRunning)
@@ -505,24 +522,31 @@ TEST(ServeScheduler, BatchPromotedAfterClassBypasses)
 {
     FakeControl control;
     control.gated.insert("R");
-    // promote_limit=1: each high dispatch past the pending batch job
-    // promotes it one class. After H1 it is normal, after H2 high —
-    // and as the oldest high job it then beats H3 to the worker.
-    Scheduler scheduler(fakeConfig(&control,
-                                   {"R", "B", "H1", "H2", "H3"}, 1, 8,
-                                   /*aging_limit=*/4,
-                                   /*promote_limit=*/1));
+    // Every high dispatch past the pending batch job counts against
+    // it; each kPromoteLimit of them promotes it one class. After
+    // H1..H16 it is normal, after H17..H32 high — and as the oldest
+    // high job it then beats H33 to the worker.
+    static_assert(Scheduler::kPromoteLimit == 16);
+    std::vector<std::string> names{"R", "B"};
+    for (int i = 1; i <= 33; ++i) {
+        names.push_back("H");
+        names.back() += std::to_string(i);
+    }
+    Scheduler scheduler(fakeConfig(&control, names, 1, 64));
     auto r = scheduler.submit(job("R"));
     control.awaitStart("R");
     auto b = scheduler.submit(
         job("B", 1, serve::Priority::kBatch));
-    auto h1 = scheduler.submit(job("H1", 1, serve::Priority::kHigh));
-    auto h2 = scheduler.submit(job("H2", 1, serve::Priority::kHigh));
-    auto h3 = scheduler.submit(job("H3", 1, serve::Priority::kHigh));
+    for (size_t i = 2; i < names.size(); ++i) {
+        scheduler.submit(job(names[i], 1, serve::Priority::kHigh));
+    }
     control.release("R");
     scheduler.drain();
-    EXPECT_EQ(control.startOrder(),
-              (std::vector<std::string>{"R", "H1", "H2", "B", "H3"}));
+    std::vector<std::string> expected{"R"};
+    expected.insert(expected.end(), names.begin() + 2, names.end() - 1);
+    expected.push_back("B");
+    expected.push_back("H33");
+    EXPECT_EQ(control.startOrder(), expected);
 }
 
 TEST(ServeScheduler, FailedRepeatReportsCompletedRepeats)
@@ -871,90 +895,6 @@ TEST(ServeScheduler, SingleFlightPrepare)
     EXPECT_EQ(cache.hits(), 3u);
     EXPECT_LE(cache.flightWaits(), 3u);
     std::filesystem::remove_all(dir);
-}
-
-// ---------------------------------------------------------------------
-// Bounded queue
-
-TEST(ServeBoundedQueue, PushPopAndCapacity)
-{
-    serve::BoundedQueue<int> queue(2);
-    std::string reason;
-    EXPECT_TRUE(queue.tryPush(1));
-    EXPECT_TRUE(queue.tryPush(2));
-    EXPECT_FALSE(queue.tryPush(3, &reason));
-    EXPECT_NE(reason.find("queue full"), std::string::npos);
-    EXPECT_EQ(queue.size(), 2u);
-    EXPECT_EQ(queue.pop().value(), 1);
-    EXPECT_TRUE(queue.tryPush(3));
-    EXPECT_EQ(queue.pop().value(), 2);
-    EXPECT_EQ(queue.pop().value(), 3);
-}
-
-TEST(ServeBoundedQueue, CloseDrainsThenEnds)
-{
-    serve::BoundedQueue<int> queue(4);
-    queue.tryPush(1);
-    queue.tryPush(2);
-    queue.close();
-    std::string reason;
-    EXPECT_FALSE(queue.tryPush(3, &reason));
-    EXPECT_NE(reason.find("closed"), std::string::npos);
-    EXPECT_EQ(queue.pop().value(), 1);
-    EXPECT_EQ(queue.pop().value(), 2);
-    EXPECT_FALSE(queue.pop().has_value());
-}
-
-TEST(ServeBoundedQueue, EraseIfRemovesMatch)
-{
-    serve::BoundedQueue<int> queue(4);
-    queue.tryPush(1);
-    queue.tryPush(2);
-    queue.tryPush(3);
-    const auto removed =
-        queue.eraseIf([](const int& v) { return v == 2; });
-    ASSERT_TRUE(removed.has_value());
-    EXPECT_EQ(*removed, 2);
-    EXPECT_FALSE(
-        queue.eraseIf([](const int& v) { return v == 9; }).has_value());
-    EXPECT_EQ(queue.size(), 2u);
-}
-
-TEST(ServeBoundedQueue, PopSelectPicksByPolicy)
-{
-    serve::BoundedQueue<int> queue(4);
-    queue.tryPush(10);
-    queue.tryPush(5);
-    queue.tryPush(7);
-    // Policy: pop the smallest element.
-    const auto smallest = queue.popSelect([](const std::deque<int>& q) {
-        size_t best = 0;
-        for (size_t i = 1; i < q.size(); ++i) {
-            if (q[i] < q[best]) best = i;
-        }
-        return best;
-    });
-    EXPECT_EQ(smallest.value(), 5);
-    EXPECT_EQ(queue.size(), 2u);
-}
-
-TEST(ServeBoundedQueue, PopSelectRejectsOutOfRangeIndex)
-{
-    serve::BoundedQueue<int> queue(4);
-    queue.tryPush(1);
-    queue.tryPush(2);
-    // A selector returning a past-the-end index is a policy bug; it
-    // must surface as an error, not silent UB on the deque.
-    EXPECT_THROW(queue.popSelect(
-                     [](const std::deque<int>& q) { return q.size(); }),
-                 InternalError);
-    EXPECT_THROW(queue.popSelect([](const std::deque<int>&) {
-                     return static_cast<size_t>(1u << 20);
-                 }),
-                 InternalError);
-    // The queue survives the bad selector untouched.
-    EXPECT_EQ(queue.size(), 2u);
-    EXPECT_EQ(queue.pop().value(), 1);
 }
 
 } // namespace

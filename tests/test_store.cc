@@ -365,26 +365,17 @@ TEST(StoreArtifacts, FmIndexLoadDetectsCorruption)
     }
     ASSERT_NE(bwt_offset, 0u);
 
-    // Containers with valid digests whose fm.meta cumulative counts
-    // c[0..6] are inconsistent: baseInterval() would index past the
-    // BWT, so the loader must reject them. c[i] sits after ref_len.
-    const u64 n = fm.bwtLength();
-    const std::vector<std::pair<u32, u64>> bad_counts{
-        {6, n + 1000}, // c[6] != n
-        {3, fm.cumulative()[4] + 1}, // c decreasing
-        {0, 1}, // c[0] != 0
-    };
-    for (const auto& [index, value] : bad_counts) {
-        const std::string bad = scratch.file("bad_c.gbs");
+    // Rewrites the container with one section's payload patched and
+    // fresh digests, so only the loader's consistency checks can
+    // reject it.
+    auto patched = [&](const std::string& section, auto&& patch) {
+        const std::string bad = scratch.file("bad.gbs");
         {
             StoreWriter writer(bad);
             for (const auto& entry : probe_reader.sections()) {
                 const auto bytes = probe_reader.section(entry.name);
                 std::vector<u8> payload(bytes.begin(), bytes.end());
-                if (std::string(entry.name) == "fm.meta") {
-                    std::memcpy(payload.data() + 8 + 8 * index, &value,
-                                sizeof(value));
-                }
+                if (std::string(entry.name) == section) patch(payload);
                 writer.add(entry.name, payload.data(), payload.size());
             }
             writer.finish();
@@ -392,6 +383,22 @@ TEST(StoreArtifacts, FmIndexLoadDetectsCorruption)
         auto bad_reader =
             std::make_shared<StoreReader>(StoreReader::open(bad));
         EXPECT_NO_THROW(bad_reader->verifyAll());
+        return bad_reader;
+    };
+
+    // Containers whose fm.meta cumulative counts c[0..6] are
+    // inconsistent: baseInterval() would index past the BWT, so the
+    // loader must reject them. c[i] sits after ref_len.
+    const u64 n = fm.bwtLength();
+    const std::vector<std::pair<u32, u64>> bad_counts{
+        {6, n + 1000}, // c[6] != n
+        {3, fm.cumulative()[4] + 1}, // c decreasing
+        {0, 1}, // c[0] != 0
+    };
+    for (const auto& [index, value] : bad_counts) {
+        auto bad_reader = patched("fm.meta", [&](std::vector<u8>& p) {
+            std::memcpy(p.data() + 8 + 8 * index, &value, sizeof(value));
+        });
         EXPECT_THROW(store::viewFmIndex(bad_reader), InputError)
             << "c[" << index << "] = " << value;
     }
@@ -411,25 +418,29 @@ TEST(StoreArtifacts, FmIndexLoadDetectsCorruption)
         {2, 1},                                        // block 0 != 0
     };
     for (const auto& [index, value] : bad_checkpoints) {
-        const std::string bad = scratch.file("bad_occ.gbs");
-        {
-            StoreWriter writer(bad);
-            for (const auto& entry : probe_reader.sections()) {
-                const auto bytes = probe_reader.section(entry.name);
-                std::vector<u8> payload(bytes.begin(), bytes.end());
-                if (std::string(entry.name) == "fm.counts") {
-                    std::memcpy(payload.data() + 4 * index, &value,
-                                sizeof(value));
-                }
-                writer.add(entry.name, payload.data(), payload.size());
-            }
-            writer.finish();
-        }
-        auto bad_reader =
-            std::make_shared<StoreReader>(StoreReader::open(bad));
-        EXPECT_NO_THROW(bad_reader->verifyAll());
+        auto bad_reader = patched("fm.counts", [&](std::vector<u8>& p) {
+            std::memcpy(p.data() + 4 * index, &value, sizeof(value));
+        });
         EXPECT_THROW(store::viewFmIndex(bad_reader), InputError)
             << "counts[" << index << "] = " << value;
+    }
+
+    // And for fm.bwt: a byte outside the 6-symbol alphabet would index
+    // past the occ scan's counters, and a valid symbol changed in the
+    // middle block no longer matches the step between that block's
+    // checkpoints. Both bytes lie before n, in the middle block.
+    const u64 pos = blocks / 2 * fm.blockLen() + 5;
+    ASSERT_LT(pos, n);
+    const std::vector<std::pair<const char*, u8>> bad_symbols{
+        {"out of alphabet", u8{200}},
+        {"disagrees with checkpoints",
+         static_cast<u8>((fm.bwtData()[pos] + 1) % FmIndex::kAlphabet)},
+    };
+    for (const auto& [what, value] : bad_symbols) {
+        auto bad_reader = patched("fm.bwt", [&](std::vector<u8>& p) {
+            p[pos] = value;
+        });
+        EXPECT_THROW(store::viewFmIndex(bad_reader), InputError) << what;
     }
 
     flipByte(path, bwt_offset);

@@ -2,8 +2,9 @@
  * @file
  * Tests for gb::trace: name interning, ring wrap/drop accounting, the
  * disabled-collector fast path (pinned allocation-free), concurrent
- * recording from ThreadPool workers, and the Chrome trace-event
- * exporter's output text (scripts/trace_inspect.py reads it back).
+ * recording from ThreadPool workers, ring reuse across short-lived
+ * threads, and the Chrome trace-event exporter's output text
+ * (scripts/trace_inspect.py reads it back).
  */
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <new>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "trace/trace.h"
@@ -289,6 +291,33 @@ TEST(Trace, ConcurrentPoolWritersAttributeJobId)
     EXPECT_EQ(ticks, 512u);
     EXPECT_GE(participates, 1u);
     EXPECT_EQ(participate_indices, 512u);
+}
+
+TEST(Trace, ExitedThreadsHandTheirRingsOn)
+{
+    Collector collector;
+    const u32 id = internName("reuse:event");
+    // Earlier tests' threads may have left rings on the free list;
+    // only growth from here on counts.
+    const u64 rings_before = counts().rings;
+    for (u64 i = 0; i < 64; ++i) {
+        std::thread([&] { recordInstant(id, Category::kOther, i); })
+            .join();
+    }
+    stop();
+
+    // One thread at a time: each reuses the ring its predecessor left.
+    EXPECT_LE(counts().rings, rings_before + 1);
+    // A reused ring appends, so every thread's event survives.
+    u64 seen = 0;
+    u64 arg_sum = 0;
+    for (const EventView& ev : snapshot()) {
+        if (ev.name != "reuse:event") continue;
+        ++seen;
+        arg_sum += ev.arg;
+    }
+    EXPECT_EQ(seen, 64u);
+    EXPECT_EQ(arg_sum, 64u * 63u / 2u);
 }
 
 TEST(Trace, ExporterRoundTripsThroughParser)
