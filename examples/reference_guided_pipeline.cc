@@ -11,6 +11,7 @@
  * Run: ./example_reference_guided_pipeline
  */
 #include <algorithm>
+#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <set>
@@ -61,7 +62,9 @@ main()
     ThreadPool pool;
 
     std::vector<AlnRecord> alignments(sim_reads.size());
-    std::vector<bool> aligned(sim_reads.size(), false);
+    // One byte per read: std::vector<bool> packs flags into shared
+    // words, and concurrent writes to neighbouring reads would race.
+    std::vector<u8> aligned(sim_reads.size(), 0);
     SwParams sw;
     u64 seeded = 0;
 
@@ -113,7 +116,7 @@ main()
                                      read.qual.rend())
                        : read.qual;
         alignments[i] = std::move(rec);
-        aligned[i] = true;
+        aligned[i] = 1;
     });
     std::vector<AlnRecord> records;
     for (u64 i = 0; i < alignments.size(); ++i) {
@@ -158,9 +161,15 @@ main()
     }
     NullProbe probe;
     const auto likelihoods = runPhmmTask(task, PhmmParams{}, probe);
+    // Every dispatch level must print the same sum, digit for digit.
+    double log10_sum = 0.0;
+    for (const double l : likelihoods) log10_sum += l;
+    char sum_text[32];
+    std::snprintf(sum_text, sizeof sum_text, "%.17g", log10_sum);
     std::cout << "phmm: " << likelihoods.size()
               << " read-haplotype likelihoods ("
-              << task.cellUpdates() << " DP cells)\n";
+              << task.cellUpdates() << " DP cells), log10 sum "
+              << sum_text << "\n";
 
     // --- Pileup + variant calling over the whole genome -------------
     const auto pileup = countPileup(records, 0, genome.size());

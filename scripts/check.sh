@@ -13,7 +13,9 @@
 # inspect of the fmi artifact and of an empty file -> warm run +
 # corruption check), a dispatch-level smoke (bsw, phmm, fmi, chain,
 # spoa, nn-base, nn-variant and grm report the same task counts under
-# GB_SIMD_LEVEL=scalar and the default level, at 1 and 4 threads), a kmer-cnt thread smoke (the
+# GB_SIMD_LEVEL=scalar and the default level, at 1 and 4 threads), the
+# reference-guided example's phmm line (identical at GB_SIMD_LEVEL=scalar
+# and the default level), a kmer-cnt thread smoke (the
 # same task counts at 1, 3 and 4 threads), a gb::serve smoke test (8-job
 # list through the scheduler, JSON validated, single-flight prepare
 # asserted), a gb::net loopback
@@ -283,6 +285,28 @@ for kernel in bsw phmm fmi chain spoa nn-base nn-variant grm; do
     done
 done
 rm -f /tmp/gb_lvl_scalar.json /tmp/gb_lvl_default.json
+
+# The example's re-assembly window keeps the reads that hang off its
+# edges, so most of its PairHMM pairs underflow the float pass and take
+# the double one: the phmm line (pair count, cells, log10 sum at %.17g)
+# must be the same digits at the scalar and the default level.
+step "reference-guided example: phmm line identical at scalar and default level"
+EX_DIR=$(mktemp -d)
+(cd "$EX_DIR" && GB_SIMD_LEVEL=scalar \
+    "$ROOT/build/examples/example_reference_guided_pipeline" \
+    >scalar.txt)
+(cd "$EX_DIR" && env -u GB_SIMD_LEVEL \
+    "$ROOT/build/examples/example_reference_guided_pipeline" \
+    >default.txt)
+PHMM_SCALAR=$(grep '^phmm:' "$EX_DIR/scalar.txt")
+PHMM_DEFAULT=$(grep '^phmm:' "$EX_DIR/default.txt")
+echo "scalar:  $PHMM_SCALAR"
+echo "default: $PHMM_DEFAULT"
+if [[ "$PHMM_SCALAR" != "$PHMM_DEFAULT" ]]; then
+    echo "FAIL: the example's phmm line differs between levels" >&2
+    exit 1
+fi
+rm -rf "$EX_DIR"
 
 # kmer-cnt splits its table into one hash partition per pool thread,
 # so its thread count changes the table layout; the task counters must

@@ -22,11 +22,11 @@ struct BandLL
 } // namespace
 
 float
-logProbMatch(const PoreKmerModel& km, float event_mean)
+logProbMatch(const PoreKmerModel& km, float log_stdv, float event_mean)
 {
     const float z = (event_mean - km.level_mean) / km.level_stdv;
     constexpr float kLogSqrt2Pi = 0.9189385332f;
-    return -0.5f * z * z - std::log(km.level_stdv) - kLogSqrt2Pi;
+    return -0.5f * z * z - log_stdv - kLogSqrt2Pi;
 }
 
 template <typename Probe>
@@ -148,9 +148,9 @@ alignEvents(std::span<const Event> events, const PoreModel& model,
             probe.load(&km, sizeof(PoreKmerModel));
             probe.load(&events[static_cast<size_t>(event_idx)],
                        sizeof(Event));
-            const float lp_emission =
-                logProbMatch(km, events[static_cast<size_t>(event_idx)]
-                                     .mean);
+            const float lp_emission = logProbMatch(
+                km, model.logStdvByRank(rank),
+                events[static_cast<size_t>(event_idx)].mean);
 
             const i64 offset_up = eventToOffset(b - 1, event_idx - 1);
             const i64 offset_left = kmerToOffset(b - 1, kmer_idx - 1);

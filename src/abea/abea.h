@@ -71,8 +71,13 @@ AbeaResult alignEvents(std::span<const Event> events,
                        const PoreModel& model, std::string_view ref,
                        const AbeaParams& params = {});
 
-/** Gaussian emission log-probability of an event given a k-mer model. */
-float logProbMatch(const PoreKmerModel& km, float event_mean);
+/**
+ * Gaussian emission log-probability of an event given a k-mer model;
+ * `log_stdv` is log(km.level_stdv), precomputed by
+ * PoreModel::logStdvByRank().
+ */
+float logProbMatch(const PoreKmerModel& km, float log_stdv,
+                   float event_mean);
 
 } // namespace gb
 

@@ -8,9 +8,13 @@
  * priors from per-base quality scores and transitions from gap-open /
  * gap-continuation penalties. Like GATK's AVX implementation the kernel
  * computes in single precision first and falls back to double precision
- * only when the float result underflows — which is why the paper notes
- * phmm "uses single-precision floating point computation in most cases,
- * and resorts to double-precision only in rare cases".
+ * only when the float result underflows. The paper calls the fallback
+ * rare; here its share depends on the reads. The phmm kernel's small
+ * dataset, whose reads lie inside their regions, falls back on 12% of
+ * pairs. The reference-guided pipeline's 400-bp windows keep the reads
+ * that hang off their edges, and 99.1-99.8% of their pairs fall back
+ * (perfbench seeds 1-3). Both passes therefore run on the vector engine
+ * (src/simd/phmm_engine.h).
  *
  * Scores are kept scaled by kInitialScale (no per-cell log), exactly
  * like GATK's non-log implementation.
@@ -221,7 +225,7 @@ pairHmmLogLikelihood(std::span<const u8> read, std::span<const u8> quals,
         return result;
     }
 
-    // Rare path: redo in double at a larger scale.
+    // Underflow: redo in double at a larger scale.
     result.used_double = true;
     const double sum_d = detail::forwardScaled<double>(
         read, quals, haplotype, params, kDoubleInitialScale,
@@ -234,7 +238,8 @@ pairHmmLogLikelihood(std::span<const u8> read, std::span<const u8> quals,
 
 /**
  * The same likelihood through the runtime-dispatched anti-diagonal
- * engine (AVX2 / SSE4.2 / scalar template, gb::simd::activeSimdLevel):
+ * engine (AVX2 / SSE4.2 / scalar template, gb::simd::activeSimdLevel),
+ * float pass and double re-run alike:
  * log10_likelihood, used_double and cell_updates are bit-identical to
  * the template above at every GB_SIMD_LEVEL. The production path for
  * uninstrumented callers; defined in gb::simd

@@ -66,30 +66,36 @@ void occCountAvx2(const u8* bytes, u32 len, u64* counts);
 void occCountPaddedSse4(const u8* bytes, u32 len, u64* counts);
 void occCountPaddedAvx2(const u8* bytes, u32 len, u64* counts);
 
-/** Inputs for one anti-diagonal float PairHMM forward pass. */
-struct PhmmF32Input
+/**
+ * Inputs for one anti-diagonal PairHMM forward pass at precision T
+ * (float: the first pass; double: the underflow re-run).
+ */
+template <typename T>
+struct PhmmInput
 {
     const u8* read;     ///< m codes, padded with >=8 bytes of 0xFF
     const u8* hap_rev;  ///< reversed haplotype, >=8 pad bytes EACH side
-    const float* prior_match;    ///< per-row 1 - err, padded >= 8
-    const float* prior_mismatch; ///< per-row err / 3, padded >= 8
+    const T* prior_match;    ///< per-row 1 - err, padded >= 8
+    const T* prior_mismatch; ///< per-row err / 3, padded >= 8
     u32 m = 0;
     u32 n = 0;
-    float t_mm = 0; ///< match -> match
-    float t_mi = 0; ///< match -> insertion
-    float t_md = 0; ///< match -> deletion
-    float t_im = 0; ///< insertion/deletion -> match
-    float t_ii = 0; ///< gap continuation
-    float init = 0; ///< initial_scale / n (row-0 deletion mass)
+    T t_mm = 0; ///< match -> match
+    T t_mi = 0; ///< match -> insertion
+    T t_md = 0; ///< match -> deletion
+    T t_im = 0; ///< insertion/deletion -> match
+    T t_ii = 0; ///< gap continuation
+    T init = 0; ///< initial_scale / n (row-0 deletion mass)
 };
 
 /**
- * Scaled forward sum at float precision, anti-diagonal wavefront,
- * kF32Lanes cells per step. Per-cell arithmetic matches the scalar
- * forwardScaled<float> expression.
+ * Scaled forward sum, anti-diagonal wavefront, kF32Lanes (float) or
+ * kF64Lanes (double) cells per step. Per-cell arithmetic matches the
+ * scalar forwardScaled<T> expression.
  */
-float phmmForwardSse4(const PhmmF32Input& in);
-float phmmForwardAvx2(const PhmmF32Input& in);
+float phmmForwardSse4(const PhmmInput<float>& in);
+double phmmForwardSse4(const PhmmInput<double>& in);
+float phmmForwardAvx2(const PhmmInput<float>& in);
+double phmmForwardAvx2(const PhmmInput<double>& in);
 
 /**
  * Vectorized chaining DP fill. Preconditions (checked by the

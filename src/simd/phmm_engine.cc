@@ -4,8 +4,8 @@
  * the uninstrumented gb::pairHmmLogLikelihood(): prepares the
  * diagonal-friendly input layout (reversed haplotype, per-row prior
  * tables), runs the widest float kernel the CPU allows under the
- * FTZ/DAZ guard, and preserves the scalar double-precision fallback
- * on underflow.
+ * FTZ/DAZ guard, and re-runs an underflowed pair through the double
+ * instantiation of the same kernel, without the guard.
  */
 #include "simd/phmm_engine.h"
 
@@ -18,12 +18,14 @@ namespace gb::simd {
 
 namespace {
 
-using ForwardFn = float (*)(const detail::PhmmF32Input&);
+using ForwardF32 = float (*)(const detail::PhmmInput<float>&);
+using ForwardF64 = double (*)(const detail::PhmmInput<double>&);
 
 struct Engine
 {
-    ForwardFn fn = nullptr; ///< null = use the scalar kernel
-    u32 lanes = 1;
+    ForwardF32 f32 = nullptr; ///< null = use the scalar kernel
+    ForwardF64 f64 = nullptr;
+    u32 lanes = 1; ///< float lanes
 };
 
 /** Function-pointer table indexed by SimdLevel. */
@@ -32,15 +34,59 @@ engineFor(SimdLevel level)
 {
     switch (level) {
 #if GB_SIMD_HAVE_X86
-      case SimdLevel::kAvx2: return {detail::phmmForwardAvx2, 8};
-      case SimdLevel::kSse4: return {detail::phmmForwardSse4, 4};
+      case SimdLevel::kAvx2:
+        return {detail::phmmForwardAvx2, detail::phmmForwardAvx2, 8};
+      case SimdLevel::kSse4:
+        return {detail::phmmForwardSse4, detail::phmmForwardSse4, 4};
 #else
       case SimdLevel::kAvx2:
       case SimdLevel::kSse4:
 #endif
       case SimdLevel::kScalar: break;
     }
-    return {nullptr, 1};
+    return {};
+}
+
+constexpr u32 kPad = 8;
+
+/**
+ * One forward pass at precision T over the padded read and reversed
+ * haplotype: per-row priors, transitions and the row-0 mass computed
+ * exactly as forwardScaled<T> computes them.
+ */
+template <typename T>
+T
+forward(T (*fn)(const detail::PhmmInput<T>&), const u8* read,
+        const u8* hap_rev, std::span<const u8> quals, u32 n,
+        const PhmmParams& params, double initial_scale)
+{
+    const u32 m = static_cast<u32>(quals.size());
+    const T gop = static_cast<T>(qualToErrorProb(params.gap_open_qual));
+    const T gcp =
+        static_cast<T>(qualToErrorProb(params.gap_continue_qual));
+
+    std::vector<T> prior_match(m + kPad, T(0));
+    std::vector<T> prior_mismatch(m + kPad, T(0));
+    for (u32 i = 0; i < m; ++i) {
+        const T err = static_cast<T>(qualToErrorProb(quals[i]));
+        prior_match[i] = T(1) - err;
+        prior_mismatch[i] = err / T(3);
+    }
+
+    detail::PhmmInput<T> in;
+    in.read = read;
+    in.hap_rev = hap_rev;
+    in.prior_match = prior_match.data();
+    in.prior_mismatch = prior_mismatch.data();
+    in.m = m;
+    in.n = n;
+    in.t_mm = T(1) - (gop + gop);
+    in.t_mi = gop;
+    in.t_md = gop;
+    in.t_im = T(1) - gcp;
+    in.t_ii = gcp;
+    in.init = static_cast<T>(initial_scale) / static_cast<T>(n);
+    return fn(in);
 }
 
 } // namespace
@@ -61,7 +107,7 @@ pairHmmLogLikelihood(std::span<const u8> read, std::span<const u8> quals,
                      const PhmmParams& params)
 {
     const simd::Engine engine = simd::engineFor(simd::activeSimdLevel());
-    if (!engine.fn) {
+    if (!engine.f32) {
         NullProbe probe;
         return pairHmmLogLikelihood(read, quals, haplotype, params,
                                     probe);
@@ -74,13 +120,7 @@ pairHmmLogLikelihood(std::span<const u8> read, std::span<const u8> quals,
 
     const u32 m = static_cast<u32>(read.size());
     const u32 n = static_cast<u32>(haplotype.size());
-    constexpr u32 kPad = 8;
-
-    // Same float transition values as forwardScaled<float>.
-    const float gop = static_cast<float>(
-        qualToErrorProb(params.gap_open_qual));
-    const float gcp = static_cast<float>(
-        qualToErrorProb(params.gap_continue_qual));
+    using simd::kPad;
 
     std::vector<u8> rbuf(m + kPad, 0xFF);
     std::copy(read.begin(), read.end(), rbuf.begin());
@@ -88,35 +128,14 @@ pairHmmLogLikelihood(std::span<const u8> read, std::span<const u8> quals,
     for (u32 j = 0; j < n; ++j) {
         hrev[kPad + n - 1 - j] = haplotype[j];
     }
-    std::vector<float> prior_match(m + kPad, 0.0f);
-    std::vector<float> prior_mismatch(m + kPad, 0.0f);
-    for (u32 i = 0; i < m; ++i) {
-        const float err =
-            static_cast<float>(qualToErrorProb(quals[i]));
-        prior_match[i] = 1.0f - err;
-        prior_mismatch[i] = err / 3.0f;
-    }
-
-    simd::detail::PhmmF32Input in;
-    in.read = rbuf.data();
-    in.hap_rev = hrev.data() + kPad;
-    in.prior_match = prior_match.data();
-    in.prior_mismatch = prior_mismatch.data();
-    in.m = m;
-    in.n = n;
-    in.t_mm = 1.0f - (gop + gop);
-    in.t_mi = gop;
-    in.t_md = gop;
-    in.t_im = 1.0f - gcp;
-    in.t_ii = gcp;
-    in.init =
-        static_cast<float>(kFloatInitialScale) / static_cast<float>(n);
+    const u8* hap_rev = hrev.data() + kPad;
 
     PhmmResult result;
     float sum_f;
     {
         detail::FlushDenormalsScope ftz;
-        sum_f = engine.fn(in);
+        sum_f = simd::forward(engine.f32, rbuf.data(), hap_rev, quals, n,
+                              params, kFloatInitialScale);
     }
     result.cell_updates += static_cast<u64>(m) * n;
 
@@ -128,13 +147,14 @@ pairHmmLogLikelihood(std::span<const u8> read, std::span<const u8> quals,
         return result;
     }
 
-    // Rare path: redo in scalar double at a larger scale, exactly as
-    // the template does.
+    // Underflow: redo in double at a larger scale on the same
+    // anti-diagonal engine. Like the template's re-run it keeps
+    // denormals (no FTZ/DAZ), which is what makes it bit-identical.
     result.used_double = true;
-    NullProbe probe;
-    const double sum_d = detail::forwardScaled<double>(
-        read, quals, haplotype, params, kDoubleInitialScale,
-        result.cell_updates, probe);
+    const double sum_d =
+        simd::forward(engine.f64, rbuf.data(), hap_rev, quals, n, params,
+                      kDoubleInitialScale);
+    result.cell_updates += static_cast<u64>(m) * n;
     result.log10_likelihood =
         sum_d > 0 ? std::log10(sum_d) - std::log10(kDoubleInitialScale)
                   : -400.0;

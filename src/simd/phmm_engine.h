@@ -8,14 +8,16 @@
  * along an anti-diagonal the three state recurrences have no
  * loop-carried dependency, which is exactly why GKL vectorizes this
  * way. The FTZ/DAZ guard stays on around the float pass, and results
- * that underflow fall back to the scalar double-precision pass, so
- * the engine preserves the template's execution strategy and matches
- * its log10 likelihoods bit for bit.
+ * that underflow re-run on the same kernel instantiated for double
+ * (kF64Lanes cells per step) with denormals kept, as the template's
+ * scalar double pass keeps them. The engine therefore preserves the
+ * template's execution strategy and matches its log10 likelihoods,
+ * used_double flags and cell counts bit for bit.
  *
  * The engine is the definition of the uninstrumented
  * gb::pairHmmLogLikelihood() and gb::runPhmmTask(..., NullProbe&)
- * declared in phmm/pairhmm.h. Dispatch: AVX2 (8 float lanes) /
- * SSE4.2 (4) / the scalar template, chosen by
+ * declared in phmm/pairhmm.h. Dispatch: AVX2 (8 float / 4 double
+ * lanes) / SSE4.2 (4 / 2) / the scalar template, chosen by
  * gb::simd::activeSimdLevel().
  */
 #ifndef GB_SIMD_PHMM_ENGINE_H

@@ -1,7 +1,8 @@
 /**
  * @file
- * Width-generic anti-diagonal PairHMM float kernel, instantiated once
- * per ISA (see vec.h for the inclusion protocol).
+ * Width- and precision-generic anti-diagonal PairHMM kernel,
+ * instantiated once per ISA (see vec.h for the inclusion protocol) for
+ * float (the first pass) and double (the underflow re-run).
  *
  * Storage is diagonal-major: buffer slot i on diagonal d is cell
  * (i, d - i), so all three recurrences become elementwise vector ops
@@ -16,7 +17,7 @@
  * after the chunk loop repair the two slots (i = 0 and i = d) that
  * later diagonals can legitimately read, and every other garbage slot
  * is provably outside all subsequent valid reads (docs/simd.md).
- * Per-cell arithmetic is the same expression as forwardScaled<float>.
+ * Per-cell arithmetic is the same expression as forwardScaled<T>.
  */
 #include <algorithm>
 #include <vector>
@@ -32,20 +33,63 @@
 
 namespace gb::simd::detail {
 
-float
-GB_PHMM_KERNEL(const PhmmF32Input& in)
+namespace {
+
+/** The vec.h operations of one precision, under one set of names. */
+template <typename T>
+struct PhmmVec;
+
+template <>
+struct PhmmVec<float>
 {
-    constexpr u32 W = kF32Lanes;
+    using V = VecF32;
+    static constexpr u32 kW = kF32Lanes;
+    static V set1(float x) { return vSet1F32(x); }
+    static V load(const float* p) { return vLoadF32(p); }
+    static void store(float* p, V v) { vStoreF32(p, v); }
+    static V add(V a, V b) { return vAddF32(a, b); }
+    static V mul(V a, V b) { return vMulF32(a, b); }
+    static V select(V mask, V a, V b) { return vSelectF32(mask, a, b); }
+    static V match(const u8* a, const u8* b)
+    {
+        return vByteMatchMaskF32(a, b);
+    }
+};
+
+template <>
+struct PhmmVec<double>
+{
+    using V = VecF64;
+    static constexpr u32 kW = kF64Lanes;
+    static V set1(double x) { return vSet1F64(x); }
+    static V load(const double* p) { return vLoadF64(p); }
+    static void store(double* p, V v) { vStoreF64(p, v); }
+    static V add(V a, V b) { return vAddF64(a, b); }
+    static V mul(V a, V b) { return vMulF64(a, b); }
+    static V select(V mask, V a, V b) { return vSelectF64(mask, a, b); }
+    static V match(const u8* a, const u8* b)
+    {
+        return vByteMatchMaskF64(a, b);
+    }
+};
+
+template <typename T>
+T
+phmmForward(const PhmmInput<T>& in)
+{
+    using Ops = PhmmVec<T>;
+    using V = typename Ops::V;
+    constexpr u32 W = Ops::kW;
     const i32 m = static_cast<i32>(in.m);
     const i32 n = static_cast<i32>(in.n);
 
     // Nine diagonal buffers (3 states x prev2/prev1/cur), slot i in
     // 0..m plus W slots of chunk-overrun headroom, zero-initialised.
     const size_t len = static_cast<size_t>(m) + 1 + W;
-    std::vector<float> storage(9 * len, 0.0f);
-    float* mv[3]; // [0]=prev2, [1]=prev1, [2]=cur
-    float* iv[3];
-    float* dv[3];
+    std::vector<T> storage(9 * len, T(0));
+    T* mv[3]; // [0]=prev2, [1]=prev1, [2]=cur
+    T* iv[3];
+    T* dv[3];
     for (int k = 0; k < 3; ++k) {
         mv[k] = storage.data() + static_cast<size_t>(k) * len;
         iv[k] = storage.data() + static_cast<size_t>(3 + k) * len;
@@ -54,71 +98,85 @@ GB_PHMM_KERNEL(const PhmmF32Input& in)
     // Diagonal 0 is cell (0, 0): row-0 deletion mass carries init.
     dv[1][0] = in.init;
 
-    const VecF32 mm_v = vSet1F32(in.t_mm);
-    const VecF32 mi_v = vSet1F32(in.t_mi);
-    const VecF32 md_v = vSet1F32(in.t_md);
-    const VecF32 im_v = vSet1F32(in.t_im);
-    const VecF32 ii_v = vSet1F32(in.t_ii);
+    const V mm_v = Ops::set1(in.t_mm);
+    const V mi_v = Ops::set1(in.t_mi);
+    const V md_v = Ops::set1(in.t_md);
+    const V im_v = Ops::set1(in.t_im);
+    const V ii_v = Ops::set1(in.t_ii);
 
-    float sum = 0.0f;
+    T sum = 0;
     for (i32 d = 1; d <= m + n; ++d) {
         const i32 ilo = std::max(1, d - n);
         const i32 ihi = std::min(m, d - 1);
-        float* cm = mv[2];
-        float* ci = iv[2];
-        float* cd = dv[2];
+        T* cm = mv[2];
+        T* ci = iv[2];
+        T* cd = dv[2];
 
         for (i32 i0 = ilo; i0 <= ihi; i0 += static_cast<i32>(W)) {
-            const VecF32 mp2 = vLoadF32(mv[0] + i0 - 1);
-            const VecF32 ip2 = vLoadF32(iv[0] + i0 - 1);
-            const VecF32 dp2 = vLoadF32(dv[0] + i0 - 1);
-            const VecF32 mp1_up = vLoadF32(mv[1] + i0 - 1);
-            const VecF32 ip1_up = vLoadF32(iv[1] + i0 - 1);
-            const VecF32 mp1_left = vLoadF32(mv[1] + i0);
-            const VecF32 dp1_left = vLoadF32(dv[1] + i0);
+            const V mp2 = Ops::load(mv[0] + i0 - 1);
+            const V ip2 = Ops::load(iv[0] + i0 - 1);
+            const V dp2 = Ops::load(dv[0] + i0 - 1);
+            const V mp1_up = Ops::load(mv[1] + i0 - 1);
+            const V ip1_up = Ops::load(iv[1] + i0 - 1);
+            const V mp1_left = Ops::load(mv[1] + i0);
+            const V dp1_left = Ops::load(dv[1] + i0);
 
-            const VecF32 match = vByteMatchMaskF32(
-                in.read + i0 - 1, in.hap_rev + (n - d + i0));
-            const VecF32 prior =
-                vSelectF32(match, vLoadF32(in.prior_match + i0 - 1),
-                           vLoadF32(in.prior_mismatch + i0 - 1));
+            const V match = Ops::match(in.read + i0 - 1,
+                                       in.hap_rev + (n - d + i0));
+            const V prior =
+                Ops::select(match, Ops::load(in.prior_match + i0 - 1),
+                            Ops::load(in.prior_mismatch + i0 - 1));
 
-            const VecF32 m_cur = vMulF32(
-                prior, vAddF32(vMulF32(mp2, mm_v),
-                               vMulF32(vAddF32(ip2, dp2), im_v)));
-            const VecF32 i_cur = vAddF32(vMulF32(mp1_up, mi_v),
-                                         vMulF32(ip1_up, ii_v));
-            const VecF32 d_cur = vAddF32(vMulF32(mp1_left, md_v),
-                                         vMulF32(dp1_left, ii_v));
-            vStoreF32(cm + i0, m_cur);
-            vStoreF32(ci + i0, i_cur);
-            vStoreF32(cd + i0, d_cur);
+            const V m_cur = Ops::mul(
+                prior, Ops::add(Ops::mul(mp2, mm_v),
+                                Ops::mul(Ops::add(ip2, dp2), im_v)));
+            const V i_cur = Ops::add(Ops::mul(mp1_up, mi_v),
+                                     Ops::mul(ip1_up, ii_v));
+            const V d_cur = Ops::add(Ops::mul(mp1_left, md_v),
+                                     Ops::mul(dp1_left, ii_v));
+            Ops::store(cm + i0, m_cur);
+            Ops::store(ci + i0, i_cur);
+            Ops::store(cd + i0, d_cur);
         }
 
         // Boundary cells (also repair any chunk overrun on slot d).
         if (d <= n) {
-            cm[0] = 0.0f;
-            ci[0] = 0.0f;
+            cm[0] = 0;
+            ci[0] = 0;
             cd[0] = in.init; // row-0 free start along the haplotype
         }
         if (d <= m) {
-            cm[d] = 0.0f; // column 0: scalar's m/i/d_curr[0] = 0
-            ci[d] = 0.0f;
-            cd[d] = 0.0f;
+            cm[d] = 0; // column 0: scalar's m/i/d_curr[0] = 0
+            ci[d] = 0;
+            cd[d] = 0;
         }
 
         // Final-row cell of this diagonal: same j-ascending
         // accumulation order as the scalar epilogue.
         if (d > m) sum += cm[m] + ci[m];
 
-        float* const tm = mv[0];
-        float* const ti = iv[0];
-        float* const td = dv[0];
+        T* const tm = mv[0];
+        T* const ti = iv[0];
+        T* const td = dv[0];
         mv[0] = mv[1]; mv[1] = mv[2]; mv[2] = tm;
         iv[0] = iv[1]; iv[1] = iv[2]; iv[2] = ti;
         dv[0] = dv[1]; dv[1] = dv[2]; dv[2] = td;
     }
     return sum;
+}
+
+} // namespace
+
+float
+GB_PHMM_KERNEL(const PhmmInput<float>& in)
+{
+    return phmmForward(in);
+}
+
+double
+GB_PHMM_KERNEL(const PhmmInput<double>& in)
+{
+    return phmmForward(in);
 }
 
 } // namespace gb::simd::detail

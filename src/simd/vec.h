@@ -10,6 +10,7 @@
  *   VecI16          kI16Lanes x signed 16-bit lanes (saturating ops)
  *   VecI32          kI32Lanes x signed 32-bit lanes
  *   VecF32          kF32Lanes x single-precision lanes
+ *   VecF64          kF64Lanes x double-precision lanes
  *
  * The engine templates are written once against this API; the per-ISA
  * .cc files are compiled with the matching -m flags (see
@@ -35,10 +36,12 @@ namespace gb::simd {
 inline constexpr u32 kI16Lanes = 16;
 inline constexpr u32 kI32Lanes = 8;
 inline constexpr u32 kF32Lanes = 8;
+inline constexpr u32 kF64Lanes = 4;
 
 using VecI16 = __m256i;
 using VecI32 = __m256i;
 using VecF32 = __m256;
+using VecF64 = __m256d;
 
 // ---- 32-bit integer lanes -------------------------------------------
 inline VecI32 vSet1I32(i32 x) { return _mm256_set1_epi32(x); }
@@ -217,15 +220,50 @@ inline VecF32 vByteMatchMaskF32(const u8* a, const u8* b)
     return _mm256_castsi256_ps(_mm256_and_si256(eq, lt));
 }
 
+// ---- double lanes ---------------------------------------------------
+inline VecF64 vSet1F64(double x) { return _mm256_set1_pd(x); }
+inline VecF64 vLoadF64(const double* p) { return _mm256_loadu_pd(p); }
+inline void vStoreF64(double* p, VecF64 v) { _mm256_storeu_pd(p, v); }
+inline VecF64 vAddF64(VecF64 a, VecF64 b)
+{
+    return _mm256_add_pd(a, b);
+}
+inline VecF64 vMulF64(VecF64 a, VecF64 b)
+{
+    return _mm256_mul_pd(a, b);
+}
+inline VecF64 vSelectF64(VecF64 mask, VecF64 a, VecF64 b)
+{
+    return _mm256_blendv_pd(b, a, mask);
+}
+/** Per-f64-lane all-ones mask where bytes a[i] == b[i] && a[i] < 4. */
+inline VecF64 vByteMatchMaskF64(const u8* a, const u8* b)
+{
+    u32 aw = 0;
+    u32 bw = 0;
+    __builtin_memcpy(&aw, a, 4);
+    __builtin_memcpy(&bw, b, 4);
+    const __m256i av =
+        _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(static_cast<int>(aw)));
+    const __m256i bv =
+        _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(static_cast<int>(bw)));
+    const __m256i eq = _mm256_cmpeq_epi64(av, bv);
+    const __m256i lt =
+        _mm256_cmpgt_epi64(_mm256_set1_epi64x(4), av);
+    return _mm256_castsi256_pd(_mm256_and_si256(eq, lt));
+}
+
 #elif defined(GB_SIMD_TARGET_SSE4)
 
 inline constexpr u32 kI16Lanes = 8;
 inline constexpr u32 kI32Lanes = 4;
 inline constexpr u32 kF32Lanes = 4;
+inline constexpr u32 kF64Lanes = 2;
 
 using VecI16 = __m128i;
 using VecI32 = __m128i;
 using VecF32 = __m128;
+using VecF64 = __m128d;
 
 // ---- 32-bit integer lanes -------------------------------------------
 inline VecI32 vSet1I32(i32 x) { return _mm_set1_epi32(x); }
@@ -367,6 +405,29 @@ inline VecF32 vByteMatchMaskF32(const u8* a, const u8* b)
     const __m128i eq = _mm_cmpeq_epi32(av, bv);
     const __m128i lt = _mm_cmplt_epi32(av, _mm_set1_epi32(4));
     return _mm_castsi128_ps(_mm_and_si128(eq, lt));
+}
+
+// ---- double lanes ---------------------------------------------------
+inline VecF64 vSet1F64(double x) { return _mm_set1_pd(x); }
+inline VecF64 vLoadF64(const double* p) { return _mm_loadu_pd(p); }
+inline void vStoreF64(double* p, VecF64 v) { _mm_storeu_pd(p, v); }
+inline VecF64 vAddF64(VecF64 a, VecF64 b) { return _mm_add_pd(a, b); }
+inline VecF64 vMulF64(VecF64 a, VecF64 b) { return _mm_mul_pd(a, b); }
+inline VecF64 vSelectF64(VecF64 mask, VecF64 a, VecF64 b)
+{
+    return _mm_blendv_pd(b, a, mask);
+}
+inline VecF64 vByteMatchMaskF64(const u8* a, const u8* b)
+{
+    u16 aw = 0;
+    u16 bw = 0;
+    __builtin_memcpy(&aw, a, 2);
+    __builtin_memcpy(&bw, b, 2);
+    const __m128i av = _mm_cvtepu8_epi64(_mm_cvtsi32_si128(aw));
+    const __m128i bv = _mm_cvtepu8_epi64(_mm_cvtsi32_si128(bw));
+    const __m128i eq = _mm_cmpeq_epi64(av, bv);
+    const __m128i lt = _mm_cmpgt_epi64(_mm_set1_epi64x(4), av);
+    return _mm_castsi128_pd(_mm_and_si128(eq, lt));
 }
 
 #endif

@@ -12,6 +12,7 @@ PoreModel::PoreModel(u32 k, u64 seed) : k_(k)
     requireInput(k >= 3 && k <= 10, "pore model k must be in [3, 10]");
     const u32 n = 1u << (2 * k);
     table_.resize(n);
+    log_stdv_.resize(n);
     for (u32 rank = 0; rank < n; ++rank) {
         // Hash the rank so adjacent k-mers receive unrelated levels.
         u64 h = seed ^ (static_cast<u64>(rank) * 0x9e3779b97f4a7c15ULL);
@@ -25,6 +26,7 @@ PoreModel::PoreModel(u32 k, u64 seed) : k_(k)
             static_cast<float>(60.0 + 70.0 * u1);
         table_[rank].level_stdv =
             static_cast<float>(1.0 + 2.5 * u2);
+        log_stdv_[rank] = std::log(table_[rank].level_stdv);
     }
 }
 

@@ -49,6 +49,9 @@ class PoreModel
     /** Model for a packed 2-bit k-mer rank. */
     const PoreKmerModel& byRank(u32 rank) const { return table_[rank]; }
 
+    /** log(byRank(rank).level_stdv), computed once per rank. */
+    float logStdvByRank(u32 rank) const { return log_stdv_[rank]; }
+
     /** Model for an ASCII k-mer (must be ACGT, length k). */
     const PoreKmerModel& byKmer(std::string_view kmer) const;
 
@@ -61,6 +64,7 @@ class PoreModel
   private:
     u32 k_;
     std::vector<PoreKmerModel> table_;
+    std::vector<float> log_stdv_; ///< parallel to table_
 };
 
 /** A ground-truth event emitted by the simulator. */

@@ -180,15 +180,12 @@ ThreadPool::runRanked(u64 n,
         current_job_ = &job;
         ++generation_;
     }
-    // Wake only as many workers as can claim work; the participant
-    // gate turns away any extra rank that wakes on its own.
-    if (job.participants == num_threads_) {
-        start_cv_.notify_all();
-    } else {
-        for (unsigned w = 1; w < job.participants; ++w) {
-            start_cv_.notify_one();
-        }
-    }
+    // Wake every worker; the participant gate turns away the ranks a
+    // job with fewer participants than threads has no work for. A
+    // loop of notify_one() can lose a wake-up in glibc's condition
+    // variable (sourceware BZ 25847) and leave the caller waiting on
+    // a participant that never starts.
+    start_cv_.notify_all();
     runJob(job, 0);
     {
         std::unique_lock<std::mutex> lock(mutex_);

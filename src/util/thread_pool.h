@@ -9,10 +9,10 @@
  * tasks simply come back for more. See docs/threading.md for the
  * protocol.
  *
- * Job start/finish is gated, not broadcast: a parallelFor wakes at most
- * min(numThreads()-1, ceilDiv(n, grain)-1) workers, late wakers that
- * find the job fully subscribed never touch it, and only the last
- * finishing participant notifies the (sole) waiting caller.
+ * Job start/finish is gated: a parallelFor wakes every worker but
+ * admits at most min(numThreads()-1, ceilDiv(n, grain)-1) of them,
+ * wakers that find the job fully subscribed never touch it, and only
+ * the last finishing participant notifies the (sole) waiting caller.
  */
 #ifndef GB_UTIL_THREAD_POOL_H
 #define GB_UTIL_THREAD_POOL_H

@@ -5,12 +5,14 @@
  * and probe traffic at every dispatch level), scalar/SIMD equivalence
  * for banded-SW (bit-identical scores, end positions and abort flags
  * at every dispatch level), PairHMM (the dispatched
- * pairHmmLogLikelihood bit-identical to the scalar template, exact
- * double fallback) and the f32 micro-GEMM (bit-identical to its
+ * pairHmmLogLikelihood bit-identical to the scalar template in
+ * likelihood, used_double and cell count, float and double passes) and the f32 micro-GEMM (bit-identical to its
  * scalar triple loop for every operand layout).
  */
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -576,26 +578,43 @@ makePhmmCases(u64 count, u64 seed)
     return cases;
 }
 
-TEST(SimdPhmm, MatchesScalarExactlyAllLevels)
+/**
+ * The dispatched engine against the scalar template at `level`: equal
+ * log10_likelihood bits, used_double and cell_updates. Returns the
+ * template's result.
+ */
+PhmmResult
+expectEngineMatchesTemplate(const PhmmCase& c, simd::SimdLevel level,
+                            const std::string& label)
 {
     const PhmmParams params;
+    NullProbe probe;
+    const PhmmResult want =
+        pairHmmLogLikelihood(c.read, c.quals, c.hap, params, probe);
+    LevelGuard guard;
+    simd::setSimdLevel(level);
+    const PhmmResult got =
+        pairHmmLogLikelihood(c.read, c.quals, c.hap, params);
+    const std::string where = std::string("level ") +
+                              simd::simdLevelName(level) + ", " + label +
+                              " (m=" + std::to_string(c.read.size()) +
+                              ", n=" + std::to_string(c.hap.size()) + ")";
+    EXPECT_EQ(std::bit_cast<u64>(got.log10_likelihood),
+              std::bit_cast<u64>(want.log10_likelihood))
+        << where << ": " << got.log10_likelihood << " vs "
+        << want.log10_likelihood;
+    EXPECT_EQ(got.used_double, want.used_double) << where;
+    EXPECT_EQ(got.cell_updates, want.cell_updates) << where;
+    return want;
+}
+
+TEST(SimdPhmm, MatchesScalarExactlyAllLevels)
+{
     const auto cases = makePhmmCases(300, 601);
     for (const simd::SimdLevel level : testableLevels()) {
-        LevelGuard guard;
-        simd::setSimdLevel(level);
         for (size_t i = 0; i < cases.size(); ++i) {
-            const auto& c = cases[i];
-            NullProbe probe;
-            const PhmmResult scalar = pairHmmLogLikelihood(
-                c.read, c.quals, c.hap, params, probe);
-            const PhmmResult got =
-                pairHmmLogLikelihood(c.read, c.quals, c.hap, params);
-            EXPECT_EQ(got.log10_likelihood, scalar.log10_likelihood)
-                << "level " << simd::simdLevelName(level) << ", case "
-                << i;
-            EXPECT_EQ(got.cell_updates, scalar.cell_updates)
-                << "level " << simd::simdLevelName(level) << ", case "
-                << i;
+            expectEngineMatchesTemplate(cases[i], level,
+                                        "case " + std::to_string(i));
         }
     }
 }
@@ -614,21 +633,130 @@ TEST(SimdPhmm, UnderflowFallsBackToDoubleExactly)
     c.hap.resize(300);
     for (auto& b : c.hap) b = static_cast<u8>(rng.below(4));
 
-    const PhmmParams params;
-    NullProbe probe;
-    const PhmmResult scalar =
-        pairHmmLogLikelihood(c.read, c.quals, c.hap, params, probe);
-    ASSERT_TRUE(scalar.used_double)
-        << "test input no longer triggers the float underflow";
     for (const simd::SimdLevel level : testableLevels()) {
-        LevelGuard guard;
-        simd::setSimdLevel(level);
-        const PhmmResult got =
-            pairHmmLogLikelihood(c.read, c.quals, c.hap, params);
-        EXPECT_TRUE(got.used_double)
-            << simd::simdLevelName(level);
-        EXPECT_DOUBLE_EQ(got.log10_likelihood, scalar.log10_likelihood)
-            << simd::simdLevelName(level);
+        const PhmmResult want =
+            expectEngineMatchesTemplate(c, level, "unrelated pair");
+        ASSERT_TRUE(want.used_double)
+            << "test input no longer triggers the float underflow";
+    }
+}
+
+TEST(SimdPhmm, PipelineWindowReadsMatchExactly)
+{
+    // The reference-guided pipeline's phmm stage: 151-bp reads at Q30
+    // against a 400-bp window haplotype, the reads that start before
+    // or end after the window hanging 0-150 bases off its edge. Heavy
+    // overhang underflows the float pass, so both passes run here.
+    Rng rng(603);
+    std::vector<u8> hap(400);
+    for (auto& b : hap) b = static_cast<u8>(rng.below(4));
+    std::vector<PhmmCase> cases;
+    for (i64 overhang = 0; overhang <= 150; overhang += 5) {
+        for (const bool left : {true, false}) {
+            PhmmCase c;
+            c.hap = hap;
+            const i64 start =
+                left ? -overhang
+                     : static_cast<i64>(hap.size()) - 151 + overhang;
+            for (i64 k = start; k < start + 151; ++k) {
+                const bool inside =
+                    k >= 0 && k < static_cast<i64>(hap.size());
+                u8 b = inside ? hap[static_cast<size_t>(k)]
+                              : static_cast<u8>(rng.below(4));
+                if (inside && rng.chance(0.01)) {
+                    b = static_cast<u8>(rng.below(4));
+                }
+                c.read.push_back(b);
+            }
+            c.quals.assign(c.read.size(), 30);
+            cases.push_back(std::move(c));
+        }
+    }
+    for (const simd::SimdLevel level : testableLevels()) {
+        u64 fallbacks = 0;
+        for (size_t i = 0; i < cases.size(); ++i) {
+            fallbacks += expectEngineMatchesTemplate(
+                             cases[i], level, "window read " +
+                                                  std::to_string(i))
+                             .used_double;
+        }
+        EXPECT_GT(fallbacks, 0u) << "no read took the double pass";
+        EXPECT_LT(fallbacks, cases.size())
+            << "every read took the double pass";
+    }
+}
+
+TEST(SimdPhmm, EdgeShapesMatchExactly)
+{
+    // m or n = 1 and lengths one either side of every lane multiple.
+    Rng rng(604);
+    auto random_case = [&](u64 m, u64 n, u8 qual) {
+        PhmmCase c;
+        c.read.resize(m);
+        for (auto& b : c.read) b = static_cast<u8>(rng.below(4));
+        c.quals.assign(m, qual);
+        c.hap.resize(n);
+        for (auto& b : c.hap) b = static_cast<u8>(rng.below(4));
+        return c;
+    };
+    std::vector<PhmmCase> cases;
+    for (const u64 len : {1, 2, 3, 5, 7, 9, 15, 17, 33}) {
+        cases.push_back(random_case(1, len, 30));
+        cases.push_back(random_case(len, 1, 30));
+        cases.push_back(random_case(len, len + 1, 20));
+    }
+    for (const simd::SimdLevel level : testableLevels()) {
+        for (size_t i = 0; i < cases.size(); ++i) {
+            expectEngineMatchesTemplate(cases[i], level,
+                                        "edge case " + std::to_string(i));
+        }
+    }
+
+    // N (code 4) never matches, not even another N; unrelated enough
+    // to take the double pass.
+    PhmmCase with_n = random_case(200, 300, 40);
+    for (size_t k = 0; k < with_n.read.size(); k += 3) {
+        with_n.read[k] = 4;
+    }
+    for (size_t k = 0; k < with_n.hap.size(); k += 4) with_n.hap[k] = 4;
+    for (const simd::SimdLevel level : testableLevels()) {
+        const PhmmResult want =
+            expectEngineMatchesTemplate(with_n, level, "N bases");
+        ASSERT_TRUE(want.used_double)
+            << "the N-base pair no longer underflows the float pass";
+    }
+}
+
+TEST(SimdPhmm, LongPairWithSubnormalDoubleSumMatchesExactly)
+{
+    // A 1000-bp read (14% substitutions, Q30) from the middle of a
+    // 2000-bp haplotype: the double pass's final sum is subnormal, so
+    // the cells feeding it decay through the denormal range. Run
+    // under FTZ/DAZ, that pass would flush them and return 0 (-400);
+    // without it, every level must keep the same bits.
+    Rng rng(605);
+    PhmmCase c;
+    c.hap.resize(2000);
+    for (auto& b : c.hap) b = static_cast<u8>(rng.below(4));
+    c.read.assign(c.hap.begin() + 500, c.hap.begin() + 1500);
+    for (auto& b : c.read) {
+        if (rng.chance(0.14)) {
+            b = static_cast<u8>((b + 1 + rng.below(3)) % 4);
+        }
+    }
+    c.quals.assign(c.read.size(), 30);
+
+    for (const simd::SimdLevel level : testableLevels()) {
+        const PhmmResult want =
+            expectEngineMatchesTemplate(c, level, "long pair");
+        ASSERT_TRUE(want.used_double)
+            << "the long pair no longer underflows the float pass";
+        const double log10_sum =
+            want.log10_likelihood + std::log10(kDoubleInitialScale);
+        ASSERT_LT(log10_sum, std::log10(DBL_MIN))
+            << "the double sum is no longer subnormal";
+        ASSERT_NE(want.log10_likelihood, -400.0)
+            << "the double sum underflowed to zero";
     }
 }
 
