@@ -11,6 +11,7 @@
  * Run: ./example_nanopore_signal_pipeline
  */
 #include <cmath>
+#include <cstdio>
 #include <iostream>
 #include <span>
 
@@ -58,10 +59,15 @@ main()
 
     WallTimer abea_timer;
     const AbeaResult aln = alignEvents(events, pore, segment);
-    std::cout << "abea: score " << aln.score << ", "
-              << aln.alignment.size() << " event-kmer assignments, "
-              << aln.cells_computed << " band cells in "
-              << abea_timer.seconds() << " s\n";
+    const double abea_s = abea_timer.seconds();
+    // Score at %.9g (every float bit): the line is compared across
+    // GB_SIMD_LEVELs, so the timing goes on a line of its own.
+    char score[32];
+    std::snprintf(score, sizeof(score), "%.9g", aln.score);
+    std::cout << "abea: score " << score << ", " << aln.alignment.size()
+              << " event-kmer assignments, " << aln.cells_computed
+              << " band cells\n";
+    std::cout << "abea time: " << abea_s << " s\n";
 
     // Per-site evidence: mean absolute z-score of events assigned to
     // each k-mer (the quantity methylation callers threshold).

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full pre-merge check: tier-1 build + tests, the SIMD, banded-SW row
-# engine, FM-index/SMEM, phmm, chain, poa, nn and grm equivalence suites
+# engine, FM-index/SMEM, phmm, chain, poa, nn, grm and abea equivalence
+# suites
 # at every dispatch level
 # (GB_SIMD_LEVEL=scalar|sse4|avx2), the whole ctest suite under
 # ASan/UBSan (plus the dispatch-level suites at every level), the
@@ -12,10 +13,11 @@
 # artifact-cache smoke test (store build -> store verify -> store
 # inspect of the fmi artifact and of an empty file -> warm run +
 # corruption check), a dispatch-level smoke (bsw, phmm, fmi, chain,
-# spoa, nn-base, nn-variant and grm report the same task counts under
-# GB_SIMD_LEVEL=scalar and the default level, at 1 and 4 threads), the
-# reference-guided example's phmm line (identical at GB_SIMD_LEVEL=scalar
-# and the default level), a kmer-cnt thread smoke (the
+# spoa, nn-base, nn-variant, grm and abea report the same task counts
+# under GB_SIMD_LEVEL=scalar and the default level, at 1 and 4 threads),
+# the reference-guided example's phmm line and the nanopore example's
+# abea line (each identical at GB_SIMD_LEVEL=scalar and the default
+# level), a kmer-cnt thread smoke (the
 # same task counts at 1, 3 and 4 threads), a gb::serve smoke test (8-job
 # list through the scheduler, JSON validated, single-flight prepare
 # asserted), a gb::net loopback
@@ -60,7 +62,7 @@ step "tier-1: ctest"
 # host with AVX2 still exercises the SSE4 and scalar dispatch paths
 # (the env override clamps to what the CPU supports, so this is safe
 # on any machine).
-step "gb::simd + bsw row engine + FM-index SMEMs + phmm/chain/poa/nn/grm: equivalence at every dispatch level"
+step "gb::simd + bsw row engine + FM-index SMEMs + phmm/chain/poa/nn/grm/abea: equivalence at every dispatch level"
 for level in scalar sse4 avx2; do
     echo "-- GB_SIMD_LEVEL=$level"
     GB_SIMD_LEVEL=$level ./build/tests/test_simd
@@ -71,6 +73,7 @@ for level in scalar sse4 avx2; do
     GB_SIMD_LEVEL=$level ./build/tests/test_poa --gtest_brief=1
     GB_SIMD_LEVEL=$level ./build/tests/test_nn --gtest_brief=1
     GB_SIMD_LEVEL=$level ./build/tests/test_grm --gtest_brief=1
+    GB_SIMD_LEVEL=$level ./build/tests/test_abea --gtest_brief=1
 done
 
 # ------------------------------------------------------- sanitizer build
@@ -98,6 +101,8 @@ if [[ $SKIP_SAN -eq 0 ]]; then
         GB_SIMD_LEVEL=$level ./build-asan/tests/test_nn \
             --gtest_brief=1
         GB_SIMD_LEVEL=$level ./build-asan/tests/test_grm \
+            --gtest_brief=1
+        GB_SIMD_LEVEL=$level ./build-asan/tests/test_abea \
             --gtest_brief=1
     done
 fi
@@ -238,11 +243,12 @@ grep -q "1 hit" /tmp/gb_warm.txt || {
 }
 
 # Dispatch-level equivalence: GB_SIMD_LEVEL is the one scalar/SIMD
-# switch of bsw, phmm, fmi, chain, spoa, nn-base, nn-variant and grm, so
+# switch of bsw, phmm, fmi, chain, spoa, nn-base, nn-variant, grm and
+# abea, so
 # each must, at 1 and 4 threads, emit `run` rows under GB_SIMD_LEVEL=scalar and under the
 # default (detected) level with exactly the same task counters, and
 # meta.simd_level must name the level that ran.
-step "simd level: bsw/phmm/fmi/chain/spoa/nn-base/nn-variant/grm x 1,4 threads, default-level counters match scalar"
+step "simd level: bsw/phmm/fmi/chain/spoa/nn-base/nn-variant/grm/abea x 1,4 threads, default-level counters match scalar"
 check_counters() { # kernel threads scalar.json other.json
     python3 - "$@" <<'EOF'
 import json, sys
@@ -272,7 +278,7 @@ print(f"level smoke ok: {kernel} threads={threads} tasks {base} "
       f"at levels scalar and {detected}")
 EOF
 }
-for kernel in bsw phmm fmi chain spoa nn-base nn-variant grm; do
+for kernel in bsw phmm fmi chain spoa nn-base nn-variant grm abea; do
     for threads in 1 4; do
         GB_SIMD_LEVEL=scalar "$GB" run "$kernel" --size=tiny \
             --repeat=2 --threads="$threads" \
@@ -307,6 +313,21 @@ if [[ "$PHMM_SCALAR" != "$PHMM_DEFAULT" ]]; then
     exit 1
 fi
 rm -rf "$EX_DIR"
+
+# The nanopore example aligns one 3-kb segment's events with abea: the
+# abea line (score at %.9g, assignments, band cells) must be the same
+# digits at the scalar and the default level.
+step "nanopore example: abea line identical at scalar and default level"
+ABEA_SCALAR=$(GB_SIMD_LEVEL=scalar \
+    ./build/examples/example_nanopore_signal_pipeline | grep '^abea:')
+ABEA_DEFAULT=$(env -u GB_SIMD_LEVEL \
+    ./build/examples/example_nanopore_signal_pipeline | grep '^abea:')
+echo "scalar:  $ABEA_SCALAR"
+echo "default: $ABEA_DEFAULT"
+if [[ "$ABEA_SCALAR" != "$ABEA_DEFAULT" ]]; then
+    echo "FAIL: the example's abea line differs between levels" >&2
+    exit 1
+fi
 
 # kmer-cnt splits its table into one hash partition per pool thread,
 # so its thread count changes the table layout; the task counters must

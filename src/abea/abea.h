@@ -28,7 +28,8 @@ namespace gb {
 /** ABEA parameters (f5c-like defaults). */
 struct AbeaParams
 {
-    u32 bandwidth = 100;     ///< band width W (ALN_BANDWIDTH in f5c)
+    u32 bandwidth = 100;     ///< band width W (ALN_BANDWIDTH in f5c);
+                             ///< even, in [4, 65534]
     double skip_prob = 1e-10; ///< probability of skipping a k-mer
     double trim_prob = 0.01;  ///< leading/trailing event trim
     bool record_bands = false; ///< keep per-band cell ranges (for the
@@ -66,7 +67,11 @@ AbeaResult alignEvents(std::span<const Event> events,
                        const PoreModel& model, std::string_view ref,
                        const AbeaParams& params, Probe& probe);
 
-/** Uninstrumented convenience wrapper. */
+/**
+ * Uninstrumented: at GB_SIMD_LEVEL sse4/avx2 the band-parallel engine
+ * (simd/abea_engine.h) fills each band, and at scalar the template
+ * above runs. The result is bit-identical either way.
+ */
 AbeaResult alignEvents(std::span<const Event> events,
                        const PoreModel& model, std::string_view ref,
                        const AbeaParams& params = {});

@@ -1,0 +1,15 @@
+/** AVX2 instantiation of the abea band kernel. */
+#define GB_SIMD_TARGET_AVX2 1
+#include "simd/abea_engine_impl.h"
+
+#include "simd/engines_internal.h"
+
+namespace gb::simd::detail {
+
+void
+abeaBandAvx2(const AbeaBand& band)
+{
+    abeaBandVec(band);
+}
+
+} // namespace gb::simd::detail

@@ -13,6 +13,7 @@
 
 #include "align/banded_sw.h"
 #include "chain/chain.h"
+#include "simd/abea_engine.h"
 #include "simd/f32_engine.h"
 #include "simd/poa_engine.h"
 #include "util/common.h"
@@ -137,6 +138,13 @@ void f32GemmScalarBlock(const F32Gemm& g, u32 r0, u32 r1, u32 c0);
 /** Output-parallel micro-GEMM; bit-identical to f32GemmScalar(). */
 void f32GemmSse4(const F32Gemm& g);
 void f32GemmAvx2(const F32Gemm& g);
+
+/**
+ * One abea band, kF32Lanes cells per step; bit-identical to the
+ * template's cell loop (scores and traceback bytes).
+ */
+void abeaBandSse4(const AbeaBand& band);
+void abeaBandAvx2(const AbeaBand& band);
 
 } // namespace gb::simd::detail
 

@@ -13,10 +13,15 @@
  * The haplotype is consumed through a reversed copy so that, along a
  * diagonal, both sequence reads are ascending contiguous byte loads.
  * Vector chunks overrun the valid lane range [ilo, ihi] by up to
- * W - 1 slots; those slots hold garbage, but the boundary writes
- * after the chunk loop repair the two slots (i = 0 and i = d) that
- * later diagonals can legitimately read, and every other garbage slot
- * is provably outside all subsequent valid reads (docs/simd.md).
+ * W - 1 slots, and nothing repairs them; only row 0 (slot 0, the free
+ * start along the haplotype) is written outside the chunk loop.
+ * Overrun slots with i > m are rows no valid cell reads. Overrun slots with i >= d are columns j <= 0,
+ * and every such slot with i >= 1 holds +0: the buffers start at
+ * zero, and a j <= 0 slot is computed only from other j <= 0 slots
+ * and from M/I at (0, 0), which are 0, as non-negative multiples and
+ * sums of +0. A slot the chunks skip keeps what it held three
+ * diagonals earlier, at column j - 3 < 0, which is +0 too. So column 0
+ * reads +0, as the scalar recurrence's boundary does (docs/simd.md).
  * Per-cell arithmetic is the same expression as forwardScaled<T>.
  */
 #include <algorithm>
@@ -139,16 +144,12 @@ phmmForward(const PhmmInput<T>& in)
             Ops::store(cd + i0, d_cur);
         }
 
-        // Boundary cells (also repair any chunk overrun on slot d).
+        // Row 0: the free start along the haplotype. Column 0 needs
+        // no write: its slot already holds +0 (see the file comment).
         if (d <= n) {
             cm[0] = 0;
             ci[0] = 0;
-            cd[0] = in.init; // row-0 free start along the haplotype
-        }
-        if (d <= m) {
-            cm[d] = 0; // column 0: scalar's m/i/d_curr[0] = 0
-            ci[d] = 0;
-            cd[d] = 0;
+            cd[0] = in.init;
         }
 
         // Final-row cell of this diagonal: same j-ascending

@@ -120,6 +120,19 @@ inline VecF32 vToF32(VecI32 a) { return _mm256_cvtepi32_ps(a); }
 inline VecI32 vTruncToI32(VecF32 a) { return _mm256_cvttps_epi32(a); }
 /** Raw IEEE-754 bit pattern of each float lane. */
 inline VecI32 vF32Bits(VecF32 a) { return _mm256_castps_si256(a); }
+/** Float lanes with the given bit patterns (inverse of vF32Bits). */
+inline VecF32 vF32FromBits(VecI32 a) { return _mm256_castsi256_ps(a); }
+/** Narrow each 32-bit lane (0..255) to a byte; store kI32Lanes bytes. */
+inline void vStoreBytesI32(u8* p, VecI32 v)
+{
+    const __m256i lows = _mm256_shuffle_epi8(
+        v, _mm256_setr_epi8(0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1,
+                            -1, -1, -1, -1, 0, 4, 8, 12, -1, -1, -1, -1,
+                            -1, -1, -1, -1, -1, -1, -1, -1));
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(p),
+                     _mm_unpacklo_epi32(_mm256_castsi256_si128(lows),
+                                        _mm256_extracti128_si256(lows, 1)));
+}
 /** Horizontal maximum of the 32-bit lanes. */
 inline i32 vHMaxI32(VecI32 v)
 {
@@ -199,9 +212,22 @@ inline VecF32 vAddF32(VecF32 a, VecF32 b)
 {
     return _mm256_add_ps(a, b);
 }
+inline VecF32 vSubF32(VecF32 a, VecF32 b)
+{
+    return _mm256_sub_ps(a, b);
+}
 inline VecF32 vMulF32(VecF32 a, VecF32 b)
 {
     return _mm256_mul_ps(a, b);
+}
+inline VecF32 vDivF32(VecF32 a, VecF32 b)
+{
+    return _mm256_div_ps(a, b);
+}
+/** All-ones lanes where a > b (ordered: false if either is NaN). */
+inline VecF32 vCmpGtF32(VecF32 a, VecF32 b)
+{
+    return _mm256_cmp_ps(a, b, _CMP_GT_OQ);
 }
 inline VecF32 vSelectF32(VecF32 mask, VecF32 a, VecF32 b)
 {
@@ -320,6 +346,15 @@ inline VecI32 vSrliI32(VecI32 a)
 inline VecF32 vToF32(VecI32 a) { return _mm_cvtepi32_ps(a); }
 inline VecI32 vTruncToI32(VecF32 a) { return _mm_cvttps_epi32(a); }
 inline VecI32 vF32Bits(VecF32 a) { return _mm_castps_si128(a); }
+inline VecF32 vF32FromBits(VecI32 a) { return _mm_castsi128_ps(a); }
+inline void vStoreBytesI32(u8* p, VecI32 v)
+{
+    const __m128i lows = _mm_shuffle_epi8(
+        v, _mm_setr_epi8(0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1,
+                         -1, -1, -1));
+    const u32 w = static_cast<u32>(_mm_cvtsi128_si32(lows));
+    __builtin_memcpy(p, &w, 4);
+}
 inline i32 vHMaxI32(VecI32 v)
 {
     const __m128i quad =
@@ -387,7 +422,10 @@ inline VecF32 vSet1F32(float x) { return _mm_set1_ps(x); }
 inline VecF32 vLoadF32(const float* p) { return _mm_loadu_ps(p); }
 inline void vStoreF32(float* p, VecF32 v) { _mm_storeu_ps(p, v); }
 inline VecF32 vAddF32(VecF32 a, VecF32 b) { return _mm_add_ps(a, b); }
+inline VecF32 vSubF32(VecF32 a, VecF32 b) { return _mm_sub_ps(a, b); }
 inline VecF32 vMulF32(VecF32 a, VecF32 b) { return _mm_mul_ps(a, b); }
+inline VecF32 vDivF32(VecF32 a, VecF32 b) { return _mm_div_ps(a, b); }
+inline VecF32 vCmpGtF32(VecF32 a, VecF32 b) { return _mm_cmpgt_ps(a, b); }
 inline VecF32 vSelectF32(VecF32 mask, VecF32 a, VecF32 b)
 {
     return _mm_blendv_ps(b, a, mask);

@@ -25,6 +25,7 @@
 #include "index/fm_index.h"
 #include "io/dna.h"
 #include "phmm/pairhmm.h"
+#include "simd/abea_engine.h"
 #include "simd/bsw_engine.h"
 #include "simd/chain_engine.h"
 #include "simd/f32_engine.h"
@@ -122,18 +123,21 @@ TEST(SimdDispatch, LaneCountsMatchLevel)
     EXPECT_EQ(simd::phmmLanes(simd::SimdLevel::kScalar), 1u);
     EXPECT_EQ(simd::chainLanes(simd::SimdLevel::kScalar), 1u);
     EXPECT_EQ(simd::poaLanes(simd::SimdLevel::kScalar), 1u);
+    EXPECT_EQ(simd::abeaLanes(simd::SimdLevel::kScalar), 1u);
     const simd::SimdLevel best = simd::detectSimdLevel();
     if (best >= simd::SimdLevel::kSse4) {
         EXPECT_EQ(simd::bswLanes(simd::SimdLevel::kSse4), 8u);
         EXPECT_EQ(simd::phmmLanes(simd::SimdLevel::kSse4), 4u);
         EXPECT_EQ(simd::chainLanes(simd::SimdLevel::kSse4), 4u);
         EXPECT_EQ(simd::poaLanes(simd::SimdLevel::kSse4), 4u);
+        EXPECT_EQ(simd::abeaLanes(simd::SimdLevel::kSse4), 4u);
     }
     if (best >= simd::SimdLevel::kAvx2) {
         EXPECT_EQ(simd::bswLanes(simd::SimdLevel::kAvx2), 16u);
         EXPECT_EQ(simd::phmmLanes(simd::SimdLevel::kAvx2), 8u);
         EXPECT_EQ(simd::chainLanes(simd::SimdLevel::kAvx2), 8u);
         EXPECT_EQ(simd::poaLanes(simd::SimdLevel::kAvx2), 8u);
+        EXPECT_EQ(simd::abeaLanes(simd::SimdLevel::kAvx2), 8u);
     }
 }
 
