@@ -1,22 +1,22 @@
 /**
  * @file
- * Ablation: FM-index occ-checkpoint spacing (64 / 128 / 448 BWT
- * symbols per checkpoint) x occ resolution engine.
+ * Ablation: FM-index occ-checkpoint spacing (64 / 128 / 256 / 448 BWT
+ * symbols per checkpoint).
  *
- * Design-choice study behind the fmi kernel (DESIGN.md §7): denser
- * checkpoints cost memory (more of the index per lookup is counts)
- * but shorten the per-occ scan; sparse checkpoints shrink the index
- * but every backward-extension step scans more BWT bytes. BWA-MEM2
- * ships a 64-symbol layout.
+ * Design-choice study behind the fmi kernel (DESIGN.md §7): a block
+ * of 64·m symbols stores its 6 checkpoint counts once and m plane
+ * triples after them, padded to whole 64-byte lines. Sparse
+ * checkpoints shrink the index toward 3 bits per symbol, but every
+ * lookup popcounts more planes and touches more lines. BWA-MEM2 ships
+ * the 64-symbol layout: one line per lookup, 1 byte per symbol.
  *
- * Each spacing times the per-read SMEM search twice: under scalar
- * dispatch (byte-loop occ) and at the active dispatch level (SIMD
- * popcount-over-bit-planes occ) — the wider the spacing, the more
- * bytes per lookup the SIMD counter absorbs. Results are
- * bit-identical; modeled int ops are level-independent.
+ * Each spacing times the per-read SMEM search at the active dispatch
+ * level and checks its SMEMs against the same search at
+ * GB_SIMD_LEVEL=scalar and against the 64-symbol index; any mismatch
+ * exits 1.
  */
 #include <iostream>
-#include <utility>
+#include <tuple>
 
 #include "harness.h"
 #include "index/fm_index.h"
@@ -26,10 +26,33 @@
 #include "simdata/reads.h"
 #include "util/timer.h"
 
+namespace {
+
+using namespace gb;
+
+/** Every read's SMEMs, in order, as comparable tuples. */
+using SmemList = std::vector<std::tuple<u64, u64, u64, i32, i32>>;
+
+SmemList
+searchAll(const FmIndex& fm, const std::vector<std::vector<u8>>& reads)
+{
+    SmemList all;
+    for (const auto& read : reads) {
+        NullProbe probe;
+        std::vector<Smem> mems;
+        fm.smems(std::span<const u8>(read), 19, mems, probe);
+        for (const Smem& m : mems) {
+            all.emplace_back(m.k, m.l, m.s, m.begin, m.end);
+        }
+    }
+    return all;
+}
+
+} // namespace
+
 int
 main(int argc, char** argv)
 {
-    using namespace gb;
     const auto options = bench::Options::parse(argc, argv);
     bench::printHeader("Ablation: fmi occ spacing",
                        "index size vs lookup cost", options);
@@ -53,57 +76,51 @@ main(int argc, char** argv)
     }
 
     Table table("Occ checkpoint spacing");
-    table.setHeader({"spacing", "occ bytes", "t scalar (s)",
-                     "t simd (s)", "speedup", "int ops", "smems"});
-    for (u32 spacing : {32u, 64u, 128u, 448u}) {
+    table.setHeader({"spacing", "occ bytes", "bytes/symbol", "t (s)",
+                     "int ops", "load bytes", "smems"});
+    SmemList reference;
+    for (u32 spacing : {64u, 128u, 256u, 448u}) {
         const FmIndex fm = FmIndex::build(genome.seq, spacing);
 
-        // Modeled work and result counts (level-independent).
+        // Modeled work (level-independent).
         CountingProbe cprobe;
-        u64 smems = 0;
         for (const auto& read : reads) {
             std::vector<Smem> mems;
             fm.smems(std::span<const u8>(read), 19, mems, cprobe);
-            smems += mems.size();
         }
 
-        // Per-read smems at the current dispatch level: SMEM count and
-        // wall time.
-        auto timedSmems = [&] {
-            u64 found = 0;
-            WallTimer timer;
-            for (const auto& read : reads) {
-                NullProbe probe;
-                std::vector<Smem> mems;
-                fm.smems(std::span<const u8>(read), 19, mems, probe);
-                found += mems.size();
-            }
-            return std::pair{found, timer.seconds()};
-        };
         simd::setSimdLevel(simd::SimdLevel::kScalar);
-        const auto [smems_scalar, t_scalar] = timedSmems();
+        const SmemList scalar = searchAll(fm, reads);
         simd::resetSimdLevel();
-        const auto [smems_simd, t_simd] = timedSmems();
-        if (smems_scalar != smems || smems_simd != smems) {
-            std::cerr << "dispatch-level mismatch at spacing " << spacing
-                      << "\n";
+        WallTimer timer;
+        const SmemList active = searchAll(fm, reads);
+        const double seconds = timer.seconds();
+        if (reference.empty()) reference = scalar;
+        if (active != scalar || scalar != reference) {
+            std::cerr << "SMEM mismatch at spacing " << spacing
+                      << (active != scalar ? " (level "
+                                           : " (vs spacing 64, level ")
+                      << simd::simdLevelName(simd::activeSimdLevel())
+                      << ")\n";
             return 1;
         }
 
         table.newRow()
             .cell(spacing)
             .cell(formatCount(fm.occBytes()))
-            .cellF(t_scalar, 3)
-            .cellF(t_simd, 3)
-            .cellF(t_simd > 0 ? t_scalar / t_simd : 0.0, 2)
+            .cellF(static_cast<double>(fm.occBytes()) /
+                       static_cast<double>(fm.bwtLength()),
+                   3)
+            .cellF(seconds, 3)
             .cell(formatCount(cprobe.counts()[OpClass::kIntAlu]))
-            .cell(formatCount(smems));
+            .cell(formatCount(cprobe.loadBytes()))
+            .cell(formatCount(active.size()));
     }
     bench::report(table);
-    std::cout << "\nExpected: identical SMEM counts; scan work (int "
-                 "ops) grows with spacing while the occ footprint "
-                 "shrinks toward the raw BWT; the SIMD counter's edge "
-                 "widens with spacing (more bytes per occ resolved by "
-                 "SIMD).\n";
+    std::cout << "\nExpected: identical SMEMs at every spacing and "
+                 "level; the occ footprint falls from 1 byte per "
+                 "symbol toward 3/8 while modeled int ops and load "
+                 "bytes per lookup grow with the plane triples "
+                 "counted.\n";
     return 0;
 }

@@ -8,8 +8,9 @@
 # thread-pool, k-mer, metrics, serve, net and trace suites under TSan, a
 # metrics smoke test (--json emission validated by
 # scripts/validate_metrics.py, which must also reject malformed
-# documents), the fmi-occ and kmer-prefetch ablation benches
-# (self-verifying), an end-to-end
+# documents), a guard that the dispatched smems object counts with the
+# popcnt instruction and never calls __popcountdi2, the fmi-occ and
+# kmer-prefetch ablation benches (self-verifying), an end-to-end
 # artifact-cache smoke test (store build -> store verify -> store
 # inspect of the fmi artifact and of an empty file -> warm run +
 # corruption check), a dispatch-level smoke (bsw, phmm, fmi, chain,
@@ -56,6 +57,29 @@ cmake --build build -j"$JOBS"
 
 step "tier-1: ctest"
 (cd build && ctest --output-on-failure -j"$JOBS")
+
+# ----------------------------------------------- fmi POPCNT instantiation
+# smems(..., NullProbe&) runs FmIndex::smems from fm_index_popcnt.cc at
+# the sse4/avx2 levels; its occ lookups must count with the POPCNT
+# instruction, not call libgcc's __popcountdi2 (x86 builds only).
+POPCNT_OBJ=build/src/index/CMakeFiles/gb_index.dir/fm_index_popcnt.cc.o
+if [[ "$(uname -m)" == x86_64 ]]; then
+    step "fmi: dispatched smems object uses popcnt, never __popcountdi2"
+    [[ -f "$POPCNT_OBJ" ]] || {
+        echo "FAIL: $POPCNT_OBJ was not built" >&2
+        exit 1
+    }
+    objdump -dr "$POPCNT_OBJ" >/tmp/gb_popcnt.txt
+    if grep -q "__popcountdi2" /tmp/gb_popcnt.txt; then
+        echo "FAIL: $POPCNT_OBJ calls __popcountdi2" >&2
+        exit 1
+    fi
+    grep -qw "popcnt" /tmp/gb_popcnt.txt || {
+        echo "FAIL: $POPCNT_OBJ has no popcnt instruction" >&2
+        exit 1
+    }
+    rm -f /tmp/gb_popcnt.txt
+fi
 
 # ------------------------------------------------- SIMD dispatch levels
 # The equivalence property test re-runs under every GB_SIMD_LEVEL so a
@@ -207,9 +231,9 @@ trap 'rm -rf "$CACHE"' EXIT
 # The tiny fmi artifact (FM-index + reads) is pinned byte for byte, so
 # a faster index build cannot silently change what the cache stores.
 # A deliberate format change updates this hash together with the
-# "fmi/v1" cache key in src/core/kernel_fmi.cc.
-FMI_TINY_SHA256=8fdb48c55214fecb9218ae92144a468ee45957e546e30b482bbe5e3d42e30798
-echo "$FMI_TINY_SHA256  $CACHE/fmi-cfec5fe2b2da7634.gbs" | sha256sum -c - || {
+# "fmi/v2" cache key in src/core/kernel_fmi.cc.
+FMI_TINY_SHA256=7f72caec756d81f18ffcaf54848e2cb3a066393ee35d512f5bb210147f69c978
+echo "$FMI_TINY_SHA256  $CACHE/fmi-642935a96d1cff9d.gbs" | sha256sum -c - || {
     echo "FAIL: tiny fmi store artifact changed bytes" >&2
     exit 1
 }
@@ -217,8 +241,8 @@ echo "$FMI_TINY_SHA256  $CACHE/fmi-cfec5fe2b2da7634.gbs" | sha256sum -c - || {
 # `store inspect` maps the container and lists its TOC: the fmi
 # artifact holds the index and the encoded reads. An empty file has no
 # header and must be reported as truncated with a non-zero exit.
-"$GB" store inspect "$CACHE/fmi-cfec5fe2b2da7634.gbs" >/tmp/gb_inspect.txt
-for section in fm.meta fm.counts fm.bwt fm.sa reads.blob reads.offsets; do
+"$GB" store inspect "$CACHE/fmi-642935a96d1cff9d.gbs" >/tmp/gb_inspect.txt
+for section in fm.meta fm.occ fm.sa reads.blob reads.offsets; do
     grep -qwF "$section" /tmp/gb_inspect.txt || {
         echo "FAIL: store inspect does not list section $section" >&2
         exit 1

@@ -1,24 +1,71 @@
 #include "index/fm_index.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "io/dna.h"
 #include "index/suffix_array.h"
+#include "simd/simd.h"
 
 namespace gb {
+
+namespace {
+
+/** block_len values with whole plane triples: 64·m, up to 4096. */
+bool
+validBlockLen(u32 block_len)
+{
+    return block_len % FmIndex::kLineSymbols == 0 && block_len >= 64 &&
+           block_len <= 4096;
+}
+
+/** Live-position mask of the 64 symbols from `pos` in a BWT of n. */
+u64
+liveMask(u64 pos, u64 n)
+{
+    if (pos >= n) return 0;
+    return n - pos >= 64 ? ~u64{0} : (u64{1} << (n - pos)) - 1;
+}
+
+/** Add each symbol's count among one plane triple's live positions. */
+void
+addTriple(const u64* planes, u64 live,
+          std::array<u64, FmIndex::kAlphabet>& counts)
+{
+    for (u32 c = 0; c < FmIndex::kAlphabet; ++c) {
+        counts[c] += static_cast<u64>(
+            std::popcount(FmIndex::symbolBits(planes, c) & live));
+    }
+}
+
+/**
+ * Bit k of each of 8 bytes, gathered into bits 0..7: the multiply
+ * moves byte j's bit to bit 56 + j and no two partial products
+ * overlap, so nothing carries.
+ */
+u64
+gatherBit(u64 bytes, u32 k)
+{
+    return (((bytes >> k) & 0x0101010101010101ull) *
+            0x0102040810204080ull) >> 56;
+}
+
+} // namespace
 
 FmIndex
 FmIndex::build(std::string_view reference, u32 block_len)
 {
     requireInput(!reference.empty(), "FM-index: empty reference");
-    requireInput(block_len >= 8 && block_len <= 4096,
-                 "FM-index: block_len must be in [8, 4096]");
+    requireInput(validBlockLen(block_len),
+                 "FM-index: block_len must be a multiple of 64 in "
+                 "[64, 4096]");
 
     FmIndex fm;
     fm.ref_len_ = reference.size();
     fm.n_ = 2 * fm.ref_len_ + 2;
     fm.block_len_ = block_len;
+    fm.block_words_ = blockWords(block_len);
 
     // Text layout: ref(codes+2) '#'(1) revcomp(codes+2) '$'(0).
     std::vector<u8> text(fm.n_);
@@ -35,31 +82,44 @@ FmIndex::build(std::string_view reference, u32 block_len)
     text[fm.n_ - 1] = kSentinel;
 
     std::vector<u32> sa = buildSuffixArray(text);
-    fm.bwt_own_ = bwtFromSuffixArray(text, sa);
-    text = {};
 
-    // Cumulative counts.
-    std::array<u64, kAlphabet> totals{};
-    for (u8 s : fm.bwt_own_) ++totals[s];
+    // One pass over the blocks: each block's checkpoints (the running
+    // counts), then its planes, from 8 BWT symbols (text[SA[i] - 1])
+    // gathered per word. Positions past n read as code 0, so their
+    // plane bits stay clear; the live mask keeps them out of the counts.
+    const u64 num_blocks = fm.n_ / block_len + 1;
+    const u64 words = num_blocks * fm.block_words_;
+    fm.occ_own_.reset(static_cast<u64*>(
+        ::operator new[](words * sizeof(u64), std::align_val_t{64})));
+    std::fill_n(fm.occ_own_.get(), words, u64{0});
+    std::array<u64, kAlphabet> running{};
+    for (u64 b = 0; b < num_blocks; ++b) {
+        u64* line = &fm.occ_own_[b * fm.block_words_];
+        for (u32 c = 0; c < kAlphabet; c += 2) {
+            line[c / 2] = running[c] | running[c + 1] << 32;
+        }
+        for (u32 t = 0; t < block_len / kLineSymbols; ++t) {
+            const u64 pos = b * block_len + t * kLineSymbols;
+            u64* planes = line + 3 + 3 * t;
+            for (u32 j = 0; j < kLineSymbols; j += 8) {
+                u64 bytes = 0;
+                for (u64 k = 0, i = pos + j; k < 8 && i < fm.n_;
+                     ++k, ++i) {
+                    const u64 sym =
+                        sa[i] == 0 ? text.back() : text[sa[i] - 1];
+                    bytes |= sym << (8 * k);
+                }
+                for (u32 k = 0; k < 3; ++k) {
+                    planes[k] |= gatherBit(bytes, k) << j;
+                }
+            }
+            addTriple(planes, liveMask(pos, fm.n_), running);
+        }
+    }
+    text = {};
     fm.c_[0] = 0;
     for (u32 c = 0; c < kAlphabet; ++c) {
-        fm.c_[c + 1] = fm.c_[c] + totals[c];
-    }
-
-    // Checkpoint counts every block_len symbols + the raw BWT, padded
-    // with sentinels to whole blocks.
-    const u64 num_blocks = ceilDiv<u64>(fm.n_, block_len) + 1;
-    fm.counts_own_.assign(num_blocks * kAlphabet, 0);
-    fm.bwt_own_.resize(num_blocks * block_len, kSentinel);
-    std::array<u32, kAlphabet> running{};
-    for (u64 b = 0; b < num_blocks; ++b) {
-        for (u32 c = 0; c < kAlphabet; ++c) {
-            fm.counts_own_[b * kAlphabet + c] = running[c];
-        }
-        for (u32 j = 0; j < block_len; ++j) {
-            const u64 pos = b * block_len + j;
-            if (pos < fm.n_) ++running[fm.bwt_own_[pos]];
-        }
+        fm.c_[c + 1] = fm.c_[c] + running[c];
     }
 
     // Position-sampled SA, in the SA's own storage: pos_of_row_[row]
@@ -68,8 +128,7 @@ FmIndex::build(std::string_view reference, u32 block_len)
         if (pos % kSaSampleRate != 0) pos = kUnsampled;
     }
     fm.sa_own_ = std::move(sa);
-    fm.counts_ = fm.counts_own_;
-    fm.bwt_ = fm.bwt_own_;
+    fm.occ_ = std::span<const u64>(fm.occ_own_.get(), words);
     fm.sa_samples_ = fm.sa_own_;
     return fm;
 }
@@ -77,74 +136,77 @@ FmIndex::build(std::string_view reference, u32 block_len)
 void
 FmIndex::checkParts(u64 ref_len, u64 n, u32 block_len,
                     const std::array<u64, kAlphabet + 1>& c,
-                    std::span<const u32> counts, std::span<const u8> bwt,
-                    u64 sa_size)
+                    std::span<const u64> occ, u64 sa_size)
 {
-    requireInput(n == 2 * ref_len + 2 && block_len >= 8 &&
-                     block_len <= 4096,
+    requireInput(n == 2 * ref_len + 2 && validBlockLen(block_len),
                  "FM-index: inconsistent header");
-    const u64 num_blocks = ceilDiv<u64>(n, block_len) + 1;
-    requireInput(counts.size() == num_blocks * kAlphabet &&
-                     bwt.size() == num_blocks * block_len &&
-                     sa_size == n,
+    const u32 words = blockWords(block_len);
+    const u32 triples = block_len / kLineSymbols;
+    const u64 num_blocks = n / block_len + 1;
+    requireInput(occ.size() == num_blocks * words && sa_size == n,
                  "FM-index: inconsistent payload");
     // baseInterval() and the extension steps index by c[], so c must
     // be a cumulative count over exactly the n BWT symbols.
     requireInput(c[0] == 0 && std::is_sorted(c.begin(), c.end()) &&
                      c[kAlphabet] == n,
                  "FM-index: inconsistent cumulative counts");
-    // occ() adds a partial-block scan to a checkpoint and the result
-    // indexes c[]-based intervals, so every checkpoint must be the
-    // prefix count at its block start: 0 at the first block, each
-    // symbol's total at the block past the end ...
-    const u64 last = (num_blocks - 1) * kAlphabet;
-    for (u32 sym = 0; sym < kAlphabet; ++sym) {
-        requireInput(counts[sym] == 0 &&
-                         counts[last + sym] == c[sym + 1] - c[sym],
-                     "FM-index: inconsistent occ checkpoints");
-    }
-    // ... and, in one O(n) pass, each block's symbols add up to the
-    // step to the next checkpoint. The scan indexes a kAlphabet-entry
-    // counter by BWT byte, so every byte in [0, n) must be a symbol.
-    for (u64 b = 0; b + 1 < num_blocks; ++b) {
-        std::array<u32, kAlphabet> in_block{};
-        const u64 end = std::min<u64>((b + 1) * block_len, n);
-        for (u64 pos = b * block_len; pos < end; ++pos) {
-            const u8 sym = bwt[pos];
-            if (sym >= kAlphabet) {
-                throw InputError("FM-index: inconsistent BWT");
-            }
-            ++in_block[sym];
-        }
-        bool steps = true;
+    // occ() adds popcounts to a checkpoint and the result indexes
+    // c[]-based intervals, so each checkpoint must be the prefix count
+    // at its block start, and every position a symbol.
+    std::array<u64, kAlphabet> running{};
+    for (u64 b = 0; b < num_blocks; ++b) {
+        const u64* line = &occ[b * words];
+        bool ok = true;
         for (u32 sym = 0; sym < kAlphabet; ++sym) {
-            steps &= counts[(b + 1) * kAlphabet + sym] -
-                         counts[b * kAlphabet + sym] ==
-                     in_block[sym];
+            ok &= checkpoint(line, sym) == running[sym];
         }
-        requireInput(steps, "FM-index: inconsistent BWT");
+        for (u32 t = 0; t < triples; ++t) {
+            const u64* p = line + 3 + 3 * t;
+            const u64 live = liveMask(b * block_len + t * kLineSymbols, n);
+            ok &= ((p[1] & p[2]) | ((p[0] | p[1] | p[2]) & ~live)) == 0;
+            addTriple(p, live, running);
+        }
+        for (u32 w = 3 + 3 * triples; w < words; ++w) ok &= line[w] == 0;
+        requireInput(ok, "FM-index: inconsistent occ lines");
+    }
+    for (u32 sym = 0; sym < kAlphabet; ++sym) {
+        requireInput(running[sym] == c[sym + 1] - c[sym],
+                     "FM-index: occ lines disagree with cumulative counts");
     }
 }
 
 FmIndex
 FmIndex::fromViews(u64 ref_len, u32 block_len,
                    const std::array<u64, kAlphabet + 1>& c,
-                   std::span<const u32> counts, std::span<const u8> bwt,
+                   std::span<const u64> occ,
                    std::span<const u32> sa_samples,
                    std::shared_ptr<const void> backing)
 {
-    checkParts(ref_len, 2 * ref_len + 2, block_len, c, counts, bwt,
+    checkParts(ref_len, 2 * ref_len + 2, block_len, c, occ,
                sa_samples.size());
     FmIndex fm;
     fm.ref_len_ = ref_len;
     fm.n_ = 2 * ref_len + 2;
     fm.block_len_ = block_len;
+    fm.block_words_ = blockWords(block_len);
     fm.c_ = c;
-    fm.counts_ = counts;
-    fm.bwt_ = bwt;
+    fm.occ_ = occ;
     fm.sa_samples_ = sa_samples;
     fm.backing_ = std::move(backing);
     return fm;
+}
+
+void
+FmIndex::smems(std::span<const u8> query, i32 min_len,
+               std::vector<Smem>& out, NullProbe& probe) const
+{
+#if GB_FMI_POPCNT
+    if (simd::activeSimdLevel() != simd::SimdLevel::kScalar) {
+        smemsPopcnt(query, min_len, out);
+        return;
+    }
+#endif
+    smems<NullProbe>(query, min_len, out, probe);
 }
 
 BiInterval
@@ -160,11 +222,16 @@ FmIndex::baseInterval(u8 base) const
 u64
 FmIndex::occOne(u8 symbol, u64 i) const
 {
-    const u64 block_idx = i / block_len_;
-    u64 count = counts_[block_idx * kAlphabet + symbol];
-    const u64 base = block_idx * block_len_;
-    for (u64 pos = base; pos < i; ++pos) {
-        if (bwt_[pos] == symbol) ++count;
+    const u64 block = blockIndex(i);
+    const u64* line = &occ_[block * block_words_];
+    const u32 rem = static_cast<u32>(i - block * block_len_);
+    const u32 last = rem / kLineSymbols;
+    u64 count = checkpoint(line, symbol);
+    for (u32 t = 0; t <= last; ++t) {
+        const u64 live =
+            t < last ? ~u64{0} : (u64{1} << (rem % kLineSymbols)) - 1;
+        count += static_cast<u64>(
+            std::popcount(symbolBits(line + 3 + 3 * t, symbol) & live));
     }
     return count;
 }
@@ -273,8 +340,8 @@ FmIndex::locate(const BiInterval& interval, u64 max_hits) const
         u64 row = j;
         u64 steps = 0;
         while (sa_samples_[row] == kUnsampled) {
-            // LF-mapping step.
-            const u8 sym = bwt_[row];
+            // LF-mapping step: BWT[row] and its rank, from row's line.
+            const u8 sym = symbolAt(row);
             row = c_[sym] + occOne(sym, row);
             ++steps;
         }

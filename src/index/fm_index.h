@@ -9,14 +9,19 @@
  * and SMEMs are found by forward extension followed by collective
  * backward extension.
  *
- * The occurrence table is organized in checkpoint blocks of 64 BWT
- * symbols (6 x u32 counts + 64 bytes of BWT), so each occ() lookup
- * touches one ~1.5-cache-line block — the irregular large-working-set
- * access pattern the paper characterizes (two lookups per extension,
- * ">80 % of occ-table accesses open a new DRAM page").
+ * The occurrence table is one array of 64-byte occ lines, BWA-MEM2's
+ * CP_OCC layout: each 64-symbol block holds its 6 u32 checkpoint
+ * counts and 3 u64 bit planes (bit k of each symbol's code), 48 bytes
+ * padded to 64. So each occ() lookup touches one cache line — the
+ * irregular large-working-set access pattern the paper characterizes
+ * (two lookups per extension, ">80 % of occ-table accesses open a new
+ * DRAM page") — and counts a symbol with and/andnot under a live mask
+ * and one popcount.
  *
- * Hot-path methods are templated on a Probe policy (see arch/probe.h);
- * instantiate with NullProbe for production use.
+ * Hot-path methods are templated on a Probe policy (see arch/probe.h).
+ * smems(..., NullProbe&) is the production call: it dispatches each
+ * read to a copy compiled with POPCNT (fm_index_popcnt.cc) unless
+ * GB_SIMD_LEVEL=scalar.
  *
  * An index is built in memory by build() or mapped from disk by
  * fromViews(). It persists only as a gb::store container
@@ -30,13 +35,13 @@
 #include <array>
 #include <bit>
 #include <memory>
+#include <new>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "arch/probe.h"
-#include "simd/occ_engine.h"
 #include "util/common.h"
 
 namespace gb {
@@ -62,6 +67,16 @@ struct BiInterval
 using Smem = BiInterval;
 
 /**
+ * Candidate-interval buffers of smemsAt(), owned by its caller so one
+ * read's pivots reuse the same allocations.
+ */
+struct SmemScratch
+{
+    std::vector<BiInterval> prev;
+    std::vector<BiInterval> curr;
+};
+
+/**
  * FM-index over reference + reverse complement with sampled SA.
  */
 class FmIndex
@@ -73,23 +88,27 @@ class FmIndex
     static constexpr u32 kAlphabet = 6; ///< $, #, A, C, G, T
     static constexpr u32 kSaSampleRate = 32;
     static constexpr u32 kUnsampled = 0xffffffffu;
+    /** Symbols per plane triple (one u64 word per plane). */
+    static constexpr u32 kLineSymbols = 64;
 
     /**
      * Build the index for an ACGT reference (case-insensitive;
      * throws InputError on N or other characters).
      *
-     * @param block_len BWT symbols per occ checkpoint (default 64,
-     *        BWA-MEM2-like; larger blocks shrink the index but
-     *        lengthen every occ scan — see the occ-spacing ablation
-     *        bench).
+     * @param block_len BWT symbols per occ checkpoint: 64·m, stored
+     *        as the counts plus m plane triples, padded to whole
+     *        64-byte lines (default 64, BWA-MEM2-like; larger blocks
+     *        shrink the index but popcount more planes per lookup —
+     *        see the occ-spacing ablation bench). Any other value is
+     *        an InputError.
      */
     static FmIndex build(std::string_view reference,
                          u32 block_len = 64);
 
     FmIndex() = default;
-    // Move-only: the occ/BWT/SA spans point into the owned vectors or
-    // into an mmap backing, and a move keeps both valid (vector moves
-    // keep heap buffers alive).
+    // Move-only: the occ/SA spans point into the owned buffers or into
+    // an mmap backing, and a move keeps both valid (moves keep heap
+    // buffers alive).
     FmIndex(const FmIndex&) = delete;
     FmIndex& operator=(const FmIndex&) = delete;
     FmIndex(FmIndex&&) noexcept = default;
@@ -100,19 +119,18 @@ class FmIndex
      * copying them (the gb::store mmap load path). `backing` is held
      * for the index's lifetime and must keep the spans valid — e.g.
      * the store::StoreReader whose mapping they point into. Throws
-     * InputError unless the header fields, the array sizes and the
-     * cumulative counts are consistent with each other.
+     * InputError unless the header fields, the array sizes, the
+     * cumulative counts and the occ lines are consistent with each
+     * other (see checkParts()).
      */
     static FmIndex fromViews(u64 ref_len, u32 block_len,
                              const std::array<u64, kAlphabet + 1>& c,
-                             std::span<const u32> counts,
-                             std::span<const u8> bwt,
+                             std::span<const u64> occ,
                              std::span<const u32> sa_samples,
                              std::shared_ptr<const void> backing);
 
     /** Constituent-array accessors (for gb::store). */
-    std::span<const u32> occCounts() const { return counts_; }
-    std::span<const u8> bwtData() const { return bwt_; }
+    std::span<const u64> occLines() const { return occ_; }
     std::span<const u32> saSamples() const { return sa_samples_; }
     const std::array<u64, kAlphabet + 1>& cumulative() const
     {
@@ -131,10 +149,32 @@ class FmIndex
     u64 bwtLength() const { return n_; }
 
     /** Memory footprint of the occ structure in bytes. */
-    u64
-    occBytes() const
+    u64 occBytes() const { return occ_.size() * sizeof(u64); }
+
+    /** BWT[i], read from its occ line's planes (i < bwtLength()). */
+    u8
+    symbolAt(u64 i) const
     {
-        return counts_.size() * sizeof(u32) + bwt_.size();
+        const u64 block = blockIndex(i);
+        const u32 rem = static_cast<u32>(i - block * block_len_);
+        const u64* p =
+            &occ_[block * block_words_ + 3 + 3 * (rem / kLineSymbols)];
+        const u32 r = rem % kLineSymbols;
+        return static_cast<u8>(((p[0] >> r) & 1) | ((p[1] >> r) & 1) << 1 |
+                               ((p[2] >> r) & 1) << 2);
+    }
+
+    /**
+     * Bit j set where the triple's symbol j has code c: each plane
+     * taken as is where c's bit is set and inverted where it is clear
+     * (and/andnot once c is a constant).
+     */
+    static u64
+    symbolBits(const u64* planes, u32 c)
+    {
+        return (c & 1 ? planes[0] : ~planes[0]) &
+               (c & 2 ? planes[1] : ~planes[1]) &
+               (c & 4 ? planes[2] : ~planes[2]);
     }
 
     /** Bi-interval of the single base with 2-bit code `base`. */
@@ -143,84 +183,52 @@ class FmIndex
     /**
      * occ counts of all 6 symbols in BWT[0, i).
      *
-     * One checkpoint-block access per call; the probe sees the real
-     * block address so the cache simulator reproduces the fmi access
-     * pattern. The partial block is resolved with the runtime-
-     * dispatched popcount-over-bit-planes counter (simd::occCount),
-     * bit-identical to a byte loop at every dispatch level; the
-     * modeled cost stays ~12 scalar ops either way. A block-aligned
-     * `i` touches only the checkpoint: no BWT bytes are scanned and
-     * none are charged to the probe.
+     * One occ-line access per call; the probe sees the real line
+     * address so the cache simulator reproduces the fmi access
+     * pattern. Each symbol adds one popcount per plane triple before
+     * i's to its checkpoint, the last under a live mask of the
+     * positions below i. At the default 64-symbol blocks that is one
+     * 64-byte load and ~12 modeled int ops; a block_len of 64·m
+     * charges the lines up to i's triple and 12 ops per triple.
      */
     template <typename Probe>
     std::array<u64, kAlphabet>
     occAll(u64 i, Probe& probe) const
     {
-        const u64 block_idx = blockIndex(i);
-        const u32* block_counts = &counts_[block_idx * kAlphabet];
-        probe.load(block_counts, kAlphabet * sizeof(u32));
-        std::array<u64, kAlphabet> counts;
-        for (u32 c = 0; c < kAlphabet; ++c) counts[c] = block_counts[c];
-        const u64 base = block_idx * block_len_;
-        const u32 rem = static_cast<u32>(i - base);
-        if (rem) {
-            probe.load(&bwt_[base], rem);
-            scanOcc(&bwt_[base], rem, counts.data());
+        const u64 block = blockIndex(i);
+        const u64* line = &occ_[block * block_words_];
+        const u32 rem = static_cast<u32>(i - block * block_len_);
+        const u32 last = rem / kLineSymbols;
+        probe.load(line, roundUp<u32>(24 * (last + 2), 64));
+        probe.op(OpClass::kIntAlu, 12 * (last + 1));
+        std::array<u64, kAlphabet> occ;
+        for (u32 c = 0; c < kAlphabet; ++c) occ[c] = checkpoint(line, c);
+        // __builtin_popcountll, not std::popcount: a builtin expands in
+        // place, so the POPCNT copy can never call the generic one.
+        for (u32 t = 0; t <= last; ++t) {
+            const u64* p = line + 3 + 3 * t;
+            const u64 live = t < last ? ~u64{0}
+                                      : (u64{1} << (rem % kLineSymbols)) - 1;
+            for (u32 c = 0; c < kAlphabet; ++c) {
+                occ[c] += static_cast<u64>(
+                    __builtin_popcountll(symbolBits(p, c) & live));
+            }
         }
-        probe.op(OpClass::kIntAlu, 12);
-        return counts;
+        return occ;
     }
 
     /**
-     * occ counts at both ends of an interval (lo <= hi) with one call:
-     * probe traffic is exactly occAll(lo) followed by occAll(hi), but
-     * when both positions fall in the same checkpoint block — the
-     * common case once an interval has narrowed — the shared prefix
-     * [block start, lo) is scanned once and hi's counts continue
-     * incrementally from lo's. Used by the one-continuation
-     * extension steps below.
+     * occ counts at both ends of an interval (lo <= hi): exactly
+     * occAll(lo) followed by occAll(hi), in results and probe traffic.
+     * Used by the one-continuation extension steps below.
      */
     template <typename Probe>
     void
     occAllPair(u64 lo, u64 hi, std::array<u64, kAlphabet>& out_lo,
                std::array<u64, kAlphabet>& out_hi, Probe& probe) const
     {
-        const u64 block_lo = blockIndex(lo);
-        const u32* counts_lo = &counts_[block_lo * kAlphabet];
-        probe.load(counts_lo, kAlphabet * sizeof(u32));
-        for (u32 c = 0; c < kAlphabet; ++c) out_lo[c] = counts_lo[c];
-        const u64 base_lo = block_lo * block_len_;
-        const u32 rem_lo = static_cast<u32>(lo - base_lo);
-        if (rem_lo) {
-            probe.load(&bwt_[base_lo], rem_lo);
-            scanOcc(&bwt_[base_lo], rem_lo, out_lo.data());
-        }
-        probe.op(OpClass::kIntAlu, 12);
-
-        const u64 block_hi = blockIndex(hi);
-        const u32* counts_hi = &counts_[block_hi * kAlphabet];
-        probe.load(counts_hi, kAlphabet * sizeof(u32));
-        const u64 base_hi = block_hi * block_len_;
-        const u32 rem_hi = static_cast<u32>(hi - base_hi);
-        if (block_hi == block_lo) {
-            out_hi = out_lo;
-            if (rem_hi) {
-                probe.load(&bwt_[base_hi], rem_hi);
-                if (rem_hi > rem_lo) {
-                    scanOcc(&bwt_[base_lo + rem_lo], rem_hi - rem_lo,
-                            out_hi.data());
-                }
-            }
-        } else {
-            for (u32 c = 0; c < kAlphabet; ++c) {
-                out_hi[c] = counts_hi[c];
-            }
-            if (rem_hi) {
-                probe.load(&bwt_[base_hi], rem_hi);
-                scanOcc(&bwt_[base_hi], rem_hi, out_hi.data());
-            }
-        }
-        probe.op(OpClass::kIntAlu, 12);
+        out_lo = occAll(lo, probe);
+        out_hi = occAll(hi, probe);
     }
 
     /**
@@ -318,20 +326,23 @@ class FmIndex
      * @param x         Pivot position.
      * @param min_intv  Stop extension below this interval size (>= 1).
      * @param[out] mems SMEMs covering x, sorted by start; appended.
+     * @param scratch   Candidate buffers, reused across calls.
      * @return Position from which the next search should start
      *         (end of the longest match through x).
      */
     template <typename Probe>
     i32
     smemsAt(std::span<const u8> query, i32 x, u64 min_intv,
-            std::vector<Smem>& mems, Probe& probe) const
+            std::vector<Smem>& mems, SmemScratch& scratch,
+            Probe& probe) const
     {
         const i32 len = static_cast<i32>(query.size());
         if (x >= len || query[x] >= 4) return x + 1;
         if (min_intv < 1) min_intv = 1;
 
-        std::vector<BiInterval> prev;
-        std::vector<BiInterval> curr;
+        std::vector<BiInterval>& prev = scratch.prev;
+        std::vector<BiInterval>& curr = scratch.curr;
+        curr.clear();
 
         BiInterval ik = baseInterval(query[x]);
         ik.begin = x;
@@ -400,23 +411,35 @@ class FmIndex
 
     /**
      * All SMEMs of a query of at least `min_len` bases (the fmi
-     * kernel's per-read work).
+     * kernel's per-read work), appended to `out`.
      */
     template <typename Probe>
     void
     smems(std::span<const u8> query, i32 min_len, std::vector<Smem>& out,
           Probe& probe) const
     {
-        std::vector<Smem> all;
+        SmemScratch scratch;
+        const auto first = static_cast<i64>(out.size());
         i32 x = 0;
         const i32 len = static_cast<i32>(query.size());
         while (x < len) {
-            x = smemsAt(query, x, 1, all, probe);
+            x = smemsAt(query, x, 1, out, scratch, probe);
         }
-        for (const Smem& m : all) {
-            if (m.length() >= min_len) out.push_back(m);
-        }
+        out.erase(std::remove_if(out.begin() + first, out.end(),
+                                 [&](const Smem& m) {
+                                     return m.length() < min_len;
+                                 }),
+                  out.end());
     }
+
+    /**
+     * The production call: smems() without instrumentation. At the
+     * sse4/avx2 dispatch levels it runs a copy compiled with POPCNT;
+     * at GB_SIMD_LEVEL=scalar (or without POPCNT support in the
+     * build) it runs the generic instantiation. Same SMEMs either way.
+     */
+    void smems(std::span<const u8> query, i32 min_len,
+               std::vector<Smem>& out, NullProbe& probe) const;
 
     /** Count occurrences of an ACGT pattern (both strands). */
     u64 count(std::string_view pattern) const;
@@ -457,8 +480,8 @@ class FmIndex
     /**
      * Checkpoint block of BWT position i. block_len_ is a power of
      * two in every shipped layout, so the common case is a shift; the
-     * division only runs for exotic spacings (e.g. the 448-symbol
-     * ablation point).
+     * division only runs for other multiples of 64 (e.g. the
+     * 448-symbol ablation point).
      */
     u64
     blockIndex(u64 i) const
@@ -469,24 +492,11 @@ class FmIndex
         return i / block_len_;
     }
 
-    /**
-     * Dispatched SIMD count of the partial-block bytes [p, p + len)
-     * into counts[0..5]. Uses the in-place padded counter whenever the
-     * chunk-rounded read stays inside the BWT span — every block but
-     * possibly the final one — and falls back to the staging-copy
-     * variant at the BWT's edge (mmap-backed views may end exactly at
-     * the mapping boundary). Identical results either way.
-     */
-    void
-    scanOcc(const u8* p, u32 len, u64* counts) const
+    /** Symbol c's checkpoint count: u32 c of the line's first words. */
+    static u32
+    checkpoint(const u64* line, u32 c)
     {
-        const u32 padded =
-            (len + (simd::kOccPad - 1)) & ~(simd::kOccPad - 1);
-        if (padded <= bwt_.data() + bwt_.size() - p) {
-            simd::occCountPadded(p, len, counts);
-        } else {
-            simd::occCount(p, len, counts);
-        }
+        return static_cast<u32>(line[c / 2] >> (32 * (c % 2)));
     }
 
     /** Shared tail of the backward extension: interval arithmetic
@@ -522,35 +532,61 @@ class FmIndex
         }
     }
 
-    /** occ for one symbol, no probe (used by locate's LF walk). */
+    /**
+     * occ of one symbol in BWT[0, i), no probe: locate's LF step
+     * (one popcount per plane triple instead of occAll's six).
+     */
     u64 occOne(u8 symbol, u64 i) const;
 
     /**
-     * Validate header fields, array sizes, cumulative counts, the occ
-     * checkpoints (each symbol's run starts at 0 and ends at its
-     * total) and the BWT against them (every byte in [0, n) is a
-     * symbol, and each block's symbol counts are the step between its
-     * two checkpoints), so no rank query can leave the BWT.
+     * smems(..., NullProbe&) at the sse4/avx2 levels; defined in
+     * fm_index_popcnt.cc, which is compiled with -mpopcnt.
+     */
+    void smemsPopcnt(std::span<const u8> query, i32 min_len,
+                     std::vector<Smem>& out) const;
+
+    /**
+     * Validate header fields, array sizes and cumulative counts, then
+     * the occ lines in one O(n/64) word pass: block 0's checkpoints
+     * are 0, each checkpoint step equals its block's popcounts, the
+     * last block ends at the totals, no position holds code 6 or 7
+     * (p1 & p2), and no plane or pad bit is set past n. So every
+     * symbol a rank query can read is one of the six.
      */
     static void checkParts(u64 ref_len, u64 n, u32 block_len,
                            const std::array<u64, kAlphabet + 1>& c,
-                           std::span<const u32> counts,
-                           std::span<const u8> bwt, u64 sa_size);
+                           std::span<const u64> occ, u64 sa_size);
+
+    /** u64 words per block: 3 of counts, 3 per 64 symbols, whole lines. */
+    static u32
+    blockWords(u32 block_len)
+    {
+        return roundUp<u32>(3 + 3 * (block_len / kLineSymbols), 8);
+    }
+
+    struct AlignedFree
+    {
+        void
+        operator()(u64* p) const
+        {
+            ::operator delete[](p, std::align_val_t{64});
+        }
+    };
 
     u64 ref_len_ = 0;
     u64 n_ = 0;                   ///< BWT length
     u32 block_len_ = 64;
+    u32 block_words_ = blockWords(64);
     std::array<u64, kAlphabet + 1> c_{}; ///< cumulative symbol counts
 
-    // Owned storage (empty when viewing an external backing).
-    std::vector<u32> counts_own_;
-    std::vector<u8> bwt_own_;
+    // Owned storage (empty when viewing an external backing); the occ
+    // lines are 64-byte aligned so each is one cache line.
+    std::unique_ptr<u64[], AlignedFree> occ_own_;
     std::vector<u32> sa_own_;
 
-    // The arrays the query paths index into: either the owned vectors
+    // The arrays the query paths index into: either the owned buffers
     // above or flat sections of `backing_`.
-    std::span<const u32> counts_; ///< per-block checkpoint counts
-    std::span<const u8> bwt_;     ///< the BWT string itself
+    std::span<const u64> occ_; ///< occ lines, block_words_ per block
     std::span<const u32> sa_samples_; ///< SA[i], kSaSampleRate-sampled
     std::shared_ptr<const void> backing_; ///< keepalive for views
 };

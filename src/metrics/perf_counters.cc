@@ -85,19 +85,28 @@ PerfCounters::PerfCounters()
         fds_[i] = openEvent(kEvents[i], i == 0 ? -1 : fds_[0]);
         if (fds_[i] < 0 && i < 2) {
             // cycles/instructions are the spine; without them the
-            // sample is useless, so report the first failure and bail.
+            // hardware sample is useless, so report the first failure.
             reason_ = std::string("perf_event_open(") + kEvents[i].name +
                       "): " + std::strerror(errno);
             for (int j = 0; j < i; ++j) {
                 close(fds_[j]);
                 fds_[j] = -1;
             }
+            // Without a PMU (a VM or container with no hardware
+            // events) the software task-clock still counts: open it as
+            // a group of its own so the CPU time survives.
             n_open_ = 0;
+            fds_[kTaskClock] = openEvent(kEvents[kTaskClock], -1);
+            if (fds_[kTaskClock] >= 0) {
+                group_slot_[kTaskClock] = n_open_++;
+                leader_ = kTaskClock;
+            }
             return;
         }
         if (fds_[i] >= 0) group_slot_[i] = n_open_++;
     }
     available_ = true;
+    leader_ = 0;
 }
 
 PerfCounters::~PerfCounters()
@@ -110,27 +119,25 @@ PerfCounters::~PerfCounters()
 void
 PerfCounters::start()
 {
-    if (fds_[0] < 0) return;
-    ioctl(fds_[0], PERF_EVENT_IOC_RESET, PERF_IOC_FLAG_GROUP);
-    ioctl(fds_[0], PERF_EVENT_IOC_ENABLE, PERF_IOC_FLAG_GROUP);
+    if (leader_ < 0) return;
+    ioctl(fds_[leader_], PERF_EVENT_IOC_RESET, PERF_IOC_FLAG_GROUP);
+    ioctl(fds_[leader_], PERF_EVENT_IOC_ENABLE, PERF_IOC_FLAG_GROUP);
 }
 
 PerfSample
 PerfCounters::stop()
 {
     PerfSample sample;
-    if (!available_) {
-        sample.unavailable_reason = reason_;
-        return sample;
-    }
-    ioctl(fds_[0], PERF_EVENT_IOC_DISABLE, PERF_IOC_FLAG_GROUP);
+    sample.unavailable_reason = reason_;
+    if (leader_ < 0) return sample;
+    ioctl(fds_[leader_], PERF_EVENT_IOC_DISABLE, PERF_IOC_FLAG_GROUP);
 
     // One atomic read of the whole group:
     // { nr, time_enabled, time_running, value[nr] }.
     u64 buf[3 + kNumEvents] = {};
     const ssize_t want =
         static_cast<ssize_t>((3 + n_open_) * sizeof(u64));
-    if (read(fds_[0], buf, sizeof buf) != want ||
+    if (read(fds_[leader_], buf, sizeof buf) != want ||
         buf[0] != static_cast<u64>(n_open_)) {
         sample.unavailable_reason = "perf group read failed";
         return sample;
@@ -151,12 +158,13 @@ PerfCounters::stop()
                 static_cast<double>(time_running));
     };
 
-    sample.available = true;
+    // Unopened events read -1: the hardware fields without a PMU.
+    sample.available = available_;
     sample.cycles = scaled(0);
     sample.instructions = scaled(1);
     sample.llc_misses = scaled(2);
     sample.branch_misses = scaled(3);
-    const double task_clock_ns = scaled(4);
+    const double task_clock_ns = scaled(kTaskClock);
     sample.task_clock_seconds =
         task_clock_ns >= 0.0 ? task_clock_ns * 1e-9 : -1.0;
     return sample;

@@ -12,7 +12,10 @@
  * perf_event_paranoid or seccomp — common in containers and CI — or a
  * non-Linux host), sampling stays disabled, available() is false and
  * unavailableReason() says why. Callers print "n/a" columns and exit 0;
- * nothing in the suite requires the syscall to succeed.
+ * nothing in the suite requires the syscall to succeed. When only the
+ * hardware events fail (no PMU, as in many VMs), task-clock is opened
+ * as a group of its own: available() stays false and the hardware
+ * fields stay -1, but task_clock_seconds is measured.
  *
  * Counters are per-thread (the calling thread): sample around work
  * executed on a 1-thread ThreadPool to capture a whole kernel run, or
@@ -34,14 +37,15 @@ namespace gb::metrics {
  */
 struct PerfSample
 {
-    bool available = false; ///< false => every counter is invalid
+    /** false => every hardware counter is invalid. */
+    bool available = false;
     std::string unavailable_reason; ///< set when !available
 
     double cycles = -1.0;
     double instructions = -1.0;
     double llc_misses = -1.0;
     double branch_misses = -1.0;
-    double task_clock_seconds = -1.0;
+    double task_clock_seconds = -1.0; ///< valid even without a PMU
 
     /** True if `v` is a valid counter value. */
     static bool valid(double v) { return v >= 0.0; }
@@ -86,10 +90,12 @@ class PerfCounters
 
   private:
     static constexpr int kNumEvents = 5;
+    static constexpr int kTaskClock = 4; ///< the software event's slot
     int fds_[kNumEvents] = {-1, -1, -1, -1, -1};
     /** Event's slot in the group read's value array (-1: not open). */
     int group_slot_[kNumEvents] = {-1, -1, -1, -1, -1};
     int n_open_ = 0;
+    int leader_ = -1; ///< event whose fd leads the group (-1: none)
     bool available_ = false;
     std::string reason_;
 };

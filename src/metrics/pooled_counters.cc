@@ -54,18 +54,21 @@ PooledCounters::stopAggregate()
     PerfSample total;
     total.available = available_;
     total.unavailable_reason = reason_;
-    if (!available_) return total;
-
-    total.cycles = 0.0;
-    total.instructions = 0.0;
-    total.llc_misses = 0.0;
-    total.branch_misses = 0.0;
+    // task-clock is summed even without the hardware counters.
     total.task_clock_seconds = 0.0;
+    if (available_) {
+        total.cycles = 0.0;
+        total.instructions = 0.0;
+        total.llc_misses = 0.0;
+        total.branch_misses = 0.0;
+    }
     for (const PerfSample& s : samples) {
-        accumulate(total.cycles, s.cycles);
-        accumulate(total.instructions, s.instructions);
-        accumulate(total.llc_misses, s.llc_misses);
-        accumulate(total.branch_misses, s.branch_misses);
+        if (available_) {
+            accumulate(total.cycles, s.cycles);
+            accumulate(total.instructions, s.instructions);
+            accumulate(total.llc_misses, s.llc_misses);
+            accumulate(total.branch_misses, s.branch_misses);
+        }
         accumulate(total.task_clock_seconds, s.task_clock_seconds);
     }
     return total;

@@ -53,21 +53,6 @@ void bswBatchAvx2(const SwPair* pairs, u32 count, const SwParams& params,
                   SwResult* out, BatchSwStats* stats);
 
 /**
- * Occ partial-block counters (popcount over bit planes): add the
- * occurrences of each symbol 0..5 in bytes[0, len) to counts. Never
- * read past bytes[len).
- */
-void occCountSse4(const u8* bytes, u32 len, u64* counts);
-void occCountAvx2(const u8* bytes, u32 len, u64* counts);
-
-/**
- * Padded variants: require bytes[0, roundUp(len, kOccPad)) readable
- * and count the tail chunk in place (no staging copy). Same results.
- */
-void occCountPaddedSse4(const u8* bytes, u32 len, u64* counts);
-void occCountPaddedAvx2(const u8* bytes, u32 len, u64* counts);
-
-/**
  * Inputs for one anti-diagonal PairHMM forward pass at precision T
  * (float: the first pass; double: the underflow re-run).
  */

@@ -93,8 +93,7 @@ addFmIndex(StoreWriter& writer, const FmIndex& fm,
     for (size_t i = 0; i < c.size(); ++i) meta.c[i] = c[i];
     meta.block_len = fm.blockLen();
     writer.addPod(sec(prefix, "meta"), meta);
-    writer.addVec(sec(prefix, "counts"), fm.occCounts());
-    writer.addVec(sec(prefix, "bwt"), fm.bwtData());
+    writer.addVec(sec(prefix, "occ"), fm.occLines());
     writer.addVec(sec(prefix, "sa"), fm.saSamples());
 }
 
@@ -102,8 +101,8 @@ FmIndex
 viewFmIndex(std::shared_ptr<StoreReader> reader, std::string_view prefix)
 {
     requireInput(reader != nullptr, "store: viewFmIndex(null reader)");
-    verifySections(*reader, {sec(prefix, "meta"), sec(prefix, "counts"),
-                             sec(prefix, "bwt"), sec(prefix, "sa")});
+    verifySections(*reader, {sec(prefix, "meta"), sec(prefix, "occ"),
+                             sec(prefix, "sa")});
     const auto meta_bytes = reader->section(sec(prefix, "meta"));
     requireInput(meta_bytes.size() == sizeof(FmMeta),
                  "store: " + sec(prefix, "meta") + " has wrong size");
@@ -111,11 +110,10 @@ viewFmIndex(std::shared_ptr<StoreReader> reader, std::string_view prefix)
     std::memcpy(&meta, meta_bytes.data(), sizeof(FmMeta));
     std::array<u64, FmIndex::kAlphabet + 1> c;
     std::copy(std::begin(meta.c), std::end(meta.c), c.begin());
-    const auto counts = reader->sectionAs<u32>(sec(prefix, "counts"));
-    const auto bwt = reader->sectionAs<u8>(sec(prefix, "bwt"));
+    const auto occ = reader->sectionAs<u64>(sec(prefix, "occ"));
     const auto sa = reader->sectionAs<u32>(sec(prefix, "sa"));
-    return FmIndex::fromViews(meta.ref_len, meta.block_len, c, counts,
-                              bwt, sa, std::move(reader));
+    return FmIndex::fromViews(meta.ref_len, meta.block_len, c, occ, sa,
+                              std::move(reader));
 }
 
 // ---------------------------------------------------------------------

@@ -4,9 +4,10 @@
  *
  * Two artifact families (the expensive prepare()-phase products):
  *   - FM-index / BWT        (src/index) — sections "<p>.meta",
- *     "<p>.counts", "<p>.bwt", "<p>.sa"; loaded as a zero-copy view
- *     over the reader's mapping. This is the index's only on-disk
- *     form.
+ *     "<p>.occ" (the 64-byte occ lines), "<p>.sa"; loaded as a
+ *     zero-copy view over the reader's mapping, whose 64-byte section
+ *     alignment keeps each occ line one cache line. This is the
+ *     index's only on-disk form.
  *   - synthesized datasets  (src/simdata) — ragged rows of encoded
  *     reads ("<p>.blob" + "<p>.offsets"), reference strings, and
  *     nanopore event streams, copied into owned rows.

@@ -15,6 +15,7 @@
 #include "index/fm_index.h"
 #include "index/suffix_array.h"
 #include "io/dna.h"
+#include "simd/simd.h"
 #include "util/rng.h"
 
 namespace gb {
@@ -458,7 +459,8 @@ TEST_P(SmemRandom, MatchesOracle)
 
     NullProbe probe;
     std::vector<Smem> mems;
-    fm.smemsAt(std::span<const u8>(codes), x, 1, mems, probe);
+    SmemScratch scratch;
+    fm.smemsAt(std::span<const u8>(codes), x, 1, mems, scratch, probe);
 
     std::vector<OracleMem> got;
     for (const auto& m : mems) got.push_back({m.begin, m.end});
@@ -591,8 +593,11 @@ TEST(FmIndex, OccBlocksAreCompact)
     Rng rng(88);
     const std::string ref = randomDna(rng, 4096);
     FmIndex fm = FmIndex::build(ref);
-    // 88 bytes per 64 symbols over 2n+2 symbols.
-    EXPECT_LE(fm.occBytes(), (2 * 4096 + 2 + 128) / 64 * 88 + 88);
+    // One 64-byte line per 64 symbols (1 byte per symbol), for the
+    // n / 64 + 1 blocks that cover positions 0..n.
+    EXPECT_EQ(fm.occBytes(), (fm.bwtLength() / 64 + 1) * 64);
+    EXPECT_EQ(fm.occLines().size() * sizeof(u64), fm.occBytes());
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(fm.occLines().data()) % 64, 0u);
 }
 
 TEST(FmIndex, OccAllBlockAlignedChargesExactlyOneAccess)
@@ -602,27 +607,163 @@ TEST(FmIndex, OccAllBlockAlignedChargesExactlyOneAccess)
     const FmIndex fm = FmIndex::build(ref);
     const u32 block = fm.blockLen();
 
-    // A block-aligned position resolves entirely from the checkpoint:
-    // exactly one probe access (the counts), zero BWT bytes.
-    CountingProbe aligned;
-    fm.occAll(u64{2} * block, aligned);
-    EXPECT_EQ(aligned.counts()[OpClass::kLoad], 1u);
-    EXPECT_EQ(aligned.loadBytes(), FmIndex::kAlphabet * sizeof(u32));
+    // Aligned or not, a lookup is one access: its 64-byte occ line
+    // (two 32-byte load ops in the probe's model).
+    for (const u64 i : {u64{2} * block, u64{2} * block + 5}) {
+        CountingProbe probe;
+        fm.occAll(i, probe);
+        EXPECT_EQ(probe.counts()[OpClass::kLoad], detail::memOpsFor(64))
+            << i;
+        EXPECT_EQ(probe.loadBytes(), 64u) << i;
+    }
 
-    // An unaligned position adds one BWT access of `rem` bytes.
-    CountingProbe unaligned;
-    fm.occAll(u64{2} * block + 5, unaligned);
-    EXPECT_EQ(unaligned.counts()[OpClass::kLoad], 2u);
-    EXPECT_EQ(unaligned.loadBytes(),
-              FmIndex::kAlphabet * sizeof(u32) + 5);
-
-    // Both must agree with a plain byte count from block start.
-    const auto at = fm.occAll(u64{2} * block + 5, unaligned);
-    auto expect = fm.occAll(u64{2} * block, unaligned);
+    // Both must agree with a plain symbol count from block start.
+    NullProbe probe;
+    const auto at = fm.occAll(u64{2} * block + 5, probe);
+    auto expect = fm.occAll(u64{2} * block, probe);
     for (u64 j = 2 * block; j < 2 * block + 5; ++j) {
-        ++expect[fm.bwtData()[j]];
+        ++expect[fm.symbolAt(j)];
     }
     EXPECT_EQ(at, expect);
+}
+
+/** The BWT FmIndex::build indexes, computed without the index. */
+std::vector<u8>
+twoStrandBwt(const std::string& ref)
+{
+    const u64 n = 2 * ref.size() + 2;
+    std::vector<u8> t(n);
+    for (u64 i = 0; i < ref.size(); ++i) {
+        const u8 code = baseCode(ref[i]);
+        t[i] = code + 2;
+        t[n - 2 - i] = static_cast<u8>((3 - code) + 2);
+    }
+    t[ref.size()] = FmIndex::kSeparator;
+    t[n - 1] = FmIndex::kSentinel;
+    return bwtFromSuffixArray(t, buildSuffixArray(t));
+}
+
+TEST(FmIndexLines, OccMatchesByteLoopAtEveryPosition)
+{
+    // n = 2 * 1000 + 2 = 2002 is a multiple of none of the spacings,
+    // so the last block is partial; positions run through n itself.
+    Rng rng(90);
+    const std::string ref = randomDna(rng, 1000);
+    const std::vector<u8> bwt = twoStrandBwt(ref);
+    for (const u32 block_len : {64u, 128u, 448u}) {
+        const FmIndex fm = FmIndex::build(ref, block_len);
+        ASSERT_EQ(fm.bwtLength(), bwt.size());
+        ASSERT_NE(fm.bwtLength() % 64, 0u);
+        std::array<u64, FmIndex::kAlphabet> want{};
+        NullProbe probe;
+        for (u64 i = 0; i <= bwt.size(); ++i) {
+            ASSERT_EQ(fm.occAll(i, probe), want)
+                << "block_len " << block_len << " i " << i;
+            if (i == bwt.size()) break;
+            ASSERT_EQ(fm.symbolAt(i), bwt[i]) << i;
+            ++want[bwt[i]];
+        }
+        for (u32 c = 0; c < FmIndex::kAlphabet; ++c) {
+            EXPECT_EQ(fm.cumulative()[c + 1] - fm.cumulative()[c],
+                      want[c]);
+        }
+    }
+}
+
+TEST(FmIndexLines, RejectsBlockLenNotMultipleOf64)
+{
+    for (const u32 block_len : {0u, 32u, 96u, 100u, 4160u}) {
+        EXPECT_THROW(FmIndex::build("ACGTACGT", block_len), InputError)
+            << block_len;
+    }
+    EXPECT_NO_THROW(FmIndex::build("ACGTACGT", 4096));
+}
+
+TEST(FmIndexLines, OccAllPairWithinAndAcrossBlocks)
+{
+    Rng rng(91);
+    const std::string ref = randomDna(rng, 700);
+    for (const u32 block_len : {64u, 448u}) {
+        const FmIndex fm = FmIndex::build(ref, block_len);
+        const std::vector<std::pair<u64, u64>> pairs{
+            {0, 0},
+            {3, 60},                          // one line
+            {block_len + 1, block_len + 63},  // one line, not block 0
+            {5, block_len + 5},               // adjacent blocks
+            {block_len - 1, block_len},       // straddles a boundary
+            {7, fm.bwtLength()},              // first to last block
+            {fm.bwtLength(), fm.bwtLength()},
+        };
+        for (const auto& [lo, hi] : pairs) {
+            CountingProbe single;
+            const auto want_lo = fm.occAll(lo, single);
+            const auto want_hi = fm.occAll(hi, single);
+            CountingProbe paired;
+            std::array<u64, FmIndex::kAlphabet> got_lo;
+            std::array<u64, FmIndex::kAlphabet> got_hi;
+            fm.occAllPair(lo, hi, got_lo, got_hi, paired);
+            EXPECT_EQ(got_lo, want_lo) << lo << ", " << hi;
+            EXPECT_EQ(got_hi, want_hi) << lo << ", " << hi;
+            EXPECT_EQ(paired.counts().by_class, single.counts().by_class);
+            EXPECT_EQ(paired.loadBytes(), single.loadBytes());
+        }
+    }
+}
+
+/** Restores the process-global dispatch level on scope exit. */
+struct LevelGuard
+{
+    ~LevelGuard() { simd::resetSimdLevel(); }
+};
+
+TEST(FmIndexLines, SmemsAndLocateIdenticalAtScalarAndDefaultLevel)
+{
+    // smems(..., NullProbe&) runs the POPCNT copy at sse4/avx2 and the
+    // generic instantiation at scalar: both must give the same SMEMs
+    // and hits, including reads with Ns, and empty and short reads.
+    Rng rng(13);
+    const std::string ref = randomDna(rng, 5000);
+    const FmIndex fm = FmIndex::build(ref);
+    std::vector<std::vector<u8>> reads;
+    for (int i = 0; i < 200; ++i) {
+        const u64 len = 30 + rng.below(121);
+        std::string s = ref.substr(rng.below(ref.size() - len), len);
+        for (u64 e = rng.below(4); e > 0; --e) {
+            s[rng.below(s.size())] = "ACGTN"[rng.below(5)];
+        }
+        if (rng.chance(0.5)) s = reverseComplement(s);
+        reads.push_back(encodeDna(s));
+    }
+    reads.push_back({});
+    reads.push_back(encodeDna("NNNNNN"));
+    reads.push_back(encodeDna("AC"));
+
+    using Found = std::vector<std::tuple<u64, u64, u64, i32, i32, u64,
+                                         bool>>;
+    auto search = [&] {
+        Found found;
+        for (const auto& read : reads) {
+            NullProbe probe;
+            std::vector<Smem> mems;
+            fm.smems(std::span<const u8>(read), 19, mems, probe);
+            for (const Smem& m : mems) {
+                for (const auto& hit : fm.locate(m, 4)) {
+                    found.emplace_back(m.k, m.l, m.s, m.begin, m.end,
+                                       hit.pos, hit.reverse);
+                }
+            }
+        }
+        return found;
+    };
+    Found scalar;
+    {
+        LevelGuard guard;
+        simd::setSimdLevel(simd::SimdLevel::kScalar);
+        scalar = search();
+    }
+    ASSERT_GT(scalar.size(), reads.size());
+    EXPECT_EQ(search(), scalar)
+        << "level " << simd::simdLevelName(simd::activeSimdLevel());
 }
 
 } // namespace

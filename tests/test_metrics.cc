@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -16,8 +17,16 @@
 
 #include "metrics/metrics_sink.h"
 #include "metrics/perf_counters.h"
+#include "metrics/pooled_counters.h"
 #include "util/json.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
+
+#if defined(__linux__)
+#include <linux/perf_event.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+#endif
 
 namespace gb::metrics {
 namespace {
@@ -250,10 +259,73 @@ TEST(PerfCounters, DegradationContract)
         EXPECT_FALSE(PerfSample::valid(sample.instructions));
         EXPECT_FALSE(PerfSample::valid(sample.llc_misses));
         EXPECT_FALSE(PerfSample::valid(sample.branch_misses));
-        EXPECT_FALSE(PerfSample::valid(sample.task_clock_seconds));
+        // task-clock survives a missing PMU (see the next test).
         EXPECT_DOUBLE_EQ(sample.ipc(), -1.0);
     }
 }
+
+#if defined(__linux__)
+/** True if this host lets a thread count its own task-clock. */
+bool
+softwareTaskClockOpens()
+{
+    perf_event_attr attr;
+    std::memset(&attr, 0, sizeof attr);
+    attr.size = sizeof attr;
+    attr.type = PERF_TYPE_SOFTWARE;
+    attr.config = PERF_COUNT_SW_TASK_CLOCK;
+    attr.disabled = 1;
+    attr.exclude_kernel = 1;
+    attr.exclude_hv = 1;
+    const long fd = syscall(SYS_perf_event_open, &attr, 0, -1, -1, 0UL);
+    if (fd < 0) return false;
+    close(static_cast<int>(fd));
+    return true;
+}
+
+/**
+ * Without cycles/instructions (no PMU, as in many VMs) the sample
+ * stays unavailable with the hardware fields at -1 and the reason
+ * kept, but task-clock is still measured wherever the software event
+ * opens — for one thread and summed over a pool's ranks.
+ */
+TEST(PerfCounters, TaskClockSurvivesWithoutHardwareCounters)
+{
+    auto burn = [] {
+        volatile double x = 1.0;
+        for (int i = 0; i < 2'000'000; ++i) x = x * 1.0000001 + 0.5;
+    };
+    PerfCounters counters;
+    if (counters.available()) {
+        GTEST_SKIP() << "hardware counters open on this host";
+    }
+    counters.start();
+    burn();
+    const PerfSample sample = counters.stop();
+    EXPECT_FALSE(sample.available);
+    EXPECT_EQ(sample.unavailable_reason, counters.unavailableReason());
+    EXPECT_FALSE(PerfSample::valid(sample.cycles));
+    EXPECT_FALSE(PerfSample::valid(sample.instructions));
+    EXPECT_FALSE(PerfSample::valid(sample.llc_misses));
+    EXPECT_FALSE(PerfSample::valid(sample.branch_misses));
+
+    ThreadPool pool(2);
+    PooledCounters pooled(pool);
+    pooled.start();
+    pool.parallelFor(2, [&](u64) { burn(); }, 1);
+    const PerfSample total = pooled.stopAggregate();
+    EXPECT_FALSE(total.available);
+    EXPECT_FALSE(PerfSample::valid(total.cycles));
+
+    if (softwareTaskClockOpens()) {
+        EXPECT_GT(sample.task_clock_seconds, 0.0);
+        EXPECT_LT(sample.task_clock_seconds, 60.0);
+        EXPECT_GT(total.task_clock_seconds, 0.0);
+    } else {
+        EXPECT_FALSE(PerfSample::valid(sample.task_clock_seconds));
+    }
+}
+#endif
 
 TEST(PerfCounters, RestartableAcrossRuns)
 {

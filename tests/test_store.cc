@@ -11,7 +11,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "arch/probe.h"
@@ -340,8 +342,9 @@ TEST(StoreArtifacts, FmIndexRoundTripAndView)
     const auto same = [](auto a, auto b) {
         return std::equal(a.begin(), a.end(), b.begin(), b.end());
     };
-    EXPECT_TRUE(same(viewed.occCounts(), original.occCounts()));
-    EXPECT_TRUE(same(viewed.bwtData(), original.bwtData()));
+    EXPECT_TRUE(same(viewed.occLines(), original.occLines()));
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(viewed.occLines().data()) % 64,
+              0u);
     EXPECT_TRUE(same(viewed.saSamples(), original.saSamples()));
 }
 
@@ -355,15 +358,15 @@ TEST(StoreArtifacts, FmIndexLoadDetectsCorruption)
         store::addFmIndex(writer, fm);
         writer.finish();
     }
-    // A byte inside the BWT payload, flipped last.
-    u64 bwt_offset = 0;
+    // A byte inside the occ payload, flipped last.
+    u64 occ_offset = 0;
     auto probe_reader = StoreReader::open(path);
     for (const auto& entry : probe_reader.sections()) {
-        if (std::string(entry.name) == "fm.bwt") {
-            bwt_offset = entry.offset + entry.size / 3;
+        if (std::string(entry.name) == "fm.occ") {
+            occ_offset = entry.offset + entry.size / 3;
         }
     }
-    ASSERT_NE(bwt_offset, 0u);
+    ASSERT_NE(occ_offset, 0u);
 
     // Rewrites the container with one section's payload patched and
     // fresh digests, so only the loader's consistency checks can
@@ -403,47 +406,80 @@ TEST(StoreArtifacts, FmIndexLoadDetectsCorruption)
             << "c[" << index << "] = " << value;
     }
 
-    // The same for fm.counts: an occ checkpoint past its symbol's
-    // total would send the next count() outside the BWT, one that
-    // drops or jumps by more than a block cannot be a prefix count,
-    // and the first block's checkpoints must be 0. Entry b * 6 + s is
-    // symbol s's checkpoint at block b.
-    const u64 blocks = fm.occCounts().size() / FmIndex::kAlphabet;
+    // The same for fm.occ. Each 64-symbol block is one 64-byte line:
+    // 6 u32 checkpoints, then planes 0, 1, 2 (bit k of each symbol's
+    // code) as u64 words at bytes 24, 32, 40. An occ checkpoint past
+    // its symbol's total would send the next count() outside the BWT,
+    // one that drops or jumps by more than a block cannot be a prefix
+    // count, and the first block's checkpoints must be 0.
+    const u8* lines = reinterpret_cast<const u8*>(fm.occLines().data());
+    const u64 blocks = fm.occBytes() / 64;
+    ASSERT_EQ(fm.blockLen(), 64u);
     ASSERT_GE(blocks, 4u);
-    const u64 mid = blocks / 2 * FmIndex::kAlphabet + 2;
-    const std::vector<std::pair<u64, u32>> bad_checkpoints{
-        {mid, 0x7fffffffu},                            // past the total
-        {mid, fm.occCounts()[mid] + fm.blockLen() + 1}, // jumps > block
-        {mid, fm.occCounts()[mid - FmIndex::kAlphabet] - 1}, // drops
-        {2, 1},                                        // block 0 != 0
+    const u64 mid = blocks / 2;
+    auto checkpoint = [&](u64 block, u32 sym) {
+        u32 value;
+        std::memcpy(&value, lines + block * 64 + 4 * sym, sizeof(value));
+        return value;
     };
-    for (const auto& [index, value] : bad_checkpoints) {
-        auto bad_reader = patched("fm.counts", [&](std::vector<u8>& p) {
-            std::memcpy(p.data() + 4 * index, &value, sizeof(value));
+    const std::vector<std::tuple<u64, u32, u32>> bad_checkpoints{
+        {mid, 2, 0x7fffffffu},                    // past the total
+        {mid, 2, checkpoint(mid, 2) + 64 + 1},    // jumps > block
+        {mid, 2, checkpoint(mid - 1, 2) - 1},     // drops
+        {0, 2, 1},                                // block 0 != 0
+    };
+    for (const auto& [block, sym, value] : bad_checkpoints) {
+        auto bad_reader = patched("fm.occ", [&](std::vector<u8>& p) {
+            std::memcpy(p.data() + block * 64 + 4 * sym, &value,
+                        sizeof(value));
         });
         EXPECT_THROW(store::viewFmIndex(bad_reader), InputError)
-            << "counts[" << index << "] = " << value;
+            << "block " << block << " checkpoint " << sym << " = "
+            << value;
     }
 
-    // And for fm.bwt: a byte outside the 6-symbol alphabet would index
-    // past the occ scan's counters, and a valid symbol changed in the
-    // middle block no longer matches the step between that block's
-    // checkpoints. Both bytes lie before n, in the middle block.
-    const u64 pos = blocks / 2 * fm.blockLen() + 5;
-    ASSERT_LT(pos, n);
-    const std::vector<std::pair<const char*, u8>> bad_symbols{
-        {"out of alphabet", u8{200}},
-        {"disagrees with checkpoints",
-         static_cast<u8>((fm.bwtData()[pos] + 1) % FmIndex::kAlphabet)},
+    // And the planes: a flipped bit changes a symbol, so its block no
+    // longer matches the step between its checkpoints; code 6 (planes
+    // 1 and 2 set) is no symbol; a bit past n would be counted by no
+    // checkpoint; the 16 pad bytes of a line must be zero; and a
+    // truncated section has too few lines.
+    auto setPlaneBit = [](std::vector<u8>& p, u64 block, u32 plane,
+                          u32 bit, bool on) {
+        u64 word;
+        u8* at = p.data() + block * 64 + 24 + 8 * plane;
+        std::memcpy(&word, at, sizeof(word));
+        word = on ? word | u64{1} << bit : word & ~(u64{1} << bit);
+        std::memcpy(at, &word, sizeof(word));
     };
-    for (const auto& [what, value] : bad_symbols) {
-        auto bad_reader = patched("fm.bwt", [&](std::vector<u8>& p) {
-            p[pos] = value;
-        });
+    const u64 last = n / 64;
+    const std::vector<std::pair<const char*,
+                                std::function<void(std::vector<u8>&)>>>
+        bad_lines{
+            {"flipped plane bit",
+             [&](std::vector<u8>& p) {
+                 p[mid * 64 + 24 + 1] ^= 0x20; // plane 0, bit 13
+             }},
+            {"code 6",
+             [&](std::vector<u8>& p) {
+                 setPlaneBit(p, mid, 0, 5, false);
+                 setPlaneBit(p, mid, 1, 5, true);
+                 setPlaneBit(p, mid, 2, 5, true);
+             }},
+            {"bit past n",
+             [&](std::vector<u8>& p) {
+                 setPlaneBit(p, last, 0, static_cast<u32>(n % 64), true);
+             }},
+            {"pad word set",
+             [&](std::vector<u8>& p) { p[mid * 64 + 48] = 1; }},
+            {"truncated section",
+             [&](std::vector<u8>& p) { p.resize(p.size() - 64); }},
+        };
+    for (const auto& [what, patch] : bad_lines) {
+        auto bad_reader = patched("fm.occ", patch);
         EXPECT_THROW(store::viewFmIndex(bad_reader), InputError) << what;
     }
 
-    flipByte(path, bwt_offset);
+    flipByte(path, occ_offset);
     auto reader = std::make_shared<StoreReader>(StoreReader::open(path));
     EXPECT_THROW(store::viewFmIndex(reader), InputError);
 }

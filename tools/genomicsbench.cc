@@ -229,7 +229,13 @@ cmdRun(const std::string& name, DatasetSize size, unsigned threads,
                   << fmt(best_sample.branch_misses) << '\n';
     } else {
         std::cout << "counters unavailable ("
-                  << best_sample.unavailable_reason << ")\n";
+                  << best_sample.unavailable_reason << ")";
+        if (metrics::PerfSample::valid(best_sample.task_clock_seconds)) {
+            std::cout << ", task-clock "
+                      << formatF(best_sample.task_clock_seconds, 3)
+                      << " s";
+        }
+        std::cout << '\n';
     }
     g_sink.newRow("run_best")
         .str("kernel", name)
@@ -240,7 +246,8 @@ cmdRun(const std::string& name, DatasetSize size, unsigned threads,
         .num("cycles", best_sample.cycles)
         .num("instructions", best_sample.instructions)
         .num("llc_misses", best_sample.llc_misses)
-        .num("branch_misses", best_sample.branch_misses);
+        .num("branch_misses", best_sample.branch_misses)
+        .num("task_clock_s", best_sample.task_clock_seconds);
     return 0;
 }
 
