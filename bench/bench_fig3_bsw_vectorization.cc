@@ -10,7 +10,7 @@
  * BWA-MEM2 sorts by length before batching. The measured table times
  * the per-pair scalar kernel (bandedSwScalar) against both vector
  * schemes: the inter-sequence engine (simd::bswAlign) and the
- * intra-pair row engine behind bandedSw().
+ * one-pair anti-diagonal engine behind bandedSw().
  */
 #include <algorithm>
 #include <iomanip>
@@ -193,13 +193,13 @@ main(int argc, char** argv)
         simd::bswAlign(std::span<const SwPair>(set.pairs), params);
     const double simd_s = simd_timer.seconds();
 
-    std::vector<SwResult> row_results(set.pairs.size());
-    WallTimer row_timer;
+    std::vector<SwResult> pair_results(set.pairs.size());
+    WallTimer pair_timer;
     for (size_t i = 0; i < set.pairs.size(); ++i) {
-        row_results[i] =
+        pair_results[i] =
             bandedSw(set.pairs[i].query, set.pairs[i].target, params);
     }
-    const double row_s = row_timer.seconds();
+    const double pair_s = pair_timer.seconds();
 
     timed.newRow()
         .cell("scalar (per pair)")
@@ -221,7 +221,8 @@ main(int argc, char** argv)
             .cell(bad == 0 ? "identical" : "MISMATCH");
     };
     vector_row("simd (inter-sequence)", simd_s, simd_results);
-    vector_row("simd (intra-pair row, bandedSw)", row_s, row_results);
+    vector_row("simd (one pair, anti-diagonal, bandedSw)", pair_s,
+               pair_results);
     std::cout << '\n';
     bench::report(timed);
     if (mismatches != 0) {

@@ -86,7 +86,7 @@ fi
 # host with AVX2 still exercises the SSE4 and scalar dispatch paths
 # (the env override clamps to what the CPU supports, so this is safe
 # on any machine).
-step "gb::simd + bsw row engine + FM-index SMEMs + phmm/chain/poa/nn/grm/abea: equivalence at every dispatch level"
+step "gb::simd + bsw one-pair engine + FM-index SMEMs + phmm/chain/poa/nn/grm/abea: equivalence at every dispatch level"
 for level in scalar sse4 avx2; do
     echo "-- GB_SIMD_LEVEL=$level"
     GB_SIMD_LEVEL=$level ./build/tests/test_simd
@@ -316,24 +316,41 @@ for kernel in bsw phmm fmi chain spoa nn-base nn-variant grm abea; do
 done
 rm -f /tmp/gb_lvl_scalar.json /tmp/gb_lvl_default.json
 
-# The example's re-assembly window keeps the reads that hang off its
-# edges, so most of its PairHMM pairs underflow the float pass and take
-# the double one: the phmm line (pair count, cells, log10 sum at %.17g)
-# must be the same digits at the scalar and the default level.
-step "reference-guided example: phmm line identical at scalar and default level"
+# The example extends every read with the one-pair bsw engine, then
+# re-assembles one window, scores it with PairHMM and calls variants.
+# Its re-assembly window keeps the reads that hang off its edges, so
+# most of its PairHMM pairs underflow the float pass and take the
+# double one. Between the scalar and the default level, these must be
+# the same: the aligned-read count (timing stripped), the region line,
+# the phmm line (pair count, cells, log10 sum at %.17g), the
+# variant-calling line, and the bytes of calls.vcf.
+step "reference-guided example: alignments, region, phmm, calls and calls.vcf identical at scalar and default level"
 EX_DIR=$(mktemp -d)
-(cd "$EX_DIR" && GB_SIMD_LEVEL=scalar \
+mkdir "$EX_DIR/scalar" "$EX_DIR/default"
+(cd "$EX_DIR/scalar" && GB_SIMD_LEVEL=scalar \
     "$ROOT/build/examples/example_reference_guided_pipeline" \
-    >scalar.txt)
-(cd "$EX_DIR" && env -u GB_SIMD_LEVEL \
+    >stdout.txt)
+(cd "$EX_DIR/default" && env -u GB_SIMD_LEVEL \
     "$ROOT/build/examples/example_reference_guided_pipeline" \
-    >default.txt)
-PHMM_SCALAR=$(grep '^phmm:' "$EX_DIR/scalar.txt")
-PHMM_DEFAULT=$(grep '^phmm:' "$EX_DIR/default.txt")
-echo "scalar:  $PHMM_SCALAR"
-echo "default: $PHMM_DEFAULT"
-if [[ "$PHMM_SCALAR" != "$PHMM_DEFAULT" ]]; then
-    echo "FAIL: the example's phmm line differs between levels" >&2
+    >stdout.txt)
+example_lines() {
+    grep -E '^(aligned |region |phmm: |variant calling: )' "$1" |
+        sed -E 's/^(aligned [0-9]+\/[0-9]+ reads) in .*/\1/'
+}
+EX_SCALAR=$(example_lines "$EX_DIR/scalar/stdout.txt")
+EX_DEFAULT=$(example_lines "$EX_DIR/default/stdout.txt")
+echo "scalar:"; echo "$EX_SCALAR"
+echo "default:"; echo "$EX_DEFAULT"
+if [[ $(echo "$EX_SCALAR" | wc -l) -ne 4 ]]; then
+    echo "FAIL: the example printed no aligned/region/phmm/calls line" >&2
+    exit 1
+fi
+if [[ "$EX_SCALAR" != "$EX_DEFAULT" ]]; then
+    echo "FAIL: the example's results differ between levels" >&2
+    exit 1
+fi
+if ! cmp "$EX_DIR/scalar/calls.vcf" "$EX_DIR/default/calls.vcf"; then
+    echo "FAIL: the example's calls.vcf differs between levels" >&2
     exit 1
 fi
 rm -rf "$EX_DIR"

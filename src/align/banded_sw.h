@@ -8,10 +8,10 @@
  * termination (z-drop) when the alignment score falls too far below the
  * best seen. Entry points:
  *
- *  - bandedSw(): one pair through the runtime-dispatched intra-pair
- *    SIMD row engine (AVX2 / SSE4.2 / scalar, defined in gb::simd,
- *    src/simd/bsw_engine.cc). The production path for single pairs,
- *    e.g. seed extension inside a pipeline;
+ *  - bandedSw(): one pair through the runtime-dispatched anti-diagonal
+ *    engine (AVX2 / SSE4.2 over i16 or i32 lanes, or scalar; defined
+ *    in gb::simd, src/simd/bsw_engine.cc). The production path for
+ *    single pairs, e.g. seed extension inside a pipeline;
  *  - bandedSwScalar(): the same recurrence one cell at a time, aborting
  *    as soon as z-drop fires. It is the test oracle every engine is
  *    bit-identical to, the instrumented characterize() path and the
@@ -172,10 +172,12 @@ bandedSwScalar(std::span<const u8> query, std::span<const u8> target,
 }
 
 /**
- * Align one pair with the dispatched intra-pair row engine; score, end
- * cell, abort flag and cell_updates are bit-identical to
- * bandedSwScalar() at every GB_SIMD_LEVEL, in local and global mode.
- * Defined in gb::simd, so callers link gb::simd (or gb::all).
+ * Align one pair with the dispatched anti-diagonal engine: saturating
+ * i16 lanes when simd::i16Exact() admits the pair, exact i32 lanes
+ * otherwise. Score, end cell, abort flag and cell_updates are
+ * bit-identical to bandedSwScalar() at every GB_SIMD_LEVEL, in local
+ * and global mode. Defined in gb::simd, so callers link gb::simd (or
+ * gb::all).
  */
 SwResult bandedSw(std::span<const u8> query, std::span<const u8> target,
                   const SwParams& params = {});

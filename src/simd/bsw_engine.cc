@@ -4,16 +4,18 @@
  * widest kernel the CPU (and GB_SIMD_LEVEL) allows:
  *
  *  - bswAlign(), the inter-sequence engine: batches pairs lane-wide and
- *    routes anything the 16-bit lanes cannot represent exactly
- *    (overlong sequences, global mode) to the scalar kernel;
- *  - gb::bandedSw(), the intra-pair row engine for one pair (i32 lanes,
- *    local and global mode, any length).
+ *    routes a batch with a pair the 16-bit lanes cannot evaluate
+ *    exactly (i16Exact()) to the scalar kernel;
+ *  - gb::bandedSw(), the anti-diagonal engine for one pair: i16 lanes
+ *    for i16Exact() pairs, i32 lanes for the rest (global mode, long
+ *    pairs, large or negative penalties).
  *
  * Results are always bit-identical to bandedSwScalar().
  */
 #include "simd/bsw_engine.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "simd/engines_internal.h"
 
@@ -64,23 +66,16 @@ engineFor(SimdLevel level)
     return {bswBatchScalar, 1};
 }
 
-bool
-simdRepresentable(const SwPair& pair)
-{
-    return pair.query.size() <= static_cast<size_t>(kBswMaxSimdLen) &&
-           pair.target.size() <= static_cast<size_t>(kBswMaxSimdLen);
-}
+using PairFn = SwResult (*)(std::span<const u8>, std::span<const u8>,
+                            const SwParams&, bool);
 
-using RowFn = SwResult (*)(std::span<const u8>, std::span<const u8>,
-                           const SwParams&, detail::BswRowScratch&);
-
-RowFn
-rowEngineFor(SimdLevel level)
+PairFn
+pairEngineFor(SimdLevel level)
 {
     switch (level) {
 #if GB_SIMD_HAVE_X86
-      case SimdLevel::kAvx2: return detail::bswRowAvx2;
-      case SimdLevel::kSse4: return detail::bswRowSse4;
+      case SimdLevel::kAvx2: return detail::bswPairAvx2;
+      case SimdLevel::kSse4: return detail::bswPairSse4;
 #else
       case SimdLevel::kAvx2:
       case SimdLevel::kSse4:
@@ -90,22 +85,28 @@ rowEngineFor(SimdLevel level)
     return nullptr;
 }
 
-/**
- * Parameters the row engine evaluates exactly like the scalar kernel:
- * its F-term scan needs gap_open >= 0 (so F never feeds itself through
- * H), and penalties up to 2^16 keep the in-chunk ramp far from i32
- * overflow. Anything else takes the scalar kernel.
- */
-bool
-rowEngineExact(const SwParams& p)
-{
-    constexpr i32 kMax = 1 << 16;
-    const auto small = [](i32 v) { return v >= -kMax && v <= kMax; };
-    return p.band_width >= 0 && p.gap_open >= 0 && small(p.gap_open) &&
-           small(p.gap_extend) && small(p.match) && small(p.mismatch);
-}
-
 } // namespace
+
+bool
+i16Exact(const SwPair& pair, const SwParams& p)
+{
+    // Keeps -(gap_open + gap_extend) and any mismatch exact i16s, far
+    // above the lockstep kernel's -30000 floor.
+    constexpr i32 kHeadroom = 1 << 13;
+    const auto small = [](i32 v) {
+        return v >= -kHeadroom && v <= kHeadroom;
+    };
+    const size_t m = pair.query.size();
+    const size_t n = pair.target.size();
+    return p.local && m <= static_cast<size_t>(kBswMaxSimdLen) &&
+           n <= static_cast<size_t>(kBswMaxSimdLen) && small(p.match) &&
+           small(p.mismatch) && small(p.gap_open) &&
+           small(p.gap_extend) && p.gap_extend >= 0 &&
+           p.gap_open + p.gap_extend >= 0 &&
+           static_cast<i64>(std::max(p.match, 0)) *
+                   static_cast<i64>(std::min(m, n)) <=
+               std::numeric_limits<i16>::max();
+}
 
 u32
 bswLanes(SimdLevel level)
@@ -127,8 +128,9 @@ bswAlign(std::span<const SwPair> pairs, const SwParams& params,
             std::min<size_t>(engine.lanes, pairs.size() - base));
         const SwPair* group = pairs.data() + base;
         const bool simd_ok =
-            params.local &&
-            std::all_of(group, group + count, simdRepresentable);
+            std::all_of(group, group + count, [&](const SwPair& pair) {
+                return i16Exact(pair, params);
+            });
         (simd_ok ? engine.fn : bswBatchScalar)(
             group, count, params, &results[base],
             stats ? &local : nullptr);
@@ -145,14 +147,15 @@ SwResult
 bandedSw(std::span<const u8> query, std::span<const u8> target,
          const SwParams& params)
 {
-    const simd::RowFn row = simd::rowEngineFor(simd::activeSimdLevel());
-    if (row == nullptr || query.empty() || target.empty() ||
-        !simd::rowEngineExact(params)) {
+    const simd::PairFn engine =
+        simd::pairEngineFor(simd::activeSimdLevel());
+    if (engine == nullptr || query.empty() || target.empty() ||
+        params.band_width < 0) {
         NullProbe probe;
         return bandedSwScalar(query, target, params, probe);
     }
-    thread_local simd::detail::BswRowScratch scratch;
-    return row(query, target, params, scratch);
+    return engine(query, target, params,
+                  simd::i16Exact({query, target}, params));
 }
 
 } // namespace gb

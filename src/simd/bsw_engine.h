@@ -10,10 +10,11 @@
  * position and abort flag are bit-identical to bandedSwScalar().
  *
  * Dispatch: AVX2 (16 lanes) / SSE4.2 (8 lanes) / portable scalar
- * fallback, chosen by gb::simd::activeSimdLevel(). Pairs that the
- * 16-bit representation cannot hold exactly (sequences longer than
- * kBswMaxSimdLen) and non-local (global) alignments fall back to the
- * scalar path per batch, so results never depend on the level.
+ * fallback, chosen by gb::simd::activeSimdLevel(). A batch holding a
+ * pair the 16-bit lanes cannot evaluate exactly (i16Exact(): global
+ * mode, sequences longer than kBswMaxSimdLen, scores or penalties past
+ * the i16 range) takes the scalar path, so results never depend on the
+ * level.
  */
 #ifndef GB_SIMD_BSW_ENGINE_H
 #define GB_SIMD_BSW_ENGINE_H
@@ -27,11 +28,21 @@
 namespace gb::simd {
 
 /**
- * Longest sequence the 16-bit lanes handle exactly: scores are bounded
- * by 2 * min(m, n), which must stay clear of the i16 saturation point
- * (and of the -30000 "minus infinity" floor climbing back into range).
+ * Longest sequence the 16-bit lanes take: end positions are i16 lane
+ * values too. Scores are bounded separately (i16Exact()).
  */
 inline constexpr i32 kBswMaxSimdLen = 16000;
+
+/**
+ * True when saturating i16 lanes evaluate the pair exactly as
+ * bandedSwScalar() does: local mode, both lengths <= kBswMaxSimdLen,
+ * every scoring parameter within +-2^13, gap_extend >= 0 and
+ * gap_open + gap_extend >= 0 (so no gap raises a score), and the
+ * highest reachable score, match * min(m, n), at most INT16_MAX.
+ * bswAlign() sends a batch with any other pair to the scalar kernel,
+ * and bandedSw() sends such a pair to the i32 lanes.
+ */
+bool i16Exact(const SwPair& pair, const SwParams& params);
 
 /** Vector lanes at a dispatch level (16 / 8 / 1). */
 u32 bswLanes(SimdLevel level);

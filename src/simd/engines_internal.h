@@ -9,7 +9,6 @@
 #define GB_SIMD_ENGINES_INTERNAL_H
 
 #include <span>
-#include <vector>
 
 #include "align/banded_sw.h"
 #include "chain/chain.h"
@@ -20,32 +19,23 @@
 
 namespace gb::simd::detail {
 
-/** DP rows and padded target codes reused across row-engine calls. */
-struct BswRowScratch
-{
-    std::vector<i32> h_prev;
-    std::vector<i32> h_curr;
-    std::vector<i32> e_col;
-    std::vector<u8> target;
-};
-
 /**
- * One pair through the intra-pair row engine (i32 lanes, one band row
- * per pass). Preconditions (checked by the dispatcher): non-empty
- * sequences and parameters the engine evaluates exactly (see
- * bandedSw() in bsw_engine.cc). Bit-identical to bandedSwScalar(),
+ * One pair through the anti-diagonal engine: saturating i16 lanes when
+ * `i16_lanes` (the dispatcher passes i16Exact()), exact i32 lanes
+ * otherwise. Preconditions (checked by the dispatcher): non-empty
+ * sequences and band_width >= 0. Bit-identical to bandedSwScalar(),
  * cell_updates included.
  */
-SwResult bswRowSse4(std::span<const u8> query, std::span<const u8> target,
-                    const SwParams& params, BswRowScratch& scratch);
-SwResult bswRowAvx2(std::span<const u8> query, std::span<const u8> target,
-                    const SwParams& params, BswRowScratch& scratch);
+SwResult bswPairSse4(std::span<const u8> query, std::span<const u8> target,
+                     const SwParams& params, bool i16_lanes);
+SwResult bswPairAvx2(std::span<const u8> query, std::span<const u8> target,
+                     const SwParams& params, bool i16_lanes);
 
 /**
  * One lockstep batch of at most kI16Lanes pairs. Preconditions
- * (checked by the dispatcher): params.local, every sequence length in
- * (0, kBswMaxSimdLen], count <= lane width. Accumulates vector_slots /
- * useful_cells into `stats` when non-null.
+ * (checked by the dispatcher): every pair i16Exact(), count <= lane
+ * width. Accumulates vector_slots / useful_cells into `stats` when
+ * non-null.
  */
 void bswBatchSse4(const SwPair* pairs, u32 count, const SwParams& params,
                   SwResult* out, BatchSwStats* stats);

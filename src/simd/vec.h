@@ -133,6 +133,13 @@ inline void vStoreBytesI32(u8* p, VecI32 v)
                      _mm_unpacklo_epi32(_mm256_castsi256_si128(lows),
                                         _mm256_extracti128_si256(lows, 1)));
 }
+/** All-ones 32-bit lanes where bytes a[l] == b[l], l < kI32Lanes. */
+inline VecI32 vByteEqI32(const u8* a, const u8* b)
+{
+    return _mm256_cvtepi8_epi32(_mm_cmpeq_epi8(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(a)),
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(b))));
+}
 /** Horizontal maximum of the 32-bit lanes. */
 inline i32 vHMaxI32(VecI32 v)
 {
@@ -143,14 +150,6 @@ inline i32 vHMaxI32(VecI32 v)
     const __m128i pair =
         _mm_max_epi32(quad, _mm_shuffle_epi32(quad, 0xb1));
     return _mm_cvtsi128_si32(pair);
-}
-/** Highest 32-bit lane. */
-inline i32 vLastI32(VecI32 v) { return _mm256_extract_epi32(v, 7); }
-/** One mask bit per 32-bit lane, lane 0 in bit 0. */
-inline u32 vMaskBitsI32(VecI32 mask)
-{
-    return static_cast<u32>(
-        _mm256_movemask_ps(_mm256_castsi256_ps(mask)));
 }
 
 // ---- 16-bit integer lanes -------------------------------------------
@@ -168,6 +167,13 @@ inline VecI16 vLoadBytesI16(const u8* p)
 {
     return _mm256_cvtepu8_epi16(
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+}
+/** All-ones 16-bit lanes where bytes a[l] == b[l], l < kI16Lanes. */
+inline VecI16 vByteEqI16(const u8* a, const u8* b)
+{
+    return _mm256_cvtepi8_epi16(_mm_cmpeq_epi8(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a)),
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b))));
 }
 inline VecI16 vAddsI16(VecI16 a, VecI16 b)
 {
@@ -355,6 +361,16 @@ inline void vStoreBytesI32(u8* p, VecI32 v)
     const u32 w = static_cast<u32>(_mm_cvtsi128_si32(lows));
     __builtin_memcpy(p, &w, 4);
 }
+inline VecI32 vByteEqI32(const u8* a, const u8* b)
+{
+    u32 aw = 0;
+    u32 bw = 0;
+    __builtin_memcpy(&aw, a, 4);
+    __builtin_memcpy(&bw, b, 4);
+    return _mm_cvtepi8_epi32(
+        _mm_cmpeq_epi8(_mm_cvtsi32_si128(static_cast<int>(aw)),
+                       _mm_cvtsi32_si128(static_cast<int>(bw))));
+}
 inline i32 vHMaxI32(VecI32 v)
 {
     const __m128i quad =
@@ -362,11 +378,6 @@ inline i32 vHMaxI32(VecI32 v)
     const __m128i pair =
         _mm_max_epi32(quad, _mm_shuffle_epi32(quad, 0xb1));
     return _mm_cvtsi128_si32(pair);
-}
-inline i32 vLastI32(VecI32 v) { return _mm_extract_epi32(v, 3); }
-inline u32 vMaskBitsI32(VecI32 mask)
-{
-    return static_cast<u32>(_mm_movemask_ps(_mm_castsi128_ps(mask)));
 }
 
 // ---- 16-bit integer lanes -------------------------------------------
@@ -383,6 +394,12 @@ inline VecI16 vLoadBytesI16(const u8* p)
 {
     return _mm_cvtepu8_epi16(
         _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)));
+}
+inline VecI16 vByteEqI16(const u8* a, const u8* b)
+{
+    return _mm_cvtepi8_epi16(_mm_cmpeq_epi8(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(a)),
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(b))));
 }
 inline VecI16 vAddsI16(VecI16 a, VecI16 b)
 {
@@ -472,8 +489,8 @@ inline VecF64 vByteMatchMaskF64(const u8* a, const u8* b)
 
 /**
  * Shift lanes up by kS positions (lane l takes lane l - kS), filling
- * vacated low lanes from `fill`. The building block of the in-register
- * max-plus prefix scans (POA insertion fixup, banded-SW F term).
+ * vacated low lanes from `fill`. The building block of the POA
+ * insertion fixup's in-register max-plus prefix scan.
  */
 template <int kS>
 inline VecI32

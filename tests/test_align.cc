@@ -2,9 +2,9 @@
  * @file
  * Tests for banded Smith-Waterman: golden DP values, an unbanded
  * full-matrix oracle, batch-vs-scalar equivalence, z-drop behaviour,
- * the Fig. 3 overwork accounting, and the intra-pair row engine behind
- * bandedSw() against the bandedSwScalar() oracle at every dispatch
- * level.
+ * the Fig. 3 overwork accounting, and the one-pair anti-diagonal engine
+ * behind bandedSw() (i16 and i32 lanes) against the bandedSwScalar()
+ * oracle at every dispatch level.
  */
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 
 #include "align/banded_sw.h"
 #include "io/dna.h"
+#include "simd/bsw_engine.h"
 #include "simd/simd.h"
 #include "util/rng.h"
 
@@ -291,7 +292,7 @@ TEST(BatchSw, MixedLengthsInflateCellUpdates)
     EXPECT_GT(stats.overworkRatio(), 1.5);
 }
 
-// ---- intra-pair row engine vs the scalar oracle ----------------------
+// ---- one-pair engine vs the scalar oracle ----------------------------
 
 /** Restores the process-global dispatch level on scope exit. */
 struct LevelGuard
@@ -404,8 +405,7 @@ randomPair(Rng& rng, std::vector<u8>& q, std::vector<u8>& t)
 TEST(BandedSwRowEngine, MatchesScalarOnRandomPairsAndParams)
 {
     // 100k seeded pairs, each in local and global mode at every level,
-    // under randomized scoring, band and z-drop parameters (gap_open 0
-    // is the boundary of the F-scan rewrite).
+    // under randomized scoring, band and z-drop parameters.
     Rng rng(1301);
     std::vector<u8> q;
     std::vector<u8> t;
@@ -504,8 +504,7 @@ TEST(BandedSwRowEngine, MatchesScalarOnEdgeShapes)
 
 TEST(BandedSwRowEngine, HandlesPairsBeyondTheI16Cap)
 {
-    // Longer than the inter-sequence engine's kBswMaxSimdLen (16000):
-    // the i32 row engine takes it without a length gate.
+    // Longer than kBswMaxSimdLen (16000): the i32 lanes take it.
     Rng rng(1303);
     const auto q = randomCodes(rng, 16'500);
     auto t = q;
@@ -521,8 +520,7 @@ TEST(BandedSwRowEngine, HandlesPairsBeyondTheI16Cap)
 
 TEST(BandedSwRowEngine, OutOfRangeParamsStillMatchScalar)
 {
-    // A negative gap open breaks the F-scan rewrite and huge penalties
-    // the ramp headroom; both take the scalar kernel.
+    // A negative gap open and huge penalties: the i32 lanes take both.
     Rng rng(1304);
     for (int trial = 0; trial < 50; ++trial) {
         std::vector<u8> q;
@@ -533,6 +531,114 @@ TEST(BandedSwRowEngine, OutOfRangeParamsStillMatchScalar)
         p.gap_open = trial % 2 ? -2 : 1 << 20;
         p.zdrop = 1 << 28;
         expectRowEngineMatches(q, t, p, "trial " + std::to_string(trial));
+    }
+}
+
+TEST(BandedSwEngine, MatchesScalarAtTheI16Gate)
+{
+    // 7 x 4681 = 32767 = INT16_MAX is the highest score the i16 lanes
+    // take; one more base needs the i32 lanes. Likewise for length:
+    // kBswMaxSimdLen passes, one more base does not.
+    Rng rng(1305);
+    SwParams p;
+    p.match = 7;
+    p.zdrop = 1 << 28;
+    const auto at_gate = randomCodes(rng, 4681);
+    auto past_gate = at_gate;
+    past_gate.push_back(2);
+    ASSERT_TRUE(simd::i16Exact({at_gate, at_gate}, p));
+    ASSERT_FALSE(simd::i16Exact({past_gate, past_gate}, p));
+    expectRowEngineMatches(at_gate, at_gate, p, "score at INT16_MAX");
+    expectRowEngineMatches(past_gate, past_gate, p, "score past INT16_MAX");
+    EXPECT_EQ(scalarSw(at_gate, at_gate, p).score, 32767);
+    EXPECT_EQ(scalarSw(past_gate, past_gate, p).score, 32774);
+
+    const auto at_cap = randomCodes(rng, simd::kBswMaxSimdLen);
+    auto past_cap = at_cap;
+    past_cap.push_back(1);
+    ASSERT_TRUE(simd::i16Exact({at_cap, at_cap}, SwParams{}));
+    ASSERT_FALSE(simd::i16Exact({past_cap, past_cap}, SwParams{}));
+    expectRowEngineMatches(at_cap, at_cap, SwParams{}, "length at cap");
+    expectRowEngineMatches(past_cap, past_cap, SwParams{},
+                           "length past cap");
+}
+
+TEST(BandedSwEngine, NegativeAndHugePenaltiesMatchScalar)
+{
+    // gap_open < 0 with gap_open + gap_extend >= 0 stays on i16 lanes;
+    // a net gap bonus and 2^16-scale penalties take the i32 lanes.
+    struct Case
+    {
+        i32 match, mismatch, gap_open, gap_extend;
+        bool i16;
+    };
+    const Case cases[] = {
+        {2, -4, -1, 2, true},
+        {2, -4, -5, 1, false},
+        {1, -3, -2, 0, false},
+        {1 << 16, -(1 << 16), 1 << 16, 1 << 15, false},
+        {3, -(1 << 16), 1 << 16, 1, false},
+    };
+    Rng rng(1306);
+    for (const Case& c : cases) {
+        SwParams p;
+        p.match = c.match;
+        p.mismatch = c.mismatch;
+        p.gap_open = c.gap_open;
+        p.gap_extend = c.gap_extend;
+        p.band_width = 12;
+        p.zdrop = 1 << 28;
+        for (int trial = 0; trial < 40; ++trial) {
+            std::vector<u8> q;
+            std::vector<u8> t;
+            randomPair(rng, q, t);
+            EXPECT_EQ(simd::i16Exact({q, t}, p), c.i16)
+                << "gap_open " << c.gap_open;
+            expectRowEngineMatches(q, t, p,
+                                   "gap_open " +
+                                       std::to_string(c.gap_open) +
+                                       " trial " + std::to_string(trial));
+        }
+    }
+}
+
+TEST(BandedSwEngine, ZdropInTheFirstRowsOfASpuriousSeed)
+{
+    // A 10-base seed, then unrelated bases: z-drop fires a few rows in,
+    // and the cells counted up to the aborting row must match.
+    Rng rng(1307);
+    for (int trial = 0; trial < 30; ++trial) {
+        auto q = randomCodes(rng, 151);
+        std::vector<u8> t(171);
+        for (auto& c : t) c = static_cast<u8>(rng.below(4));
+        std::copy_n(q.begin(), 10, t.begin() + 10);
+        for (size_t i = 10; i < q.size(); ++i) {
+            q[i] = static_cast<u8>(rng.below(2)); // disjoint alphabets
+            t[i + 20] = static_cast<u8>(2 + rng.below(2));
+        }
+        SwParams p;
+        p.zdrop = 8 + static_cast<i32>(trial % 5);
+        const SwResult want = scalarSw(q, t, p);
+        ASSERT_TRUE(want.aborted);
+        ASSERT_LT(want.query_end, 20);
+        expectRowEngineMatches(q, t, p, "trial " + std::to_string(trial));
+    }
+}
+
+TEST(BandedSwEngine, BandWiderThanBothSequences)
+{
+    Rng rng(1308);
+    for (int trial = 0; trial < 40; ++trial) {
+        std::vector<u8> q;
+        std::vector<u8> t;
+        randomPair(rng, q, t);
+        SwParams p;
+        p.band_width = 64 + static_cast<i32>(rng.below(400));
+        p.zdrop = trial % 2 ? 1 << 28 : 30;
+        expectRowEngineMatches(q, t, p, "trial " + std::to_string(trial));
+        if (p.zdrop == 1 << 28) {
+            EXPECT_EQ(bandedSw(q, t, p).score, fullLocalSw(q, t, p));
+        }
     }
 }
 

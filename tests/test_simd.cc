@@ -374,6 +374,35 @@ TEST(SimdBsw, OversizeSequencesFallBackToScalar)
     expectEnginesAgree(set, SwParams{});
 }
 
+TEST(SimdBsw, ScoresAndPenaltiesPastI16FallBackToScalar)
+{
+    // A score past INT16_MAX (3 x 12000 = 36000) and a gap penalty
+    // outside i16 both used to saturate inside the lanes.
+    Rng rng(507);
+    std::vector<u8> q(12'000);
+    for (auto& c : q) c = static_cast<u8>(rng.below(4));
+    PairStorage identical;
+    identical.add(q, q);
+    identical.finalize();
+    SwParams high_match;
+    high_match.match = 3;
+    EXPECT_FALSE(simd::i16Exact(identical.pairs[0], high_match));
+    expectEnginesAgree(identical, high_match);
+
+    PairStorage short_pair;
+    std::vector<u8> q2(50);
+    std::vector<u8> t2(60);
+    for (auto& c : q2) c = static_cast<u8>(rng.below(4));
+    for (auto& c : t2) c = static_cast<u8>(rng.below(4));
+    short_pair.add(std::move(q2), std::move(t2));
+    short_pair.finalize();
+    SwParams huge_gap;
+    huge_gap.gap_open = 40'000;
+    EXPECT_FALSE(simd::i16Exact(short_pair.pairs[0], huge_gap));
+    EXPECT_TRUE(simd::i16Exact(short_pair.pairs[0], SwParams{}));
+    expectEnginesAgree(short_pair, huge_gap);
+}
+
 TEST(SimdBsw, NonLocalModeFallsBackToScalar)
 {
     SwParams p;
