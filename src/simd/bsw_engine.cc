@@ -98,13 +98,15 @@ i16Exact(const SwPair& pair, const SwParams& p)
     };
     const size_t m = pair.query.size();
     const size_t n = pair.target.size();
+    // Gaps never raise a score, so an alignment scores at most its
+    // best substitution, matched or not, times min(m, n) pairs.
+    const i32 best_sub = std::max({p.match, p.mismatch, 0});
     return p.local && m <= static_cast<size_t>(kBswMaxSimdLen) &&
            n <= static_cast<size_t>(kBswMaxSimdLen) && small(p.match) &&
            small(p.mismatch) && small(p.gap_open) &&
            small(p.gap_extend) && p.gap_extend >= 0 &&
            p.gap_open + p.gap_extend >= 0 &&
-           static_cast<i64>(std::max(p.match, 0)) *
-                   static_cast<i64>(std::min(m, n)) <=
+           static_cast<i64>(best_sub) * static_cast<i64>(std::min(m, n)) <=
                std::numeric_limits<i16>::max();
 }
 

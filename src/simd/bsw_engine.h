@@ -38,7 +38,8 @@ inline constexpr i32 kBswMaxSimdLen = 16000;
  * bandedSwScalar() does: local mode, both lengths <= kBswMaxSimdLen,
  * every scoring parameter within +-2^13, gap_extend >= 0 and
  * gap_open + gap_extend >= 0 (so no gap raises a score), and the
- * highest reachable score, match * min(m, n), at most INT16_MAX.
+ * highest reachable score, max(match, mismatch, 0) * min(m, n), at
+ * most INT16_MAX.
  * bswAlign() sends a batch with any other pair to the scalar kernel,
  * and bandedSw() sends such a pair to the i32 lanes.
  */

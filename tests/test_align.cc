@@ -574,6 +574,7 @@ TEST(BandedSwEngine, NegativeAndHugePenaltiesMatchScalar)
     };
     const Case cases[] = {
         {2, -4, -1, 2, true},
+        {1, 3, 6, 1, true}, // positive mismatch, 3 x 64 is far in range
         {2, -4, -5, 1, false},
         {1, -3, -2, 0, false},
         {1 << 16, -(1 << 16), 1 << 16, 1 << 15, false},
@@ -599,6 +600,30 @@ TEST(BandedSwEngine, NegativeAndHugePenaltiesMatchScalar)
                                        std::to_string(c.gap_open) +
                                        " trial " + std::to_string(trial));
         }
+    }
+
+    // A positive mismatch bounds the score too: five unrelated bases
+    // at mismatch = 8192 score 40960, past INT16_MAX, so every pair of
+    // >= 5 bases takes the i32 lanes.
+    SwParams rich;
+    rich.match = 1;
+    rich.mismatch = 8192;
+    rich.gap_open = 6;
+    rich.gap_extend = 1;
+    rich.band_width = 12;
+    rich.zdrop = 1 << 28;
+    const std::vector<u8> as(5, 0);
+    const std::vector<u8> cs(5, 1);
+    EXPECT_FALSE(simd::i16Exact({as, cs}, rich));
+    EXPECT_EQ(scalarSw(as, cs, rich).score, 5 * 8192);
+    expectRowEngineMatches(as, cs, rich, "mismatch 8192, 5 x 5");
+    for (int trial = 0; trial < 40; ++trial) {
+        const auto q = randomCodes(rng, 5 + rng.below(60));
+        const auto t = randomCodes(rng, 5 + rng.below(60));
+        EXPECT_FALSE(simd::i16Exact({q, t}, rich));
+        expectRowEngineMatches(q, t, rich,
+                               "mismatch 8192 trial " +
+                                   std::to_string(trial));
     }
 }
 

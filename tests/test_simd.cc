@@ -401,6 +401,30 @@ TEST(SimdBsw, ScoresAndPenaltiesPastI16FallBackToScalar)
     EXPECT_FALSE(simd::i16Exact(short_pair.pairs[0], huge_gap));
     EXPECT_TRUE(simd::i16Exact(short_pair.pairs[0], SwParams{}));
     expectEnginesAgree(short_pair, huge_gap);
+
+    // A positive mismatch past i16: five unrelated bases score
+    // 5 x 8192 = 40960 while match * min(m, n) is only 5.
+    PairStorage unrelated;
+    unrelated.add(std::vector<u8>(5, 0), std::vector<u8>(5, 1));
+    for (int i = 0; i < 15; ++i) {
+        std::vector<u8> q3(5 + rng.below(60));
+        std::vector<u8> t3(5 + rng.below(60));
+        for (auto& c : q3) c = static_cast<u8>(rng.below(4));
+        for (auto& c : t3) c = static_cast<u8>(rng.below(4));
+        unrelated.add(std::move(q3), std::move(t3));
+    }
+    unrelated.finalize();
+    SwParams rich;
+    rich.match = 1;
+    rich.mismatch = 8192;
+    rich.gap_open = 6;
+    rich.gap_extend = 1;
+    EXPECT_FALSE(simd::i16Exact(unrelated.pairs[0], rich));
+    expectEnginesAgree(unrelated, rich);
+    // A positive mismatch in range stays on the lanes.
+    rich.mismatch = 3;
+    EXPECT_TRUE(simd::i16Exact(unrelated.pairs[0], rich));
+    expectEnginesAgree(unrelated, rich);
 }
 
 TEST(SimdBsw, NonLocalModeFallsBackToScalar)
