@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Full pre-merge check: tier-1 build + tests, the SIMD, banded-SW row
+# Full pre-merge check: tier-1 build + tests, the SIMD, banded-SW
 # engine, FM-index/SMEM, phmm, chain, poa, nn, grm and abea equivalence
-# suites
+# suites and the Fig. 3 bench's bandedSw-vs-scalar check
 # at every dispatch level
 # (GB_SIMD_LEVEL=scalar|sse4|avx2), the whole ctest suite under
 # ASan/UBSan (plus the dispatch-level suites at every level), the
@@ -85,7 +85,9 @@ fi
 # The equivalence property test re-runs under every GB_SIMD_LEVEL so a
 # host with AVX2 still exercises the SSE4 and scalar dispatch paths
 # (the env override clamps to what the CPU supports, so this is safe
-# on any machine).
+# on any machine). The Fig. 3 bench aligns the bsw kernel's own pair
+# mix (length-sorted, long spurious extensions) with bandedSw() and
+# exits 1 if any result differs from bandedSwScalar().
 step "gb::simd + bsw one-pair engine + FM-index SMEMs + phmm/chain/poa/nn/grm/abea: equivalence at every dispatch level"
 for level in scalar sse4 avx2; do
     echo "-- GB_SIMD_LEVEL=$level"
@@ -98,6 +100,8 @@ for level in scalar sse4 avx2; do
     GB_SIMD_LEVEL=$level ./build/tests/test_nn --gtest_brief=1
     GB_SIMD_LEVEL=$level ./build/tests/test_grm --gtest_brief=1
     GB_SIMD_LEVEL=$level ./build/tests/test_abea --gtest_brief=1
+    GB_SIMD_LEVEL=$level ./build/bench/bench_fig3_bsw_vectorization \
+        --size=tiny >/dev/null
 done
 
 # ------------------------------------------------------- sanitizer build

@@ -10,18 +10,19 @@
  *
  *  - bandedSw(): one pair through the runtime-dispatched anti-diagonal
  *    engine (AVX2 / SSE4.2 over i16 or i32 lanes, or scalar; defined
- *    in gb::simd, src/simd/bsw_engine.cc). The production path for
- *    single pairs, e.g. seed extension inside a pipeline;
+ *    in gb::simd, src/simd/bsw_engine.cc). The production path: the
+ *    bsw kernel's run() and seed extension inside a pipeline;
  *  - bandedSwScalar(): the same recurrence one cell at a time, aborting
- *    as soon as z-drop fires. It is the test oracle every engine is
- *    bit-identical to, the instrumented characterize() path and the
- *    "scalar" baseline of the paper's Fig. 3 discussion;
+ *    as soon as z-drop fires. It is the test oracle the engine is
+ *    bit-identical to, what bandedSw() runs at GB_SIMD_LEVEL=scalar
+ *    and the "scalar" baseline of the paper's Fig. 3 discussion;
  *  - BatchSwAligner: 16 pairs per batch processed in lockstep, a model
- *    of BWA-MEM2's inter-sequence vectorization (the executing engine
- *    is simd::bswAlign). Lanes that finish early (shorter sequences or
- *    z-drop) idle until the whole batch completes, which is exactly why
- *    the paper measures 2.2x more cell updates for the vectorized
- *    kernel.
+ *    of BWA-MEM2's inter-sequence vectorization that nothing executes
+ *    on vector lanes; it serves the bsw kernel's characterize() and
+ *    Fig. 3's overwork table. Lanes that finish early (shorter
+ *    sequences or z-drop) idle until the whole batch completes, which
+ *    is exactly why the paper measures 2.2x more cell updates for the
+ *    vectorized kernel.
  */
 #ifndef GB_ALIGN_BANDED_SW_H
 #define GB_ALIGN_BANDED_SW_H
@@ -55,6 +56,8 @@ struct SwResult
     i32 target_end = 0; ///< 1-based end column of the best cell
     u64 cell_updates = 0;
     bool aborted = false; ///< z-drop fired
+
+    bool operator==(const SwResult&) const = default;
 };
 
 namespace detail {

@@ -1,12 +1,12 @@
 /**
  * @file
  * The bsw kernel driver: banded Smith-Waterman seed extension over
- * batches of query/target pairs (BWA-MEM2's extension stage). run()
- * takes the inter-sequence scheme (simd::bswAlign);
- * GB_SIMD_LEVEL=scalar makes it per-pair bandedSwScalar over the same
- * batches. The lockstep BatchSwAligner model serves only
- * characterize(); the Fig. 3 bench builds its own aligner for the
- * work accounting.
+ * length-sorted query/target pairs (BWA-MEM2's extension stage). run()
+ * extends each pair with bandedSw(), the anti-diagonal engine, as the
+ * pipeline does; GB_SIMD_LEVEL=scalar makes that bandedSwScalar. The
+ * lockstep BatchSwAligner models BWA-MEM2's inter-sequence batches for
+ * characterize(), and the Fig. 3 bench builds its own aligner for the
+ * modelled overwork.
  */
 #include "core/kernels.h"
 
@@ -14,7 +14,6 @@
 
 #include "align/banded_sw.h"
 #include "io/dna.h"
-#include "simd/bsw_engine.h"
 #include "simdata/genome.h"
 #include "util/rng.h"
 
@@ -113,15 +112,8 @@ class BswKernel final : public Benchmark
     u64
     run(ThreadPool& pool) override
     {
-        const u64 batches = ceilDiv<u64>(pairs_.size(),
-                                         BatchSwAligner::kLanes);
-        pool.parallelFor(batches, [&](u64 b) {
-            const size_t begin = b * BatchSwAligner::kLanes;
-            const size_t count = std::min<size_t>(
-                BatchSwAligner::kLanes, pairs_.size() - begin);
-            const auto batch =
-                std::span<const SwPair>(pairs_).subspan(begin, count);
-            simd::bswAlign(batch, params_);
+        pool.parallelFor(pairs_.size(), [&](u64 i) {
+            bandedSw(pairs_[i].query, pairs_[i].target, params_);
         });
         return pairs_.size();
     }

@@ -1,14 +1,10 @@
 /**
  * @file
- * Dispatch layer for the SIMD banded-SW engines, both picking the
- * widest kernel the CPU (and GB_SIMD_LEVEL) allows:
- *
- *  - bswAlign(), the inter-sequence engine: batches pairs lane-wide and
- *    routes a batch with a pair the 16-bit lanes cannot evaluate
- *    exactly (i16Exact()) to the scalar kernel;
- *  - gb::bandedSw(), the anti-diagonal engine for one pair: i16 lanes
- *    for i16Exact() pairs, i32 lanes for the rest (global mode, long
- *    pairs, large or negative penalties).
+ * Dispatch layer for gb::bandedSw(), the anti-diagonal banded-SW
+ * engine for one pair: it picks the widest kernel the CPU (and
+ * GB_SIMD_LEVEL) allows and runs i16 lanes for i16Exact() pairs, i32
+ * lanes for the rest (global mode, long pairs, large or negative
+ * penalties). GB_SIMD_LEVEL=scalar runs bandedSwScalar().
  *
  * Results are always bit-identical to bandedSwScalar().
  */
@@ -22,49 +18,6 @@
 namespace gb::simd {
 
 namespace {
-
-using BatchFn = void (*)(const SwPair*, u32, const SwParams&, SwResult*,
-                         BatchSwStats*);
-
-/** Scalar "batch": one bandedSwScalar() call per lane. */
-void
-bswBatchScalar(const SwPair* pairs, u32 count, const SwParams& p,
-               SwResult* out, BatchSwStats* stats)
-{
-    for (u32 l = 0; l < count; ++l) {
-        NullProbe probe;
-        out[l] = bandedSwScalar(pairs[l].query, pairs[l].target, p,
-                                probe);
-        if (stats) {
-            // One lane per slot: no lockstep overwork.
-            stats->vector_slots += out[l].cell_updates;
-            stats->useful_cells += out[l].cell_updates;
-        }
-    }
-}
-
-struct Engine
-{
-    BatchFn fn;
-    u32 lanes;
-};
-
-/** Function-pointer table indexed by SimdLevel. */
-Engine
-engineFor(SimdLevel level)
-{
-    switch (level) {
-#if GB_SIMD_HAVE_X86
-      case SimdLevel::kAvx2: return {detail::bswBatchAvx2, 16};
-      case SimdLevel::kSse4: return {detail::bswBatchSse4, 8};
-#else
-      case SimdLevel::kAvx2:
-      case SimdLevel::kSse4:
-#endif
-      case SimdLevel::kScalar: break;
-    }
-    return {bswBatchScalar, 1};
-}
 
 using PairFn = SwResult (*)(std::span<const u8>, std::span<const u8>,
                             const SwParams&, bool);
@@ -91,7 +44,7 @@ bool
 i16Exact(const SwPair& pair, const SwParams& p)
 {
     // Keeps -(gap_open + gap_extend) and any mismatch exact i16s, far
-    // above the lockstep kernel's -30000 floor.
+    // above INT16_MIN, the i16 lanes' minus infinity.
     constexpr i32 kHeadroom = 1 << 13;
     const auto small = [](i32 v) {
         return v >= -kHeadroom && v <= kHeadroom;
@@ -108,37 +61,6 @@ i16Exact(const SwPair& pair, const SwParams& p)
            p.gap_open + p.gap_extend >= 0 &&
            static_cast<i64>(best_sub) * static_cast<i64>(std::min(m, n)) <=
                std::numeric_limits<i16>::max();
-}
-
-u32
-bswLanes(SimdLevel level)
-{
-    return engineFor(level).lanes;
-}
-
-std::vector<SwResult>
-bswAlign(std::span<const SwPair> pairs, const SwParams& params,
-         BatchSwStats* stats)
-{
-    const Engine engine = engineFor(activeSimdLevel());
-    std::vector<SwResult> results(pairs.size());
-    BatchSwStats local;
-    local.lanes = engine.lanes;
-
-    for (size_t base = 0; base < pairs.size(); base += engine.lanes) {
-        const u32 count = static_cast<u32>(
-            std::min<size_t>(engine.lanes, pairs.size() - base));
-        const SwPair* group = pairs.data() + base;
-        const bool simd_ok =
-            std::all_of(group, group + count, [&](const SwPair& pair) {
-                return i16Exact(pair, params);
-            });
-        (simd_ok ? engine.fn : bswBatchScalar)(
-            group, count, params, &results[base],
-            stats ? &local : nullptr);
-    }
-    if (stats) *stats = local;
-    return results;
 }
 
 } // namespace gb::simd

@@ -1,29 +1,19 @@
 /**
  * @file
- * Real inter-sequence SIMD banded Smith-Waterman (the bsw engine).
+ * The i16 gate of the anti-diagonal banded-SW engine behind
+ * gb::bandedSw() (src/simd/bsw_engine.cc).
  *
- * Executes the BWA-MEM2 scheme that BatchSwAligner only *models*: up to
- * 16 query/target pairs advance in lockstep through the banded affine
- * recurrence, one pair per 16-bit vector lane, with an SoA batch layout
- * (sequences and DP rows interleaved lane-wise), saturating-add score
- * clamping and per-lane z-drop masking. Per pair, the score, end
- * position and abort flag are bit-identical to bandedSwScalar().
- *
- * Dispatch: AVX2 (16 lanes) / SSE4.2 (8 lanes) / portable scalar
- * fallback, chosen by gb::simd::activeSimdLevel(). A batch holding a
- * pair the 16-bit lanes cannot evaluate exactly (i16Exact(): global
- * mode, sequences longer than kBswMaxSimdLen, scores or penalties past
- * the i16 range) takes the scalar path, so results never depend on the
- * level.
+ * bandedSw() runs one pair over AVX2 / SSE4.2 lanes chosen by
+ * gb::simd::activeSimdLevel(): saturating i16 lanes when i16Exact()
+ * admits the pair, exact i32 lanes otherwise (global mode, sequences
+ * longer than kBswMaxSimdLen, scores or penalties past the i16 range),
+ * so results never depend on the level. Per pair, every SwResult field
+ * is bit-identical to bandedSwScalar().
  */
 #ifndef GB_SIMD_BSW_ENGINE_H
 #define GB_SIMD_BSW_ENGINE_H
 
-#include <span>
-#include <vector>
-
 #include "align/banded_sw.h"
-#include "simd/simd.h"
 
 namespace gb::simd {
 
@@ -39,26 +29,9 @@ inline constexpr i32 kBswMaxSimdLen = 16000;
  * every scoring parameter within +-2^13, gap_extend >= 0 and
  * gap_open + gap_extend >= 0 (so no gap raises a score), and the
  * highest reachable score, max(match, mismatch, 0) * min(m, n), at
- * most INT16_MAX.
- * bswAlign() sends a batch with any other pair to the scalar kernel,
- * and bandedSw() sends such a pair to the i32 lanes.
+ * most INT16_MAX. bandedSw() sends any other pair to the i32 lanes.
  */
 bool i16Exact(const SwPair& pair, const SwParams& params);
-
-/** Vector lanes at a dispatch level (16 / 8 / 1). */
-u32 bswLanes(SimdLevel level);
-
-/**
- * Align all pairs with the active SIMD engine; results in input order
- * and per-pair identical to bandedSwScalar().
- *
- * @param[out] stats Optional lockstep work accounting (same meaning as
- *                   BatchSwAligner: slots executed x lanes vs useful
- *                   cells). Lanes reflect the dispatched level.
- */
-std::vector<SwResult> bswAlign(std::span<const SwPair> pairs,
-                               const SwParams& params,
-                               BatchSwStats* stats = nullptr);
 
 } // namespace gb::simd
 

@@ -32,17 +32,6 @@ SwResult bswPairAvx2(std::span<const u8> query, std::span<const u8> target,
                      const SwParams& params, bool i16_lanes);
 
 /**
- * One lockstep batch of at most kI16Lanes pairs. Preconditions
- * (checked by the dispatcher): every pair i16Exact(), count <= lane
- * width. Accumulates vector_slots / useful_cells into `stats` when
- * non-null.
- */
-void bswBatchSse4(const SwPair* pairs, u32 count, const SwParams& params,
-                  SwResult* out, BatchSwStats* stats);
-void bswBatchAvx2(const SwPair* pairs, u32 count, const SwParams& params,
-                  SwResult* out, BatchSwStats* stats);
-
-/**
  * Inputs for one anti-diagonal PairHMM forward pass at precision T
  * (float: the first pass; double: the underflow re-run).
  */

@@ -162,12 +162,6 @@ inline void vStoreI16(i16* p, VecI16 v)
 {
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
 }
-/** Widen kI16Lanes unsigned bytes to 16-bit lanes. */
-inline VecI16 vLoadBytesI16(const u8* p)
-{
-    return _mm256_cvtepu8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
-}
 /** All-ones 16-bit lanes where bytes a[l] == b[l], l < kI16Lanes. */
 inline VecI16 vByteEqI16(const u8* a, const u8* b)
 {
@@ -187,27 +181,14 @@ inline VecI16 vMaxI16(VecI16 a, VecI16 b)
 {
     return _mm256_max_epi16(a, b);
 }
-inline VecI16 vCmpEqI16(VecI16 a, VecI16 b)
-{
-    return _mm256_cmpeq_epi16(a, b);
-}
 inline VecI16 vCmpGtI16(VecI16 a, VecI16 b)
 {
     return _mm256_cmpgt_epi16(a, b);
-}
-inline VecI16 vAndI16(VecI16 a, VecI16 b)
-{
-    return _mm256_and_si256(a, b);
 }
 /** Per-lane select: mask lanes all-ones -> a, zero -> b. */
 inline VecI16 vSelectI16(VecI16 mask, VecI16 a, VecI16 b)
 {
     return _mm256_blendv_epi8(b, a, mask);
-}
-/** Two mask bits per 16-bit lane (movemask over bytes). */
-inline u32 vMaskBitsI16(VecI16 mask)
-{
-    return static_cast<u32>(_mm256_movemask_epi8(mask));
 }
 
 // ---- float lanes ----------------------------------------------------
@@ -390,11 +371,6 @@ inline void vStoreI16(i16* p, VecI16 v)
 {
     _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
 }
-inline VecI16 vLoadBytesI16(const u8* p)
-{
-    return _mm_cvtepu8_epi16(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)));
-}
 inline VecI16 vByteEqI16(const u8* a, const u8* b)
 {
     return _mm_cvtepi8_epi16(_mm_cmpeq_epi8(
@@ -413,25 +389,13 @@ inline VecI16 vMaxI16(VecI16 a, VecI16 b)
 {
     return _mm_max_epi16(a, b);
 }
-inline VecI16 vCmpEqI16(VecI16 a, VecI16 b)
-{
-    return _mm_cmpeq_epi16(a, b);
-}
 inline VecI16 vCmpGtI16(VecI16 a, VecI16 b)
 {
     return _mm_cmpgt_epi16(a, b);
 }
-inline VecI16 vAndI16(VecI16 a, VecI16 b)
-{
-    return _mm_and_si128(a, b);
-}
 inline VecI16 vSelectI16(VecI16 mask, VecI16 a, VecI16 b)
 {
     return _mm_blendv_epi8(b, a, mask);
-}
-inline u32 vMaskBitsI16(VecI16 mask)
-{
-    return static_cast<u32>(_mm_movemask_epi8(mask));
 }
 
 // ---- float lanes ----------------------------------------------------

@@ -313,14 +313,6 @@ testableLevels()
     return levels;
 }
 
-bool
-operator==(const SwResult& a, const SwResult& b)
-{
-    return a.score == b.score && a.query_end == b.query_end &&
-           a.target_end == b.target_end && a.aborted == b.aborted &&
-           a.cell_updates == b.cell_updates;
-}
-
 std::string
 describe(const SwResult& r)
 {
@@ -336,8 +328,8 @@ describe(const SwResult& r)
  * field for field with the scalar oracle. Returns false on a mismatch.
  */
 bool
-expectRowEngineMatches(const std::vector<u8>& q, const std::vector<u8>& t,
-                       SwParams p, const std::string& ctx)
+expectEngineMatches(const std::vector<u8>& q, const std::vector<u8>& t,
+                    SwParams p, const std::string& ctx)
 {
     bool ok = true;
     for (const bool local : {true, false}) {
@@ -402,7 +394,7 @@ randomPair(Rng& rng, std::vector<u8>& q, std::vector<u8>& t)
     }
 }
 
-TEST(BandedSwRowEngine, MatchesScalarOnRandomPairsAndParams)
+TEST(BandedSwEngine, MatchesScalarOnRandomPairsAndParams)
 {
     // 100k seeded pairs, each in local and global mode at every level,
     // under randomized scoring, band and z-drop parameters.
@@ -420,12 +412,12 @@ TEST(BandedSwRowEngine, MatchesScalarOnRandomPairsAndParams)
         p.gap_extend = static_cast<i32>(rng.below(4));
         const i32 zdrops[] = {5, 20, 100, 1 << 28};
         p.zdrop = zdrops[rng.below(4)];
-        failures += !expectRowEngineMatches(q, t, p,
+        failures += !expectEngineMatches(q, t, p,
                                             "pair " + std::to_string(pair));
     }
 }
 
-TEST(BandedSwRowEngine, MatchesScalarOnEdgeShapes)
+TEST(BandedSwEngine, MatchesScalarOnEdgeShapes)
 {
     Rng rng(1302);
     SwParams no_drop;
@@ -436,19 +428,19 @@ TEST(BandedSwRowEngine, MatchesScalarOnEdgeShapes)
     {
         const auto q = randomCodes(rng, 300);
         const auto t = randomCodes(rng, 10);
-        expectRowEngineMatches(q, t, SwParams{}, "m>>n");
-        expectRowEngineMatches(q, t, no_drop, "m>>n no-drop");
+        expectEngineMatches(q, t, SwParams{}, "m>>n");
+        expectEngineMatches(q, t, no_drop, "m>>n no-drop");
         auto similar = q;
         similar.resize(10);
-        expectRowEngineMatches(q, similar, no_drop, "m>>n prefix");
+        expectEngineMatches(q, similar, no_drop, "m>>n prefix");
     }
     // n >> m: a band far wider than the query.
     {
         const auto q = randomCodes(rng, 12);
         auto t = randomCodes(rng, 700);
         std::copy(q.begin(), q.end(), t.begin() + 400);
-        expectRowEngineMatches(q, t, SwParams{}, "n>>m");
-        expectRowEngineMatches(q, t, no_drop, "n>>m no-drop");
+        expectEngineMatches(q, t, SwParams{}, "n>>m");
+        expectEngineMatches(q, t, no_drop, "n>>m no-drop");
     }
     // Band widths 0 and 1 on similar and unrelated pairs.
     for (const i32 band : {0, 1}) {
@@ -458,7 +450,7 @@ TEST(BandedSwRowEngine, MatchesScalarOnEdgeShapes)
             std::vector<u8> q;
             std::vector<u8> t;
             randomPair(rng, q, t);
-            expectRowEngineMatches(q, t, p,
+            expectEngineMatches(q, t, p,
                                    "band " + std::to_string(band));
         }
     }
@@ -474,7 +466,7 @@ TEST(BandedSwRowEngine, MatchesScalarOnEdgeShapes)
         p.zdrop = 40;
         p.band_width = 60;
         ASSERT_TRUE(scalarSw(q, t, p).aborted);
-        expectRowEngineMatches(q, t, p, "zdrop mid-pair");
+        expectEngineMatches(q, t, p, "zdrop mid-pair");
     }
     // N codes: all-N, N-only query, N runs inside a match.
     {
@@ -482,9 +474,9 @@ TEST(BandedSwRowEngine, MatchesScalarOnEdgeShapes)
         auto q = randomCodes(rng, 90);
         auto t = q;
         std::fill(t.begin() + 30, t.begin() + 45, u8{4});
-        expectRowEngineMatches(all_n, all_n, SwParams{}, "all N");
-        expectRowEngineMatches(all_n, q, SwParams{}, "N query");
-        expectRowEngineMatches(q, t, SwParams{}, "N run");
+        expectEngineMatches(all_n, all_n, SwParams{}, "all N");
+        expectEngineMatches(all_n, q, SwParams{}, "N query");
+        expectEngineMatches(q, t, SwParams{}, "N run");
     }
     // Every length pair 1..19: none, some and all multiples of the
     // 4- and 8-lane widths.
@@ -495,14 +487,14 @@ TEST(BandedSwRowEngine, MatchesScalarOnEdgeShapes)
             const auto q = randomCodes(rng, m);
             auto t = randomCodes(rng, n);
             std::copy_n(q.begin(), std::min(m, n) / 2, t.begin());
-            expectRowEngineMatches(q, t, p,
+            expectEngineMatches(q, t, p,
                                    "m=" + std::to_string(m) +
                                        " n=" + std::to_string(n));
         }
     }
 }
 
-TEST(BandedSwRowEngine, HandlesPairsBeyondTheI16Cap)
+TEST(BandedSwEngine, HandlesPairsBeyondTheI16Cap)
 {
     // Longer than kBswMaxSimdLen (16000): the i32 lanes take it.
     Rng rng(1303);
@@ -514,11 +506,11 @@ TEST(BandedSwRowEngine, HandlesPairsBeyondTheI16Cap)
     t.insert(t.begin() + 8'000, 3, u8{1});
     SwParams p;
     p.zdrop = 1 << 28;
-    expectRowEngineMatches(q, t, p, "16.5 kbp");
+    expectEngineMatches(q, t, p, "16.5 kbp");
     EXPECT_GT(scalarSw(q, t, p).score, 16'000);
 }
 
-TEST(BandedSwRowEngine, OutOfRangeParamsStillMatchScalar)
+TEST(BandedSwEngine, OutOfRangeParamsStillMatchScalar)
 {
     // A negative gap open and huge penalties: the i32 lanes take both.
     Rng rng(1304);
@@ -530,7 +522,7 @@ TEST(BandedSwRowEngine, OutOfRangeParamsStillMatchScalar)
         p.band_width = 10;
         p.gap_open = trial % 2 ? -2 : 1 << 20;
         p.zdrop = 1 << 28;
-        expectRowEngineMatches(q, t, p, "trial " + std::to_string(trial));
+        expectEngineMatches(q, t, p, "trial " + std::to_string(trial));
     }
 }
 
@@ -548,8 +540,8 @@ TEST(BandedSwEngine, MatchesScalarAtTheI16Gate)
     past_gate.push_back(2);
     ASSERT_TRUE(simd::i16Exact({at_gate, at_gate}, p));
     ASSERT_FALSE(simd::i16Exact({past_gate, past_gate}, p));
-    expectRowEngineMatches(at_gate, at_gate, p, "score at INT16_MAX");
-    expectRowEngineMatches(past_gate, past_gate, p, "score past INT16_MAX");
+    expectEngineMatches(at_gate, at_gate, p, "score at INT16_MAX");
+    expectEngineMatches(past_gate, past_gate, p, "score past INT16_MAX");
     EXPECT_EQ(scalarSw(at_gate, at_gate, p).score, 32767);
     EXPECT_EQ(scalarSw(past_gate, past_gate, p).score, 32774);
 
@@ -558,8 +550,8 @@ TEST(BandedSwEngine, MatchesScalarAtTheI16Gate)
     past_cap.push_back(1);
     ASSERT_TRUE(simd::i16Exact({at_cap, at_cap}, SwParams{}));
     ASSERT_FALSE(simd::i16Exact({past_cap, past_cap}, SwParams{}));
-    expectRowEngineMatches(at_cap, at_cap, SwParams{}, "length at cap");
-    expectRowEngineMatches(past_cap, past_cap, SwParams{},
+    expectEngineMatches(at_cap, at_cap, SwParams{}, "length at cap");
+    expectEngineMatches(past_cap, past_cap, SwParams{},
                            "length past cap");
 }
 
@@ -595,7 +587,7 @@ TEST(BandedSwEngine, NegativeAndHugePenaltiesMatchScalar)
             randomPair(rng, q, t);
             EXPECT_EQ(simd::i16Exact({q, t}, p), c.i16)
                 << "gap_open " << c.gap_open;
-            expectRowEngineMatches(q, t, p,
+            expectEngineMatches(q, t, p,
                                    "gap_open " +
                                        std::to_string(c.gap_open) +
                                        " trial " + std::to_string(trial));
@@ -616,12 +608,12 @@ TEST(BandedSwEngine, NegativeAndHugePenaltiesMatchScalar)
     const std::vector<u8> cs(5, 1);
     EXPECT_FALSE(simd::i16Exact({as, cs}, rich));
     EXPECT_EQ(scalarSw(as, cs, rich).score, 5 * 8192);
-    expectRowEngineMatches(as, cs, rich, "mismatch 8192, 5 x 5");
+    expectEngineMatches(as, cs, rich, "mismatch 8192, 5 x 5");
     for (int trial = 0; trial < 40; ++trial) {
         const auto q = randomCodes(rng, 5 + rng.below(60));
         const auto t = randomCodes(rng, 5 + rng.below(60));
         EXPECT_FALSE(simd::i16Exact({q, t}, rich));
-        expectRowEngineMatches(q, t, rich,
+        expectEngineMatches(q, t, rich,
                                "mismatch 8192 trial " +
                                    std::to_string(trial));
     }
@@ -646,7 +638,7 @@ TEST(BandedSwEngine, ZdropInTheFirstRowsOfASpuriousSeed)
         const SwResult want = scalarSw(q, t, p);
         ASSERT_TRUE(want.aborted);
         ASSERT_LT(want.query_end, 20);
-        expectRowEngineMatches(q, t, p, "trial " + std::to_string(trial));
+        expectEngineMatches(q, t, p, "trial " + std::to_string(trial));
     }
 }
 
@@ -660,7 +652,7 @@ TEST(BandedSwEngine, BandWiderThanBothSequences)
         SwParams p;
         p.band_width = 64 + static_cast<i32>(rng.below(400));
         p.zdrop = trial % 2 ? 1 << 28 : 30;
-        expectRowEngineMatches(q, t, p, "trial " + std::to_string(trial));
+        expectEngineMatches(q, t, p, "trial " + std::to_string(trial));
         if (p.zdrop == 1 << 28) {
             EXPECT_EQ(bandedSw(q, t, p).score, fullLocalSw(q, t, p));
         }

@@ -1,8 +1,10 @@
 /**
  * @file
  * Tests for the gb::simd execution engine: dispatch-level plumbing,
- * scalar/SIMD equivalence for banded-SW (bit-identical scores, end
- * positions and abort flags at every dispatch level), PairHMM (the
+ * scalar/SIMD equivalence for one-pair banded-SW (bandedSw() equal to
+ * bandedSwScalar() in every SwResult field at every dispatch level,
+ * over random pair mixes, band widths, z-drops, long pairs, past-i16
+ * parameters and global mode), PairHMM (the
  * dispatched pairHmmLogLikelihood bit-identical to the scalar template
  * in likelihood, used_double and cell count, float and double passes)
  * and the f32 micro-GEMM (bit-identical to its scalar triple loop for
@@ -115,21 +117,18 @@ TEST(SimdDispatch, UnknownEnvLevelIsRejected)
 
 TEST(SimdDispatch, LaneCountsMatchLevel)
 {
-    EXPECT_EQ(simd::bswLanes(simd::SimdLevel::kScalar), 1u);
     EXPECT_EQ(simd::phmmLanes(simd::SimdLevel::kScalar), 1u);
     EXPECT_EQ(simd::chainLanes(simd::SimdLevel::kScalar), 1u);
     EXPECT_EQ(simd::poaLanes(simd::SimdLevel::kScalar), 1u);
     EXPECT_EQ(simd::abeaLanes(simd::SimdLevel::kScalar), 1u);
     const simd::SimdLevel best = simd::detectSimdLevel();
     if (best >= simd::SimdLevel::kSse4) {
-        EXPECT_EQ(simd::bswLanes(simd::SimdLevel::kSse4), 8u);
         EXPECT_EQ(simd::phmmLanes(simd::SimdLevel::kSse4), 4u);
         EXPECT_EQ(simd::chainLanes(simd::SimdLevel::kSse4), 4u);
         EXPECT_EQ(simd::poaLanes(simd::SimdLevel::kSse4), 4u);
         EXPECT_EQ(simd::abeaLanes(simd::SimdLevel::kSse4), 4u);
     }
     if (best >= simd::SimdLevel::kAvx2) {
-        EXPECT_EQ(simd::bswLanes(simd::SimdLevel::kAvx2), 16u);
         EXPECT_EQ(simd::phmmLanes(simd::SimdLevel::kAvx2), 8u);
         EXPECT_EQ(simd::chainLanes(simd::SimdLevel::kAvx2), 8u);
         EXPECT_EQ(simd::poaLanes(simd::SimdLevel::kAvx2), 8u);
@@ -315,18 +314,13 @@ expectEnginesAgree(const PairStorage& set, const SwParams& params)
         LevelGuard guard;
         simd::setSimdLevel(level);
         ASSERT_EQ(simd::activeSimdLevel(), level);
-        const auto got = simd::bswAlign(set.pairs, params);
-        ASSERT_EQ(got.size(), set.pairs.size());
         for (size_t i = 0; i < set.pairs.size(); ++i) {
-            const std::string ctx = "level " +
-                std::string(simd::simdLevelName(level)) + ", pair " +
-                std::to_string(i);
-            EXPECT_EQ(got[i].score, scalar[i].score) << ctx;
-            EXPECT_EQ(got[i].query_end, scalar[i].query_end) << ctx;
-            EXPECT_EQ(got[i].target_end, scalar[i].target_end) << ctx;
-            EXPECT_EQ(got[i].aborted, scalar[i].aborted) << ctx;
-            EXPECT_EQ(got[i].cell_updates, scalar[i].cell_updates)
-                << ctx;
+            const SwResult got =
+                bandedSw(set.pairs[i].query, set.pairs[i].target, params);
+            EXPECT_TRUE(got == scalar[i])
+                << "level " << simd::simdLevelName(level) << ", pair "
+                << i << ": score " << got.score << " vs "
+                << scalar[i].score;
         }
     }
 }
@@ -353,10 +347,10 @@ TEST(SimdBsw, MatchesScalarAcrossBandWidths)
     }
 }
 
-TEST(SimdBsw, OversizeSequencesFallBackToScalar)
+TEST(SimdBsw, OversizeSequencesRunOnI32Lanes)
 {
-    // Lengths beyond the i16-safe cap route to the scalar kernel but
-    // must still produce identical results through the same API.
+    // Lengths beyond the i16-safe cap route to the i32 lanes but must
+    // still produce identical results through the same API.
     Rng rng(504);
     PairStorage set;
     std::vector<u8> q(static_cast<u64>(simd::kBswMaxSimdLen) + 10);
@@ -366,7 +360,7 @@ TEST(SimdBsw, OversizeSequencesFallBackToScalar)
         if (rng.chance(0.02)) c = static_cast<u8>(rng.below(4));
     }
     set.add(std::move(q), std::move(t));
-    // And one short pair in the same call to exercise mixed batches.
+    // And one short pair in the same set, on the i16 lanes.
     std::vector<u8> q2(50);
     for (auto& c : q2) c = static_cast<u8>(rng.below(4));
     set.add(q2, q2);
@@ -374,7 +368,7 @@ TEST(SimdBsw, OversizeSequencesFallBackToScalar)
     expectEnginesAgree(set, SwParams{});
 }
 
-TEST(SimdBsw, ScoresAndPenaltiesPastI16FallBackToScalar)
+TEST(SimdBsw, ScoresAndPenaltiesPastI16RunOnI32Lanes)
 {
     // A score past INT16_MAX (3 x 12000 = 36000) and a gap penalty
     // outside i16 both used to saturate inside the lanes.
@@ -421,42 +415,17 @@ TEST(SimdBsw, ScoresAndPenaltiesPastI16FallBackToScalar)
     rich.gap_extend = 1;
     EXPECT_FALSE(simd::i16Exact(unrelated.pairs[0], rich));
     expectEnginesAgree(unrelated, rich);
-    // A positive mismatch in range stays on the lanes.
+    // A positive mismatch in range stays on the i16 lanes.
     rich.mismatch = 3;
     EXPECT_TRUE(simd::i16Exact(unrelated.pairs[0], rich));
     expectEnginesAgree(unrelated, rich);
 }
 
-TEST(SimdBsw, NonLocalModeFallsBackToScalar)
+TEST(SimdBsw, NonLocalModeRunsOnI32Lanes)
 {
     SwParams p;
     p.local = false;
     expectEnginesAgree(makeRandomPairs(64, 505), p);
-}
-
-TEST(SimdBsw, StatsCountUsefulCellsExactly)
-{
-    const PairStorage set = makeRandomPairs(200, 506);
-    const SwParams p;
-    u64 scalar_cells = 0;
-    for (const auto& pair : set.pairs) {
-        NullProbe probe;
-        scalar_cells += bandedSwScalar(pair.query, pair.target, p, probe)
-                            .cell_updates;
-    }
-    for (const simd::SimdLevel level : testableLevels()) {
-        LevelGuard guard;
-        simd::setSimdLevel(level);
-        BatchSwStats stats;
-        simd::bswAlign(set.pairs, p, &stats);
-        EXPECT_EQ(stats.useful_cells, scalar_cells)
-            << simd::simdLevelName(level);
-        EXPECT_GE(stats.totalCellUpdates(), scalar_cells)
-            << simd::simdLevelName(level);
-        EXPECT_GE(stats.overworkRatio(), 1.0)
-            << simd::simdLevelName(level);
-        EXPECT_EQ(stats.lanes, simd::bswLanes(level));
-    }
 }
 
 /** Random PairHMM inputs: read + qualities + related haplotype. */
