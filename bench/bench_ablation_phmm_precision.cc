@@ -1,13 +1,20 @@
 /**
  * @file
- * Ablation: phmm float-with-double-fallback vs always-double.
+ * Ablation: phmm float-with-double-fallback vs always-double, and the
+ * production task call.
  *
  * GATK computes in single precision and re-runs in double only on
  * underflow; this bench measures how much that strategy saves and how
  * often the fallback fires, on two input sets: reads contained in
  * their haplotype, and the reference-guided pipeline's window pairs,
- * whose reads hang off a 400-bp window's edges.
+ * whose reads hang off a 400-bp window's edges. A third row times the
+ * dispatched runPhmmTask over the same pairs, grouped as tasks of
+ * kReadsPerTask reads sharing one haplotype; it runs the double pass
+ * first after a fallback and skips float passes it proves would fail.
+ * The bench exits 1 if any of its likelihoods differs from the
+ * template row's.
  */
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <iostream>
@@ -25,40 +32,47 @@ namespace {
 
 using namespace gb;
 
-/** Read / quality / haplotype triples of one input set. */
+/** Reads per task; every read of a task is scored against its one haplotype. */
+constexpr u64 kReadsPerTask = 8;
+
+/** The tasks of one input set. */
 struct PairSet
 {
     std::string name;
-    std::vector<std::vector<u8>> reads;
-    std::vector<std::vector<u8>> quals;
-    std::vector<std::vector<u8>> haps;
+    std::vector<PhmmTask> tasks;
 };
 
 /** A 151-bp read from `seq` at `start` with 1% substitutions. */
-std::vector<u8>
-sampleRead(const std::string& seq, u64 start, Rng& rng)
+PhmmRead
+sampleRead(const std::string& seq, u64 start, u8 qual, Rng& rng)
 {
     std::string read = seq.substr(start, 151);
     for (auto& c : read) {
         if (rng.chance(0.01)) c = "ACGT"[rng.below(4)];
     }
-    return encodeDna(read);
+    return {encodeDna(read), std::vector<u8>(read.size(), qual)};
 }
 
-/** Reads taken 20 bp into a 200-499 bp haplotype, Q20-40. */
+/** Reads inside a 200-499 bp haplotype, Q20-40. */
 PairSet
-containedPairs(const Genome& genome, u64 num_pairs, Rng& rng)
+containedPairs(const Genome& genome, u64 num_tasks, Rng& rng)
 {
-    PairSet set{"contained reads", {}, {}, {}};
-    for (u64 i = 0; i < num_pairs; ++i) {
+    PairSet set{"contained reads", {}};
+    for (u64 t = 0; t < num_tasks; ++t) {
         const u64 hlen = 200 + rng.below(300);
         const u64 pos = rng.below(genome.seq.size() - hlen - 1);
         const std::string hap = genome.seq.substr(pos, hlen);
-        set.haps.push_back(encodeDna(hap));
-        set.reads.push_back(sampleRead(hap, 20, rng));
-        std::vector<u8> q(151);
-        for (auto& v : q) v = static_cast<u8>(20 + rng.below(21));
-        set.quals.push_back(std::move(q));
+        PhmmTask task;
+        task.haplotypes.push_back(encodeDna(hap));
+        for (u64 r = 0; r < kReadsPerTask; ++r) {
+            PhmmRead read =
+                sampleRead(hap, rng.below(hlen - 151 + 1), 30, rng);
+            for (auto& q : read.quals) {
+                q = static_cast<u8>(20 + rng.below(21));
+            }
+            task.reads.push_back(std::move(read));
+        }
+        set.tasks.push_back(std::move(task));
     }
     return set;
 }
@@ -68,17 +82,21 @@ containedPairs(const Genome& genome, u64 num_pairs, Rng& rng)
  * 400-bp window by 1-151 bases, scored against the window itself.
  */
 PairSet
-windowPairs(const Genome& genome, u64 num_pairs, Rng& rng)
+windowPairs(const Genome& genome, u64 num_tasks, Rng& rng)
 {
-    PairSet set{"pipeline-window reads", {}, {}, {}};
+    PairSet set{"pipeline-window reads", {}};
     constexpr u64 kWindow = 400;
-    for (u64 i = 0; i < num_pairs; ++i) {
+    for (u64 t = 0; t < num_tasks; ++t) {
         const u64 win =
             151 + rng.below(genome.seq.size() - kWindow - 2 * 151);
-        const u64 start = win - 150 + rng.below(kWindow + 150);
-        set.haps.push_back(encodeDna(genome.seq.substr(win, kWindow)));
-        set.reads.push_back(sampleRead(genome.seq, start, rng));
-        set.quals.emplace_back(151, static_cast<u8>(30));
+        PhmmTask task;
+        task.haplotypes.push_back(
+            encodeDna(genome.seq.substr(win, kWindow)));
+        for (u64 r = 0; r < kReadsPerTask; ++r) {
+            const u64 start = win - 150 + rng.below(kWindow + 150);
+            task.reads.push_back(sampleRead(genome.seq, start, 30, rng));
+        }
+        set.tasks.push_back(std::move(task));
     }
     return set;
 }
@@ -98,46 +116,71 @@ doubleOnly(const std::vector<u8>& read, const std::vector<u8>& quals,
                : -400.0;
 }
 
-/** Times both strategies on `set`, adds its rows; the fallback share. */
-double
+/** One row's outcome on an input set. */
+struct SetResult
+{
+    double share = 0.0;  ///< template pairs that fell back
+    u64 mismatches = 0;  ///< task-call likelihoods unlike the template's
+};
+
+/** Times the three rows on `set` and adds them to `table`. */
+SetResult
 measure(const PairSet& set, Table& table)
 {
-    const u64 n = set.reads.size();
-
     // Strategy A: float with double fallback, through the scalar
     // template so both strategies run the same one-cell-at-a-time
     // code and differ only in precision.
     u64 fallbacks = 0;
-    std::vector<double> results_a(n);
+    std::vector<double> results_a;
     NullProbe probe;
     WallTimer ta;
-    for (u64 i = 0; i < n; ++i) {
-        const auto r = pairHmmLogLikelihood(set.reads[i], set.quals[i],
-                                            set.haps[i], PhmmParams{},
-                                            probe);
-        results_a[i] = r.log10_likelihood;
-        fallbacks += r.used_double;
+    for (const PhmmTask& task : set.tasks) {
+        for (const PhmmRead& read : task.reads) {
+            const auto r = pairHmmLogLikelihood(
+                read.bases, read.quals, task.haplotypes[0], PhmmParams{},
+                probe);
+            results_a.push_back(r.log10_likelihood);
+            fallbacks += r.used_double;
+        }
     }
     const double time_a = ta.seconds();
+    const u64 n = results_a.size();
 
     // Strategy B: always double.
     double max_err = 0.0;
+    u64 k = 0;
     WallTimer tb;
-    for (u64 i = 0; i < n; ++i) {
-        const double b = doubleOnly(set.reads[i], set.quals[i],
-                                    set.haps[i]);
-        max_err = std::max(max_err, std::abs(b - results_a[i]));
+    for (const PhmmTask& task : set.tasks) {
+        for (const PhmmRead& read : task.reads) {
+            const double b =
+                doubleOnly(read.bases, read.quals, task.haplotypes[0]);
+            max_err = std::max(max_err, std::abs(b - results_a[k++]));
+        }
     }
     const double time_b = tb.seconds();
 
-    const double share = static_cast<double>(fallbacks) /
-                         static_cast<double>(n);
+    // The production task call at the active dispatch level.
+    std::vector<double> results_c;
+    WallTimer tc;
+    for (const PhmmTask& task : set.tasks) {
+        const auto matrix = runPhmmTask(task, PhmmParams{}, probe);
+        results_c.insert(results_c.end(), matrix.begin(), matrix.end());
+    }
+    const double time_c = tc.seconds();
+
+    SetResult result;
+    result.share =
+        static_cast<double>(fallbacks) / static_cast<double>(n);
+    for (u64 i = 0; i < n; ++i) {
+        result.mismatches += std::bit_cast<u64>(results_c[i]) !=
+                             std::bit_cast<u64>(results_a[i]);
+    }
     table.newRow()
         .cell(set.name)
         .cell("float + double fallback (GATK)")
         .cellF(time_a, 3)
         .cell(std::to_string(fallbacks) + "/" + std::to_string(n))
-        .cellF(100.0 * share, 1)
+        .cellF(100.0 * result.share, 1)
         .cell("-");
     table.newRow()
         .cell(set.name)
@@ -146,7 +189,16 @@ measure(const PairSet& set, Table& table)
         .cell("-")
         .cell("-")
         .cellF(max_err, 6);
-    return share;
+    table.newRow()
+        .cell(set.name)
+        .cell("runPhmmTask (dispatched engine)")
+        .cellF(time_c, 3)
+        .cell("-")
+        .cell("-")
+        .cell(result.mismatches == 0
+                  ? std::string("0 (bit-identical)")
+                  : std::to_string(result.mismatches) + " differ");
+    return result;
 }
 
 } // namespace
@@ -158,32 +210,38 @@ main(int argc, char** argv)
     bench::printHeader("Ablation: phmm precision",
                        "float+fallback vs always-double", options);
 
-    const u64 num_pairs =
-        options.size == DatasetSize::kTiny ? 200 : 2000;
+    const u64 num_tasks =
+        (options.size == DatasetSize::kTiny ? 200 : 2000) / kReadsPerTask;
     GenomeParams gp;
     gp.length = 100'000;
     gp.seed = 131;
     const Genome genome = generateGenome(gp);
     Rng rng(132);
-    const PairSet contained = containedPairs(genome, num_pairs, rng);
-    const PairSet window = windowPairs(genome, num_pairs, rng);
+    const PairSet contained = containedPairs(genome, num_tasks, rng);
+    const PairSet window = windowPairs(genome, num_tasks, rng);
 
     Table table("Precision strategies");
     table.setHeader({"input set", "strategy", "time (s)", "fallbacks",
                      "fallback %", "max |log10 diff|"});
-    const double contained_share = measure(contained, table);
-    const double window_share = measure(window, table);
+    const SetResult c = measure(contained, table);
+    const SetResult w = measure(window, table);
     bench::report(table);
 
     char shares[160];
     std::snprintf(shares, sizeof(shares),
                   "%.1f%% of the contained reads and %.1f%% of the "
                   "pipeline-window reads",
-                  100.0 * contained_share, 100.0 * window_share);
+                  100.0 * c.share, 100.0 * w.share);
     std::cout << "\nMeasured: the float pass underflows and re-runs in "
                  "double on "
               << shares
-              << ". Both strategies run the scalar template here, so "
-                 "their times compare precisions, not lane widths.\n";
+              << ". The first two strategies run the scalar template "
+                 "here, so their times compare precisions, not lane "
+                 "widths; runPhmmTask runs the dispatched engine.\n";
+    if (c.mismatches + w.mismatches > 0) {
+        std::cerr << "FAIL: runPhmmTask differs from the template on "
+                  << c.mismatches + w.mismatches << " pairs\n";
+        return 1;
+    }
     return 0;
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full pre-merge check: tier-1 build + tests, the SIMD, banded-SW
 # engine, FM-index/SMEM, phmm, chain, poa, nn, grm and abea equivalence
-# suites and the Fig. 3 bench's bandedSw-vs-scalar check
+# suites, the Fig. 3 bench's bandedSw-vs-scalar check and the phmm
+# precision ablation's runPhmmTask-vs-template check
 # at every dispatch level
 # (GB_SIMD_LEVEL=scalar|sse4|avx2), the whole ctest suite under
 # ASan/UBSan (plus the dispatch-level suites at every level), the
@@ -87,7 +88,10 @@ fi
 # (the env override clamps to what the CPU supports, so this is safe
 # on any machine). The Fig. 3 bench aligns the bsw kernel's own pair
 # mix (length-sorted, long spurious extensions) with bandedSw() and
-# exits 1 if any result differs from bandedSwScalar().
+# exits 1 if any result differs from bandedSwScalar(). The phmm
+# precision ablation runs the dispatched runPhmmTask (double pass
+# first after a fallback) over its contained and pipeline-window pairs
+# and exits 1 if any likelihood differs from the float-first template.
 step "gb::simd + bsw one-pair engine + FM-index SMEMs + phmm/chain/poa/nn/grm/abea: equivalence at every dispatch level"
 for level in scalar sse4 avx2; do
     echo "-- GB_SIMD_LEVEL=$level"
@@ -101,6 +105,8 @@ for level in scalar sse4 avx2; do
     GB_SIMD_LEVEL=$level ./build/tests/test_grm --gtest_brief=1
     GB_SIMD_LEVEL=$level ./build/tests/test_abea --gtest_brief=1
     GB_SIMD_LEVEL=$level ./build/bench/bench_fig3_bsw_vectorization \
+        --size=tiny >/dev/null
+    GB_SIMD_LEVEL=$level ./build/bench/bench_ablation_phmm_precision \
         --size=tiny >/dev/null
 done
 

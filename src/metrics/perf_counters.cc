@@ -39,6 +39,7 @@ struct EventSpec
     u32 type;
     u64 config;
     const char* name;
+    bool user_only = true; ///< exclude_kernel
 };
 
 /** Sampled events, in PerfSample field order. */
@@ -48,6 +49,10 @@ constexpr EventSpec kEvents[] = {
     {PERF_TYPE_HARDWARE, PERF_COUNT_HW_CACHE_MISSES, "LLC-misses"},
     {PERF_TYPE_HARDWARE, PERF_COUNT_HW_BRANCH_MISSES, "branch-misses"},
     {PERF_TYPE_SOFTWARE, PERF_COUNT_SW_TASK_CLOCK, "task-clock"},
+    {PERF_TYPE_SOFTWARE, PERF_COUNT_SW_PAGE_FAULTS, "page-faults"},
+    // A switch happens in the kernel: a user-only count reads 0.
+    {PERF_TYPE_SOFTWARE, PERF_COUNT_SW_CONTEXT_SWITCHES,
+     "context-switches", false},
 };
 
 int
@@ -58,10 +63,13 @@ openEvent(const EventSpec& spec, int group_fd)
     attr.size = sizeof attr;
     attr.type = spec.type;
     attr.config = spec.config;
-    attr.disabled = 1;
+    // Members start enabled and count while the disabled leader is
+    // enabled; a member opened disabled may never count (page-faults
+    // under a task-clock leader reads 0).
+    attr.disabled = group_fd < 0;
     // User-space only: works at perf_event_paranoid <= 2 (the common
     // container default) and matches what the kernels themselves cost.
-    attr.exclude_kernel = 1;
+    attr.exclude_kernel = spec.user_only;
     attr.exclude_hv = 1;
     // Only the leader is read; its group read returns every member's
     // value plus one shared enabled/running pair for scaling.
@@ -80,7 +88,7 @@ openEvent(const EventSpec& spec, int group_fd)
 PerfCounters::PerfCounters()
 {
     // Cycles leads the group; members join it so the PMU schedules
-    // (and multiplexes) all five events as one unit.
+    // (and multiplexes) all seven events as one unit.
     for (int i = 0; i < kNumEvents; ++i) {
         fds_[i] = openEvent(kEvents[i], i == 0 ? -1 : fds_[0]);
         if (fds_[i] < 0 && i < 2) {
@@ -93,13 +101,17 @@ PerfCounters::PerfCounters()
                 fds_[j] = -1;
             }
             // Without a PMU (a VM or container with no hardware
-            // events) the software task-clock still counts: open it as
-            // a group of its own so the CPU time survives.
+            // events) the software events still count: open them as a
+            // group of their own, led by task-clock, so the CPU time,
+            // page faults and context switches survive.
             n_open_ = 0;
             fds_[kTaskClock] = openEvent(kEvents[kTaskClock], -1);
-            if (fds_[kTaskClock] >= 0) {
-                group_slot_[kTaskClock] = n_open_++;
-                leader_ = kTaskClock;
+            if (fds_[kTaskClock] < 0) return;
+            group_slot_[kTaskClock] = n_open_++;
+            leader_ = kTaskClock;
+            for (int j = kTaskClock + 1; j < kNumEvents; ++j) {
+                fds_[j] = openEvent(kEvents[j], fds_[kTaskClock]);
+                if (fds_[j] >= 0) group_slot_[j] = n_open_++;
             }
             return;
         }
@@ -167,6 +179,8 @@ PerfCounters::stop()
     const double task_clock_ns = scaled(kTaskClock);
     sample.task_clock_seconds =
         task_clock_ns >= 0.0 ? task_clock_ns * 1e-9 : -1.0;
+    sample.page_faults = scaled(kPageFaults);
+    sample.context_switches = scaled(kContextSwitches);
     return sample;
 }
 

@@ -13,9 +13,11 @@
  * non-Linux host), sampling stays disabled, available() is false and
  * unavailableReason() says why. Callers print "n/a" columns and exit 0;
  * nothing in the suite requires the syscall to succeed. When only the
- * hardware events fail (no PMU, as in many VMs), task-clock is opened
- * as a group of its own: available() stays false and the hardware
- * fields stay -1, but task_clock_seconds is measured.
+ * hardware events fail (no PMU, as in many VMs), the software events
+ * (task-clock, page-faults, context-switches) are opened as a group of
+ * their own: available() stays false and the hardware fields stay -1,
+ * but task_clock_seconds, page_faults and context_switches are
+ * measured.
  *
  * Counters are per-thread (the calling thread): sample around work
  * executed on a 1-thread ThreadPool to capture a whole kernel run, or
@@ -46,6 +48,9 @@ struct PerfSample
     double llc_misses = -1.0;
     double branch_misses = -1.0;
     double task_clock_seconds = -1.0; ///< valid even without a PMU
+    double page_faults = -1.0;        ///< software event, as task-clock
+    /** Software event; counted in the kernel, where switches happen. */
+    double context_switches = -1.0;
 
     /** True if `v` is a valid counter value. */
     static bool valid(double v) { return v >= 0.0; }
@@ -59,12 +64,13 @@ struct PerfSample
 
 /**
  * RAII bundle of perf fds for the calling thread: cycles,
- * instructions, LLC-misses, branch-misses, task-clock, opened as one
- * event group led by cycles (PERF_FORMAT_GROUP). All members are
- * scheduled onto the PMU together and stop() reads the whole group
- * atomically in a single syscall, so every counter in a sample covers
- * the same instruction stream — ratios like IPC and misses/kilo-inst
- * are internally consistent. Counters the kernel multiplexes share
+ * instructions, LLC-misses, branch-misses, task-clock, page-faults and
+ * context-switches, opened as one event group led by cycles
+ * (PERF_FORMAT_GROUP), or led by task-clock without the hardware
+ * ones. All members are scheduled onto the PMU together and stop()
+ * reads the whole group atomically in a single syscall, so every
+ * counter in a sample covers the same instruction stream — ratios
+ * like IPC and misses/kilo-inst are internally consistent. Counters the kernel multiplexes share
  * one time_enabled/time_running scale factor.
  */
 class PerfCounters
@@ -89,11 +95,13 @@ class PerfCounters
     PerfSample stop();
 
   private:
-    static constexpr int kNumEvents = 5;
-    static constexpr int kTaskClock = 4; ///< the software event's slot
-    int fds_[kNumEvents] = {-1, -1, -1, -1, -1};
+    static constexpr int kNumEvents = 7;
+    static constexpr int kTaskClock = 4; ///< the first software event
+    static constexpr int kPageFaults = 5;
+    static constexpr int kContextSwitches = 6;
+    int fds_[kNumEvents] = {-1, -1, -1, -1, -1, -1, -1};
     /** Event's slot in the group read's value array (-1: not open). */
-    int group_slot_[kNumEvents] = {-1, -1, -1, -1, -1};
+    int group_slot_[kNumEvents] = {-1, -1, -1, -1, -1, -1, -1};
     int n_open_ = 0;
     int leader_ = -1; ///< event whose fd leads the group (-1: none)
     bool available_ = false;

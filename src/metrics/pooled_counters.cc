@@ -54,8 +54,10 @@ PooledCounters::stopAggregate()
     PerfSample total;
     total.available = available_;
     total.unavailable_reason = reason_;
-    // task-clock is summed even without the hardware counters.
+    // The software events are summed even without the hardware ones.
     total.task_clock_seconds = 0.0;
+    total.page_faults = 0.0;
+    total.context_switches = 0.0;
     if (available_) {
         total.cycles = 0.0;
         total.instructions = 0.0;
@@ -70,6 +72,8 @@ PooledCounters::stopAggregate()
             accumulate(total.branch_misses, s.branch_misses);
         }
         accumulate(total.task_clock_seconds, s.task_clock_seconds);
+        accumulate(total.page_faults, s.page_faults);
+        accumulate(total.context_switches, s.context_switches);
     }
     return total;
 }

@@ -16,6 +16,13 @@
  * (perfbench seeds 1-3). Both passes therefore run on the vector engine
  * (src/simd/phmm_engine.h).
  *
+ * The production task call, runPhmmTask(..., NullProbe&), returns the
+ * float-first likelihoods bit for bit but does not always run the
+ * float pass: after a pair of the task falls back it runs the double
+ * pass first, and when that sum proves the float pass would underflow
+ * (floatPassRuledOut) the float pass is skipped. The single-pair
+ * pairHmmLogLikelihood() and the template below stay float-first.
+ *
  * Scores are kept scaled by kInitialScale (no per-cell log), exactly
  * like GATK's non-log implementation.
  */
@@ -25,7 +32,6 @@
 #include <cmath>
 #include <span>
 #include <string_view>
-#include <type_traits>
 #include <vector>
 
 #if defined(__SSE2__)
@@ -44,6 +50,13 @@ struct PhmmParams
     u8 gap_continue_qual = 10; ///< gap continuation (Q10)
 };
 
+/**
+ * Lowest accepted gap-open quality. At Q3 gop = 0.501, so the
+ * match -> match transition 1 - 2 gop is negative: no probability, and
+ * the forward sums would no longer grow monotonically with their terms.
+ */
+inline constexpr u8 kMinGapOpenQual = 4;
+
 /** Result of one read-vs-haplotype likelihood computation. */
 struct PhmmResult
 {
@@ -60,6 +73,26 @@ qualToErrorProb(u8 qual)
 }
 
 namespace detail {
+
+/** Rejects parameters that make a transition negative. */
+inline void
+checkPhmmParams(const PhmmParams& params)
+{
+    requireInput(params.gap_open_qual >= kMinGapOpenQual,
+                 "pairHMM: gap-open quality below Q4 makes the "
+                 "match->match transition negative");
+}
+
+/** Rejects one read/haplotype pair the forward pass cannot score. */
+inline void
+checkPhmmPair(std::span<const u8> read, std::span<const u8> quals,
+              std::span<const u8> haplotype)
+{
+    requireInput(read.size() == quals.size(),
+                 "pairHMM: read/quality length mismatch");
+    requireInput(!read.empty() && !haplotype.empty(),
+                 "pairHMM: empty read or haplotype");
+}
 
 /**
  * Flush-to-zero guard for the float path.
@@ -187,6 +220,71 @@ inline constexpr double kFloatInitialScale = 0x1p100;
 inline constexpr double kDoubleInitialScale = 0x1p600;
 /** Below this scaled sum the float result is considered underflowed. */
 inline constexpr double kMinAcceptedFloat = 1e-28;
+/** Longest pair (read + haplotype bases) floatPassRuledOut() covers. */
+inline constexpr u64 kFloatSkipMaxLength = u64{1} << 20;
+
+namespace detail {
+
+/** True if float-first keeps the float pass's scaled sum. */
+inline bool
+floatAccepted(float sum_f)
+{
+    return sum_f > static_cast<float>(kMinAcceptedFloat) &&
+           std::isfinite(sum_f);
+}
+
+/** log10 likelihood of an accepted float sum. */
+inline double
+floatLog10(float sum_f)
+{
+    return std::log10(static_cast<double>(sum_f)) -
+           std::log10(kFloatInitialScale);
+}
+
+/** log10 likelihood of a double sum; -400 when it underflowed to 0. */
+inline double
+doubleLog10(double sum_d)
+{
+    return sum_d > 0 ? std::log10(sum_d) - std::log10(kDoubleInitialScale)
+                     : -400.0;
+}
+
+} // namespace detail
+
+/**
+ * True when a pair's double sum proves that its float pass would not
+ * be accepted, so float-first would return this same double sum: the
+ * gate of the task call. `sum_d` is the forward pass at
+ * kDoubleInitialScale of an m x n pair; the test is
+ * sum_d * 2^-500 <= kMinAcceptedFloat / 2 with m + n <= 2^20.
+ *
+ * Proof sketch, with every coefficient non-negative (priors always,
+ * transitions once gap_open_qual >= kMinGapOpenQual):
+ *  - the float pass sums the same non-negative path products as the
+ *    double pass, at scale 2^100 instead of 2^600, and FTZ/DAZ or
+ *    underflow can only lower its cells;
+ *  - float rounding raises it by at most (1 + 2^-24)^(8 (m + n) + 2):
+ *    a diagonal step of a path (i + j up by 2) takes at most 4
+ *    roundings and two coefficients, a prior and a transition, each
+ *    within 5 ulps of its exact value (the worst are 1 - err at Q1 and
+ *    1 - 2 gop at Q4); a gap step (up by 1) takes 2 roundings and one
+ *    coefficient within 1 ulp; the final row sum adds n + 1 roundings
+ *    and the row-0 mass one. For m + n <= 2^20 that factor is below
+ *    e^0.51 < 2, the margin;
+ *  - the double sum is low by at most (1 + 2^-53)^(8 (m + n) + 2)
+ *    and by under 2^-980 absolute from underflow (at most 5 m n <
+ *    2^41 roundings, gradual or flushed by a caller's FTZ), far below
+ *    the threshold of about 2^406 it is compared with.
+ * So the float sum stays below 0.83 kMinAcceptedFloat, under the float
+ * threshold.
+ */
+inline bool
+floatPassRuledOut(double sum_d, u64 m, u64 n)
+{
+    return m + n <= kFloatSkipMaxLength &&
+           sum_d * (kFloatInitialScale / kDoubleInitialScale) <=
+               kMinAcceptedFloat / 2;
+}
 
 /**
  * Likelihood of `read` given `haplotype`: float first, double on
@@ -199,10 +297,8 @@ pairHmmLogLikelihood(std::span<const u8> read, std::span<const u8> quals,
                      std::span<const u8> haplotype,
                      const PhmmParams& params, Probe& probe)
 {
-    requireInput(read.size() == quals.size(),
-                 "pairHMM: read/quality length mismatch");
-    requireInput(!read.empty() && !haplotype.empty(),
-                 "pairHMM: empty read or haplotype");
+    detail::checkPhmmParams(params);
+    detail::checkPhmmPair(read, quals, haplotype);
 
     PhmmResult result;
     float sum_f;
@@ -214,14 +310,9 @@ pairHmmLogLikelihood(std::span<const u8> read, std::span<const u8> quals,
             result.cell_updates, probe);
     }
 
-    probe.branch(20,
-                 !(sum_f > static_cast<float>(kMinAcceptedFloat)) ||
-                     !std::isfinite(sum_f));
-    if (sum_f > static_cast<float>(kMinAcceptedFloat) &&
-        std::isfinite(sum_f)) {
-        result.log10_likelihood =
-            std::log10(static_cast<double>(sum_f)) -
-            std::log10(kFloatInitialScale);
+    probe.branch(20, !detail::floatAccepted(sum_f));
+    if (detail::floatAccepted(sum_f)) {
+        result.log10_likelihood = detail::floatLog10(sum_f);
         return result;
     }
 
@@ -230,9 +321,7 @@ pairHmmLogLikelihood(std::span<const u8> read, std::span<const u8> quals,
     const double sum_d = detail::forwardScaled<double>(
         read, quals, haplotype, params, kDoubleInitialScale,
         result.cell_updates, probe);
-    result.log10_likelihood =
-        sum_d > 0 ? std::log10(sum_d) - std::log10(kDoubleInitialScale)
-                  : -400.0;
+    result.log10_likelihood = detail::doubleLog10(sum_d);
     return result;
 }
 
@@ -276,9 +365,9 @@ struct PhmmTask
 };
 
 /**
- * Likelihood matrix for one task (reads x haplotypes, log10). With a
- * NullProbe every pair runs the dispatched engine; a recording probe
- * runs the instrumented template (the characterize() path).
+ * Likelihood matrix for one task (reads x haplotypes, log10), each
+ * pair through the instrumented template: the characterize() path and
+ * the test oracle of the task call below.
  */
 template <typename Probe>
 std::vector<double>
@@ -288,21 +377,28 @@ runPhmmTask(const PhmmTask& task, const PhmmParams& params, Probe& probe)
     out.reserve(task.reads.size() * task.haplotypes.size());
     for (const auto& read : task.reads) {
         for (const auto& hap : task.haplotypes) {
-            if constexpr (std::is_same_v<Probe, NullProbe>) {
-                out.push_back(pairHmmLogLikelihood(read.bases,
-                                                   read.quals, hap,
-                                                   params)
-                                  .log10_likelihood);
-            } else {
-                out.push_back(pairHmmLogLikelihood(read.bases,
-                                                   read.quals, hap,
-                                                   params, probe)
-                                  .log10_likelihood);
-            }
+            out.push_back(pairHmmLogLikelihood(read.bases, read.quals,
+                                               hap, params, probe)
+                              .log10_likelihood);
         }
     }
     return out;
 }
+
+/**
+ * The production task call: the template's matrix, bit for bit,
+ * through the dispatched engine. Pairs run in order, reads outer.
+ * After a pair whose float pass was not accepted, the next pair runs
+ * the double pass first and skips the float pass when
+ * floatPassRuledOut() proves it would fail; otherwise it runs the
+ * float pass and returns what float-first returns (its result if
+ * accepted, else the double sum already computed). Pairs longer than
+ * kFloatSkipMaxLength and GB_SIMD_LEVEL=scalar run float-first.
+ * Defined in gb::simd (src/simd/phmm_engine.cc).
+ */
+std::vector<double> runPhmmTask(const PhmmTask& task,
+                                const PhmmParams& params,
+                                NullProbe& probe);
 
 } // namespace gb
 

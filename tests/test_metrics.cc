@@ -2,10 +2,13 @@
  * @file
  * Unit tests for the metrics module: JSON rendering primitives, the
  * MetricsSink schema contract (gb-metrics-v1), table mirroring, and
- * the PerfCounters degradation contract.
+ * the PerfCounters degradation contract, including the software-only
+ * group (task-clock, page-faults, context-switches) opened without a
+ * PMU.
  */
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -24,6 +27,7 @@
 
 #if defined(__linux__)
 #include <linux/perf_event.h>
+#include <sys/mman.h>
 #include <sys/syscall.h>
 #include <unistd.h>
 #endif
@@ -265,22 +269,28 @@ TEST(PerfCounters, DegradationContract)
 }
 
 #if defined(__linux__)
-/** True if this host lets a thread count its own task-clock. */
+/** True if this host lets a thread count a software event of its own. */
 bool
-softwareTaskClockOpens()
+softwareEventOpens(u64 config, bool user_only = true)
 {
     perf_event_attr attr;
     std::memset(&attr, 0, sizeof attr);
     attr.size = sizeof attr;
     attr.type = PERF_TYPE_SOFTWARE;
-    attr.config = PERF_COUNT_SW_TASK_CLOCK;
+    attr.config = config;
     attr.disabled = 1;
-    attr.exclude_kernel = 1;
+    attr.exclude_kernel = user_only;
     attr.exclude_hv = 1;
     const long fd = syscall(SYS_perf_event_open, &attr, 0, -1, -1, 0UL);
     if (fd < 0) return false;
     close(static_cast<int>(fd));
     return true;
+}
+
+bool
+softwareTaskClockOpens()
+{
+    return softwareEventOpens(PERF_COUNT_SW_TASK_CLOCK);
 }
 
 /**
@@ -326,6 +336,65 @@ TEST(PerfCounters, TaskClockSurvivesWithoutHardwareCounters)
     }
 }
 #endif
+
+/**
+ * The software-only group: without a PMU, page-faults and
+ * context-switches are counted beside task-clock, for one thread and
+ * summed over a pool's ranks. Touching fresh anonymous pages faults
+ * each one in; sleeping switches the thread out.
+ */
+TEST(PerfCounters, SoftwareGroupCountsPageFaultsAndContextSwitches)
+{
+    PerfCounters counters;
+    if (counters.available()) {
+        GTEST_SKIP() << "hardware counters open on this host";
+    }
+    if (!softwareTaskClockOpens()) {
+        GTEST_SKIP() << "no software perf events on this host";
+    }
+    constexpr size_t kPages = 256;
+    const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+    auto fault_and_sleep = [&] {
+        void* mem = mmap(nullptr, kPages * page, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        ASSERT_NE(mem, MAP_FAILED);
+        // No transparent huge pages: one fault per touched page.
+        madvise(mem, kPages * page, MADV_NOHUGEPAGE);
+        auto* bytes = static_cast<volatile char*>(mem);
+        for (size_t p = 0; p < kPages; ++p) bytes[p * page] = 1;
+        munmap(mem, kPages * page);
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    };
+    counters.start();
+    fault_and_sleep();
+    const PerfSample sample = counters.stop();
+    EXPECT_FALSE(sample.available);
+    EXPECT_GT(sample.task_clock_seconds, 0.0);
+    if (softwareEventOpens(PERF_COUNT_SW_PAGE_FAULTS)) {
+        EXPECT_GE(sample.page_faults, static_cast<double>(kPages));
+        EXPECT_LT(sample.page_faults, 100.0 * kPages);
+    } else {
+        EXPECT_FALSE(PerfSample::valid(sample.page_faults));
+    }
+    if (softwareEventOpens(PERF_COUNT_SW_CONTEXT_SWITCHES, false)) {
+        EXPECT_GE(sample.context_switches, 1.0);
+    } else {
+        EXPECT_FALSE(PerfSample::valid(sample.context_switches));
+    }
+
+    ThreadPool pool(2);
+    PooledCounters pooled(pool);
+    pooled.start();
+    pool.parallelFor(2, [&](u64) { fault_and_sleep(); }, 1);
+    const PerfSample total = pooled.stopAggregate();
+    EXPECT_FALSE(total.available);
+    if (PerfSample::valid(sample.page_faults)) {
+        EXPECT_GE(total.page_faults, 2.0 * kPages);
+    }
+    if (PerfSample::valid(sample.context_switches)) {
+        EXPECT_GE(total.context_switches, 2.0);
+    }
+}
 
 TEST(PerfCounters, RestartableAcrossRuns)
 {

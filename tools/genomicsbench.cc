@@ -212,14 +212,14 @@ cmdRun(const std::string& name, DatasetSize size, unsigned threads,
     const auto& best_sample = m.best_sample;
     std::cout << "best: " << formatF(m.bestSeconds(), 3) << " s with "
               << pool.numThreads() << " threads\n";
+    // Individual counters can be missing (negative).
+    const auto fmt = [](double v) {
+        return v < 0.0 ? std::string("n/a")
+                       : formatCount(static_cast<u64>(v));
+    };
     // Measured counters for the best repeat, aggregated across every
     // pool rank (one perf group per thread).
     if (best_sample.available) {
-        // Individual counters can still be missing (negative).
-        const auto fmt = [](double v) {
-            return v < 0.0 ? std::string("n/a")
-                           : formatCount(static_cast<u64>(v));
-        };
         std::cout << "counters (whole run, " << counters.ranks()
                   << (counters.ranks() == 1 ? " rank" : " ranks")
                   << "): ipc " << formatF(best_sample.ipc(), 2)
@@ -233,7 +233,10 @@ cmdRun(const std::string& name, DatasetSize size, unsigned threads,
         if (metrics::PerfSample::valid(best_sample.task_clock_seconds)) {
             std::cout << ", task-clock "
                       << formatF(best_sample.task_clock_seconds, 3)
-                      << " s";
+                      << " s, page faults "
+                      << fmt(best_sample.page_faults)
+                      << ", context switches "
+                      << fmt(best_sample.context_switches);
         }
         std::cout << '\n';
     }
@@ -247,7 +250,9 @@ cmdRun(const std::string& name, DatasetSize size, unsigned threads,
         .num("instructions", best_sample.instructions)
         .num("llc_misses", best_sample.llc_misses)
         .num("branch_misses", best_sample.branch_misses)
-        .num("task_clock_s", best_sample.task_clock_seconds);
+        .num("task_clock_s", best_sample.task_clock_seconds)
+        .num("page_faults", best_sample.page_faults)
+        .num("context_switches", best_sample.context_switches);
     return 0;
 }
 
