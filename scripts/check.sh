@@ -275,6 +275,28 @@ grep -q "1 hit" /tmp/gb_warm.txt || {
     echo "FAIL: warm run did not hit the artifact cache" >&2
     exit 1
 }
+# The families cached through the row codec: each warm run must hit
+# and count the same tasks as a run that builds its inputs (no cache).
+for kernel in pileup nn-variant chain bsw nn-base; do
+    "$GB" run "$kernel" --size=tiny --cache-dir="$CACHE" >/tmp/gb_warm.txt
+    grep -q "1 hit" /tmp/gb_warm.txt || {
+        echo "FAIL: warm $kernel run did not hit the artifact cache" >&2
+        exit 1
+    }
+    "$GB" run "$kernel" --size=tiny >/tmp/gb_cold.txt
+    # "run N: T s, K tasks (R tasks/s)": the set of K over repeats.
+    warm_tasks=$(sed -nE 's/^run [0-9]+: .* s, ([0-9]+) tasks .*/\1/p' \
+        /tmp/gb_warm.txt | sort -u)
+    cold_tasks=$(sed -nE 's/^run [0-9]+: .* s, ([0-9]+) tasks .*/\1/p' \
+        /tmp/gb_cold.txt | sort -u)
+    [ -n "$warm_tasks" ] && [ "$warm_tasks" = "$cold_tasks" ] || {
+        echo "FAIL: warm $kernel run counts '$warm_tasks'," \
+             "cold run '$cold_tasks'" >&2
+        exit 1
+    }
+    echo "warm $kernel run: 1 hit, $warm_tasks tasks as cold"
+done
+rm -f /tmp/gb_cold.txt
 
 # Dispatch-level equivalence: GB_SIMD_LEVEL is the one scalar/SIMD
 # switch of bsw, phmm, fmi, chain, spoa, nn-base, nn-variant, grm and
@@ -450,6 +472,30 @@ assert summary["cache_builds"] == 1, \
 jobs = [r for r in doc["rows"] if r["table"] == "serve_job"]
 assert len(jobs) == 8 and all(j["status"] == "done" for j in jobs)
 print("serve smoke ok: 8/8 jobs done, 1 artifact build")
+EOF
+rm -rf "$SERVE_CACHE" "$SERVE_JOBS"
+
+# The same single-flight guard on a row-codec family: 8 concurrent
+# pileup prepares against a fresh cache make exactly one build.
+step "serve: 8 concurrent pileup jobs -> one artifact build"
+SERVE_CACHE=$(mktemp -d)
+SERVE_JOBS=$(mktemp)
+for _ in 1 2 3 4 5 6 7 8; do
+    echo "pileup size=tiny threads=1" >> "$SERVE_JOBS"
+done
+"$GB" serve --jobs="$SERVE_JOBS" --workers=8 \
+    --cache-dir="$SERVE_CACHE" --json=/tmp/gb_serve.json
+python3 scripts/validate_metrics.py /tmp/gb_serve.json
+python3 - /tmp/gb_serve.json <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+summary = [r for r in doc["rows"] if r["table"] == "serve_summary"][0]
+assert summary["completed"] == 8, summary
+assert summary["cache_builds"] == 1, \
+    f"single-flight violated: {summary['cache_builds']} builds"
+assert summary["prepare_worker_seconds"] > 0, summary
+assert summary["run_worker_seconds"] > 0, summary
+print("pileup serve smoke ok: 8/8 jobs done, 1 artifact build")
 EOF
 rm -rf "$SERVE_CACHE" "$SERVE_JOBS"
 

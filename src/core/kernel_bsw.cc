@@ -15,6 +15,9 @@
 #include "align/banded_sw.h"
 #include "io/dna.h"
 #include "simdata/genome.h"
+#include "store/artifacts.h"
+#include "store/cache.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace gb {
@@ -48,8 +51,79 @@ class BswKernel final : public Benchmark
             num_pairs = 100'000;
             break;
         }
+        // The pairs are a pure function of num_pairs, the fixed
+        // genome length and the seeds.
+        auto& cache = store::globalCache();
+        const u64 key = KeyMixer()
+                            .mix("bsw/v1")
+                            .mix(num_pairs)
+                            .mix(kGenomeLen)
+                            .mix(111)
+                            .mix(112)
+                            .value();
+        cache.fetchOrBuild(
+            "bsw", key,
+            [&](const auto& reader) {
+                auto queries = store::readRows<u8>(*reader, "queries");
+                auto targets = store::readRows<u8>(*reader, "targets");
+                requireInput(queries.size() == targets.size(),
+                             "bsw cache: queries/targets row mismatch");
+                queries_ = std::move(queries);
+                targets_ = std::move(targets);
+            },
+            [&] {
+                generate(num_pairs);
+                cache.write("bsw", key, [&](store::StoreWriter& writer) {
+                    store::addRows<u8>(writer, "queries", queries_);
+                    store::addRows<u8>(writer, "targets", targets_);
+                });
+            });
+
+        pairs_.clear();
+        for (size_t i = 0; i < queries_.size(); ++i) {
+            pairs_.push_back({queries_[i], targets_[i]});
+        }
+    }
+
+    u64
+    run(ThreadPool& pool) override
+    {
+        pool.parallelFor(pairs_.size(), [&](u64 i) {
+            bandedSw(pairs_[i].query, pairs_[i].target, params_);
+        });
+        return pairs_.size();
+    }
+
+    u64
+    characterize(CharProbe& probe) override
+    {
+        const BatchSwAligner aligner{params_};
+        aligner.align(std::span<const SwPair>(pairs_), probe);
+        return pairs_.size();
+    }
+
+    std::vector<u64>
+    taskWork() override
+    {
+        std::vector<u64> work;
+        work.reserve(pairs_.size());
+        for (const auto& pair : pairs_) {
+            work.push_back(
+                bandedSw(pair.query, pair.target, params_)
+                    .cell_updates);
+        }
+        return work;
+    }
+
+  private:
+    static constexpr u64 kGenomeLen = 300'000;
+
+    /** Synthesize the length-sorted pairs (a cache miss). */
+    void
+    generate(u64 num_pairs)
+    {
         GenomeParams gp;
-        gp.length = 300'000;
+        gp.length = kGenomeLen;
         gp.seed = 111;
         const Genome genome = generateGenome(gp);
         Rng rng(112);
@@ -102,44 +176,9 @@ class BswKernel final : public Benchmark
         }
         queries_ = std::move(q2);
         targets_ = std::move(t2);
-
-        pairs_.clear();
-        for (u64 i = 0; i < num_pairs; ++i) {
-            pairs_.push_back({queries_[i], targets_[i]});
-        }
     }
 
-    u64
-    run(ThreadPool& pool) override
-    {
-        pool.parallelFor(pairs_.size(), [&](u64 i) {
-            bandedSw(pairs_[i].query, pairs_[i].target, params_);
-        });
-        return pairs_.size();
-    }
 
-    u64
-    characterize(CharProbe& probe) override
-    {
-        const BatchSwAligner aligner{params_};
-        aligner.align(std::span<const SwPair>(pairs_), probe);
-        return pairs_.size();
-    }
-
-    std::vector<u64>
-    taskWork() override
-    {
-        std::vector<u64> work;
-        work.reserve(pairs_.size());
-        for (const auto& pair : pairs_) {
-            work.push_back(
-                bandedSw(pair.query, pair.target, params_)
-                    .cell_updates);
-        }
-        return work;
-    }
-
-  private:
     SwParams params_;
     std::vector<std::vector<u8>> queries_;
     std::vector<std::vector<u8>> targets_;

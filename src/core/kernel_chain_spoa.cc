@@ -13,7 +13,9 @@
 #include "io/dna.h"
 #include "poa/poa.h"
 #include "simdata/genome.h"
-#include "simdata/reads.h"
+#include "store/artifacts.h"
+#include "store/cache.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace gb {
@@ -51,49 +53,32 @@ class ChainKernel final : public Benchmark
         // synthesize overlapping long-read pairs and precompute their
         // anchors (the kernel input is the anchor list).
         const u64 num_pairs = sizesFor(size, 20, 1000, 10'000);
-        GenomeParams gp;
-        gp.length = 400'000;
-        gp.seed = 141;
-        const Genome genome = generateGenome(gp);
-        LongReadParams lp;
-        lp.coverage = 1.0; // lengths only; reads drawn manually below
-        Rng rng(142);
-
-        anchor_sets_.clear();
-        anchor_sets_.reserve(num_pairs);
-        const MinimizerParams mp;
-        for (u64 i = 0; i < num_pairs; ++i) {
-            const u64 len =
-                3000 + rng.below(9000); // 3-12 kb reads
-            const u64 overlap = len / 2 + rng.below(len / 3);
-            const u64 a_pos =
-                rng.below(genome.seq.size() - 2 * len);
-            const u64 b_pos = a_pos + (len - overlap);
-
-            // A noisy copy of genome[pos, pos + l), encoded directly:
-            // 4% deletions, 4% insertions, 3% substitutions.
-            auto noisy = [&](u64 pos, u64 l) {
-                const std::string_view src =
-                    std::string_view(genome.seq).substr(pos, l);
-                std::vector<u8> out;
-                out.reserve(l + l / 8);
-                for (char c : src) {
-                    if (rng.chance(0.04)) continue;
-                    if (rng.chance(0.04)) {
-                        out.push_back(static_cast<u8>(rng.below(4)));
-                    }
-                    out.push_back(rng.chance(0.03)
-                                      ? static_cast<u8>(rng.below(4))
-                                      : baseCode(c));
-                }
-                return out;
-            };
-            const auto a = noisy(a_pos, len);
-            const auto b = noisy(b_pos, len);
-            const auto ma = extractMinimizers(a, mp);
-            const auto mb = extractMinimizers(b, mp);
-            anchor_sets_.push_back(matchAnchors(ma, mb, mp.k));
-        }
+        // The anchor sets are a pure function of num_pairs, the fixed
+        // genome length, the seeds and the noise rates.
+        auto& cache = store::globalCache();
+        const u64 key = KeyMixer()
+                            .mix("chain/v1")
+                            .mix(num_pairs)
+                            .mix(kGenomeLen)
+                            .mix(141)
+                            .mix(142)
+                            .mix(kDeletionRate)
+                            .mix(kInsertionRate)
+                            .mix(kSubstitutionRate)
+                            .value();
+        cache.fetchOrBuild(
+            "chain", key,
+            [&](const auto& reader) {
+                anchor_sets_ = store::readRows<Anchor>(*reader, "anchors");
+            },
+            [&] {
+                generate(num_pairs);
+                cache.write(
+                    "chain", key, [&](store::StoreWriter& writer) {
+                        store::addRows<Anchor>(writer, "anchors",
+                                               anchor_sets_);
+                    });
+            });
     }
 
     u64
@@ -126,6 +111,58 @@ class ChainKernel final : public Benchmark
     }
 
   private:
+    static constexpr u64 kGenomeLen = 400'000;
+    static constexpr double kDeletionRate = 0.04;
+    static constexpr double kInsertionRate = 0.04;
+    static constexpr double kSubstitutionRate = 0.03;
+
+    /** Synthesize the read pairs and match their anchors (a cache miss). */
+    void
+    generate(u64 num_pairs)
+    {
+        GenomeParams gp;
+        gp.length = kGenomeLen;
+        gp.seed = 141;
+        const Genome genome = generateGenome(gp);
+        Rng rng(142);
+
+        anchor_sets_.clear();
+        anchor_sets_.reserve(num_pairs);
+        const MinimizerParams mp;
+        for (u64 i = 0; i < num_pairs; ++i) {
+            const u64 len =
+                3000 + rng.below(9000); // 3-12 kb reads
+            const u64 overlap = len / 2 + rng.below(len / 3);
+            const u64 a_pos =
+                rng.below(genome.seq.size() - 2 * len);
+            const u64 b_pos = a_pos + (len - overlap);
+
+            // A noisy copy of genome[pos, pos + l), encoded directly:
+            // 4% deletions, 4% insertions, 3% substitutions.
+            auto noisy = [&](u64 pos, u64 l) {
+                const std::string_view src =
+                    std::string_view(genome.seq).substr(pos, l);
+                std::vector<u8> out;
+                out.reserve(l + l / 8);
+                for (char c : src) {
+                    if (rng.chance(kDeletionRate)) continue;
+                    if (rng.chance(kInsertionRate)) {
+                        out.push_back(static_cast<u8>(rng.below(4)));
+                    }
+                    out.push_back(rng.chance(kSubstitutionRate)
+                                      ? static_cast<u8>(rng.below(4))
+                                      : baseCode(c));
+                }
+                return out;
+            };
+            const auto a = noisy(a_pos, len);
+            const auto b = noisy(b_pos, len);
+            const auto ma = extractMinimizers(a, mp);
+            const auto mb = extractMinimizers(b, mp);
+            anchor_sets_.push_back(matchAnchors(ma, mb, mp.k));
+        }
+    }
+
     ChainParams params_;
     std::vector<std::vector<Anchor>> anchor_sets_;
 };

@@ -6,6 +6,8 @@
  */
 #include "core/kernels.h"
 
+#include <ranges>
+
 #include "abea/abea.h"
 #include "abea/event_detect.h"
 #include "nn/bonito.h"
@@ -66,8 +68,11 @@ class AbeaKernel final : public Benchmark
         cache.fetchOrBuild(
             "abea", key,
             [&](const auto& reader) {
-                auto refs = store::readStringRows(*reader, "refs");
-                auto events = store::readEventRows(*reader, "events");
+                auto refs =
+                    store::readRows<char, std::string>(*reader, "refs");
+                auto events =
+                    store::readRows<store::StoredEvent, std::vector<Event>>(
+                        *reader, "events", store::unpackEvent);
                 requireInput(refs.size() == events.size(),
                              "abea cache: refs/events row mismatch");
                 reads_.clear();
@@ -102,21 +107,14 @@ class AbeaKernel final : public Benchmark
 
                 cache.write(
                     "abea", key, [&](store::StoreWriter& writer) {
-                        std::vector<std::string> refs;
-                        std::vector<std::vector<Event>> events;
-                        refs.reserve(reads_.size());
-                        events.reserve(reads_.size());
-                        for (const ReadTask& task : reads_) {
-                            refs.push_back(task.ref);
-                            events.push_back(task.events);
-                        }
-                        store::addStringRows(
+                        store::addRows<char>(
                             writer, "refs",
-                            std::span<const std::string>(refs));
-                        store::addEventRows(
+                            reads_ | std::views::transform(&ReadTask::ref));
+                        store::addRows<store::StoredEvent>(
                             writer, "events",
-                            std::span<const std::vector<Event>>(
-                                events));
+                            reads_ |
+                                std::views::transform(&ReadTask::events),
+                            store::packEvent);
                     });
             });
     }
@@ -184,37 +182,45 @@ class NnBaseKernel final : public Benchmark
     prepare(DatasetSize size) override
     {
         const u64 num_chunks = sizesFor(size, 2, 20, 100);
-        GenomeParams gp;
-        gp.length = 100'000;
-        gp.seed = 172;
-        const Genome genome = generateGenome(gp);
-        Rng rng(173);
-
-        chunks_.clear();
-        chunks_.reserve(num_chunks);
-        // Enough signal to cut into fixed 4000-sample chunks.
-        u64 produced = 0;
-        u64 seed = 174;
-        while (produced < num_chunks) {
-            const u64 seg_len = 2000;
-            const u64 pos =
-                rng.below(genome.seq.size() - seg_len - 1);
-            SignalParams sp;
-            sp.seed = seed++;
-            const SimSignal sim = simulateSignal(
-                pore_model_, genome.seq.substr(pos, seg_len), sp);
-            const auto norm = normalizeSignal(sim.samples);
-            for (size_t begin = 0;
-                 begin + kChunk <= norm.size() &&
-                 produced < num_chunks;
-                 begin += kChunk, ++produced) {
-                Tensor2 chunk(kChunk, 1);
-                for (u32 i = 0; i < kChunk; ++i) {
-                    chunk.at(i, 0) = norm[begin + i];
+        // The chunks are a pure function of num_chunks, the fixed
+        // genome and segment lengths and the seeds (pore model 171,
+        // genome 172, placement 173, signals 174 on).
+        auto& cache = store::globalCache();
+        const u64 key = KeyMixer()
+                            .mix("nn-base/v1")
+                            .mix(num_chunks)
+                            .mix(kGenomeLen)
+                            .mix(kSegmentLen)
+                            .mix(171)
+                            .mix(172)
+                            .mix(173)
+                            .mix(174)
+                            .value();
+        cache.fetchOrBuild(
+            "nn-base", key,
+            [&](const auto& reader) {
+                auto rows = store::readRows<float>(*reader, "chunks");
+                std::vector<Tensor2> chunks;
+                chunks.reserve(rows.size());
+                for (auto& row : rows) {
+                    requireInput(row.size() == kChunk,
+                                 "nn-base cache: chunk size");
+                    Tensor2& chunk = chunks.emplace_back();
+                    chunk.rows = kChunk;
+                    chunk.cols = 1;
+                    chunk.data = std::move(row);
                 }
-                chunks_.push_back(std::move(chunk));
-            }
-        }
+                chunks_ = std::move(chunks);
+            },
+            [&] {
+                generate(num_chunks);
+                cache.write(
+                    "nn-base", key, [&](store::StoreWriter& writer) {
+                        store::addRows<float>(
+                            writer, "chunks",
+                            chunks_ | std::views::transform(&Tensor2::data));
+                    });
+            });
     }
 
     u64
@@ -244,11 +250,48 @@ class NnBaseKernel final : public Benchmark
                                 model_.macsPerChunk());
     }
 
-    /** Model access for the GPU-replay benches. */
-    const BonitoModel& model() const { return model_; }
+    std::span<const Tensor2> chunks() const { return chunks_; }
 
   private:
     static constexpr u32 kChunk = 4000;
+    static constexpr u64 kGenomeLen = 100'000;
+    static constexpr u64 kSegmentLen = 2000;
+
+    /** Simulate and cut the signal chunks (a cache miss). */
+    void
+    generate(u64 num_chunks)
+    {
+        GenomeParams gp;
+        gp.length = kGenomeLen;
+        gp.seed = 172;
+        const Genome genome = generateGenome(gp);
+        Rng rng(173);
+
+        chunks_.clear();
+        chunks_.reserve(num_chunks);
+        // Enough signal to cut into fixed 4000-sample chunks.
+        u64 produced = 0;
+        u64 seed = 174;
+        while (produced < num_chunks) {
+            const u64 pos =
+                rng.below(genome.seq.size() - kSegmentLen - 1);
+            SignalParams sp;
+            sp.seed = seed++;
+            const SimSignal sim = simulateSignal(
+                pore_model_, genome.seq.substr(pos, kSegmentLen), sp);
+            const auto norm = normalizeSignal(sim.samples);
+            for (size_t begin = 0;
+                 begin + kChunk <= norm.size() &&
+                 produced < num_chunks;
+                 begin += kChunk, ++produced) {
+                Tensor2 chunk(kChunk, 1);
+                for (u32 i = 0; i < kChunk; ++i) {
+                    chunk.at(i, 0) = norm[begin + i];
+                }
+                chunks_.push_back(std::move(chunk));
+            }
+        }
+    }
 
     PoreModel pore_model_;
     BonitoModel model_;
@@ -267,6 +310,14 @@ std::unique_ptr<Benchmark>
 makeNnBaseKernel()
 {
     return std::make_unique<NnBaseKernel>();
+}
+
+std::span<const Tensor2>
+nnBaseChunks(const Benchmark& kernel)
+{
+    const auto* nn = dynamic_cast<const NnBaseKernel*>(&kernel);
+    requireInput(nn != nullptr, "nnBaseChunks: not nn-base");
+    return nn->chunks();
 }
 
 } // namespace gb

@@ -8,8 +8,11 @@
 #define GB_CORE_KERNELS_H
 
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "core/benchmark.h"
+#include "nn/tensor.h"
 
 namespace gb {
 
@@ -25,6 +28,16 @@ std::unique_ptr<Benchmark> makeGrmKernel();
 std::unique_ptr<Benchmark> makePileupKernel();
 std::unique_ptr<Benchmark> makeNnBaseKernel();
 std::unique_ptr<Benchmark> makeNnVariantKernel();
+
+/**
+ * The prepared model inputs of an nn-variant (Clair feature rows) and
+ * an nn-base (signal chunks) kernel, for tests that compare two
+ * prepares: neither kernel's taskWork() depends on the data. Throw
+ * InputError when `kernel` is another kernel.
+ */
+std::span<const std::vector<float>> nnVariantFeatures(
+    const Benchmark& kernel);
+std::span<const Tensor2> nnBaseChunks(const Benchmark& kernel);
 
 } // namespace gb
 

@@ -18,33 +18,47 @@ cigarOpChar(CigarOp op)
     return '?';
 }
 
+namespace {
+
+constexpr u32
+opBit(CigarOp op)
+{
+    return 1u << static_cast<u32>(op);
+}
+
+constexpr u32 kRefOps = opBit(CigarOp::kMatch) | opBit(CigarOp::kDeletion) |
+                        opBit(CigarOp::kEqual) | opBit(CigarOp::kDiff);
+constexpr u32 kQueryOps =
+    opBit(CigarOp::kMatch) | opBit(CigarOp::kInsertion) |
+    opBit(CigarOp::kSoftClip) | opBit(CigarOp::kEqual) |
+    opBit(CigarOp::kDiff);
+
+/** Sum of the lengths of the units whose op is in `ops`. A mask, not
+ *  a branch: long-read CIGARs alternate ops at random, and a
+ *  mispredicted branch per unit would dominate the walk. */
+u64
+lengthOf(const std::vector<CigarUnit>& units, u32 ops)
+{
+    u64 n = 0;
+    for (const auto& unit : units) {
+        const u32 in = ops >> static_cast<u32>(unit.op) & 1;
+        n += unit.len & (0u - in);
+    }
+    return n;
+}
+
+} // namespace
+
 bool
 consumesRef(CigarOp op)
 {
-    switch (op) {
-      case CigarOp::kMatch:
-      case CigarOp::kDeletion:
-      case CigarOp::kEqual:
-      case CigarOp::kDiff:
-        return true;
-      default:
-        return false;
-    }
+    return (kRefOps & opBit(op)) != 0;
 }
 
 bool
 consumesQuery(CigarOp op)
 {
-    switch (op) {
-      case CigarOp::kMatch:
-      case CigarOp::kInsertion:
-      case CigarOp::kSoftClip:
-      case CigarOp::kEqual:
-      case CigarOp::kDiff:
-        return true;
-      default:
-        return false;
-    }
+    return (kQueryOps & opBit(op)) != 0;
 }
 
 namespace {
@@ -119,21 +133,13 @@ Cigar::push(CigarOp op, u32 len)
 u64
 Cigar::refLen() const
 {
-    u64 n = 0;
-    for (const auto& unit : units_) {
-        if (consumesRef(unit.op)) n += unit.len;
-    }
-    return n;
+    return lengthOf(units_, kRefOps);
 }
 
 u64
 Cigar::queryLen() const
 {
-    u64 n = 0;
-    for (const auto& unit : units_) {
-        if (consumesQuery(unit.op)) n += unit.len;
-    }
-    return n;
+    return lengthOf(units_, kQueryOps);
 }
 
 } // namespace gb

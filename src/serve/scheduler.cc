@@ -370,6 +370,8 @@ Scheduler::runJob(std::shared_ptr<JobState> job, unsigned granted)
     prepare_ns_.add(measured.prepare_seconds * 1e9);
     run_ns_.add(measured.totalSeconds() * 1e9);
     e2e_ns_.add(e2e_seconds * 1e9);
+    prepare_worker_s_ += granted * measured.prepare_seconds;
+    run_worker_s_ += granted * measured.totalSeconds();
     {
         std::lock_guard<std::mutex> job_lock(job->m);
         // On a mid-repeat failure the metrics stay mutually
@@ -461,6 +463,8 @@ Scheduler::stats() const
     stats.cancelled = cancelled_;
     stats.running = running_;
     stats.peak_workers_busy = peak_busy_;
+    stats.prepare_worker_seconds = prepare_worker_s_;
+    stats.run_worker_seconds = run_worker_s_;
     auto quantiles = [](const LogHistogram& h) {
         LatencyQuantiles q;
         if (h.total() == 0) return q;

@@ -213,6 +213,11 @@ class Scheduler
         size_t queued = 0;  ///< currently waiting
         unsigned running = 0;
         unsigned peak_workers_busy = 0;
+        /** Worker time reserved by finished jobs, in granted threads x
+         *  seconds: a job holds its whole width through prepare() as
+         *  well as through its repeats. */
+        double prepare_worker_seconds = 0.0;
+        double run_worker_seconds = 0.0;
         /** Taken in the same critical section as the counters, so the
          *  quantiles describe exactly `completed + failed` jobs. */
         LatencySnapshot latency;
@@ -307,6 +312,8 @@ class Scheduler
     u64 cancelled_ = 0;
     u64 dispatch_seq_ = 0; ///< jobs dispatched so far (1-based seq)
     u64 next_job_id_ = 0;  ///< ids handed out at admission (1-based)
+    double prepare_worker_s_ = 0.0; ///< sum of granted x prepare s
+    double run_worker_s_ = 0.0;     ///< sum of granted x run s
 
     /**
      * Latency decomposition histograms (guarded by mutex_). Samples

@@ -24,58 +24,11 @@ struct FmMeta
 static_assert(sizeof(FmMeta) == 72 &&
               std::is_trivially_copyable_v<FmMeta>);
 
-/** Packed on-disk form of gb::Event (24 bytes, no padding — the
- *  in-memory struct has 4 tail-padding bytes that would make digests
- *  nondeterministic). */
-struct StoredEvent
-{
-    u64 start;
-    u32 length;
-    float mean;
-    float stdv;
-    u32 reserved;
-};
-static_assert(sizeof(StoredEvent) == 24 &&
-              std::is_trivially_copyable_v<StoredEvent>);
-
 void
 verifySections(const StoreReader& reader,
                std::initializer_list<std::string> names)
 {
     for (const auto& name : names) reader.verifySection(name);
-}
-
-/** Offsets section: n+1 prefix byte-offsets into the blob section. */
-template <typename Rows, typename SizeOf>
-std::vector<u64>
-rowOffsets(const Rows& rows, SizeOf size_of)
-{
-    std::vector<u64> offsets;
-    offsets.reserve(rows.size() + 1);
-    u64 total = 0;
-    offsets.push_back(0);
-    for (const auto& row : rows) {
-        total += size_of(row);
-        offsets.push_back(total);
-    }
-    return offsets;
-}
-
-std::span<const u64>
-checkedOffsets(StoreReader& reader, std::string_view prefix,
-               u64 blob_bytes, u64 elem_size)
-{
-    const auto offsets = reader.sectionAs<u64>(sec(prefix, "offsets"));
-    requireInput(!offsets.empty() && offsets.front() == 0 &&
-                     offsets.back() * elem_size == blob_bytes,
-                 "store: " + sec(prefix, "offsets") +
-                     " inconsistent with blob size");
-    for (size_t i = 1; i < offsets.size(); ++i) {
-        requireInput(offsets[i - 1] <= offsets[i],
-                     "store: " + sec(prefix, "offsets") +
-                         " not monotonic");
-    }
-    return offsets;
 }
 
 } // namespace
@@ -119,118 +72,64 @@ viewFmIndex(std::shared_ptr<StoreReader> reader, std::string_view prefix)
 // ---------------------------------------------------------------------
 // Ragged rows
 
-void
-addByteRows(StoreWriter& writer, std::string_view prefix,
-            std::span<const std::vector<u8>> rows)
-{
-    const auto offsets =
-        rowOffsets(rows, [](const std::vector<u8>& r) { return r.size(); });
-    std::vector<u8> blob;
-    blob.reserve(offsets.back());
-    for (const auto& row : rows) {
-        blob.insert(blob.end(), row.begin(), row.end());
-    }
-    writer.addVec(sec(prefix, "blob"), std::span<const u8>(blob));
-    writer.addVec(sec(prefix, "offsets"),
-                  std::span<const u64>(offsets));
-}
-
-std::vector<std::vector<u8>>
-readByteRows(StoreReader& reader, std::string_view prefix)
-{
-    verifySections(reader, {sec(prefix, "blob"), sec(prefix, "offsets")});
-    const auto blob = reader.sectionAs<u8>(sec(prefix, "blob"));
-    const auto offsets =
-        checkedOffsets(reader, prefix, blob.size(), 1);
-    std::vector<std::vector<u8>> rows;
-    rows.reserve(offsets.size() - 1);
-    for (size_t i = 0; i + 1 < offsets.size(); ++i) {
-        rows.emplace_back(blob.begin() + offsets[i],
-                          blob.begin() + offsets[i + 1]);
-    }
-    return rows;
-}
+namespace detail {
 
 void
-addStringRows(StoreWriter& writer, std::string_view prefix,
-              std::span<const std::string> rows)
+addRowSections(StoreWriter& writer, std::string_view prefix,
+               const void* blob, u64 blob_bytes,
+               std::span<const u64> offsets)
 {
-    const auto offsets =
-        rowOffsets(rows, [](const std::string& r) { return r.size(); });
-    std::string blob;
-    blob.reserve(offsets.back());
-    for (const auto& row : rows) blob += row;
-    writer.add(sec(prefix, "blob"), blob.data(), blob.size());
-    writer.addVec(sec(prefix, "offsets"),
-                  std::span<const u64>(offsets));
+    writer.add(sec(prefix, "blob"), blob, blob_bytes);
+    writer.addVec(sec(prefix, "offsets"), offsets);
 }
 
-std::vector<std::string>
-readStringRows(StoreReader& reader, std::string_view prefix)
+std::span<const u8>
+rowBlob(const StoreReader& reader, std::string_view prefix)
 {
     verifySections(reader, {sec(prefix, "blob"), sec(prefix, "offsets")});
-    const auto blob = reader.sectionAs<u8>(sec(prefix, "blob"));
-    const auto offsets =
-        checkedOffsets(reader, prefix, blob.size(), 1);
-    std::vector<std::string> rows;
-    rows.reserve(offsets.size() - 1);
-    for (size_t i = 0; i + 1 < offsets.size(); ++i) {
-        rows.emplace_back(
-            reinterpret_cast<const char*>(blob.data()) + offsets[i],
-            offsets[i + 1] - offsets[i]);
-    }
-    return rows;
+    return reader.section(sec(prefix, "blob"));
 }
 
-void
-addEventRows(StoreWriter& writer, std::string_view prefix,
-             std::span<const std::vector<Event>> rows)
+std::span<const u64>
+rowOffsets(const StoreReader& reader, std::string_view prefix,
+           u64 blob_bytes, u64 elem_size)
 {
-    const auto offsets = rowOffsets(
-        rows, [](const std::vector<Event>& r) { return r.size(); });
-    std::vector<StoredEvent> blob;
-    blob.reserve(offsets.back());
-    for (const auto& row : rows) {
-        for (const Event& e : row) {
-            StoredEvent se{};
-            se.start = e.start;
-            se.length = e.length;
-            se.mean = e.mean;
-            se.stdv = e.stdv;
-            blob.push_back(se);
-        }
-    }
-    writer.addVec(sec(prefix, "blob"),
-                  std::span<const StoredEvent>(blob));
-    writer.addVec(sec(prefix, "offsets"),
-                  std::span<const u64>(offsets));
+    const auto offsets = reader.sectionAs<u64>(sec(prefix, "offsets"));
+    // Compare element counts, not offsets.back() * elem_size: that
+    // product wraps for a crafted offset and would pass the check.
+    requireInput(!offsets.empty() && offsets.front() == 0 &&
+                     blob_bytes % elem_size == 0 &&
+                     offsets.back() == blob_bytes / elem_size,
+                 "store: " + sec(prefix, "offsets") +
+                     " inconsistent with blob size");
+    requireInput(std::is_sorted(offsets.begin(), offsets.end()),
+                 "store: " + sec(prefix, "offsets") + " not monotonic");
+    return offsets;
 }
 
-std::vector<std::vector<Event>>
-readEventRows(StoreReader& reader, std::string_view prefix)
+} // namespace detail
+
+// ---------------------------------------------------------------------
+// Packed element forms
+
+u32
+packCigar(const CigarUnit& unit)
 {
-    verifySections(reader, {sec(prefix, "blob"), sec(prefix, "offsets")});
-    const auto blob =
-        reader.sectionAs<StoredEvent>(sec(prefix, "blob"));
-    const auto offsets = checkedOffsets(reader, prefix,
-                                        blob.size() * sizeof(StoredEvent),
-                                        sizeof(StoredEvent));
-    std::vector<std::vector<Event>> rows;
-    rows.reserve(offsets.size() - 1);
-    for (size_t i = 0; i + 1 < offsets.size(); ++i) {
-        std::vector<Event> row;
-        row.reserve(offsets[i + 1] - offsets[i]);
-        for (u64 j = offsets[i]; j < offsets[i + 1]; ++j) {
-            Event e;
-            e.start = blob[j].start;
-            e.length = blob[j].length;
-            e.mean = blob[j].mean;
-            e.stdv = blob[j].stdv;
-            row.push_back(e);
-        }
-        rows.push_back(std::move(row));
+    // Called per unit: build no message unless it throws.
+    if (unit.len >= (1u << 28)) {
+        throw InputError("store: CIGAR unit too long to pack");
     }
-    return rows;
+    return unit.len << 4 | static_cast<u32>(unit.op);
+}
+
+CigarUnit
+unpackCigar(u32 packed)
+{
+    const u32 op = packed & 0xf;
+    if (op > static_cast<u32>(CigarOp::kDiff)) {
+        throw InputError("store: unknown CIGAR op " + std::to_string(op));
+    }
+    return {packed >> 4, static_cast<CigarOp>(op)};
 }
 
 } // namespace gb::store

@@ -151,7 +151,7 @@ ArtifactCache::write(std::string_view family, u64 key,
 }
 
 bool
-ArtifactCache::fetchOrBuild(
+ArtifactCache::fetchOrBuildRef(
     std::string_view family, u64 key,
     const std::function<void(const std::shared_ptr<StoreReader>&)>& use,
     const std::function<void()>& build)

@@ -103,11 +103,17 @@ class ArtifactCache
      * @return true if `use` consumed a cached artifact, false if this
      *         caller ran `build`.
      */
-    bool fetchOrBuild(
-        std::string_view family, u64 key,
-        const std::function<void(const std::shared_ptr<StoreReader>&)>&
-            use,
-        const std::function<void()>& build);
+    template <typename Use, typename Build>
+    bool
+    fetchOrBuild(std::string_view family, u64 key, Use&& use,
+                 Build&& build)
+    {
+        // std::function holds a reference_wrapper in place: a prepare
+        // that builds allocates exactly what its build does, so the
+        // modelled cache behaviour of a cache-disabled characterize
+        // run does not depend on the callbacks' capture sizes.
+        return fetchOrBuildRef(family, key, std::ref(use), std::ref(build));
+    }
 
     u64 hits() const { return hits_.load(std::memory_order_relaxed); }
     u64 misses() const
@@ -126,6 +132,12 @@ class ArtifactCache
     }
 
   private:
+    bool fetchOrBuildRef(
+        std::string_view family, u64 key,
+        const std::function<void(const std::shared_ptr<StoreReader>&)>&
+            use,
+        const std::function<void()>& build);
+
     std::string dir_;
     std::atomic<u64> hits_{0};
     std::atomic<u64> misses_{0};

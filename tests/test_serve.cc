@@ -682,6 +682,74 @@ TEST(ServeScheduler, LatencySnapshotCoversFinishedJobs)
     EXPECT_GE(lat.end_to_end.p99_ms, lat.queue_wait.p50_ms);
 }
 
+/** Sleeps a fixed time in prepare() and in each run(). */
+class SleepKernel : public Benchmark
+{
+  public:
+    SleepKernel(std::chrono::milliseconds prepare,
+                std::chrono::milliseconds run)
+        : prepare_(prepare), run_(run)
+    {
+        info_.name = "sleep";
+    }
+
+    const Info& info() const override { return info_; }
+    void prepare(DatasetSize) override
+    {
+        std::this_thread::sleep_for(prepare_);
+    }
+    u64
+    run(ThreadPool&) override
+    {
+        std::this_thread::sleep_for(run_);
+        return 1;
+    }
+    u64 characterize(CharProbe&) override { return 0; }
+    std::vector<u64> taskWork() override { return {1}; }
+
+  private:
+    Info info_;
+    std::chrono::milliseconds prepare_;
+    std::chrono::milliseconds run_;
+};
+
+/** Reserved worker time weighs each job's prepare and run time by the
+ *  width it holds throughout. */
+TEST(ServeScheduler, ReservedWorkerSecondsSplitPrepareAndRun)
+{
+    using namespace std::chrono_literals;
+    Scheduler::Config config;
+    config.workers = 4;
+    config.kernels = {"sleep"};
+    config.kernel_factory = [](const std::string&) {
+        return std::make_unique<SleepKernel>(30ms, 10ms);
+    };
+    Scheduler scheduler(config);
+    std::vector<JobHandle> handles;
+    for (unsigned threads : {1u, 2u, 4u}) {
+        JobSpec spec = job("sleep", threads);
+        spec.repeats = 2;
+        handles.push_back(scheduler.submit(spec));
+    }
+    scheduler.drain();
+
+    double prepare = 0.0;
+    double run = 0.0;
+    for (const JobHandle& h : handles) {
+        ASSERT_EQ(h.status(), JobStatus::kDone);
+        const serve::JobMetrics m = h.metrics();
+        prepare += m.pool_threads * m.prepare_seconds;
+        run += m.pool_threads * m.run_seconds;
+    }
+    const auto stats = scheduler.stats();
+    EXPECT_NEAR(stats.prepare_worker_seconds, prepare, 1e-9);
+    EXPECT_NEAR(stats.run_worker_seconds, run, 1e-9);
+    // 1 + 2 + 4 granted threads: at least 7 x 30 ms in prepare and
+    // 7 x 2 x 10 ms in the repeats.
+    EXPECT_GE(stats.prepare_worker_seconds, 7 * 0.030);
+    EXPECT_GE(stats.run_worker_seconds, 7 * 2 * 0.010);
+}
+
 TEST(ServeScheduler, WaitForZeroAndNegativeTimeouts)
 {
     FakeControl control;

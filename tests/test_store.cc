@@ -7,6 +7,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -17,8 +19,11 @@
 #include <vector>
 
 #include "arch/probe.h"
+#include "chain/chain.h"
 #include "core/benchmark.h"
+#include "core/kernels.h"
 #include "index/fm_index.h"
+#include "io/cigar.h"
 #include "io/dna.h"
 #include "store/artifacts.h"
 #include "store/cache.h"
@@ -484,35 +489,56 @@ TEST(StoreArtifacts, FmIndexLoadDetectsCorruption)
     EXPECT_THROW(store::viewFmIndex(reader), InputError);
 }
 
+/** Write `rows` as addRows<T>(pack) under "rows", read them back. */
+template <typename T, typename Row, typename Pack = std::identity,
+          typename Unpack = std::identity>
+std::vector<Row>
+rowsRoundTrip(const ScratchDir& scratch, const std::vector<Row>& rows,
+              Pack pack = {}, Unpack unpack = {})
+{
+    const std::string path = scratch.file("rows.gbs");
+    {
+        StoreWriter writer(path);
+        store::addRows<T>(writer, "rows", rows, pack);
+        writer.finish();
+    }
+    const auto reader = StoreReader::open(path);
+    return store::readRows<T, Row>(reader, "rows", unpack);
+}
+
+/** Every row type the kernels store, each with an empty row, and
+ *  each as an empty row set. */
 TEST(StoreArtifacts, RaggedRowsRoundTrip)
 {
     ScratchDir scratch;
-    const std::vector<std::vector<u8>> byte_rows{
-        {0, 1, 2, 3}, {}, {3, 3, 3}, {0}};
-    const std::vector<std::string> string_rows{"ACGT", "", "TTAGGG"};
+    auto round_trips = [&](const auto& rows, auto tag, auto... codec) {
+        using T = decltype(tag);
+        EXPECT_EQ(rowsRoundTrip<T>(scratch, rows, codec...), rows);
+        const std::remove_cvref_t<decltype(rows)> none;
+        EXPECT_TRUE(rowsRoundTrip<T>(scratch, none, codec...).empty());
+    };
+    round_trips(std::vector<std::vector<u8>>{{0, 1, 2, 3}, {}, {3, 3}},
+                u8{});
+    round_trips(std::vector<std::string>{"ACGT", "", "TTAGGG"}, char{});
+    round_trips(std::vector<std::vector<float>>{{1.5f, -0.0f}, {}, {3e-40f}},
+                float{});
+    round_trips(
+        std::vector<std::vector<Anchor>>{{{7, 3, 15}, {9, 4, 15}}, {}},
+        Anchor{});
+    round_trips(
+        std::vector<std::vector<CigarUnit>>{
+            {{5, CigarOp::kSoftClip}, {(1u << 28) - 1, CigarOp::kMatch}},
+            {},
+            {{1, CigarOp::kInsertion}, {2, CigarOp::kDeletion},
+             {3, CigarOp::kEqual}, {4, CigarOp::kDiff}}},
+        u32{}, store::packCigar, store::unpackCigar);
+
     std::vector<std::vector<Event>> event_rows(3);
     event_rows[0].push_back(Event{10, 5, 80.5f, 1.25f});
     event_rows[0].push_back(Event{15, 3, 91.0f, 0.5f});
     event_rows[2].push_back(Event{0, 1, 60.0f, 2.0f});
-
-    const std::string path = scratch.file("rows.gbs");
-    {
-        StoreWriter writer(path);
-        store::addByteRows(writer, "bytes",
-                           std::span<const std::vector<u8>>(byte_rows));
-        store::addStringRows(
-            writer, "strings",
-            std::span<const std::string>(string_rows));
-        store::addEventRows(
-            writer, "events",
-            std::span<const std::vector<Event>>(event_rows));
-        writer.finish();
-    }
-
-    auto reader = StoreReader::open(path);
-    EXPECT_EQ(store::readByteRows(reader, "bytes"), byte_rows);
-    EXPECT_EQ(store::readStringRows(reader, "strings"), string_rows);
-    const auto events = store::readEventRows(reader, "events");
+    const auto events = rowsRoundTrip<store::StoredEvent>(
+        scratch, event_rows, store::packEvent, store::unpackEvent);
     ASSERT_EQ(events.size(), event_rows.size());
     for (size_t i = 0; i < events.size(); ++i) {
         ASSERT_EQ(events[i].size(), event_rows[i].size()) << i;
@@ -523,6 +549,62 @@ TEST(StoreArtifacts, RaggedRowsRoundTrip)
             EXPECT_EQ(events[i][j].stdv, event_rows[i][j].stdv);
         }
     }
+    EXPECT_TRUE(rowsRoundTrip<store::StoredEvent>(
+                    scratch, std::vector<std::vector<Event>>{},
+                    store::packEvent, store::unpackEvent)
+                    .empty());
+}
+
+TEST(StoreArtifacts, CigarPackRejectsBadUnits)
+{
+    EXPECT_THROW(store::packCigar({1u << 28, CigarOp::kMatch}),
+                 InputError);
+    EXPECT_THROW(store::unpackCigar(1u << 4 | 6), InputError);
+    EXPECT_THROW(store::unpackCigar(0xf), InputError);
+}
+
+/**
+ * A container written through StoreWriter has valid digests whatever
+ * its offsets say. Offsets whose last element times the element size
+ * wraps to the blob's byte size must still be rejected as input
+ * errors, not reach an allocation.
+ */
+TEST(StoreArtifacts, RowOffsetsRejectWrappingCount)
+{
+    ScratchDir scratch;
+    store::ArtifactCache cache(scratch.dir());
+    const u64 key = 7;
+    const store::StoredEvent event =
+        store::packEvent(Event{0, 4, 80.0f, 1.0f});
+    const std::vector<u64> offsets{0, 1 + (u64{1} << 61)};
+    auto fill = [&](StoreWriter& writer) {
+        writer.addPod("ev.blob", event);
+        writer.addVec("ev.offsets", std::span<const u64>(offsets));
+    };
+    ASSERT_TRUE(cache.write("fam", key, fill));
+    {
+        const auto reader = StoreReader::open(cache.pathFor("fam", key));
+        EXPECT_THROW((store::readRows<store::StoredEvent,
+                                      std::vector<Event>>(
+                         reader, "ev", store::unpackEvent)),
+                     InputError);
+    }
+
+    // Through fetchOrBuild the file is discarded and rebuilt, and the
+    // failed load is not counted as a hit.
+    bool built = false;
+    const bool loaded = cache.fetchOrBuild(
+        "fam", key,
+        [&](const auto& reader) {
+            store::readRows<store::StoredEvent, std::vector<Event>>(
+                *reader, "ev", store::unpackEvent);
+        },
+        [&] { built = true; });
+    EXPECT_FALSE(loaded);
+    EXPECT_TRUE(built);
+    EXPECT_EQ(cache.hits(), 0u);
+    EXPECT_EQ(cache.builds(), 1u);
+    EXPECT_FALSE(std::filesystem::exists(cache.pathFor("fam", key)));
 }
 
 // ---------------------------------------------------------------------
@@ -540,16 +622,14 @@ TEST(StoreCache, BuildOrLoadAndCorruptFallback)
     const std::vector<std::vector<u8>> rows{{1, 2, 3}, {4, 5}};
     ASSERT_TRUE(cache.write("fam", key,
                             [&](StoreWriter& writer) {
-                                store::addByteRows(
-                                    writer, "rows",
-                                    std::span<const std::vector<u8>>(
-                                        rows));
+                                store::addRows<u8>(writer, "rows",
+                                                   rows);
                             }));
 
     auto reader = cache.tryOpen("fam", key);
     ASSERT_NE(reader, nullptr);
     EXPECT_EQ(cache.hits(), 1u);
-    EXPECT_EQ(store::readByteRows(*reader, "rows"), rows);
+    EXPECT_EQ(store::readRows<u8>(*reader, "rows"), rows);
 
     // Different key: clean miss.
     EXPECT_EQ(cache.tryOpen("fam", key + 1), nullptr);
@@ -574,8 +654,7 @@ TEST(StoreCache, LoadDiscardsPayloadCorruptFile)
     const u64 key = 99;
     const std::vector<std::vector<u8>> rows{{1, 2, 3, 4, 5, 6, 7, 8}};
     ASSERT_TRUE(cache.write("fam", key, [&](StoreWriter& writer) {
-        store::addByteRows(writer, "rows",
-                           std::span<const std::vector<u8>>(rows));
+        store::addRows<u8>(writer, "rows", rows);
     }));
     // Damage the first payload byte: the TOC stays valid, so tryOpen
     // alone would hand this file out.
@@ -585,7 +664,7 @@ TEST(StoreCache, LoadDiscardsPayloadCorruptFile)
     bool used = false;
     const bool loaded =
         cache.load("fam", key, [&](const auto& reader) {
-            store::readByteRows(*reader, "rows");
+            store::readRows<u8>(*reader, "rows");
             used = true;
         });
     EXPECT_FALSE(loaded);
@@ -596,12 +675,11 @@ TEST(StoreCache, LoadDiscardsPayloadCorruptFile)
 
     // The caller rebuilds and re-writes; the next load succeeds.
     ASSERT_TRUE(cache.write("fam", key, [&](StoreWriter& writer) {
-        store::addByteRows(writer, "rows",
-                           std::span<const std::vector<u8>>(rows));
+        store::addRows<u8>(writer, "rows", rows);
     }));
     std::vector<std::vector<u8>> reloaded;
     EXPECT_TRUE(cache.load("fam", key, [&](const auto& reader) {
-        reloaded = store::readByteRows(*reader, "rows");
+        reloaded = store::readRows<u8>(*reader, "rows");
     }));
     EXPECT_EQ(reloaded, rows);
 }
@@ -614,35 +692,129 @@ TEST(StoreCache, DisabledCacheIsInert)
     EXPECT_FALSE(cache.write("fam", 1, [](StoreWriter&) {}));
 }
 
+/** The cache-aware kernels: each prepare() builds or loads through
+ *  the global artifact cache. */
+const std::vector<std::string> kCachedKernels{
+    "fmi", "kmer-cnt", "abea", "pileup",
+    "nn-variant", "chain", "bsw", "nn-base"};
+
+void
+pushFloatRow(std::vector<u64>& out, std::span<const float> row)
+{
+    out.push_back(row.size());
+    for (float f : row) out.push_back(std::bit_cast<u32>(f));
+}
+
+/**
+ * What a warm prepare must restore bit for bit. taskWork() is a pure
+ * function of the inputs run() reads where it depends on them; for
+ * pileup the probe's op counts add the strands and bases, which its
+ * taskWork() (CIGAR units walked) does not see. nn-variant's and
+ * nn-base's taskWork() is constant, so their float rows are compared
+ * as bit patterns.
+ */
+std::vector<u64>
+preparedInputs(const std::string& name, Benchmark& kernel)
+{
+    std::vector<u64> out;
+    if (name == "nn-variant") {
+        for (const auto& row : nnVariantFeatures(kernel)) {
+            pushFloatRow(out, row);
+        }
+        return out;
+    }
+    if (name == "nn-base") {
+        for (const Tensor2& chunk : nnBaseChunks(kernel)) {
+            out.push_back(chunk.rows);
+            out.push_back(chunk.cols);
+            pushFloatRow(out, chunk.data);
+        }
+        return out;
+    }
+    out = kernel.taskWork();
+    if (name == "pileup") {
+        CharProbe probe;
+        out.push_back(kernel.characterize(probe));
+        for (OpClass c :
+             {OpClass::kIntAlu, OpClass::kFpAlu, OpClass::kVecAlu,
+              OpClass::kLoad, OpClass::kStore, OpClass::kBranch}) {
+            out.push_back(probe.counts()[c]);
+        }
+        out.push_back(probe.mispredicts());
+    }
+    return out;
+}
+
 /**
  * Warm-vs-cold identity for the cache-aware kernels: a prepare() that
- * loads from the store must produce bitwise-identical kernel inputs,
- * which taskWork() (a pure function of those inputs) witnesses.
+ * loads from the store must produce bitwise-identical kernel inputs.
  */
 TEST(StoreCache, WarmPrepareMatchesColdPrepare)
 {
     ScratchDir scratch;
-    for (const char* name : {"fmi", "kmer-cnt", "abea"}) {
+    for (const std::string& name : kCachedKernels) {
         store::setCacheDir(scratch.dir());
         const u64 hits_before = store::globalCache().hits();
 
         auto cold = createKernel(name);
         cold->prepare(DatasetSize::kTiny);
-        const auto cold_work = cold->taskWork();
+        const auto cold_inputs = preparedInputs(name, *cold);
+        EXPECT_FALSE(cold_inputs.empty()) << name;
+        EXPECT_EQ(store::globalCache().hits(), hits_before) << name;
 
         auto warm = createKernel(name);
         warm->prepare(DatasetSize::kTiny);
-        const auto warm_work = warm->taskWork();
-
-        EXPECT_GT(store::globalCache().hits(), hits_before) << name;
-        EXPECT_EQ(warm_work, cold_work) << name;
+        EXPECT_EQ(store::globalCache().hits(), hits_before + 1) << name;
+        EXPECT_EQ(preparedInputs(name, *warm), cold_inputs) << name;
 
         // And a cache-disabled prepare agrees too.
         store::setCacheDir("");
         auto plain = createKernel(name);
         plain->prepare(DatasetSize::kTiny);
-        EXPECT_EQ(plain->taskWork(), cold_work) << name;
+        EXPECT_EQ(preparedInputs(name, *plain), cold_inputs) << name;
     }
+    store::setCacheDir("");
+}
+
+/**
+ * A flipped payload byte in a new family's artifact: the warm prepare
+ * discards the file, rebuilds with identical inputs and re-publishes
+ * it, so the next prepare hits again.
+ */
+TEST(StoreCache, CorruptPileupArtifactIsRebuilt)
+{
+    ScratchDir scratch;
+    store::setCacheDir(scratch.dir());
+    auto cold = createKernel("pileup");
+    cold->prepare(DatasetSize::kTiny);
+    const auto cold_inputs = preparedInputs("pileup", *cold);
+
+    std::vector<std::string> files;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(scratch.dir())) {
+        files.push_back(entry.path().string());
+    }
+    ASSERT_EQ(files.size(), 1u);
+    // Inside the "seq" blob, the last and largest section.
+    const auto reader = StoreReader::open(files[0]);
+    const auto& toc = reader.sections();
+    const auto seq = std::find_if(toc.begin(), toc.end(), [](const auto& e) {
+        return std::string(e.name) == "seq.blob";
+    });
+    ASSERT_NE(seq, toc.end());
+    flipByte(files[0], seq->offset + seq->size / 2);
+
+    auto& cache = store::globalCache();
+    auto rebuilt = createKernel("pileup");
+    rebuilt->prepare(DatasetSize::kTiny);
+    EXPECT_EQ(cache.hits(), 0u);
+    EXPECT_EQ(cache.builds(), 2u);
+    EXPECT_EQ(preparedInputs("pileup", *rebuilt), cold_inputs);
+
+    auto warm = createKernel("pileup");
+    warm->prepare(DatasetSize::kTiny);
+    EXPECT_EQ(cache.hits(), 1u);
+    EXPECT_EQ(preparedInputs("pileup", *warm), cold_inputs);
     store::setCacheDir("");
 }
 

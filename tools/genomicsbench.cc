@@ -492,6 +492,18 @@ reportServeJobs(
               << formatF(jobs_per_sec, 2) << " jobs/s, peak "
               << stats.peak_workers_busy << "/" << stats.workers
               << " workers busy)\n";
+    const double reserved =
+        stats.prepare_worker_seconds + stats.run_worker_seconds;
+    if (reserved > 0.0) {
+        std::cout << "reserved worker time: prepare "
+                  << formatF(stats.prepare_worker_seconds, 3)
+                  << " s, run " << formatF(stats.run_worker_seconds, 3)
+                  << " s (prepare "
+                  << formatF(100.0 * stats.prepare_worker_seconds /
+                                 reserved,
+                             1)
+                  << "%)\n";
+    }
     if (cache.enabled()) {
         std::cout << "artifact cache: "
                   << cache.builds() - base.builds << " builds, "
@@ -530,7 +542,9 @@ reportServeJobs(
         .num("queue_wait_p99_ms", lat.queue_wait.p99_ms)
         .num("e2e_p50_ms", lat.end_to_end.p50_ms)
         .num("e2e_p95_ms", lat.end_to_end.p95_ms)
-        .num("e2e_p99_ms", lat.end_to_end.p99_ms);
+        .num("e2e_p99_ms", lat.end_to_end.p99_ms)
+        .num("prepare_worker_seconds", stats.prepare_worker_seconds)
+        .num("run_worker_seconds", stats.run_worker_seconds);
     return any_bad;
 }
 
