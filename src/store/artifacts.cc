@@ -83,28 +83,23 @@ addRowSections(StoreWriter& writer, std::string_view prefix,
     writer.addVec(sec(prefix, "offsets"), offsets);
 }
 
-std::span<const u8>
-rowBlob(const StoreReader& reader, std::string_view prefix)
+RowSections
+readRowSections(const StoreReader& reader, std::string_view prefix,
+                u64 elem_size)
 {
     verifySections(reader, {sec(prefix, "blob"), sec(prefix, "offsets")});
-    return reader.section(sec(prefix, "blob"));
-}
-
-std::span<const u64>
-rowOffsets(const StoreReader& reader, std::string_view prefix,
-           u64 blob_bytes, u64 elem_size)
-{
+    const auto blob = reader.section(sec(prefix, "blob"));
     const auto offsets = reader.sectionAs<u64>(sec(prefix, "offsets"));
     // Compare element counts, not offsets.back() * elem_size: that
     // product wraps for a crafted offset and would pass the check.
     requireInput(!offsets.empty() && offsets.front() == 0 &&
-                     blob_bytes % elem_size == 0 &&
-                     offsets.back() == blob_bytes / elem_size,
+                     blob.size() % elem_size == 0 &&
+                     offsets.back() == blob.size() / elem_size,
                  "store: " + sec(prefix, "offsets") +
                      " inconsistent with blob size");
     requireInput(std::is_sorted(offsets.begin(), offsets.end()),
                  "store: " + sec(prefix, "offsets") + " not monotonic");
-    return offsets;
+    return {blob, offsets};
 }
 
 } // namespace detail

@@ -74,14 +74,17 @@ void addRowSections(StoreWriter& writer, std::string_view prefix,
                     const void* blob, u64 blob_bytes,
                     std::span<const u64> offsets);
 
-/** Verified "<prefix>.offsets": starts at 0, non-decreasing, ends at
- *  the verified "<prefix>.blob"'s element count. */
-std::span<const u64> rowOffsets(const StoreReader& reader,
-                                std::string_view prefix,
-                                u64 blob_bytes, u64 elem_size);
+struct RowSections
+{
+    std::span<const u8> blob;
+    std::span<const u64> offsets;
+};
 
-std::span<const u8> rowBlob(const StoreReader& reader,
-                            std::string_view prefix);
+/** "<prefix>.blob" and "<prefix>.offsets", digests verified; the
+ *  offsets start at 0, never decrease and end at the blob's count of
+ *  `elem_size`-byte elements. */
+RowSections readRowSections(const StoreReader& reader,
+                            std::string_view prefix, u64 elem_size);
 
 } // namespace detail
 
@@ -121,9 +124,8 @@ std::vector<Row>
 readRows(const StoreReader& reader, std::string_view prefix,
          Unpack unpack = {})
 {
-    const auto bytes = detail::rowBlob(reader, prefix);
-    const auto offsets =
-        detail::rowOffsets(reader, prefix, bytes.size(), sizeof(T));
+    const auto [bytes, offsets] =
+        detail::readRowSections(reader, prefix, sizeof(T));
     const T* blob = reinterpret_cast<const T*>(bytes.data());
     std::vector<Row> rows;
     rows.reserve(offsets.size() - 1);
