@@ -21,7 +21,6 @@
 #include "chain/chain.h"
 #include "harness.h"
 #include "io/dna.h"
-#include "simd/chain_engine.h"
 #include "simd/simd.h"
 #include "simdata/genome.h"
 #include "util/rng.h"
@@ -37,7 +36,7 @@ main(int argc, char** argv)
                        options);
     std::cout << "active SIMD level: "
               << simd::simdLevelName(simd::activeSimdLevel())
-              << " (" << simd::chainLanes(simd::activeSimdLevel())
+              << " (" << simd::simdLanes(simd::activeSimdLevel())
               << " lanes)\n\n";
 
     const u64 num_pairs =

@@ -1,5 +1,6 @@
 #include "harness.h"
 
+#include <algorithm>
 #include <cstring>
 #include <iostream>
 #include <sstream>
@@ -59,10 +60,23 @@ Options::parseStrict(int argc, char** argv, DatasetSize default_size)
             opt.threads = parseUnsigned(
                 "--threads", value("--threads="), 0, kMaxThreads);
         } else if (arg.rfind("--kernels=", 0) == 0) {
+            const std::vector<std::string> known = kernelNames();
             std::istringstream list(value("--kernels="));
             std::string name;
             while (std::getline(list, name, ',')) {
-                if (!name.empty()) opt.kernels.push_back(name);
+                if (name.empty()) continue;
+                if (std::find(known.begin(), known.end(), name) ==
+                    known.end()) {
+                    std::string message =
+                        "--kernels: unknown kernel '" + name + "'";
+                    const std::string_view best = nearestName(name, known);
+                    if (!best.empty()) {
+                        message +=
+                            " (did you mean " + std::string(best) + "?)";
+                    }
+                    throw InputError(message);
+                }
+                opt.kernels.push_back(name);
             }
         } else if (arg.rfind("--cache-dir=", 0) == 0) {
             opt.cache_dir = value("--cache-dir=");

@@ -12,9 +12,9 @@
  *                             machine-readable gb-metrics-v1 JSON file
  *                             (see docs/metrics.md)
  *
- * Unknown flags are rejected with a clear error (and a did-you-mean
- * suggestion), so a typo like --thread=8 can never silently run the
- * sweep single-threaded.
+ * Unknown flags and --kernels names are rejected with a clear error
+ * (and a did-you-mean suggestion), so a typo like --thread=8 can never
+ * silently run the sweep single-threaded, nor --kernels=fmii abort.
  */
 #ifndef GB_BENCH_HARNESS_H
 #define GB_BENCH_HARNESS_H

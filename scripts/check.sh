@@ -4,9 +4,10 @@
 # suites, the Fig. 3 bench's bandedSw-vs-scalar check and the phmm
 # precision ablation's runPhmmTask-vs-template check
 # at every dispatch level
-# (GB_SIMD_LEVEL=scalar|sse4|avx2), the whole ctest suite under
-# ASan/UBSan (plus the dispatch-level suites at every level), the
-# thread-pool, k-mer, metrics, serve, net and trace suites under TSan, a
+# (GB_SIMD_LEVEL=scalar|sse4|avx2), the whole ctest suite in a Debug
+# build and under ASan/UBSan (plus the dispatch-level suites at every
+# level), the thread-pool, k-mer, metrics, serve, net and trace suites
+# under TSan, a
 # metrics smoke test (--json emission validated by
 # scripts/validate_metrics.py, which must also reject malformed
 # documents), a guard that the dispatched smems object counts with the
@@ -109,6 +110,15 @@ for level in scalar sse4 avx2; do
     GB_SIMD_LEVEL=$level ./build/bench/bench_ablation_phmm_precision \
         --size=tiny >/dev/null
 done
+
+# ------------------------------------------------------------ Debug build
+# At -O0 nothing is inlined, so symbols that two ISA files define
+# differently would reach the linker, which keeps one body for both:
+# the SSE4 and AVX2 engines must still match their oracles here.
+step "Debug: build + run the whole ctest suite"
+cmake -B build-debug -S . -DCMAKE_BUILD_TYPE=Debug >/dev/null
+cmake --build build-debug -j"$JOBS"
+(cd build-debug && ctest --output-on-failure -j"$JOBS")
 
 # ------------------------------------------------------- sanitizer build
 if [[ $SKIP_SAN -eq 0 ]]; then
@@ -685,6 +695,20 @@ for cmd in "./build/bench/bench_table2_overview --thread=8" \
     fi
     echo "bad flag rejected with: $(head -1 /tmp/gb_flag.txt)"
 done
+
+# A misspelled --kernels name exits 2 with a suggestion instead of
+# aborting the bench binary when it reaches that kernel.
+set +e
+./build/bench/bench_table2_overview --kernels=fmii >/dev/null \
+    2>/tmp/gb_flag.txt
+status=$?
+set -e
+if [[ $status -ne 2 ]] || ! grep -q "did you mean fmi?" /tmp/gb_flag.txt; then
+    echo "FAIL: --kernels=fmii was not rejected with a suggestion" >&2
+    cat /tmp/gb_flag.txt >&2
+    exit 1
+fi
+echo "bad kernel rejected with: $(head -1 /tmp/gb_flag.txt)"
 
 # --engine is not a flag (every kernel has one run path): it exits 2
 # as an unknown option in the bench harness and the CLI alike.

@@ -83,9 +83,6 @@ using AbeaBandFn = void (*)(const AbeaBand& band);
 /** Band kernel for a dispatch level; null at the scalar level. */
 AbeaBandFn abeaBandFor(SimdLevel level);
 
-/** Float lanes at a dispatch level (8 / 4 / 1). */
-u32 abeaLanes(SimdLevel level);
-
 } // namespace gb::simd
 
 #endif // GB_SIMD_ABEA_ENGINE_H

@@ -48,12 +48,6 @@
 #include "simd/engines_internal.h"
 #include "simd/vec.h"
 
-#if defined(GB_SIMD_TARGET_AVX2)
-#define GB_BSW_DIAG_KERNEL bswPairAvx2
-#elif defined(GB_SIMD_TARGET_SSE4)
-#define GB_BSW_DIAG_KERNEL bswPairSse4
-#endif
-
 namespace gb::simd::detail {
 
 namespace {
@@ -256,16 +250,15 @@ bswPair(std::span<const u8> query, std::span<const u8> target,
     return result;
 }
 
-} // namespace
-
+/** IsaKernels::bsw_pair: i16 lanes when `i16_lanes`, i32 otherwise. */
 SwResult
-GB_BSW_DIAG_KERNEL(std::span<const u8> query, std::span<const u8> target,
-                   const SwParams& params, bool i16_lanes)
+bswPairVec(std::span<const u8> query, std::span<const u8> target,
+           const SwParams& params, bool i16_lanes)
 {
     return i16_lanes ? bswPair<i16>(query, target, params)
                      : bswPair<i32>(query, target, params);
 }
 
-} // namespace gb::simd::detail
+} // namespace
 
-#undef GB_BSW_DIAG_KERNEL
+} // namespace gb::simd::detail

@@ -17,29 +17,6 @@
 
 namespace gb::simd {
 
-namespace {
-
-using PairFn = SwResult (*)(std::span<const u8>, std::span<const u8>,
-                            const SwParams&, bool);
-
-PairFn
-pairEngineFor(SimdLevel level)
-{
-    switch (level) {
-#if GB_SIMD_HAVE_X86
-      case SimdLevel::kAvx2: return detail::bswPairAvx2;
-      case SimdLevel::kSse4: return detail::bswPairSse4;
-#else
-      case SimdLevel::kAvx2:
-      case SimdLevel::kSse4:
-#endif
-      case SimdLevel::kScalar: break;
-    }
-    return nullptr;
-}
-
-} // namespace
-
 bool
 i16Exact(const SwPair& pair, const SwParams& p)
 {
@@ -71,15 +48,15 @@ SwResult
 bandedSw(std::span<const u8> query, std::span<const u8> target,
          const SwParams& params)
 {
-    const simd::PairFn engine =
-        simd::pairEngineFor(simd::activeSimdLevel());
-    if (engine == nullptr || query.empty() || target.empty() ||
+    const simd::detail::IsaKernels* isa =
+        simd::detail::isaKernels(simd::activeSimdLevel());
+    if (isa == nullptr || query.empty() || target.empty() ||
         params.band_width < 0) {
         NullProbe probe;
         return bandedSwScalar(query, target, params, probe);
     }
-    return engine(query, target, params,
-                  simd::i16Exact({query, target}, params));
+    return isa->bsw_pair(query, target, params,
+                         simd::i16Exact({query, target}, params));
 }
 
 } // namespace gb

@@ -15,42 +15,6 @@
 
 namespace gb::simd {
 
-namespace {
-
-using ChainDpFn = void (*)(const Anchor*, const i32*, const i32*, u32,
-                           const ChainParams&, i32*, i32*);
-
-struct Engine
-{
-    ChainDpFn fn;
-    u32 lanes;
-};
-
-/** Function-pointer table indexed by SimdLevel. */
-Engine
-engineFor(SimdLevel level)
-{
-    switch (level) {
-#if GB_SIMD_HAVE_X86
-      case SimdLevel::kAvx2: return {detail::chainDpAvx2, 8};
-      case SimdLevel::kSse4: return {detail::chainDpSse4, 4};
-#else
-      case SimdLevel::kAvx2:
-      case SimdLevel::kSse4:
-#endif
-      case SimdLevel::kScalar: break;
-    }
-    return {nullptr, 1};
-}
-
-} // namespace
-
-u32
-chainLanes(SimdLevel level)
-{
-    return engineFor(level).lanes;
-}
-
 void
 chainDpEngine(std::span<const Anchor> anchors, const ChainParams& params,
               std::span<i32> f, std::span<i32> parent)
@@ -60,9 +24,9 @@ chainDpEngine(std::span<const Anchor> anchors, const ChainParams& params,
                  "chainDpEngine: f/parent must match anchors.size()");
     if (n == 0) return;
 
-    const Engine engine = engineFor(activeSimdLevel());
+    const detail::IsaKernels* isa = detail::isaKernels(activeSimdLevel());
     const bool representable =
-        engine.fn != nullptr &&
+        isa != nullptr &&
         std::all_of(anchors.begin(), anchors.end(),
                     [](const Anchor& a) {
                         return a.tpos < kChainMaxSimdCoord &&
@@ -77,7 +41,7 @@ chainDpEngine(std::span<const Anchor> anchors, const ChainParams& params,
     // SoA copies padded by one register so the clamped lowest chunk
     // can load full vectors; pad lanes (and f cells not yet computed)
     // are zero-initialized and masked off by the j<i predicate.
-    const u32 padded = n + engine.lanes;
+    const u32 padded = n + isa->lanes;
     std::vector<i32> tpos(padded, 0);
     std::vector<i32> qpos(padded, 0);
     std::vector<i32> f_pad(padded, 0);
@@ -85,8 +49,8 @@ chainDpEngine(std::span<const Anchor> anchors, const ChainParams& params,
         tpos[i] = static_cast<i32>(anchors[i].tpos);
         qpos[i] = static_cast<i32>(anchors[i].qpos);
     }
-    engine.fn(anchors.data(), tpos.data(), qpos.data(), n, params,
-              f_pad.data(), parent.data());
+    isa->chain_dp(anchors.data(), tpos.data(), qpos.data(), n, params,
+                  f_pad.data(), parent.data());
     std::copy_n(f_pad.data(), n, f.data());
 }
 

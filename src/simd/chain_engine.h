@@ -37,9 +37,6 @@ namespace gb::simd {
  */
 inline constexpr u32 kChainMaxSimdCoord = u32{1} << 30;
 
-/** Vector lanes at a dispatch level (8 / 4 / 1). */
-u32 chainLanes(SimdLevel level);
-
 /**
  * Fill f/parent with the active SIMD engine; bit-identical to
  * chainDp() with a NullProbe. Both spans must hold anchors.size()

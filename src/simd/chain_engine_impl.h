@@ -2,9 +2,7 @@
  * @file
  * ISA-generic implementation of the vectorized chaining DP.
  *
- * Included by chain_engine_sse4.cc / chain_engine_avx2.cc with exactly
- * one of GB_SIMD_TARGET_SSE4 / GB_SIMD_TARGET_AVX2 defined (the vec.h
- * multi-include convention).
+ * Compiled once per ISA, by isa_sse4.cc and isa_avx2.cc (see vec.h).
  *
  * Scheme (mm2-fast): for each anchor i the predecessor window
  * [j_lo, i) is evaluated kI32Lanes candidates at a time against SoA
@@ -40,10 +38,6 @@
  * (cand, j) pairs are genuine). Lanes j >= i read the zero-initialized
  * pad of f_pad and are masked off by the j<i predicate.
  */
-#if !defined(GB_SIMD_TARGET_SSE4) && !defined(GB_SIMD_TARGET_AVX2)
-#error "chain_engine_impl.h requires a GB_SIMD_TARGET_* definition"
-#endif
-
 #include <climits>
 
 #include "chain/chain.h"

@@ -1,8 +1,7 @@
 /**
  * @file
- * Dispatch layer for the f32 micro-GEMM: the scalar triple loop plus
- * the function-pointer table over the per-ISA implementations
- * (f32_engine_sse4.cc / f32_engine_avx2.cc).
+ * Dispatch layer for the f32 micro-GEMM: the scalar triple loop, and
+ * the level's vector kernel from isaKernels() (f32_engine_impl.h).
  */
 #include "simd/f32_engine.h"
 
@@ -38,17 +37,8 @@ f32GemmScalar(const F32Gemm& g)
 F32GemmFn
 f32GemmFor(SimdLevel level)
 {
-    switch (level) {
-#if GB_SIMD_HAVE_X86
-      case SimdLevel::kAvx2: return detail::f32GemmAvx2;
-      case SimdLevel::kSse4: return detail::f32GemmSse4;
-#else
-      case SimdLevel::kAvx2:
-      case SimdLevel::kSse4:
-#endif
-      case SimdLevel::kScalar: break;
-    }
-    return f32GemmScalar;
+    const detail::IsaKernels* isa = detail::isaKernels(level);
+    return isa ? isa->f32_gemm : f32GemmScalar;
 }
 
 } // namespace gb::simd

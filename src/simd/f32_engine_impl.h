@@ -2,9 +2,8 @@
  * @file
  * ISA-generic implementation of the f32 micro-GEMM.
  *
- * Included by f32_engine_sse4.cc / f32_engine_avx2.cc with exactly one
- * of GB_SIMD_TARGET_SSE4 / GB_SIMD_TARGET_AVX2 defined (the vec.h
- * multi-include convention). A tile holds kR rows x kV vectors of
+ * Compiled once per ISA, by isa_sse4.cc and isa_avx2.cc (see vec.h).
+ * A tile holds kR rows x kV vectors of
  * accumulators in registers; each k step loads kV vectors of b[k],
  * broadcasts a[r][k] per row and does one vMulF32 then one vAddF32
  * per accumulator — the scalar loop's operations, one output per
@@ -13,10 +12,6 @@
  * single-row call (an LSTM step) still keeps several chains in flight.
  * Columns narrower than one vector take the scalar loop.
  */
-#if !defined(GB_SIMD_TARGET_SSE4) && !defined(GB_SIMD_TARGET_AVX2)
-#error "f32_engine_impl.h requires a GB_SIMD_TARGET_* definition"
-#endif
-
 #include "simd/engines_internal.h"
 #include "simd/f32_engine.h"
 #include "simd/vec.h"

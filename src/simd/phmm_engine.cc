@@ -23,35 +23,6 @@ namespace gb::simd {
 
 namespace {
 
-using ForwardF32 = float (*)(const detail::PhmmInput<float>&);
-using ForwardF64 = double (*)(const detail::PhmmInput<double>&);
-
-struct Engine
-{
-    ForwardF32 f32 = nullptr; ///< null = use the scalar kernel
-    ForwardF64 f64 = nullptr;
-    u32 lanes = 1; ///< float lanes
-};
-
-/** Function-pointer table indexed by SimdLevel. */
-Engine
-engineFor(SimdLevel level)
-{
-    switch (level) {
-#if GB_SIMD_HAVE_X86
-      case SimdLevel::kAvx2:
-        return {detail::phmmForwardAvx2, detail::phmmForwardAvx2, 8};
-      case SimdLevel::kSse4:
-        return {detail::phmmForwardSse4, detail::phmmForwardSse4, 4};
-#else
-      case SimdLevel::kAvx2:
-      case SimdLevel::kSse4:
-#endif
-      case SimdLevel::kScalar: break;
-    }
-    return {};
-}
-
 constexpr u32 kPad = 8;
 
 /** Per-row priors at precision T, as forwardScaled<T> computes them. */
@@ -137,7 +108,7 @@ forward(T (*fn)(const detail::PhmmInput<T>&), const KernelRead& read,
 /** The two passes of one read/haplotype pair. */
 struct Pair
 {
-    const Engine& engine;
+    const detail::IsaKernels& isa;
     const KernelRead& read;
     const KernelHap& hap;
     const PhmmParams& params;
@@ -147,7 +118,7 @@ struct Pair
     floatSum() const
     {
         gb::detail::FlushDenormalsScope ftz;
-        return forward(engine.f32, read, read.f32, hap, params,
+        return forward(isa.phmm_f32, read, read.f32, hap, params,
                        kFloatInitialScale);
     }
 
@@ -158,7 +129,7 @@ struct Pair
     double
     doubleSum() const
     {
-        return forward(engine.f64, read, read.f64, hap, params,
+        return forward(isa.phmm_f64, read, read.f64, hap, params,
                        kDoubleInitialScale);
     }
 };
@@ -189,12 +160,6 @@ taskPairLikelihood(const Pair& pair, bool& fell_back)
 
 } // namespace
 
-u32
-phmmLanes(SimdLevel level)
-{
-    return engineFor(level).lanes;
-}
-
 } // namespace gb::simd
 
 namespace gb {
@@ -204,8 +169,9 @@ pairHmmLogLikelihood(std::span<const u8> read, std::span<const u8> quals,
                      std::span<const u8> haplotype,
                      const PhmmParams& params)
 {
-    const simd::Engine engine = simd::engineFor(simd::activeSimdLevel());
-    if (!engine.f32) {
+    const simd::detail::IsaKernels* isa =
+        simd::detail::isaKernels(simd::activeSimdLevel());
+    if (isa == nullptr) {
         NullProbe probe;
         return pairHmmLogLikelihood(read, quals, haplotype, params,
                                     probe);
@@ -215,7 +181,7 @@ pairHmmLogLikelihood(std::span<const u8> read, std::span<const u8> quals,
 
     const simd::KernelRead kread(read, quals);
     const simd::KernelHap khap(haplotype);
-    const simd::Pair pair{engine, kread, khap, params};
+    const simd::Pair pair{*isa, kread, khap, params};
     const u64 cells = static_cast<u64>(read.size()) * haplotype.size();
 
     PhmmResult result;
@@ -238,8 +204,9 @@ runPhmmTask(const PhmmTask& task, const PhmmParams& params,
             NullProbe& probe)
 {
     detail::checkPhmmParams(params);
-    const simd::Engine engine = simd::engineFor(simd::activeSimdLevel());
-    if (!engine.f32) return runPhmmTask<NullProbe>(task, params, probe);
+    const simd::detail::IsaKernels* isa =
+        simd::detail::isaKernels(simd::activeSimdLevel());
+    if (isa == nullptr) return runPhmmTask<NullProbe>(task, params, probe);
 
     std::vector<double> out;
     out.reserve(task.reads.size() * task.haplotypes.size());
@@ -253,7 +220,7 @@ runPhmmTask(const PhmmTask& task, const PhmmParams& params,
             detail::checkPhmmPair(read.bases, read.quals,
                                   task.haplotypes[h]);
             out.push_back(simd::taskPairLikelihood(
-                {engine, kread, haps[h], params}, fell_back));
+                {*isa, kread, haps[h], params}, fell_back));
         }
     }
     return out;

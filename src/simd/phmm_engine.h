@@ -26,11 +26,4 @@
 #include "phmm/pairhmm.h"
 #include "simd/simd.h"
 
-namespace gb::simd {
-
-/** Float lanes at a dispatch level (8 / 4 / 1). */
-u32 phmmLanes(SimdLevel level);
-
-} // namespace gb::simd
-
 #endif // GB_SIMD_PHMM_ENGINE_H

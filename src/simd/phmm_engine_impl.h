@@ -30,12 +30,6 @@
 #include "simd/engines_internal.h"
 #include "simd/vec.h"
 
-#if defined(GB_SIMD_TARGET_AVX2)
-#define GB_PHMM_KERNEL phmmForwardAvx2
-#elif defined(GB_SIMD_TARGET_SSE4)
-#define GB_PHMM_KERNEL phmmForwardSse4
-#endif
-
 namespace gb::simd::detail {
 
 namespace {
@@ -168,18 +162,4 @@ phmmForward(const PhmmInput<T>& in)
 
 } // namespace
 
-float
-GB_PHMM_KERNEL(const PhmmInput<float>& in)
-{
-    return phmmForward(in);
-}
-
-double
-GB_PHMM_KERNEL(const PhmmInput<double>& in)
-{
-    return phmmForward(in);
-}
-
 } // namespace gb::simd::detail
-
-#undef GB_PHMM_KERNEL

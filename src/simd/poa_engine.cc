@@ -44,49 +44,15 @@ poaInsScanScalar(const PoaInsScanArgs& a)
 PoaInsScanFn
 poaInsScanFor(SimdLevel level)
 {
-    switch (level) {
-#if GB_SIMD_HAVE_X86
-      case SimdLevel::kAvx2: return detail::poaInsScanAvx2;
-      case SimdLevel::kSse4: return detail::poaInsScanSse4;
-#else
-      case SimdLevel::kAvx2:
-      case SimdLevel::kSse4:
-#endif
-      case SimdLevel::kScalar: break;
-    }
-    return poaInsScanScalar;
+    const detail::IsaKernels* isa = detail::isaKernels(level);
+    return isa ? isa->poa_ins_scan : poaInsScanScalar;
 }
 
 PoaRowPassFn
 poaRowPassFor(SimdLevel level)
 {
-    switch (level) {
-#if GB_SIMD_HAVE_X86
-      case SimdLevel::kAvx2: return detail::poaRowPassAvx2;
-      case SimdLevel::kSse4: return detail::poaRowPassSse4;
-#else
-      case SimdLevel::kAvx2:
-      case SimdLevel::kSse4:
-#endif
-      case SimdLevel::kScalar: break;
-    }
-    return poaRowPassScalar;
-}
-
-u32
-poaLanes(SimdLevel level)
-{
-    switch (level) {
-#if GB_SIMD_HAVE_X86
-      case SimdLevel::kAvx2: return 8;
-      case SimdLevel::kSse4: return 4;
-#else
-      case SimdLevel::kAvx2:
-      case SimdLevel::kSse4:
-#endif
-      case SimdLevel::kScalar: break;
-    }
-    return 1;
+    const detail::IsaKernels* isa = detail::isaKernels(level);
+    return isa ? isa->poa_row_pass : poaRowPassScalar;
 }
 
 } // namespace gb::simd

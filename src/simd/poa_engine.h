@@ -95,9 +95,6 @@ PoaRowPassFn poaRowPassFor(SimdLevel level);
 /** Widest insertion scan the level allows (falls back to scalar). */
 PoaInsScanFn poaInsScanFor(SimdLevel level);
 
-/** Vector lanes at a dispatch level (8 / 4 / 1). */
-u32 poaLanes(SimdLevel level);
-
 } // namespace gb::simd
 
 #endif // GB_SIMD_POA_ENGINE_H

@@ -2,9 +2,7 @@
  * @file
  * ISA-generic implementation of the POA row pass.
  *
- * Included by poa_engine_sse4.cc / poa_engine_avx2.cc with exactly one
- * of GB_SIMD_TARGET_SSE4 / GB_SIMD_TARGET_AVX2 defined (the vec.h
- * multi-include convention).
+ * Compiled once per ISA, by isa_sse4.cc and isa_avx2.cc (see vec.h).
  *
  * One chunk handles kI32Lanes consecutive query columns: the codes are
  * widened to 32-bit lanes for the substitution select, diag reads the
@@ -15,10 +13,6 @@
  * j0 + kI32Lanes - 1 <= n and the remaining columns take the scalar
  * tail — no store ever touches memory past the row.
  */
-#if !defined(GB_SIMD_TARGET_SSE4) && !defined(GB_SIMD_TARGET_AVX2)
-#error "poa_engine_impl.h requires a GB_SIMD_TARGET_* definition"
-#endif
-
 #include <limits>
 
 #include "simd/poa_engine.h"

@@ -3,6 +3,8 @@
 #include <atomic>
 #include <cstdlib>
 
+#include "simd/engines_internal.h"
+
 namespace gb::simd {
 
 namespace {
@@ -93,6 +95,26 @@ void
 resetSimdLevel()
 {
     activeSlot().store(envDefault(), std::memory_order_relaxed);
+}
+
+u32
+simdLanes(SimdLevel level)
+{
+    const detail::IsaKernels* isa = detail::isaKernels(level);
+    return isa ? isa->lanes : 1;
+}
+
+const detail::IsaKernels*
+detail::isaKernels([[maybe_unused]] SimdLevel level)
+{
+#if GB_SIMD_HAVE_X86
+    switch (level) {
+      case SimdLevel::kAvx2: return &kAvx2Kernels;
+      case SimdLevel::kSse4: return &kSse4Kernels;
+      case SimdLevel::kScalar: break;
+    }
+#endif
+    return nullptr;
 }
 
 } // namespace gb::simd

@@ -16,8 +16,8 @@
  * (scalar|sse4|avx2) or setSimdLevel() — requests above what the CPU
  * supports are clamped, so GB_SIMD_LEVEL=avx2 on an SSE-only host
  * degrades instead of crashing, while an unknown name is an
- * InputError. Each engine dispatches through a per-level
- * function-pointer table resolved against activeSimdLevel().
+ * InputError. Each engine call looks up the kernel table of
+ * activeSimdLevel() (one per instruction set, none at kScalar).
  *
  * The level is the suite's one scalar/SIMD switch: GB_SIMD_LEVEL=scalar
  * runs every engine's scalar path, which is the honest baseline.
@@ -62,6 +62,9 @@ void setSimdLevel(SimdLevel level);
 
 /** Drop back to the GB_SIMD_LEVEL / CPUID default (throws likewise). */
 void resetSimdLevel();
+
+/** 32-bit (i32 and f32) vector lanes at a dispatch level (8 / 4 / 1). */
+u32 simdLanes(SimdLevel level);
 
 } // namespace gb::simd
 

@@ -2,23 +2,28 @@
  * @file
  * Fixed-width vector primitives for the gb::simd engine templates.
  *
- * This header is multi-included: each engine translation unit defines
- * exactly one of GB_SIMD_TARGET_SSE4 / GB_SIMD_TARGET_AVX2 before
- * including an *_impl.h header, which pulls this in to get a uniform
- * set of types and inline functions over that instruction set:
+ * Each ISA translation unit (isa_sse4.cc, isa_avx2.cc) defines exactly
+ * one of GB_SIMD_TARGET_SSE4 / GB_SIMD_TARGET_AVX2 and includes this
+ * header once, with the *_impl.h kernel bodies written against it, to
+ * get a uniform set of types and functions over that instruction set:
  *
  *   VecI16          kI16Lanes x signed 16-bit lanes (saturating ops)
  *   VecI32          kI32Lanes x signed 32-bit lanes
  *   VecF32          kF32Lanes x single-precision lanes
  *   VecF64          kF64Lanes x double-precision lanes
  *
- * The engine templates are written once against this API; the per-ISA
- * .cc files are compiled with the matching -m flags (see
- * src/simd/CMakeLists.txt) and exported under ISA-suffixed names that
- * the dispatch tables in bsw_engine.cc / phmm_engine.cc select at
- * runtime. There is no scalar instantiation of this header — the
- * scalar fallback is the pre-existing portable kernel itself.
+ * Everything here sits in an unnamed namespace. The two ISA files
+ * define the same names with different bodies (vSet1I32 returns an
+ * __m128i in one and an __m256i in the other); as inline functions of
+ * external linkage they would be one symbol each, and a build that
+ * does not inline them (-O0) lets the linker keep one body for both
+ * ISAs. Internal linkage gives each file its own copy. There is no
+ * scalar instantiation of this header: the scalar level runs the
+ * portable kernels themselves.
  */
+#ifndef GB_SIMD_VEC_H
+#define GB_SIMD_VEC_H
+
 #ifndef GB_SIMD_TARGET_SSE4
 #ifndef GB_SIMD_TARGET_AVX2
 #error "vec.h requires GB_SIMD_TARGET_SSE4 or GB_SIMD_TARGET_AVX2"
@@ -30,6 +35,8 @@
 #include "util/common.h"
 
 namespace gb::simd {
+
+namespace {
 
 #if defined(GB_SIMD_TARGET_AVX2)
 
@@ -475,4 +482,8 @@ vShiftLanesUp(VecI32 v, VecI32 fill)
 #endif
 }
 
+} // namespace
+
 } // namespace gb::simd
+
+#endif // GB_SIMD_VEC_H

@@ -64,36 +64,48 @@ parseSeconds(std::string_view what, std::string_view text, unsigned max)
 }
 
 /**
+ * The entry of `known` nearest to `name` when at most 2 edits away
+ * (the first of equally near ones), else an empty view: the
+ * did-you-mean suggestion for a mistyped flag or kernel name.
+ */
+inline std::string_view
+nearestName(std::string_view name, const std::vector<std::string>& known)
+{
+    std::string_view best;
+    size_t best_dist = 3; // suggest only near misses
+    std::vector<size_t> prev, curr;
+    for (const std::string& entry : known) {
+        // Levenshtein distance between name and entry, row by row.
+        prev.resize(entry.size() + 1);
+        curr.resize(entry.size() + 1);
+        for (size_t j = 0; j <= entry.size(); ++j) prev[j] = j;
+        for (size_t i = 1; i <= name.size(); ++i) {
+            curr[0] = i;
+            for (size_t j = 1; j <= entry.size(); ++j) {
+                curr[j] = std::min({prev[j] + 1, curr[j - 1] + 1,
+                                    prev[j - 1] + (name[i - 1] !=
+                                                   entry[j - 1])});
+            }
+            std::swap(prev, curr);
+        }
+        if (prev[entry.size()] < best_dist) {
+            best_dist = prev[entry.size()];
+            best = entry;
+        }
+    }
+    return best;
+}
+
+/**
  * "unknown option: --thread=8 (did you mean --threads?)": the error
  * message for `arg`, suggesting the flag in `known` (names without
- * "=value") nearest to `arg`'s name when at most 2 edits away.
+ * "=value") nearest to `arg`'s name.
  */
 inline std::string
 unknownOption(std::string_view arg, const std::vector<std::string>& known)
 {
-    const std::string_view name = arg.substr(0, arg.find('='));
-    std::string_view best;
-    size_t best_dist = 3; // suggest only near misses
-    std::vector<size_t> prev, curr;
-    for (const std::string& flag : known) {
-        // Levenshtein distance between name and flag, row by row.
-        prev.resize(flag.size() + 1);
-        curr.resize(flag.size() + 1);
-        for (size_t j = 0; j <= flag.size(); ++j) prev[j] = j;
-        for (size_t i = 1; i <= name.size(); ++i) {
-            curr[0] = i;
-            for (size_t j = 1; j <= flag.size(); ++j) {
-                curr[j] = std::min({prev[j] + 1, curr[j - 1] + 1,
-                                    prev[j - 1] + (name[i - 1] !=
-                                                   flag[j - 1])});
-            }
-            std::swap(prev, curr);
-        }
-        if (prev[flag.size()] < best_dist) {
-            best_dist = prev[flag.size()];
-            best = flag;
-        }
-    }
+    const std::string_view best =
+        nearestName(arg.substr(0, arg.find('=')), known);
     std::string message = "unknown option: " + std::string(arg);
     if (!best.empty()) {
         message += " (did you mean " + std::string(best) + "?)";

@@ -97,6 +97,22 @@ TEST(ParseStrict, SuggestsNearMissFlag)
     }
 }
 
+TEST(ParseStrict, RejectsUnknownKernelWithSuggestion)
+{
+    // Regression: a misspelled name passed the parser and aborted the
+    // bench binary later, in createKernel().
+    try {
+        parseArgs({"--kernels=bsw,fmii"});
+        FAIL() << "expected InputError";
+    } catch (const InputError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("fmii"), std::string::npos) << what;
+        EXPECT_NE(what.find("did you mean fmi?"), std::string::npos)
+            << what;
+    }
+    EXPECT_THROW(parseArgs({"--kernels=nosuchkernel"}), InputError);
+}
+
 TEST(ParseStrict, RejectsBadValues)
 {
     EXPECT_THROW(parseArgs({"--size=huge"}), InputError);
@@ -148,6 +164,7 @@ TEST(KnownFlags, ListsNothingTheParserRejects)
             flag == "--help"        ? flag
             : flag == "--size"      ? flag + "=tiny"
             : flag == "--threads"   ? flag + "=1"
+            : flag == "--kernels"   ? flag + "=bsw"
                                     : flag + "=x";
         EXPECT_NO_THROW(parseArgs({arg.c_str()})) << arg;
     }

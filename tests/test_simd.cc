@@ -117,22 +117,13 @@ TEST(SimdDispatch, UnknownEnvLevelIsRejected)
 
 TEST(SimdDispatch, LaneCountsMatchLevel)
 {
-    EXPECT_EQ(simd::phmmLanes(simd::SimdLevel::kScalar), 1u);
-    EXPECT_EQ(simd::chainLanes(simd::SimdLevel::kScalar), 1u);
-    EXPECT_EQ(simd::poaLanes(simd::SimdLevel::kScalar), 1u);
-    EXPECT_EQ(simd::abeaLanes(simd::SimdLevel::kScalar), 1u);
+    EXPECT_EQ(simd::simdLanes(simd::SimdLevel::kScalar), 1u);
     const simd::SimdLevel best = simd::detectSimdLevel();
     if (best >= simd::SimdLevel::kSse4) {
-        EXPECT_EQ(simd::phmmLanes(simd::SimdLevel::kSse4), 4u);
-        EXPECT_EQ(simd::chainLanes(simd::SimdLevel::kSse4), 4u);
-        EXPECT_EQ(simd::poaLanes(simd::SimdLevel::kSse4), 4u);
-        EXPECT_EQ(simd::abeaLanes(simd::SimdLevel::kSse4), 4u);
+        EXPECT_EQ(simd::simdLanes(simd::SimdLevel::kSse4), 4u);
     }
     if (best >= simd::SimdLevel::kAvx2) {
-        EXPECT_EQ(simd::phmmLanes(simd::SimdLevel::kAvx2), 8u);
-        EXPECT_EQ(simd::chainLanes(simd::SimdLevel::kAvx2), 8u);
-        EXPECT_EQ(simd::poaLanes(simd::SimdLevel::kAvx2), 8u);
-        EXPECT_EQ(simd::abeaLanes(simd::SimdLevel::kAvx2), 8u);
+        EXPECT_EQ(simd::simdLanes(simd::SimdLevel::kAvx2), 8u);
     }
 }
 
