@@ -83,7 +83,7 @@ main(int argc, char** argv)
         const FmIndex fm = FmIndex::build(genome.seq, spacing);
 
         // Modeled work (level-independent).
-        CountingProbe cprobe;
+        CharProbe cprobe;
         for (const auto& read : reads) {
             std::vector<Smem> mems;
             fm.smems(std::span<const u8>(read), 19, mems, cprobe);

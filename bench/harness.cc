@@ -1,6 +1,5 @@
 #include "harness.h"
 
-#include <algorithm>
 #include <cstring>
 #include <iostream>
 #include <sstream>
@@ -65,17 +64,7 @@ Options::parseStrict(int argc, char** argv, DatasetSize default_size)
             std::string name;
             while (std::getline(list, name, ',')) {
                 if (name.empty()) continue;
-                if (std::find(known.begin(), known.end(), name) ==
-                    known.end()) {
-                    std::string message =
-                        "--kernels: unknown kernel '" + name + "'";
-                    const std::string_view best = nearestName(name, known);
-                    if (!best.empty()) {
-                        message +=
-                            " (did you mean " + std::string(best) + "?)";
-                    }
-                    throw InputError(message);
-                }
+                requireKnownName("--kernels: unknown kernel", name, known);
                 opt.kernels.push_back(name);
             }
         } else if (arg.rfind("--cache-dir=", 0) == 0) {

@@ -120,6 +120,38 @@ cmake -B build-debug -S . -DCMAKE_BUILD_TYPE=Debug >/dev/null
 cmake --build build-debug -j"$JOBS"
 (cd build-debug && ctest --output-on-failure -j"$JOBS")
 
+# An inline or template function of external linkage that an ISA file
+# compiles is a weak symbol, and the linker keeps one copy of it for
+# every caller: -mavx2 or -msse4.2 code there would run outside the
+# dispatch gate on a CPU without that extension. In the Debug objects
+# (nothing inlined), no weak symbol of isa_avx2.cc.o may hold a VEX
+# instruction or a %ymm operand, and none of isa_sse4.cc.o an
+# SSE4.1/4.2 instruction (x86 builds only).
+isa_weak_code() { # OBJ MNEMONIC_REGEX -> "symbol: instruction" per hit
+    nm --defined-only "$1" | awk '$2 == "W" { print $3 }' >/tmp/gb_weak.txt
+    objdump -d --no-show-raw-insn "$1" | awk -v pat="$2" '
+        FNR == NR { weak[$1] = 1; next }
+        /^[0-9a-f]+ <.*>:$/ { sym = substr($2, 2, length($2) - 3); next }
+        (sym in weak) && sub(/^ *[0-9a-f]+:\t/, "") {
+            split($0, f, /[ \t]+/)
+            if (f[1] ~ pat || /%ymm/) print sym ": " $0
+        }' /tmp/gb_weak.txt -
+    rm -f /tmp/gb_weak.txt
+}
+ISA_DIR=build-debug/src/simd/CMakeFiles/gb_simd.dir
+if [[ -f "$ISA_DIR/isa_avx2.cc.o" ]]; then
+    step "Debug: no AVX2/SSE4 code in the ISA objects' weak symbols"
+    SSE4_ONLY='^(pmulld|pmuldq|pblendvb|pblendw|blendvp[sd]|blendp[sd]|ptest|pmin(sb|sd|uw|ud)|pmax(sb|sd|uw|ud)|round[sp][sd]|pmov[sz]x[bwd][wdq]|pcmpeqq|pcmpgtq|pinsr[bdq]|pextr[bdq]|extractps|insertps|packusdw|dpp[sd]|mpsadbw|phminposuw|movntdqa|pcmp[ei]str[im]|crc32[bwlq]?|popcnt[wlq]?)$'
+    isa_weak_code "$ISA_DIR/isa_avx2.cc.o" '^v' >/tmp/gb_isa_weak.txt
+    isa_weak_code "$ISA_DIR/isa_sse4.cc.o" "$SSE4_ONLY" >>/tmp/gb_isa_weak.txt
+    if [[ -s /tmp/gb_isa_weak.txt ]]; then
+        echo "FAIL: ISA code in weak symbols of $ISA_DIR:" >&2
+        c++filt </tmp/gb_isa_weak.txt | head -20 >&2
+        exit 1
+    fi
+    rm -f /tmp/gb_isa_weak.txt
+fi
+
 # ------------------------------------------------------- sanitizer build
 if [[ $SKIP_SAN -eq 0 ]]; then
     step "ASan/UBSan: build + run the whole ctest suite"

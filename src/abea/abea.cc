@@ -428,11 +428,6 @@ template AbeaResult alignEvents<NullProbe>(std::span<const Event>,
                                            const PoreModel&,
                                            std::string_view,
                                            const AbeaParams&, NullProbe&);
-template AbeaResult alignEvents<CountingProbe>(std::span<const Event>,
-                                               const PoreModel&,
-                                               std::string_view,
-                                               const AbeaParams&,
-                                               CountingProbe&);
 template AbeaResult alignEvents<CharProbe>(std::span<const Event>,
                                            const PoreModel&,
                                            std::string_view,

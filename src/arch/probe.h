@@ -10,17 +10,18 @@
  *
  *  - NullProbe: all hooks are empty inline functions; the optimizer
  *    removes them entirely, so timing runs measure the plain kernel.
- *  - CountingProbe: tallies operation classes (the MICA substitute).
- *  - CharProbe: CountingProbe plus a memory-trace feed into
- *    arch::CacheSim and a per-site branch predictor model (the perf
- *    counter substitute).
+ *  - CharProbe: tallies operation classes and load/store bytes (the
+ *    MICA substitute). Given an arch::CacheSim, it also feeds the
+ *    memory trace into it and models a per-site branch predictor (the
+ *    perf counter substitute); the cache only adds modelling, so the
+ *    counts are the same with or without one.
  *
  * Kernels report *architectural* operations: one op() per arithmetic
  * primitive, one load()/store() per data access with its real address
  * and size (so the cache simulator sees the true locality), and one
  * branch() per data-dependent branch.
  *
- * Thread-safety: CountingProbe and CharProbe are NOT thread-safe.
+ * Thread-safety: CharProbe is NOT thread-safe.
  * Characterization runs use a single-threaded pool (matching the
  * paper, which characterizes single-thread behaviour and measures
  * thread scaling separately with uninstrumented kernels).
@@ -120,48 +121,6 @@ memOpsFor(u32 size)
 }
 
 } // namespace detail
-
-/** Counts operation classes; no memory modelling. */
-class CountingProbe
-{
-  public:
-    static constexpr bool enabled = true;
-
-    void op(OpClass c, u64 n = 1) { counts_[c] += n; }
-
-    void
-    load(const void*, u32 size)
-    {
-        counts_[OpClass::kLoad] += detail::memOpsFor(size);
-        load_bytes_ += size;
-    }
-
-    void
-    store(const void*, u32 size)
-    {
-        counts_[OpClass::kStore] += detail::memOpsFor(size);
-        store_bytes_ += size;
-    }
-
-    void branch(u32, bool) { counts_[OpClass::kBranch] += 1; }
-
-    const OpCounts& counts() const { return counts_; }
-    u64 loadBytes() const { return load_bytes_; }
-    u64 storeBytes() const { return store_bytes_; }
-
-    void
-    merge(const CountingProbe& o)
-    {
-        counts_.merge(o.counts_);
-        load_bytes_ += o.load_bytes_;
-        store_bytes_ += o.store_bytes_;
-    }
-
-  private:
-    OpCounts counts_;
-    u64 load_bytes_ = 0;
-    u64 store_bytes_ = 0;
-};
 
 /**
  * Full characterization probe: op counts + cache simulation + a small

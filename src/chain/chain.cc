@@ -188,15 +188,4 @@ chainAnchors(std::span<const Anchor> anchors, const ChainParams& params)
     return extractChains(anchors, params, f, parent);
 }
 
-i32
-overlapScore(std::span<const u8> target, std::span<const u8> query,
-             const MinimizerParams& mp, const ChainParams& cp)
-{
-    const auto tm = extractMinimizers(target, mp);
-    const auto qm = extractMinimizers(query, mp);
-    const auto anchors = matchAnchors(tm, qm, mp.k);
-    const auto chains = chainAnchors(anchors, cp);
-    return chains.empty() ? 0 : chains.front().score;
-}
-
 } // namespace gb

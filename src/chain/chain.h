@@ -186,18 +186,11 @@ chainAnchors(std::span<const Anchor> anchors, const ChainParams& p,
  * The same chains through the runtime-dispatched DP fill
  * (simd::chainDpEngine: AVX2 / SSE4.2 / scalar chainDp), bit-identical
  * to the template at every GB_SIMD_LEVEL. The production path for
- * uninstrumented callers (the mapper, overlapScore).
+ * uninstrumented callers (the chain kernel's run(), the de-novo
+ * example).
  */
 std::vector<Chain> chainAnchors(std::span<const Anchor> anchors,
                                 const ChainParams& params = {});
-
-/**
- * Full read-vs-read overlap estimate: minimizers -> anchors -> chains.
- * Returns the best chain score (0 if none).
- */
-i32 overlapScore(std::span<const u8> target, std::span<const u8> query,
-                 const MinimizerParams& mp = {},
-                 const ChainParams& cp = {});
 
 } // namespace gb
 

@@ -40,17 +40,7 @@ class BswKernel final : public Benchmark
     void
     prepare(DatasetSize size) override
     {
-        u64 num_pairs = 200;
-        switch (size) {
-          case DatasetSize::kTiny:
-            break;
-          case DatasetSize::kSmall:
-            num_pairs = 20'000;
-            break;
-          case DatasetSize::kLarge:
-            num_pairs = 100'000;
-            break;
-        }
+        const u64 num_pairs = sizesFor(size, 200, 20'000, 100'000);
         // The pairs are a pure function of num_pairs, the fixed
         // genome length and the seeds.
         auto& cache = store::globalCache();

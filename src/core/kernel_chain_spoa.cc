@@ -22,17 +22,6 @@ namespace gb {
 
 namespace {
 
-u64
-sizesFor(DatasetSize size, u64 tiny, u64 small, u64 large)
-{
-    switch (size) {
-      case DatasetSize::kTiny: return tiny;
-      case DatasetSize::kSmall: return small;
-      case DatasetSize::kLarge: return large;
-    }
-    return tiny;
-}
-
 class ChainKernel final : public Benchmark
 {
   public:

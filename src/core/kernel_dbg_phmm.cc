@@ -73,17 +73,6 @@ makeRegions(u64 num_regions, u64 seed)
     return set;
 }
 
-u64
-sizesFor(DatasetSize size, u64 tiny, u64 small, u64 large)
-{
-    switch (size) {
-      case DatasetSize::kTiny: return tiny;
-      case DatasetSize::kSmall: return small;
-      case DatasetSize::kLarge: return large;
-    }
-    return tiny;
-}
-
 class DbgKernel final : public Benchmark
 {
   public:

@@ -42,20 +42,9 @@ class FmiKernel final : public Benchmark
         // lines (1 byte per symbol) at small/large against an 8 MB
         // modelled LLC: large is the paper's irregular-miss regime,
         // while small's occ lines just fit the modelled LLC.
-        u64 genome_len = 100'000;
-        u64 num_reads = 200;
-        switch (size) {
-          case DatasetSize::kTiny:
-            break;
-          case DatasetSize::kSmall:
-            genome_len = 4'000'000;
-            num_reads = 20'000;
-            break;
-          case DatasetSize::kLarge:
-            genome_len = 16'000'000;
-            num_reads = 100'000;
-            break;
-        }
+        const u64 genome_len =
+            sizesFor(size, 100'000, 4'000'000, 16'000'000);
+        const u64 num_reads = sizesFor(size, 200, 20'000, 100'000);
         // Everything below is a pure function of (genome_len,
         // num_reads) and the fixed seeds, so the whole prepared state
         // — index and encoded reads — is cacheable under that key.
@@ -142,7 +131,7 @@ class FmiKernel final : public Benchmark
         std::vector<u64> work;
         work.reserve(reads_.size());
         for (const auto& read : reads_) {
-            CountingProbe probe;
+            CharProbe probe;
             std::vector<Smem> mems;
             fm_->smems(std::span<const u8>(read), kMinSeedLen, mems,
                        probe);

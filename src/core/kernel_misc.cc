@@ -25,17 +25,6 @@ namespace gb {
 
 namespace {
 
-u64
-sizesFor(DatasetSize size, u64 tiny, u64 small, u64 large)
-{
-    switch (size) {
-      case DatasetSize::kTiny: return tiny;
-      case DatasetSize::kSmall: return small;
-      case DatasetSize::kLarge: return large;
-    }
-    return tiny;
-}
-
 class KmerCntKernel final : public Benchmark
 {
   public:
@@ -56,10 +45,7 @@ class KmerCntKernel final : public Benchmark
         // still far exceeds the LLC so the access pattern is
         // preserved.
         total_bases_ = sizesFor(size, 200'000, 5'000'000, 20'000'000);
-        capacity_log2_ =
-            size == DatasetSize::kTiny
-                ? 19u
-                : (size == DatasetSize::kSmall ? 23u : 25u);
+        capacity_log2_ = sizesFor(size, 19, 23, 25);
         // The simulated reads are a pure function of total_bases_ (the
         // genome size, seeds and coverage all derive from it), so they
         // cache under that single parameter. The count table itself is
@@ -170,20 +156,8 @@ class GrmKernel final : public Benchmark
         // Paper: 2504 individuals x 194K / 1.07M markers.
         GenotypeParams gp;
         gp.seed = 191;
-        switch (size) {
-          case DatasetSize::kTiny:
-            gp.num_individuals = 64;
-            gp.num_sites = 2'000;
-            break;
-          case DatasetSize::kSmall:
-            gp.num_individuals = 256;
-            gp.num_sites = 20'000;
-            break;
-          case DatasetSize::kLarge:
-            gp.num_individuals = 512;
-            gp.num_sites = 50'000;
-            break;
-        }
+        gp.num_individuals = sizesFor(size, 64, 256, 512);
+        gp.num_sites = sizesFor(size, 2'000, 20'000, 50'000);
         matrix_ = generateGenotypes(gp);
     }
 

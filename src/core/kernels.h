@@ -30,6 +30,21 @@ std::unique_ptr<Benchmark> makeNnBaseKernel();
 std::unique_ptr<Benchmark> makeNnVariantKernel();
 
 /**
+ * The preset of a dataset size: `tiny`, `small` or `large`. Every
+ * kernel's prepare() picks its input scale through this.
+ */
+inline u64
+sizesFor(DatasetSize size, u64 tiny, u64 small, u64 large)
+{
+    switch (size) {
+      case DatasetSize::kTiny: return tiny;
+      case DatasetSize::kSmall: return small;
+      case DatasetSize::kLarge: return large;
+    }
+    return tiny;
+}
+
+/**
  * The prepared model inputs of an nn-variant (Clair feature rows) and
  * an nn-base (signal chunks) kernel, for tests that compare two
  * prepares: neither kernel's taskWork() depends on the data. Throw

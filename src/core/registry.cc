@@ -1,9 +1,11 @@
 #include "core/benchmark.h"
 
+#include <algorithm>
 #include <functional>
 #include <utility>
 
 #include "core/kernels.h"
+#include "util/parse.h"
 
 namespace gb {
 
@@ -68,10 +70,11 @@ kernelNames()
 std::unique_ptr<Benchmark>
 createKernel(const std::string& name)
 {
-    for (const auto& [key, factory] : registry()) {
-        if (key == name) return factory();
-    }
-    throw InputError("unknown kernel: " + name);
+    const std::vector<std::string> names = kernelNames();
+    requireKnownName("unknown kernel", name, names);
+    const auto i = std::find(names.begin(), names.end(), name) -
+                   names.begin();
+    return registry()[static_cast<size_t>(i)].second();
 }
 
 } // namespace gb

@@ -255,78 +255,6 @@ FmIndex::count(std::string_view pattern) const
     return ik.s;
 }
 
-namespace {
-
-/** Recursive bounded-mismatch backward search. */
-template <typename ExtendFn>
-void
-inexactRec(const ExtendFn& extend, std::span<const u8> pattern,
-           i64 i, u32 budget, const BiInterval& ik,
-           std::vector<BiInterval>& out)
-{
-    if (i < 0) {
-        out.push_back(ik);
-        return;
-    }
-    std::array<BiInterval, 4> ok;
-    extend(ik, ok);
-    for (u8 c = 0; c < 4; ++c) {
-        if (ok[c].s == 0) continue;
-        const bool match = c == pattern[static_cast<size_t>(i)];
-        if (!match && budget == 0) continue;
-        inexactRec(extend, pattern, i - 1, budget - (match ? 0 : 1),
-                   ok[c], out);
-    }
-}
-
-} // namespace
-
-std::vector<BiInterval>
-FmIndex::searchInexact(std::span<const u8> pattern,
-                       u32 max_mismatches) const
-{
-    requireInput(!pattern.empty(), "FM-index inexact: empty pattern");
-    for (u8 c : pattern) {
-        requireInput(c < kNumBases,
-                     "FM-index inexact: pattern must be ACGT codes");
-    }
-    std::vector<BiInterval> out;
-    NullProbe probe;
-    auto extend = [&](const BiInterval& ik,
-                      std::array<BiInterval, 4>& ok) {
-        extendBackward(ik, ok, probe);
-    };
-
-    // Seed with the last character (exact or mismatched).
-    const i64 last = static_cast<i64>(pattern.size()) - 1;
-    for (u8 c = 0; c < 4; ++c) {
-        const bool match = c == pattern[static_cast<size_t>(last)];
-        if (!match && max_mismatches == 0) continue;
-        BiInterval ik = baseInterval(c);
-        ik.begin = 0;
-        ik.end = static_cast<i32>(pattern.size());
-        if (ik.s == 0) continue;
-        inexactRec(extend, pattern, last - 1,
-                   max_mismatches - (match ? 0 : 1), ik, out);
-    }
-    return out;
-}
-
-u64
-FmIndex::countInexact(std::string_view pattern, u32 max_mismatches) const
-{
-    const std::vector<u8> codes = encodeDna(pattern);
-    for (u8 c : codes) {
-        if (c >= kNumBases) return 0;
-    }
-    u64 total = 0;
-    for (const auto& interval :
-         searchInexact(std::span<const u8>(codes), max_mismatches)) {
-        total += interval.s;
-    }
-    return total;
-}
-
 std::vector<FmIndex::Hit>
 FmIndex::locate(const BiInterval& interval, u64 max_hits) const
 {

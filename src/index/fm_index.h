@@ -445,24 +445,6 @@ class FmIndex
     u64 count(std::string_view pattern) const;
 
     /**
-     * Inexact search: SA intervals of every string within
-     * `max_mismatches` substitutions of the pattern that occurs in
-     * the index (the FM-index capability the paper highlights:
-     * "support for inexact matching ... with a small number of
-     * edits"). Intervals are disjoint (distinct strings) and carry
-     * begin=0, end=pattern length.
-     *
-     * Cost grows as O(|Q| * 3^z); callers should keep z <= 3.
-     */
-    std::vector<BiInterval>
-    searchInexact(std::span<const u8> pattern,
-                  u32 max_mismatches) const;
-
-    /** Total occurrences within `max_mismatches` substitutions. */
-    u64 countInexact(std::string_view pattern,
-                     u32 max_mismatches) const;
-
-    /**
      * Reference positions (forward strand) of every occurrence of the
      * interval's pattern. Positions on the reverse strand are reported
      * as the forward-strand start of the reverse-complement site with

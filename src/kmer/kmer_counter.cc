@@ -153,15 +153,4 @@ KmerCounter::solidKmers(u16 threshold) const
     return n;
 }
 
-std::vector<u64>
-KmerCounter::countHistogram(u16 max_count) const
-{
-    std::vector<u64> hist(static_cast<size_t>(max_count) + 1, 0);
-    for (u64 i = 0; i < keys_.size(); ++i) {
-        if (keys_[i] == kEmpty) continue;
-        ++hist[std::min<u16>(counts_[i], max_count)];
-    }
-    return hist;
-}
-
 } // namespace gb

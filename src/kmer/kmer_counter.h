@@ -171,9 +171,6 @@ class KmerCounter
     /** Number of distinct k-mers with count >= threshold. */
     u64 solidKmers(u16 threshold) const;
 
-    /** Histogram of counts, clamped at `max_count`. */
-    std::vector<u64> countHistogram(u16 max_count = 255) const;
-
   private:
     template <typename Probe>
     void addLinear(u64 kmer, Probe& probe);

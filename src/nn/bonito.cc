@@ -79,8 +79,7 @@ BonitoModel::forward(const Tensor2& chunk, Probe& probe) const
 
 template <typename Probe>
 std::string
-BonitoModel::basecall(std::span<const float> samples, Probe& probe,
-                      Decoder decoder, u32 beam_width) const
+BonitoModel::basecall(std::span<const float> samples, Probe& probe) const
 {
     std::string sequence;
     const std::vector<float> normalized = normalizeSignal(samples);
@@ -94,9 +93,7 @@ BonitoModel::basecall(std::span<const float> samples, Probe& probe,
             chunk.at(static_cast<u32>(i), 0) = normalized[begin + i];
         }
         const Tensor2 probs = forward(chunk, probe);
-        sequence += decoder == Decoder::kGreedy
-                        ? ctcGreedyDecode(probs)
-                        : ctcBeamDecode(probs, beam_width);
+        sequence += ctcGreedyDecode(probs);
     }
     return sequence;
 }
@@ -105,10 +102,9 @@ BonitoModel::basecall(std::span<const float> samples, Probe& probe,
 #define GB_BONITO_INSTANTIATE(P)                                        \
     template Tensor2 BonitoModel::forward<P>(const Tensor2&, P&) const; \
     template std::string BonitoModel::basecall<P>(                     \
-        std::span<const float>, P&, Decoder, u32) const;
+        std::span<const float>, P&) const;
 
 GB_BONITO_INSTANTIATE(NullProbe)
-GB_BONITO_INSTANTIATE(CountingProbe)
 GB_BONITO_INSTANTIATE(CharProbe)
 #undef GB_BONITO_INSTANTIATE
 

@@ -48,21 +48,13 @@ class BonitoModel
     template <typename Probe>
     Tensor2 forward(const Tensor2& chunk, Probe& probe) const;
 
-    /** CTC decoding strategy for basecall(). */
-    enum class Decoder : u8 { kGreedy, kBeam };
-
     /**
      * Basecall a raw signal end to end: chunking, median/MAD
-     * normalization, network, CTC decode, stitching.
-     *
-     * @param decoder    Greedy best-path (fast) or prefix beam search
-     *                   (Bonito's default strategy).
-     * @param beam_width Beam width when decoder == kBeam.
+     * normalization, network, greedy CTC decode, stitching.
      */
     template <typename Probe>
-    std::string basecall(std::span<const float> samples, Probe& probe,
-                         Decoder decoder = Decoder::kGreedy,
-                         u32 beam_width = 8) const;
+    std::string basecall(std::span<const float> samples,
+                         Probe& probe) const;
 
     /** Total multiply-accumulates for one full chunk (work metric). */
     u64 macsPerChunk() const;

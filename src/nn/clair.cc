@@ -92,7 +92,6 @@ ClairModel::predictBatch(std::span<const std::vector<float>> batch,
         std::span<const std::vector<float>>, P&) const;
 
 GB_CLAIR_INSTANTIATE(NullProbe)
-GB_CLAIR_INSTANTIATE(CountingProbe)
 GB_CLAIR_INSTANTIATE(CharProbe)
 #undef GB_CLAIR_INSTANTIATE
 

@@ -1,10 +1,5 @@
 #include "nn/ctc.h"
 
-#include <algorithm>
-#include <cmath>
-#include <map>
-#include <vector>
-
 namespace gb {
 
 namespace {
@@ -32,66 +27,6 @@ ctcGreedyDecode(const Tensor2& probs)
         prev = best;
     }
     return out;
-}
-
-std::string
-ctcBeamDecode(const Tensor2& probs, u32 beam_width)
-{
-    requireInput(probs.cols == kCtcClasses,
-                 "CTC: expected 5 classes per frame");
-    requireInput(beam_width >= 1, "CTC: beam width must be >= 1");
-
-    // Prefix beam search over probabilities (Hannun et al. 2014).
-    // For each prefix track p_blank (ends in blank) and p_nonblank.
-    struct Prob
-    {
-        double blank = 0.0;
-        double nonblank = 0.0;
-
-        double total() const { return blank + nonblank; }
-    };
-    std::map<std::string, Prob> beams;
-    beams[""] = {1.0, 0.0};
-
-    for (u32 t = 0; t < probs.rows; ++t) {
-        const float* row = probs.row(t);
-        std::map<std::string, Prob> next;
-        for (const auto& [prefix, p] : beams) {
-            // Extend with blank: prefix unchanged.
-            next[prefix].blank += p.total() * row[kCtcBlank];
-            // Extend with each base.
-            for (u32 c = 1; c < kCtcClasses; ++c) {
-                const char base = kBases[c];
-                const double pc = row[c];
-                if (!prefix.empty() && prefix.back() == base) {
-                    // Repeat of last char: stays same prefix only via
-                    // the nonblank path; extends via the blank path.
-                    next[prefix].nonblank += p.nonblank * pc;
-                    next[prefix + base].nonblank += p.blank * pc;
-                } else {
-                    next[prefix + base].nonblank += p.total() * pc;
-                }
-            }
-        }
-        // Prune to beam width.
-        std::vector<std::pair<std::string, Prob>> ranked(next.begin(),
-                                                         next.end());
-        std::sort(ranked.begin(), ranked.end(),
-                  [](const auto& a, const auto& b) {
-                      return a.second.total() > b.second.total();
-                  });
-        if (ranked.size() > beam_width) ranked.resize(beam_width);
-        beams.clear();
-        for (auto& [prefix, p] : ranked) {
-            beams.emplace(std::move(prefix), p);
-        }
-    }
-
-    const auto best = std::max_element(
-        beams.begin(), beams.end(), [](const auto& a, const auto& b) {
-            return a.second.total() < b.second.total();
-        });
-    return best == beams.end() ? std::string{} : best->first;
 }
 
 } // namespace gb

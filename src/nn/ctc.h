@@ -1,12 +1,11 @@
 /**
  * @file
- * Connectionist Temporal Classification decoders.
+ * Connectionist Temporal Classification decoder.
  *
  * Basecallers emit per-frame probabilities over {blank, A, C, G, T};
- * a CTC decoder turns the frame sequence into a base sequence. Both a
- * greedy (best-path) decoder and a prefix beam-search decoder are
- * provided; Bonito uses beam search, and greedy is the common fast
- * approximation.
+ * a CTC decoder turns the frame sequence into a base sequence. This
+ * is the greedy (best-path) decoder, the common fast approximation of
+ * Bonito's beam search.
  */
 #ifndef GB_NN_CTC_H
 #define GB_NN_CTC_H
@@ -27,13 +26,6 @@ inline constexpr u32 kCtcClasses = 5;
  * collapse repeats, drop blanks.
  */
 std::string ctcGreedyDecode(const Tensor2& probs);
-
-/**
- * Prefix beam-search decode of [T][5] probabilities.
- *
- * @param beam_width Number of prefixes kept per frame.
- */
-std::string ctcBeamDecode(const Tensor2& probs, u32 beam_width = 8);
 
 } // namespace gb
 

@@ -415,7 +415,6 @@ softmaxRows(Tensor2& t)
     template Tensor2 BiLstm::forward<P>(const Tensor2&, P&) const;
 
 GB_NN_INSTANTIATE(NullProbe)
-GB_NN_INSTANTIATE(CountingProbe)
 GB_NN_INSTANTIATE(CharProbe)
 #undef GB_NN_INSTANTIATE
 

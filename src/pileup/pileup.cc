@@ -190,8 +190,6 @@ callSnvs(const Pileup& pileup, std::span<const u8> ref_codes,
 // Explicit instantiations.
 template Pileup countPileup<NullProbe>(std::span<const AlnRecord>, u64,
                                        u64, NullProbe&);
-template Pileup countPileup<CountingProbe>(std::span<const AlnRecord>,
-                                           u64, u64, CountingProbe&);
 template Pileup countPileup<CharProbe>(std::span<const AlnRecord>, u64,
                                        u64, CharProbe&);
 

@@ -423,17 +423,11 @@ poaConsensus(const PoaTask& task, const PoaParams& params)
 // Explicit instantiations for the supported probe types.
 template void PoaGraph::addSequence<NullProbe>(std::span<const u8>,
                                                NullProbe&, u32);
-template void PoaGraph::addSequence<CountingProbe>(std::span<const u8>,
-                                                   CountingProbe&, u32);
 template void PoaGraph::addSequence<CharProbe>(std::span<const u8>,
                                                CharProbe&, u32);
 template std::vector<u8> poaConsensus<NullProbe>(const PoaTask&,
                                                  const PoaParams&,
                                                  NullProbe&, u64*);
-template std::vector<u8> poaConsensus<CountingProbe>(const PoaTask&,
-                                                     const PoaParams&,
-                                                     CountingProbe&,
-                                                     u64*);
 template std::vector<u8> poaConsensus<CharProbe>(const PoaTask&,
                                                  const PoaParams&,
                                                  CharProbe&, u64*);

@@ -1,6 +1,5 @@
 #include "serve/job.h"
 
-#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -45,9 +44,7 @@ validateSpec(const JobSpec& spec,
              const std::vector<std::string>& known_kernels)
 {
     requireInput(!spec.kernel.empty(), "job: missing kernel name");
-    requireInput(std::find(known_kernels.begin(), known_kernels.end(),
-                           spec.kernel) != known_kernels.end(),
-                 "job: unknown kernel: " + spec.kernel);
+    requireKnownName("job: unknown kernel", spec.kernel, known_kernels);
     requireInput(spec.threads > 0,
                  "job: threads must be >= 1 (" + spec.kernel + ")");
     requireInput(spec.repeats > 0,

@@ -43,7 +43,6 @@
  */
 #include <algorithm>
 #include <limits>
-#include <vector>
 
 #include "simd/engines_internal.h"
 #include "simd/vec.h"
@@ -107,11 +106,12 @@ struct BswVec<i32>
 template <typename T>
 SwResult
 bswPair(std::span<const u8> query, std::span<const u8> target,
-        const SwParams& p)
+        const SwParams& p, u8* const codes, T* const cells)
 {
     using Ops = BswVec<T>;
     using V = typename Ops::V;
     constexpr i32 W = Ops::kW;
+    static_assert(W <= static_cast<i32>(kMaxLanes));
     const i32 m = static_cast<i32>(query.size());
     const i32 n = static_cast<i32>(target.size());
     const i32 dmin = -p.band_width;
@@ -121,10 +121,9 @@ bswPair(std::span<const u8> query, std::span<const u8> target,
     // Query codes and the reversed target, padded for the overrun
     // lanes. N (any code >= 4) is 0xFE in the query and 0xFF in the
     // target, so equal lanes are equal bases.
-    thread_local std::vector<u8> codes;
-    codes.assign(static_cast<size_t>(m + n) + 2 * W, u8{0xFE});
-    u8* const qc = codes.data();
-    u8* const trev = codes.data() + m + W;
+    std::fill_n(codes, static_cast<size_t>(m + n) + 2 * W, u8{0xFE});
+    u8* const qc = codes;
+    u8* const trev = codes + m + W;
     for (i32 i = 0; i < m; ++i) qc[i] = query[i] < 4 ? query[i] : 0xFE;
     for (i32 j = 0; j < n; ++j) {
         trev[n - 1 - j] = target[j] < 4 ? target[j] : 0xFF;
@@ -134,13 +133,12 @@ bswPair(std::span<const u8> query, std::span<const u8> target,
     // H on k-2, k-1, k; E and F on k-1, k; per-row max and argmax.
     // Slots 0..m + 1 plus the overrun of the last chunk.
     const size_t len = static_cast<size_t>(m) + 2 + W;
-    thread_local std::vector<T> cells;
-    cells.assign(9 * len, Ops::kNone);
-    T* h[3] = {cells.data(), cells.data() + len, cells.data() + 2 * len};
-    T* e[2] = {cells.data() + 3 * len, cells.data() + 4 * len};
-    T* f[2] = {cells.data() + 5 * len, cells.data() + 6 * len};
-    T* const row_max = cells.data() + 7 * len;
-    T* const row_arg = cells.data() + 8 * len;
+    std::fill_n(cells, 9 * len, Ops::kNone);
+    T* h[3] = {cells, cells + len, cells + 2 * len};
+    T* e[2] = {cells + 3 * len, cells + 4 * len};
+    T* f[2] = {cells + 5 * len, cells + 6 * len};
+    T* const row_max = cells + 7 * len;
+    T* const row_arg = cells + 8 * len;
 
     const auto ilo = [&](i32 k) {
         return std::max({1, k - n, (k - dmax + 1) >> 1});
@@ -253,10 +251,11 @@ bswPair(std::span<const u8> query, std::span<const u8> target,
 /** IsaKernels::bsw_pair: i16 lanes when `i16_lanes`, i32 otherwise. */
 SwResult
 bswPairVec(std::span<const u8> query, std::span<const u8> target,
-           const SwParams& params, bool i16_lanes)
+           const SwParams& params, bool i16_lanes, const BswBuffers& buf)
 {
-    return i16_lanes ? bswPair<i16>(query, target, params)
-                     : bswPair<i32>(query, target, params);
+    return i16_lanes
+               ? bswPair<i16>(query, target, params, buf.codes, buf.cells16)
+               : bswPair<i32>(query, target, params, buf.codes, buf.cells32);
 }
 
 } // namespace

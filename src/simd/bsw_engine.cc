@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <vector>
 
 #include "simd/engines_internal.h"
 
@@ -55,8 +56,20 @@ bandedSw(std::span<const u8> query, std::span<const u8> target,
         NullProbe probe;
         return bandedSwScalar(query, target, params, probe);
     }
-    return isa->bsw_pair(query, target, params,
-                         simd::i16Exact({query, target}, params));
+    const bool i16_lanes = simd::i16Exact({query, target}, params);
+    using simd::detail::kMaxLanes;
+    thread_local std::vector<u8> codes;
+    thread_local std::vector<i16> cells16;
+    thread_local std::vector<i32> cells32;
+    codes.resize(query.size() + target.size() + 2 * kMaxLanes);
+    const size_t cells = 9 * (query.size() + 2 + kMaxLanes);
+    if (i16_lanes) {
+        cells16.resize(cells);
+    } else {
+        cells32.resize(cells);
+    }
+    return isa->bsw_pair(query, target, params, i16_lanes,
+                         {codes.data(), cells16.data(), cells32.data()});
 }
 
 } // namespace gb

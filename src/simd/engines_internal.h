@@ -6,6 +6,12 @@
  * own -m flags and export one IsaKernels each. isaKernels() in
  * simd.cc is the one place that maps a SimdLevel to a table. Not part
  * of the public gb::simd API.
+ *
+ * The wrappers own every buffer a kernel uses. A standard-library
+ * container instantiated in an ISA file would be compiled with that
+ * file's -m flags into weak symbols that the linker may pick for
+ * every caller, running AVX2 or SSE4 code outside the dispatch gate;
+ * scripts/check.sh rejects such weak symbols.
  */
 #ifndef GB_SIMD_ENGINES_INTERNAL_H
 #define GB_SIMD_ENGINES_INTERNAL_H
@@ -21,6 +27,9 @@
 #include "util/common.h"
 
 namespace gb::simd::detail {
+
+/** The most lanes of any kernel (AVX2 i16); sizes the wrappers' buffers. */
+inline constexpr u32 kMaxLanes = 16;
 
 /**
  * Inputs for one anti-diagonal PairHMM forward pass at precision T
@@ -41,6 +50,19 @@ struct PhmmInput
     T t_im = 0; ///< insertion/deletion -> match
     T t_ii = 0; ///< gap continuation
     T init = 0; ///< initial_scale / n (row-0 deletion mass)
+    T* cells = nullptr; ///< 9 * (m + 1 + kMaxLanes) slots, all +0
+};
+
+/**
+ * The buffers of one bsw_pair call; the kernel initialises what it
+ * reads. `codes` holds m + n + 2 * kMaxLanes bytes, and the cell
+ * buffer of the lane type in use 9 * (m + 2 + kMaxLanes) entries.
+ */
+struct BswBuffers
+{
+    u8* codes;
+    i16* cells16; ///< i16 lanes
+    i32* cells32; ///< i32 lanes
 };
 
 /** The vector kernels of one instruction set. */
@@ -55,7 +77,8 @@ struct IsaKernels
      */
     SwResult (*bsw_pair)(std::span<const u8> query,
                          std::span<const u8> target,
-                         const SwParams& params, bool i16_lanes);
+                         const SwParams& params, bool i16_lanes,
+                         const BswBuffers& buffers);
 
     /**
      * Scaled forward sum, anti-diagonal wavefront, kF32Lanes (float)

@@ -102,6 +102,8 @@ forward(T (*fn)(const detail::PhmmInput<T>&), const KernelRead& read,
     in.t_im = T(1) - gcp;
     in.t_ii = gcp;
     in.init = static_cast<T>(initial_scale) / static_cast<T>(in.n);
+    std::vector<T> cells(9 * (in.m + 1 + detail::kMaxLanes), T(0));
+    in.cells = cells.data();
     return fn(in);
 }
 

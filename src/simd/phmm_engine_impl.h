@@ -25,7 +25,6 @@
  * Per-cell arithmetic is the same expression as forwardScaled<T>.
  */
 #include <algorithm>
-#include <vector>
 
 #include "simd/engines_internal.h"
 #include "simd/vec.h"
@@ -79,20 +78,21 @@ phmmForward(const PhmmInput<T>& in)
     using Ops = PhmmVec<T>;
     using V = typename Ops::V;
     constexpr u32 W = Ops::kW;
+    static_assert(W <= kMaxLanes);
     const i32 m = static_cast<i32>(in.m);
     const i32 n = static_cast<i32>(in.n);
 
     // Nine diagonal buffers (3 states x prev2/prev1/cur), slot i in
-    // 0..m plus W slots of chunk-overrun headroom, zero-initialised.
+    // 0..m plus W slots of chunk-overrun headroom, zero-initialised
+    // by the caller.
     const size_t len = static_cast<size_t>(m) + 1 + W;
-    std::vector<T> storage(9 * len, T(0));
     T* mv[3]; // [0]=prev2, [1]=prev1, [2]=cur
     T* iv[3];
     T* dv[3];
     for (int k = 0; k < 3; ++k) {
-        mv[k] = storage.data() + static_cast<size_t>(k) * len;
-        iv[k] = storage.data() + static_cast<size_t>(3 + k) * len;
-        dv[k] = storage.data() + static_cast<size_t>(6 + k) * len;
+        mv[k] = in.cells + static_cast<size_t>(k) * len;
+        iv[k] = in.cells + static_cast<size_t>(3 + k) * len;
+        dv[k] = in.cells + static_cast<size_t>(6 + k) * len;
     }
     // Diagonal 0 is cell (0, 0): row-0 deletion mass carries init.
     dv[1][0] = in.init;

@@ -97,6 +97,27 @@ nearestName(std::string_view name, const std::vector<std::string>& known)
 }
 
 /**
+ * Throws InputError "<what>: <name>", with the nearest entry of
+ * `known` as a did-you-mean, unless `name` is in `known`: the one
+ * kernel-name check of the CLI, the bench binaries and serve, e.g.
+ * "unknown kernel: fmii (did you mean fmi?)".
+ */
+inline void
+requireKnownName(std::string_view what, std::string_view name,
+                 const std::vector<std::string>& known)
+{
+    if (std::find(known.begin(), known.end(), name) != known.end()) {
+        return;
+    }
+    std::string message = std::string(what) + ": " + std::string(name);
+    const std::string_view best = nearestName(name, known);
+    if (!best.empty()) {
+        message += " (did you mean " + std::string(best) + "?)";
+    }
+    throw InputError(message);
+}
+
+/**
  * "unknown option: --thread=8 (did you mean --threads?)": the error
  * message for `arg`, suggesting the flag in `known` (names without
  * "=value") nearest to `arg`'s name.

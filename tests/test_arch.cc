@@ -29,9 +29,9 @@ TEST(Probe, NullProbeCompilesAway)
     SUCCEED();
 }
 
-TEST(Probe, CountingProbeTallies)
+TEST(Probe, CharProbeTallies)
 {
-    CountingProbe probe;
+    CharProbe probe;
     probe.op(OpClass::kIntAlu, 5);
     probe.op(OpClass::kFpAlu, 2);
     int x = 0;

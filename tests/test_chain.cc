@@ -11,13 +11,10 @@
 #include <vector>
 
 #include "chain/chain.h"
-#include "chain/mapper.h"
 #include "core/benchmark.h"
 #include "io/dna.h"
 #include "simd/chain_engine.h"
 #include "simd/simd.h"
-#include "simdata/genome.h"
-#include "simdata/reads.h"
 #include "util/rng.h"
 
 namespace gb {
@@ -203,6 +200,22 @@ TEST(ChainDp, NoiseAnchorsDoNotChain)
     EXPECT_TRUE(chains.empty());
 }
 
+/**
+ * Best chain score of a read-vs-read overlap, through the production
+ * path the chain kernel and the de-novo example take: minimizers ->
+ * anchors -> dispatched chaining. 0 when no chain is found.
+ */
+i32
+bestChainScore(const std::string& target, const std::string& query)
+{
+    const MinimizerParams mp;
+    const auto anchors =
+        matchAnchors(extractMinimizers(encodeDna(target), mp),
+                     extractMinimizers(encodeDna(query), mp), mp.k);
+    const auto chains = chainAnchors(anchors);
+    return chains.empty() ? 0 : chains.front().score;
+}
+
 TEST(Overlap, TrueOverlapScoresAboveUnrelated)
 {
     Rng rng(67);
@@ -211,81 +224,10 @@ TEST(Overlap, TrueOverlapScoresAboveUnrelated)
     const std::string b = genome.substr(4000, 7000);
     const std::string unrelated = randomDna(rng, 7000);
 
-    const i32 overlap = overlapScore(encodeDna(a), encodeDna(b));
-    const i32 noise = overlapScore(encodeDna(a), encodeDna(unrelated));
+    const i32 overlap = bestChainScore(a, b);
+    const i32 noise = bestChainScore(a, unrelated);
     EXPECT_GT(overlap, 1000);
     EXPECT_LT(noise, 100);
-}
-
-TEST(Mapper, MapsSimulatedLongReadsToTrueOrigins)
-{
-    GenomeParams gp;
-    gp.length = 120'000;
-    gp.seed = 201;
-    const Genome genome = generateGenome(gp);
-    const ReferenceMapper mapper(std::span<const u8>(genome.codes));
-    EXPECT_GT(mapper.indexedMinimizers(), 10'000u);
-
-    LongReadParams lp;
-    lp.coverage = 1.5;
-    lp.seed = 202;
-    const auto reads = simulateLongReads(genome.seq, lp);
-    ASSERT_GT(reads.size(), 5u);
-
-    u64 mapped = 0;
-    u64 accurate = 0;
-    for (const auto& read : reads) {
-        const auto codes = encodeDna(read.record.seq);
-        const Mapping m = mapper.map(codes);
-        if (!m.mapped) continue;
-        ++mapped;
-        EXPECT_EQ(m.reverse, read.reverse);
-        const i64 err = static_cast<i64>(m.ref_pos) -
-                        static_cast<i64>(read.true_pos);
-        if (std::llabs(err) < 200) ++accurate;
-    }
-    EXPECT_EQ(mapped, reads.size());
-    EXPECT_GE(accurate, mapped * 9 / 10);
-}
-
-TEST(Mapper, UnrelatedQueryDoesNotMap)
-{
-    Rng rng(203);
-    GenomeParams gp;
-    gp.length = 50'000;
-    gp.seed = 204;
-    const Genome genome = generateGenome(gp);
-    const ReferenceMapper mapper(std::span<const u8>(genome.codes));
-
-    const std::string unrelated = randomDna(rng, 5'000);
-    const Mapping m = mapper.map(encodeDna(unrelated));
-    EXPECT_FALSE(m.mapped);
-}
-
-TEST(Mapper, RepeatMaskingDropsHighFrequencyMinimizers)
-{
-    // A tandem-repeat-heavy reference should mask some minimizers.
-    GenomeParams gp;
-    gp.length = 60'000;
-    gp.repeat_fraction = 0.6;
-    gp.repeat_divergence = 0.0;
-    gp.seed = 205;
-    const Genome genome = generateGenome(gp);
-    const ReferenceMapper strict(std::span<const u8>(genome.codes),
-                                 MinimizerParams{}, ChainParams{},
-                                 /*max_occ=*/8);
-    EXPECT_GT(strict.maskedMinimizers(), 0u);
-}
-
-TEST(Mapper, ShortQueryReturnsUnmapped)
-{
-    GenomeParams gp;
-    gp.length = 10'000;
-    gp.seed = 206;
-    const Genome genome = generateGenome(gp);
-    const ReferenceMapper mapper(std::span<const u8>(genome.codes));
-    const auto tiny = encodeDna("ACGT");
-    EXPECT_FALSE(mapper.map(tiny).mapped);
 }
 
 // ---- oracles for the wave-3 rewrites --------------------------------
@@ -692,8 +634,8 @@ TEST(ChainEngine, UninstrumentedMatchesProbeTemplateAtEveryLevel)
 {
     // chainAnchors(anchors) is the dispatched production path; with a
     // recording probe the same call runs the instrumented template.
-    // Chains of overlapping reads (default parameters, as the mapper
-    // and overlapScore call it) must agree exactly.
+    // Chains of overlapping reads (default parameters, as the de-novo
+    // example calls it) must agree exactly.
     LevelGuard guard;
     Rng rng(76);
     std::vector<std::vector<Anchor>> sets;
@@ -708,7 +650,7 @@ TEST(ChainEngine, UninstrumentedMatchesProbeTemplateAtEveryLevel)
     }
     std::vector<std::vector<Chain>> oracle;
     for (const auto& anchors : sets) {
-        CountingProbe probe;
+        CharProbe probe;
         oracle.push_back(chainAnchors(anchors, ChainParams{}, probe));
     }
     for (const simd::SimdLevel level : testableLevels()) {
@@ -795,7 +737,7 @@ TEST(Overlap, NoisyLongReadsStillChain)
     };
     const std::string a = corrupt(genome.substr(0, 6000));
     const std::string b = corrupt(genome.substr(3000, 6000));
-    const i32 score = overlapScore(encodeDna(a), encodeDna(b));
+    const i32 score = bestChainScore(a, b);
     EXPECT_GT(score, 200);
 }
 

@@ -37,6 +37,16 @@ TEST(Registry, TwelveKernels)
     EXPECT_THROW(createKernel("nope"), InputError);
 }
 
+TEST(Registry, UnknownKernelSuggestsNearest)
+{
+    try {
+        createKernel("fmii");
+        FAIL() << "expected InputError";
+    } catch (const InputError& e) {
+        EXPECT_STREQ(e.what(), "unknown kernel: fmii (did you mean fmi?)");
+    }
+}
+
 TEST(Registry, DatasetSizeRoundTrip)
 {
     for (DatasetSize size : {DatasetSize::kTiny, DatasetSize::kSmall,
@@ -81,6 +91,25 @@ TEST_P(EveryKernel, CharacterizeProducesOpsAndMemoryTraffic)
     EXPECT_GT(tasks, 0u);
     EXPECT_GT(probe.counts().total(), 0u);
     EXPECT_GT(probe.counts()[OpClass::kLoad], 0u);
+    EXPECT_GT(cache.l1Stats().accesses, 0u);
+}
+
+// The cache simulator only adds modelling: a CharProbe without one
+// counts the same operations, bytes and mispredictions.
+TEST_P(EveryKernel, CacheSimLeavesCountsUnchanged)
+{
+    auto kernel = createKernel(GetParam());
+    kernel->prepare(DatasetSize::kTiny);
+
+    CharProbe plain;
+    const u64 tasks = kernel->characterize(plain);
+    CacheSim cache;
+    CharProbe modelled(&cache);
+    EXPECT_EQ(kernel->characterize(modelled), tasks);
+    EXPECT_EQ(modelled.counts().by_class, plain.counts().by_class);
+    EXPECT_EQ(modelled.loadBytes(), plain.loadBytes());
+    EXPECT_EQ(modelled.storeBytes(), plain.storeBytes());
+    EXPECT_EQ(modelled.mispredicts(), plain.mispredicts());
     EXPECT_GT(cache.l1Stats().accesses, 0u);
 }
 

@@ -257,7 +257,7 @@ TEST(Grm, EngineBitIdenticalToPairLoopAtEveryLevel)
     ThreadPool pool4(4);
     for (const u32 n : {1u, 63u, 65u, 130u}) {
         const GenotypeMatrix m = firstIndividuals(full, n);
-        CountingProbe counting;
+        CharProbe counting;
         const GrmResult oracle = computeGrm(m, pool1, counting);
         ASSERT_EQ(oracle.g.size(), static_cast<size_t>(n) * n);
         for (const simd::SimdLevel level : testableLevels()) {

@@ -343,7 +343,7 @@ TEST(FmIndex, OneContinuationMatchesFullExtension)
         return std::tie(a.k, a.l, a.s, a.begin, a.end) ==
                std::tie(b.k, b.l, b.s, b.begin, b.end);
     };
-    auto sameTraffic = [](const CountingProbe& a, const CountingProbe& b) {
+    auto sameTraffic = [](const CharProbe& a, const CharProbe& b) {
         return a.counts().by_class == b.counts().by_class &&
                a.loadBytes() == b.loadBytes();
     };
@@ -365,17 +365,17 @@ TEST(FmIndex, OneContinuationMatchesFullExtension)
 
         for (u8 c = 0; c < 4; ++c) {
             std::array<BiInterval, 4> all;
-            CountingProbe full;
+            CharProbe full;
             fm.extendBackward(ik, all, full);
-            CountingProbe one;
+            CharProbe one;
             const BiInterval got = fm.extendBackwardOneFused(ik, c, one);
             EXPECT_TRUE(same(got, all[c])) << "backward c=" << int(c);
             EXPECT_TRUE(sameTraffic(one, full))
                 << "backward c=" << int(c);
 
-            CountingProbe full_fwd;
+            CharProbe full_fwd;
             fm.extendForward(ik, all, full_fwd);
-            CountingProbe one_fwd;
+            CharProbe one_fwd;
             const BiInterval got_fwd =
                 fm.extendForwardOneFused(ik, c, one_fwd);
             EXPECT_TRUE(same(got_fwd, all[c])) << "forward c=" << int(c);
@@ -498,96 +498,6 @@ TEST(FmIndex, SmemsCoverWholeReadOnPerfectMatch)
     EXPECT_TRUE(full);
 }
 
-/** Brute-force both-strand count within `z` substitutions. */
-u64
-bruteCountInexact(const std::string& ref, const std::string& pattern,
-                  u32 z)
-{
-    auto hamWithin = [&](const std::string& text, size_t pos) {
-        u32 mismatches = 0;
-        for (size_t i = 0; i < pattern.size(); ++i) {
-            mismatches += text[pos + i] != pattern[i];
-            if (mismatches > z) return false;
-        }
-        return true;
-    };
-    u64 n = 0;
-    const std::string rc = reverseComplement(ref);
-    for (const std::string* text : {&ref, &rc}) {
-        if (text->size() < pattern.size()) continue;
-        for (size_t pos = 0; pos + pattern.size() <= text->size();
-             ++pos) {
-            n += hamWithin(*text, pos);
-        }
-    }
-    return n;
-}
-
-class FmInexactRandom : public ::testing::TestWithParam<int>
-{
-};
-
-TEST_P(FmInexactRandom, MatchesBruteForce)
-{
-    Rng rng(5000 + GetParam());
-    const std::string ref = randomDna(rng, 150 + rng.below(200));
-    FmIndex fm = FmIndex::build(ref);
-    for (int trial = 0; trial < 10; ++trial) {
-        const u64 plen = 4 + rng.below(8);
-        std::string pattern;
-        if (rng.chance(0.7) && ref.size() > plen) {
-            pattern = ref.substr(rng.below(ref.size() - plen), plen);
-        } else {
-            pattern = randomDna(rng, plen);
-        }
-        const u32 z = static_cast<u32>(rng.below(3));
-        EXPECT_EQ(fm.countInexact(pattern, z),
-                  bruteCountInexact(ref, pattern, z))
-            << "pattern " << pattern << " z=" << z;
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, FmInexactRandom,
-                         ::testing::Range(1, 11));
-
-TEST(FmIndex, InexactZeroEqualsExact)
-{
-    Rng rng(66);
-    const std::string ref = randomDna(rng, 400);
-    FmIndex fm = FmIndex::build(ref);
-    for (int trial = 0; trial < 20; ++trial) {
-        const std::string pattern =
-            ref.substr(rng.below(ref.size() - 10), 8);
-        EXPECT_EQ(fm.countInexact(pattern, 0), fm.count(pattern));
-    }
-}
-
-TEST(FmIndex, InexactIsMonotoneInBudget)
-{
-    Rng rng(67);
-    const std::string ref = randomDna(rng, 500);
-    FmIndex fm = FmIndex::build(ref);
-    const std::string pattern = ref.substr(123, 10);
-    u64 prev = 0;
-    for (u32 z = 0; z <= 3; ++z) {
-        const u64 n = fm.countInexact(pattern, z);
-        EXPECT_GE(n, prev);
-        prev = n;
-    }
-}
-
-TEST(FmIndex, InexactFindsMutatedSite)
-{
-    Rng rng(68);
-    const std::string ref = randomDna(rng, 2000);
-    FmIndex fm = FmIndex::build(ref);
-    std::string pattern = ref.substr(700, 20);
-    pattern[10] = pattern[10] == 'A' ? 'C' : 'A';
-    // A 20-mer with one mutation: absent exactly, present within 1.
-    EXPECT_EQ(fm.count(pattern), 0u);
-    EXPECT_GE(fm.countInexact(pattern, 1), 1u);
-}
-
 TEST(FmIndex, OccBlocksAreCompact)
 {
     Rng rng(88);
@@ -610,7 +520,7 @@ TEST(FmIndex, OccAllBlockAlignedChargesExactlyOneAccess)
     // Aligned or not, a lookup is one access: its 64-byte occ line
     // (two 32-byte load ops in the probe's model).
     for (const u64 i : {u64{2} * block, u64{2} * block + 5}) {
-        CountingProbe probe;
+        CharProbe probe;
         fm.occAll(i, probe);
         EXPECT_EQ(probe.counts()[OpClass::kLoad], detail::memOpsFor(64))
             << i;
@@ -695,10 +605,10 @@ TEST(FmIndexLines, OccAllPairWithinAndAcrossBlocks)
             {fm.bwtLength(), fm.bwtLength()},
         };
         for (const auto& [lo, hi] : pairs) {
-            CountingProbe single;
+            CharProbe single;
             const auto want_lo = fm.occAll(lo, single);
             const auto want_hi = fm.occAll(hi, single);
-            CountingProbe paired;
+            CharProbe paired;
             std::array<u64, FmIndex::kAlphabet> got_lo;
             std::array<u64, FmIndex::kAlphabet> got_hi;
             fm.occAllPair(lo, hi, got_lo, got_hi, paired);

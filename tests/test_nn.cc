@@ -181,35 +181,6 @@ TEST(Ctc, GreedyEmptyOnAllBlanks)
     EXPECT_EQ(ctcGreedyDecode(framesOf({0, 0, 0, 0})), "");
 }
 
-TEST(Ctc, BeamMatchesGreedyOnConfidentFrames)
-{
-    Rng rng(6);
-    std::vector<u32> classes;
-    for (int i = 0; i < 40; ++i) {
-        classes.push_back(static_cast<u32>(rng.below(5)));
-    }
-    const Tensor2 probs = framesOf(classes, 0.95f);
-    EXPECT_EQ(ctcBeamDecode(probs, 8), ctcGreedyDecode(probs));
-}
-
-TEST(Ctc, BeamBeatsGreedyOnMergedMass)
-{
-    // Classic CTC case: per-frame argmax is blank, but the summed
-    // probability of "A" beats the blank path.
-    Tensor2 probs(2, kCtcClasses);
-    // frame 0: blank 0.4, A 0.35, C 0.25
-    probs.at(0, 0) = 0.4f;
-    probs.at(0, 1) = 0.35f;
-    probs.at(0, 2) = 0.25f;
-    // frame 1: blank 0.4, A 0.35, C 0.25
-    probs.at(1, 0) = 0.4f;
-    probs.at(1, 1) = 0.35f;
-    probs.at(1, 2) = 0.25f;
-    EXPECT_EQ(ctcGreedyDecode(probs), "");
-    // P("") = 0.16; P("A") = 0.35*0.4 + 0.4*0.35 + 0.35*0.35 = 0.4025.
-    EXPECT_EQ(ctcBeamDecode(probs, 4), "A");
-}
-
 TEST(Bonito, ForwardShapeAndDeterminism)
 {
     BonitoModel model;
@@ -246,31 +217,6 @@ TEST(Bonito, BasecallChunksAndStitches)
     // Deterministic across calls.
     EXPECT_EQ(seq, model.basecall(samples, probe));
     EXPECT_GT(model.macsPerChunk(), 1'000'000u);
-}
-
-TEST(Bonito, BeamDecoderProducesValidSequence)
-{
-    BonitoModel model;
-    Rng rng(12);
-    std::vector<float> samples(4500);
-    for (auto& v : samples) {
-        v = static_cast<float>(rng.normal(90, 12));
-    }
-    NullProbe probe;
-    const std::string beam = model.basecall(
-        samples, probe, BonitoModel::Decoder::kBeam, 4);
-    for (char c : beam) {
-        EXPECT_TRUE(c == 'A' || c == 'C' || c == 'G' || c == 'T');
-    }
-    // Deterministic across calls.
-    EXPECT_EQ(beam, model.basecall(samples, probe,
-                                   BonitoModel::Decoder::kBeam, 4));
-    // With near-uniform (untrained) frame probabilities, beam search
-    // recovers sequence mass that greedy's blank-argmax collapses —
-    // it must therefore never be shorter.
-    const std::string greedy = model.basecall(
-        samples, probe, BonitoModel::Decoder::kGreedy);
-    EXPECT_GE(beam.size(), greedy.size());
 }
 
 TEST(Bonito, NormalizeSignalCentersAndScales)
@@ -401,7 +347,7 @@ void
 expectEngineMatchesLoop(const Layer& layer, const Tensor2& input,
                         const std::string& what)
 {
-    CountingProbe counting;
+    CharProbe counting;
     const Tensor2 oracle = layer.forward(input, counting);
     for (const simd::SimdLevel level : testableLevels()) {
         simd::setSimdLevel(level);
@@ -484,7 +430,7 @@ TEST(Clair, PredictEngineBitIdenticalAtEveryLevel)
     std::vector<float> features(kClairFeatureSize);
     Rng rng(402);
     for (auto& v : features) v = static_cast<float>(rng.uniform());
-    CountingProbe counting;
+    CharProbe counting;
     const ClairOutput oracle = model.predict(features, counting);
     auto same = [](const auto& a, const auto& b) {
         return std::memcmp(a.data(), b.data(), sizeof(a)) == 0;

@@ -334,7 +334,7 @@ TEST(PhmmTask, NullProbeRunMatchesProbeTemplateAtEveryLevel)
     ASSERT_GE(task.haplotypes.size(), 2u)
         << "the SNVs no longer yield an alternate haplotype";
 
-    CountingProbe counting;
+    CharProbe counting;
     const auto oracle = runPhmmTask(task, PhmmParams{}, counting);
     ASSERT_EQ(oracle.size(), task.reads.size() * task.haplotypes.size());
     for (const simd::SimdLevel level : testableLevels()) {

@@ -200,6 +200,18 @@ TEST(ServeJob, ValidateSpec)
     EXPECT_THROW(serve::validateSpec(spec, known), InputError);
 }
 
+TEST(ServeJob, UnknownKernelSuggestsNearest)
+{
+    const std::vector<std::string> known = {"fmi", "bsw"};
+    try {
+        serve::validateSpec(serve::parseJobLine("fmii size=tiny"), known);
+        FAIL() << "expected InputError";
+    } catch (const InputError& e) {
+        EXPECT_STREQ(e.what(),
+                     "job: unknown kernel: fmii (did you mean fmi?)");
+    }
+}
+
 // ---------------------------------------------------------------------
 // Fake kernels
 

@@ -618,6 +618,24 @@ TEST(ParseSeconds, RejectsOutOfRange)
     }
 }
 
+TEST(RequireKnownName, AcceptsKnownAndSuggestsNearMiss)
+{
+    const std::vector<std::string> known = {"fmi", "bsw", "phmm"};
+    EXPECT_NO_THROW(requireKnownName("unknown kernel", "bsw", known));
+    try {
+        requireKnownName("unknown kernel", "bwss", known);
+        FAIL() << "expected InputError";
+    } catch (const InputError& e) {
+        EXPECT_STREQ(e.what(), "unknown kernel: bwss (did you mean bsw?)");
+    }
+    try {
+        requireKnownName("unknown kernel", "nosuchkernel", known);
+        FAIL() << "expected InputError";
+    } catch (const InputError& e) {
+        EXPECT_STREQ(e.what(), "unknown kernel: nosuchkernel");
+    }
+}
+
 TEST(UnknownOption, SuggestsANearMiss)
 {
     const std::vector<std::string> known = {"--size", "--threads",
