@@ -70,11 +70,14 @@ kernelNames()
 std::unique_ptr<Benchmark>
 createKernel(const std::string& name)
 {
-    const std::vector<std::string> names = kernelNames();
-    requireKnownName("unknown kernel", name, names);
-    const auto i = std::find(names.begin(), names.end(), name) -
-                   names.begin();
-    return registry()[static_cast<size_t>(i)].second();
+    const auto& kernels = registry();
+    const auto it = std::find_if(
+        kernels.begin(), kernels.end(),
+        [&](const auto& entry) { return entry.first == name; });
+    if (it == kernels.end()) {
+        requireKnownName("unknown kernel", name, kernelNames()); // throws
+    }
+    return it->second();
 }
 
 } // namespace gb
