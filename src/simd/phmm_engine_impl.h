@@ -73,8 +73,12 @@ struct PhmmVec<double>
 
 template <typename T>
 T
-phmmForward(const PhmmInput<T>& in)
+phmmForward(const PhmmInput<T>& input)
 {
+    // A local copy: the vector stores into the caller's buffers may
+    // alias any memory, so fields read through the reference would be
+    // reloaded after every chunk's stores.
+    const PhmmInput<T> in = input;
     using Ops = PhmmVec<T>;
     using V = typename Ops::V;
     constexpr u32 W = Ops::kW;
