@@ -5,6 +5,9 @@
  * The adaptive band must be wide enough to absorb the event/k-mer rate
  * mismatch (k-mers over-represented up to 2x); narrow bands lose the
  * optimal path, wide bands cost linearly more cells.
+ *
+ * Dataset: its own reads (abea's seeds) at resample_prob 0.45, so that
+ * events over-represent k-mers enough to stress the band.
  */
 #include <iostream>
 

@@ -8,6 +8,9 @@
  * reference scores and the timed sweep use the per-pair scalar kernel
  * (bandedSwScalar), so the time column measures band and z-drop, not
  * an engine.
+ *
+ * Dataset: its own pairs (bsw's seeds) with 1% indels, so that narrow
+ * bands clip paths.
  */
 #include <iostream>
 

@@ -13,6 +13,9 @@
  * scalar DP — scores, parents and extracted chains must be
  * bit-identical at the active dispatch level, and the binary exits
  * non-zero on any mismatch.
+ *
+ * Dataset: its own read pairs (chain's seeds), re-sketched at
+ * w = 20/10/5 to vary the anchor density.
  */
 #include <algorithm>
 #include <cstdlib>

@@ -6,14 +6,15 @@
  * Larger windows examine more candidate predecessors per anchor —
  * linearly more DP work — while chain quality saturates once the
  * window covers the local anchor density.
+ *
+ * Dataset: the chain kernel's prepared anchor sets at --size
+ * (chainAnchorSets()), one per overlapping read pair.
  */
 #include <iostream>
 
 #include "chain/chain.h"
+#include "core/kernels.h"
 #include "harness.h"
-#include "io/dna.h"
-#include "simdata/genome.h"
-#include "util/rng.h"
 #include "util/timer.h"
 
 int
@@ -25,39 +26,14 @@ main(int argc, char** argv)
                        "work vs chain quality (default N=25)",
                        options);
 
-    const u64 num_pairs =
-        options.size == DatasetSize::kTiny ? 50 : 500;
-    GenomeParams gp;
-    gp.length = 300'000;
-    gp.seed = 141;
-    const Genome genome = generateGenome(gp);
-    Rng rng(142);
-
-    const MinimizerParams mp;
-    std::vector<std::vector<Anchor>> anchor_sets;
-    for (u64 i = 0; i < num_pairs; ++i) {
-        const u64 len = 4000 + rng.below(6000);
-        const u64 overlap = len / 2;
-        const u64 a_pos = rng.below(genome.seq.size() - 2 * len);
-        const u64 b_pos = a_pos + (len - overlap);
-        auto noisy = [&](u64 pos, u64 l) {
-            std::string out;
-            for (char c : genome.seq.substr(pos, l)) {
-                if (rng.chance(0.04)) continue;
-                if (rng.chance(0.04)) out += "ACGT"[rng.below(4)];
-                out += rng.chance(0.03) ? "ACGT"[rng.below(4)] : c;
-            }
-            return out;
-        };
-        const auto a = encodeDna(noisy(a_pos, len));
-        const auto b = encodeDna(noisy(b_pos, len));
-        anchor_sets.push_back(matchAnchors(extractMinimizers(a, mp),
-                                           extractMinimizers(b, mp),
-                                           mp.k));
-    }
+    const auto kernel = createKernel("chain");
+    kernel->prepare(options.size);
+    const std::span<const std::vector<Anchor>> anchor_sets =
+        chainAnchorSets(*kernel);
+    const u64 num_pairs = anchor_sets.size();
 
     Table table("Predecessor window sweep");
-    table.setHeader({"N", "time (s)", "mean best score",
+    table.setHeader({"N", "time (ms)", "mean best score",
                      "chained pairs"});
     for (const u32 window : {5u, 10u, 25u, 50u, 100u}) {
         ChainParams params;
@@ -74,7 +50,7 @@ main(int argc, char** argv)
         }
         table.newRow()
             .cell(window)
-            .cellF(timer.seconds(), 3)
+            .cellF(timer.seconds() * 1e3, 2)
             .cellF(total_score / static_cast<double>(num_pairs), 1)
             .cell(std::to_string(chained) + "/" +
                   std::to_string(num_pairs));

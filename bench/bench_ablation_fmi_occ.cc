@@ -14,6 +14,9 @@
  * level and checks its SMEMs against the same search at
  * GB_SIMD_LEVEL=scalar and against the 64-symbol index; any mismatch
  * exits 1.
+ *
+ * Dataset: its own genome and reads (fmi's seeds): it rebuilds the
+ * index from the genome at four spacings.
  */
 #include <iostream>
 #include <tuple>

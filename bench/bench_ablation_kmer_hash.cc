@@ -6,14 +6,16 @@
  * The paper suggests "cache-friendly hashing techniques like robin
  * hood hashing" as a mitigation for kmer-cnt's memory behaviour; this
  * bench quantifies the probe-chain effect.
+ *
+ * Dataset: the kmer-cnt kernel's prepared reads at --size
+ * (kmerCntInput()), at capacities sized from their k-mer count
+ * rather than the kernel's table.
  */
 #include <iostream>
 
+#include "core/kernels.h"
 #include "harness.h"
-#include "io/dna.h"
 #include "kmer/kmer_counter.h"
-#include "simdata/genome.h"
-#include "simdata/reads.h"
 #include "util/timer.h"
 
 int
@@ -24,20 +26,10 @@ main(int argc, char** argv)
     bench::printHeader("Ablation: kmer-cnt hashing",
                        "linear probing vs robin hood", options);
 
-    const u64 total_bases =
-        options.size == DatasetSize::kTiny ? 400'000 : 6'000'000;
-    GenomeParams gp;
-    gp.length = total_bases / 10;
-    gp.seed = 181;
-    const Genome genome = generateGenome(gp);
-    LongReadParams lp;
-    lp.seed = 182;
-    lp.coverage = static_cast<double>(total_bases) /
-                  static_cast<double>(genome.seq.size());
-    std::vector<std::vector<u8>> reads;
-    for (const auto& read : simulateLongReads(genome.seq, lp)) {
-        reads.push_back(encodeDna(read.record.seq));
-    }
+    const auto kernel = createKernel("kmer-cnt");
+    kernel->prepare(options.size);
+    const std::span<const std::vector<u8>> reads =
+        kmerCntInput(*kernel).reads;
     u64 distinct_estimate = 0;
     for (const auto& r : reads) {
         distinct_estimate += r.size() >= 17 ? r.size() - 16 : 0;
@@ -58,9 +50,8 @@ main(int argc, char** argv)
             KmerCounter counter(cap_log2, scheme);
             NullProbe probe;
             WallTimer timer;
-            const KmerCountStats stats = countKmers(
-                std::span<const std::vector<u8>>(reads), 17, counter,
-                probe);
+            const KmerCountStats stats =
+                countKmers(reads, 17, counter, probe);
             const auto displ = counter.displacementStats();
             table.newRow()
                 .cell(scheme == HashScheme::kLinear ? "linear"

@@ -7,6 +7,9 @@
  * inserted are known in advance, the kernel can prefetch the upcoming
  * hash slots and overlap DRAM latency with the current insert.
  *
+ * Dataset: the kmer-cnt kernel's prepared reads at --size, counted
+ * into one table of the kernel's size (kmerCntInput()).
+ *
  * Every row runs countKmers(), which inserts through
  * KmerCounter::addBatch — the insert path the kmer-cnt kernel's
  * partitioned pass also uses — at the row's lookahead; the baseline is
@@ -15,11 +18,9 @@
  */
 #include <iostream>
 
+#include "core/kernels.h"
 #include "harness.h"
-#include "io/dna.h"
 #include "kmer/kmer_counter.h"
-#include "simdata/genome.h"
-#include "simdata/reads.h"
 #include "util/timer.h"
 
 int
@@ -30,23 +31,9 @@ main(int argc, char** argv)
     bench::printHeader("Ablation: kmer-cnt software prefetch",
                        "paper §IV-F proposed mitigation", options);
 
-    const u64 total_bases =
-        options.size == DatasetSize::kTiny ? 1'000'000 : 12'000'000;
-    const u32 cap_log2 =
-        options.size == DatasetSize::kTiny ? 21 : 24;
-
-    GenomeParams gp;
-    gp.length = total_bases / 10;
-    gp.seed = 181;
-    const Genome genome = generateGenome(gp);
-    LongReadParams lp;
-    lp.seed = 182;
-    lp.coverage = static_cast<double>(total_bases) /
-                  static_cast<double>(genome.seq.size());
-    std::vector<std::vector<u8>> reads;
-    for (const auto& read : simulateLongReads(genome.seq, lp)) {
-        reads.push_back(encodeDna(read.record.seq));
-    }
+    const auto kernel = createKernel("kmer-cnt");
+    kernel->prepare(options.size);
+    const KmerCntInput input = kmerCntInput(*kernel);
 
     Table table("Software prefetching (3 runs each, best time)");
     table.setHeader(
@@ -56,15 +43,16 @@ main(int argc, char** argv)
     auto report = [&](const char* name, u32 lookahead) {
         double best = 1e9;
         u64 distinct = 0;
+        u64 kmers = 0;
         for (int rep = 0; rep < 3; ++rep) {
-            KmerCounter counter(cap_log2);
+            KmerCounter counter(input.capacity_log2);
             NullProbe probe;
             WallTimer timer;
             const auto stats =
-                countKmers(std::span<const std::vector<u8>>(reads), 17,
-                           counter, probe, lookahead);
+                countKmers(input.reads, 17, counter, probe, lookahead);
             best = std::min(best, timer.seconds());
             distinct = stats.distinct_kmers;
+            kmers = stats.total_kmers;
             if (rep == 0 && lookahead == 0) {
                 baseline_distinct = distinct;
             }
@@ -74,12 +62,11 @@ main(int argc, char** argv)
                 std::exit(1);
             }
         }
-        const double bases = static_cast<double>(total_bases);
         table.newRow()
             .cell(name)
             .cell(lookahead)
             .cellF(best, 3)
-            .cellF(bases / best / 1e6, 1)
+            .cellF(static_cast<double>(kmers) / best / 1e6, 1)
             .cell(formatCount(distinct));
     };
 

@@ -13,6 +13,9 @@
  * first after a fallback and skips float passes it proves would fail.
  * The bench exits 1 if any of its likelihoods differs from the
  * template row's.
+ *
+ * Dataset: its own contained and pipeline-window pairs, the two classes
+ * whose float-pass underflow it compares.
  */
 #include <bit>
 #include <cmath>

@@ -7,9 +7,11 @@
  *
  * Beside the modeled task-work imbalance this prints a *measured*
  * per-rank busy-time imbalance (max/mean busy seconds from the
- * ThreadPool scheduler telemetry of a real run): dynamic scheduling
- * should keep measured busy-time imbalance far below the task-work
- * imbalance — that gap is the paper's argument for schedule(dynamic).
+ * ThreadPool scheduler telemetry of repeated real runs, at least one
+ * busy second in total): dynamic scheduling should keep measured
+ * busy-time imbalance far below the task-work imbalance — that gap is
+ * the paper's argument for schedule(dynamic).
+ * Dataset: each irregular kernel's prepared dataset at --size.
  */
 #include <iostream>
 
@@ -30,6 +32,7 @@ main(int argc, char** argv)
     const unsigned measure_threads =
         options.threads ? options.threads : 4;
     ThreadPool pool(measure_threads);
+    constexpr double kMinBusySeconds = 1.0;
 
     Table table("Per-task data-parallel work");
     table.setHeader({"kernel", "work unit", "tasks", "mean", "p99",
@@ -48,13 +51,18 @@ main(int argc, char** argv)
             samples.push_back(static_cast<double>(w));
         }
 
-        // Measured: run the kernel under dynamic scheduling and
-        // compare per-rank busy seconds.
+        // Measured: run the kernel under dynamic scheduling until the
+        // ranks were busy for kMinBusySeconds in total, and compare
+        // per-rank busy seconds. One millisecond-long run reads
+        // whichever rank woke first.
         pool.resetTelemetry();
-        kernel->run(pool);
         RunningStats busy;
-        for (const auto& rank : pool.telemetry()) {
-            busy.add(rank.busy_seconds);
+        while (busy.sum() < kMinBusySeconds) {
+            kernel->run(pool);
+            busy = RunningStats();
+            for (const auto& rank : pool.telemetry()) {
+                busy.add(rank.busy_seconds);
+            }
         }
 
         table.newRow()

@@ -8,6 +8,7 @@
  * Paper shape: phmm is the only FP-heavy CPU kernel; phmm/bsw/spoa are
  * vector-heavy; fmi is load-dominated; the rest are scalar-integer
  * dominated.
+ * Dataset: each selected kernel's prepared dataset at --size.
  */
 #include <iostream>
 

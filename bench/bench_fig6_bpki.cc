@@ -12,6 +12,7 @@
  * measured LLC-miss traffic per kilo-instruction is printed beside
  * the model with a divergence flag. When perf_event_open is denied (containers, CI)
  * the measured columns degrade to "n/a" and the model stands alone.
+ * Dataset: each selected kernel's prepared dataset at --size.
  */
 #include <iostream>
 

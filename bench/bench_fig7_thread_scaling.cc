@@ -9,6 +9,7 @@
  * on a single-core host this bench still reports the table, and the
  * load-balance quality column (ideal/actual task distribution) is
  * hardware-independent.
+ * Dataset: each selected kernel's prepared dataset at --size.
  */
 #include <algorithm>
 #include <iostream>

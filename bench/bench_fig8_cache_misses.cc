@@ -12,6 +12,7 @@
  * stall-dominated kernels must show it on hardware too: lowest IPC
  * and the highest LLC-MPKI. Columns degrade to "n/a" when
  * perf_event_open is denied.
+ * Dataset: each selected kernel's prepared dataset at --size.
  */
 #include <iostream>
 

@@ -7,6 +7,7 @@
  * Paper shape: fmi 44.4 % and kmer-cnt 86.6 % of slots memory-bound;
  * bsw/chain/phmm retire > 50 % and are otherwise core-bound (port
  * pressure); grm retires the most (87.7 %).
+ * Dataset: each selected kernel's prepared dataset at --size.
  */
 #include <iostream>
 

@@ -5,6 +5,7 @@
  * The paper reports its Xeon E3-1240 v5 testbed; we report the actual
  * host next to the modelled hierarchy used by the cache simulator
  * (which is configured to the paper's machine).
+ * Dataset: none; it reads the host and the cache model.
  */
 #include <fstream>
 #include <iostream>

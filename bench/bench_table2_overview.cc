@@ -3,6 +3,7 @@
  * Table II reproduction: benchmark overview — source tool, parallelism
  * motif, regular/irregular compute, CPU/GPU — plus measured task
  * counts on the selected dataset.
+ * Dataset: each selected kernel's prepared dataset at --size.
  */
 #include <iostream>
 

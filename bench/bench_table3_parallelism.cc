@@ -3,6 +3,8 @@
  * Table III reproduction: parallelism granularity and data-parallel
  * computation of the irregular CPU benchmarks, with the measured
  * per-task work statistics backing the classification.
+ * Dataset: each selected irregular kernel's prepared dataset at
+ * --size.
  */
 #include <iostream>
 

@@ -6,6 +6,7 @@
  *
  * Paper values (Titan Xp, nvprof): abea 100 / 75.09 / 70.18 / 70.53 /
  * 31.41 %; nn-base 100 / 100 / 94.43 / 99.83 / 88.47 %.
+ * Dataset: the abea and nn-base kernels' prepared datasets at --size.
  */
 #include <iostream>
 
@@ -22,12 +23,14 @@ main(int argc, char** argv)
                        "GPU control flow and compute regularity",
                        options);
 
+    const auto abea_kernel = createKernel("abea");
+    abea_kernel->prepare(options.size);
     SimtModel abea_model;
-    const SimtStats abea =
-        bench::replayAbeaGpu(options.size, abea_model);
+    const SimtStats abea = bench::replayAbeaGpu(*abea_kernel, abea_model);
+    const auto nn_kernel = createKernel("nn-base");
+    nn_kernel->prepare(options.size);
     SimtModel nn_model;
-    const SimtStats nn =
-        bench::replayNnBaseGpu(options.size, nn_model);
+    const SimtStats nn = bench::replayNnBaseGpu(*nn_kernel, nn_model);
 
     Table table("GPU kernel regularity (percent)");
     table.setHeader({"metric", "abea", "nn-base", "paper abea",

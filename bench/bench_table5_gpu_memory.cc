@@ -6,6 +6,7 @@
  *
  * Paper values: abea 25.5 % load / 68.5 % store; nn-base 70.3 % load /
  * 100 % store.
+ * Dataset: the abea and nn-base kernels' prepared datasets at --size.
  */
 #include <iostream>
 
@@ -21,12 +22,14 @@ main(int argc, char** argv)
     bench::printHeader("Table V", "GPU global memory efficiency",
                        options);
 
+    const auto abea_kernel = createKernel("abea");
+    abea_kernel->prepare(options.size);
     SimtModel abea_model;
-    const SimtStats abea =
-        bench::replayAbeaGpu(options.size, abea_model);
+    const SimtStats abea = bench::replayAbeaGpu(*abea_kernel, abea_model);
+    const auto nn_kernel = createKernel("nn-base");
+    nn_kernel->prepare(options.size);
     SimtModel nn_model;
-    const SimtStats nn =
-        bench::replayNnBaseGpu(options.size, nn_model);
+    const SimtStats nn = bench::replayNnBaseGpu(*nn_kernel, nn_model);
 
     Table table("Useful fraction of global memory bandwidth (percent)");
     table.setHeader(

@@ -1,43 +1,19 @@
 #include "gpu_replay.h"
 
 #include <algorithm>
-#include <array>
 #include <vector>
 
 #include "abea/abea.h"
-#include "abea/event_detect.h"
+#include "core/kernels.h"
 #include "nn/bonito.h"
-#include "simdata/genome.h"
-#include "simdata/pore_model.h"
-#include "util/rng.h"
 
 namespace gb::bench {
 
-namespace {
-
-u64
-sizesFor(DatasetSize size, u64 tiny, u64 small, u64 large)
-{
-    switch (size) {
-      case DatasetSize::kTiny: return tiny;
-      case DatasetSize::kSmall: return small;
-      case DatasetSize::kLarge: return large;
-    }
-    return tiny;
-}
-
-} // namespace
-
 SimtStats
-replayAbeaGpu(DatasetSize size, SimtModel& simt)
+replayAbeaGpu(const Benchmark& abea, SimtModel& simt)
 {
-    const u64 num_reads = sizesFor(size, 4, 40, 160);
-    PoreModel model(6, 161);
-    GenomeParams gp;
-    gp.length = 150'000;
-    gp.seed = 162;
-    const Genome genome = generateGenome(gp);
-    Rng rng(163);
+    const AbeaInput input = abeaInput(abea);
+    const u64 num_reads = input.reads.size();
 
     AbeaParams params;
     params.record_bands = true;
@@ -55,14 +31,9 @@ replayAbeaGpu(DatasetSize size, SimtModel& simt)
                 shared_per_block, /*regs=*/32);
 
     for (u64 r = 0; r < num_reads; ++r) {
-        const u64 seg_len = 1000 + rng.below(1500);
-        const u64 pos = rng.below(genome.seq.size() - seg_len - 1);
-        const std::string ref = genome.seq.substr(pos, seg_len);
-        SignalParams sp;
-        sp.seed = 164 + r;
-        const SimSignal sim = simulateSignal(model, ref, sp);
-        const auto events = detectEvents(sim.samples);
-        const auto result = alignEvents(events, model, ref, params);
+        const AbeaRead& read = input.reads[r];
+        const auto result =
+            alignEvents(read.events, input.model, read.ref, params);
         if (!result.valid) continue;
 
         // Synthetic global-memory base addresses for this block.
@@ -135,30 +106,14 @@ replayAbeaGpu(DatasetSize size, SimtModel& simt)
 }
 
 SimtStats
-replayNnBaseGpu(DatasetSize size, SimtModel& simt)
+replayNnBaseGpu(const Benchmark& nn_base, SimtModel& simt)
 {
-    const u64 num_chunks = sizesFor(size, 2, 20, 80);
+    const u64 num_chunks = nnBaseChunks(nn_base).size();
     const BonitoModel model;
 
-    // Layer geometry mirroring BonitoModel's architecture:
-    // (in_ch, out_ch, kernel, stride, groups).
-    struct Layer
-    {
-        u32 in_ch, out_ch, kernel, stride, groups;
-    };
-    const u32 c = model.config().base_channels;
-    const std::vector<Layer> layers{
-        {1, c, 5, 1, 1},        {c, c, 5, 3, 1},
-        {c, c, 9, 1, c},        {c, 2 * c, 1, 1, 1},
-        {2 * c, 2 * c, 9, 1, 2 * c}, {2 * c, 3 * c, 1, 1, 1},
-        {3 * c, 3 * c, 9, 1, 3 * c}, {3 * c, 4 * c, 1, 1, 1},
-        {4 * c, 4 * c, 9, 1, 4 * c}, {4 * c, 4 * c, 1, 1, 1},
-        {4 * c, 5, 1, 1, 1},
-    };
-
     u32 t = model.config().chunk_size;
-    for (const auto& layer : layers) {
-        const u32 t_out = ceilDiv(t, layer.stride);
+    for (const Conv1d& layer : model.layers()) {
+        const u32 t_out = ceilDiv(t, layer.stride());
         // Launch: 128-thread blocks over output frames; weights live
         // in shared memory (2-6 KB), registers bound occupancy at
         // ~88 % as on the Titan Xp. Production basecalling batches
@@ -168,9 +123,7 @@ replayNnBaseGpu(DatasetSize size, SimtModel& simt)
                         ceilDiv(t_out, 128u),
                     128, 4 * 1024, /*regs=*/36);
 
-        const u64 macs_per_frame = static_cast<u64>(layer.out_ch) *
-                                   (layer.in_ch / layer.groups) *
-                                   layer.kernel;
+        const u64 macs_per_frame = layer.macsPerFrame();
         const u64 frame_groups = t_out / 32;
         const u32 tail = t_out % 32;
         // Full groups: perfectly uniform warps (one MAC bundle per
@@ -193,13 +146,11 @@ replayNnBaseGpu(DatasetSize size, SimtModel& simt)
             for (u32 lane = 0; lane < 32; ++lane) {
                 lane_addrs[lane] =
                     0x1000'0000 + s * 0x1000 +
-                    static_cast<u64>(lane) * 4 * layer.stride;
+                    static_cast<u64>(lane) * 4 * layer.stride();
             }
             // Weighted by taps x channel rows handled per group.
-            const u64 weight =
-                std::max<u64>(1, layer.kernel *
-                                     (layer.in_ch / layer.groups) /
-                                     4);
+            const u64 weight = std::max<u64>(
+                1, macs_per_frame / layer.outChannels() / 4);
             for (u64 rep = 0; rep < weight; ++rep) {
                 simt.memAccess(lane_addrs, 4, false);
             }

@@ -5,9 +5,8 @@
 # precision ablation's runPhmmTask-vs-template check
 # at every dispatch level
 # (GB_SIMD_LEVEL=scalar|sse4|avx2), the whole ctest suite in a Debug
-# build and under ASan/UBSan (plus the dispatch-level suites at every
-# level), the thread-pool, k-mer, metrics, serve, net and trace suites
-# under TSan, a
+# build, under ASan/UBSan (plus the dispatch-level suites at every
+# level) and under TSan, a
 # metrics smoke test (--json emission validated by
 # scripts/validate_metrics.py, which must also reject malformed
 # documents), a guard that the dispatched smems object counts with the
@@ -51,6 +50,11 @@ SKIP_SAN=0
 [[ "${1:-}" == "--skip-sanitizers" ]] && SKIP_SAN=1
 
 step() { printf '\n== %s ==\n' "$*"; }
+
+# The test binaries whose engines dispatch on GB_SIMD_LEVEL; each runs
+# at every level in the Release and the ASan/UBSan builds.
+LEVEL_TESTS="test_simd test_align test_index test_phmm test_chain test_poa
+test_nn test_grm test_abea"
 
 # ----------------------------------------------------------------- tier 1
 step "tier-1: configure + build"
@@ -96,15 +100,9 @@ fi
 step "gb::simd + bsw one-pair engine + FM-index SMEMs + phmm/chain/poa/nn/grm/abea: equivalence at every dispatch level"
 for level in scalar sse4 avx2; do
     echo "-- GB_SIMD_LEVEL=$level"
-    GB_SIMD_LEVEL=$level ./build/tests/test_simd
-    GB_SIMD_LEVEL=$level ./build/tests/test_align --gtest_brief=1
-    GB_SIMD_LEVEL=$level ./build/tests/test_index --gtest_brief=1
-    GB_SIMD_LEVEL=$level ./build/tests/test_phmm --gtest_brief=1
-    GB_SIMD_LEVEL=$level ./build/tests/test_chain --gtest_brief=1
-    GB_SIMD_LEVEL=$level ./build/tests/test_poa --gtest_brief=1
-    GB_SIMD_LEVEL=$level ./build/tests/test_nn --gtest_brief=1
-    GB_SIMD_LEVEL=$level ./build/tests/test_grm --gtest_brief=1
-    GB_SIMD_LEVEL=$level ./build/tests/test_abea --gtest_brief=1
+    for test in $LEVEL_TESTS; do
+        GB_SIMD_LEVEL=$level "./build/tests/$test" --gtest_brief=1
+    done
     GB_SIMD_LEVEL=$level ./build/bench/bench_fig3_bsw_vectorization \
         --size=tiny >/dev/null
     GB_SIMD_LEVEL=$level ./build/bench/bench_ablation_phmm_precision \
@@ -162,24 +160,10 @@ if [[ $SKIP_SAN -eq 0 ]]; then
     cmake --build build-asan -j"$JOBS"
     (cd build-asan && ctest --output-on-failure -j"$JOBS")
     for level in scalar sse4 avx2; do
-        GB_SIMD_LEVEL=$level ./build-asan/tests/test_simd \
-            --gtest_brief=1
-        GB_SIMD_LEVEL=$level ./build-asan/tests/test_align \
-            --gtest_brief=1
-        GB_SIMD_LEVEL=$level ./build-asan/tests/test_index \
-            --gtest_brief=1
-        GB_SIMD_LEVEL=$level ./build-asan/tests/test_phmm \
-            --gtest_brief=1
-        GB_SIMD_LEVEL=$level ./build-asan/tests/test_chain \
-            --gtest_brief=1
-        GB_SIMD_LEVEL=$level ./build-asan/tests/test_poa \
-            --gtest_brief=1
-        GB_SIMD_LEVEL=$level ./build-asan/tests/test_nn \
-            --gtest_brief=1
-        GB_SIMD_LEVEL=$level ./build-asan/tests/test_grm \
-            --gtest_brief=1
-        GB_SIMD_LEVEL=$level ./build-asan/tests/test_abea \
-            --gtest_brief=1
+        for test in $LEVEL_TESTS; do
+            GB_SIMD_LEVEL=$level "./build-asan/tests/$test" \
+                --gtest_brief=1
+        done
     done
 fi
 
@@ -187,32 +171,25 @@ fi
 # The scheduler telemetry writes per-rank slots from worker threads,
 # the gb::serve scheduler admits and dispatches under one lock from
 # submitters and finishing detached runner threads over a shared
-# worker budget, the gb::net server multiplexes session
-# threads, an accept loop and wake pipes over one scheduler,
-# gb::trace records into per-thread rings (reused across exiting
-# threads) from all of the above, and
-# kmer-cnt's partitioned pass fills one table per pool rank; TSan
-# proves the thread-pool accounting, the partition ownership, the
-# metrics plumbing, the serving layer, the network layer and the
-# trace recorder are race-free.
+# worker budget, the gb::net server multiplexes session threads, an
+# accept loop and wake pipes over one scheduler, gb::trace records
+# into per-thread rings (reused across exiting threads) from all of
+# the above, and the kernels run on the pool; TSan runs the whole
+# ctest suite over them.
 if [[ $SKIP_SAN -eq 0 ]]; then
-    step "TSan: build + run thread-pool, k-mer, metrics, serve, net and trace tests"
+    step "TSan: build + run the whole ctest suite"
+    TSAN_START=$SECONDS
     cmake -B build-tsan -S . \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
         >/dev/null
-    cmake --build build-tsan -j"$JOBS" --target test_util test_kmer \
-        test_metrics test_serve test_net test_trace
+    cmake --build build-tsan -j"$JOBS"
     # The randomized scheduler stress first (skewed and throwing
-    # bodies — docs/threading.md), then the full suites.
+    # bodies — docs/threading.md), then the whole suite.
     ./build-tsan/tests/test_util \
         --gtest_filter='ThreadPool.SchedulerStress*'
-    ./build-tsan/tests/test_util --gtest_brief=1
-    ./build-tsan/tests/test_kmer --gtest_brief=1
-    ./build-tsan/tests/test_metrics --gtest_brief=1
-    ./build-tsan/tests/test_serve --gtest_brief=1
-    ./build-tsan/tests/test_net --gtest_brief=1
-    ./build-tsan/tests/test_trace --gtest_brief=1
+    (cd build-tsan && ctest --output-on-failure -j"$JOBS")
+    echo "TSan step: $((SECONDS - TSAN_START)) s"
 fi
 
 # ------------------------------------------------------- metrics smoke

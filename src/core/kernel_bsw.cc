@@ -5,8 +5,8 @@
  * extends each pair with bandedSw(), the anti-diagonal engine, as the
  * pipeline does; GB_SIMD_LEVEL=scalar makes that bandedSwScalar. The
  * lockstep BatchSwAligner models BWA-MEM2's inter-sequence batches for
- * characterize(), and the Fig. 3 bench builds its own aligner for the
- * modelled overwork.
+ * characterize(), and the Fig. 3 bench runs one over these pairs
+ * (bswPairs()) for the modelled overwork.
  */
 #include "core/kernels.h"
 
@@ -101,6 +101,8 @@ class BswKernel final : public Benchmark
         return work;
     }
 
+    std::span<const SwPair> pairs() const { return pairs_; }
+
   private:
     static constexpr u64 kGenomeLen = 300'000;
 
@@ -190,6 +192,14 @@ std::unique_ptr<Benchmark>
 makeBswKernel()
 {
     return std::make_unique<BswKernel>();
+}
+
+std::span<const SwPair>
+bswPairs(const Benchmark& kernel)
+{
+    const auto* bsw = dynamic_cast<const BswKernel*>(&kernel);
+    requireInput(bsw != nullptr, "bswPairs: not bsw");
+    return bsw->pairs();
 }
 
 } // namespace gb

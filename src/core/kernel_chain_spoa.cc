@@ -99,6 +99,12 @@ class ChainKernel final : public Benchmark
         return work;
     }
 
+    std::span<const std::vector<Anchor>>
+    anchorSets() const
+    {
+        return anchor_sets_;
+    }
+
   private:
     static constexpr u64 kGenomeLen = 400'000;
     static constexpr double kDeletionRate = 0.04;
@@ -256,6 +262,14 @@ std::unique_ptr<Benchmark>
 makeSpoaKernel()
 {
     return std::make_unique<SpoaKernel>();
+}
+
+std::span<const std::vector<Anchor>>
+chainAnchorSets(const Benchmark& kernel)
+{
+    const auto* chain = dynamic_cast<const ChainKernel*>(&kernel);
+    requireInput(chain != nullptr, "chainAnchorSets: not chain");
+    return chain->anchorSets();
 }
 
 } // namespace gb

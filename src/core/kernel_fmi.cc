@@ -100,7 +100,6 @@ class FmiKernel final : public Benchmark
     u64
     run(ThreadPool& pool) override
     {
-        std::vector<u64> found(reads_.size());
         pool.parallelFor(
             reads_.size(),
             [&](u64 i) {
@@ -108,7 +107,6 @@ class FmiKernel final : public Benchmark
                 std::vector<Smem> mems;
                 fm_->smems(std::span<const u8>(reads_[i]), kMinSeedLen,
                            mems, probe);
-                found[i] = mems.size();
             },
             16);
         return reads_.size();

@@ -128,6 +128,8 @@ class KmerCntKernel final : public Benchmark
         return work;
     }
 
+    KmerCntInput input() const { return {reads_, capacity_log2_}; }
+
   private:
     static constexpr u32 kK = 17;
 
@@ -541,6 +543,14 @@ std::unique_ptr<Benchmark>
 makeNnVariantKernel()
 {
     return std::make_unique<NnVariantKernel>();
+}
+
+KmerCntInput
+kmerCntInput(const Benchmark& kernel)
+{
+    const auto* kmer = dynamic_cast<const KmerCntKernel*>(&kernel);
+    requireInput(kmer != nullptr, "kmerCntInput: not kmer-cnt");
+    return kmer->input();
 }
 
 std::span<const std::vector<float>>

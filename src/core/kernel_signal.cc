@@ -67,7 +67,7 @@ class AbeaKernel final : public Benchmark
                 reads_.clear();
                 reads_.reserve(refs.size());
                 for (size_t r = 0; r < refs.size(); ++r) {
-                    reads_.push_back(ReadTask{std::move(refs[r]),
+                    reads_.push_back(AbeaRead{std::move(refs[r]),
                                               std::move(events[r])});
                 }
             },
@@ -84,7 +84,7 @@ class AbeaKernel final : public Benchmark
                     const u64 seg_len = 1000 + rng.below(2500);
                     const u64 pos =
                         rng.below(genome.seq.size() - seg_len - 1);
-                    ReadTask task;
+                    AbeaRead task;
                     task.ref = genome.seq.substr(pos, seg_len);
                     SignalParams sp;
                     sp.seed = 164 + r;
@@ -98,11 +98,11 @@ class AbeaKernel final : public Benchmark
                     "abea", key, [&](store::StoreWriter& writer) {
                         store::addRows<char>(
                             writer, "refs",
-                            reads_ | std::views::transform(&ReadTask::ref));
+                            reads_ | std::views::transform(&AbeaRead::ref));
                         store::addRows<store::StoredEvent>(
                             writer, "events",
                             reads_ |
-                                std::views::transform(&ReadTask::events),
+                                std::views::transform(&AbeaRead::events),
                             store::packEvent);
                     });
             });
@@ -140,16 +140,12 @@ class AbeaKernel final : public Benchmark
         return work;
     }
 
-  private:
-    struct ReadTask
-    {
-        std::string ref;
-        std::vector<Event> events;
-    };
+    AbeaInput input() const { return {model_, reads_}; }
 
+  private:
     PoreModel model_;
     AbeaParams params_;
-    std::vector<ReadTask> reads_;
+    std::vector<AbeaRead> reads_;
 };
 
 class NnBaseKernel final : public Benchmark
@@ -299,6 +295,14 @@ std::unique_ptr<Benchmark>
 makeNnBaseKernel()
 {
     return std::make_unique<NnBaseKernel>();
+}
+
+AbeaInput
+abeaInput(const Benchmark& kernel)
+{
+    const auto* abea = dynamic_cast<const AbeaKernel*>(&kernel);
+    requireInput(abea != nullptr, "abeaInput: not abea");
+    return abea->input();
 }
 
 std::span<const Tensor2>

@@ -9,10 +9,15 @@
 
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
+#include "abea/event_detect.h"
+#include "align/banded_sw.h"
+#include "chain/chain.h"
 #include "core/benchmark.h"
 #include "nn/tensor.h"
+#include "simdata/pore_model.h"
 
 namespace gb {
 
@@ -44,12 +49,40 @@ sizesFor(DatasetSize size, u64 tiny, u64 small, u64 large)
     return tiny;
 }
 
+/** kmer-cnt's reads and its count table's log2 slot count. */
+struct KmerCntInput
+{
+    std::span<const std::vector<u8>> reads;
+    u32 capacity_log2 = 0;
+};
+
+/** One abea task: a reference segment and its signal's events. */
+struct AbeaRead
+{
+    std::string ref;
+    std::vector<Event> events;
+};
+
+/** abea's pore model and reads. */
+struct AbeaInput
+{
+    const PoreModel& model;
+    std::span<const AbeaRead> reads;
+};
+
 /**
- * The prepared model inputs of an nn-variant (Clair feature rows) and
- * an nn-base (signal chunks) kernel, for tests that compare two
- * prepares: neither kernel's taskWork() depends on the data. Throw
- * InputError when `kernel` is another kernel.
+ * The prepared inputs of a kernel, for the benches and tests that
+ * sweep a kernel's own dataset: each dataset, its presets and its
+ * seeds are defined once, in the kernel's prepare(). bswPairs() keeps
+ * the kernel's order, sorted by query length. Each view lives as long
+ * as `kernel` and until its next prepare(). Throw InputError when
+ * `kernel` is another kernel.
  */
+std::span<const SwPair> bswPairs(const Benchmark& kernel);
+KmerCntInput kmerCntInput(const Benchmark& kernel);
+std::span<const std::vector<Anchor>> chainAnchorSets(
+    const Benchmark& kernel);
+AbeaInput abeaInput(const Benchmark& kernel);
 std::span<const std::vector<float>> nnVariantFeatures(
     const Benchmark& kernel);
 std::span<const Tensor2> nnBaseChunks(const Benchmark& kernel);

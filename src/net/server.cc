@@ -43,6 +43,7 @@ Server::acceptLoop()
 {
     while (auto conn = listener_.accept()) {
         if (stopping_.load(std::memory_order_acquire)) break;
+        joinEndedSessions();
         std::lock_guard<std::mutex> lock(sessions_mutex_);
         if (live_sessions_ >= config_.max_sessions) {
             // Transport-level load shedding: tell the client why
@@ -63,8 +64,29 @@ Server::acceptLoop()
                 session(std::move(c));
                 std::lock_guard<std::mutex> inner(sessions_mutex_);
                 --live_sessions_;
+                ended_sessions_.push_back(std::this_thread::get_id());
             });
     }
+}
+
+void
+Server::joinEndedSessions()
+{
+    // An ended thread keeps its stack mapped until it is joined. The
+    // accept loop registers each thread before it can report its end.
+    std::vector<std::thread> ended;
+    {
+        std::lock_guard<std::mutex> lock(sessions_mutex_);
+        for (const std::thread::id id : ended_sessions_) {
+            const auto it = std::find_if(
+                session_threads_.begin(), session_threads_.end(),
+                [&](const std::thread& t) { return t.get_id() == id; });
+            ended.push_back(std::move(*it));
+            session_threads_.erase(it);
+        }
+        ended_sessions_.clear();
+    }
+    for (auto& thread : ended) thread.join();
 }
 
 void
@@ -227,13 +249,6 @@ Server::handleWait(u64 id, double timeout)
     }
 }
 
-void
-Server::waitShutdownRequested()
-{
-    std::unique_lock<std::mutex> lock(shutdown_mutex_);
-    shutdown_cv_.wait(lock, [&] { return shutdown_requested_; });
-}
-
 bool
 Server::waitShutdownRequestedFor(double seconds)
 {
@@ -277,6 +292,7 @@ Server::stop()
     {
         std::lock_guard<std::mutex> lock(sessions_mutex_);
         sessions.swap(session_threads_);
+        ended_sessions_.clear();
     }
     for (auto& thread : sessions) {
         if (thread.joinable()) thread.join();

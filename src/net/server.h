@@ -18,9 +18,12 @@
  * A DRAIN verb stops admissions, runs the scheduler dry (the session
  * thread replies "OK drained" once everything finished) and marks
  * the server as shutdown-requested; the owner observes that via
- * waitShutdownRequested() and then calls stop(). stop() closes the
- * listener, wakes every session (wake pipe — no fd races, no reliance
- * on read timeouts) and joins all threads.
+ * waitShutdownRequestedFor() and then calls stop(). The accept loop
+ * joins the threads of sessions that ended before each new
+ * connection, so a long-running server holds no stacks of closed
+ * sessions. stop() closes the listener, wakes every session (wake
+ * pipe — no fd races, no reliance on read timeouts) and joins all
+ * threads.
  */
 #ifndef GB_NET_SERVER_H
 #define GB_NET_SERVER_H
@@ -66,14 +69,9 @@ class Server
 
     /**
      * Block until a client issued DRAIN (after the scheduler drained)
-     * or requestShutdown() was called. Returns immediately if either
-     * already happened.
-     */
-    void waitShutdownRequested();
-
-    /**
-     * Like waitShutdownRequested() but gives up after `seconds` —
-     * the building block for loops that also poll a signal flag.
+     * or requestShutdown() was called, or `seconds` passed — the
+     * building block for loops that also poll a signal flag. Returns
+     * at once if shutdown was already requested.
      * @return true when shutdown was requested.
      */
     bool waitShutdownRequestedFor(double seconds);
@@ -93,6 +91,8 @@ class Server
 
   private:
     void acceptLoop();
+    /** Join the threads of sessions that have ended. */
+    void joinEndedSessions();
     void session(Connection conn);
     /** One request line -> one reply line. Never throws. */
     std::string handleLine(const std::string& line);
@@ -109,6 +109,8 @@ class Server
 
     mutable std::mutex sessions_mutex_;
     std::vector<std::thread> session_threads_;
+    /** Ids of session threads that returned and await a join. */
+    std::vector<std::thread::id> ended_sessions_;
     unsigned live_sessions_ = 0;
 
     std::mutex shutdown_mutex_;

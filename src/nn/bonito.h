@@ -61,6 +61,9 @@ class BonitoModel
 
     const BonitoConfig& config() const { return config_; }
 
+    /** The convolution stack, input to head. */
+    std::span<const Conv1d> layers() const { return layers_; }
+
   private:
     BonitoConfig config_;
     std::vector<Conv1d> layers_;

@@ -15,6 +15,7 @@
 
 #include "arch/cache_sim.h"
 #include "core/benchmark.h"
+#include "core/kernels.h"
 #include "core/measure.h"
 #include "trace/trace.h"
 #include "util/stats.h"
@@ -171,6 +172,60 @@ TEST(Imbalance, IrregularKernelsShowTaskImbalance)
         grm_stats.add(static_cast<double>(w));
     }
     EXPECT_DOUBLE_EQ(grm_stats.imbalance(), 1.0); // regular kernel
+}
+
+TEST(Accessors, ReturnThePreparedDataAndRejectOtherKernels)
+{
+    auto prepared = [](const char* name) {
+        auto kernel = createKernel(name);
+        kernel->prepare(DatasetSize::kTiny);
+        return kernel;
+    };
+
+    const auto bsw = prepared("bsw");
+    const auto pairs = bswPairs(*bsw);
+    EXPECT_EQ(pairs.size(), 200u);
+    EXPECT_TRUE(std::is_sorted(
+        pairs.begin(), pairs.end(), [](const auto& a, const auto& b) {
+            return a.query.size() < b.query.size();
+        }));
+
+    const auto kmer = prepared("kmer-cnt");
+    const KmerCntInput kmer_input = kmerCntInput(*kmer);
+    EXPECT_EQ(kmer_input.capacity_log2, 19u);
+    EXPECT_FALSE(kmer_input.reads.empty());
+
+    // chain's task work is the size of each anchor set.
+    const auto chain = prepared("chain");
+    const auto anchor_sets = chainAnchorSets(*chain);
+    ASSERT_EQ(anchor_sets.size(), 20u);
+    const auto work = chain->taskWork();
+    for (size_t i = 0; i < anchor_sets.size(); ++i) {
+        EXPECT_EQ(anchor_sets[i].size(), work[i]) << i;
+    }
+
+    const auto abea = prepared("abea");
+    const AbeaInput abea_input = abeaInput(*abea);
+    EXPECT_EQ(abea_input.model.k(), 6u);
+    ASSERT_EQ(abea_input.reads.size(), 5u);
+    for (const AbeaRead& read : abea_input.reads) {
+        EXPECT_FALSE(read.ref.empty());
+        EXPECT_FALSE(read.events.empty());
+    }
+
+    const auto nn_variant = prepared("nn-variant");
+    EXPECT_FALSE(nnVariantFeatures(*nn_variant).empty());
+    const auto nn_base = prepared("nn-base");
+    EXPECT_EQ(nnBaseChunks(*nn_base).size(), 2u);
+
+    const auto other = createKernel("grm");
+    EXPECT_THROW(bswPairs(*other), InputError);
+    EXPECT_THROW(kmerCntInput(*other), InputError);
+    EXPECT_THROW(chainAnchorSets(*other), InputError);
+    EXPECT_THROW(abeaInput(*other), InputError);
+    EXPECT_THROW(nnVariantFeatures(*other), InputError);
+    EXPECT_THROW(nnBaseChunks(*other), InputError);
+    EXPECT_THROW(bswPairs(*chain), InputError);
 }
 
 // ---------------------------------------------------------------------

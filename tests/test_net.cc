@@ -4,7 +4,7 @@
  * parser/formatters, and the Server/Connection stack end-to-end over
  * 127.0.0.1 — submit/wait/cancel/stats/drain round-trips, strict
  * priority dispatch order, queue-full load shedding, WAIT timeouts,
- * the session limit, and the line client.
+ * the session limit, joining ended sessions, and the line client.
  *
  * Every server test drives a real TCP connection against a Scheduler
  * built on gated fake kernels (as in test_serve.cc), so ordering
@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <filesystem>
 #include <fstream>
@@ -632,6 +633,46 @@ TEST(NetServer, StopUnblocksIdleSessions)
     std::string line;
     EXPECT_FALSE(conn.readLine(&line)); // server went away
     ts.reset();
+}
+
+/** This process's virtual size in KiB (VmSize, /proc/self/status). */
+u64
+vmSizeKib()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind("VmSize:", 0) == 0) {
+            return std::stoull(line.substr(7));
+        }
+    }
+    return 0;
+}
+
+TEST(NetServer, EndedSessionsReleaseTheirThreads)
+{
+    TestServer ts({"a"}, 1, 4);
+    auto oneSession = [&] {
+        {
+            Connection conn = ts.connect();
+            EXPECT_EQ(roundTrip(conn, "STATS").rfind("OK ", 0), 0u);
+        }
+        // Let the session end before the next connection arrives.
+        for (int i = 0; i < 2000 && ts.server.sessions() != 0; ++i) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        EXPECT_EQ(ts.server.sessions(), 0u);
+    };
+    // Warm up the allocator arenas and the thread-stack cache.
+    for (int i = 0; i < 4; ++i) oneSession();
+    const u64 before_kib = vmSizeKib();
+    ASSERT_GT(before_kib, 0u);
+    for (int i = 0; i < 64; ++i) oneSession();
+    // An ended session thread that is never joined keeps its stack
+    // (8 MiB by default) mapped: 64 of them would add ~512 MiB.
+    const i64 growth_kib = static_cast<i64>(vmSizeKib()) -
+                           static_cast<i64>(before_kib);
+    EXPECT_LT(growth_kib, 64 * 1024);
 }
 
 // ---------------------------------------------------------------------
