@@ -4,11 +4,12 @@
  * symbols per checkpoint).
  *
  * Design-choice study behind the fmi kernel (DESIGN.md §7): a block
- * of 64·m symbols stores its 6 checkpoint counts once and m plane
- * triples after them, padded to whole 64-byte lines. Sparse
- * checkpoints shrink the index toward 3 bits per symbol, but every
- * lookup popcounts more planes and touches more lines. BWA-MEM2 ships
- * the 64-symbol layout: one line per lookup, 1 byte per symbol.
+ * of 64·m symbols stores its 6 checkpoint counts once, m plane triples
+ * and m SA-sample mark words after them and a sample count, padded to
+ * whole 64-byte lines. Sparse checkpoints shrink the lines toward 4
+ * bits per symbol, but every lookup popcounts more planes and touches
+ * more lines. BWA-MEM2 ships the 64-symbol layout: one line per
+ * lookup, 1 byte per symbol.
  *
  * Each spacing times the per-read SMEM search at the active dispatch
  * level and checks its SMEMs against the same search at
@@ -74,9 +75,9 @@ main(int argc, char** argv)
     rp.coverage = static_cast<double>(num_reads) * rp.read_len /
                   static_cast<double>(genome.seq.size());
     std::vector<std::vector<u8>> reads;
-    for (const auto& read : simulateShortReads(genome.seq, rp)) {
+    simulateShortReads(genome.seq, rp, [&](SimRead&& read) {
         reads.push_back(encodeDna(read.record.seq));
-    }
+    });
 
     Table table("Occ checkpoint spacing");
     table.setHeader({"spacing", "occ bytes", "bytes/symbol", "t (s)",
@@ -122,7 +123,7 @@ main(int argc, char** argv)
     bench::report(table);
     std::cout << "\nExpected: identical SMEMs at every spacing and "
                  "level; the occ footprint falls from 1 byte per "
-                 "symbol toward 3/8 while modeled int ops and load "
+                 "symbol toward 1/2 while modeled int ops and load "
                  "bytes per lookup grow with the plane triples "
                  "counted.\n";
     return 0;

@@ -12,9 +12,10 @@
 # documents), a guard that the dispatched smems object counts with the
 # popcnt instruction and never calls __popcountdi2, the fmi-occ and
 # kmer-prefetch ablation benches (self-verifying), an end-to-end
-# artifact-cache smoke test (store build -> store verify -> store
-# inspect of the fmi artifact and of an empty file -> warm run +
-# corruption check), a dispatch-level smoke (bsw, phmm, fmi, chain,
+# artifact-cache smoke test (store build -> store verify -> pinned
+# sha256 of the tiny fmi, pileup, kmer-reads and nn-variant artifacts
+# -> store inspect of the fmi artifact, its read sections' digests and
+# of an empty file -> warm run + corruption check), a dispatch-level smoke (bsw, phmm, fmi, chain,
 # spoa, nn-base, nn-variant, grm and abea report the same task counts
 # under GB_SIMD_LEVEL=scalar and the default level, at 1 and 4 threads),
 # the reference-guided example's phmm line and the nanopore example's
@@ -32,7 +33,7 @@
 # percentile columns on the serve_summary row (docs/tracing.md), a
 # scripts/trace_inspect.py fixture and bad-file check, and
 # a `run` rows check (3 repeats -> 3 `run` rows, `run_best` = their
-# minimum), and CLI error-handling checks (unknown flags with a
+# minimum and carries the process peak RSS), and CLI error-handling checks (unknown flags with a
 # did-you-mean, the removed --engine, flags a subcommand does not take,
 # a mistyped
 # GB_SIMD_LEVEL, malformed numeric, duration and empty path flags).
@@ -260,20 +261,36 @@ trap 'rm -rf "$CACHE"' EXIT
 # The tiny fmi artifact (FM-index + reads) is pinned byte for byte, so
 # a faster index build cannot silently change what the cache stores.
 # A deliberate format change updates this hash together with the
-# "fmi/v2" cache key in src/core/kernel_fmi.cc.
-FMI_TINY_SHA256=7f72caec756d81f18ffcaf54848e2cb3a066393ee35d512f5bb210147f69c978
-echo "$FMI_TINY_SHA256  $CACHE/fmi-642935a96d1cff9d.gbs" | sha256sum -c - || {
-    echo "FAIL: tiny fmi store artifact changed bytes" >&2
+# "fmi/v3" cache key in src/core/kernel_fmi.cc. The pileup, kmer-cnt
+# and nn-variant artifacts are pinned too: their prepares keep only
+# what their kernel reads from streamed simulated reads, which must
+# leave the data they cache unchanged.
+sha256sum -c - <<EOF || {
+f524be5a56e15c58c5ed0fbdc0b3202436e3e33ae08def7008f7168d8b559dad  $CACHE/fmi-a9448229605baf84.gbs
+2628e354caef810ade8ac3ea807332f01bc2017722845c047d8eda5201e613e3  $CACHE/pileup-f0a3b757fc0d4e60.gbs
+9167f88ec6022ec2c4bcc3b5e8d8f69209f96e1cd5447e756de5c17dafd5632d  $CACHE/kmer-reads-8f5c1129673be899.gbs
+aea80c3320e154d76a81213732b9ab52f4e694de2bc6a5bbffa7dcfab6a8f8fd  $CACHE/nn-variant-692491d363c6ac3e.gbs
+EOF
+    echo "FAIL: a pinned tiny store artifact changed bytes" >&2
     exit 1
 }
 
 # `store inspect` maps the container and lists its TOC: the fmi
-# artifact holds the index and the encoded reads. An empty file has no
-# header and must be reported as truncated with a non-zero exit.
-"$GB" store inspect "$CACHE/fmi-642935a96d1cff9d.gbs" >/tmp/gb_inspect.txt
+# artifact holds the index and the encoded reads. The read sections
+# keep the xxhash64 digests they had before the fmi/v3 index format
+# (that change left the reads alone). An empty file has no header and
+# must be reported as truncated with a non-zero exit.
+"$GB" store inspect "$CACHE/fmi-a9448229605baf84.gbs" >/tmp/gb_inspect.txt
 for section in fm.meta fm.occ fm.sa reads.blob reads.offsets; do
     grep -qwF "$section" /tmp/gb_inspect.txt || {
         echo "FAIL: store inspect does not list section $section" >&2
+        exit 1
+    }
+done
+for digest in "reads.blob .* 36770260590a94 " \
+              "reads.offsets .* ff111747aa5f6d02"; do
+    grep -q "^$digest" /tmp/gb_inspect.txt || {
+        echo "FAIL: fmi read section digest changed: $digest" >&2
         exit 1
     }
 done
@@ -682,7 +699,10 @@ assert len(best) == 1, f"expected 1 run_best row, got {len(best)}"
 fastest = min(r["seconds"] for r in runs)
 assert best[0]["seconds"] == fastest, \
     f"run_best {best[0]['seconds']} != min of run rows {fastest}"
-print(f"run rows ok: 3 repeats, best {fastest} s")
+rss = best[0].get("peak_rss_mb")
+assert isinstance(rss, (int, float)) and rss > 0, \
+    f"run_best peak_rss_mb is {rss!r}"
+print(f"run rows ok: 3 repeats, best {fastest} s, peak RSS {rss:.1f} MiB")
 EOF
 rm -f /tmp/gb_run.json
 

@@ -50,7 +50,7 @@ class FmiKernel final : public Benchmark
         // — index and encoded reads — is cacheable under that key.
         auto& cache = store::globalCache();
         const u64 key = KeyMixer()
-                            .mix("fmi/v2")
+                            .mix("fmi/v3")
                             .mix(genome_len)
                             .mix(num_reads)
                             .mix(101)
@@ -84,10 +84,9 @@ class FmiKernel final : public Benchmark
                               rp.read_len /
                               static_cast<double>(sample.seq.size());
                 reads_.clear();
-                for (const auto& read :
-                     simulateShortReads(sample.seq, rp)) {
+                simulateShortReads(sample.seq, rp, [&](SimRead&& read) {
                     reads_.push_back(encodeDna(read.record.seq));
-                }
+                });
 
                 cache.write(
                     "fmi", key, [&](store::StoreWriter& writer) {

@@ -72,10 +72,9 @@ class KmerCntKernel final : public Benchmark
                 lp.coverage = static_cast<double>(total_bases_) /
                               static_cast<double>(genome.seq.size());
                 reads_.clear();
-                for (const auto& read :
-                     simulateLongReads(genome.seq, lp)) {
+                simulateLongReads(genome.seq, lp, [&](SimRead&& read) {
                     reads_.push_back(encodeDna(read.record.seq));
-                }
+                });
                 cache.write(
                     "kmer-reads", key,
                     [&](store::StoreWriter& writer) {
@@ -363,13 +362,7 @@ class PileupKernel final : public Benchmark
         LongReadParams lp;
         lp.seed = 202;
         lp.coverage = kCoverage;
-        records_ = toAlignments(simulateLongReads(genome.seq, lp));
-        for (AlnRecord& rec : records_) {
-            rec.qname.clear();
-            rec.qname.shrink_to_fit();
-            rec.qual.clear();
-            rec.qual.shrink_to_fit();
-        }
+        records_ = simulateLongReadPileupRecords(genome.seq, lp);
     }
 
     struct Region
@@ -499,7 +492,7 @@ class NnVariantKernel final : public Benchmark
         lp.seed = 213;
         lp.coverage = kCoverage;
         const auto records =
-            toAlignments(simulateLongReads(sample.seq, lp));
+            simulateLongReadPileupRecords(sample.seq, lp);
         const auto pileup =
             countPileup(records, 0, genome.seq.size());
         const auto ref_codes = encodeDna(genome.seq);

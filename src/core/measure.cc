@@ -1,5 +1,7 @@
 #include "core/measure.h"
 
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <numeric>
 
@@ -64,6 +66,14 @@ measureRepeats(Benchmark& kernel, ThreadPool& pool, unsigned repeats,
         out.repeat_seconds.push_back(seconds);
         out.tasks = tasks;
     }
+}
+
+double
+peakRssMib()
+{
+    rusage usage{};
+    if (getrusage(RUSAGE_SELF, &usage) != 0) return -1.0;
+    return static_cast<double>(usage.ru_maxrss) / 1024.0;
 }
 
 } // namespace gb

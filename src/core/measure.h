@@ -48,6 +48,12 @@ void measureRepeats(Benchmark& kernel, ThreadPool& pool,
                     unsigned repeats, Measurement& out,
                     metrics::PooledCounters* counters = nullptr);
 
+/**
+ * The process's peak resident set size so far, in MiB (getrusage's
+ * ru_maxrss, KiB on Linux); negative when it cannot be read.
+ */
+double peakRssMib();
+
 } // namespace gb
 
 #endif // GB_CORE_MEASURE_H

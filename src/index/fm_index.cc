@@ -84,21 +84,26 @@ FmIndex::build(std::string_view reference, u32 block_len)
     std::vector<u32> sa = buildSuffixArray(text);
 
     // One pass over the blocks: each block's checkpoints (the running
-    // counts), then its planes, from 8 BWT symbols (text[SA[i] - 1])
-    // gathered per word. Positions past n read as code 0, so their
-    // plane bits stay clear; the live mask keeps them out of the counts.
+    // counts) and sample count, then its planes, from 8 BWT symbols
+    // (text[SA[i] - 1]) gathered per word, and its marks. Positions
+    // past n read as code 0 and are never marked, so their bits stay
+    // clear; the live mask keeps them out of the counts. The sampled
+    // rows' SA values are copied out in row order as they are marked.
+    const u32 triples = block_len / kLineSymbols;
     const u64 num_blocks = fm.n_ / block_len + 1;
     const u64 words = num_blocks * fm.block_words_;
     fm.occ_own_.reset(static_cast<u64*>(
         ::operator new[](words * sizeof(u64), std::align_val_t{64})));
     std::fill_n(fm.occ_own_.get(), words, u64{0});
+    fm.sa_own_.reserve((fm.n_ + kSaSampleRate - 1) / kSaSampleRate);
     std::array<u64, kAlphabet> running{};
     for (u64 b = 0; b < num_blocks; ++b) {
         u64* line = &fm.occ_own_[b * fm.block_words_];
         for (u32 c = 0; c < kAlphabet; c += 2) {
             line[c / 2] = running[c] | running[c + 1] << 32;
         }
-        for (u32 t = 0; t < block_len / kLineSymbols; ++t) {
+        line[sampleCountWord(triples)] = fm.sa_own_.size();
+        for (u32 t = 0; t < triples; ++t) {
             const u64 pos = b * block_len + t * kLineSymbols;
             u64* planes = line + 3 + 3 * t;
             for (u32 j = 0; j < kLineSymbols; j += 8) {
@@ -113,21 +118,24 @@ FmIndex::build(std::string_view reference, u32 block_len)
                     planes[k] |= gatherBit(bytes, k) << j;
                 }
             }
+            u64 marks = 0;
+            for (u64 j = 0, i = pos; j < kLineSymbols && i < fm.n_;
+                 ++j, ++i) {
+                if (sa[i] % kSaSampleRate == 0) {
+                    marks |= u64{1} << j;
+                    fm.sa_own_.push_back(sa[i]);
+                }
+            }
+            line[3 + 3 * triples + t] = marks;
             addTriple(planes, liveMask(pos, fm.n_), running);
         }
     }
     text = {};
+    sa = {};
     fm.c_[0] = 0;
     for (u32 c = 0; c < kAlphabet; ++c) {
         fm.c_[c + 1] = fm.c_[c] + running[c];
     }
-
-    // Position-sampled SA, in the SA's own storage: pos_of_row_[row]
-    // = SA[row] when sampled.
-    for (u32& pos : sa) {
-        if (pos % kSaSampleRate != 0) pos = kUnsampled;
-    }
-    fm.sa_own_ = std::move(sa);
     fm.occ_ = std::span<const u64>(fm.occ_own_.get(), words);
     fm.sa_samples_ = fm.sa_own_;
     return fm;
@@ -136,14 +144,17 @@ FmIndex::build(std::string_view reference, u32 block_len)
 void
 FmIndex::checkParts(u64 ref_len, u64 n, u32 block_len,
                     const std::array<u64, kAlphabet + 1>& c,
-                    std::span<const u64> occ, u64 sa_size)
+                    std::span<const u64> occ,
+                    std::span<const u32> sa_samples)
 {
     requireInput(n == 2 * ref_len + 2 && validBlockLen(block_len),
                  "FM-index: inconsistent header");
     const u32 words = blockWords(block_len);
     const u32 triples = block_len / kLineSymbols;
     const u64 num_blocks = n / block_len + 1;
-    requireInput(occ.size() == num_blocks * words && sa_size == n,
+    requireInput(occ.size() == num_blocks * words &&
+                     sa_samples.size() ==
+                         (n + kSaSampleRate - 1) / kSaSampleRate,
                  "FM-index: inconsistent payload");
     // baseInterval() and the extension steps index by c[], so c must
     // be a cumulative count over exactly the n BWT symbols.
@@ -152,27 +163,44 @@ FmIndex::checkParts(u64 ref_len, u64 n, u32 block_len,
                  "FM-index: inconsistent cumulative counts");
     // occ() adds popcounts to a checkpoint and the result indexes
     // c[]-based intervals, so each checkpoint must be the prefix count
-    // at its block start, and every position a symbol.
+    // at its block start, and every position a symbol. locate() reads
+    // sample number (line count + marks below the row), so each count
+    // must be the marks before its line.
     std::array<u64, kAlphabet> running{};
+    u64 samples = 0;
     for (u64 b = 0; b < num_blocks; ++b) {
         const u64* line = &occ[b * words];
-        bool ok = true;
+        bool ok = line[sampleCountWord(triples)] == samples;
         for (u32 sym = 0; sym < kAlphabet; ++sym) {
             ok &= checkpoint(line, sym) == running[sym];
         }
         for (u32 t = 0; t < triples; ++t) {
             const u64* p = line + 3 + 3 * t;
+            const u64 marks = line[3 + 3 * triples + t];
             const u64 live = liveMask(b * block_len + t * kLineSymbols, n);
-            ok &= ((p[1] & p[2]) | ((p[0] | p[1] | p[2]) & ~live)) == 0;
+            const u64 used = p[0] | p[1] | p[2] | marks;
+            ok &= ((p[1] & p[2]) | (used & ~live)) == 0;
             addTriple(p, live, running);
+            samples += static_cast<u64>(std::popcount(marks));
         }
-        for (u32 w = 3 + 3 * triples; w < words; ++w) ok &= line[w] == 0;
+        for (u32 w = sampleCountWord(triples) + 1; w < words; ++w) {
+            ok &= line[w] == 0;
+        }
         requireInput(ok, "FM-index: inconsistent occ lines");
     }
     for (u32 sym = 0; sym < kAlphabet; ++sym) {
         requireInput(running[sym] == c[sym + 1] - c[sym],
                      "FM-index: occ lines disagree with cumulative counts");
     }
+    requireInput(samples == sa_samples.size(),
+                 "FM-index: sample marks disagree with the SA samples");
+    // locate() adds its LF steps to a sample, so each must be a text
+    // position the sampling rate keeps.
+    bool ok = true;
+    for (const u32 pos : sa_samples) {
+        ok &= pos < n && pos % kSaSampleRate == 0;
+    }
+    requireInput(ok, "FM-index: SA sample off the sampled positions");
 }
 
 FmIndex
@@ -182,8 +210,7 @@ FmIndex::fromViews(u64 ref_len, u32 block_len,
                    std::span<const u32> sa_samples,
                    std::shared_ptr<const void> backing)
 {
-    checkParts(ref_len, 2 * ref_len + 2, block_len, c, occ,
-               sa_samples.size());
+    checkParts(ref_len, 2 * ref_len + 2, block_len, c, occ, sa_samples);
     FmIndex fm;
     fm.ref_len_ = ref_len;
     fm.n_ = 2 * ref_len + 2;
@@ -237,6 +264,25 @@ FmIndex::occOne(u8 symbol, u64 i) const
 }
 
 u64
+FmIndex::sampleNumber(u64 row) const
+{
+    const u64 block = blockIndex(row);
+    const u64* line = &occ_[block * block_words_];
+    const u32 rem = static_cast<u32>(row - block * block_len_);
+    const u32 triples = block_len_ / kLineSymbols;
+    const u32 last = rem / kLineSymbols;
+    const u64* marks = line + 3 + 3 * triples;
+    const u32 bit = rem % kLineSymbols;
+    if (((marks[last] >> bit) & 1) == 0) return kNotSampled;
+    u64 number = line[sampleCountWord(triples)];
+    for (u32 t = 0; t < last; ++t) {
+        number += static_cast<u64>(std::popcount(marks[t]));
+    }
+    return number + static_cast<u64>(std::popcount(
+                        marks[last] & ((u64{1} << bit) - 1)));
+}
+
+u64
 FmIndex::count(std::string_view pattern) const
 {
     requireInput(!pattern.empty(), "FM-index count: empty pattern");
@@ -267,13 +313,14 @@ FmIndex::locate(const BiInterval& interval, u64 max_hits) const
     for (u64 j = interval.k; j < interval.k + limit; ++j) {
         u64 row = j;
         u64 steps = 0;
-        while (sa_samples_[row] == kUnsampled) {
+        u64 sample;
+        while ((sample = sampleNumber(row)) == kNotSampled) {
             // LF-mapping step: BWT[row] and its rank, from row's line.
             const u8 sym = symbolAt(row);
             row = c_[sym] + occOne(sym, row);
             ++steps;
         }
-        const u64 pos_in_text = sa_samples_[row] + steps;
+        const u64 pos_in_text = sa_samples_[sample] + steps;
         Hit hit;
         if (pos_in_text < ref_len_) {
             hit.pos = pos_in_text;

@@ -11,12 +11,20 @@
  *
  * The occurrence table is one array of 64-byte occ lines, BWA-MEM2's
  * CP_OCC layout: each 64-symbol block holds its 6 u32 checkpoint
- * counts and 3 u64 bit planes (bit k of each symbol's code), 48 bytes
- * padded to 64. So each occ() lookup touches one cache line — the
- * irregular large-working-set access pattern the paper characterizes
- * (two lookups per extension, ">80 % of occ-table accesses open a new
- * DRAM page") — and counts a symbol with and/andnot under a live mask
- * and one popcount.
+ * counts and 3 u64 bit planes (bit k of each symbol's code). So each
+ * occ() lookup touches one cache line — the irregular large-working-set
+ * access pattern the paper characterizes (two lookups per extension,
+ * ">80 % of occ-table accesses open a new DRAM page") — and counts a
+ * symbol with and/andnot under a live mask and one popcount.
+ *
+ * The suffix array is sampled by text position (every kSaSampleRate-th
+ * position) and only the samples are kept, in row order. Words that
+ * BWA-MEM2 leaves as padding hold a mark word per 64 rows (bit j set
+ * where row j is sampled) and the count of samples before the block,
+ * so locate() finds a row's sample number (count + popcount of the
+ * marks below it) in the line its LF step reads anyway. At the default
+ * 64-symbol blocks that is 1 byte per symbol of lines plus 1/8 byte of
+ * samples, where the full SA took 4.
  *
  * Hot-path methods are templated on a Probe policy (see arch/probe.h).
  * smems(..., NullProbe&) is the production call: it dispatches each
@@ -77,7 +85,8 @@ struct SmemScratch
 };
 
 /**
- * FM-index over reference + reverse complement with sampled SA.
+ * FM-index over reference + reverse complement with a position-sampled
+ * SA whose samples are marked and counted in the occ lines.
  */
 class FmIndex
 {
@@ -87,7 +96,6 @@ class FmIndex
     static constexpr u8 kSeparator = 1; ///< between the two strands
     static constexpr u32 kAlphabet = 6; ///< $, #, A, C, G, T
     static constexpr u32 kSaSampleRate = 32;
-    static constexpr u32 kUnsampled = 0xffffffffu;
     /** Symbols per plane triple (one u64 word per plane). */
     static constexpr u32 kLineSymbols = 64;
 
@@ -96,11 +104,11 @@ class FmIndex
      * throws InputError on N or other characters).
      *
      * @param block_len BWT symbols per occ checkpoint: 64·m, stored
-     *        as the counts plus m plane triples, padded to whole
-     *        64-byte lines (default 64, BWA-MEM2-like; larger blocks
-     *        shrink the index but popcount more planes per lookup —
-     *        see the occ-spacing ablation bench). Any other value is
-     *        an InputError.
+     *        as the counts, m plane triples, m mark words and a sample
+     *        count, padded to whole 64-byte lines (default 64,
+     *        BWA-MEM2-like; larger blocks shrink the index but popcount
+     *        more planes per lookup — see the occ-spacing ablation
+     *        bench). Any other value is an InputError.
      */
     static FmIndex build(std::string_view reference,
                          u32 block_len = 64);
@@ -129,7 +137,8 @@ class FmIndex
                              std::span<const u32> sa_samples,
                              std::shared_ptr<const void> backing);
 
-    /** Constituent-array accessors (for gb::store). */
+    /** Constituent-array accessors (for gb::store). saSamples() holds
+     *  SA[row] of the marked rows only, in row order. */
     std::span<const u64> occLines() const { return occ_; }
     std::span<const u32> saSamples() const { return sa_samples_; }
     const std::array<u64, kAlphabet + 1>& cumulative() const
@@ -520,6 +529,15 @@ class FmIndex
      */
     u64 occOne(u8 symbol, u64 i) const;
 
+    static constexpr u64 kNotSampled = ~u64{0};
+
+    /**
+     * Index into sa_samples_ of `row`'s sample, read from its occ
+     * line: the line's sample count plus the marks below the row; or
+     * kNotSampled when the row is not marked.
+     */
+    u64 sampleNumber(u64 row) const;
+
     /**
      * smems(..., NullProbe&) at the sse4/avx2 levels; defined in
      * fm_index_popcnt.cc, which is compiled with -mpopcnt.
@@ -532,18 +550,35 @@ class FmIndex
      * the occ lines in one O(n/64) word pass: block 0's checkpoints
      * are 0, each checkpoint step equals its block's popcounts, the
      * last block ends at the totals, no position holds code 6 or 7
-     * (p1 & p2), and no plane or pad bit is set past n. So every
-     * symbol a rank query can read is one of the six.
+     * (p1 & p2), no plane or mark bit is set past n, each sample
+     * count equals the marks before its line, the marks total the
+     * ceil(n / kSaSampleRate) samples, and the pad words are zero. So
+     * every symbol a rank query can read is one of the six and every
+     * sample number indexes the samples. Then each sample must be a
+     * sampled position below n.
      */
     static void checkParts(u64 ref_len, u64 n, u32 block_len,
                            const std::array<u64, kAlphabet + 1>& c,
-                           std::span<const u64> occ, u64 sa_size);
+                           std::span<const u64> occ,
+                           std::span<const u32> sa_samples);
 
-    /** u64 words per block: 3 of counts, 3 per 64 symbols, whole lines. */
+    /**
+     * u64 words per block, whole lines: 3 of counts, 4 per 64 symbols
+     * (3 planes and a mark word) and the sample count. Planes come
+     * first, at 3 + 3t, then the m mark words, then the count.
+     */
     static u32
     blockWords(u32 block_len)
     {
-        return roundUp<u32>(3 + 3 * (block_len / kLineSymbols), 8);
+        return roundUp<u32>(4 + 4 * (block_len / kLineSymbols), 8);
+    }
+
+    /** Word of a block of `triples` plane triples holding its sample
+     *  count: the samples in all earlier blocks. */
+    static u32
+    sampleCountWord(u32 triples)
+    {
+        return 3 + 4 * triples;
     }
 
     struct AlignedFree
@@ -569,7 +604,7 @@ class FmIndex
     // The arrays the query paths index into: either the owned buffers
     // above or flat sections of `backing_`.
     std::span<const u64> occ_; ///< occ lines, block_words_ per block
-    std::span<const u32> sa_samples_; ///< SA[i], kSaSampleRate-sampled
+    std::span<const u32> sa_samples_; ///< SA of the marked rows
     std::shared_ptr<const void> backing_; ///< keepalive for views
 };
 

@@ -27,18 +27,33 @@ phredChar(double error_prob)
     return static_cast<char>('!' + q);
 }
 
+u64
+shortReadCount(const std::string& genome, const ShortReadParams& p)
+{
+    return static_cast<u64>(p.coverage *
+                            static_cast<double>(genome.size()) /
+                            p.read_len);
+}
+
+void
+sortByPos(std::vector<AlnRecord>& records)
+{
+    std::sort(records.begin(), records.end(),
+              [](const AlnRecord& a, const AlnRecord& b) {
+                  return a.pos < b.pos;
+              });
+}
+
 } // namespace
 
-std::vector<SimRead>
-simulateShortReads(const std::string& genome, const ShortReadParams& p)
+void
+simulateShortReads(const std::string& genome, const ShortReadParams& p,
+                   const SimReadSink& sink)
 {
     requireInput(genome.size() > p.read_len,
                  "short-read sim: genome shorter than read length");
     Rng rng(p.seed);
-    const u64 num_reads = static_cast<u64>(
-        p.coverage * static_cast<double>(genome.size()) / p.read_len);
-    std::vector<SimRead> reads;
-    reads.reserve(num_reads);
+    const u64 num_reads = shortReadCount(genome, p);
 
     for (u64 r = 0; r < num_reads; ++r) {
         SimRead sr;
@@ -84,13 +99,24 @@ simulateShortReads(const std::string& genome, const ShortReadParams& p)
                             ? std::string(qual.rbegin(), qual.rend())
                             : qual;
         sr.truth.cigar.push(CigarOp::kMatch, p.read_len);
-        reads.push_back(std::move(sr));
+        sink(std::move(sr));
     }
-    return reads;
 }
 
 std::vector<SimRead>
-simulateLongReads(const std::string& genome, const LongReadParams& p)
+simulateShortReads(const std::string& genome, const ShortReadParams& p)
+{
+    std::vector<SimRead> reads;
+    reads.reserve(shortReadCount(genome, p));
+    simulateShortReads(genome, p, [&](SimRead&& read) {
+        reads.push_back(std::move(read));
+    });
+    return reads;
+}
+
+void
+simulateLongReads(const std::string& genome, const LongReadParams& p,
+                  const SimReadSink& sink)
 {
     requireInput(genome.size() > p.min_len,
                  "long-read sim: genome shorter than min read length");
@@ -98,7 +124,6 @@ simulateLongReads(const std::string& genome, const LongReadParams& p)
     const double mu =
         std::log(p.mean_len) - 0.5 * p.sigma_len * p.sigma_len;
 
-    std::vector<SimRead> reads;
     u64 bases_emitted = 0;
     const u64 target_bases = static_cast<u64>(
         p.coverage * static_cast<double>(genome.size()));
@@ -164,8 +189,17 @@ simulateLongReads(const std::string& genome, const LongReadParams& p)
         sr.truth.cigar = cigar;
 
         bases_emitted += seq.size();
-        reads.push_back(std::move(sr));
+        sink(std::move(sr));
     }
+}
+
+std::vector<SimRead>
+simulateLongReads(const std::string& genome, const LongReadParams& p)
+{
+    std::vector<SimRead> reads;
+    simulateLongReads(genome, p, [&](SimRead&& read) {
+        reads.push_back(std::move(read));
+    });
     return reads;
 }
 
@@ -175,11 +209,24 @@ toAlignments(const std::vector<SimRead>& reads)
     std::vector<AlnRecord> out;
     out.reserve(reads.size());
     for (const auto& r : reads) out.push_back(r.truth);
-    std::sort(out.begin(), out.end(),
-              [](const AlnRecord& a, const AlnRecord& b) {
-                  return a.pos < b.pos;
-              });
+    sortByPos(out);
     return out;
+}
+
+std::vector<AlnRecord>
+simulateLongReadPileupRecords(const std::string& genome,
+                              const LongReadParams& p)
+{
+    std::vector<AlnRecord> records;
+    simulateLongReads(genome, p, [&](SimRead&& read) {
+        AlnRecord& rec = records.emplace_back();
+        rec.pos = read.truth.pos;
+        rec.reverse = read.truth.reverse;
+        rec.cigar = std::move(read.truth.cigar);
+        rec.seq = std::move(read.truth.seq);
+    });
+    sortByPos(records);
+    return records;
 }
 
 } // namespace gb

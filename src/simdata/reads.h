@@ -13,6 +13,7 @@
 #ifndef GB_SIMDATA_READS_H
 #define GB_SIMDATA_READS_H
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -55,16 +56,37 @@ struct LongReadParams
     u64 seed = 13;
 };
 
+/**
+ * Receives each simulated read as soon as it is made, in generation
+ * order; it may move from the read. A caller that keeps one field of
+ * each read holds no SimRead vector.
+ */
+using SimReadSink = std::function<void(SimRead&&)>;
+
 /** Simulate short reads over `genome` to the requested coverage. */
+void simulateShortReads(const std::string& genome,
+                        const ShortReadParams& params,
+                        const SimReadSink& sink);
 std::vector<SimRead> simulateShortReads(const std::string& genome,
                                         const ShortReadParams& params);
 
 /** Simulate long reads over `genome` to the requested coverage. */
+void simulateLongReads(const std::string& genome,
+                       const LongReadParams& params,
+                       const SimReadSink& sink);
 std::vector<SimRead> simulateLongReads(const std::string& genome,
                                        const LongReadParams& params);
 
 /** Extract the truth alignments, sorted by position. */
 std::vector<AlnRecord> toAlignments(const std::vector<SimRead>& reads);
+
+/**
+ * The truth alignments of simulateLongReads(genome, params), sorted by
+ * position as toAlignments() sorts them, keeping only what a pileup
+ * reads: position, strand, CIGAR and bases (no name or qualities).
+ */
+std::vector<AlnRecord> simulateLongReadPileupRecords(
+    const std::string& genome, const LongReadParams& params);
 
 } // namespace gb
 

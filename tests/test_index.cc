@@ -185,9 +185,14 @@ TEST(SuffixArray, TwoStrandGenomeTextIsSortedPermutation)
         ASSERT_FALSE(seen[pos]) << "duplicate " << pos;
         seen[pos] = true;
     }
+    // Each suffix sorts before the next: at their first difference,
+    // or as its proper prefix. (std::mismatch, not lexicographical_
+    // compare: on u8 that lowers to a memcmp over the whole remaining
+    // text, which TSan checks byte for byte.)
     for (u64 i = 0; i + 1 < n; ++i) {
-        ASSERT_TRUE(std::lexicographical_compare(
-            t.begin() + sa[i], t.end(), t.begin() + sa[i + 1], t.end()))
+        const auto [a, b] = std::mismatch(t.begin() + sa[i], t.end(),
+                                          t.begin() + sa[i + 1], t.end());
+        ASSERT_TRUE(b != t.end() && (a == t.end() || *a < *b))
             << "rows " << i << ", " << i + 1;
     }
 }
@@ -537,9 +542,9 @@ TEST(FmIndex, OccAllBlockAlignedChargesExactlyOneAccess)
     EXPECT_EQ(at, expect);
 }
 
-/** The BWT FmIndex::build indexes, computed without the index. */
+/** The text FmIndex::build indexes, computed without the index. */
 std::vector<u8>
-twoStrandBwt(const std::string& ref)
+twoStrandText(const std::string& ref)
 {
     const u64 n = 2 * ref.size() + 2;
     std::vector<u8> t(n);
@@ -550,6 +555,14 @@ twoStrandBwt(const std::string& ref)
     }
     t[ref.size()] = FmIndex::kSeparator;
     t[n - 1] = FmIndex::kSentinel;
+    return t;
+}
+
+/** Its BWT. */
+std::vector<u8>
+twoStrandBwt(const std::string& ref)
+{
+    const std::vector<u8> t = twoStrandText(ref);
     return bwtFromSuffixArray(t, buildSuffixArray(t));
 }
 
@@ -616,6 +629,91 @@ TEST(FmIndexLines, OccAllPairWithinAndAcrossBlocks)
             EXPECT_EQ(got_hi, want_hi) << lo << ", " << hi;
             EXPECT_EQ(paired.counts().by_class, single.counts().by_class);
             EXPECT_EQ(paired.loadBytes(), single.loadBytes());
+        }
+    }
+}
+
+using HitList = std::vector<std::pair<u64, bool>>;
+
+HitList
+hitList(const std::vector<FmIndex::Hit>& hits)
+{
+    HitList out;
+    for (const auto& hit : hits) out.emplace_back(hit.pos, hit.reverse);
+    return out;
+}
+
+TEST(FmIndexSamples, LocateMatchesFullSuffixArray)
+{
+    // The unsampled oracle: locate()'s hits for rows [k, k + limit)
+    // read straight from the full SA, mapped and sorted as locate()
+    // maps and sorts them.
+    Rng rng(92);
+    const std::string ref = randomDna(rng, 3000);
+    const u64 len = ref.size();
+    const std::vector<u8> text = twoStrandText(ref);
+    const std::vector<u32> sa = buildSuffixArray(text);
+    const u64 n = sa.size();
+    auto oracle = [&](u64 k, u64 limit, u64 match_len) {
+        HitList hits;
+        for (u64 row = k; row < k + limit; ++row) {
+            const u64 pos = sa[row];
+            if (pos < len) {
+                hits.emplace_back(pos, false);
+            } else {
+                hits.emplace_back(len - (pos - (len + 1)) - match_len,
+                                  true);
+            }
+        }
+        std::sort(hits.begin(), hits.end());
+        return hits;
+    };
+
+    std::vector<u32> samples;
+    for (u32 pos : sa) {
+        if (pos % FmIndex::kSaSampleRate == 0) samples.push_back(pos);
+    }
+    // Bytes per block: only block_len >= 256 outgrows the lines the
+    // planes alone need.
+    const std::map<u32, u64> block_bytes{
+        {64, 64}, {128, 128}, {192, 128}, {256, 192}};
+    for (const auto& [block_len, bytes] : block_bytes) {
+        const FmIndex fm = FmIndex::build(ref, block_len);
+        EXPECT_EQ(fm.occBytes(), (n / block_len + 1) * bytes);
+        ASSERT_EQ(fm.saSamples().size(), (n + 31) / 32);
+        EXPECT_TRUE(std::equal(samples.begin(), samples.end(),
+                               fm.saSamples().begin(),
+                               fm.saSamples().end()))
+            << "block_len " << block_len;
+
+        // Every row whose suffix starts with a base, as one-base hits.
+        BiInterval all;
+        all.k = fm.cumulative()[2];
+        all.s = n - all.k;
+        all.end = 1;
+        EXPECT_EQ(hitList(fm.locate(all)), oracle(all.k, all.s, 1))
+            << "block_len " << block_len;
+
+        // Random patterns from both strands, some with a hit limit.
+        for (int trial = 0; trial < 100; ++trial) {
+            const u64 plen = 1 + rng.below(24);
+            std::string pattern = ref.substr(rng.below(len - plen), plen);
+            if (rng.chance(0.5)) pattern = reverseComplement(pattern);
+            const std::vector<u8> codes = encodeDna(pattern);
+            NullProbe probe;
+            std::array<BiInterval, 4> ok;
+            BiInterval ik = fm.baseInterval(codes.back());
+            ik.end = static_cast<i32>(plen);
+            for (i64 i = static_cast<i64>(plen) - 2; i >= 0; --i) {
+                fm.extendBackward(ik, ok, probe);
+                ik = ok[codes[i]];
+            }
+            ASSERT_GT(ik.s, 0u) << pattern;
+            const u64 max_hits = rng.chance(0.3) ? 1 + rng.below(4) : 0;
+            const u64 limit = max_hits ? std::min(max_hits, ik.s) : ik.s;
+            EXPECT_EQ(hitList(fm.locate(ik, max_hits)),
+                      oracle(ik.k, limit, plen))
+                << "block_len " << block_len << " pattern " << pattern;
         }
     }
 }

@@ -8,6 +8,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "io/dna.h"
 #include "simdata/genome.h"
@@ -221,6 +222,85 @@ TEST(LongReads, ErrorRateInOntBand)
                        static_cast<double>(matches + edits);
     EXPECT_GT(err, 0.05);
     EXPECT_LT(err, 0.16); // the paper's 5-15 % ONT band
+}
+
+/** Every field of two simulated read sets, read by read, in order. */
+void
+expectSameReads(const std::vector<SimRead>& got,
+                const std::vector<SimRead>& want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+        const SimRead& a = got[i];
+        const SimRead& b = want[i];
+        EXPECT_EQ(a.record.name, b.record.name) << i;
+        EXPECT_EQ(a.record.seq, b.record.seq) << i;
+        EXPECT_EQ(a.record.qual, b.record.qual) << i;
+        EXPECT_EQ(a.true_pos, b.true_pos) << i;
+        EXPECT_EQ(a.reverse, b.reverse) << i;
+        EXPECT_EQ(a.truth.qname, b.truth.qname) << i;
+        EXPECT_EQ(a.truth.ref_id, b.truth.ref_id) << i;
+        EXPECT_EQ(a.truth.pos, b.truth.pos) << i;
+        EXPECT_EQ(a.truth.mapq, b.truth.mapq) << i;
+        EXPECT_EQ(a.truth.reverse, b.truth.reverse) << i;
+        EXPECT_EQ(a.truth.cigar, b.truth.cigar) << i;
+        EXPECT_EQ(a.truth.seq, b.truth.seq) << i;
+        EXPECT_EQ(a.truth.qual, b.truth.qual) << i;
+    }
+}
+
+TEST(ReadSinks, SinkAndVectorFormsEmitTheSameReads)
+{
+    for (const u64 seed : {1u, 7u, 42u}) {
+        GenomeParams gp;
+        gp.length = 20'000;
+        gp.seed = seed;
+        const Genome g = generateGenome(gp);
+
+        ShortReadParams rp;
+        rp.coverage = 1.0;
+        rp.seed = seed;
+        std::vector<SimRead> streamed;
+        simulateShortReads(g.seq, rp, [&](SimRead&& read) {
+            streamed.push_back(std::move(read));
+        });
+        ASSERT_FALSE(streamed.empty());
+        expectSameReads(streamed, simulateShortReads(g.seq, rp));
+
+        // A genome just above min_len pins every long read to
+        // min_len bases at one of two starts.
+        LongReadParams lp;
+        lp.coverage = 2.0;
+        lp.seed = seed;
+        for (const std::string& genome :
+             {g.seq, g.seq.substr(0, lp.min_len + 1)}) {
+            streamed.clear();
+            simulateLongReads(genome, lp, [&](SimRead&& read) {
+                streamed.push_back(std::move(read));
+            });
+            ASSERT_FALSE(streamed.empty());
+            expectSameReads(streamed, simulateLongReads(genome, lp));
+        }
+    }
+}
+
+TEST(ReadSinks, PileupRecordsAreTheSortedTruthFields)
+{
+    GenomeParams gp;
+    gp.length = 30'000;
+    const Genome g = generateGenome(gp);
+    LongReadParams lp;
+    lp.coverage = 4.0;
+    const auto want = toAlignments(simulateLongReads(g.seq, lp));
+    const auto got = simulateLongReadPileupRecords(g.seq, lp);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].pos, want[i].pos) << i;
+        EXPECT_EQ(got[i].reverse, want[i].reverse) << i;
+        EXPECT_EQ(got[i].cigar, want[i].cigar) << i;
+        EXPECT_EQ(got[i].seq, want[i].seq) << i;
+        EXPECT_TRUE(got[i].qname.empty() && got[i].qual.empty()) << i;
+    }
 }
 
 TEST(PoreModel, LevelsInR94Band)

@@ -310,47 +310,67 @@ TEST(StoreArtifacts, FmIndexRoundTripAndView)
 {
     ScratchDir scratch;
     const std::string ref = randomReference(5000, 33);
-    const FmIndex original = FmIndex::build(ref, 128);
+    for (const u32 block_len : {64u, 128u, 256u}) {
+        SCOPED_TRACE(block_len);
+        const FmIndex original = FmIndex::build(ref, block_len);
 
-    const std::string path = scratch.file("fm.gbs");
-    {
-        StoreWriter writer(path);
-        store::addFmIndex(writer, original);
-        writer.finish();
-    }
+        const std::string path = scratch.file("fm.gbs");
+        {
+            StoreWriter writer(path);
+            store::addFmIndex(writer, original);
+            writer.finish();
+        }
 
-    const FmIndex viewed = store::viewFmIndex(
-        std::make_shared<StoreReader>(StoreReader::open(path)));
-    EXPECT_TRUE(viewed.isView());
-    EXPECT_EQ(viewed.referenceLength(), original.referenceLength());
-    EXPECT_EQ(viewed.blockLen(), original.blockLen());
-    EXPECT_EQ(viewed.bwtLength(), original.bwtLength());
-    EXPECT_EQ(viewed.cumulative(), original.cumulative());
-    for (const char* pattern : {"ACGT", "TTT", "GATTACA", "CCGG"}) {
-        EXPECT_EQ(viewed.count(pattern), original.count(pattern))
-            << pattern;
-    }
-    // SMEMs exercise occ tables, cumulative counts and the SA.
-    const auto codes = encodeDna(ref.substr(100, 80));
-    std::vector<Smem> expect_mems;
-    std::vector<Smem> got_mems;
-    NullProbe probe;
-    original.smems(std::span<const u8>(codes), 19, expect_mems, probe);
-    viewed.smems(std::span<const u8>(codes), 19, got_mems, probe);
-    ASSERT_EQ(got_mems.size(), expect_mems.size());
-    for (size_t i = 0; i < got_mems.size(); ++i) {
-        EXPECT_EQ(got_mems[i].k, expect_mems[i].k);
-        EXPECT_EQ(got_mems[i].s, expect_mems[i].s);
-    }
+        const FmIndex viewed = store::viewFmIndex(
+            std::make_shared<StoreReader>(StoreReader::open(path)));
+        EXPECT_TRUE(viewed.isView());
+        EXPECT_EQ(viewed.referenceLength(), original.referenceLength());
+        EXPECT_EQ(viewed.blockLen(), original.blockLen());
+        EXPECT_EQ(viewed.bwtLength(), original.bwtLength());
+        EXPECT_EQ(viewed.cumulative(), original.cumulative());
+        for (const char* pattern : {"ACGT", "TTT", "GATTACA", "CCGG"}) {
+            EXPECT_EQ(viewed.count(pattern), original.count(pattern))
+                << pattern;
+        }
+        // SMEMs exercise occ tables, cumulative counts and the SA.
+        const auto codes = encodeDna(ref.substr(100, 80));
+        std::vector<Smem> expect_mems;
+        std::vector<Smem> got_mems;
+        NullProbe probe;
+        original.smems(std::span<const u8>(codes), 19, expect_mems, probe);
+        viewed.smems(std::span<const u8>(codes), 19, got_mems, probe);
+        ASSERT_EQ(got_mems.size(), expect_mems.size());
+        for (size_t i = 0; i < got_mems.size(); ++i) {
+            EXPECT_EQ(got_mems[i].k, expect_mems[i].k);
+            EXPECT_EQ(got_mems[i].s, expect_mems[i].s);
+        }
 
-    // The mapped arrays must be bitwise-identical to the original.
-    const auto same = [](auto a, auto b) {
-        return std::equal(a.begin(), a.end(), b.begin(), b.end());
-    };
-    EXPECT_TRUE(same(viewed.occLines(), original.occLines()));
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(viewed.occLines().data()) % 64,
-              0u);
-    EXPECT_TRUE(same(viewed.saSamples(), original.saSamples()));
+        // The mapped arrays must be bitwise-identical to the original.
+        const auto same = [](auto a, auto b) {
+            return std::equal(a.begin(), a.end(), b.begin(), b.end());
+        };
+        EXPECT_TRUE(same(viewed.occLines(), original.occLines()));
+        EXPECT_EQ(reinterpret_cast<uintptr_t>(viewed.occLines().data()) % 64,
+                  0u);
+        EXPECT_TRUE(same(viewed.saSamples(), original.saSamples()));
+        EXPECT_EQ(viewed.saSamples().size(),
+                  (viewed.bwtLength() + FmIndex::kSaSampleRate - 1) /
+                      FmIndex::kSaSampleRate);
+
+        // locate() reads the marks and counts in the mapped lines and the
+        // mapped samples: every base-led row gives the original's hits.
+        BiInterval all;
+        all.k = original.cumulative()[2];
+        all.s = original.bwtLength() - all.k;
+        all.end = 1;
+        const auto want = original.locate(all);
+        const auto got = viewed.locate(all);
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].pos, want[i].pos);
+            EXPECT_EQ(got[i].reverse, want[i].reverse);
+        }
+    }
 }
 
 TEST(StoreArtifacts, FmIndexLoadDetectsCorruption)
@@ -376,12 +396,13 @@ TEST(StoreArtifacts, FmIndexLoadDetectsCorruption)
     // Rewrites the container with one section's payload patched and
     // fresh digests, so only the loader's consistency checks can
     // reject it.
-    auto patched = [&](const std::string& section, auto&& patch) {
+    auto patched = [&](const StoreReader& from, const std::string& section,
+                       auto&& patch) {
         const std::string bad = scratch.file("bad.gbs");
         {
             StoreWriter writer(bad);
-            for (const auto& entry : probe_reader.sections()) {
-                const auto bytes = probe_reader.section(entry.name);
+            for (const auto& entry : from.sections()) {
+                const auto bytes = from.section(entry.name);
                 std::vector<u8> payload(bytes.begin(), bytes.end());
                 if (std::string(entry.name) == section) patch(payload);
                 writer.add(entry.name, payload.data(), payload.size());
@@ -404,16 +425,20 @@ TEST(StoreArtifacts, FmIndexLoadDetectsCorruption)
         {0, 1}, // c[0] != 0
     };
     for (const auto& [index, value] : bad_counts) {
-        auto bad_reader = patched("fm.meta", [&](std::vector<u8>& p) {
-            std::memcpy(p.data() + 8 + 8 * index, &value, sizeof(value));
-        });
+        auto bad_reader =
+            patched(probe_reader, "fm.meta", [&](std::vector<u8>& p) {
+                std::memcpy(p.data() + 8 + 8 * index, &value,
+                            sizeof(value));
+            });
         EXPECT_THROW(store::viewFmIndex(bad_reader), InputError)
             << "c[" << index << "] = " << value;
     }
 
     // The same for fm.occ. Each 64-symbol block is one 64-byte line:
     // 6 u32 checkpoints, then planes 0, 1, 2 (bit k of each symbol's
-    // code) as u64 words at bytes 24, 32, 40. An occ checkpoint past
+    // code) as u64 words at bytes 24, 32, 40, the mark word of the
+    // sampled rows at 48 and the count of earlier samples (a u32 in a
+    // u64 word) at 56. An occ checkpoint past
     // its symbol's total would send the next count() outside the BWT,
     // one that drops or jumps by more than a block cannot be a prefix
     // count, and the first block's checkpoints must be 0.
@@ -434,10 +459,11 @@ TEST(StoreArtifacts, FmIndexLoadDetectsCorruption)
         {0, 2, 1},                                // block 0 != 0
     };
     for (const auto& [block, sym, value] : bad_checkpoints) {
-        auto bad_reader = patched("fm.occ", [&](std::vector<u8>& p) {
-            std::memcpy(p.data() + block * 64 + 4 * sym, &value,
-                        sizeof(value));
-        });
+        auto bad_reader =
+            patched(probe_reader, "fm.occ", [&](std::vector<u8>& p) {
+                std::memcpy(p.data() + block * 64 + 4 * sym, &value,
+                            sizeof(value));
+            });
         EXPECT_THROW(store::viewFmIndex(bad_reader), InputError)
             << "block " << block << " checkpoint " << sym << " = "
             << value;
@@ -446,8 +472,12 @@ TEST(StoreArtifacts, FmIndexLoadDetectsCorruption)
     // And the planes: a flipped bit changes a symbol, so its block no
     // longer matches the step between its checkpoints; code 6 (planes
     // 1 and 2 set) is no symbol; a bit past n would be counted by no
-    // checkpoint; the 16 pad bytes of a line must be zero; and a
-    // truncated section has too few lines.
+    // checkpoint; and a truncated section has too few lines. locate()
+    // reads sample number (count + marks below the row), so a count
+    // off by one, a count word with its high half set, a flipped mark
+    // (the next line's count no longer follows), a mark past n, and
+    // an extra mark in the last line (the marks then total one more
+    // than fm.sa's samples) would each read a wrong sample.
     auto setPlaneBit = [](std::vector<u8>& p, u64 block, u32 plane,
                           u32 bit, bool on) {
         u64 word;
@@ -457,6 +487,10 @@ TEST(StoreArtifacts, FmIndexLoadDetectsCorruption)
         std::memcpy(at, &word, sizeof(word));
     };
     const u64 last = n / 64;
+    const u64 last_marks = fm.occLines()[last * 8 + 6];
+    u32 unmarked = 0;
+    while (last_marks >> unmarked & 1) ++unmarked;
+    ASSERT_LT(unmarked, n % 64);
     const std::vector<std::pair<const char*,
                                 std::function<void(std::vector<u8>&)>>>
         bad_lines{
@@ -474,15 +508,67 @@ TEST(StoreArtifacts, FmIndexLoadDetectsCorruption)
              [&](std::vector<u8>& p) {
                  setPlaneBit(p, last, 0, static_cast<u32>(n % 64), true);
              }},
-            {"pad word set",
-             [&](std::vector<u8>& p) { p[mid * 64 + 48] = 1; }},
+            {"sample count off by one",
+             [&](std::vector<u8>& p) { ++p[mid * 64 + 56]; }},
+            {"count high half set",
+             [&](std::vector<u8>& p) { p[mid * 64 + 60] = 1; }},
+            {"flipped mark",
+             [&](std::vector<u8>& p) { p[mid * 64 + 48] ^= 1; }},
+            {"mark past n",
+             [&](std::vector<u8>& p) {
+                 p[last * 64 + 48 + n % 64 / 8] |= 1 << (n % 8);
+             }},
+            {"extra mark in the last line",
+             [&](std::vector<u8>& p) {
+                 p[last * 64 + 48 + unmarked / 8] |= 1 << (unmarked % 8);
+             }},
             {"truncated section",
              [&](std::vector<u8>& p) { p.resize(p.size() - 64); }},
         };
     for (const auto& [what, patch] : bad_lines) {
-        auto bad_reader = patched("fm.occ", patch);
+        auto bad_reader = patched(probe_reader, "fm.occ", patch);
         EXPECT_THROW(store::viewFmIndex(bad_reader), InputError) << what;
     }
+
+    // fm.sa holds exactly the marked rows' text positions, each a
+    // multiple of the sampling rate below n: locate() adds its LF
+    // steps to one.
+    const u32 past_n = static_cast<u32>(
+        roundUp<u64>(n, FmIndex::kSaSampleRate));
+    const std::vector<std::pair<const char*,
+                                std::function<void(std::vector<u8>&)>>>
+        bad_samples{
+            {"one sample short",
+             [&](std::vector<u8>& p) { p.resize(p.size() - 4); }},
+            {"sample off the sampled positions",
+             [&](std::vector<u8>& p) { ++p[0]; }},
+            {"sample past n",
+             [&](std::vector<u8>& p) {
+                 std::memcpy(p.data(), &past_n, sizeof(past_n));
+             }},
+        };
+    for (const auto& [what, patch] : bad_samples) {
+        auto bad_reader = patched(probe_reader, "fm.sa", patch);
+        EXPECT_THROW(store::viewFmIndex(bad_reader), InputError) << what;
+    }
+
+    // At block_len 128 a block is 12 words padded to 16: the spare
+    // words must be zero.
+    const std::string wide_path = scratch.file("fm128.gbs");
+    {
+        StoreWriter writer(wide_path);
+        store::addFmIndex(writer, FmIndex::build(randomReference(2000, 7),
+                                                 128));
+        writer.finish();
+    }
+    const auto wide_reader = StoreReader::open(wide_path);
+    EXPECT_NO_THROW(store::viewFmIndex(patched(
+        wide_reader, "fm.occ", [](std::vector<u8>&) {})));
+    EXPECT_THROW(store::viewFmIndex(patched(wide_reader, "fm.occ",
+                                            [&](std::vector<u8>& p) {
+                                                p[mid * 128 + 8 * 12] = 1;
+                                            })),
+                 InputError);
 
     flipByte(path, occ_offset);
     auto reader = std::make_shared<StoreReader>(StoreReader::open(path));

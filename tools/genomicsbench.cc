@@ -189,7 +189,8 @@ cmdRun(const std::string& name, DatasetSize size, unsigned threads,
                   << cache.misses() << " miss"
                   << (cache.misses() == 1 ? "" : "es") << ")";
     }
-    std::cout << '\n';
+    std::cout << "\npeak RSS after prepare: "
+              << formatF(peakRssMib(), 1) << " MiB\n";
 
     ThreadPool pool(threads);
     // One counter group per pool thread, summed per repeat, so the
@@ -210,8 +211,11 @@ cmdRun(const std::string& name, DatasetSize size, unsigned threads,
             .num("tasks_per_sec", rate);
     }
     const auto& best_sample = m.best_sample;
+    const double peak_rss_mb = peakRssMib();
     std::cout << "best: " << formatF(m.bestSeconds(), 3) << " s with "
-              << pool.numThreads() << " threads\n";
+              << pool.numThreads() << " threads\n"
+              << "peak RSS after run: " << formatF(peak_rss_mb, 1)
+              << " MiB\n";
     // Individual counters can be missing (negative).
     const auto fmt = [](double v) {
         return v < 0.0 ? std::string("n/a")
@@ -252,7 +256,8 @@ cmdRun(const std::string& name, DatasetSize size, unsigned threads,
         .num("branch_misses", best_sample.branch_misses)
         .num("task_clock_s", best_sample.task_clock_seconds)
         .num("page_faults", best_sample.page_faults)
-        .num("context_switches", best_sample.context_switches);
+        .num("context_switches", best_sample.context_switches)
+        .num("peak_rss_mb", peak_rss_mb);
     return 0;
 }
 
