@@ -90,7 +90,7 @@ main(int argc, char** argv)
             .cell(formatCount(bytes))
             .cellF(model_bpki, 2)
             .cellF(cache.dramStats().rowMissRate() * 100.0, 1)
-            .cell(bench::orNA(meas_bpki, 2))
+            .cell(orNA(meas_bpki, 2))
             .cell(divergence(meas_bpki, model_bpki));
     }
     bench::report(table);

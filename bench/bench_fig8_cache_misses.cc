@@ -65,10 +65,10 @@ main(int argc, char** argv)
             .cellF(cache.l2Stats().missRate() * 100.0, 2)
             .cellF(cache.llcStats().missRate() * 100.0, 2)
             .cellF(result.stall_cycle_fraction * 100.0, 1)
-            .cell(bench::orNA(perf.ipc(), 2))
-            .cell(bench::orNA(
+            .cell(orNA(perf.ipc(), 2))
+            .cell(orNA(
                 perf.perKiloInstructions(perf.llc_misses), 2))
-            .cell(bench::orNA(
+            .cell(orNA(
                 perf.perKiloInstructions(perf.branch_misses), 2));
     }
     bench::report(table);

@@ -36,7 +36,8 @@
 # minimum and carries the process peak RSS), and CLI error-handling checks (unknown flags with a
 # did-you-mean, the removed --engine, flags a subcommand does not take,
 # a mistyped
-# GB_SIMD_LEVEL, malformed numeric, duration and empty path flags).
+# GB_SIMD_LEVEL, malformed numeric, duration and empty path flags, a
+# bad --kernels name that must leave no artifact: all exit 2).
 #
 # Timing is not gated here: `perfbench/run.py compare BENCH_16 NEW`
 # does that against the committed trajectory (BENCH_16/README.md).
@@ -707,8 +708,10 @@ EOF
 rm -f /tmp/gb_run.json
 
 # ------------------------------------------------- CLI error handling
-# A near-miss flag exits 2 and names the flag it was probably meant
-# to be, in the bench harness and in the genomicsbench CLI alike.
+# The bench binaries and the genomicsbench CLI share one parser
+# (src/core/cli.cc): every parse error exits 2 with "error: ..." before
+# anything is prepared. A near-miss flag names the flag it was
+# probably meant to be.
 step "bench + genomicsbench CLI: unknown flags are rejected"
 for cmd in "./build/bench/bench_table2_overview --thread=8" \
            "$GB run pileup --size=tiny --thread=2"; do
@@ -739,8 +742,28 @@ if [[ $status -ne 2 ]] || ! grep -q "did you mean fmi?" /tmp/gb_flag.txt; then
 fi
 echo "bad kernel rejected with: $(head -1 /tmp/gb_flag.txt)"
 
+# The CLI checks --kernels before the first prepare: a bad name in
+# the list exits 2 and no artifact is written, not even for the
+# kernels listed before it.
+BAD_CACHE=$(mktemp -d)
+set +e
+"$GB" store build --cache-dir="$BAD_CACHE" --size=tiny \
+    --kernels=pileup,fmii >/dev/null 2>/tmp/gb_flag.txt
+status=$?
+set -e
+if [[ $status -ne 2 ]] || ! grep -q "did you mean fmi?" /tmp/gb_flag.txt \
+   || compgen -G "$BAD_CACHE/*.gbs" >/dev/null; then
+    echo "FAIL: store build --kernels=pileup,fmii was not rejected" \
+         "before writing an artifact" >&2
+    cat /tmp/gb_flag.txt >&2
+    ls "$BAD_CACHE" >&2
+    exit 1
+fi
+rm -rf "$BAD_CACHE"
+echo "bad store kernel rejected with: $(head -1 /tmp/gb_flag.txt)"
+
 # --engine is not a flag (every kernel has one run path): it exits 2
-# as an unknown option in the bench harness and the CLI alike.
+# as an unknown option in both front ends.
 for cmd in "./build/bench/bench_table2_overview --engine=simd" \
            "$GB run kmer-cnt --size=tiny --engine=simd"; do
     set +e
@@ -756,18 +779,20 @@ for cmd in "./build/bench/bench_table2_overview --engine=simd" \
     echo "unknown flag rejected with: $(head -1 /tmp/gb_flag.txt)"
 done
 
-# A known flag that the subcommand does not take exits 2 and names the
-# subcommand, instead of being silently ignored.
-for cmd in "characterize pileup --size=tiny --threads=4" \
-           "run pileup --size=tiny --workers=3"; do
+# A known flag that the command does not take exits 2 and names the
+# command and the flag, instead of being silently ignored; a bench
+# binary is the "bench" command.
+for case in "characterize does not accept --threads|$GB characterize pileup --size=tiny --threads=4" \
+            "run does not accept --workers|$GB run pileup --size=tiny --workers=3" \
+            "bench does not accept --repeat|./build/bench/bench_table2_overview --repeat=3"; do
+    want=${case%%|*}
+    cmd=${case#*|}
     set +e
-    $GB $cmd >/dev/null 2>/tmp/gb_flag.txt
+    $cmd >/dev/null 2>/tmp/gb_flag.txt
     status=$?
     set -e
-    sub=${cmd%% *}
-    if [[ $status -ne 2 ]] || \
-       ! grep -q "error: $sub does not accept" /tmp/gb_flag.txt; then
-        echo "FAIL: $cmd was not rejected for its subcommand" >&2
+    if [[ $status -ne 2 ]] || ! grep -q "error: $want" /tmp/gb_flag.txt; then
+        echo "FAIL: $cmd was not rejected for its command" >&2
         cat /tmp/gb_flag.txt >&2
         exit 1
     fi
@@ -789,10 +814,10 @@ fi
 echo "bad level rejected with: $(head -1 /tmp/gb_flag.txt)"
 
 # Numeric flags parse whole strings within range: a zero repeat count,
-# a negative or over-cap thread count and trailing garbage all exit
-# non-zero with a message instead of wrapping or truncating. Path flags
-# with an empty value are rejected instead of silently dropping the
-# JSON or running uncached.
+# a negative or over-cap thread count and trailing garbage all exit 2
+# with a message instead of wrapping or truncating. Path flags with an
+# empty value exit 2 instead of silently dropping the JSON or running
+# uncached.
 step "genomicsbench CLI: malformed numeric and empty path flags rejected"
 for flag in "--repeat=0" "--threads=-1" "--threads=2x" \
             "--threads=100000" "--json=" "--cache-dir="; do
@@ -800,7 +825,7 @@ for flag in "--repeat=0" "--threads=-1" "--threads=2x" \
     "$GB" run pileup --size=tiny "$flag" >/dev/null 2>/tmp/gb_flag.txt
     status=$?
     set -e
-    if [[ $status -eq 0 ]] || ! grep -q "error:" /tmp/gb_flag.txt; then
+    if [[ $status -ne 2 ]] || ! grep -q "error:" /tmp/gb_flag.txt; then
         echo "FAIL: run pileup $flag was not rejected" >&2
         cat /tmp/gb_flag.txt >&2
         exit 1
@@ -809,7 +834,7 @@ for flag in "--repeat=0" "--threads=-1" "--threads=2x" \
 done
 
 # Durations parse the whole string too: trailing garbage, nan/inf and
-# negative values are rejected before any connection is attempted.
+# negative values exit 2 before any connection is attempted.
 for flag in "--wait-timeout=5x" "--wait-timeout=nan" \
             "--wait-timeout=-1"; do
     set +e
@@ -817,7 +842,7 @@ for flag in "--wait-timeout=5x" "--wait-timeout=nan" \
         >/dev/null 2>/tmp/gb_flag.txt
     status=$?
     set -e
-    if [[ $status -eq 0 ]] || ! grep -q "error:" /tmp/gb_flag.txt; then
+    if [[ $status -ne 2 ]] || ! grep -q "error:" /tmp/gb_flag.txt; then
         echo "FAIL: client $flag was not rejected" >&2
         cat /tmp/gb_flag.txt >&2
         exit 1

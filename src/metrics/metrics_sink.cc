@@ -114,7 +114,7 @@ MetricsSink::~MetricsSink()
 void
 MetricsSink::open(const std::string& path, RunMeta meta)
 {
-    requireInput(!path.empty(), "--json expects a file path");
+    requireInput(!path.empty(), "metrics: empty output path");
     begin(std::move(meta));
     path_ = path;
 }

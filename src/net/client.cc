@@ -1,40 +1,15 @@
 #include "net/client.h"
 
-#include <fstream>
 #include <ostream>
 #include <sstream>
 #include <vector>
 
 #include "net/net.h"
+#include "serve/job.h"
 
 namespace gb::net {
 
 namespace {
-
-/**
- * Job lines exactly as a server-side parseJobFile would see them:
- * comments stripped, blanks skipped. The server re-parses; the
- * client stays schema-agnostic so protocol and job-file syntax can
- * evolve server-side.
- */
-std::vector<std::string>
-readJobLines(const std::string& path)
-{
-    std::ifstream in(path);
-    requireInput(in.is_open(), "jobs: cannot open '" + path + "'");
-    std::vector<std::string> lines;
-    std::string line;
-    while (std::getline(in, line)) {
-        const size_t hash = line.find('#');
-        if (hash != std::string::npos) line.erase(hash);
-        const size_t first = line.find_first_not_of(" \t\r");
-        if (first == std::string::npos) continue;
-        const size_t last = line.find_last_not_of(" \t\r");
-        lines.push_back(line.substr(first, last - first + 1));
-    }
-    requireInput(!lines.empty(), "jobs: no jobs in '" + path + "'");
-    return lines;
-}
 
 /** One request -> one reply; throws NetError if the server hung up. */
 std::string
@@ -65,7 +40,9 @@ isOkDone(const std::string& reply)
 int
 runClient(const ClientOptions& options, std::ostream& out)
 {
-    const auto lines = readJobLines(options.jobs_path);
+    // The client stays schema-agnostic: it sends each job line and
+    // the server parses it, so the job-file syntax lives server-side.
+    const auto lines = serve::readJobLines(options.jobs_path);
     Connection conn = Connection::connectTo(
         options.host, options.port, options.connect_seconds);
 
@@ -73,8 +50,8 @@ runClient(const ClientOptions& options, std::ostream& out)
     std::vector<std::string> ids;
     for (const auto& line : lines) {
         const std::string reply =
-            roundTrip(conn, "SUBMIT " + line);
-        out << reply << " <- " << line << '\n';
+            roundTrip(conn, "SUBMIT " + line.text);
+        out << reply << " <- " << line.text << '\n';
         std::istringstream tokens(reply);
         std::string ok, id;
         tokens >> ok >> id;

@@ -12,8 +12,6 @@
 #include <thread>
 #include <unistd.h>
 
-#include "util/parse.h"
-
 namespace gb::net {
 
 namespace {
@@ -91,20 +89,6 @@ makeAddr(const std::string& host, u16 port)
 }
 
 } // namespace
-
-HostPort
-parseHostPort(const std::string& spec)
-{
-    const size_t colon = spec.rfind(':');
-    requireInput(colon != std::string::npos && colon > 0 &&
-                     colon + 1 < spec.size(),
-                 "expected HOST:PORT, got '" + spec + "'");
-    HostPort out;
-    out.host = spec.substr(0, colon);
-    out.port = static_cast<u16>(
-        parseUnsigned("port", spec.substr(colon + 1), 0, 65535));
-    return out;
-}
 
 // ---------------------------------------------------------------------
 // Connection

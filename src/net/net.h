@@ -45,14 +45,6 @@ class LineTooLongError : public NetError
     LineTooLongError() : NetError("line too long") {}
 };
 
-/** Split "HOST:PORT"; throws InputError on a malformed spec. */
-struct HostPort
-{
-    std::string host;
-    u16 port = 0;
-};
-HostPort parseHostPort(const std::string& spec);
-
 /**
  * One connected TCP stream, move-only, closing on destruction.
  * readLine() buffers internally and hands out one '\n'-terminated

@@ -42,12 +42,6 @@ enum class Verb : u8
     kDrain,
 };
 
-/**
- * Longest WAIT deadline a request or `client --wait-timeout` may ask
- * for (one day); omit the timeout to wait with no deadline.
- */
-inline constexpr unsigned kMaxWaitSeconds = 86400;
-
 /** Wire name of a verb ("SUBMIT", "STATUS", ...). */
 const char* verbName(Verb verb);
 

@@ -1,5 +1,6 @@
 #include "serve/job.h"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -104,30 +105,36 @@ parseJobLine(const std::string& line)
     return spec;
 }
 
-std::vector<JobSpec>
-parseJobFile(const std::string& path)
+std::vector<JobFileLine>
+readJobLines(const std::string& path)
 {
     std::ifstream in(path);
     requireInput(in.is_open(), "jobs: cannot open '" + path + "'");
-    std::vector<JobSpec> specs;
+    std::vector<JobFileLine> lines;
     std::string line;
-    size_t lineno = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        const size_t hash = line.find('#');
-        if (hash != std::string::npos) line.erase(hash);
-        if (line.find_first_not_of(" \t\r") == std::string::npos) {
-            continue;
-        }
+    for (size_t lineno = 1; std::getline(in, line); ++lineno) {
+        line.erase(std::min(line.find('#'), line.size()));
+        const size_t first = line.find_first_not_of(" \t\r");
+        if (first == std::string::npos) continue;
+        const size_t last = line.find_last_not_of(" \t\r");
+        lines.push_back({lineno, line.substr(first, last - first + 1)});
+    }
+    requireInput(!lines.empty(), "jobs: no jobs in '" + path + "'");
+    return lines;
+}
+
+std::vector<JobSpec>
+parseJobFile(const std::string& path)
+{
+    std::vector<JobSpec> specs;
+    for (const JobFileLine& line : readJobLines(path)) {
         try {
-            specs.push_back(parseJobLine(line));
+            specs.push_back(parseJobLine(line.text));
         } catch (const InputError& e) {
-            throw InputError(path + ":" + std::to_string(lineno) +
+            throw InputError(path + ":" + std::to_string(line.lineno) +
                              ": " + e.what());
         }
     }
-    requireInput(!specs.empty(),
-                 "jobs: no jobs in '" + path + "'");
     return specs;
 }
 

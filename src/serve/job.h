@@ -88,8 +88,23 @@ void validateSpec(const JobSpec& spec,
  */
 JobSpec parseJobLine(const std::string& line);
 
+/** One job line of a job file and its 1-based line number. */
+struct JobFileLine
+{
+    size_t lineno = 0;
+    std::string text;
+};
+
 /**
- * Parse a job file: one parseJobLine() per non-blank, non-`#` line.
+ * The job lines of a file, unparsed: `#` comments cut, blank lines
+ * dropped, surrounding blanks and `\r` (CRLF files) trimmed. Throws
+ * InputError on an unreadable file or one without a job line. The
+ * server's parseJobFile() and the network client share it.
+ */
+std::vector<JobFileLine> readJobLines(const std::string& path);
+
+/**
+ * Parse a job file: one parseJobLine() per readJobLines() line.
  * Throws InputError (with the 1-based line number) on any bad line,
  * and on an unreadable or empty job list.
  */

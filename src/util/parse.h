@@ -1,7 +1,8 @@
 /**
  * @file
- * Strict numeric parsing for command-line flags and job-file values,
- * and the unknown-flag message the command-line parsers share.
+ * Strict parsing of command-line and job-file values (numbers,
+ * durations, HOST:PORT) and the unknown-name messages the parsers
+ * share.
  */
 #ifndef GB_UTIL_PARSE_H
 #define GB_UTIL_PARSE_H
@@ -43,6 +44,12 @@ parseUnsigned(std::string_view what, std::string_view text,
 }
 
 /**
+ * Longest deadline `client --wait-timeout` or a WAIT request may ask
+ * for (one day); omit the timeout to wait with no deadline.
+ */
+inline constexpr unsigned kMaxWaitSeconds = 86400;
+
+/**
  * Parse all of `text` as a decimal number of seconds in [0, max].
  * A sign, leading or trailing garbage, nan/inf and out-of-range values
  * throw InputError naming `what` (e.g. "--wait-timeout").
@@ -61,6 +68,28 @@ parseSeconds(std::string_view what, std::string_view text, unsigned max)
                                    std::string(text) + " (expected 0.." +
                                    std::to_string(max) + ")");
     return value;
+}
+
+/** A split "HOST:PORT". */
+struct HostPort
+{
+    std::string host;
+    u16 port = 0;
+};
+
+/** Split "HOST:PORT"; throws InputError on a malformed spec. */
+inline HostPort
+parseHostPort(const std::string& spec)
+{
+    const size_t colon = spec.rfind(':');
+    requireInput(colon != std::string::npos && colon > 0 &&
+                     colon + 1 < spec.size(),
+                 "expected HOST:PORT, got '" + spec + "'");
+    HostPort out;
+    out.host = spec.substr(0, colon);
+    out.port = static_cast<u16>(
+        parseUnsigned("port", spec.substr(colon + 1), 0, 65535));
+    return out;
 }
 
 /**

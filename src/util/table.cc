@@ -80,6 +80,12 @@ formatF(double value, int precision)
 }
 
 std::string
+orNA(double value, int precision)
+{
+    return value < 0.0 ? "n/a" : formatF(value, precision);
+}
+
+std::string
 formatCount(unsigned long long value)
 {
     std::string digits = std::to_string(value);

@@ -73,6 +73,9 @@ std::string formatF(double value, int precision = 2);
 /** Format a large count with thousands separators (e.g. 1,234,567). */
 std::string formatCount(unsigned long long value);
 
+/** formatF() of a counter-derived value; "n/a" when negative. */
+std::string orNA(double value, int precision = 2);
+
 } // namespace gb
 
 #endif // GB_UTIL_TABLE_H

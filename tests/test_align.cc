@@ -394,10 +394,21 @@ randomPair(Rng& rng, std::vector<u8>& q, std::vector<u8>& t)
     }
 }
 
-TEST(BandedSwEngine, MatchesScalarOnRandomPairsAndParams)
+/** Shards of the 100k random pairs; each shard is one ctest case. */
+constexpr int kRandomPairShards = 8;
+
+class BandedSwEngineShard : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(BandedSwEngineShard, MatchesScalarOnRandomPairsAndParams)
 {
     // 100k seeded pairs, each in local and global mode at every level,
-    // under randomized scoring, band and z-drop parameters.
+    // under randomized scoring, band and z-drop parameters. Every shard
+    // replays the whole generator and aligns every kRandomPairShards-th
+    // pair, so the shards together cover all 100k pairs and ctest -j
+    // runs them side by side (TSan slows this test ~45x).
+    const int shard = GetParam();
     Rng rng(1301);
     std::vector<u8> q;
     std::vector<u8> t;
@@ -412,10 +423,14 @@ TEST(BandedSwEngine, MatchesScalarOnRandomPairsAndParams)
         p.gap_extend = static_cast<i32>(rng.below(4));
         const i32 zdrops[] = {5, 20, 100, 1 << 28};
         p.zdrop = zdrops[rng.below(4)];
+        if (pair % kRandomPairShards != shard) continue;
         failures += !expectEngineMatches(q, t, p,
                                             "pair " + std::to_string(pair));
     }
 }
+
+INSTANTIATE_TEST_SUITE_P(Seed1301, BandedSwEngineShard,
+                         ::testing::Range(0, kRandomPairShards));
 
 TEST(BandedSwEngine, MatchesScalarOnEdgeShapes)
 {

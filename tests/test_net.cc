@@ -37,12 +37,12 @@
 #include "net/server.h"
 #include "serve/job.h"
 #include "serve/scheduler.h"
+#include "util/parse.h"
 
 namespace gb {
 namespace {
 
 using net::Connection;
-using net::HostPort;
 using net::Listener;
 using net::Request;
 using net::Server;
@@ -56,24 +56,24 @@ using serve::Scheduler;
 
 TEST(NetHostPort, ParsesHostAndPort)
 {
-    const HostPort hp = net::parseHostPort("127.0.0.1:8080");
+    const HostPort hp = parseHostPort("127.0.0.1:8080");
     EXPECT_EQ(hp.host, "127.0.0.1");
     EXPECT_EQ(hp.port, 8080);
-    EXPECT_EQ(net::parseHostPort("0.0.0.0:1").port, 1);
-    EXPECT_EQ(net::parseHostPort("10.0.0.1:65535").port, 65535);
+    EXPECT_EQ(parseHostPort("0.0.0.0:1").port, 1);
+    EXPECT_EQ(parseHostPort("10.0.0.1:65535").port, 65535);
 }
 
 TEST(NetHostPort, RejectsMalformedSpecs)
 {
-    EXPECT_THROW(net::parseHostPort(""), InputError);
-    EXPECT_THROW(net::parseHostPort("127.0.0.1"), InputError);
-    EXPECT_THROW(net::parseHostPort(":8080"), InputError);
-    EXPECT_THROW(net::parseHostPort("127.0.0.1:"), InputError);
-    EXPECT_THROW(net::parseHostPort("127.0.0.1:http"), InputError);
-    EXPECT_THROW(net::parseHostPort("127.0.0.1:70000"), InputError);
-    EXPECT_THROW(net::parseHostPort("127.0.0.1:80x"), InputError);
-    EXPECT_THROW(net::parseHostPort("127.0.0.1:+80"), InputError);
-    EXPECT_THROW(net::parseHostPort("127.0.0.1: 80"), InputError);
+    EXPECT_THROW(parseHostPort(""), InputError);
+    EXPECT_THROW(parseHostPort("127.0.0.1"), InputError);
+    EXPECT_THROW(parseHostPort(":8080"), InputError);
+    EXPECT_THROW(parseHostPort("127.0.0.1:"), InputError);
+    EXPECT_THROW(parseHostPort("127.0.0.1:http"), InputError);
+    EXPECT_THROW(parseHostPort("127.0.0.1:70000"), InputError);
+    EXPECT_THROW(parseHostPort("127.0.0.1:80x"), InputError);
+    EXPECT_THROW(parseHostPort("127.0.0.1:+80"), InputError);
+    EXPECT_THROW(parseHostPort("127.0.0.1: 80"), InputError);
 }
 
 // ---------------------------------------------------------------------
@@ -685,10 +685,12 @@ TEST(NetClient, RunsAJobFileEndToEnd)
     {
         std::ofstream out(path);
         out << "# client test jobs\n"
-               "a priority=high\n"
-               "a priority=batch\n"
+               "a priority=high   # trailing comment\n"
+               "a priority=batch\r\n"
+               "\r\n"
+               "# CRLF comment\r\n"
                "\n"
-               "a\n";
+               "a\r\n";
     }
     TestServer ts({"a"}, 2, 8);
     net::ClientOptions options;
@@ -702,6 +704,12 @@ TEST(NetClient, RunsAJobFileEndToEnd)
     EXPECT_NE(log.find("OK 1 "), std::string::npos) << log;
     EXPECT_NE(log.find("OK 3 done"), std::string::npos) << log;
     EXPECT_NE(log.find("OK drained"), std::string::npos) << log;
+    // Each job line is sent trimmed: no comment, blank or '\r'.
+    EXPECT_NE(log.find(" <- a priority=high\n"), std::string::npos) << log;
+    EXPECT_NE(log.find(" <- a priority=batch\n"), std::string::npos) << log;
+    EXPECT_NE(log.find(" <- a\n"), std::string::npos) << log;
+    EXPECT_EQ(log.find('\r'), std::string::npos) << log;
+    EXPECT_EQ(log.find("OK 4 "), std::string::npos) << log;
     EXPECT_TRUE(ts.server.waitShutdownRequestedFor(1.0));
     std::filesystem::remove(path);
 }

@@ -144,14 +144,26 @@ TEST(ServeJob, ParseFile)
         out << "# genomics job list\n"
                "\n"
                "fmi size=tiny threads=2   # trailing comment\n"
-               "bsw size=small\n";
+               "bsw size=small\n"
+               " \t\r\n"
+               "# CRLF lines\r\n"
+               "pileup size=tiny\r\n";
     }
     const auto specs = serve::parseJobFile(path.string());
-    ASSERT_EQ(specs.size(), 2u);
+    ASSERT_EQ(specs.size(), 3u);
     EXPECT_EQ(specs[0].kernel, "fmi");
     EXPECT_EQ(specs[0].threads, 2u);
     EXPECT_EQ(specs[1].kernel, "bsw");
     EXPECT_EQ(specs[1].size, DatasetSize::kSmall);
+    EXPECT_EQ(specs[2].kernel, "pileup");
+    EXPECT_EQ(specs[2].size, DatasetSize::kTiny);
+    // The raw lines the network client sends: trimmed, numbered.
+    const auto lines = serve::readJobLines(path.string());
+    ASSERT_EQ(lines.size(), 3u);
+    EXPECT_EQ(lines[0].lineno, 3u);
+    EXPECT_EQ(lines[0].text, "fmi size=tiny threads=2");
+    EXPECT_EQ(lines[2].lineno, 7u);
+    EXPECT_EQ(lines[2].text, "pileup size=tiny");
     std::filesystem::remove(path);
 }
 

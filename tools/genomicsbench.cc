@@ -2,59 +2,40 @@
  * @file
  * genomicsbench — command-line driver for the suite.
  *
- *   genomicsbench list
- *   genomicsbench info <kernel>
- *   genomicsbench run <kernel> [--size=S] [--threads=N] [--repeat=R]
- *                    [--cache-dir=DIR] [--json=FILE]
- *   genomicsbench characterize <kernel> [--size=S] [--cache-dir=DIR]
- *                    [--json=FILE]
- *   genomicsbench store build [--cache-dir=DIR] [--size=S]
- *                    [--kernels=a,b,c]
- *   genomicsbench store inspect <file.gbs>
- *   genomicsbench store verify <file.gbs>... | --cache-dir=DIR
- *   genomicsbench serve --jobs=FILE | --listen=HOST:PORT
- *                    [--workers=N] [--queue-depth=K]
- *                    [--cache-dir=DIR] [--json=FILE]
- *   genomicsbench client --connect=HOST:PORT --jobs=FILE
- *                    [--wait-timeout=S] [--drain]
- *
- * Each subcommand accepts only the flags listed on its line (plus
- * --trace for run and serve); any other flag exits 2.
+ * Subcommands: list, info, run, characterize, store build|inspect|
+ * verify, serve and client. Their operands, flags and usage lines are
+ * in the shared parser (core/cli.h), which rejects any flag a
+ * subcommand does not take, an unknown kernel name and a bad value
+ * with exit 2 before anything runs; a failure while running exits 1.
  *
  * `run` times the kernel (wall clock, tasks/s) and prints the SIMD
  * dispatch level it ran at; every kernel has one run path, and
  * GB_SIMD_LEVEL=scalar gives its scalar baseline (an unknown
- * GB_SIMD_LEVEL exits 2). `characterize` prints
- * the operation mix, cache behaviour and top-down attribution for one
- * kernel — the per-kernel view of what the bench_* binaries sweep.
- * The `store` subcommands manage the gb::store artifact cache that
- * --cache-dir consults (see docs/store-format.md). `serve` runs a
- * whole job list through the gb::serve scheduler (docs/serve.md):
- * batch mode (--jobs) drains a file, network mode (--listen) accepts
- * jobs over TCP until DRAIN or SIGTERM. `client` drives a job file
- * against a network server. `run` and `serve` accept --trace=FILE to
+ * GB_SIMD_LEVEL exits 2). `characterize` prints the operation mix,
+ * cache behaviour and top-down attribution for one kernel — the
+ * per-kernel view of what the bench_* binaries sweep. The `store`
+ * subcommands manage the gb::store artifact cache (see
+ * docs/store-format.md). `serve` runs a whole job list through the
+ * gb::serve scheduler (docs/serve.md): batch mode drains a job file,
+ * network mode accepts jobs over TCP until DRAIN or SIGTERM. `client`
+ * drives a job file against a network server. `run` and `serve` can
  * record a gb::trace timeline (Perfetto-loadable Chrome trace JSON;
  * scripts/trace_inspect.py summarizes one, see docs/tracing.md).
  */
 #include <algorithm>
 #include <csignal>
-#include <cstring>
 #include <filesystem>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "arch/cache_sim.h"
 #include "arch/topdown.h"
-#include "core/benchmark.h"
+#include "core/cli.h"
 #include "core/measure.h"
-#include "metrics/metrics_sink.h"
 #include "metrics/pooled_counters.h"
 #include "net/client.h"
-#include "net/net.h"
-#include "net/protocol.h"
 #include "net/server.h"
 #include "serve/job.h"
 #include "serve/scheduler.h"
@@ -62,27 +43,15 @@
 #include "store/cache.h"
 #include "store/container.h"
 #include "trace/trace.h"
-#include "util/parse.h"
-#include "util/table.h"
 #include "util/timer.h"
 
 namespace {
 
 using namespace gb;
-
-/** Armed by --json=FILE; rows are dropped until then. */
-metrics::MetricsSink g_sink;
-
-/** Print a table and mirror its rows into the metrics sink. */
-void
-report(const Table& table)
-{
-    table.print(std::cout);
-    metrics::emitTable(g_sink, table);
-}
+using cli::report;
 
 /**
- * Run `fn` with gb::trace armed when --trace=FILE was given: start
+ * Run `fn` with gb::trace armed when a trace path was given: start
  * the collector, run the command, stop, export. Export happens after
  * every worker quiesced (commands drain/join before returning) and
  * even when the command fails — a trace of the failing run is the
@@ -106,35 +75,6 @@ runTraced(const std::string& trace_path, const std::function<int()>& fn)
               << " threads (" << st.dropped << " dropped) -> "
               << trace_path << '\n';
     return rc;
-}
-
-int
-usage()
-{
-    std::cerr
-        << "usage:\n"
-           "  genomicsbench list\n"
-           "  genomicsbench info <kernel>\n"
-           "  genomicsbench run <kernel> [--size=tiny|small|large]"
-           " [--threads=N] [--repeat=R]"
-           " [--cache-dir=DIR] [--json=FILE]\n"
-           "  genomicsbench characterize <kernel>"
-           " [--size=tiny|small|large] [--cache-dir=DIR]"
-           " [--json=FILE]\n"
-           "  genomicsbench store build [--cache-dir=DIR]"
-           " [--size=S] [--kernels=a,b,c]\n"
-           "  genomicsbench store inspect <file.gbs>\n"
-           "  genomicsbench store verify <file.gbs>... |"
-           " --cache-dir=DIR\n"
-           "  genomicsbench serve --jobs=FILE | --listen=HOST:PORT"
-           " [--workers=N] [--queue-depth=K]"
-           " [--cache-dir=DIR] [--json=FILE] [--trace=FILE]\n"
-           "  genomicsbench client --connect=HOST:PORT --jobs=FILE"
-           " [--wait-timeout=S] [--drain]\n"
-           "(run also accepts --trace=FILE; see docs/tracing.md)\n"
-           "the scalar/SIMD switch of every kernel is"
-           " GB_SIMD_LEVEL=scalar|sse4|avx2\n";
-    return 2;
 }
 
 int
@@ -173,14 +113,14 @@ cmdInfo(const std::string& name)
 }
 
 int
-cmdRun(const std::string& name, DatasetSize size, unsigned threads,
-       unsigned repeat)
+cmdRun(const cli::Options& opt)
 {
+    const std::string& name = opt.operands.front();
     auto kernel = createKernel(name);
     std::cout << name << ": simd level "
               << simd::simdLevelName(simd::activeSimdLevel()) << '\n';
     Measurement m;
-    measurePrepare(*kernel, size, m);
+    measurePrepare(*kernel, opt.size, m);
     std::cout << "prepared in " << formatF(m.prepare_seconds, 2) << " s";
     const auto& cache = store::globalCache();
     if (cache.enabled()) {
@@ -192,18 +132,18 @@ cmdRun(const std::string& name, DatasetSize size, unsigned threads,
     std::cout << "\npeak RSS after prepare: "
               << formatF(peakRssMib(), 1) << " MiB\n";
 
-    ThreadPool pool(threads);
+    ThreadPool pool(opt.threads);
     // One counter group per pool thread, summed per repeat, so the
     // reported counters cover the whole run at any thread count.
     metrics::PooledCounters counters(pool);
-    measureRepeats(*kernel, pool, repeat, m, &counters);
+    measureRepeats(*kernel, pool, opt.repeat, m, &counters);
     for (size_t r = 0; r < m.repeat_seconds.size(); ++r) {
         const double seconds = m.repeat_seconds[r];
         const double rate = static_cast<double>(m.tasks) / seconds;
         std::cout << "run " << r + 1 << ": " << formatF(seconds, 3)
                   << " s, " << m.tasks << " tasks ("
                   << formatF(rate, 1) << " tasks/s)\n";
-        g_sink.newRow("run")
+        cli::metricsSink().newRow("run")
             .str("kernel", name)
             .count("repeat", r + 1)
             .num("seconds", seconds)
@@ -244,7 +184,7 @@ cmdRun(const std::string& name, DatasetSize size, unsigned threads,
         }
         std::cout << '\n';
     }
-    g_sink.newRow("run_best")
+    cli::metricsSink().newRow("run_best")
         .str("kernel", name)
         .num("seconds", m.bestSeconds())
         .count("threads", pool.numThreads())
@@ -326,15 +266,9 @@ cmdCharacterize(const std::string& name, DatasetSize size)
  * cache enabled, so every cache-aware artifact is materialized.
  */
 int
-cmdStoreBuild(const std::vector<std::string>& kernels, DatasetSize size)
+cmdStoreBuild(const std::vector<std::string>& names, DatasetSize size)
 {
-    auto& cache = store::globalCache();
-    if (!cache.enabled()) {
-        std::cerr << "error: store build requires --cache-dir=DIR\n";
-        return 2;
-    }
-    const std::vector<std::string> names =
-        kernels.empty() ? kernelNames() : kernels;
+    const auto& cache = store::globalCache();
     for (const auto& name : names) {
         auto kernel = createKernel(name);
         WallTimer timer;
@@ -373,13 +307,13 @@ cmdStoreInspect(const std::string& path)
 
 /**
  * `store verify`: recompute every section digest of the given files
- * (or of all .gbs files under --cache-dir). Exit 1 if any fail.
+ * (or of all .gbs files in the cache directory). Exit 1 if any fail.
  */
 int
 cmdStoreVerify(std::vector<std::string> paths)
 {
     const auto& cache = store::globalCache();
-    if (paths.empty() && cache.enabled()) {
+    if (paths.empty()) {
         for (const auto& entry :
              std::filesystem::directory_iterator(cache.dir())) {
             if (entry.path().extension() == ".gbs") {
@@ -389,8 +323,7 @@ cmdStoreVerify(std::vector<std::string> paths)
         std::sort(paths.begin(), paths.end());
     }
     if (paths.empty()) {
-        std::cerr << "error: store verify needs <file.gbs>... or "
-                     "--cache-dir=DIR\n";
+        std::cerr << "error: no .gbs files in " << cache.dir() << '\n';
         return 2;
     }
     int failures = 0;
@@ -462,7 +395,7 @@ reportServeJobs(
             .cellF(m.prepare_seconds, 3)
             .cellF(m.run_seconds, 3)
             .cellF(tasks_per_sec, 1);
-        g_sink.newRow("serve_job")
+        cli::metricsSink().newRow("serve_job")
             .count("job", id)
             .str("kernel", spec.kernel)
             .str("size", datasetSizeName(spec.size))
@@ -528,7 +461,7 @@ reportServeJobs(
                   << formatF(lat.end_to_end.p95_ms, 2) << "/"
                   << formatF(lat.end_to_end.p99_ms, 2) << '\n';
     }
-    g_sink.newRow("serve_summary")
+    cli::metricsSink().newRow("serve_summary")
         .count("jobs", jobs.size())
         .count("completed", stats.completed)
         .count("failed", stats.failed)
@@ -559,15 +492,14 @@ reportServeJobs(
  * and server-level results. Exit 1 if any job failed or was rejected.
  */
 int
-cmdServe(const std::string& jobs_path, unsigned workers,
-         size_t queue_depth)
+cmdServe(const cli::Options& opt)
 {
-    const auto specs = serve::parseJobFile(jobs_path);
+    const auto specs = serve::parseJobFile(opt.jobs_path);
 
     const auto base = CacheBaseline::snapshot();
     serve::Scheduler::Config config;
-    config.workers = workers;
-    config.queue_depth = queue_depth;
+    config.workers = opt.workers;
+    config.queue_depth = opt.queue_depth;
     serve::Scheduler scheduler(std::move(config));
 
     WallTimer wall;
@@ -598,26 +530,23 @@ onShutdownSignal(int)
  * drains gracefully and reports exactly like batch mode.
  */
 int
-cmdServeListen(const std::string& listen_spec, unsigned workers,
-               size_t queue_depth)
+cmdServeListen(const cli::Options& opt)
 {
-    const net::HostPort hostport = net::parseHostPort(listen_spec);
-
     const auto base = CacheBaseline::snapshot();
     serve::Scheduler::Config config;
-    config.workers = workers;
-    config.queue_depth = queue_depth;
+    config.workers = opt.workers;
+    config.queue_depth = opt.queue_depth;
     serve::Scheduler scheduler(std::move(config));
 
     net::ServerConfig server_config;
-    server_config.host = hostport.host;
-    server_config.port = hostport.port;
+    server_config.host = opt.listen.host;
+    server_config.port = opt.listen.port;
     net::Server server(&scheduler, server_config);
     // check.sh (and humans) scrape this line for the resolved port —
     // --listen=HOST:0 binds an ephemeral one.
-    std::cout << "serving on " << hostport.host << ":"
+    std::cout << "serving on " << opt.listen.host << ":"
               << server.port() << " (" << scheduler.workers()
-              << " workers, queue depth " << queue_depth << ")\n"
+              << " workers, queue depth " << opt.queue_depth << ")\n"
               << std::flush;
 
     std::signal(SIGTERM, onShutdownSignal);
@@ -645,53 +574,14 @@ cmdServeListen(const std::string& listen_spec, unsigned workers,
  * Exit 0 only when every submitted job completed.
  */
 int
-cmdClient(const std::string& connect_spec,
-          const std::string& jobs_path, bool drain,
-          double wait_timeout)
+cmdClient(const cli::Options& opt)
 {
-    if (connect_spec.empty() || jobs_path.empty()) {
-        std::cerr << "error: client requires --connect=HOST:PORT "
-                     "and --jobs=FILE\n";
-        return 2;
-    }
-    const net::HostPort hostport = net::parseHostPort(connect_spec);
-    net::ClientOptions options;
-    options.host = hostport.host;
-    options.port = hostport.port;
-    options.jobs_path = jobs_path;
-    options.drain = drain;
-    options.wait_seconds = wait_timeout;
-    return net::runClient(options, std::cout);
-}
-
-/** Flags the parser in main() accepts (name only, sans value). */
-const std::vector<std::string> kFlags = {
-    "--size", "--threads", "--repeat", "--cache-dir", "--json",
-    "--trace", "--jobs", "--listen", "--connect", "--drain",
-    "--wait-timeout", "--workers", "--queue-depth", "--kernels"};
-
-/**
- * The flags each subcommand's usage line lists; any other flag is
- * rejected rather than silently ignored. Null for an unknown command.
- */
-const std::vector<std::string>*
-commandFlags(const std::string& command)
-{
-    static const std::map<std::string, std::vector<std::string>> kByCommand =
-        {{"info", {}},
-         {"run",
-          {"--size", "--threads", "--repeat", "--cache-dir", "--json",
-           "--trace"}},
-         {"characterize", {"--size", "--cache-dir", "--json"}},
-         {"store build", {"--cache-dir", "--size", "--kernels"}},
-         {"store inspect", {}},
-         {"store verify", {"--cache-dir"}},
-         {"serve",
-          {"--jobs", "--listen", "--workers", "--queue-depth",
-           "--cache-dir", "--json", "--trace"}},
-         {"client", {"--connect", "--jobs", "--wait-timeout", "--drain"}}};
-    const auto it = kByCommand.find(command);
-    return it == kByCommand.end() ? nullptr : &it->second;
+    return net::runClient({.host = opt.connect.host,
+                           .port = opt.connect.port,
+                           .jobs_path = opt.jobs_path,
+                           .wait_seconds = opt.wait_timeout,
+                           .drain = opt.drain},
+                          std::cout);
 }
 
 } // namespace
@@ -699,181 +589,37 @@ commandFlags(const std::string& command)
 int
 main(int argc, char** argv)
 {
-    if (argc < 2) return usage();
-    const std::string command = argv[1];
-    try {
-        // A mistyped GB_SIMD_LEVEL is a usage error, caught before
-        // anything runs at the wrong level.
-        simd::activeSimdLevel();
-    } catch (const InputError& e) {
-        std::cerr << "error: " << e.what() << '\n';
-        return 2;
-    }
+    const cli::Options opt =
+        cli::parseOrExit(cli::FrontEnd::kCli, argc, argv);
+    const std::string& command = opt.command;
+    cli::openMetrics(opt,
+                     command + (opt.operands.empty()
+                                    ? std::string()
+                                    : ":" + opt.operands.front()),
+                     "genomicsbench CLI");
     try {
         if (command == "list") return cmdList();
-        if (argc < 3) return usage();
-
-        // Shared flag parsing for the remaining commands; positional
-        // arguments (kernel name, store file paths) are collected.
-        DatasetSize size = DatasetSize::kSmall;
-        unsigned threads = 0;
-        unsigned repeat = 3;
-        std::string json_path;
-        std::string trace_path;
-        std::string jobs_path;
-        std::string listen_spec;
-        std::string connect_spec;
-        bool drain = false;
-        double wait_timeout = -1.0;
-        unsigned workers = 0;
-        size_t queue_depth = 64;
-        std::vector<std::string> kernels;
-        std::vector<std::string> positional;
-        // `store` subcommands are named by their first positional.
-        std::string subcommand = command;
-        if (command == "store") {
-            for (int i = 2; i < argc; ++i) {
-                if (std::strncmp(argv[i], "--", 2) != 0) {
-                    subcommand += std::string(" ") + argv[i];
-                    break;
-                }
-            }
-        }
-        const auto* accepted = commandFlags(subcommand);
-        if (!accepted) return usage();
-        for (int i = 2; i < argc; ++i) {
-            const std::string arg = argv[i];
-            const std::string name = arg.substr(0, arg.find('='));
-            if (std::find(kFlags.begin(), kFlags.end(), name) !=
-                    kFlags.end() &&
-                std::find(accepted->begin(), accepted->end(), name) ==
-                    accepted->end()) {
-                std::cerr << "error: " << subcommand
-                          << " does not accept " << name << '\n';
-                return usage();
-            }
-            if (arg.rfind("--size=", 0) == 0) {
-                size = parseDatasetSize(arg.substr(7));
-            } else if (arg.rfind("--threads=", 0) == 0) {
-                threads = parseUnsigned("--threads", arg.substr(10), 0,
-                                        kMaxThreads);
-            } else if (arg.rfind("--repeat=", 0) == 0) {
-                repeat = parseUnsigned("--repeat", arg.substr(9), 1);
-            } else if (arg.rfind("--cache-dir=", 0) == 0) {
-                const std::string dir = arg.substr(12);
-                requireInput(!dir.empty(),
-                             "--cache-dir expects a directory path");
-                store::setCacheDir(dir);
-            } else if (arg.rfind("--json=", 0) == 0) {
-                json_path = arg.substr(7);
-                requireInput(!json_path.empty(),
-                             "--json expects a file path");
-            } else if (arg.rfind("--trace=", 0) == 0) {
-                trace_path = arg.substr(8);
-                requireInput(!trace_path.empty(),
-                             "--trace needs a file path");
-            } else if (arg.rfind("--jobs=", 0) == 0) {
-                jobs_path = arg.substr(7);
-            } else if (arg.rfind("--listen=", 0) == 0) {
-                listen_spec = arg.substr(9);
-            } else if (arg.rfind("--connect=", 0) == 0) {
-                connect_spec = arg.substr(10);
-            } else if (arg == "--drain") {
-                drain = true;
-            } else if (arg.rfind("--wait-timeout=", 0) == 0) {
-                wait_timeout = parseSeconds(
-                    "--wait-timeout", arg.substr(15), net::kMaxWaitSeconds);
-            } else if (arg.rfind("--workers=", 0) == 0) {
-                workers = parseUnsigned("--workers", arg.substr(10), 0,
-                                        kMaxThreads);
-            } else if (arg.rfind("--queue-depth=", 0) == 0) {
-                queue_depth =
-                    parseUnsigned("--queue-depth", arg.substr(14));
-            } else if (arg.rfind("--kernels=", 0) == 0) {
-                std::istringstream list(arg.substr(10));
-                std::string name;
-                while (std::getline(list, name, ',')) {
-                    if (!name.empty()) kernels.push_back(name);
-                }
-            } else if (arg.rfind("--", 0) == 0) {
-                std::cerr << "error: " << unknownOption(arg, kFlags)
-                          << '\n';
-                return usage();
-            } else {
-                positional.push_back(arg);
-            }
-        }
-
-        if (!json_path.empty()) {
-            metrics::RunMeta meta;
-            meta.experiment = command +
-                              (positional.empty()
-                                   ? std::string()
-                                   : ":" + positional.front());
-            meta.paper_ref = "genomicsbench CLI";
-            meta.size = datasetSizeName(size);
-            meta.threads = threads;
-            meta.simd_level =
-                simd::simdLevelName(simd::activeSimdLevel());
-            g_sink.open(json_path, std::move(meta));
-        }
-
-        if (command == "store") {
-            if (positional.empty()) return usage();
-            const std::string sub = positional.front();
-            positional.erase(positional.begin());
-            if (sub == "build") return cmdStoreBuild(kernels, size);
-            if (sub == "inspect") {
-                if (positional.size() != 1) return usage();
-                return cmdStoreInspect(positional.front());
-            }
-            if (sub == "verify") {
-                return cmdStoreVerify(std::move(positional));
-            }
-            return usage();
-        }
-
-        if (command == "serve") {
-            if (!positional.empty()) return usage();
-            if (!listen_spec.empty() && !jobs_path.empty()) {
-                std::cerr << "error: serve takes --jobs=FILE or "
-                             "--listen=HOST:PORT, not both\n";
-                return 2;
-            }
-            if (!listen_spec.empty()) {
-                return runTraced(trace_path, [&] {
-                    return cmdServeListen(listen_spec, workers,
-                                          queue_depth);
-                });
-            }
-            if (jobs_path.empty()) {
-                std::cerr << "error: serve requires --jobs=FILE or "
-                             "--listen=HOST:PORT\n";
-                return 2;
-            }
-            return runTraced(trace_path, [&] {
-                return cmdServe(jobs_path, workers, queue_depth);
-            });
-        }
-
-        if (command == "client") {
-            if (!positional.empty()) return usage();
-            return cmdClient(connect_spec, jobs_path, drain,
-                             wait_timeout);
-        }
-
-        if (positional.size() != 1) return usage();
-        const std::string kernel = positional.front();
-        if (command == "info") return cmdInfo(kernel);
+        if (command == "info") return cmdInfo(opt.operands.front());
         if (command == "run") {
-            return runTraced(trace_path, [&] {
-                return cmdRun(kernel, size, threads, repeat);
-            });
+            return runTraced(opt.trace_path, [&] { return cmdRun(opt); });
         }
         if (command == "characterize") {
-            return cmdCharacterize(kernel, size);
+            return cmdCharacterize(opt.operands.front(), opt.size);
         }
-        return usage();
+        if (command == "store build") {
+            return cmdStoreBuild(opt.kernelList(), opt.size);
+        }
+        if (command == "store inspect") {
+            return cmdStoreInspect(opt.operands.front());
+        }
+        if (command == "store verify") return cmdStoreVerify(opt.operands);
+        if (command == "serve") {
+            return runTraced(opt.trace_path, [&] {
+                return opt.listen.host.empty() ? cmdServe(opt)
+                                               : cmdServeListen(opt);
+            });
+        }
+        return cmdClient(opt);
     } catch (const std::exception& e) {
         std::cerr << "error: " << e.what() << '\n';
         return 1;
